@@ -4,26 +4,26 @@ trajectory from all cameras and epochs.
 The cost combines per-observation reprojection residuals (rigid body parts,
 or deformation-predicted parts) with per-epoch motion-track smoothness
 residuals. Unknowns are six pose parameters per epoch; the smoothness window
-couples five consecutive epochs, so the normal matrix is block-banded and
-the system is solved sparsely. Camera poses are fixed throughout.
+couples five consecutive epochs, so the normal matrix is banded with
+half-bandwidth 29 (6 * 4 + 5). Levenberg-Marquardt accumulates it straight
+into banded storage and solves each damped step by banded Cholesky. Camera
+poses are fixed throughout.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from . import deform_predictor, geometry, mouse_model, track_constraint
 from .errors import (
-    EpochMismatch,
     InconsistentCameraIds,
     NonFiniteCost,
     NoSolvableEpoch,
-    ParallelRays,
     SchemaError,
 )
 from .geometry import PoseVector
@@ -100,6 +100,18 @@ def fit_rigid(model_pts, world_pts):
     return geometry.RigidTransform(R, t)
 
 
+def _triangulate_parts(dataset, cameras, min_cameras=2):
+    """Linear triangulation of every (epoch, part): ((T, 8, 3) global
+    positions, (T, 8) mask of parts seen by >= min_cameras cameras and
+    triangulated)."""
+    T, K = dataset.visible.shape[:2]
+    visible = dataset.visible.transpose(0, 2, 1).reshape(T * 8, K)
+    pixels = dataset.observations.transpose(0, 2, 1, 3).reshape(T * 8, K, 2)
+    X, ok = geometry.triangulate_batch(cameras, pixels, visible)
+    ok &= visible.sum(axis=1) >= min_cameras
+    return X.reshape(T, 8, 3), ok.reshape(T, 8)
+
+
 def initialize(dataset, cameras=None, min_parts=3) -> MouseStateTrack:
     """Per-epoch initialization from local observations.
 
@@ -113,25 +125,14 @@ def initialize(dataset, cameras=None, min_parts=3) -> MouseStateTrack:
     T = dataset.n_epochs
     poses = [None] * T
     flags = ["interpolated"] * T
-    for t in range(T):
-        tri_model, tri_world = [], []
-        for i in range(8):
-            views = [(cameras[k], dataset.observations[t, k, i])
-                     for k in range(len(cameras)) if dataset.visible[t, k, i]]
-            if len(views) < 2:
-                continue
-            X = geometry.triangulate_linear(views)
-            if X is None:
-                continue
-            tri_model.append(model_pts[i])
-            tri_world.append(X)
-        if len(tri_model) >= min_parts:
-            A = np.asarray(tri_model)
-            s = np.linalg.svd(A - A.mean(axis=0), compute_uv=False)
-            if s[1] > 1e-6 * max(s[0], 1.0):  # reject collinear sets
-                H = fit_rigid(A, np.asarray(tri_world))
-                poses[t] = geometry.transform_to_pose(H)
-                flags[t] = "local"
+    world, have = _triangulate_parts(dataset, cameras)
+    for t in np.flatnonzero(have.sum(axis=1) >= min_parts):
+        A = model_pts[have[t]]
+        s = np.linalg.svd(A - A.mean(axis=0), compute_uv=False)
+        if s[1] > 1e-6 * max(s[0], 1.0):  # reject collinear sets
+            H = fit_rigid(A, world[t, have[t]])
+            poses[t] = geometry.transform_to_pose(H)
+            flags[t] = "local"
     solved = [t for t in range(T) if poses[t] is not None]
     if not solved:
         raise NoSolvableEpoch("no epoch has enough triangulated parts for a local fit")
@@ -152,6 +153,13 @@ def initialize(dataset, cameras=None, min_parts=3) -> MouseStateTrack:
 # Problem construction
 # ---------------------------------------------------------------------------
 
+def _sum_rows(index, values, n):
+    """Sum the rows of values (m, ...) into n rows selected by index (m,)."""
+    k = int(np.prod(values.shape[1:]))
+    flat = (index[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * k).reshape(n, k)
+
+
 class Problem:
     """Stacked residual system over all epochs.
 
@@ -159,6 +167,11 @@ class Problem:
     residual (projected - observed) / sigma. Smoothness blocks: one per
     epoch, residual smoothness_weight * grid displacements between the
     epoch's pose and the cubic recombination of its window neighbors.
+
+    The smoothness residual of epoch t depends on the poses of the five
+    epochs in `smooth_nodes[t]` (t itself, then its four window nodes), at
+    most four epochs apart, so J^T J is banded with half-bandwidth
+    `bandwidth` = min(29, 6T - 1).
     """
 
     def __init__(self, dataset, cameras, model_points, stochastic, sigma_px,
@@ -179,20 +192,11 @@ class Problem:
         self.cam_t = np.stack([c.pose_global.translation for c in cams])
         self.cam_K = np.stack([c.calibration for c in cams])
 
-        t_idx, k_idx, i_idx, obs = [], [], [], []
-        T, K = dataset.visible.shape[:2]
-        for t in range(T):
-            for k in range(K):
-                for i in range(8):
-                    if dataset.visible[t, k, i]:
-                        t_idx.append(t)
-                        k_idx.append(k)
-                        i_idx.append(i)
-                        obs.append(dataset.observations[t, k, i])
-        self.obs_t = np.asarray(t_idx, dtype=int)
-        self.obs_k = np.asarray(k_idx, dtype=int)
-        self.obs_i = np.asarray(i_idx, dtype=int)
-        self.obs_px = np.asarray(obs, dtype=float).reshape(-1, 2)
+        # visible observations in (epoch, camera, part) order
+        self.obs_t, self.obs_k, self.obs_i = np.nonzero(dataset.visible)
+        self.obs_px = np.asarray(
+            dataset.observations[self.obs_t, self.obs_k, self.obs_i],
+            dtype=float).reshape(-1, 2)
         # model-frame point projected for each observation (rigid coordinates,
         # or rigid + predicted offsets in deformed mode)
         mp = np.asarray(model_points, dtype=float)
@@ -201,12 +205,39 @@ class Problem:
         else:             # (T, 8, 3)
             self.obs_model_pts = mp[self.obs_t, self.obs_i]
 
-        # smoothness windows
-        self.windows = [track_constraint.interpolation_window(t, T)
-                        for t in range(T)]
+        # smoothness windows: (T, 4) nodes and cubic weights
+        T = self.n_epochs
+        windows = [track_constraint.interpolation_window(t, T) for t in range(T)]
+        self.win_weights = np.array([w for _, w in windows])
+        self.smooth_nodes = np.column_stack(
+            [np.arange(T), np.array([nodes for nodes, _ in windows], dtype=int)])
         self.n_obs = len(self.obs_t)
         self.n_residuals = 2 * self.n_obs + 3 * self.grid.n_points * T
         self.n_params = 6 * T
+        self._init_band()
+
+    def _init_band(self):
+        """Index maps from 6x6 blocks to lower banded storage.
+
+        J^T J is accumulated as blocks (T, 5, 6, 6), where [j, d] is the
+        block coupling epoch j + d (rows) with epoch j (columns); banded
+        storage holds N[i - j, j] = (J^T J)[i, j] for i >= j.
+        """
+        T = self.n_epochs
+        self.bandwidth = min(29, 6 * T - 1)
+        # window node pairs (a, b) of each epoch's smoothness blocks that land
+        # on or below the block diagonal, and the block they add into
+        na = self.smooth_nodes[:, :, None]
+        nb = self.smooth_nodes[:, None, :]
+        lower = np.broadcast_to(na >= nb, (T, 5, 5))
+        self._pair_src = np.flatnonzero(lower)
+        self._pair_dst = (nb * 5 + (na - nb))[lower]
+        jb, d, p, q = np.meshgrid(np.arange(T), np.arange(5), np.arange(6),
+                                  np.arange(6), indexing="ij")
+        i, j = 6 * (jb + d) + p, 6 * jb + q
+        keep = (i >= j) & (jb + d < T)
+        self._band_src = np.flatnonzero(keep)
+        self._band_dst = ((i - j) * self.n_params + j)[keep]
 
     def block_counts(self):
         return {self.kind: self.n_obs, "track_smoothness": self.n_epochs}
@@ -218,9 +249,8 @@ class Problem:
         return np.concatenate([self._reproj_residuals(x),
                                self._smooth_residuals(x)])
 
-    def _reproj_residuals(self, x):
-        if self.n_obs == 0:
-            return np.zeros(0)
+    def _reproj_forward(self, x):
+        """(residuals (n_obs, 2), q = K pc (n_obs, 3), guarded depth q_z)."""
         R = geometry.rodrigues_to_matrix(x[:, :3])
         world = (np.einsum("nij,nj->ni", R[self.obs_t], self.obs_model_pts)
                  + x[self.obs_t, 3:])
@@ -230,28 +260,28 @@ class Problem:
         z = np.where(np.abs(q[:, 2]) > geometry.EPS_DEPTH, q[:, 2],
                      geometry.EPS_DEPTH)
         proj = q[:, :2] / z[:, None]
-        return ((proj - self.obs_px) / self.sigma_px).ravel()
+        return (proj - self.obs_px) / self.sigma_px, q, z
 
-    def _smooth_pose_pairs(self, x):
-        """Per-epoch (H params, interpolated S params)."""
-        out = np.zeros((self.n_epochs, 2, 6))
-        for t in range(self.n_epochs):
-            nodes, w = self.windows[t]
-            out[t, 0] = x[t]
-            out[t, 1] = w @ x[nodes]
-        return out
+    def _reproj_residuals(self, x):
+        if self.n_obs == 0:
+            return np.zeros(0)
+        return self._reproj_forward(x)[0].ravel()
+
+    def _smooth_forward(self, x):
+        """Interpolated poses S (T, 6), rotations R_H and R_S (T, 3, 3),
+        c = g - t_S and y = R_S^T c (T, n_grid, 3), residuals (T, n_grid, 3).
+        """
+        g = self.grid.points
+        S = np.einsum("ta,tap->tp", self.win_weights, x[self.smooth_nodes[:, 1:]])
+        RH = geometry.rodrigues_to_matrix(x[:, :3])
+        RS = geometry.rodrigues_to_matrix(S[:, :3])
+        c = g - S[:, None, 3:]
+        y = c @ RS
+        res = y @ RH.transpose(0, 2, 1) + x[:, None, 3:] - g
+        return S, RH, RS, c, y, self.stochastic.smoothness_weight * res
 
     def _smooth_residuals(self, x):
-        g = self.grid.points
-        w_s = self.stochastic.smoothness_weight
-        pairs = self._smooth_pose_pairs(x)
-        res = np.zeros((self.n_epochs, len(g), 3))
-        RH = geometry.rodrigues_to_matrix(pairs[:, 0, :3])
-        RS = geometry.rodrigues_to_matrix(pairs[:, 1, :3])
-        for t in range(self.n_epochs):
-            y = (g - pairs[t, 1, 3:]) @ RS[t]       # R_S^T (g - t_S)
-            res[t] = y @ RH[t].T + pairs[t, 0, 3:] - g
-        return (w_s * res).ravel()
+        return self._smooth_forward(x)[5].ravel()
 
     def cost(self, x):
         r = self.residuals(x)
@@ -259,76 +289,95 @@ class Problem:
 
     # -- analytic Jacobian ----------------------------------------------------
 
-    def jacobian(self, x):
-        """Sparse (n_residuals, n_params) Jacobian at x."""
-        x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        rows, cols, vals = [], [], []
+    def _blocks(self, x):
+        """Residuals and Jacobian blocks at x (T, 6).
 
+        Returns (r_p (n_obs, 2), J_p (n_obs, 2, 6), r_s (T, 3 n_grid),
+        J_s (T, 3 n_grid, 5, 6)). J_p[n] is d r_p[n] / d x[obs_t[n]];
+        J_s[t, :, a] is d r_s[t] / d x[smooth_nodes[t, a]].
+        """
+        T = self.n_epochs
+        r_p = np.zeros((0, 2))
+        J_p = np.zeros((0, 2, 6))
         if self.n_obs > 0:
-            rvec = x[self.obs_t, :3]
-            R = geometry.rodrigues_to_matrix(x[:, :3])
-            world = (np.einsum("nij,nj->ni", R[self.obs_t], self.obs_model_pts)
-                     + x[self.obs_t, 3:])
+            r_p, q, z = self._reproj_forward(x)
             Rc = self.cam_R[self.obs_k]
             Kc = self.cam_K[self.obs_k]
-            pc = np.einsum("nij,nj->ni", Rc, world) + self.cam_t[self.obs_k]
-            q = np.einsum("nij,nj->ni", Kc, pc)
-            z = np.where(np.abs(q[:, 2]) > geometry.EPS_DEPTH, q[:, 2],
-                         geometry.EPS_DEPTH)
             # d(proj)/d(pc): (u, v) = (q0/q2, q1/q2), q = K pc
             A = Kc[:, :2, :] * z[:, None, None] - q[:, :2, None] * Kc[:, 2:3, :]
             Jproj = A / (z ** 2)[:, None, None]           # (n, 2, 3)
             Jworld = np.einsum("nab,nbc->nac", Jproj, Rc)  # (n, 2, 3)
-            Jrot = geometry.rotation_point_jacobians(rvec, self.obs_model_pts)
+            Jrot = geometry.rotation_point_jacobians(x[self.obs_t, :3],
+                                                     self.obs_model_pts)
             Jr = np.einsum("nab,nbc->nac", Jworld, Jrot)   # (n, 2, 3)
-            Jblock = np.concatenate([Jr, Jworld], axis=2) / self.sigma_px
-            n = self.n_obs
-            rr = (2 * np.arange(n))[:, None, None] + np.array([0, 1])[None, :, None]
-            cc = (6 * self.obs_t)[:, None, None] + np.arange(6)[None, None, :]
-            rows.append(np.broadcast_to(rr, (n, 2, 6)).ravel())
-            cols.append(np.broadcast_to(cc, (n, 2, 6)).ravel())
-            vals.append(Jblock.ravel())
+            J_p = np.concatenate([Jr, Jworld], axis=2) / self.sigma_px
 
-        # smoothness blocks
-        g = self.grid.points
-        ng = len(g)
-        w_s = self.stochastic.smoothness_weight
-        base = 2 * self.n_obs
-        pairs = self._smooth_pose_pairs(x)
-        RH = geometry.rodrigues_to_matrix(pairs[:, 0, :3])
-        RS = geometry.rodrigues_to_matrix(pairs[:, 1, :3])
-        for t in range(self.n_epochs):
-            rH, tH = pairs[t, 0, :3], pairs[t, 0, 3:]
-            rS, tS = pairs[t, 1, :3], pairs[t, 1, 3:]
-            c = g - tS
-            y = c @ RS[t]                                   # R_S^T c
-            JH = np.zeros((ng, 3, 6))
-            JH[:, :, :3] = geometry.rotation_point_jacobians(
-                np.broadcast_to(rH, (ng, 3)), y)
-            JH[:, :, 3:] = np.eye(3)
-            # d(R_S^T c)/d r_S = -J_rot(-r_S, c); premultiplied by R_H
-            JS = np.zeros((ng, 3, 6))
-            JyrS = -geometry.rotation_point_jacobians(
-                np.broadcast_to(-rS, (ng, 3)), c)
-            JS[:, :, :3] = np.einsum("ab,nbc->nac", RH[t], JyrS)
-            JS[:, :, 3:] = -(RH[t] @ RS[t].T)[None, :, :]
+        S, RH, RS, c, y, r_s = self._smooth_forward(x)
+        ng = self.grid.n_points
+        J_s = np.empty((T, ng, 3, 5, 6))
+        # own epoch: d(R_H y + t_H)/d(r_H, t_H)
+        J_s[:, :, :, 0, :3] = geometry.rotation_point_jacobians(
+            np.repeat(x[:, :3], ng, axis=0), y.reshape(-1, 3)).reshape(T, ng, 3, 3)
+        J_s[:, :, :, 0, 3:] = np.eye(3)
+        # interpolated pose: d(R_S^T c)/d r_S = -J_rot(-r_S, c), premultiplied
+        # by R_H, then spread over the window nodes by their weights
+        JyrS = -geometry.rotation_point_jacobians(
+            np.repeat(-S[:, :3], ng, axis=0), c.reshape(-1, 3)).reshape(T, ng, 3, 3)
+        w = self.win_weights[:, None, None, :, None]
+        J_s[:, :, :, 1:, :3] = (RH[:, None] @ JyrS)[:, :, :, None, :] * w
+        J_s[:, :, :, 1:, 3:] = -(RH @ RS.transpose(0, 2, 1))[:, None, :, None, :] * w
+        J_s *= self.stochastic.smoothness_weight
+        return r_p, J_p, r_s.reshape(T, 3 * ng), J_s.reshape(T, 3 * ng, 5, 6)
 
-            nodes, w = self.windows[t]
-            row0 = base + 3 * ng * t
-            rr = row0 + np.arange(3 * ng)
-            # own-epoch block
-            rows.append(np.repeat(rr, 6))
-            cols.append(np.tile(6 * t + np.arange(6), 3 * ng))
-            vals.append((w_s * JH).reshape(3 * ng, 6).ravel())
-            for node, wj in zip(nodes, w):
-                rows.append(np.repeat(rr, 6))
-                cols.append(np.tile(6 * node + np.arange(6), 3 * ng))
-                vals.append((w_s * wj * JS).reshape(3 * ng, 6).ravel())
-
+    def jacobian(self, x):
+        """Sparse (n_residuals, n_params) Jacobian at x, built from the same
+        blocks as `normal_equations`."""
+        x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
+        _, J_p, _, J_s = self._blocks(x)
+        T, m = J_s.shape[:2]
+        n = self.n_obs
+        rows = [np.broadcast_to((2 * np.arange(n))[:, None, None]
+                                + np.arange(2)[:, None], (n, 2, 6)),
+                np.broadcast_to((2 * n + m * np.arange(T))[:, None, None, None]
+                                + np.arange(m)[:, None, None], (T, m, 5, 6))]
+        cols = [np.broadcast_to((6 * self.obs_t)[:, None, None] + np.arange(6),
+                                (n, 2, 6)),
+                np.broadcast_to((6 * self.smooth_nodes)[:, None, :, None]
+                                + np.arange(6), (T, m, 5, 6))]
         J = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (np.concatenate([J_p.ravel(), J_s.ravel()]),
+             (np.concatenate([r.ravel() for r in rows]),
+              np.concatenate([c.ravel() for c in cols]))),
             shape=(self.n_residuals, self.n_params))
         return J.tocsr()
+
+    def normal_equations(self, x):
+        """J^T J in lower banded storage and J^T r at x.
+
+        Returns (N, g): N has shape (bandwidth + 1, n_params) with
+        N[i - j, j] = (J^T J)[i, j] for i >= j (the layout of
+        scipy.linalg.cholesky_banded with lower=True), g = J^T r.
+        """
+        x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
+        r_p, J_p, r_s, J_s = self._blocks(x)
+        T = self.n_epochs
+        blocks = np.zeros((T, 5, 36))
+        g = np.zeros((T, 6))
+        if self.n_obs > 0:
+            Jt = J_p.transpose(0, 2, 1)
+            blocks[:, 0] = _sum_rows(self.obs_t, Jt @ J_p, T)
+            g += _sum_rows(self.obs_t, Jt @ r_p[:, :, None], T)
+        # per epoch, all 5 x 5 node pairs of its smoothness blocks at once
+        J = J_s.reshape(T, -1, 30)
+        Jt = J.transpose(0, 2, 1)
+        pairs = (Jt @ J).reshape(T, 5, 6, 5, 6).transpose(0, 1, 3, 2, 4)
+        blocks += _sum_rows(self._pair_dst, pairs.reshape(-1, 36)[self._pair_src],
+                            T * 5).reshape(T, 5, 36)
+        g += _sum_rows(self.smooth_nodes.ravel(),
+                       (Jt @ r_s[:, :, None]).reshape(-1, 6), T)
+        N = np.zeros((self.bandwidth + 1, self.n_params))
+        N.reshape(-1)[self._band_dst] = blocks.reshape(-1)[self._band_src]
+        return N, g.ravel()
 
     def residual_rms(self, x):
         """(reprojection RMS in px, smoothness RMS in mm) at x."""
@@ -372,37 +421,29 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model,
 
     Parts visible in >= min_cameras cameras are triangulated and mapped into
     the model frame via the current pose estimates; the resulting token
-    windows feed the sequence model. Epochs whose window does not fit inside
-    the track get zero offsets.
+    windows feed the sequence model in one batch. Epochs whose window does
+    not fit inside the track get zero offsets.
     """
     T = dataset.n_epochs
     n = model.window
     rigid = mouse_model.RigidMouseModel().rigid_part_positions()
-    est = np.broadcast_to(rigid, (T, 8, 3)).copy()
-    have = np.zeros((T, 8), dtype=bool)
-    for t in range(T):
-        inv = geometry.invert(geometry.pose_to_transform(track.poses[t]))
-        for i in range(8):
-            views = [(cameras[k], dataset.observations[t, k, i])
-                     for k in range(len(cameras)) if dataset.visible[t, k, i]]
-            if len(views) < min_cameras:
-                continue
-            X = geometry.triangulate_linear(views)
-            if X is None:
-                continue
-            est[t, i] = geometry.apply(inv, X)
-            have[t, i] = True
+    world, have = _triangulate_parts(dataset, cameras, min_cameras)
+    x = track.as_array()
+    R = geometry.rodrigues_to_matrix(x[:, :3])
+    est = (world - x[:, None, 3:]) @ R               # R^T (X - t), model frame
 
     offsets = np.zeros((T, 8, 3))
-    win = 2 * n + 1
+    rig = np.broadcast_to(rigid, (2 * n + 1, 8, 3))
+    seqs = []
     for t in range(n, T - n):
         epochs = np.arange(t - n, t + n + 1)
-        rig = np.broadcast_to(rigid, (win, 8, 3)).copy()
         masked = ~have[epochs]
         masked[n, :] = True
         deformable = np.where(masked[:, :, None], rig, est[epochs])
-        seq = deform_predictor.TokenSequence(epochs, rig, deformable, masked)
-        offsets[t] = model.predict(seq) - rigid
+        seqs.append(deform_predictor.TokenSequence(epochs, rig, deformable,
+                                                   masked))
+    if seqs:
+        offsets[n:T - n] = model.predict_many(seqs) - rigid
     return offsets
 
 
@@ -422,11 +463,12 @@ class SolveOptions:
 
 def solve(problem: Problem, track: MouseStateTrack,
           options: SolveOptions | None = None):
-    """Levenberg-Marquardt on the banded sparse system.
+    """Levenberg-Marquardt with banded Cholesky steps.
 
-    Accepted steps never increase the cost. Returns (MouseStateTrack,
-    SolveReport); on hitting the iteration cap the best iterate is returned
-    with status 'max_iterations'.
+    Accepted steps never increase the cost. A damped normal matrix that is
+    not positive definite counts as a rejected step: lambda grows and the
+    step is retried. Returns (MouseStateTrack, SolveReport); on hitting the
+    iteration cap the best iterate is returned with status 'max_iterations'.
     """
     options = options or SolveOptions()
     x = track.as_array().ravel().copy()
@@ -440,40 +482,36 @@ def solve(problem: Problem, track: MouseStateTrack,
     converged = False
     it = 0
     for it in range(1, options.max_iterations + 1):
-        J = problem.jacobian(x)
-        g = J.T @ r
+        N, g = problem.normal_equations(x)
         if np.max(np.abs(g)) < options.gradient_tolerance:
             converged = True
             break
-        JtJ = (J.T @ J).tocsc()
-        diag = JtJ.diagonal()
-        scale = np.maximum(diag, 1e-12)
-        accepted = False
-        while not accepted:
-            A = JtJ + scipy.sparse.diags(lam * scale)
+        scale = np.maximum(N[0], 1e-12)
+        while True:
+            damped = N.copy()
+            damped[0] += lam * scale
             try:
-                delta = scipy.sparse.linalg.spsolve(A, -g)
-            except RuntimeError:
-                lam *= options.lambda_up
-                continue
-            x_new = x + delta
-            r_new = problem.residuals(x_new)
-            cost_new = float(r_new @ r_new)
-            if not np.isfinite(cost_new):
-                raise NonFiniteCost(f"cost non-finite at iteration {it}")
-            if cost_new < cost:
-                rel = (cost - cost_new) / max(cost, 1e-300)
-                x, r, cost = x_new, r_new, cost_new
-                lam = max(lam / options.lambda_down, 1e-12)
-                accepted = True
-                if rel < options.cost_tolerance:
-                    converged = True
+                factor = scipy.linalg.cholesky_banded(damped, lower=True)
+            except np.linalg.LinAlgError:
+                pass    # not positive definite: handled as a rejected step
             else:
-                lam *= options.lambda_up
-                if lam > 1e12:
-                    # no downhill step exists at numerical precision
-                    converged = True
-                    accepted = True
+                x_new = x + scipy.linalg.cho_solve_banded((factor, True), -g)
+                r_new = problem.residuals(x_new)
+                cost_new = float(r_new @ r_new)
+                if not np.isfinite(cost_new):
+                    raise NonFiniteCost(f"cost non-finite at iteration {it}")
+                if cost_new < cost:
+                    rel = (cost - cost_new) / max(cost, 1e-300)
+                    x, r, cost = x_new, r_new, cost_new
+                    lam = max(lam / options.lambda_down, 1e-12)
+                    if rel < options.cost_tolerance:
+                        converged = True
+                    break
+            lam *= options.lambda_up
+            if lam > 1e12:
+                # no downhill step exists at numerical precision
+                converged = True
+                break
         if converged:
             break
     else:
@@ -487,14 +525,10 @@ def solve(problem: Problem, track: MouseStateTrack,
     out = MouseStateTrack.from_array(x.reshape(-1, 6), flags)
     # per-epoch reprojection residual rms
     rr = problem._reproj_residuals(x.reshape(-1, 6)) * problem.sigma_px
-    per_epoch = np.zeros(problem.n_epochs)
-    if problem.n_obs:
-        sq = (rr.reshape(-1, 2) ** 2).sum(axis=1)
-        for t in range(problem.n_epochs):
-            sel = problem.obs_t == t
-            if sel.any():
-                per_epoch[t] = np.sqrt(sq[sel].mean())
-    out.residual_rms = per_epoch
+    sq = (rr.reshape(-1, 2) ** 2).sum(axis=1)
+    count = np.bincount(problem.obs_t, minlength=problem.n_epochs)
+    total = np.bincount(problem.obs_t, weights=sq, minlength=problem.n_epochs)
+    out.residual_rms = np.sqrt(total / np.maximum(count, 1))
     return out, report
 
 
@@ -579,14 +613,27 @@ def load_track(path) -> MouseStateTrack:
         raise SchemaError(f"{path}: invalid JSON: {e.msg}")
     if not isinstance(records, list):
         raise SchemaError("track file must be a JSON list of epoch records")
-    records = sorted(records, key=lambda r: r["t"])
-    poses, flags, rms = [], [], []
     for rec in records:
+        if not isinstance(rec, dict):
+            raise SchemaError("track records must be JSON objects")
         for key in ("t", "rodrigues", "translation_mm"):
             if key not in rec:
                 raise SchemaError(f"track record missing field '{key}'")
-        poses.append(PoseVector(np.array(rec["rodrigues"]),
-                                np.array(rec["translation_mm"])))
+        if not isinstance(rec["t"], int) or isinstance(rec["t"], bool):
+            raise SchemaError(f"track record field 't' must be an integer, "
+                              f"got {rec['t']!r}")
+        for key in ("rodrigues", "translation_mm"):
+            try:
+                vec = np.asarray(rec[key], dtype=float)
+            except (TypeError, ValueError):
+                vec = None
+            if vec is None or vec.shape != (3,):
+                raise SchemaError(f"track record field '{key}' must be 3 numbers")
+    records = sorted(records, key=lambda r: r["t"])
+    poses, flags, rms = [], [], []
+    for rec in records:
+        poses.append(PoseVector(np.array(rec["rodrigues"], dtype=float),
+                                np.array(rec["translation_mm"], dtype=float)))
         flags.append(rec.get("solved_from", "adjusted"))
         rms.append(rec.get("residual_rms", 0.0))
     track = MouseStateTrack(poses, flags)

@@ -211,12 +211,17 @@ class SequenceModel:
     def predict(self, seq: TokenSequence):
         """Deformable model-frame coordinates (N_PARTS, 3) for the masked
         mid-epoch parts: rigid coordinate plus predicted offset."""
+        return self.predict_many([seq])[0]
+
+    def predict_many(self, seqs):
+        """`predict` for equal-length windows in one forward pass;
+        returns (len(seqs), N_PARTS, 3)."""
         if not self.trained:
             raise UntrainedModel("model has no trained weights")
-        X = self.features(seq)[None, :, :]
+        X = np.stack([self.features(seq) for seq in seqs])
         y, _ = self.forward(X)
-        off = y[0].reshape(N_PARTS, 3) * self.off_std
-        return seq.rigid[seq.mid] + off
+        off = y.reshape(len(seqs), N_PARTS, 3) * self.off_std
+        return np.stack([seq.rigid[seq.mid] for seq in seqs]) + off
 
 
 # ---------------------------------------------------------------------------

@@ -505,41 +505,16 @@ def triangulate(observations):
     -------
     (3-vector global mm, per-camera residual array in px)
 
-    Raises ParallelRays when fewer than two cameras are given or every ray
-    pair subtends less than 0.1 degrees.
+    Raises ParallelRays when fewer than two cameras are given, when every
+    ray pair subtends less than 0.1 degrees, or when the linear solution
+    lies at infinity.
     """
     if len(observations) < 2:
         raise ParallelRays(f"triangulation needs >= 2 cameras, got {len(observations)}")
-    centers, dirs = [], []
-    for cam, px in observations:
-        H = cam.pose_global
-        d = H.rotation.T @ np.linalg.solve(cam.calibration,
-                                           np.array([px[0], px[1], 1.0]))
-        dirs.append(d / np.linalg.norm(d))
-        centers.append(cam.center())
-    dirs = np.asarray(dirs)
-    max_angle = 0.0
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            c = np.clip(abs(dirs[i] @ dirs[j]), -1.0, 1.0)
-            max_angle = max(max_angle, np.degrees(np.arccos(c)))
-    if max_angle < MIN_TRIANGULATION_ANGLE_DEG:
-        raise ParallelRays(f"max triangulation angle {max_angle:.4f} deg < "
-                           f"{MIN_TRIANGULATION_ANGLE_DEG} deg")
-
-    # linear DLT on normalized image coordinates
-    A = []
-    for cam, px in observations:
-        P = np.linalg.solve(cam.calibration, cam.projection_matrix())
-        m = np.linalg.solve(cam.calibration, np.array([px[0], px[1], 1.0]))
-        A.append(m[0] * P[2] - m[2] * P[0])
-        A.append(m[1] * P[2] - m[2] * P[1])
-    A = np.asarray(A)
-    _, _, Vt = np.linalg.svd(A)
-    Xh = Vt[-1]
-    if abs(Xh[3]) < 1e-14:
-        raise ParallelRays("point at infinity; rays effectively parallel")
-    X0 = Xh[:3] / Xh[3]
+    X0 = triangulate_linear(observations)
+    if X0 is None:
+        raise ParallelRays(f"no ray pair subtends {MIN_TRIANGULATION_ANGLE_DEG} "
+                           f"deg, or the point lies at infinity")
 
     def residuals(X):
         out = []
@@ -557,34 +532,66 @@ def triangulate(observations):
 
 
 def triangulate_linear(observations, min_angle_deg=MIN_TRIANGULATION_ANGLE_DEG):
-    """DLT-only triangulation (no iterative refinement); returns the point or
-    None for parallel/degenerate ray bundles. Fast path for initialization."""
+    """DLT-only triangulation (no iterative refinement) of one point; returns
+    the point or None for parallel/degenerate ray bundles."""
     if len(observations) < 2:
         return None
-    dirs = []
-    for cam, px in observations:
-        d = cam.pose_global.rotation.T @ np.linalg.solve(
-            cam.calibration, np.array([px[0], px[1], 1.0]))
-        dirs.append(d / np.linalg.norm(d))
-    ok = False
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            c = np.clip(abs(dirs[i] @ dirs[j]), -1.0, 1.0)
-            if np.degrees(np.arccos(c)) >= min_angle_deg:
-                ok = True
-    if not ok:
-        return None
-    A = []
-    for cam, px in observations:
-        P = np.linalg.solve(cam.calibration, cam.projection_matrix())
-        m = np.linalg.solve(cam.calibration, np.array([px[0], px[1], 1.0]))
-        A.append(m[0] * P[2] - m[2] * P[0])
-        A.append(m[1] * P[2] - m[2] * P[1])
-    _, _, Vt = np.linalg.svd(np.asarray(A))
-    Xh = Vt[-1]
-    if abs(Xh[3]) < 1e-14:
-        return None
-    return Xh[:3] / Xh[3]
+    cams = [cam for cam, _ in observations]
+    pixels = np.asarray([px for _, px in observations], dtype=float)
+    X, ok = triangulate_batch(cams, pixels[None], np.ones((1, len(cams)), bool),
+                              min_angle_deg)
+    return X[0] if ok[0] else None
+
+
+def triangulate_batch(cameras, pixels, visible,
+                      min_angle_deg=MIN_TRIANGULATION_ANGLE_DEG):
+    """Linear (DLT) triangulation of many points at once.
+
+    Parameters
+    ----------
+    cameras : sequence of K CameraModel
+    pixels : (N, K, 2) pixel of each point in each camera; entries of
+        invisible views are ignored (they may be NaN)
+    visible : (N, K) bool, which views see each point
+
+    Returns
+    -------
+    (points (N, 3) global mm, ok (N,) bool). A point is rejected (ok False,
+    coordinates NaN) when fewer than two views see it, when no pair of its
+    rays subtends min_angle_deg, or when its DLT solution lies at infinity.
+    """
+    visible = np.asarray(visible, dtype=bool)
+    n, k = visible.shape
+    calib = np.stack([cam.calibration for cam in cameras])
+    rot = np.stack([cam.pose_global.rotation for cam in cameras])
+    # normalized image coordinates m = K^-1 (u, v, 1); invisible views -> 0
+    h = np.concatenate([np.asarray(pixels, dtype=float).reshape(n, k, 2),
+                        np.ones((n, k, 1))], axis=2)
+    h = np.where(visible[:, :, None], h, 0.0)
+    m = np.linalg.solve(calib[None], h[..., None])[..., 0]       # (N, K, 3)
+
+    # ray directions in the global frame; one angle check for all pairs
+    d = np.einsum("kji,nkj->nki", rot, m)
+    norm = np.linalg.norm(d, axis=2, keepdims=True)
+    d = d / np.where(norm > 0.0, norm, 1.0)
+    cos = np.clip(np.abs(np.einsum("nki,nli->nkl", d, d)), -1.0, 1.0)
+    pairs = (visible[:, :, None] & visible[:, None, :]
+             & np.triu(np.ones((k, k), bool), 1))
+    wide = pairs & (np.degrees(np.arccos(cos)) >= min_angle_deg)
+    ok = wide.any(axis=(1, 2))
+
+    # two rows per view, zero rows for invisible views (null space unchanged)
+    P = np.linalg.solve(calib, np.stack([cam.projection_matrix()
+                                         for cam in cameras]))  # (K, 3, 4)
+    A = np.stack([m[:, :, 0:1] * P[None, :, 2] - m[:, :, 2:3] * P[None, :, 0],
+                  m[:, :, 1:2] * P[None, :, 2] - m[:, :, 2:3] * P[None, :, 1]],
+                 axis=2).reshape(n, 2 * k, 4)
+    _, _, Vt = np.linalg.svd(A)
+    Xh = Vt[:, -1]
+    ok &= np.abs(Xh[:, 3]) >= 1e-14
+    X = np.full((n, 3), np.nan)
+    X[ok] = Xh[ok, :3] / Xh[ok, 3:]
+    return X, ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mousetrack3d import adjustment, evaluation, geometry, simulator
+import scipy.linalg
+
+from mousetrack3d import adjustment, evaluation, geometry, mouse_model, simulator
 from mousetrack3d.adjustment import (
     MouseStateTrack,
     SolveOptions,
@@ -132,6 +134,44 @@ def test_deformed_problem_uses_per_epoch_points():
 
 # -- jacobian -----------------------------------------------------------------
 
+def band_to_dense(N):
+    """Lower triangle of the matrix held in lower banded storage N."""
+    n = N.shape[1]
+    L = np.zeros((n, n))
+    for k in range(N.shape[0]):
+        L[np.arange(k, n), np.arange(n - k)] = N[k, :n - k]
+    return L
+
+
+@pytest.mark.parametrize("n_epochs", [5, 6, 12])
+@pytest.mark.parametrize("kind", ["rigid", "deformed", "smoothness_only"])
+def test_normal_equations_match_dense_jacobian(n_epochs, kind):
+    ds = make_dataset(n_epochs=n_epochs, noise=0.5, step_sigma=1.5,
+                      deformation=kind == "deformed")
+    if kind == "smoothness_only":
+        ds.visible[:] = False
+    stochastic = StochasticConfig(smoothness_weight=0.7)
+    offsets = ds.deform_offsets if kind == "deformed" else None
+    problem = build_problem(ds, ds.cameras, stochastic=stochastic,
+                            deform_offsets=offsets)
+    rng = np.random.default_rng(n_epochs)
+    x = gt_track(ds).as_array() + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
+                                             size=(n_epochs, 6))
+    J = problem.jacobian(x.ravel()).toarray()
+    r = problem.residuals(x.ravel())
+    N, g = problem.normal_equations(x.ravel())
+
+    JtJ = J.T @ J
+    u = min(29, 6 * n_epochs - 1)
+    assert N.shape == (u + 1, 6 * n_epochs)
+    i, j = np.indices(JtJ.shape)
+    assert np.all(JtJ[np.abs(i - j) > u] == 0.0)
+    assert (np.abs(band_to_dense(N) - np.tril(JtJ)).max()
+            <= 1e-12 * np.abs(JtJ).max())
+    Jtr = J.T @ r
+    assert np.abs(g - Jtr).max() <= 1e-12 * np.abs(Jtr).max()
+
+
 def test_jacobian_random_pose_reprojection():
     ds = make_dataset(n_epochs=8, noise=0.5)
     problem = build_problem(ds, ds.cameras)
@@ -200,6 +240,67 @@ def test_perturbed_init_reaches_same_optimum():
         < 1e-9 * max(ref.final_cost, 1e-30)
 
 
+class IndefiniteFirstStep(adjustment.Problem):
+    """Problem whose first normal matrix has an indefinite leading 2x2 block
+    that only damping with lambda > 1 makes positive definite."""
+
+    calls = 0
+
+    def normal_equations(self, x):
+        N, g = super().normal_equations(x)
+        if self.calls == 0:
+            N[1, 0] = 2.0 * np.sqrt(N[0, 0] * N[0, 1])
+        self.calls += 1
+        return N, g
+
+
+def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
+    ds = make_dataset(noise=0.5, n_epochs=12)
+    model_pts = mouse_model.RigidMouseModel().rigid_part_positions()
+    stochastic = StochasticConfig()
+    problem = IndefiniteFirstStep(ds, ds.cameras, model_pts, stochastic,
+                                  stochastic.sigma_px_deformation)
+    attempts = []   # (damped diagonal of entry 0, factorization succeeded)
+    factorize = scipy.linalg.cholesky_banded
+
+    def recording(ab, *args, **kwargs):
+        try:
+            out = factorize(ab, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            attempts.append((ab[0, 0], False))
+            raise
+        attempts.append((ab[0, 0], True))
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+    options = SolveOptions()
+    track, report = solve(problem, initialize(ds), options)
+
+    assert not attempts[0][1]
+    first_ok = next(k for k, (_, ok) in enumerate(attempts) if ok)
+    # lambda rose by at least lambda_up before a factorization succeeded
+    assert attempts[first_ok][0] > attempts[0][0] * options.lambda_up
+    assert np.all(np.isfinite(track.as_array()))
+    assert report.final_cost < report.initial_cost
+
+
+def test_solve_per_epoch_residual_rms():
+    ds = make_dataset(noise=0.5, dropout=0.2, n_epochs=20)
+    ds.visible[7] = False
+    ds.observations[7] = np.nan
+    problem = build_problem(ds, ds.cameras)
+    track, _ = solve(problem, initialize(ds))
+    rr = (problem._reproj_residuals(track.as_array()) * problem.sigma_px
+          ).reshape(-1, 2)
+    expect = np.zeros(20)
+    for t in range(20):
+        sel = problem.obs_t == t
+        if sel.any():
+            expect[t] = np.sqrt((rr[sel] ** 2).sum(axis=1).mean())
+    assert track.residual_rms[7] == 0.0
+    assert np.allclose(track.residual_rms, expect, rtol=1e-12, atol=0.0)
+
+
 def test_solve_dataset_recovers_track_with_dropout():
     for seed in (0, 1):
         ds = make_dataset(seed=seed, noise=0.5, dropout=0.2, n_epochs=60)
@@ -259,4 +360,24 @@ def test_track_load_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('[{"t": 0, "rodrigues": [0, 0, 0]}]')
     with pytest.raises(SchemaError, match="translation_mm"):
+        load_track(path)
+
+
+@pytest.mark.parametrize("text, match", [
+    ('[{"rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]},'
+     ' {"rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}]', "'t'"),
+    ('[{"t": 0, "rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}, 3]',
+     "objects"),
+    ('[{"t": "0", "rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]},'
+     ' {"t": 1, "rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}]',
+     "integer"),
+    ('[{"t": 0, "rodrigues": [0, 0], "translation_mm": [0, 0, 0]}]',
+     "rodrigues"),
+    ('[{"t": 0, "rodrigues": [0, 0, 0], "translation_mm": ["a", 0, 0]}]',
+     "translation_mm"),
+])
+def test_track_load_malformed_records(tmp_path, text, match):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=match):
         load_track(path)

@@ -48,6 +48,19 @@ def test_solve_deformed_without_model_exit_2(tmp_path):
                "--out", str(tmp_path / "track.json")) == 2
 
 
+@pytest.mark.parametrize("records", [
+    [{"rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}] * 2,
+    [1, 2],
+])
+def test_evaluate_malformed_track_exit_2(tmp_path, records):
+    data = tmp_path / "data.json"
+    run("simulate", "--config", scene_file(tmp_path), "--out", str(data))
+    track = tmp_path / "track.json"
+    track.write_text(json.dumps(records))
+    assert run("evaluate", "--data", str(data), "--track", str(track),
+               "--out", str(tmp_path / "report.json")) == 2
+
+
 def test_simulate_solve_evaluate_plot_chain(tmp_path):
     data = tmp_path / "data.json"
     track = tmp_path / "track.json"

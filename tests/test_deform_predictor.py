@@ -142,6 +142,15 @@ def test_prediction_deterministic(trained_gait_model):
     assert np.array_equal(model.predict(seq), model.predict(seq))
 
 
+def test_predict_many_matches_predict(trained_gait_model):
+    ds, model, _ = trained_gait_model
+    seqs = [build_tokens(ds, t) for t in range(2, 40)]
+    batched = model.predict_many(seqs)
+    single = np.stack([model.predict(seq) for seq in seqs])
+    assert batched.shape == (len(seqs), 8, 3)
+    assert np.abs(batched - single).max() < 1e-12
+
+
 def test_sequence_order_matters(trained_gait_model):
     ds, model, _ = trained_gait_model
     seq = build_tokens(ds, 10)

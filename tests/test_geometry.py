@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mousetrack3d import geometry
+from mousetrack3d import geometry, simulator
 from mousetrack3d.errors import (
     InsufficientPoints,
     NonPositiveDepth,
@@ -26,6 +26,8 @@ from mousetrack3d.geometry import (
     rodrigues_to_matrix,
     transform_to_pose,
     triangulate,
+    triangulate_batch,
+    triangulate_linear,
 )
 
 
@@ -344,6 +346,74 @@ def test_triangulate_project_roundtrip():
         X = rng.normal(scale=80, size=3)
         rec, _ = triangulate([(a, project(a, X)), (b, project(b, X))])
         assert np.allclose(rec, X, atol=1e-6)
+
+
+def dlt_reference(observations):
+    """Single-point DLT over the visible views only, one view at a time."""
+    A = []
+    for cam, px in observations:
+        P = np.linalg.solve(cam.calibration, cam.projection_matrix())
+        m = np.linalg.solve(cam.calibration, np.array([px[0], px[1], 1.0]))
+        A.append(m[0] * P[2] - m[2] * P[0])
+        A.append(m[1] * P[2] - m[2] * P[1])
+    Xh = np.linalg.svd(np.asarray(A))[2][-1]
+    return Xh[:3] / Xh[3]
+
+
+def test_triangulate_batch_matches_per_point_dlt():
+    ds = simulator.simulate(simulator.SceneConfig(
+        cameras=simulator.default_cameras(), seed=3, n_epochs=40,
+        noise_sigma_px=0.5,
+        occlusion=simulator.OcclusionConfig(random_dropout_rate=0.4)))
+    cams = ds.cameras
+    pixels = ds.observations.transpose(0, 2, 1, 3).reshape(-1, len(cams), 2)
+    visible = ds.visible.transpose(0, 2, 1).reshape(-1, len(cams))
+    assert np.isnan(pixels[~visible]).all()
+    X, ok = triangulate_batch(cams, pixels, visible)
+    n_views = visible.sum(axis=1)
+    assert (n_views < 2).any() and (n_views == 3).any()
+    assert np.array_equal(ok, n_views >= 2)
+    assert np.isnan(X[~ok]).all()
+    for p in np.flatnonzero(ok):
+        views = [(cams[k], pixels[p, k]) for k in np.flatnonzero(visible[p])]
+        ref = dlt_reference(views)
+        assert np.abs(X[p] - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
+        assert np.abs(triangulate_linear(views) - ref).max() \
+            <= 1e-9 * max(np.abs(ref).max(), 1.0)
+
+
+def test_triangulate_batch_rejects_degenerate_points():
+    K = np.diag([1000.0, 1000.0, 1.0])
+    a = CameraModel(K, RigidTransform(np.eye(3), np.array([0, 0, 1000.0])))
+    b = CameraModel(K, RigidTransform(np.eye(3), np.array([-100.0, 0, 1000.0])))
+    _, c = two_orthogonal_cameras()
+    zero = np.zeros((1, 2, 2))
+    # one view only; the other view's pixel is NaN
+    one = np.array([[[0.0, 0.0], [np.nan, np.nan]]])
+    _, ok = triangulate_batch([a, c], one, np.array([[True, False]]))
+    assert not ok[0]
+    # parallel rays through the same pixel of two equally oriented cameras
+    _, ok = triangulate_batch([a, b], zero, np.ones((1, 2), bool))
+    assert not ok[0]
+    assert triangulate_linear([(a, zero[0, 0]), (b, zero[0, 1])]) is None
+    # rays 0.03 deg apart that meet at a finite point
+    near = CameraModel(K, RigidTransform(np.eye(3), np.array([-1.0, 0, 1000.0])))
+    X = np.array([0.0, 0.0, 1000.0])
+    px = np.array([[project(a, X), project(near, X)]])
+    _, ok = triangulate_batch([a, near], px, np.ones((1, 2), bool))
+    assert not ok[0]
+    Y, ok = triangulate_batch([a, near], px, np.ones((1, 2), bool),
+                              min_angle_deg=0.0)
+    assert ok[0] and np.allclose(Y[0], X, atol=1e-6)
+    # without the angle check the parallel rays meet only at infinity
+    _, ok = triangulate_batch([a, b], zero, np.ones((1, 2), bool),
+                              min_angle_deg=0.0)
+    assert not ok[0]
+    # a well-posed point in the same batch is unaffected
+    X, ok = triangulate_batch([a, c], np.stack([one[0], zero[0]]),
+                              np.array([[True, False], [True, True]]))
+    assert ok.tolist() == [False, True]
+    assert np.allclose(X[1], 0.0, atol=1e-9)
 
 
 # -- camera file IO -----------------------------------------------------------
