@@ -3,11 +3,14 @@ trajectory from all cameras and epochs.
 
 The cost combines per-observation reprojection residuals (rigid body parts,
 or deformation-predicted parts) with per-epoch motion-track smoothness
-residuals. Unknowns are six pose parameters per epoch; the smoothness window
-couples five consecutive epochs, so the normal matrix is banded with
-half-bandwidth 29 (6 * 4 + 5). Levenberg-Marquardt accumulates it straight
-into banded storage and solves each damped step by banded Cholesky. Camera
-poses are fixed throughout.
+residuals. The smoothness residuals are the exact four-weighted-point
+equivalent of the comparison grid's displacements (see `Problem`). Unknowns
+are six pose parameters per epoch; the smoothness window couples five
+consecutive epochs, so the normal matrix is banded with half-bandwidth 29
+(6 * 4 + 5). Levenberg-Marquardt accumulates it straight into banded
+storage from per-epoch rotation derivatives and one 12x12 smoothness factor
+per epoch, and solves each damped step by banded Cholesky. Camera poses are
+fixed throughout.
 """
 
 from __future__ import annotations
@@ -165,8 +168,16 @@ class Problem:
 
     Reprojection blocks: one per visible (epoch, camera, part) observation,
     residual (projected - observed) / sigma. Smoothness blocks: one per
-    epoch, residual smoothness_weight * grid displacements between the
-    epoch's pose and the cubic recombination of its window neighbors.
+    epoch, smoothness_weight times the displacements of the comparison grid
+    between the epoch's pose and the cubic recombination of its window
+    neighbors.
+
+    The displacement of grid point g is affine in h = (g, 1), so every sum of
+    squares over the grid depends on the grid only through sum h h^T. The
+    rows (p_j, s_j) of the 4x4 R factor of the grid's h-matrix reproduce that
+    sum exactly, and each epoch's smoothness block is the 12 residuals
+    smoothness_weight * (R_H R_S^T (p_j - s_j t_S) + s_j t_H - p_j) of those
+    four weighted points. This holds for flat grids too, where R is singular.
 
     The smoothness residual of epoch t depends on the poses of the five
     epochs in `smooth_nodes[t]` (t itself, then its four window nodes), at
@@ -188,22 +199,20 @@ class Problem:
                 f"camera ids {cam_ids} inconsistent with dataset's "
                 f"{dataset.visible.shape[1]} camera slots")
         cams = sorted(cameras, key=lambda c: c.id)
-        self.cam_R = np.stack([c.pose_global.rotation for c in cams])
-        self.cam_t = np.stack([c.pose_global.translation for c in cams])
-        self.cam_K = np.stack([c.calibration for c in cams])
+        # q = K (R_c X + t_c) = (K R_c) X + K t_c
+        self.cam_KR = np.stack([c.calibration @ c.pose_global.rotation
+                                for c in cams])
+        self.cam_Kt = np.stack([c.calibration @ c.pose_global.translation
+                                for c in cams])
 
         # visible observations in (epoch, camera, part) order
         self.obs_t, self.obs_k, self.obs_i = np.nonzero(dataset.visible)
         self.obs_px = np.asarray(
             dataset.observations[self.obs_t, self.obs_k, self.obs_i],
             dtype=float).reshape(-1, 2)
-        # model-frame point projected for each observation (rigid coordinates,
-        # or rigid + predicted offsets in deformed mode)
-        mp = np.asarray(model_points, dtype=float)
-        if mp.ndim == 2:  # (8, 3), same at every epoch
-            self.obs_model_pts = mp[self.obs_i]
-        else:             # (T, 8, 3)
-            self.obs_model_pts = mp[self.obs_t, self.obs_i]
+        # model-frame part positions: (8, 3) rigid coordinates, or (T, 8, 3)
+        # rigid + predicted offsets in deformed mode
+        self.model_pts = np.asarray(model_points, dtype=float)
 
         # smoothness windows: (T, 4) nodes and cubic weights
         T = self.n_epochs
@@ -211,8 +220,12 @@ class Problem:
         self.win_weights = np.array([w for _, w in windows])
         self.smooth_nodes = np.column_stack(
             [np.arange(T), np.array([nodes for nodes, _ in windows], dtype=int)])
+        # the four weighted points (p_j, s_j) equivalent to the grid
+        h = np.column_stack([self.grid.points, np.ones(self.grid.n_points)])
+        rq = np.linalg.qr(h, mode="r")
+        self.smooth_p, self.smooth_s = rq[:, :3], rq[:, 3]
         self.n_obs = len(self.obs_t)
-        self.n_residuals = 2 * self.n_obs + 3 * self.grid.n_points * T
+        self.n_residuals = 2 * self.n_obs + 12 * T
         self.n_params = 6 * T
         self._init_band()
 
@@ -222,15 +235,26 @@ class Problem:
         J^T J is accumulated as blocks (T, 5, 6, 6), where [j, d] is the
         block coupling epoch j + d (rows) with epoch j (columns); banded
         storage holds N[i - j, j] = (J^T J)[i, j] for i >= j.
+
+        Epoch t's smoothness Jacobian with respect to window node a is
+        node_w[t, a] times the own-pose block A_t (a = 0) or the
+        interpolated-pose block B_t (a > 0), so each pair (a, b) of its nodes
+        gets node_w[t, a] node_w[t, b] times one 6x6 block of C_t^T C_t, with
+        C_t = [A_t | B_t].
         """
         T = self.n_epochs
         self.bandwidth = min(29, 6 * T - 1)
+        self.node_w = np.column_stack([np.ones(T), self.win_weights])
+        self.node_side = np.array([0, 1, 1, 1, 1])   # A_t or B_t per node
         # window node pairs (a, b) of each epoch's smoothness blocks that land
         # on or below the block diagonal, and the block they add into
         na = self.smooth_nodes[:, :, None]
         nb = self.smooth_nodes[:, None, :]
         lower = np.broadcast_to(na >= nb, (T, 5, 5))
-        self._pair_src = np.flatnonzero(lower)
+        pt, pa, pb = np.nonzero(lower)
+        self._pair_t = pt
+        self._pair_sa, self._pair_sb = self.node_side[pa], self.node_side[pb]
+        self._pair_w = self.node_w[pt, pa] * self.node_w[pt, pb]
         self._pair_dst = (nb * 5 + (na - nb))[lower]
         jb, d, p, q = np.meshgrid(np.arange(T), np.arange(5), np.arange(6),
                                   np.arange(6), indexing="ij")
@@ -246,17 +270,19 @@ class Problem:
 
     def residuals(self, x):
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        return np.concatenate([self._reproj_residuals(x),
-                               self._smooth_residuals(x)])
+        RH = geometry.rodrigues_to_matrix(x[:, :3])
+        S = self._interpolated(x)
+        RS = geometry.rodrigues_to_matrix(S[:, :3])
+        return np.concatenate([self._reproj_forward(x, RH)[0].ravel(),
+                               self._smooth_forward(x, S, RH, RS)[2].ravel()])
 
-    def _reproj_forward(self, x):
-        """(residuals (n_obs, 2), q = K pc (n_obs, 3), guarded depth q_z)."""
-        R = geometry.rodrigues_to_matrix(x[:, :3])
-        world = (np.einsum("nij,nj->ni", R[self.obs_t], self.obs_model_pts)
+    def _reproj_forward(self, x, R):
+        """(residuals (n_obs, 2), q = K pc (n_obs, 3), guarded depth q_z) at
+        x with epoch rotations R (T, 3, 3)."""
+        world = ((self.model_pts @ R.transpose(0, 2, 1))[self.obs_t, self.obs_i]
                  + x[self.obs_t, 3:])
-        pc = (np.einsum("nij,nj->ni", self.cam_R[self.obs_k], world)
-              + self.cam_t[self.obs_k])
-        q = np.einsum("nij,nj->ni", self.cam_K[self.obs_k], pc)
+        q = ((self.cam_KR[self.obs_k] @ world[:, :, None])[:, :, 0]
+             + self.cam_Kt[self.obs_k])
         z = np.where(np.abs(q[:, 2]) > geometry.EPS_DEPTH, q[:, 2],
                      geometry.EPS_DEPTH)
         proj = q[:, :2] / z[:, None]
@@ -265,23 +291,26 @@ class Problem:
     def _reproj_residuals(self, x):
         if self.n_obs == 0:
             return np.zeros(0)
-        return self._reproj_forward(x)[0].ravel()
+        return self._reproj_forward(x, geometry.rodrigues_to_matrix(x[:, :3]))[0].ravel()
 
-    def _smooth_forward(self, x):
-        """Interpolated poses S (T, 6), rotations R_H and R_S (T, 3, 3),
-        c = g - t_S and y = R_S^T c (T, n_grid, 3), residuals (T, n_grid, 3).
-        """
-        g = self.grid.points
-        S = np.einsum("ta,tap->tp", self.win_weights, x[self.smooth_nodes[:, 1:]])
-        RH = geometry.rodrigues_to_matrix(x[:, :3])
-        RS = geometry.rodrigues_to_matrix(S[:, :3])
-        c = g - S[:, None, 3:]
+    def _interpolated(self, x):
+        """Cubic recombination S (T, 6) of each epoch's window nodes."""
+        return np.einsum("ta,tap->tp", self.win_weights, x[self.smooth_nodes[:, 1:]])
+
+    def _smooth_forward(self, x, S, RH, RS):
+        """c_j = p_j - s_j t_S and y_j = R_S^T c_j (T, 4, 3), and the
+        residuals (T, 4, 3), for interpolated poses S with rotations R_S and
+        epoch rotations R_H."""
+        s = self.smooth_s[:, None]
+        c = self.smooth_p - s * S[:, None, 3:]
         y = c @ RS
-        res = y @ RH.transpose(0, 2, 1) + x[:, None, 3:] - g
-        return S, RH, RS, c, y, self.stochastic.smoothness_weight * res
+        res = y @ RH.transpose(0, 2, 1) + s * x[:, None, 3:] - self.smooth_p
+        return c, y, self.stochastic.smoothness_weight * res
 
     def _smooth_residuals(self, x):
-        return self._smooth_forward(x)[5].ravel()
+        S = self._interpolated(x)
+        return self._smooth_forward(x, S, geometry.rodrigues_to_matrix(x[:, :3]),
+                                    geometry.rodrigues_to_matrix(S[:, :3]))[2].ravel()
 
     def cost(self, x):
         r = self.residuals(x)
@@ -290,60 +319,64 @@ class Problem:
     # -- analytic Jacobian ----------------------------------------------------
 
     def _blocks(self, x):
-        """Residuals and Jacobian blocks at x (T, 6).
+        """Residuals and Jacobian factors at x (T, 6).
 
-        Returns (r_p (n_obs, 2), J_p (n_obs, 2, 6), r_s (T, 3 n_grid),
-        J_s (T, 3 n_grid, 5, 6)). J_p[n] is d r_p[n] / d x[obs_t[n]];
-        J_s[t, :, a] is d r_s[t] / d x[smooth_nodes[t, a]].
+        Returns (r_p (n_obs, 2), J_p (n_obs, 2, 6), r_s (T, 12), C (T, 12, 12)).
+        J_p[n] is d r_p[n] / d x[obs_t[n]]. C[t] = [A_t | B_t] holds
+        d r_s[t] / d x[t] (A_t) and d r_s[t] / d S[t] (B_t), where S[t] is the
+        interpolated pose, so d r_s[t] / d x[smooth_nodes[t, a]] is
+        node_w[t, a] times the block node_side[a] of C[t]. Rotation
+        derivatives come from one `rotation_derivatives` call for the T poses
+        and one for the T interpolated poses.
         """
         T = self.n_epochs
+        RH, dRH = geometry.rotation_derivatives(x[:, :3])
+        S = self._interpolated(x)
+        RS, dRS = geometry.rotation_derivatives(S[:, :3])
+
         r_p = np.zeros((0, 2))
         J_p = np.zeros((0, 2, 6))
         if self.n_obs > 0:
-            r_p, q, z = self._reproj_forward(x)
-            Rc = self.cam_R[self.obs_k]
-            Kc = self.cam_K[self.obs_k]
-            # d(proj)/d(pc): (u, v) = (q0/q2, q1/q2), q = K pc
-            A = Kc[:, :2, :] * z[:, None, None] - q[:, :2, None] * Kc[:, 2:3, :]
-            Jproj = A / (z ** 2)[:, None, None]           # (n, 2, 3)
-            Jworld = np.einsum("nab,nbc->nac", Jproj, Rc)  # (n, 2, 3)
-            Jrot = geometry.rotation_point_jacobians(x[self.obs_t, :3],
-                                                     self.obs_model_pts)
-            Jr = np.einsum("nab,nbc->nac", Jworld, Jrot)   # (n, 2, 3)
-            J_p = np.concatenate([Jr, Jworld], axis=2) / self.sigma_px
+            r_p, q, z = self._reproj_forward(x, RH)
+            KR = self.cam_KR[self.obs_k]
+            # d(proj)/d(world): (u, v) = (q0/q2, q1/q2), q = K R_c world + K t_c
+            Jworld = ((KR[:, :2, :] * z[:, None, None] - q[:, :2, None] * KR[:, 2:3, :])
+                      / (z ** 2)[:, None, None])                       # (n, 2, 3)
+            # d(R_t m)/dr for every (epoch, part): [t, part, :, i] = dR_t/dr_i m
+            Jrot = (self.model_pts[..., None, :, :] @ dRH.transpose(0, 1, 3, 2))
+            Jrot = Jrot.transpose(0, 2, 3, 1)[self.obs_t, self.obs_i]  # (n, 3, 3)
+            J_p = np.concatenate([Jworld @ Jrot, Jworld], axis=2) / self.sigma_px
 
-        S, RH, RS, c, y, r_s = self._smooth_forward(x)
-        ng = self.grid.n_points
-        J_s = np.empty((T, ng, 3, 5, 6))
-        # own epoch: d(R_H y + t_H)/d(r_H, t_H)
-        J_s[:, :, :, 0, :3] = geometry.rotation_point_jacobians(
-            np.repeat(x[:, :3], ng, axis=0), y.reshape(-1, 3)).reshape(T, ng, 3, 3)
-        J_s[:, :, :, 0, 3:] = np.eye(3)
-        # interpolated pose: d(R_S^T c)/d r_S = -J_rot(-r_S, c), premultiplied
-        # by R_H, then spread over the window nodes by their weights
-        JyrS = -geometry.rotation_point_jacobians(
-            np.repeat(-S[:, :3], ng, axis=0), c.reshape(-1, 3)).reshape(T, ng, 3, 3)
-        w = self.win_weights[:, None, None, :, None]
-        J_s[:, :, :, 1:, :3] = (RH[:, None] @ JyrS)[:, :, :, None, :] * w
-        J_s[:, :, :, 1:, 3:] = -(RH @ RS.transpose(0, 2, 1))[:, None, :, None, :] * w
-        J_s *= self.stochastic.smoothness_weight
-        return r_p, J_p, r_s.reshape(T, 3 * ng), J_s.reshape(T, 3 * ng, 5, 6)
+        c, y, r_s = self._smooth_forward(x, S, RH, RS)
+        s = self.smooth_s[None, :, None, None]
+        C = np.empty((T, 4, 3, 12))
+        # own pose: d(R_H y + s t_H)/d(r_H, t_H)
+        C[..., 0:3] = (y[:, None] @ dRH.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
+        C[..., 3:6] = s * np.eye(3)
+        # interpolated pose: d(R_H R_S^T c)/d r_S and d/d t_S = -s R_H R_S^T
+        C[..., 6:9] = ((c[:, None] @ dRS) @ RH.transpose(0, 2, 1)[:, None]
+                       ).transpose(0, 2, 3, 1)
+        C[..., 9:12] = -s * (RH @ RS.transpose(0, 2, 1))[:, None]
+        C *= self.stochastic.smoothness_weight
+        return r_p, J_p, r_s.reshape(T, 12), C.reshape(T, 12, 12)
 
     def jacobian(self, x):
-        """Sparse (n_residuals, n_params) Jacobian at x, built from the same
-        blocks as `normal_equations`."""
+        """Sparse (n_residuals, n_params) Jacobian at x, expanded from the
+        same factors as `normal_equations`."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        _, J_p, _, J_s = self._blocks(x)
-        T, m = J_s.shape[:2]
+        _, J_p, _, C = self._blocks(x)
+        T = self.n_epochs
+        J_s = (C.reshape(T, 12, 2, 6)[:, :, self.node_side]
+               * self.node_w[:, None, :, None])                     # (T, 12, 5, 6)
         n = self.n_obs
         rows = [np.broadcast_to((2 * np.arange(n))[:, None, None]
                                 + np.arange(2)[:, None], (n, 2, 6)),
-                np.broadcast_to((2 * n + m * np.arange(T))[:, None, None, None]
-                                + np.arange(m)[:, None, None], (T, m, 5, 6))]
+                np.broadcast_to((2 * n + 12 * np.arange(T))[:, None, None, None]
+                                + np.arange(12)[:, None, None], (T, 12, 5, 6))]
         cols = [np.broadcast_to((6 * self.obs_t)[:, None, None] + np.arange(6),
                                 (n, 2, 6)),
                 np.broadcast_to((6 * self.smooth_nodes)[:, None, :, None]
-                                + np.arange(6), (T, m, 5, 6))]
+                                + np.arange(6), (T, 12, 5, 6))]
         J = scipy.sparse.coo_matrix(
             (np.concatenate([J_p.ravel(), J_s.ravel()]),
              (np.concatenate([r.ravel() for r in rows]),
@@ -359,7 +392,7 @@ class Problem:
         scipy.linalg.cholesky_banded with lower=True), g = J^T r.
         """
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        r_p, J_p, r_s, J_s = self._blocks(x)
+        r_p, J_p, r_s, C = self._blocks(x)
         T = self.n_epochs
         blocks = np.zeros((T, 5, 36))
         g = np.zeros((T, 6))
@@ -367,26 +400,30 @@ class Problem:
             Jt = J_p.transpose(0, 2, 1)
             blocks[:, 0] = _sum_rows(self.obs_t, Jt @ J_p, T)
             g += _sum_rows(self.obs_t, Jt @ r_p[:, :, None], T)
-        # per epoch, all 5 x 5 node pairs of its smoothness blocks at once
-        J = J_s.reshape(T, -1, 30)
-        Jt = J.transpose(0, 2, 1)
-        pairs = (Jt @ J).reshape(T, 5, 6, 5, 6).transpose(0, 1, 3, 2, 4)
-        blocks += _sum_rows(self._pair_dst, pairs.reshape(-1, 36)[self._pair_src],
-                            T * 5).reshape(T, 5, 36)
-        g += _sum_rows(self.smooth_nodes.ravel(),
-                       (Jt @ r_s[:, :, None]).reshape(-1, 6), T)
+        # one C_t^T C_t per epoch, spread over its 5 x 5 window node pairs
+        Ct = C.transpose(0, 2, 1)
+        CtC = (Ct @ C).reshape(T, 2, 6, 2, 6).transpose(0, 1, 3, 2, 4)
+        pairs = (CtC[self._pair_t, self._pair_sa, self._pair_sb]
+                 * self._pair_w[:, None, None])
+        blocks += _sum_rows(self._pair_dst, pairs, T * 5).reshape(T, 5, 36)
+        Ctr = (Ct @ r_s[:, :, None]).reshape(T, 2, 6)
+        g_nodes = Ctr[:, self.node_side] * self.node_w[:, :, None]   # (T, 5, 6)
+        g += _sum_rows(self.smooth_nodes.ravel(), g_nodes.reshape(-1, 6), T)
         N = np.zeros((self.bandwidth + 1, self.n_params))
         N.reshape(-1)[self._band_dst] = blocks.reshape(-1)[self._band_src]
         return N, g.ravel()
 
     def residual_rms(self, x):
-        """(reprojection RMS in px, smoothness RMS in mm) at x."""
+        """(reprojection RMS in px, smoothness RMS in mm) at x. The
+        smoothness RMS is over the 3 n_grid displacement components of every
+        epoch, which the four weighted points reproduce in sum of squares."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
         rp = self._reproj_residuals(x) * self.sigma_px
         w_s = self.stochastic.smoothness_weight
         sm = self._smooth_residuals(x) / w_s if w_s > 0 else np.zeros(1)
         rp_rms = float(np.sqrt((rp ** 2).mean())) if rp.size else 0.0
-        return rp_rms, float(np.sqrt((sm ** 2).mean()))
+        n_disp = 3 * self.grid.n_points * self.n_epochs
+        return rp_rms, float(np.sqrt((sm @ sm) / n_disp))
 
 
 def build_problem(dataset, cameras, track=None, deform_model=None,

@@ -81,7 +81,7 @@ class TokenSequence:
 def build_tokens(dataset, t, n=DEFAULT_WINDOW, min_cameras=2) -> TokenSequence:
     """Token window centered at epoch t of a simulated dataset.
 
-    Deformable coordinates come from the dataset's ground-truth tuples; a
+    Deformable coordinates come from the dataset's ground-truth offsets; a
     part counts as missing at an epoch when it is visible in fewer than
     `min_cameras` cameras there (so it could not be triangulated). The mid
     epoch's deformable components are always masked.

@@ -71,14 +71,5 @@ class NonFiniteCost(MouseTrackError):
     """Optimization cost became NaN or infinite."""
 
 
-class MaxIterationsReached(MouseTrackError):
-    """Solver hit the iteration cap; best iterate is attached."""
-
-    def __init__(self, message, track=None, report=None):
-        super().__init__(message)
-        self.track = track
-        self.report = report
-
-
 class EpochMismatch(MouseTrackError):
     """Track and ground-truth dataset cover different epochs."""

@@ -129,6 +129,27 @@ def rotation_point_jacobian(r, x):
     return J[0]
 
 
+def rotation_derivatives(rv):
+    """Rotation matrices and their derivatives for stacked axis-angle vectors.
+
+    Returns (R (N, 3, 3), dR (N, 3, 3, 3)) with dR[n, i] = dR(r_n)/dr_i, by
+    the closed form dR/dr_i = (r_i [r]x + [r x (I - R) e_i]x) R / |r|^2
+    (Gallego & Yezzi, J. Math. Imaging Vis. 2015). Below |r|^2 = 1e-16 the
+    exact r -> 0 limit [e_i]x R is used.
+    """
+    rv = np.asarray(rv, dtype=float).reshape(-1, 3)
+    R = rodrigues_to_matrix(rv)
+    theta2 = np.einsum("ni,ni->n", rv, rv)
+    small = theta2 < 1e-16
+    # rows: r x (I - R) e_i for each i
+    u = np.cross(rv[:, None, :], (np.eye(3) - R).transpose(0, 2, 1))
+    M = (rv[:, :, None, None] * _skew_many(rv)[:, None]
+         + _skew_many(u.reshape(-1, 3)).reshape(-1, 3, 3, 3))
+    M /= np.where(small, 1.0, theta2)[:, None, None, None]
+    M[small] = _skew_many(np.eye(3))
+    return R, M @ R[:, None]
+
+
 def rotation_point_jacobians(rv, pts):
     """Vectorized d(R(r_j) x_j)/dr for stacked rotations and points.
 
@@ -141,34 +162,8 @@ def rotation_point_jacobians(rv, pts):
     -------
     (N, 3, 3) array; [j, :, i] is d(R(r_j) x_j)/dr_i.
     """
-    rv = np.asarray(rv, dtype=float)
-    pts = np.asarray(pts, dtype=float)
-    n = rv.shape[0]
-    R = rodrigues_to_matrix(rv)
-    v = np.einsum("nij,nj->ni", R, pts)
-    J = np.zeros((n, 3, 3))
-    theta2 = np.einsum("ni,ni->n", rv, rv)
-    small = theta2 < 1e-16
-
-    big = ~small
-    if np.any(big):
-        r = rv[big]
-        vb = v[big]
-        t2 = theta2[big][:, None]
-        rxv = np.cross(r, vb)
-        for i in range(3):
-            ei = np.zeros(3)
-            ei[i] = 1.0
-            u = np.cross(r, ei - R[big][:, :, i])
-            col = (r[:, i : i + 1] * rxv + np.cross(u, vb)) / t2
-            J[big, :, i] = col
-    if np.any(small):
-        vs = v[small]
-        for i in range(3):
-            ei = np.zeros(3)
-            ei[i] = 1.0
-            J[small, :, i] = np.cross(ei, vs)
-    return J
+    return np.einsum("nijk,nk->nji", rotation_derivatives(rv)[1],
+                     np.asarray(pts, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -74,27 +74,9 @@ class SimulatedDataset:
     def cameras(self):
         return self.config.cameras
 
-    def tuples(self):
-        """Eq.-style dataset tuples: per epoch t, per part i the rigid and
-        deformable model-frame coordinates."""
-        rigid = mouse_model.RigidMouseModel().rigid_part_positions()
-        out = []
-        for t in range(self.n_epochs):
-            parts = [(i, rigid[i].copy(), rigid[i] + self.deform_offsets[t, i])
-                     for i in range(8)]
-            out.append((t, parts))
-        return out
-
     def visible_part_counts(self):
         """(T, K) number of visible parts per epoch and camera."""
         return self.visible.sum(axis=2)
-
-    def locally_solvable(self, min_parts=3):
-        """(T,) bool: some camera sees more than `min_parts` - 1 parts...
-        an epoch counts as locally solvable when at least one camera sees
-        more than `min_parts` parts (strictly more than three by default,
-        matching the per-frame resection requirement)."""
-        return (self.visible_part_counts() > min_parts).any(axis=1)
 
 
 def default_cameras(distance_mm=1200.0, focal_px=1500.0,
@@ -307,6 +289,62 @@ def export_dataset(dataset: SimulatedDataset, path):
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
 
 
+def _pose_table(records):
+    """(T, 6) ground-truth pose parameters from pose records whose `t`
+    values are exactly 0..T-1, in any order."""
+    if not isinstance(records, list):
+        raise SchemaError("ground_truth 'poses' must be a list of pose records")
+    table = np.zeros((len(records), 6))
+    seen = np.zeros(len(records), dtype=bool)
+    for rec in records:
+        if not isinstance(rec, dict):
+            raise SchemaError("pose records must be JSON objects")
+        for key in ("t", "rodrigues", "translation_mm"):
+            if key not in rec:
+                raise SchemaError(f"pose record missing field '{key}'")
+        t = rec["t"]
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise SchemaError(f"pose field 't' must be an integer, got {t!r}")
+        if not 0 <= t < len(records):
+            raise SchemaError(f"pose t = {t} outside 0..{len(records) - 1}")
+        if seen[t]:
+            raise SchemaError(f"duplicate pose t = {t}")
+        seen[t] = True
+        try:
+            table[t] = np.concatenate([np.asarray(rec[key], dtype=float).reshape(3)
+                                       for key in ("rodrigues", "translation_mm")])
+        except (TypeError, ValueError):
+            raise SchemaError(f"pose t = {t}: 'rodrigues' and 'translation_mm' "
+                              f"must be 3 numbers each")
+    return table
+
+
+def _observation_table(rows, T, Kn):
+    """Observation rows as one (n, 7) array with checked integer indices
+    0 <= t < T, 0 <= k < Kn and 0 <= i < 8."""
+    try:
+        table = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError("observation rows must be lists of 7 numbers")
+    if table.size == 0:
+        return np.zeros((0, 7))
+    if table.ndim != 2 or table.shape[1] != 7:
+        raise SchemaError(f"observation rows must be lists of 7 numbers, "
+                          f"got an array of shape {table.shape}")
+    idx = table[:, :3]
+    bad = ~np.isfinite(idx) | (idx != np.round(idx))
+    if bad.any():
+        raise SchemaError(f"observation row {int(np.flatnonzero(bad.any(axis=1))[0])}: "
+                          f"t, k and i must be integers")
+    for col, (name, limit) in enumerate((("t", T), ("k", Kn), ("i", 8))):
+        out = (idx[:, col] < 0) | (idx[:, col] >= limit)
+        if out.any():
+            row = int(np.flatnonzero(out)[0])
+            raise SchemaError(f"observation row {row}: {name} = "
+                              f"{int(idx[row, col])} outside 0..{limit - 1}")
+    return table
+
+
 def import_dataset(path) -> SimulatedDataset:
     try:
         with open(path) as f:
@@ -315,38 +353,38 @@ def import_dataset(path) -> SimulatedDataset:
         raise SchemaError(f"dataset file not found: {path}")
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON: {e.msg}")
+    if not isinstance(doc, dict):
+        raise SchemaError("dataset file must be a JSON object")
     for key in ("meta", "ground_truth", "observations"):
-        if key not in doc:
-            raise SchemaError(f"dataset file missing field '{key}'")
+        if not isinstance(doc.get(key), dict):
+            raise SchemaError(f"dataset file missing object field '{key}'")
     config = _config_from_dict(doc["meta"])
     gt = doc["ground_truth"]
     if "poses" not in gt:
         raise SchemaError("dataset ground_truth missing field 'poses'")
-    poses = [PoseVector(np.array(p["rodrigues"]), np.array(p["translation_mm"]))
-             for p in sorted(gt["poses"], key=lambda p: p["t"])]
+    params = _pose_table(gt["poses"])
+    poses = [PoseVector(p[:3], p[3:]) for p in params]
     T = len(poses)
     Kn = len(config.cameras)
-    offsets = np.array(gt.get("deform_offsets_mm", np.zeros((T, 8, 3)).tolist()))
+    offsets = np.array(gt.get("deform_offsets_mm", np.zeros((T, 8, 3)).tolist()),
+                       dtype=float)
+    if offsets.shape != (T, 8, 3):
+        raise SchemaError(f"deform_offsets_mm must have shape ({T}, 8, 3), "
+                          f"got {offsets.shape}")
 
-    model = mouse_model.RigidMouseModel()
-    rigid_world = np.zeros((T, 8, 3))
-    deform_world = np.zeros((T, 8, 3))
-    for t in range(T):
-        rigid_world[t] = mouse_model.world_part_positions(poses[t], None, model)
-        R = geometry.rodrigues_to_matrix(poses[t].rodrigues)
-        deform_world[t] = rigid_world[t] + offsets[t] @ R.T
+    rigid = mouse_model.RigidMouseModel().rigid_part_positions()
+    R = geometry.rodrigues_to_matrix(params[:, :3]).reshape(T, 3, 3)
+    rigid_world = rigid @ R.transpose(0, 2, 1) + params[:, None, 3:]
+    deform_world = rigid_world + offsets @ R.transpose(0, 2, 1)
 
+    table = _observation_table(doc["observations"].get("rows", []), T, Kn)
+    t, k, i = table[:, :3].astype(int).T
     obs = np.full((T, Kn, 8, 2), np.nan)
     vis = np.zeros((T, Kn, 8), dtype=bool)
     noise = np.zeros((T, Kn, 8, 2))
-    rows = doc["observations"].get("rows", [])
-    for row in rows:
-        if len(row) != 7:
-            raise SchemaError(f"observation row must have 7 entries, got {row}")
-        t, k, i = int(row[0]), int(row[1]), int(row[2])
-        obs[t, k, i] = [row[3], row[4]]
-        noise[t, k, i] = [row[5], row[6]]
-        vis[t, k, i] = True
+    obs[t, k, i] = table[:, 3:5]
+    noise[t, k, i] = table[:, 5:7]
+    vis[t, k, i] = True
     return SimulatedDataset(config=config, poses=poses,
                             rigid_world=rigid_world,
                             deformable_world=deform_world,

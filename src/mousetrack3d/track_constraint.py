@@ -5,8 +5,11 @@ polynomial through four neighboring epochs (t-2, t-1, t+1, t+2; one-sided
 windows at the track boundaries). The comparison is expressed as the
 displacement of a 3x3x3 grid of points covering the body under the transform
 H * S^-1, where H is the epoch's pose and S the recombined interpolated pose.
-The RMS of the grid displacements is the scalar smoothness metric; the
-per-point displacement vectors serve as least-squares residuals.
+The RMS of the grid displacements is the scalar smoothness metric. The
+displacements are affine in the homogeneous grid point, so the bundle
+adjustment uses an exact equivalent with four weighted points (the R factor
+of the grid's homogeneous coordinates) as its least-squares residuals; it
+has the same sum of squares and the same normal equations.
 """
 
 from __future__ import annotations

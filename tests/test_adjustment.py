@@ -3,7 +3,8 @@ import pytest
 
 import scipy.linalg
 
-from mousetrack3d import adjustment, evaluation, geometry, mouse_model, simulator
+from mousetrack3d import (adjustment, evaluation, geometry, mouse_model,
+                         simulator, track_constraint)
 from mousetrack3d.adjustment import (
     MouseStateTrack,
     SolveOptions,
@@ -170,6 +171,35 @@ def test_normal_equations_match_dense_jacobian(n_epochs, kind):
             <= 1e-12 * np.abs(JtJ).max())
     Jtr = J.T @ r
     assert np.abs(g - Jtr).max() <= 1e-12 * np.abs(Jtr).max()
+
+
+@pytest.mark.parametrize("grid", [
+    track_constraint.default_grid(),
+    track_constraint.default_grid(4, 3, 5),
+    track_constraint.default_grid(3, 3, 3, extent_mm=[27.0, 66.0, 0.0]),
+], ids=["default", "4x3x5", "flat"])
+def test_four_point_smoothness_equals_grid_sum(grid):
+    ds = make_dataset(n_epochs=9, step_sigma=1.5)
+    ds.visible[:] = False
+    w = 0.7
+    problem = build_problem(ds, ds.cameras, grid=grid,
+                            stochastic=StochasticConfig(smoothness_weight=w))
+    rng = np.random.default_rng(4)
+    x = gt_track(ds).as_array() + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
+                                             size=(9, 6))
+    # oracle: every grid point's displacement under H_t S_t^-1
+    sq = 0.0
+    for t in range(9):
+        nodes, weights = track_constraint.interpolation_window(t, 9)
+        s = weights @ x[nodes]
+        H = geometry.pose_to_transform(PoseVector(x[t, :3], x[t, 3:]))
+        S = geometry.pose_to_transform(PoseVector(s[:3], s[3:]))
+        sq += (track_constraint.grid_displacements(H, S, grid) ** 2).sum()
+    assert problem.n_residuals == 12 * 9
+    assert abs(problem.cost(x.ravel()) - w ** 2 * sq) <= 1e-12 * w ** 2 * sq
+    _, sm_rms = problem.residual_rms(x.ravel())
+    assert sm_rms == pytest.approx(np.sqrt(sq / (3 * grid.n_points * 9)),
+                                   rel=1e-12)
 
 
 def test_jacobian_random_pose_reprojection():

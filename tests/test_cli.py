@@ -48,6 +48,27 @@ def test_solve_deformed_without_model_exit_2(tmp_path):
                "--out", str(tmp_path / "track.json")) == 2
 
 
+@pytest.mark.parametrize("case", ["negative_t", "camera_out_of_range",
+                                  "pose_missing_rodrigues", "duplicate_pose_t"])
+def test_solve_malformed_dataset_exit_2(tmp_path, case):
+    data = tmp_path / "data.json"
+    run("simulate", "--config", scene_file(tmp_path, n_epochs=10),
+        "--out", str(data))
+    doc = json.loads(data.read_text())
+    rows, poses = doc["observations"]["rows"], doc["ground_truth"]["poses"]
+    if case == "negative_t":
+        rows[0][0] = -1
+    elif case == "camera_out_of_range":
+        rows[0][1] = 9
+    elif case == "pose_missing_rodrigues":
+        del poses[3]["rodrigues"]
+    else:
+        poses[4]["t"] = 3
+    data.write_text(json.dumps(doc))
+    assert run("solve", "--data", str(data),
+               "--out", str(tmp_path / "track.json")) == 2
+
+
 @pytest.mark.parametrize("records", [
     [{"rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}] * 2,
     [1, 2],

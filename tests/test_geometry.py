@@ -256,6 +256,37 @@ def test_rotation_point_jacobian_fd():
         assert np.abs(J - Jfd).max() < 1e-6 * max(np.abs(J).max(), 1.0)
 
 
+def rotation_derivative_fd(r, h):
+    out = np.zeros((3, 3, 3))
+    for i in range(3):
+        rp, rm = r.copy(), r.copy()
+        rp[i] += h
+        rm[i] -= h
+        out[i] = (rodrigues_to_matrix(rp) - rodrigues_to_matrix(rm)) / (2 * h)
+    return out
+
+
+@pytest.mark.parametrize("scale", ["random", "tiny", "near_pi", "beyond_2pi"])
+def test_rotation_derivatives_fd(scale):
+    rng = np.random.default_rng(16)
+    axes = rng.normal(size=(50, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angle = {"random": rng.uniform(1e-3, 3.0, size=50),
+             "tiny": rng.uniform(0.0, 1e-9, size=50),
+             "near_pi": np.pi + rng.uniform(-1e-6, 1e-6, size=50),
+             "beyond_2pi": rng.uniform(2 * np.pi, 30.0, size=50)}[scale]
+    rv = axes * angle[:, None]
+    R, dR = geometry.rotation_derivatives(rv)
+    assert R.shape == (50, 3, 3) and dR.shape == (50, 3, 3, 3)
+    assert np.array_equal(R, rodrigues_to_matrix(rv))
+    for n in range(50):
+        assert np.abs(dR[n] - rotation_derivative_fd(rv[n], 1e-7)).max() < 1e-6
+    # the per-point form is the same derivative applied to a point
+    x = rng.normal(scale=20, size=(50, 3))
+    assert np.allclose(geometry.rotation_point_jacobians(rv, x),
+                       np.einsum("nijk,nk->nji", dR, x), rtol=0, atol=1e-12)
+
+
 # -- resection ----------------------------------------------------------------
 
 def test_resect_exact_recovery():

@@ -213,3 +213,68 @@ def test_import_rejects_garbage(tmp_path):
     path.write_text('{"not": "a dataset"}')
     with pytest.raises(SchemaError):
         import_dataset(path)
+
+
+def _set_row(col, value):
+    def mutate(doc):
+        doc["observations"]["rows"][0][col] = value
+    return mutate
+
+
+def _del_pose_field(key):
+    def mutate(doc):
+        del doc["ground_truth"]["poses"][3][key]
+    return mutate
+
+
+def _set_pose_t(value):
+    def mutate(doc):
+        doc["ground_truth"]["poses"][4]["t"] = value
+    return mutate
+
+
+def _short_row(doc):
+    doc["observations"]["rows"][0] = doc["observations"]["rows"][0][:6]
+
+
+# (mutation of an exported 10-epoch dataset, expected message)
+MALFORMED_DATASETS = {
+    "negative_t": (_set_row(0, -1), "t = -1"),
+    "t_past_end": (_set_row(0, 10), "t = 10"),
+    "camera_out_of_range": (_set_row(1, 9), "k = 9"),
+    "part_out_of_range": (_set_row(2, 8), "i = 8"),
+    "fractional_index": (_set_row(2, 1.5), "integers"),
+    "short_row": (_short_row, "7 numbers"),
+    "pose_missing_rodrigues": (_del_pose_field("rodrigues"), "rodrigues"),
+    "pose_missing_translation": (_del_pose_field("translation_mm"),
+                                 "translation_mm"),
+    "duplicate_pose_t": (_set_pose_t(3), "duplicate pose t = 3"),
+    "pose_t_past_end": (_set_pose_t(10), "t = 10"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
+def test_import_rejects_malformed_dataset(tmp_path, case):
+    path = tmp_path / "data.json"
+    export_dataset(simulate(make_config(n_epochs=10)), path)
+    doc = json.loads(path.read_text())
+    mutate, message = MALFORMED_DATASETS[case]
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=message):
+        import_dataset(path)
+
+
+def test_import_accepts_shuffled_pose_records(tmp_path):
+    ds = simulate(make_config(n_epochs=10))
+    path = tmp_path / "data.json"
+    export_dataset(ds, path)
+    doc = json.loads(path.read_text())
+    doc["ground_truth"]["poses"].reverse()
+    doc["observations"]["rows"].reverse()
+    path.write_text(json.dumps(doc))
+    loaded = import_dataset(path)
+    assert np.array_equal(loaded.visible, ds.visible)
+    assert np.array_equal(loaded.observations, ds.observations, equal_nan=True)
+    for p, q in zip(ds.poses, loaded.poses):
+        assert np.array_equal(p.as_array(), q.as_array())
