@@ -9,8 +9,6 @@ prediction error against the rigid baseline that simply assumes no
 deformation.
 """
 
-import numpy as np
-
 from mousetrack3d import deform_predictor, simulator
 
 
@@ -30,7 +28,7 @@ print(f"training on {sum(d.n_epochs for d in train_sets)} epochs "
 # -- tokenization: what the model actually sees ------------------------------------
 
 seq = deform_predictor.build_tokens(train_sets[0], t=10)
-print(f"\ntoken window: {len(seq.tokens())} tokens over "
+print(f"\ntoken window: {seq.masked.size} tokens over "
       f"{len(seq.epochs)} epochs x 8 parts; "
       f"{int(seq.masked.sum())} masked (the mid epoch plus dropouts)")
 

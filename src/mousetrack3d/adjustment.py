@@ -28,8 +28,20 @@ from .errors import (
     NonFiniteCost,
     NoSolvableEpoch,
     SchemaError,
+    numbers,
+    read_json,
 )
 from .geometry import PoseVector
+
+# Levenberg-Marquardt settings
+MAX_ITERATIONS = 100
+COST_TOLERANCE = 1e-10       # relative cost decrease
+GRADIENT_TOLERANCE = 1e-10
+INITIAL_LAMBDA = 1e-6
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 10.0
+
+SOLVED_FROM = ("local", "interpolated", "adjusted")
 
 
 @dataclass(frozen=True)
@@ -103,24 +115,24 @@ def fit_rigid(model_pts, world_pts):
     return geometry.RigidTransform(R, t)
 
 
-def _triangulate_parts(dataset, cameras, min_cameras=2):
+def _triangulate_parts(dataset, cameras):
     """Linear triangulation of every (epoch, part): ((T, 8, 3) global
-    positions, (T, 8) mask of parts seen by >= min_cameras cameras and
-    triangulated)."""
+    positions, (T, 8) mask of parts seen by >= 2 cameras and
+    triangulated). Camera k of the dataset is the camera with id k."""
+    cameras = sorted(cameras, key=lambda c: c.id)
     T, K = dataset.visible.shape[:2]
     visible = dataset.visible.transpose(0, 2, 1).reshape(T * 8, K)
     pixels = dataset.observations.transpose(0, 2, 1, 3).reshape(T * 8, K, 2)
     X, ok = geometry.triangulate_batch(cameras, pixels, visible)
-    ok &= visible.sum(axis=1) >= min_cameras
     return X.reshape(T, 8, 3), ok.reshape(T, 8)
 
 
-def initialize(dataset, cameras=None, min_parts=3) -> MouseStateTrack:
+def initialize(dataset, cameras=None) -> MouseStateTrack:
     """Per-epoch initialization from local observations.
 
     Parts visible in >= 2 cameras are triangulated; epochs with at least
-    `min_parts` non-collinear triangulated parts get a closed-form rigid fit
-    of the model. Remaining epochs are linearly interpolated between solved
+    three non-collinear triangulated parts get a closed-form rigid fit of
+    the model. Remaining epochs are linearly interpolated between solved
     neighbors (nearest solved state at the track ends).
     """
     cameras = cameras if cameras is not None else dataset.cameras
@@ -129,7 +141,7 @@ def initialize(dataset, cameras=None, min_parts=3) -> MouseStateTrack:
     poses = [None] * T
     flags = ["interpolated"] * T
     world, have = _triangulate_parts(dataset, cameras)
-    for t in np.flatnonzero(have.sum(axis=1) >= min_parts):
+    for t in np.flatnonzero(have.sum(axis=1) >= 3):
         A = model_pts[have[t]]
         s = np.linalg.svd(A - A.mean(axis=0), compute_uv=False)
         if s[1] > 1e-6 * max(s[0], 1.0):  # reject collinear sets
@@ -186,11 +198,10 @@ class Problem:
     """
 
     def __init__(self, dataset, cameras, model_points, stochastic, sigma_px,
-                 grid=None, kind="rigid_reprojection"):
+                 grid=None):
         self.n_epochs = dataset.n_epochs
         self.stochastic = stochastic
         self.sigma_px = float(sigma_px)
-        self.kind = kind
         self.grid = grid if grid is not None else track_constraint.default_grid()
 
         cam_ids = sorted(c.id for c in cameras)
@@ -263,9 +274,6 @@ class Problem:
         self._band_src = np.flatnonzero(keep)
         self._band_dst = ((i - j) * self.n_params + j)[keep]
 
-    def block_counts(self):
-        return {self.kind: self.n_obs, "track_smoothness": self.n_epochs}
-
     # -- residuals ----------------------------------------------------------
 
     def residuals(self, x):
@@ -288,11 +296,6 @@ class Problem:
         proj = q[:, :2] / z[:, None]
         return (proj - self.obs_px) / self.sigma_px, q, z
 
-    def _reproj_residuals(self, x):
-        if self.n_obs == 0:
-            return np.zeros(0)
-        return self._reproj_forward(x, geometry.rodrigues_to_matrix(x[:, :3]))[0].ravel()
-
     def _interpolated(self, x):
         """Cubic recombination S (T, 6) of each epoch's window nodes."""
         return np.einsum("ta,tap->tp", self.win_weights, x[self.smooth_nodes[:, 1:]])
@@ -306,11 +309,6 @@ class Problem:
         y = c @ RS
         res = y @ RH.transpose(0, 2, 1) + s * x[:, None, 3:] - self.smooth_p
         return c, y, self.stochastic.smoothness_weight * res
-
-    def _smooth_residuals(self, x):
-        S = self._interpolated(x)
-        return self._smooth_forward(x, S, geometry.rodrigues_to_matrix(x[:, :3]),
-                                    geometry.rodrigues_to_matrix(S[:, :3]))[2].ravel()
 
     def cost(self, x):
         r = self.residuals(x)
@@ -414,73 +412,69 @@ class Problem:
         return N, g.ravel()
 
     def residual_rms(self, x):
-        """(reprojection RMS in px, smoothness RMS in mm) at x. The
-        smoothness RMS is over the 3 n_grid displacement components of every
-        epoch, which the four weighted points reproduce in sum of squares."""
-        x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        rp = self._reproj_residuals(x) * self.sigma_px
+        """(reprojection RMS in px, smoothness RMS in mm) at x."""
+        return self._rms(self.residuals(x))[:2]
+
+    def _rms(self, r):
+        """(reprojection RMS in px, smoothness RMS in mm, (T,) per-epoch
+        reprojection RMS in px) of the residual vector r. The smoothness RMS
+        is over the 3 n_grid displacement components of every epoch, which
+        the four weighted points reproduce in sum of squares."""
+        n = 2 * self.n_obs
+        rp = r[:n] * self.sigma_px
         w_s = self.stochastic.smoothness_weight
-        sm = self._smooth_residuals(x) / w_s if w_s > 0 else np.zeros(1)
+        sm = r[n:] / w_s if w_s > 0 else np.zeros(1)
         rp_rms = float(np.sqrt((rp ** 2).mean())) if rp.size else 0.0
         n_disp = 3 * self.grid.n_points * self.n_epochs
-        return rp_rms, float(np.sqrt((sm @ sm) / n_disp))
+        sq = (rp.reshape(-1, 2) ** 2).sum(axis=1)
+        count = np.bincount(self.obs_t, minlength=self.n_epochs)
+        total = np.bincount(self.obs_t, weights=sq, minlength=self.n_epochs)
+        return (rp_rms, float(np.sqrt((sm @ sm) / n_disp)),
+                np.sqrt(total / np.maximum(count, 1)))
 
 
 def build_problem(dataset, cameras, track=None, deform_model=None,
-                  stochastic: StochasticConfig | None = None, grid=None,
-                  deform_offsets=None) -> Problem:
+                  stochastic: StochasticConfig | None = None) -> Problem:
     """Assemble the residual system for a dataset.
 
     Without a deformation model every observation becomes a rigid
     reprojection block weighted by sigma_px_deformation (body deformation
-    treated as noise). With one, per-epoch offsets are predicted (or passed
-    in via `deform_offsets`) and blocks use sigma_px_geometric.
+    treated as noise). With one, per-epoch offsets are predicted from the
+    current track and blocks use sigma_px_geometric.
     """
     stochastic = stochastic or StochasticConfig()
     model_pts = mouse_model.RigidMouseModel().rigid_part_positions()
-    if deform_model is None and deform_offsets is None:
+    if deform_model is None:
         return Problem(dataset, cameras, model_pts, stochastic,
-                       stochastic.sigma_px_deformation, grid=grid,
-                       kind="rigid_reprojection")
-    if deform_offsets is None:
-        if track is None:
-            raise ValueError("deformed mode needs a current track estimate")
-        deform_offsets = predict_offsets(dataset, cameras, track, deform_model)
-    pts = model_pts[None, :, :] + deform_offsets
-    return Problem(dataset, cameras, pts, stochastic,
-                   stochastic.sigma_px_geometric, grid=grid,
-                   kind="deformed_reprojection")
+                       stochastic.sigma_px_deformation)
+    if track is None:
+        raise ValueError("deformed mode needs a current track estimate")
+    offsets = predict_offsets(dataset, cameras, track, deform_model)
+    return Problem(dataset, cameras, model_pts + offsets, stochastic,
+                   stochastic.sigma_px_geometric)
 
 
-def predict_offsets(dataset, cameras, track: MouseStateTrack, model,
-                    min_cameras=2):
+def predict_offsets(dataset, cameras, track: MouseStateTrack, model):
     """Per-epoch model-frame deformation offsets predicted from observations.
 
-    Parts visible in >= min_cameras cameras are triangulated and mapped into
-    the model frame via the current pose estimates; the resulting token
-    windows feed the sequence model in one batch. Epochs whose window does
-    not fit inside the track get zero offsets.
+    Parts visible in >= 2 cameras are triangulated and mapped into the model
+    frame via the current pose estimates; the resulting token windows feed
+    the sequence model in one batch. Epochs whose window does not fit inside
+    the track get zero offsets.
     """
     T = dataset.n_epochs
     n = model.window
-    rigid = mouse_model.RigidMouseModel().rigid_part_positions()
-    world, have = _triangulate_parts(dataset, cameras, min_cameras)
+    world, have = _triangulate_parts(dataset, cameras)
     x = track.as_array()
     R = geometry.rodrigues_to_matrix(x[:, :3])
     est = (world - x[:, None, 3:]) @ R               # R^T (X - t), model frame
 
     offsets = np.zeros((T, 8, 3))
-    rig = np.broadcast_to(rigid, (2 * n + 1, 8, 3))
-    seqs = []
-    for t in range(n, T - n):
-        epochs = np.arange(t - n, t + n + 1)
-        masked = ~have[epochs]
-        masked[n, :] = True
-        deformable = np.where(masked[:, :, None], rig, est[epochs])
-        seqs.append(deform_predictor.TokenSequence(epochs, rig, deformable,
-                                                   masked))
+    seqs = [deform_predictor.window_tokens(est, ~have, t, n)
+            for t in range(n, T - n)]
     if seqs:
-        offsets[n:T - n] = model.predict_many(seqs) - rigid
+        offsets[n:T - n] = (model.predict_many(seqs)
+                            - mouse_model.RigidMouseModel().rigid_part_positions())
     return offsets
 
 
@@ -488,18 +482,7 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model,
 # Levenberg-Marquardt
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolveOptions:
-    max_iterations: int = 100
-    cost_tolerance: float = 1e-10   # relative cost decrease
-    gradient_tolerance: float = 1e-10
-    initial_lambda: float = 1e-6
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
-
-
-def solve(problem: Problem, track: MouseStateTrack,
-          options: SolveOptions | None = None):
+def solve(problem: Problem, track: MouseStateTrack):
     """Levenberg-Marquardt with banded Cholesky steps.
 
     Accepted steps never increase the cost. A damped normal matrix that is
@@ -507,20 +490,19 @@ def solve(problem: Problem, track: MouseStateTrack,
     step is retried. Returns (MouseStateTrack, SolveReport); on hitting the
     iteration cap the best iterate is returned with status 'max_iterations'.
     """
-    options = options or SolveOptions()
     x = track.as_array().ravel().copy()
     r = problem.residuals(x)
     cost = float(r @ r)
     if not np.isfinite(cost):
         raise NonFiniteCost("initial cost is not finite")
     initial_cost = cost
-    lam = options.initial_lambda
+    lam = INITIAL_LAMBDA
     status = "converged"
     converged = False
     it = 0
-    for it in range(1, options.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         N, g = problem.normal_equations(x)
-        if np.max(np.abs(g)) < options.gradient_tolerance:
+        if np.max(np.abs(g)) < GRADIENT_TOLERANCE:
             converged = True
             break
         scale = np.maximum(N[0], 1e-12)
@@ -540,11 +522,11 @@ def solve(problem: Problem, track: MouseStateTrack,
                 if cost_new < cost:
                     rel = (cost - cost_new) / max(cost, 1e-300)
                     x, r, cost = x_new, r_new, cost_new
-                    lam = max(lam / options.lambda_down, 1e-12)
-                    if rel < options.cost_tolerance:
+                    lam = max(lam / LAMBDA_DOWN, 1e-12)
+                    if rel < COST_TOLERANCE:
                         converged = True
                     break
-            lam *= options.lambda_up
+            lam *= LAMBDA_UP
             if lam > 1e12:
                 # no downhill step exists at numerical precision
                 converged = True
@@ -554,18 +536,14 @@ def solve(problem: Problem, track: MouseStateTrack,
     else:
         status = "max_iterations"
 
-    rp_rms, sm_rms = problem.residual_rms(x)
+    # r holds the residuals at the final x
+    rp_rms, sm_rms, per_epoch = problem._rms(r)
     report = SolveReport(initial_cost=initial_cost, final_cost=cost,
                          iterations=it, converged=converged, status=status,
                          reprojection_rms_px=rp_rms, smoothness_rms_mm=sm_rms)
     flags = ["adjusted"] * problem.n_epochs
     out = MouseStateTrack.from_array(x.reshape(-1, 6), flags)
-    # per-epoch reprojection residual rms
-    rr = problem._reproj_residuals(x.reshape(-1, 6)) * problem.sigma_px
-    sq = (rr.reshape(-1, 2) ** 2).sum(axis=1)
-    count = np.bincount(problem.obs_t, minlength=problem.n_epochs)
-    total = np.bincount(problem.obs_t, weights=sq, minlength=problem.n_epochs)
-    out.residual_rms = np.sqrt(total / np.maximum(count, 1))
+    out.residual_rms = per_epoch
     return out, report
 
 
@@ -589,28 +567,28 @@ def check_jacobian(problem: Problem, track: MouseStateTrack, step=1e-6):
 # ---------------------------------------------------------------------------
 
 def solve_dataset(dataset, cameras=None, mode="rigid", deform_model=None,
-                  stochastic: StochasticConfig | None = None,
-                  options: SolveOptions | None = None, outer_iterations=2):
+                  stochastic: StochasticConfig | None = None):
     """Initialize and solve a dataset end to end.
 
     In deformed mode the offset prediction and the pose solve alternate for
-    `outer_iterations` rounds (offsets held fixed within each LM solve).
+    two rounds (offsets held fixed within each LM solve); one round gives a
+    higher part RMSE on gait recordings.
     """
     cameras = cameras if cameras is not None else dataset.cameras
     stochastic = stochastic or StochasticConfig()
     init = initialize(dataset, cameras)
     if mode == "rigid":
         problem = build_problem(dataset, cameras, stochastic=stochastic)
-        track, report = solve(problem, init, options)
+        track, report = solve(problem, init)
     elif mode == "deformed":
         if deform_model is None:
             raise ValueError("deformed mode requires a trained deform_model")
-        track, report = init, None
-        for _ in range(max(outer_iterations, 1)):
+        track = init
+        for _ in range(2):
             problem = build_problem(dataset, cameras, track=track,
                                     deform_model=deform_model,
                                     stochastic=stochastic)
-            track, report = solve(problem, track, options)
+            track, report = solve(problem, track)
     else:
         raise ValueError(f"unknown mode '{mode}'")
     # provenance: epochs with no observations are never constrained, and
@@ -641,38 +619,22 @@ def save_track(track: MouseStateTrack, path):
 
 
 def load_track(path) -> MouseStateTrack:
-    try:
-        with open(path) as f:
-            records = json.load(f)
-    except FileNotFoundError:
-        raise SchemaError(f"track file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON: {e.msg}")
-    if not isinstance(records, list):
-        raise SchemaError("track file must be a JSON list of epoch records")
+    """Track written by `save_track`. Records must hold epochs 0..T-1 once
+    each, in any order; anything else raises SchemaError."""
+    records = read_json(path, "track")
+    if not records:
+        raise SchemaError("track file must be a non-empty JSON list of "
+                          "epoch records")
+    params = geometry.pose_table(records)
+    flags, rms = [None] * len(records), np.zeros(len(records))
     for rec in records:
-        if not isinstance(rec, dict):
-            raise SchemaError("track records must be JSON objects")
-        for key in ("t", "rodrigues", "translation_mm"):
-            if key not in rec:
-                raise SchemaError(f"track record missing field '{key}'")
-        if not isinstance(rec["t"], int) or isinstance(rec["t"], bool):
-            raise SchemaError(f"track record field 't' must be an integer, "
-                              f"got {rec['t']!r}")
-        for key in ("rodrigues", "translation_mm"):
-            try:
-                vec = np.asarray(rec[key], dtype=float)
-            except (TypeError, ValueError):
-                vec = None
-            if vec is None or vec.shape != (3,):
-                raise SchemaError(f"track record field '{key}' must be 3 numbers")
-    records = sorted(records, key=lambda r: r["t"])
-    poses, flags, rms = [], [], []
-    for rec in records:
-        poses.append(PoseVector(np.array(rec["rodrigues"], dtype=float),
-                                np.array(rec["translation_mm"], dtype=float)))
-        flags.append(rec.get("solved_from", "adjusted"))
-        rms.append(rec.get("residual_rms", 0.0))
-    track = MouseStateTrack(poses, flags)
-    track.residual_rms = np.asarray(rms)
+        t = rec["t"]
+        flags[t] = rec.get("solved_from", "adjusted")
+        if flags[t] not in SOLVED_FROM:
+            raise SchemaError(f"pose t = {t}: 'solved_from' must be one of "
+                              f"{', '.join(SOLVED_FROM)}")
+        rms[t] = numbers(rec.get("residual_rms", 0.0), (),
+                         f"pose t = {t}: 'residual_rms'")
+    track = MouseStateTrack.from_array(params, flags)
+    track.residual_rms = rms
     return track

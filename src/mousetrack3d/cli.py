@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import adjustment, deform_predictor, evaluation, geometry, simulator
 from .errors import (
     DivergedLoss,
@@ -24,6 +22,7 @@ from .errors import (
     NonFiniteCost,
     NoSolvableEpoch,
     SchemaError,
+    read_json,
 )
 
 EXIT_OK = 0
@@ -37,14 +36,12 @@ def _config_hash(doc) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _load_json(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except FileNotFoundError:
-        raise SchemaError(f"file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+def _load_config(path):
+    """JSON object of a config file; an absent path gives an empty config."""
+    doc = read_json(path, "config") if path else {}
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: config must be a JSON object")
+    return doc
 
 
 def _scene_config(doc, seed=None):
@@ -62,7 +59,7 @@ def _scene_config(doc, seed=None):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    doc = _load_json(args.config) if args.config else {}
+    doc = _load_config(args.config)
     doc.setdefault("n_epochs", 100)
     doc.setdefault("seed", 0)
     config = _scene_config(doc, seed=args.seed)
@@ -86,7 +83,12 @@ def cmd_train_deform(args):
 
 def cmd_solve(args):
     dataset = simulator.import_dataset(args.data)
-    cameras = geometry.load_cameras(args.cameras) if args.cameras else dataset.cameras
+    cameras = dataset.cameras
+    if args.cameras:
+        cameras = geometry.load_cameras(args.cameras)
+        if sorted(c.id for c in cameras) != list(range(len(dataset.cameras))):
+            raise SchemaError(f"{args.cameras}: camera ids must be 0.."
+                              f"{len(dataset.cameras) - 1}, one per dataset camera")
     deform_model = deform_predictor.load_model(args.deform) if args.deform else None
     stochastic = adjustment.StochasticConfig(
         smoothness_weight=args.ws if args.ws is not None
@@ -125,7 +127,10 @@ def cmd_plot(args):
 
 
 def cmd_pipeline(args):
-    cfg = _load_json(args.config) if args.config else {}
+    cfg = _load_config(args.config)
+    for key in ("scene", "train", "solve", "check"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise SchemaError(f"pipeline config field '{key}' must be an object")
     scene_doc = dict(cfg.get("scene", {}))
     scene_doc.setdefault("n_epochs", 100)
     scene_doc.setdefault("seed", 0)

@@ -19,21 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mouse_model
-from .errors import DivergedLoss, SchemaError, UntrainedModel, WindowOutOfRange
+from .errors import (
+    DivergedLoss,
+    SchemaError,
+    UntrainedModel,
+    WindowOutOfRange,
+    numbers,
+    read_json,
+)
 
 N_PARTS = 8
 DEFAULT_WINDOW = 2  # n; sequence covers 2n+1 epochs
-
-
-@dataclass(frozen=True)
-class Token:
-    """One (rigid, deformable) coordinate pair; masked tokens carry the rigid
-    component only."""
-
-    part_id: int
-    rigid: np.ndarray
-    deformable: np.ndarray | None
-    masked: bool = False
+BATCH_SIZE = 64     # training windows per Adam step
 
 
 @dataclass
@@ -66,38 +63,41 @@ class TokenSequence:
     def mid(self):
         return len(self.epochs) // 2
 
-    def tokens(self):
-        """Flat (epoch, part) ordered list of Token values."""
-        out = []
-        for e in range(len(self.epochs)):
-            for i in range(N_PARTS):
-                m = bool(self.masked[e, i])
-                out.append(Token(i, self.rigid[e, i].copy(),
-                                 None if m else self.deformable[e, i].copy(),
-                                 masked=m))
-        return out
 
+def window_tokens(deformable, missing, t, n) -> TokenSequence:
+    """Token window over epochs t-n..t+n of a recording.
 
-def build_tokens(dataset, t, n=DEFAULT_WINDOW, min_cameras=2) -> TokenSequence:
-    """Token window centered at epoch t of a simulated dataset.
+    deformable : (T, N_PARTS, 3) model-frame deformable coordinates
+    missing : (T, N_PARTS) bool, parts whose deformable coordinate is unknown
 
-    Deformable coordinates come from the dataset's ground-truth offsets; a
-    part counts as missing at an epoch when it is visible in fewer than
-    `min_cameras` cameras there (so it could not be triangulated). The mid
-    epoch's deformable components are always masked.
+    Missing parts and the whole mid epoch are masked and carry the rigid
+    coordinate.
     """
-    T = dataset.n_epochs
+    T = len(deformable)
     if t - n < 0 or t + n >= T:
         raise WindowOutOfRange(f"window [{t - n}, {t + n}] outside dataset [0, {T - 1}]")
     epochs = np.arange(t - n, t + n + 1)
-    rigid_model = mouse_model.RigidMouseModel().rigid_part_positions()
-    rigid = np.broadcast_to(rigid_model, (2 * n + 1, N_PARTS, 3)).copy()
-    deformable = rigid + dataset.deform_offsets[epochs]
-    cam_counts = dataset.visible[epochs].sum(axis=1)  # (2n+1, N_PARTS)
-    masked = cam_counts < min_cameras
+    rigid = np.broadcast_to(mouse_model.RigidMouseModel().rigid_part_positions(),
+                            (2 * n + 1, N_PARTS, 3))
+    masked = missing[epochs]
     masked[n, :] = True
-    deformable = np.where(masked[:, :, None], rigid, deformable)
-    return TokenSequence(epochs, rigid, deformable, masked)
+    return TokenSequence(epochs, rigid,
+                         np.where(masked[:, :, None], rigid, deformable[epochs]),
+                         masked)
+
+
+def _ground_truth(dataset):
+    """(deformable, missing) of a simulated dataset for `window_tokens`:
+    rigid coordinates plus ground-truth offsets, and parts visible in fewer
+    than two cameras (so they could not be triangulated)."""
+    rigid = mouse_model.RigidMouseModel().rigid_part_positions()
+    return rigid + dataset.deform_offsets, dataset.visible.sum(axis=1) < 2
+
+
+def build_tokens(dataset, t, n=DEFAULT_WINDOW) -> TokenSequence:
+    """Token window centered at epoch t of a simulated dataset, with
+    deformable coordinates from its ground-truth offsets."""
+    return window_tokens(*_ground_truth(dataset), t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +228,19 @@ class SequenceModel:
 # Training
 # ---------------------------------------------------------------------------
 
-def training_windows(datasets, n=DEFAULT_WINDOW, min_cameras=2):
+def training_windows(datasets, n=DEFAULT_WINDOW):
     """All sliding-window token sequences plus mid-epoch offset targets."""
     seqs, targets = [], []
     for ds in datasets:
+        deformable, missing = _ground_truth(ds)
         for t in range(n, ds.n_epochs - n):
-            seq = build_tokens(ds, t, n, min_cameras=min_cameras)
-            seqs.append(seq)
+            seqs.append(window_tokens(deformable, missing, t, n))
             targets.append(ds.deform_offsets[t])
     return seqs, np.asarray(targets)
 
 
 def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48,
-          n=DEFAULT_WINDOW, batch_size=64, model: SequenceModel | None = None):
+          n=DEFAULT_WINDOW, model: SequenceModel | None = None):
     """Train a sequence model on simulated datasets.
 
     Gradient descent (Adam) on the mean squared error of the masked
@@ -274,8 +274,8 @@ def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48,
     for epoch in range(epochs):
         order = rng.permutation(N)
         epoch_loss = 0.0
-        for start in range(0, N, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, N, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             y, state = model.forward(X[idx])
             diff = y - Y[idx]
             loss = float((diff ** 2).mean())
@@ -302,43 +302,10 @@ def evaluate_mse(model: SequenceModel, datasets, n=DEFAULT_WINDOW):
     mid-epoch deformable coordinates, plus the rigid-baseline MSE that
     predicts zero offset."""
     seqs, targets = training_windows(datasets, n=n)
-    err, base = [], []
-    for seq, off in zip(seqs, targets):
-        pred = model.predict(seq)
-        truth = seq.rigid[seq.mid] + off
-        err.append(((pred - truth) ** 2).mean())
-        base.append((off ** 2).mean())
-    return float(np.mean(err)), float(np.mean(base))
-
-
-# ---------------------------------------------------------------------------
-# Jacobian of the prediction w.r.t. the mid-epoch rigid inputs
-# ---------------------------------------------------------------------------
-
-def jacobian(model, seq: TokenSequence, step=1e-3):
-    """Central finite-difference Jacobian of `model.predict` w.r.t. the
-    mid-epoch rigid coordinates, shape (N_PARTS*3, N_PARTS*3).
-
-    `step` is taken in normalized units when the model carries position
-    statistics, otherwise in mm. Works for any object with a compatible
-    `predict(seq)`.
-    """
-    scale = getattr(model, "pos_std", None)
-    h = step * (np.asarray(scale) if scale is not None else np.ones(3))
-    mid = seq.mid
-    J = np.zeros((N_PARTS * 3, N_PARTS * 3))
-    for i in range(N_PARTS):
-        for a in range(3):
-            plus = TokenSequence(seq.epochs, seq.rigid.copy(),
-                                 seq.deformable.copy(), seq.masked.copy())
-            minus = TokenSequence(seq.epochs, seq.rigid.copy(),
-                                  seq.deformable.copy(), seq.masked.copy())
-            plus.rigid[mid, i, a] += h[a]
-            minus.rigid[mid, i, a] -= h[a]
-            d = (np.asarray(model.predict(plus)).ravel()
-                 - np.asarray(model.predict(minus)).ravel())
-            J[:, i * 3 + a] = d / (2.0 * h[a])
-    return J
+    truth = np.stack([seq.rigid[seq.mid] for seq in seqs]) + targets
+    err = ((model.predict_many(seqs) - truth) ** 2).mean(axis=(1, 2))
+    base = (targets ** 2).mean(axis=(1, 2))
+    return float(err.mean()), float(base.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +331,39 @@ def save_model(model: SequenceModel, path):
 
 
 def load_model(path) -> SequenceModel:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise SchemaError(f"model file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON: {e.msg}")
-    for key in ("format_version", "hidden_size", "weights"):
+    """Model written by `save_model`; every field is checked, and anything
+    malformed raises SchemaError."""
+    doc = read_json(path, "model")
+    if not isinstance(doc, dict):
+        raise SchemaError("model file must be a JSON object")
+    for key in ("format_version", "hidden_size", "weights", "pos_mean",
+                "pos_std", "off_std"):
         if key not in doc:
             raise SchemaError(f"model file missing field '{key}'")
     if doc["format_version"] != FORMAT_VERSION:
-        raise SchemaError(f"unsupported model format version {doc['format_version']}")
-    m = SequenceModel(hidden_size=int(doc["hidden_size"]),
-                      window=int(doc.get("window", DEFAULT_WINDOW)))
-    m.weights = {k: np.asarray(v) for k, v in doc["weights"].items()}
-    m.pos_mean = np.asarray(doc["pos_mean"])
-    m.pos_std = np.asarray(doc["pos_std"])
-    m.off_std = np.asarray(doc["off_std"])
-    m.trained = bool(doc.get("trained", True))
+        raise SchemaError(f"unsupported model format version {doc['format_version']!r}")
+    m = SequenceModel()
+    for key in ("hidden_size", "window"):
+        value = doc.get(key, getattr(m, key))
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise SchemaError(f"model field '{key}' must be an integer >= 1")
+        setattr(m, key, value)
+    if not isinstance(doc.get("trained", True), bool):
+        raise SchemaError("model field 'trained' must be true or false")
+    m.trained = doc.get("trained", True)
+    m.pos_mean = numbers(doc["pos_mean"], (3,), "model field 'pos_mean'")
+    for key in ("pos_std", "off_std"):
+        std = numbers(doc[key], (3,), f"model field '{key}'")
+        if not np.all(std > 0):
+            raise SchemaError(f"model field '{key}' must be positive")
+        setattr(m, key, std)
+    H, D, O = m.hidden_size, m.input_size, m.output_size
+    shapes = {"Wx": (4 * H, D), "Wh": (4 * H, H), "b": (4 * H,),
+              "Wo": (O, H), "bo": (O,)}
+    weights = doc["weights"]
+    if not isinstance(weights, dict) or set(weights) != set(shapes):
+        raise SchemaError(f"model field 'weights' must hold exactly "
+                          f"{', '.join(shapes)}")
+    m.weights = {k: numbers(weights[k], shape, f"model weight '{k}'")
+                 for k, shape in shapes.items()}
     return m

@@ -1,4 +1,11 @@
-"""Exception hierarchy for the tracking pipeline."""
+"""Exception hierarchy for the tracking pipeline, plus the two input checks
+every file loader shares: reading a JSON document and reading a numeric
+field. Both raise SchemaError on malformed input.
+"""
+
+import json
+
+import numpy as np
 
 
 class MouseTrackError(Exception):
@@ -73,3 +80,33 @@ class NonFiniteCost(MouseTrackError):
 
 class EpochMismatch(MouseTrackError):
     """Track and ground-truth dataset cover different epochs."""
+
+
+# -- input checks -----------------------------------------------------------
+
+def read_json(path, what):
+    """Parsed JSON document of the `what` file at path."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        raise SchemaError(f"{what} file not found: {path}")
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    except (OSError, UnicodeDecodeError, RecursionError) as e:
+        raise SchemaError(f"cannot read {what} file {path}: {e}")
+
+
+def numbers(value, shape, what):
+    """value as a float array of the given shape with finite entries, or
+    SchemaError naming `what`. Strings, booleans and nulls are not numbers."""
+    try:
+        raw = np.asarray(value)
+    except (ValueError, OverflowError):
+        raw = None
+    if (raw is None or raw.dtype.kind not in "iuf" or raw.shape != tuple(shape)
+            or not np.all(np.isfinite(raw))):
+        size = "x".join(map(str, shape)) or "a"
+        raise SchemaError(f"{what} must be {size} finite number"
+                          f"{'s' if shape else ''}")
+    return raw.astype(float)

@@ -30,6 +30,8 @@ from .errors import (
     ParallelRays,
     SchemaError,
     SingularCamera,
+    numbers,
+    read_json,
 )
 
 EPS_DEPTH = 1e-9  # mm; depths at or below this are rejected
@@ -99,12 +101,6 @@ def matrix_to_rodrigues(R):
     return (theta / (2.0 * np.sin(theta))) * v
 
 
-def _skew(a):
-    return np.array([[0.0, -a[2], a[1]],
-                     [a[2], 0.0, -a[0]],
-                     [-a[1], a[0], 0.0]])
-
-
 def _skew_many(a):
     n = a.shape[0]
     K = np.zeros((n, 3, 3))
@@ -115,18 +111,6 @@ def _skew_many(a):
     K[:, 2, 0] = -a[:, 1]
     K[:, 2, 1] = a[:, 0]
     return K
-
-
-def rotation_point_jacobian(r, x):
-    """d(R(r) x)/dr, shape (3, 3); column i is the derivative w.r.t. r[i].
-
-    Uses the closed form in terms of R itself; falls back to the exact
-    r -> 0 limit (columns e_i x x) for tiny angles.
-    """
-    r = np.asarray(r, dtype=float)
-    x = np.asarray(x, dtype=float)
-    J = rotation_point_jacobians(r[None, :], x[None, :])
-    return J[0]
 
 
 def rotation_derivatives(rv):
@@ -590,7 +574,7 @@ def triangulate_batch(cameras, pixels, visible,
 
 
 # ---------------------------------------------------------------------------
-# Camera file IO
+# Camera and pose records
 # ---------------------------------------------------------------------------
 
 def camera_to_dict(cam: CameraModel) -> dict:
@@ -605,17 +589,29 @@ def camera_to_dict(cam: CameraModel) -> dict:
     return d
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def camera_from_dict(d: dict) -> CameraModel:
-    for key, length in (("id", None), ("K", 9), ("R", 9), ("t", 3)):
+    if not isinstance(d, dict):
+        raise SchemaError("camera records must be JSON objects")
+    for key in ("id", "K", "R", "t"):
         if key not in d:
             raise SchemaError(f"camera record missing field '{key}'")
-        if length is not None and len(d[key]) != length:
-            raise SchemaError(f"camera field '{key}' must have {length} numbers")
-    size = tuple(d["image_size"]) if "image_size" in d else None
-    return CameraModel(np.array(d["K"], dtype=float).reshape(3, 3),
-                       RigidTransform(np.array(d["R"], dtype=float).reshape(3, 3),
-                                      np.array(d["t"], dtype=float)),
-                       id=int(d["id"]), image_size=size)
+    if not _is_int(d["id"]):
+        raise SchemaError(f"camera field 'id' must be an integer, got {d['id']!r}")
+    K, R, t = (numbers(d[key], (n,), f"camera field '{key}'")
+               for key, n in (("K", 9), ("R", 9), ("t", 3)))
+    K = K.reshape(3, 3)
+    if np.linalg.matrix_rank(K) < 3:
+        raise SchemaError(f"camera {d['id']}: calibration 'K' is singular")
+    size = d.get("image_size")
+    if size is not None and not (isinstance(size, list) and len(size) == 2
+                                 and all(_is_int(v) and v > 0 for v in size)):
+        raise SchemaError("camera field 'image_size' must be 2 positive integers")
+    return CameraModel(K, RigidTransform(R.reshape(3, 3), t), id=d["id"],
+                       image_size=tuple(size) if size is not None else None)
 
 
 def save_cameras(cams, path):
@@ -624,13 +620,33 @@ def save_cameras(cams, path):
 
 
 def load_cameras(path):
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except FileNotFoundError:
-        raise SchemaError(f"camera file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON: {e.msg}")
+    data = read_json(path, "camera")
     if not isinstance(data, list):
         raise SchemaError("camera file must be a JSON list of camera records")
     return [camera_from_dict(d) for d in data]
+
+
+def pose_table(records):
+    """(T, 6) pose parameters (Rodrigues vector, translation in mm) from
+    pose records whose `t` values are exactly 0..T-1, in any order."""
+    if not isinstance(records, list):
+        raise SchemaError("poses must be a JSON list of pose records")
+    table = np.zeros((len(records), 6))
+    seen = np.zeros(len(records), dtype=bool)
+    for rec in records:
+        if not isinstance(rec, dict):
+            raise SchemaError("pose records must be JSON objects")
+        for key in ("t", "rodrigues", "translation_mm"):
+            if key not in rec:
+                raise SchemaError(f"pose record missing field '{key}'")
+        t = rec["t"]
+        if not _is_int(t):
+            raise SchemaError(f"pose field 't' must be an integer, got {t!r}")
+        if not 0 <= t < len(records):
+            raise SchemaError(f"pose t = {t} outside 0..{len(records) - 1}")
+        if seen[t]:
+            raise SchemaError(f"duplicate pose t = {t}")
+        seen[t] = True
+        table[t] = np.concatenate([numbers(rec[key], (3,), f"pose t = {t}: '{key}'")
+                                   for key in ("rodrigues", "translation_mm")])
+    return table

@@ -9,14 +9,12 @@ swing) and a rigid head triangle nodding about the ear-connecting line.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
-from .errors import SchemaError
 
 # part ids in fixed order
 NOSE_TIP = 0
@@ -50,8 +48,8 @@ HEAD_PARTS = (NOSE_TIP, LEFT_EAR, RIGHT_EAR)
 STANCE_FIRST_PAWS = (RIGHT_FRONT_PAW, LEFT_HIND_PAW)
 SWING_FIRST_PAWS = (LEFT_FRONT_PAW, RIGHT_HIND_PAW)
 
-# default head nodding intervals (degrees), visited back and forth in one cycle
-DEFAULT_HEAD_INTERVALS_DEG = ((-15.0, -5.0), (-5.0, 5.0), (5.0, 15.0))
+# head nodding intervals (degrees), visited back and forth in one cycle
+HEAD_INTERVALS_DEG = ((-15.0, -5.0), (-5.0, 5.0), (5.0, 15.0))
 
 
 @dataclass(frozen=True)
@@ -64,10 +62,6 @@ class RigidMouseModel:
         c = np.array(self.coords, dtype=float).reshape(8, 3)
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
-
-    @property
-    def n_parts(self):
-        return 8
 
     def rigid_part_positions(self):
         """(8, 3) model-frame coordinates in mm."""
@@ -82,11 +76,6 @@ class RigidMouseModel:
 
     def parts(self):
         return [(i, PART_NAMES[i], self.coords[i].copy()) for i in range(8)]
-
-
-def rigid_part_positions():
-    """Default model coordinates, (8, 3) mm."""
-    return RigidMouseModel().rigid_part_positions()
 
 
 @dataclass(frozen=True)
@@ -127,16 +116,15 @@ def _paw_forward_offset(phase, stride):
     return -swing, swing
 
 
-def head_angle_at(phase, intervals_deg=DEFAULT_HEAD_INTERVALS_DEG):
+def head_angle_at(phase):
     """Piecewise-linear head angle (radians) over one cycle.
 
     The angle ramps through the waypoint loop
-    0 -> lo1 -> ... -> hi_last -> 0 built from the configured intervals,
-    giving the linear back-and-forth sweep through each interval.
-    Zero at phase 0.
+    0 -> lo1 -> ... -> hi_last -> 0 built from HEAD_INTERVALS_DEG, giving
+    the linear back-and-forth sweep through each interval. Zero at phase 0.
     """
-    los = [iv[0] for iv in intervals_deg]
-    his = [iv[1] for iv in intervals_deg]
+    los = [iv[0] for iv in HEAD_INTERVALS_DEG]
+    his = [iv[1] for iv in HEAD_INTERVALS_DEG]
     waypoints = [0.0] + los[::-1] + his + [0.0]
     seg = len(waypoints) - 1
     u = (phase % 1.0) * seg
@@ -146,8 +134,7 @@ def head_angle_at(phase, intervals_deg=DEFAULT_HEAD_INTERVALS_DEG):
     return math.radians(deg)
 
 
-def deform(model: RigidMouseModel, phase, body_speed,
-           cycle_length=10, head_intervals_deg=DEFAULT_HEAD_INTERVALS_DEG,
+def deform(model: RigidMouseModel, phase, body_speed, cycle_length=10,
            head_angle=None):
     """Deformation state at a gait phase.
 
@@ -170,7 +157,7 @@ def deform(model: RigidMouseModel, phase, body_speed,
         offsets[p, 1] = fwd
 
     if head_angle is None:
-        head_angle = head_angle_at(phase, head_intervals_deg)
+        head_angle = head_angle_at(phase)
     if head_angle != 0.0:
         coords = model.rigid_part_positions()
         pivot = 0.5 * (coords[LEFT_EAR] + coords[RIGHT_EAR])
@@ -192,24 +179,3 @@ def world_part_positions(state: geometry.PoseVector,
     if deformation is not None:
         pts = pts + deformation.offsets
     return geometry.apply(geometry.pose_to_transform(state), pts)
-
-
-def save_model(model: RigidMouseModel, path):
-    records = [{"id": i, "name": n, "xyz_mm": [float(v) for v in c]}
-               for i, n, c in model.parts()]
-    with open(path, "w") as f:
-        json.dump(records, f, indent=1)
-
-
-def load_model(path) -> RigidMouseModel:
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, list) or len(data) != 8:
-        raise SchemaError("model file must be a JSON list of 8 part records")
-    coords = np.zeros((8, 3))
-    for rec in data:
-        for key in ("id", "name", "xyz_mm"):
-            if key not in rec:
-                raise SchemaError(f"model part record missing field '{key}'")
-        coords[int(rec["id"])] = rec["xyz_mm"]
-    return RigidMouseModel(coords)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import geometry, mouse_model
-from .errors import CameraSeesNothing, SchemaError
+from .errors import CameraSeesNothing, SchemaError, numbers, read_json
 from .geometry import CameraModel, PoseVector, RigidTransform
 
 
@@ -237,25 +237,64 @@ def _config_to_dict(config: SceneConfig) -> dict:
     return d
 
 
+# field: (default, type, test of the value, what the test requires); a
+# default of None marks a required field
+_SCENE_FIELDS = {
+    "cameras": (None, list, lambda v: len(v) >= 2, "a list of >= 2 cameras"),
+    "seed": (None, int, lambda v: v >= 0, "an integer >= 0"),
+    "n_epochs": (None, int, lambda v: v >= 5, "an integer >= 5"),
+    "plane_extent_mm": (500.0, float, lambda v: v > 0, "a number > 0"),
+    "step_sigma_mm": (1.0, float, lambda v: v >= 0, "a number >= 0"),
+    "heading_smoothing": (0.3, float, None, "a number"),
+    "noise_sigma_px": (0.5, float, lambda v: v >= 0, "a number >= 0"),
+    "occlusion": ({}, dict, None, "an object"),
+    "gait_cycle_length": (10, int, lambda v: v >= 1, "an integer >= 1"),
+    "deformation_enabled": (True, bool, None, "true or false"),
+}
+_OCCLUSION_FIELDS = {
+    "random_dropout_rate": (0.0, float, lambda v: 0 <= v <= 1,
+                            "a number in [0, 1]"),
+    "min_visible_floor": (0, int, lambda v: v >= 0, "an integer >= 0"),
+}
+
+
+def _fields(d, spec, what):
+    """The fields of object d, defaults filled in, each checked against its
+    spec entry. Values keep their JSON type, so configs hash as written."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    for key in d:
+        if key not in spec:
+            raise SchemaError(f"{what} has unknown field '{key}'")
+    out = {}
+    for key, (default, kind, test, meaning) in spec.items():
+        if key not in d and default is None:
+            raise SchemaError(f"{what} missing field '{key}'")
+        value = d.get(key, default)
+        is_int = isinstance(value, int) and not isinstance(value, bool)
+        if kind is float:
+            ok = (is_int and abs(value) < 2 ** 53
+                  or isinstance(value, float) and math.isfinite(value))
+        elif kind is int:
+            ok = is_int
+        else:
+            ok = isinstance(value, kind)
+        if not ok or (test is not None and not test(value)):
+            raise SchemaError(f"{what} field '{key}' must be {meaning}, "
+                              f"got {value!r}")
+        out[key] = value
+    return out
+
+
 def _config_from_dict(d: dict) -> SceneConfig:
-    required = ["cameras", "seed", "n_epochs"]
-    for key in required:
-        if key not in d:
-            raise SchemaError(f"scene config missing field '{key}'")
-    cams = tuple(geometry.camera_from_dict(c) for c in d["cameras"])
-    occ = OcclusionConfig(**d.get("occlusion", {}))
-    return SceneConfig(
-        cameras=cams,
-        plane_extent_mm=d.get("plane_extent_mm", 500.0),
-        seed=int(d["seed"]),
-        n_epochs=int(d["n_epochs"]),
-        step_sigma_mm=d.get("step_sigma_mm", 1.0),
-        heading_smoothing=d.get("heading_smoothing", 0.3),
-        noise_sigma_px=d.get("noise_sigma_px", 0.5),
-        occlusion=occ,
-        gait_cycle_length=int(d.get("gait_cycle_length", 10)),
-        deformation_enabled=bool(d.get("deformation_enabled", True)),
-    )
+    f = _fields(d, _SCENE_FIELDS, "scene config")
+    cams = tuple(geometry.camera_from_dict(c) for c in f["cameras"])
+    if [c.id for c in cams] != list(range(len(cams))):
+        raise SchemaError("scene config cameras must have ids 0..K-1 in order")
+    f["cameras"] = cams
+    f["occlusion"] = OcclusionConfig(**_fields(f["occlusion"], _OCCLUSION_FIELDS,
+                                               "scene config occlusion"))
+    return SceneConfig(**f)
 
 
 def export_dataset(dataset: SimulatedDataset, path):
@@ -289,42 +328,12 @@ def export_dataset(dataset: SimulatedDataset, path):
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
 
 
-def _pose_table(records):
-    """(T, 6) ground-truth pose parameters from pose records whose `t`
-    values are exactly 0..T-1, in any order."""
-    if not isinstance(records, list):
-        raise SchemaError("ground_truth 'poses' must be a list of pose records")
-    table = np.zeros((len(records), 6))
-    seen = np.zeros(len(records), dtype=bool)
-    for rec in records:
-        if not isinstance(rec, dict):
-            raise SchemaError("pose records must be JSON objects")
-        for key in ("t", "rodrigues", "translation_mm"):
-            if key not in rec:
-                raise SchemaError(f"pose record missing field '{key}'")
-        t = rec["t"]
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise SchemaError(f"pose field 't' must be an integer, got {t!r}")
-        if not 0 <= t < len(records):
-            raise SchemaError(f"pose t = {t} outside 0..{len(records) - 1}")
-        if seen[t]:
-            raise SchemaError(f"duplicate pose t = {t}")
-        seen[t] = True
-        try:
-            table[t] = np.concatenate([np.asarray(rec[key], dtype=float).reshape(3)
-                                       for key in ("rodrigues", "translation_mm")])
-        except (TypeError, ValueError):
-            raise SchemaError(f"pose t = {t}: 'rodrigues' and 'translation_mm' "
-                              f"must be 3 numbers each")
-    return table
-
-
 def _observation_table(rows, T, Kn):
     """Observation rows as one (n, 7) array with checked integer indices
     0 <= t < T, 0 <= k < Kn and 0 <= i < 8."""
     try:
         table = np.array(rows, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError("observation rows must be lists of 7 numbers")
     if table.size == 0:
         return np.zeros((0, 7))
@@ -346,13 +355,7 @@ def _observation_table(rows, T, Kn):
 
 
 def import_dataset(path) -> SimulatedDataset:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise SchemaError(f"dataset file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON: {e.msg}")
+    doc = read_json(path, "dataset")
     if not isinstance(doc, dict):
         raise SchemaError("dataset file must be a JSON object")
     for key in ("meta", "ground_truth", "observations"):
@@ -362,15 +365,16 @@ def import_dataset(path) -> SimulatedDataset:
     gt = doc["ground_truth"]
     if "poses" not in gt:
         raise SchemaError("dataset ground_truth missing field 'poses'")
-    params = _pose_table(gt["poses"])
+    params = geometry.pose_table(gt["poses"])
     poses = [PoseVector(p[:3], p[3:]) for p in params]
     T = len(poses)
+    if T != config.n_epochs:
+        raise SchemaError(f"meta n_epochs = {config.n_epochs}, but ground_truth "
+                          f"has {T} poses")
     Kn = len(config.cameras)
-    offsets = np.array(gt.get("deform_offsets_mm", np.zeros((T, 8, 3)).tolist()),
-                       dtype=float)
-    if offsets.shape != (T, 8, 3):
-        raise SchemaError(f"deform_offsets_mm must have shape ({T}, 8, 3), "
-                          f"got {offsets.shape}")
+    offsets = np.zeros((T, 8, 3))
+    if "deform_offsets_mm" in gt:
+        offsets = numbers(gt["deform_offsets_mm"], (T, 8, 3), "deform_offsets_mm")
 
     rigid = mouse_model.RigidMouseModel().rigid_part_positions()
     R = geometry.rodrigues_to_matrix(params[:, :3]).reshape(T, 3, 3)

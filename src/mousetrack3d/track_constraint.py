@@ -14,13 +14,12 @@ has the same sum of squares and the same normal equations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, mouse_model
-from .errors import BranchDiscontinuity, SchemaError
+from .errors import BranchDiscontinuity
 from .geometry import PoseVector, RigidTransform
 
 
@@ -55,15 +54,6 @@ def default_grid(nx=3, ny=3, nz=3, extent_mm=None) -> ComparisonGrid:
     zs = np.linspace(lo[2], hi[2], nz)
     pts = np.array([[x, y, z] for x in xs for y in ys for z in zs])
     return ComparisonGrid(pts)
-
-
-def load_grid(path) -> ComparisonGrid:
-    with open(path) as f:
-        d = json.load(f)
-    for key in ("nx", "ny", "nz"):
-        if key not in d:
-            raise SchemaError(f"grid config missing field '{key}'")
-    return default_grid(d["nx"], d["ny"], d["nz"], d.get("extent_mm"))
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +91,15 @@ def interpolation_window(t, n_epochs):
     return nodes, lagrange_weights(nodes, float(t))
 
 
-def unwrap_rodrigues(rvecs, max_jump=np.pi / 2, strict=True):
+MAX_ROTATION_JUMP = np.pi / 2   # rad between consecutive unwrapped vectors
+
+
+def unwrap_rodrigues(rvecs, strict=True):
     """Re-express each rotation vector on the branch nearest its predecessor.
 
     Equivalent representations differ by (|r| - 2 pi k) along the same axis.
     Raises BranchDiscontinuity when consecutive vectors still differ by more
-    than `max_jump` (strict mode only).
+    than MAX_ROTATION_JUMP (strict mode only).
     """
     rvecs = np.array(rvecs, dtype=float)
     out = rvecs.copy()
@@ -120,9 +113,9 @@ def unwrap_rodrigues(rvecs, max_jump=np.pi / 2, strict=True):
             candidates.append((theta + 2 * np.pi) * axis)
         dists = [np.linalg.norm(c - out[t - 1]) for c in candidates]
         out[t] = candidates[int(np.argmin(dists))]
-        if strict and min(dists) > max_jump:
+        if strict and min(dists) > MAX_ROTATION_JUMP:
             raise BranchDiscontinuity(
-                f"rotation jump {min(dists):.3f} rad > {max_jump:.3f} rad "
+                f"rotation jump {min(dists):.3f} rad > {MAX_ROTATION_JUMP:.3f} rad "
                 f"between epochs {t - 1} and {t}")
     return out
 

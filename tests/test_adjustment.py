@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from mousetrack3d import (adjustment, evaluation, geometry, mouse_model,
                          simulator, track_constraint)
 from mousetrack3d.adjustment import (
     MouseStateTrack,
-    SolveOptions,
+    Problem,
     StochasticConfig,
     build_problem,
     check_jacobian,
@@ -31,6 +33,18 @@ def make_dataset(seed=0, n_epochs=30, noise=0.0, dropout=0.0,
         deformation_enabled=deformation,
         occlusion=simulator.OcclusionConfig(random_dropout_rate=dropout))
     return simulator.simulate(config)
+
+
+def make_problem(ds, offsets=None, stochastic=None, grid=None):
+    """Problem with the rigid model, or with given per-epoch offsets (the
+    deformed mode's sigma), without a trained deformation model."""
+    stochastic = stochastic or StochasticConfig()
+    pts = mouse_model.RigidMouseModel().rigid_part_positions()
+    if offsets is None:
+        return Problem(ds, ds.cameras, pts, stochastic,
+                       stochastic.sigma_px_deformation, grid=grid)
+    return Problem(ds, ds.cameras, pts + offsets, stochastic,
+                   stochastic.sigma_px_geometric, grid=grid)
 
 
 def gt_track(ds):
@@ -93,18 +107,16 @@ def test_problem_sizing_counts():
     ds = make_dataset(n_epochs=500, seed=7, dropout=0.2, noise=0.5)
     problem = build_problem(ds, ds.cameras)
     assert problem.n_params == 500 * 6
-    counts = problem.block_counts()
-    assert counts["track_smoothness"] == 500
     # about 80% of 500*3*8 = 12000 candidate observations survive
-    assert counts["rigid_reprojection"] == pytest.approx(9600, rel=0.03)
+    assert problem.n_obs == pytest.approx(9600, rel=0.03)
+    assert problem.n_residuals == 2 * problem.n_obs + 12 * 500
 
 
 def test_problem_rigid_kind_without_model():
     ds = make_dataset(n_epochs=10)
     problem = build_problem(ds, ds.cameras)
-    assert problem.kind == "rigid_reprojection"
-    assert set(problem.block_counts()) == {"rigid_reprojection",
-                                           "track_smoothness"}
+    assert problem.sigma_px == StochasticConfig().sigma_px_deformation
+    assert problem.model_pts.shape == (8, 3)
 
 
 def test_zero_smoothness_weight_block_diagonal():
@@ -126,8 +138,9 @@ def test_zero_smoothness_weight_block_diagonal():
 
 def test_deformed_problem_uses_per_epoch_points():
     ds = make_dataset(n_epochs=15, deformation=True, step_sigma=1.5)
-    problem = build_problem(ds, ds.cameras, deform_offsets=ds.deform_offsets)
-    assert problem.kind == "deformed_reprojection"
+    problem = make_problem(ds, offsets=ds.deform_offsets)
+    assert problem.sigma_px == StochasticConfig().sigma_px_geometric
+    assert problem.model_pts.shape == (15, 8, 3)
     # ground-truth offsets make the ground-truth track almost reprojection-free
     rp, _ = problem.residual_rms(gt_track(ds).as_array())
     assert rp < 1e-9
@@ -153,8 +166,7 @@ def test_normal_equations_match_dense_jacobian(n_epochs, kind):
         ds.visible[:] = False
     stochastic = StochasticConfig(smoothness_weight=0.7)
     offsets = ds.deform_offsets if kind == "deformed" else None
-    problem = build_problem(ds, ds.cameras, stochastic=stochastic,
-                            deform_offsets=offsets)
+    problem = make_problem(ds, offsets=offsets, stochastic=stochastic)
     rng = np.random.default_rng(n_epochs)
     x = gt_track(ds).as_array() + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
                                              size=(n_epochs, 6))
@@ -182,8 +194,8 @@ def test_four_point_smoothness_equals_grid_sum(grid):
     ds = make_dataset(n_epochs=9, step_sigma=1.5)
     ds.visible[:] = False
     w = 0.7
-    problem = build_problem(ds, ds.cameras, grid=grid,
-                            stochastic=StochasticConfig(smoothness_weight=w))
+    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=w),
+                           grid=grid)
     rng = np.random.default_rng(4)
     x = gt_track(ds).as_array() + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
                                              size=(9, 6))
@@ -303,13 +315,12 @@ def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
         return out
 
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
-    options = SolveOptions()
-    track, report = solve(problem, initialize(ds), options)
+    track, report = solve(problem, initialize(ds))
 
     assert not attempts[0][1]
     first_ok = next(k for k, (_, ok) in enumerate(attempts) if ok)
     # lambda rose by at least lambda_up before a factorization succeeded
-    assert attempts[first_ok][0] > attempts[0][0] * options.lambda_up
+    assert attempts[first_ok][0] > attempts[0][0] * adjustment.LAMBDA_UP
     assert np.all(np.isfinite(track.as_array()))
     assert report.final_cost < report.initial_cost
 
@@ -320,8 +331,8 @@ def test_solve_per_epoch_residual_rms():
     ds.observations[7] = np.nan
     problem = build_problem(ds, ds.cameras)
     track, _ = solve(problem, initialize(ds))
-    rr = (problem._reproj_residuals(track.as_array()) * problem.sigma_px
-          ).reshape(-1, 2)
+    r = problem.residuals(track.as_array().ravel())
+    rr = (r[:2 * problem.n_obs] * problem.sigma_px).reshape(-1, 2)
     expect = np.zeros(20)
     for t in range(20):
         sel = problem.obs_t == t
@@ -393,6 +404,12 @@ def test_track_load_missing_field(tmp_path):
         load_track(path)
 
 
+def _records(ts, **fields):
+    return json.dumps([dict({"t": t, "rodrigues": [0, 0, 0],
+                             "translation_mm": [0, 0, 0]}, **fields)
+                       for t in ts])
+
+
 @pytest.mark.parametrize("text, match", [
     ('[{"rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]},'
      ' {"rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}]', "'t'"),
@@ -405,9 +422,29 @@ def test_track_load_missing_field(tmp_path):
      "rodrigues"),
     ('[{"t": 0, "rodrigues": [0, 0, 0], "translation_mm": ["a", 0, 0]}]',
      "translation_mm"),
+    (_records([0, 0, 5]), "duplicate pose t = 0"),
+    # 20 records with t = 2 twice and no t = 3
+    (_records([0, 1, 2, 2] + list(range(4, 20))), "duplicate pose t = 2"),
+    (_records([0, 1, 3]), "t = 3 outside 0..2"),
+    ("[]", "non-empty"),
+    (_records([0], solved_from="guessed"), "solved_from"),
+    (_records([0], residual_rms=[1.0]), "residual_rms"),
 ])
 def test_track_load_malformed_records(tmp_path, text, match):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(SchemaError, match=match):
         load_track(path)
+
+
+def test_track_load_accepts_shuffled_records(tmp_path):
+    ds = make_dataset(n_epochs=12, noise=0.5)
+    track, _ = solve_dataset(ds)
+    path = tmp_path / "track.json"
+    save_track(track, path)
+    records = json.loads(path.read_text())
+    path.write_text(json.dumps(records[::-1]))
+    loaded = load_track(path)
+    assert np.array_equal(loaded.as_array(), track.as_array())
+    assert loaded.solved_from == track.solved_from
+    assert np.array_equal(loaded.residual_rms, track.residual_rms)

@@ -1,9 +1,8 @@
 import json
-import os
 
 import pytest
 
-from mousetrack3d import cli
+from mousetrack3d import cli, geometry, simulator
 
 
 def run(*argv):
@@ -69,9 +68,17 @@ def test_solve_malformed_dataset_exit_2(tmp_path, case):
                "--out", str(tmp_path / "track.json")) == 2
 
 
+def _pose_records(ts):
+    return [{"t": t, "rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}
+            for t in ts]
+
+
 @pytest.mark.parametrize("records", [
     [{"rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}] * 2,
     [1, 2],
+    _pose_records([0, 0, 5]),
+    # 40 records, the length of the dataset, with t = 2 twice and no t = 3
+    _pose_records([0, 1, 2, 2] + list(range(4, 40))),
 ])
 def test_evaluate_malformed_track_exit_2(tmp_path, records):
     data = tmp_path / "data.json"
@@ -80,6 +87,73 @@ def test_evaluate_malformed_track_exit_2(tmp_path, records):
     track.write_text(json.dumps(records))
     assert run("evaluate", "--data", str(data), "--track", str(track),
                "--out", str(tmp_path / "report.json")) == 2
+
+
+def _camera_docs(**changes):
+    docs = [geometry.camera_to_dict(c) for c in simulator.default_cameras()]
+    docs[1].update(changes)
+    return docs
+
+
+def _scene(**changes):
+    return dict({"n_epochs": 10, "seed": 1}, **changes)
+
+
+# scene config given to `simulate --config`
+BAD_SCENES = {
+    "occlusion_unknown_key": _scene(occlusion={"dropout": 0.2}),
+    "occlusion_not_object": _scene(occlusion=[0.2]),
+    "seed_text": _scene(seed="abc"),
+    "too_few_epochs": _scene(n_epochs=4),
+    "negative_step": _scene(step_sigma_mm=-1.0),
+    "dropout_above_one": _scene(occlusion={"random_dropout_rate": 1.5}),
+    "camera_K_number": _scene(cameras=_camera_docs(K=5)),
+    "camera_R_text": _scene(cameras=_camera_docs(R=["a"] * 9)),
+    "camera_t_text": _scene(cameras=_camera_docs(t="abc")),
+    "camera_not_object": _scene(cameras=[1, 2]),
+    "camera_ids_out_of_order": _scene(cameras=_camera_docs(id=2)),
+    "scene_is_list": [_scene()],
+}
+# camera file given to `solve --cameras`
+BAD_CAMERA_FILES = {
+    "cameras_K_number": _camera_docs(K=5),
+    "cameras_t_text": _camera_docs(t=["1", "2", "3"]),
+    "cameras_not_objects": ["cam0", "cam1", "cam2"],
+    "cameras_singular_K": _camera_docs(K=[0] * 9),
+    "cameras_too_few": _camera_docs()[:2],
+}
+# changes to the `meta` object of a dataset given to `solve --data`
+BAD_METAS = {
+    "meta_seed_text": {"seed": "abc"},
+    "meta_occlusion_unknown_key": {"occlusion": {"bogus": 1}},
+    "meta_epochs_mismatch": {"n_epochs": 11},
+    "meta_not_object_camera": {"cameras": [[1, 2, 3]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENES) + sorted(BAD_CAMERA_FILES)
+                         + sorted(BAD_METAS))
+def test_bad_scene_and_camera_input_exit_2(tmp_path, case, capsys):
+    out = str(tmp_path / "out.json")
+    if case in BAD_SCENES:
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(BAD_SCENES[case]))
+        argv = ["simulate", "--config", str(path), "--out", out]
+    else:
+        data = tmp_path / "data.json"
+        assert run("simulate", "--config", scene_file(tmp_path, n_epochs=10),
+                   "--out", str(data)) == 0
+        argv = ["solve", "--data", str(data), "--out", out]
+        if case in BAD_CAMERA_FILES:
+            cams = tmp_path / "cams.json"
+            cams.write_text(json.dumps(BAD_CAMERA_FILES[case]))
+            argv += ["--cameras", str(cams)]
+        else:
+            doc = json.loads(data.read_text())
+            doc["meta"].update(BAD_METAS[case])
+            data.write_text(json.dumps(doc))
+    assert run(*argv) == 2
+    assert argv[0] + ":" in capsys.readouterr().err
 
 
 def test_simulate_solve_evaluate_plot_chain(tmp_path):

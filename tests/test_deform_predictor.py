@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,12 @@ from mousetrack3d.deform_predictor import (
     TokenSequence,
     build_tokens,
     evaluate_mse,
-    jacobian,
     load_model,
     save_model,
     train,
     training_windows,
 )
-from mousetrack3d.errors import UntrainedModel, WindowOutOfRange
+from mousetrack3d.errors import SchemaError, UntrainedModel, WindowOutOfRange
 
 
 def gait_dataset(seed=0, n_epochs=240, dropout=0.0):
@@ -50,9 +51,8 @@ def trained_rigid_model():
 def test_token_window_shape_and_masking():
     ds = gait_dataset(n_epochs=5)
     seq = build_tokens(ds, 2, n=2)
-    tokens = seq.tokens()
-    assert len(tokens) == 5 * 8
-    assert sum(tok.masked for tok in tokens) == 8
+    assert seq.masked.shape == (5, 8)
+    assert seq.masked.sum() == 8
     assert seq.masked[seq.mid].all()
     assert not seq.masked[[0, 1, 3, 4]].any()
 
@@ -74,7 +74,7 @@ def test_zero_deformation_tokens_equal_rigid():
 def test_dropout_missing_flags_match_visibility():
     ds = gait_dataset(n_epochs=60, dropout=0.2)
     for t in (5, 20, 40):
-        seq = build_tokens(ds, t, n=2, min_cameras=2)
+        seq = build_tokens(ds, t, n=2)
         cam_counts = ds.visible[seq.epochs].sum(axis=1)
         expected = cam_counts < 2
         expected[seq.mid] = True
@@ -162,43 +162,6 @@ def test_sequence_order_matters(trained_gait_model):
     assert np.abs(a - b).max() > 1e-3
 
 
-# -- jacobian -----------------------------------------------------------------
-
-class LinearToy:
-    """predict = W @ rigid[mid].ravel(), reshaped."""
-
-    def __init__(self, W):
-        self.W = W
-
-    def predict(self, seq):
-        return (self.W @ seq.rigid[seq.mid].ravel()).reshape(8, 3)
-
-
-def test_jacobian_linear_toy():
-    rng = np.random.default_rng(0)
-    W = rng.normal(size=(24, 24))
-    ds = gait_dataset(n_epochs=20)
-    seq = build_tokens(ds, 5)
-    J = jacobian(LinearToy(W), seq)
-    assert np.abs(J - W).max() < 1e-6
-
-
-def test_jacobian_fd_convergence(trained_gait_model):
-    ds, model, _ = trained_gait_model
-    seq = build_tokens(ds, 10)
-    J1 = jacobian(model, seq, step=1e-3)
-    J2 = jacobian(model, seq, step=5e-4)
-    rel = np.abs(J1 - J2).max() / max(np.abs(J1).max(), 1e-12)
-    assert rel < 1e-3
-
-
-def test_jacobian_rigid_model_near_identity(trained_rigid_model):
-    ds, model = trained_rigid_model
-    seq = build_tokens(ds, 10)
-    J = jacobian(model, seq)
-    assert np.abs(J - np.eye(24)).max() < 0.1
-
-
 # -- serialization ------------------------------------------------------------
 
 def test_model_save_load_roundtrip(tmp_path, trained_gait_model):
@@ -208,3 +171,67 @@ def test_model_save_load_roundtrip(tmp_path, trained_gait_model):
     loaded = load_model(path)
     seq = build_tokens(ds, 10)
     assert np.allclose(loaded.predict(seq), model.predict(seq), atol=1e-12)
+
+
+def _drop(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _drop_weight(key):
+    def mutate(doc):
+        del doc["weights"][key]
+    return mutate
+
+
+def _set_weight(key, value):
+    def mutate(doc):
+        doc["weights"][key] = value
+    return mutate
+
+
+# (mutation of a saved model, expected message)
+MALFORMED_MODELS = {
+    "no_pos_mean": (_drop("pos_mean"), "pos_mean"),
+    "short_pos_std": (_set("pos_std", [1.0, 1.0]), "pos_std"),
+    "zero_off_std": (_set("off_std", [1.0, 0.0, 1.0]), "off_std"),
+    "text_pos_mean": (_set("pos_mean", ["a", 0, 0]), "pos_mean"),
+    "text_hidden_size": (_set("hidden_size", "48"), "hidden_size"),
+    "zero_window": (_set("window", 0), "window"),
+    "extra_weight": (_set_weight("Wz", [0.0]), "weights"),
+    "missing_weight": (_drop_weight("Wh"), "weights"),
+    "hidden_size_mismatch": (_set("hidden_size", 47), "Wx"),
+    "ragged_weight": (_set_weight("bo", [[0.0], 1.0]), "bo"),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_model_doc(tmp_path_factory, trained_rigid_model):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(trained_rigid_model[1], path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_model_load_rejects_malformed(tmp_path, saved_model_doc, case):
+    doc = json.loads(json.dumps(saved_model_doc))
+    mutate, message = MALFORMED_MODELS[case]
+    mutate(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=message):
+        load_model(path)
+
+
+def test_model_load_rejects_non_object(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(SchemaError, match="object"):
+        load_model(path)

@@ -245,7 +245,7 @@ def test_rotation_point_jacobian_fd():
         r = rng.normal(size=3)
         r = r / np.linalg.norm(r) * rng.uniform(1e-3, np.pi - 0.1)
         x = rng.normal(scale=20, size=3)
-        J = geometry.rotation_point_jacobian(r, x)
+        J = geometry.rotation_point_jacobians(r[None], x[None])[0]
         Jfd = np.zeros((3, 3))
         for i in range(3):
             rp, rm = r.copy(), r.copy()

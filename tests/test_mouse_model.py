@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mousetrack3d import geometry, mouse_model
-from mousetrack3d.errors import SchemaError
 from mousetrack3d.geometry import PoseVector
 from mousetrack3d.mouse_model import (
     LEFT_EAR,
@@ -49,21 +48,6 @@ def test_coords_immutable():
     m = RigidMouseModel()
     with pytest.raises(ValueError):
         m.coords[0, 0] = 1.0
-
-
-def test_model_json_roundtrip(tmp_path):
-    m = RigidMouseModel()
-    path = tmp_path / "model.json"
-    mouse_model.save_model(m, path)
-    loaded = mouse_model.load_model(path)
-    assert np.allclose(loaded.coords, m.coords)
-
-
-def test_model_json_missing_field(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('[{"id": 0, "name": "nose_tip"}]')
-    with pytest.raises(SchemaError):
-        mouse_model.load_model(path)
 
 
 # -- deformation --------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mousetrack3d import geometry, simulator, track_constraint
-from mousetrack3d.errors import BranchDiscontinuity, SchemaError
+from mousetrack3d.errors import BranchDiscontinuity
 from mousetrack3d.geometry import PoseVector, RigidTransform
 from mousetrack3d.track_constraint import (
     ComparisonGrid,
@@ -34,13 +34,6 @@ def test_default_grid_covers_model_bbox():
 def test_grid_minimum_size():
     with pytest.raises(ValueError):
         ComparisonGrid(np.zeros((26, 3)))
-
-
-def test_load_grid_missing_field(tmp_path):
-    path = tmp_path / "grid.json"
-    path.write_text('{"nx": 3, "ny": 3}')
-    with pytest.raises(SchemaError, match="nz"):
-        track_constraint.load_grid(path)
 
 
 # -- interpolation ------------------------------------------------------------
