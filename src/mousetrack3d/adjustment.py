@@ -101,25 +101,49 @@ class SolveReport:
 # Rigid registration (model -> world) for initialization
 # ---------------------------------------------------------------------------
 
-def fit_rigid(model_pts, world_pts):
-    """Closed-form least-squares rigid transform mapping model points onto
-    world points (cross-covariance SVD with reflection guard)."""
-    A = np.asarray(model_pts, dtype=float)
-    B = np.asarray(world_pts, dtype=float)
-    ca, cb = A.mean(axis=0), B.mean(axis=0)
-    Hm = (A - ca).T @ (B - cb)
+def fit_rigid(model_pts, world_pts, mask):
+    """Closed-form least-squares rigid transforms mapping the masked model
+    points onto world points (Kabsch: cross-covariance SVD with reflection
+    guard), batched over leading dimensions.
+
+    model_pts : (n, 3); world_pts : (..., n, 3); mask : (..., n) bool, the
+    points used by each fit (at least three). Returns (R (..., 3, 3),
+    t (..., 3)) with world ~ R model + t.
+    """
+    # unused points become zero rows, which leave every sum unchanged
+    used = np.asarray(mask, dtype=bool)[..., None]
+    A = np.where(used, np.asarray(model_pts, dtype=float), 0.0)
+    B = np.where(used, np.asarray(world_pts, dtype=float), 0.0)
+    n = used.sum(axis=-2)
+    ca, cb = A.sum(axis=-2) / n, B.sum(axis=-2) / n
+    Hm = (np.swapaxes(np.where(used, A - ca[..., None, :], 0.0), -1, -2)
+          @ np.where(used, B - cb[..., None, :], 0.0))
     U, _, Vt = np.linalg.svd(Hm)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    t = cb - R @ ca
-    return geometry.RigidTransform(R, t)
+    V, Ut = np.swapaxes(Vt, -1, -2), np.swapaxes(U, -1, -2)
+    D = np.broadcast_to(np.eye(3), Hm.shape).copy()
+    D[..., 2, 2] = np.sign(np.linalg.det(V @ Ut))
+    R = V @ D @ Ut
+    return R, cb - (R @ ca[..., None])[..., 0]
+
+
+def _dataset_cameras(dataset, cameras):
+    """cameras sorted by id; InconsistentCameraIds unless their ids are
+    0..K-1 for the dataset's K camera slots (camera k of the dataset is the
+    camera with id k)."""
+    cams = sorted(cameras, key=lambda c: c.id)
+    K = dataset.visible.shape[1]
+    if [c.id for c in cams] != list(range(K)):
+        raise InconsistentCameraIds(
+            f"camera ids {[c.id for c in cams]} inconsistent with dataset's "
+            f"{K} camera slots")
+    return cams
 
 
 def _triangulate_parts(dataset, cameras):
     """Linear triangulation of every (epoch, part): ((T, 8, 3) global
     positions, (T, 8) mask of parts seen by >= 2 cameras and
-    triangulated). Camera k of the dataset is the camera with id k."""
-    cameras = sorted(cameras, key=lambda c: c.id)
+    triangulated)."""
+    cameras = _dataset_cameras(dataset, cameras)
     T, K = dataset.visible.shape[:2]
     visible = dataset.visible.transpose(0, 2, 1).reshape(T * 8, K)
     pixels = dataset.observations.transpose(0, 2, 1, 3).reshape(T * 8, K, 2)
@@ -131,37 +155,30 @@ def initialize(dataset, cameras=None) -> MouseStateTrack:
     """Per-epoch initialization from local observations.
 
     Parts visible in >= 2 cameras are triangulated; epochs with at least
-    three non-collinear triangulated parts get a closed-form rigid fit of
-    the model. Remaining epochs are linearly interpolated between solved
-    neighbors (nearest solved state at the track ends).
+    three triangulated parts get a closed-form rigid fit of the model (no
+    three model parts are collinear). Remaining epochs are linearly
+    interpolated between solved neighbors (nearest solved state at the
+    track ends).
     """
     cameras = cameras if cameras is not None else dataset.cameras
-    model_pts = mouse_model.RigidMouseModel().rigid_part_positions()
     T = dataset.n_epochs
-    poses = [None] * T
-    flags = ["interpolated"] * T
     world, have = _triangulate_parts(dataset, cameras)
-    for t in np.flatnonzero(have.sum(axis=1) >= 3):
-        A = model_pts[have[t]]
-        s = np.linalg.svd(A - A.mean(axis=0), compute_uv=False)
-        if s[1] > 1e-6 * max(s[0], 1.0):  # reject collinear sets
-            H = fit_rigid(A, world[t, have[t]])
-            poses[t] = geometry.transform_to_pose(H)
-            flags[t] = "local"
-    solved = [t for t in range(T) if poses[t] is not None]
-    if not solved:
+    solved = np.flatnonzero(have.sum(axis=1) >= 3)
+    if not solved.size:
         raise NoSolvableEpoch("no epoch has enough triangulated parts for a local fit")
+    R, t = fit_rigid(mouse_model.RigidMouseModel().coords, world[solved],
+                     have[solved])
 
     # linear interpolation of the six parameters on an unwrapped branch
-    rv = track_constraint.unwrap_rodrigues(
-        [poses[t].rodrigues for t in solved], strict=False)
-    params = np.zeros((T, 6))
-    sol_params = np.array([np.concatenate([r, poses[t].translation])
-                           for r, t in zip(rv, solved)])
-    for j in range(6):
-        params[:, j] = np.interp(np.arange(T), solved, sol_params[:, j])
-    track = MouseStateTrack([PoseVector.from_array(p) for p in params], flags)
-    return track
+    rv = track_constraint.unwrap_rodrigues(geometry.matrix_to_rodrigues(R),
+                                           strict=False)
+    sol_params = np.concatenate([rv, t], axis=1)
+    params = np.column_stack([np.interp(np.arange(T), solved, sol_params[:, j])
+                              for j in range(6)])
+    flags = np.full(T, "interpolated", dtype=object)
+    flags[solved] = "local"
+    return MouseStateTrack([PoseVector.from_array(p) for p in params],
+                           flags.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +221,7 @@ class Problem:
         self.sigma_px = float(sigma_px)
         self.grid = grid if grid is not None else track_constraint.default_grid()
 
-        cam_ids = sorted(c.id for c in cameras)
-        if cam_ids != list(range(len(cameras))) or len(cameras) != dataset.visible.shape[1]:
-            raise InconsistentCameraIds(
-                f"camera ids {cam_ids} inconsistent with dataset's "
-                f"{dataset.visible.shape[1]} camera slots")
-        cams = sorted(cameras, key=lambda c: c.id)
+        cams = _dataset_cameras(dataset, cameras)
         # q = K (R_c X + t_c) = (K R_c) X + K t_c
         self.cam_KR = np.stack([c.calibration @ c.pose_global.rotation
                                 for c in cams])
@@ -615,7 +627,7 @@ def save_track(track: MouseStateTrack, path):
             rec["residual_rms"] = float(track.residual_rms[t])
         records.append(rec)
     with open(path, "w") as f:
-        json.dump(records, f, sort_keys=True, separators=(",", ":"))
+        f.write(json.dumps(records, sort_keys=True, separators=(",", ":")))
 
 
 def load_track(path) -> MouseStateTrack:

@@ -22,6 +22,7 @@ from .errors import (
     NonFiniteCost,
     NoSolvableEpoch,
     SchemaError,
+    fields,
     read_json,
 )
 
@@ -70,6 +71,8 @@ def cmd_simulate(args):
 
 
 def cmd_train_deform(args):
+    if args.epochs < 1:
+        raise SchemaError(f"--epochs must be >= 1, got {args.epochs}")
     datasets = [simulator.import_dataset(p) for p in args.data]
     model, losses = deform_predictor.train(
         datasets, epochs=args.epochs, lr=args.lr,
@@ -126,46 +129,62 @@ def cmd_plot(args):
     return EXIT_OK
 
 
+# pipeline config sections, as specs for `errors.fields`; train.seed
+# defaults to the scene seed
+_PIPELINE_FIELDS = {key: ({}, dict, None, "an object")
+                    for key in ("scene", "train", "solve", "check")}
+_TRAIN_FIELDS = {
+    "seed": (None, int, lambda v: v >= 0, "an integer >= 0"),
+    "epochs": (150, int, lambda v: v >= 1, "an integer >= 1"),
+    "lr": (1e-2, float, lambda v: v > 0, "a number > 0"),
+    "hidden": (48, int, lambda v: v >= 1, "an integer >= 1"),
+}
+_SOLVE_FIELDS = {
+    "mode": ("rigid", str, lambda v: v in ("rigid", "deformed"),
+             "'rigid' or 'deformed'"),
+    "ws": (adjustment.StochasticConfig().smoothness_weight, float,
+           lambda v: v >= 0, "a number >= 0"),
+}
+_CHECK_FIELDS = {
+    "max_position_rmse_mm": (5.0, float, lambda v: v >= 0, "a number >= 0"),
+    "min_completeness_gain": (0.0, float, lambda v: -1 <= v <= 1,
+                              "a number in [-1, 1]"),
+}
+
+
 def cmd_pipeline(args):
-    cfg = _load_config(args.config)
-    for key in ("scene", "train", "solve", "check"):
-        if not isinstance(cfg.get(key, {}), dict):
-            raise SchemaError(f"pipeline config field '{key}' must be an object")
-    scene_doc = dict(cfg.get("scene", {}))
+    cfg = fields(_load_config(args.config), _PIPELINE_FIELDS, "pipeline config")
+    scene_doc = dict(cfg["scene"])
     scene_doc.setdefault("n_epochs", 100)
     scene_doc.setdefault("seed", 0)
     if args.seed is not None:
         scene_doc["seed"] = args.seed
-    train_cfg = cfg.get("train", {})
-    solve_cfg = cfg.get("solve", {})
-    check_cfg = cfg.get("check", {})
+    train_cfg, solve_cfg = cfg["train"], cfg["solve"]
+    config = _scene_config(scene_doc)
+    train = fields({"seed": config.seed, **train_cfg}, _TRAIN_FIELDS,
+                   "pipeline config train")
+    solve = fields(solve_cfg, _SOLVE_FIELDS, "pipeline config solve")
+    check = fields(cfg["check"], _CHECK_FIELDS, "pipeline config check")
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     effective = {"scene": scene_doc, "train": train_cfg, "solve": solve_cfg}
     cfg_hash = _config_hash(effective)
 
-    config = _scene_config(scene_doc)
     dataset = simulator.simulate(config)
     data_path = os.path.join(out, "data.json")
     simulator.export_dataset(dataset, data_path)
 
-    mode = solve_cfg.get("mode", "rigid")
+    mode = solve["mode"]
     deform_model = None
     if mode == "deformed":
-        train_seed = int(train_cfg.get("seed", config.seed))
         deform_model, _ = deform_predictor.train(
-            [dataset],
-            epochs=int(train_cfg.get("epochs", 150)),
-            lr=float(train_cfg.get("lr", 1e-2)),
-            seed=train_seed,
-            hidden_size=int(train_cfg.get("hidden", 48)))
+            [dataset], epochs=train["epochs"], lr=float(train["lr"]),
+            seed=train["seed"], hidden_size=train["hidden"])
         deform_predictor.save_model(deform_model,
                                     os.path.join(out, "deform_model.json"))
 
-    stochastic = adjustment.StochasticConfig(
-        smoothness_weight=float(
-            solve_cfg.get("ws", adjustment.StochasticConfig().smoothness_weight)))
+    stochastic = adjustment.StochasticConfig(smoothness_weight=float(solve["ws"]))
     track, solve_report = adjustment.solve_dataset(
         dataset, config.cameras, mode=mode, deform_model=deform_model,
         stochastic=stochastic)
@@ -184,11 +203,11 @@ def cmd_pipeline(args):
         failures = []
         if report.completeness_output < 1.0:
             failures.append("completeness: output track does not cover every epoch")
-        max_rmse = float(check_cfg.get("max_position_rmse_mm", 5.0))
+        max_rmse = float(check["max_position_rmse_mm"])
         if report.position_rmse_mm > max_rmse:
             failures.append(f"position rmse {report.position_rmse_mm:.3f} mm "
                             f"> {max_rmse} mm")
-        min_gain = float(check_cfg.get("min_completeness_gain", 0.0))
+        min_gain = float(check["min_completeness_gain"])
         if report.completeness_output - report.completeness_input < min_gain:
             failures.append("completeness criterion: gain "
                             f"{report.completeness_output - report.completeness_input:.3f}"

@@ -247,8 +247,11 @@ def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48,
     mid-epoch deformable offsets, in normalized units. Deterministic for a
     fixed seed and dataset order.
 
-    Returns (trained model, per-epoch loss curve).
+    Returns (trained model, per-epoch loss curve). Raises ValueError for
+    epochs < 1.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     if model is None:
         model = SequenceModel(hidden_size=hidden_size, window=n)
     rng = np.random.default_rng(seed)
@@ -327,7 +330,7 @@ def save_model(model: SequenceModel, path):
         "weights": {k: v.tolist() for k, v in model.weights.items()},
     }
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
+        f.write(json.dumps(doc, sort_keys=True))
 
 
 def load_model(path) -> SequenceModel:

@@ -1,9 +1,10 @@
-"""Exception hierarchy for the tracking pipeline, plus the two input checks
-every file loader shares: reading a JSON document and reading a numeric
-field. Both raise SchemaError on malformed input.
+"""Exception hierarchy for the tracking pipeline, plus the input checks the
+file loaders share: reading a JSON document, a numeric field and the fields
+of a config object. All raise SchemaError on malformed input.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -110,3 +111,34 @@ def numbers(value, shape, what):
         raise SchemaError(f"{what} must be {size} finite number"
                           f"{'s' if shape else ''}")
     return raw.astype(float)
+
+
+def fields(d, spec, what):
+    """The fields of JSON object d, defaults filled in, each checked against
+    its spec entry, or SchemaError naming `what`. A spec maps each field to
+    (default, type, test of the value or None, what the test requires); a
+    default of None marks a required field. Values keep their JSON type, so
+    configs hash as written."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    for key in d:
+        if key not in spec:
+            raise SchemaError(f"{what} has unknown field '{key}'")
+    out = {}
+    for key, (default, kind, test, meaning) in spec.items():
+        if key not in d and default is None:
+            raise SchemaError(f"{what} missing field '{key}'")
+        value = d.get(key, default)
+        is_int = isinstance(value, int) and not isinstance(value, bool)
+        if kind is float:
+            ok = (is_int and abs(value) < 2 ** 53
+                  or isinstance(value, float) and math.isfinite(value))
+        elif kind is int:
+            ok = is_int
+        else:
+            ok = isinstance(value, kind)
+        if not ok or (test is not None and not test(value)):
+            raise SchemaError(f"{what} field '{key}' must be {meaning}, "
+                              f"got {value!r}")
+        out[key] = value
+    return out

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass, asdict
 
@@ -38,9 +37,11 @@ class EvaluationReport:
 
 
 def geodesic_angle(Ra, Rb):
-    """Angle (rad) of the relative rotation between two rotation matrices."""
-    c = np.clip((np.trace(Ra.T @ Rb) - 1.0) / 2.0, -1.0, 1.0)
-    return float(np.arccos(c))
+    """Angle (rad) of the relative rotation between rotation matrices
+    (..., 3, 3)."""
+    c = np.clip((np.trace(np.swapaxes(Ra, -1, -2) @ Rb, axis1=-2, axis2=-1)
+                 - 1.0) / 2.0, -1.0, 1.0)
+    return np.arccos(c)
 
 
 def evaluate(track, dataset, deform_offsets_est=None) -> EvaluationReport:
@@ -52,22 +53,18 @@ def evaluate(track, dataset, deform_offsets_est=None) -> EvaluationReport:
     T = dataset.n_epochs
     if track.n_epochs != T:
         raise EpochMismatch(f"track has {track.n_epochs} epochs, dataset {T}")
-    model_pts = mouse_model.RigidMouseModel().rigid_part_positions()
+    est = track.as_array()
+    gt = np.array([p.as_array() for p in dataset.poses])
 
-    pos_err = np.zeros(T)
-    rot_err = np.zeros(T)
-    part_sq = np.zeros((T, 8))
-    for t in range(T):
-        est, gt = track.poses[t], dataset.poses[t]
-        pos_err[t] = np.linalg.norm(est.translation - gt.translation)
-        rot_err[t] = math.degrees(geodesic_angle(
-            geometry.rodrigues_to_matrix(est.rodrigues),
-            geometry.rodrigues_to_matrix(gt.rodrigues)))
-        pts = model_pts.copy()
-        if deform_offsets_est is not None:
-            pts = pts + deform_offsets_est[t]
-        world = geometry.apply(geometry.pose_to_transform(est), pts)
-        part_sq[t] = ((world - dataset.deformable_world[t]) ** 2).sum(axis=1)
+    d = est[:, 3:] - gt[:, 3:]
+    pos_err = np.sqrt(np.vecdot(d, d))
+    rot_err = np.degrees(geodesic_angle(geometry.rodrigues_to_matrix(est[:, :3]),
+                                        geometry.rodrigues_to_matrix(gt[:, :3])))
+    pts = mouse_model.RigidMouseModel().coords
+    if deform_offsets_est is not None:
+        pts = pts + deform_offsets_est
+    world = mouse_model.world_part_positions(est, pts)
+    part_sq = ((world - dataset.deformable_world) ** 2).sum(axis=2)
 
     deficient = (dataset.visible_part_counts() < 3).all(axis=1)
     completeness_in = float(1.0 - deficient.mean())
@@ -96,7 +93,7 @@ def save_report(report: EvaluationReport, path, extra=None):
     if extra:
         doc.update(extra)
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+        f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +149,17 @@ def plot(track, dataset, out_dir):
                         track.solved_from[t]])
     written.append(ts_path)
 
-    model_pts = mouse_model.RigidMouseModel().rigid_part_positions()
+    world = mouse_model.world_part_positions(track.as_array()).reshape(-1, 3)
     for k, cam in enumerate(dataset.cameras):
+        proj, depth = geometry.project_many(cam, world)
+        proj = proj.reshape(-1, 8, 2)
+        obs = dataset.observations[:, k]
         path = os.path.join(out_dir, f"reprojection_cam{k}.csv")
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["t", "part", "u_obs", "v_obs", "u_proj", "v_proj"])
-            for t in range(dataset.n_epochs):
-                world = geometry.apply(
-                    geometry.pose_to_transform(track.poses[t]), model_pts)
-                proj, depth = geometry.project_many(cam, world)
-                for i in range(8):
-                    if dataset.visible[t, k, i] and depth[i] > 0:
-                        w.writerow([t, i,
-                                    f"{dataset.observations[t, k, i, 0]:.4f}",
-                                    f"{dataset.observations[t, k, i, 1]:.4f}",
-                                    f"{proj[i, 0]:.4f}", f"{proj[i, 1]:.4f}"])
+            shown = dataset.visible[:, k] & (depth.reshape(-1, 8) > 0)
+            w.writerows([t, i, *[f"{v:.4f}" for v in (*obs[t, i], *proj[t, i])]]
+                        for t, i in zip(*np.nonzero(shown)))
         written.append(path)
     return written

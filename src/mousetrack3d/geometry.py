@@ -43,74 +43,58 @@ _EPS_ANGLE = 1e-12
 # ---------------------------------------------------------------------------
 
 def rodrigues_to_matrix(r):
-    """Rotation matrix for an axis-angle 3-vector (vectorized over leading dims).
+    """Rotation matrices for axis-angle 3-vectors: (..., 3) -> (..., 3, 3).
 
-    Accepts shape (3,) or (N, 3); returns (3, 3) or (N, 3, 3).
+    Below an angle of 1e-12 the first-order form I + [r]x is used; it is
+    accurate to O(theta^2).
     """
     r = np.asarray(r, dtype=float)
-    single = r.ndim == 1
-    rv = np.atleast_2d(r)
-    theta = np.linalg.norm(rv, axis=1)
-    n = rv.shape[0]
-    R = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-
-    small = theta < 1e-12
-    if np.any(~small):
-        th = theta[~small]
-        axis = rv[~small] / th[:, None]
-        K = _skew_many(axis)
-        s = np.sin(th)[:, None, None]
-        c = np.cos(th)[:, None, None]
-        R[~small] = np.eye(3) + s * K + (1.0 - c) * (K @ K)
-    if np.any(small):
-        # first-order: I + [r]x is accurate to O(theta^2)
-        R[small] = np.eye(3) + _skew_many(rv[small])
-    return R[0] if single else R
+    theta = np.linalg.norm(r, axis=-1)[..., None, None]
+    small = theta < _EPS_ANGLE
+    # small angles take the coefficients (1, 0) on the unnormalized r
+    K = _skew_many(r / np.where(small, 1.0, theta)[..., 0])
+    s = np.where(small, 1.0, np.sin(theta))
+    c = np.where(small, 0.0, 1.0 - np.cos(theta))
+    return np.eye(3) + s * K + c * (K @ K)
 
 
 def matrix_to_rodrigues(R):
-    """Axis-angle 3-vector for a rotation matrix, on the canonical branch.
+    """Axis-angle 3-vectors for rotation matrices, on the canonical branch:
+    (..., 3, 3) -> (..., 3).
 
     Angle lies in [0, pi]; at pi the axis sign is fixed so its first nonzero
     component is positive (deterministic serialization).
     """
     R = np.asarray(R, dtype=float)
-    tr = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(tr)
-    v = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if theta < 1e-7:
-        return 0.5 * v
-    if np.pi - theta < 1e-6:
-        # near pi the skew part vanishes; recover axis from R + I
-        A = (R + np.eye(3)) / 2.0
-        axis = np.sqrt(np.clip(np.diag(A), 0.0, None))
-        k = int(np.argmax(axis))
-        signs = np.ones(3)
-        for i in range(3):
-            if i != k:
-                signs[i] = 1.0 if A[k, i] >= 0 else -1.0
-        axis = axis * signs
-        axis /= np.linalg.norm(axis)
-        # canonical sign at the branch boundary
-        for c in axis:
-            if abs(c) > 1e-12:
-                if c < 0:
-                    axis = -axis
-                break
-        return theta * axis
-    return (theta / (2.0 * np.sin(theta))) * v
+    tr = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arccos(tr)[..., None]
+    v = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
+                  R[..., 1, 0] - R[..., 0, 1]], axis=-1)
+    small = theta < 1e-7
+    near_pi = ~small & (np.pi - theta < 1e-6)
+    general = np.where(small | near_pi, 1.0, theta)
+    out = np.where(small, 0.5 * v, (general / (2.0 * np.sin(general))) * v)
+
+    # near pi the skew part vanishes; recover the axis from R + I: its
+    # largest component k is positive, the others take the signs of row k
+    A = (R + np.eye(3)) / 2.0
+    axis = np.sqrt(np.clip(np.diagonal(A, axis1=-2, axis2=-1), 0.0, None))
+    k = np.argmax(axis, axis=-1)[..., None]
+    row = np.take_along_axis(A, k[..., None], axis=-2)[..., 0, :]
+    axis = axis * np.where((np.arange(3) == k) | (row >= 0), 1.0, -1.0)
+    axis = axis / np.sqrt(np.vecdot(axis, axis))[..., None]
+    # canonical sign at the branch boundary
+    first = np.argmax(np.abs(axis) > 1e-12, axis=-1)[..., None]
+    axis = np.where(np.take_along_axis(axis, first, axis=-1) < 0, -axis, axis)
+    return np.where(near_pi, theta * axis, out)
 
 
 def _skew_many(a):
-    n = a.shape[0]
-    K = np.zeros((n, 3, 3))
-    K[:, 0, 1] = -a[:, 2]
-    K[:, 0, 2] = a[:, 1]
-    K[:, 1, 0] = a[:, 2]
-    K[:, 1, 2] = -a[:, 0]
-    K[:, 2, 0] = -a[:, 1]
-    K[:, 2, 1] = a[:, 0]
-    return K
+    """Cross-product matrices [a]x for (..., 3) vectors: (..., 3, 3)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    z = np.zeros_like(a0)
+    return np.stack([z, -a2, a1, a2, z, -a0, -a1, a0, z],
+                    axis=-1).reshape(a.shape[:-1] + (3, 3))
 
 
 def rotation_derivatives(rv):
@@ -127,10 +111,9 @@ def rotation_derivatives(rv):
     small = theta2 < 1e-16
     # rows: r x (I - R) e_i for each i
     u = np.cross(rv[:, None, :], (np.eye(3) - R).transpose(0, 2, 1))
-    M = (rv[:, :, None, None] * _skew_many(rv)[:, None]
-         + _skew_many(u.reshape(-1, 3)).reshape(-1, 3, 3, 3))
-    M /= np.where(small, 1.0, theta2)[:, None, None, None]
-    M[small] = _skew_many(np.eye(3))
+    M = rv[:, :, None, None] * _skew_many(rv)[:, None] + _skew_many(u)
+    M = np.where(small[:, None, None, None], _skew_many(np.eye(3)),
+                 M / np.where(small, 1.0, theta2)[:, None, None, None])
     return R, M @ R[:, None]
 
 

@@ -170,12 +170,15 @@ def deform(model: RigidMouseModel, phase, body_speed, cycle_length=10,
                             offsets=offsets)
 
 
-def world_part_positions(state: geometry.PoseVector,
-                         deformation: DeformationState | None = None,
-                         model: RigidMouseModel | None = None):
-    """Global (8, 3) body-part coordinates for a pose and deformation."""
-    model = model or RigidMouseModel()
-    pts = model.rigid_part_positions()
-    if deformation is not None:
-        pts = pts + deformation.offsets
-    return geometry.apply(geometry.pose_to_transform(state), pts)
+def world_part_positions(params, points=None):
+    """Global part coordinates R(r) x + t of model-frame points x for pose
+    parameters (r, t).
+
+    params : (..., 6) Rodrigues vectors and translations (mm)
+    points : (8, 3) or (..., 8, 3) model-frame points; default the rigid model
+    Returns (..., 8, 3).
+    """
+    params = np.asarray(params, dtype=float)
+    pts = RigidMouseModel().coords if points is None else np.asarray(points, float)
+    R = geometry.rodrigues_to_matrix(params[..., :3])
+    return pts @ np.swapaxes(R, -1, -2) + params[..., None, 3:]

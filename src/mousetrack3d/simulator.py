@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import geometry, mouse_model
-from .errors import CameraSeesNothing, SchemaError, numbers, read_json
+from .errors import CameraSeesNothing, SchemaError, fields, numbers, read_json
 from .geometry import CameraModel, PoseVector, RigidTransform
 
 
@@ -149,6 +149,14 @@ def generate_track(config: SceneConfig):
     return poses
 
 
+def _world_parts(params, offsets):
+    """(rigid_world, deformable_world), each (T, 8, 3), of the rigid model
+    at pose parameters (T, 6) and with model-frame offsets (T, 8, 3)."""
+    rigid_world = mouse_model.world_part_positions(params)
+    R = geometry.rodrigues_to_matrix(params[:, :3])
+    return rigid_world, rigid_world + offsets @ R.transpose(0, 2, 1)
+
+
 def render(config: SceneConfig, track) -> SimulatedDataset:
     """Project the deformed model into every camera with noise and dropout."""
     T = len(track)
@@ -163,54 +171,45 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
         if np.all(depth <= 0):
             raise CameraSeesNothing(f"camera {cam.id} never images the plane")
 
+    params = np.array([p.as_array() for p in track])
     offsets = np.zeros((T, 8, 3))
-    rigid_world = np.zeros((T, 8, 3))
-    deform_world = np.zeros((T, 8, 3))
-    cycle = config.gait_cycle_length
-    for t in range(T):
-        if config.deformation_enabled:
-            if t + 1 < T:
-                speed = float(np.linalg.norm(track[t + 1].translation[:2]
-                                             - track[t].translation[:2]))
-            else:
-                speed = float(np.linalg.norm(track[t].translation[:2]
-                                             - track[t - 1].translation[:2]))
-            state = mouse_model.deform(model, (t % cycle) / cycle, speed,
-                                       cycle_length=cycle)
-            offsets[t] = state.offsets
-        rigid_world[t] = mouse_model.world_part_positions(track[t], None, model)
-        deform_world[t] = rigid_world[t] + geometry.apply(
-            geometry.RigidTransform(geometry.rodrigues_to_matrix(track[t].rodrigues),
-                                    np.zeros(3)), offsets[t])
+    if config.deformation_enabled:
+        # body speed over the step to the next epoch (the last epoch reuses
+        # the step before it)
+        d = np.diff(params[:, 3:5], axis=0)
+        speed = np.sqrt(np.vecdot(d, d))
+        cycle = config.gait_cycle_length
+        for t in range(T):
+            offsets[t] = mouse_model.deform(
+                model, (t % cycle) / cycle, float(speed[min(t, T - 2)]),
+                cycle_length=cycle).offsets
+    rigid_world, deform_world = _world_parts(params, offsets)
 
-    obs = np.full((T, K, 8, 2), np.nan)
-    vis = np.zeros((T, K, 8), dtype=bool)
-    noise = np.zeros((T, K, 8, 2))
-    drop_rate = config.occlusion.random_dropout_rate
+    # derived per-epoch streams keep epoch rendering order-independent
+    eps = np.empty((T, K, 8, 2))
+    drops = np.empty((T, K, 8), dtype=bool)
     for t in range(T):
-        # derived per-epoch stream keeps epoch rendering order-independent
         rng = np.random.default_rng([config.seed, t])
-        eps = rng.normal(0.0, 1.0, size=(K, 8, 2)) * config.noise_sigma_px
-        drops = rng.random(size=(K, 8)) < drop_rate
-        for k, cam in enumerate(cams):
-            px, depth = geometry.project_many(cam, deform_world[t])
-            noisy = px + eps[k]
-            in_front = depth > geometry.EPS_DEPTH
-            if cam.image_size is not None:
-                w, h = cam.image_size
-                in_img = ((noisy[:, 0] >= 0) & (noisy[:, 0] < w)
-                          & (noisy[:, 1] >= 0) & (noisy[:, 1] < h))
-            else:
-                in_img = np.ones(8, dtype=bool)
-            keep = in_front & in_img & ~drops[k]
-            vis[t, k] = keep
-            obs[t, k, keep] = noisy[keep]
-            noise[t, k, keep] = eps[k, keep]
+        eps[t] = rng.normal(0.0, 1.0, size=(K, 8, 2)) * config.noise_sigma_px
+        drops[t] = rng.random(size=(K, 8)) < config.occlusion.random_dropout_rate
+
+    keep = ~drops
+    noisy = np.empty((T, K, 8, 2))
+    for k, cam in enumerate(cams):
+        px, depth = geometry.project_many(cam, deform_world.reshape(-1, 3))
+        noisy[:, k] = px.reshape(T, 8, 2) + eps[:, k]
+        keep[:, k] &= depth.reshape(T, 8) > geometry.EPS_DEPTH
+        if cam.image_size is not None:
+            w, h = cam.image_size
+            u, v = noisy[:, k, :, 0], noisy[:, k, :, 1]
+            keep[:, k] &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
     return SimulatedDataset(config=config, poses=list(track),
                             rigid_world=rigid_world,
                             deformable_world=deform_world,
                             deform_offsets=offsets,
-                            observations=obs, visible=vis, noise=noise)
+                            observations=np.where(keep[..., None], noisy, np.nan),
+                            visible=keep,
+                            noise=np.where(keep[..., None], eps, 0.0))
 
 
 def simulate(config: SceneConfig) -> SimulatedDataset:
@@ -237,8 +236,7 @@ def _config_to_dict(config: SceneConfig) -> dict:
     return d
 
 
-# field: (default, type, test of the value, what the test requires); a
-# default of None marks a required field
+# field specs for `errors.fields`
 _SCENE_FIELDS = {
     "cameras": (None, list, lambda v: len(v) >= 2, "a list of >= 2 cameras"),
     "seed": (None, int, lambda v: v >= 0, "an integer >= 0"),
@@ -258,74 +256,38 @@ _OCCLUSION_FIELDS = {
 }
 
 
-def _fields(d, spec, what):
-    """The fields of object d, defaults filled in, each checked against its
-    spec entry. Values keep their JSON type, so configs hash as written."""
-    if not isinstance(d, dict):
-        raise SchemaError(f"{what} must be a JSON object")
-    for key in d:
-        if key not in spec:
-            raise SchemaError(f"{what} has unknown field '{key}'")
-    out = {}
-    for key, (default, kind, test, meaning) in spec.items():
-        if key not in d and default is None:
-            raise SchemaError(f"{what} missing field '{key}'")
-        value = d.get(key, default)
-        is_int = isinstance(value, int) and not isinstance(value, bool)
-        if kind is float:
-            ok = (is_int and abs(value) < 2 ** 53
-                  or isinstance(value, float) and math.isfinite(value))
-        elif kind is int:
-            ok = is_int
-        else:
-            ok = isinstance(value, kind)
-        if not ok or (test is not None and not test(value)):
-            raise SchemaError(f"{what} field '{key}' must be {meaning}, "
-                              f"got {value!r}")
-        out[key] = value
-    return out
-
-
 def _config_from_dict(d: dict) -> SceneConfig:
-    f = _fields(d, _SCENE_FIELDS, "scene config")
+    f = fields(d, _SCENE_FIELDS, "scene config")
     cams = tuple(geometry.camera_from_dict(c) for c in f["cameras"])
     if [c.id for c in cams] != list(range(len(cams))):
         raise SchemaError("scene config cameras must have ids 0..K-1 in order")
     f["cameras"] = cams
-    f["occlusion"] = OcclusionConfig(**_fields(f["occlusion"], _OCCLUSION_FIELDS,
+    f["occlusion"] = OcclusionConfig(**fields(f["occlusion"], _OCCLUSION_FIELDS,
                                                "scene config occlusion"))
     return SceneConfig(**f)
 
 
 def export_dataset(dataset: SimulatedDataset, path):
     """Write a dataset to JSON. Invisible observations are not stored."""
-    T, Kn = dataset.n_epochs, len(dataset.cameras)
-    obs_records = []
-    for t in range(T):
-        for k in range(Kn):
-            for i in range(8):
-                if dataset.visible[t, k, i]:
-                    obs_records.append([t, k, i,
-                                        float(dataset.observations[t, k, i, 0]),
-                                        float(dataset.observations[t, k, i, 1]),
-                                        float(dataset.noise[t, k, i, 0]),
-                                        float(dataset.noise[t, k, i, 1])])
+    index = np.argwhere(dataset.visible)            # (t, k, i) in C order
+    t, k, i = index.T
+    values = np.concatenate([dataset.observations[t, k, i],
+                             dataset.noise[t, k, i]], axis=1)
+    params = np.array([p.as_array() for p in dataset.poses]).tolist()
     doc = {
         "meta": _config_to_dict(dataset.config),
         "ground_truth": {
-            "poses": [{"t": t,
-                       "rodrigues": [float(v) for v in p.rodrigues],
-                       "translation_mm": [float(v) for v in p.translation]}
-                      for t, p in enumerate(dataset.poses)],
+            "poses": [{"t": n, "rodrigues": p[:3], "translation_mm": p[3:]}
+                      for n, p in enumerate(params)],
             "deform_offsets_mm": np.round(dataset.deform_offsets, 9).tolist(),
         },
         "observations": {
             "columns": ["t", "k", "i", "u", "v", "noise_u", "noise_v"],
-            "rows": obs_records,
+            "rows": [a + b for a, b in zip(index.tolist(), values.tolist())],
         },
     }
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+        f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def _observation_table(rows, T, Kn):
@@ -376,11 +338,7 @@ def import_dataset(path) -> SimulatedDataset:
     if "deform_offsets_mm" in gt:
         offsets = numbers(gt["deform_offsets_mm"], (T, 8, 3), "deform_offsets_mm")
 
-    rigid = mouse_model.RigidMouseModel().rigid_part_positions()
-    R = geometry.rodrigues_to_matrix(params[:, :3]).reshape(T, 3, 3)
-    rigid_world = rigid @ R.transpose(0, 2, 1) + params[:, None, 3:]
-    deform_world = rigid_world + offsets @ R.transpose(0, 2, 1)
-
+    rigid_world, deform_world = _world_parts(params, offsets)
     table = _observation_table(doc["observations"].get("rows", []), T, Kn)
     t, k, i = table[:, :3].astype(int).T
     obs = np.full((T, Kn, 8, 2), np.nan)

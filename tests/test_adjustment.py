@@ -21,7 +21,7 @@ from mousetrack3d.adjustment import (
     solve,
     solve_dataset,
 )
-from mousetrack3d.errors import NoSolvableEpoch, SchemaError
+from mousetrack3d.errors import InconsistentCameraIds, NoSolvableEpoch, SchemaError
 from mousetrack3d.geometry import PoseVector
 
 
@@ -67,9 +67,29 @@ def test_fit_rigid_recovers_transform():
         t = rng.normal(scale=50, size=3)
         A = rng.normal(scale=20, size=(6, 3))
         B = A @ R.T + t
-        H = fit_rigid(A, B)
-        assert np.allclose(H.rotation, R, atol=1e-9)
-        assert np.allclose(H.translation, t, atol=1e-8)
+        R_fit, t_fit = fit_rigid(A, B, np.ones(6, bool))
+        assert np.allclose(R_fit, R, atol=1e-9)
+        assert np.allclose(t_fit, t, atol=1e-8)
+
+
+def test_fit_rigid_batched_matches_separate_fits():
+    # each epoch's masked fit equals, bit for bit, the plain Kabsch fit of
+    # just its used points
+    rng = np.random.default_rng(1)
+    model = rng.normal(scale=20, size=(8, 3))
+    world = rng.normal(scale=50, size=(40, 8, 3))
+    mask = rng.random((40, 8)) < 0.7
+    mask[:, :3] = True
+    world[~mask] = np.nan
+    R, t = fit_rigid(model, world, mask)
+    for n in range(40):
+        A, B = model[mask[n]], world[n, mask[n]]
+        ca, cb = A.mean(axis=0), B.mean(axis=0)
+        U, _, Vt = np.linalg.svd((A - ca).T @ (B - cb))
+        d = np.sign(np.linalg.det(Vt.T @ U.T))
+        R_n = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
+        assert np.array_equal(R[n], R_n)
+        assert np.array_equal(t[n], cb - R_n @ ca)
 
 
 # -- initialization -----------------------------------------------------------
@@ -99,6 +119,12 @@ def test_initialize_no_solvable_epoch():
     ds.observations[:] = np.nan
     with pytest.raises(NoSolvableEpoch):
         initialize(ds)
+
+
+def test_solve_dataset_rejects_missing_camera():
+    ds = make_dataset(n_epochs=10)
+    with pytest.raises(InconsistentCameraIds):
+        solve_dataset(ds, ds.cameras[:2])
 
 
 # -- problem assembly ---------------------------------------------------------

@@ -186,6 +186,15 @@ def test_train_deform_writes_model(tmp_path):
     assert doc["format_version"] == 1
 
 
+def test_train_deform_zero_epochs_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.json"
+    run("simulate", "--config", scene_file(tmp_path, n_epochs=10),
+        "--out", str(data))
+    assert run("train-deform", "--data", str(data), "--epochs", "0",
+               "--out", str(tmp_path / "model.json")) == 2
+    assert "--epochs" in capsys.readouterr().err
+
+
 # -- pipeline -----------------------------------------------------------------
 
 def pipeline_config(tmp_path, name="pipe.json", **scene):
@@ -232,3 +241,21 @@ def test_pipeline_check_negative_control(tmp_path, capsys):
 def test_pipeline_check_passes_on_good_config(tmp_path):
     assert run("pipeline", "--config", pipeline_config(tmp_path),
                "--out-dir", str(tmp_path / "run"), "--check") == 0
+
+
+@pytest.mark.parametrize("section", [
+    {"solve": {"mode": "fast"}},
+    {"solve": {"ws": "abc"}},
+    {"train": {"epochs": "x"}},
+    {"check": {"max_position_rmse_mm": "x"}},
+    {"solve": {"mode": "rigid", "iterations": 5}},
+    {"trian": {}},
+])
+def test_pipeline_bad_config_exit_2(tmp_path, section, capsys):
+    doc = dict({"scene": {"n_epochs": 10, "seed": 1}}, **section)
+    path = tmp_path / "pipe.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert run("pipeline", "--config", str(path), "--out-dir", str(out)) == 2
+    assert "pipeline: pipeline config" in capsys.readouterr().err
+    assert not out.exists()

@@ -117,6 +117,13 @@ def test_training_determinism():
     assert np.array_equal(l1, l2)
 
 
+def test_train_rejects_zero_epochs():
+    model = SequenceModel()
+    with pytest.raises(ValueError):
+        train([gait_dataset(n_epochs=20)], epochs=0, model=model)
+    assert not model.trained
+
+
 def test_untrained_model_raises():
     ds = gait_dataset(n_epochs=20)
     model = SequenceModel()

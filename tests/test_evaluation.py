@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mousetrack3d import evaluation, simulator
+from mousetrack3d import evaluation, geometry, mouse_model, simulator
 from mousetrack3d.adjustment import MouseStateTrack
 from mousetrack3d.errors import EpochMismatch
 from mousetrack3d.evaluation import evaluate, geodesic_angle, plot, save_report
@@ -49,6 +49,28 @@ def test_shifted_track_unit_error():
     assert np.allclose(report.position_error_mm, 1.0)
     assert report.position_rmse_mm == pytest.approx(1.0)
     assert report.percentiles["p95"] == pytest.approx(1.0)
+
+
+def test_evaluate_equals_per_epoch_reference():
+    # batched metrics equal, bit for bit, the per-epoch computation
+    ds = make_dataset(n_epochs=15)
+    rng = np.random.default_rng(0)
+    track = MouseStateTrack(
+        [PoseVector(p.rodrigues + rng.normal(scale=0.05, size=3),
+                    p.translation + rng.normal(size=3)) for p in ds.poses],
+        ["adjusted"] * ds.n_epochs)
+    offsets = rng.normal(size=(15, 8, 3))
+    report = evaluate(track, ds, deform_offsets_est=offsets)
+    part_sq = np.zeros((15, 8))
+    for t, (est, gt) in enumerate(zip(track.poses, ds.poses)):
+        assert report.position_error_mm[t] == np.linalg.norm(
+            est.translation - gt.translation)
+        assert report.rotation_error_deg[t] == np.degrees(geodesic_angle(
+            rodrigues_to_matrix(est.rodrigues), rodrigues_to_matrix(gt.rodrigues)))
+        pts = mouse_model.RigidMouseModel().coords + offsets[t]
+        world = geometry.apply(geometry.pose_to_transform(est), pts)
+        part_sq[t] = ((world - ds.deformable_world[t]) ** 2).sum(axis=1)
+    assert np.array_equal(report.per_part_rmse_mm, np.sqrt(part_sq.mean(axis=0)))
 
 
 def test_completeness_counts_deficient_epochs():

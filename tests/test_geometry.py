@@ -238,6 +238,40 @@ def test_rodrigues_near_pi():
         assert np.allclose(rodrigues_to_matrix(r2), R, atol=1e-6)
 
 
+def _stack_cases():
+    """Rotation vectors covering the first-order branch (|r| < 1e-12),
+    general angles and angles at and just below pi."""
+    rng = np.random.default_rng(16)
+    axes = rng.normal(size=(60, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.concatenate([[0.0], rng.uniform(0, 1e-12, 9),
+                             rng.uniform(1e-6, np.pi - 1e-3, 20),
+                             np.pi - rng.uniform(0, 1e-6, 20), np.full(10, np.pi)])
+    return axes * angles[:, None]
+
+
+def test_stacked_rodrigues_equal_per_item_bitwise():
+    r = _stack_cases()
+    R = rodrigues_to_matrix(r)
+    assert np.array_equal(R, np.stack([rodrigues_to_matrix(v) for v in r]))
+    assert np.array_equal(rodrigues_to_matrix(r.reshape(6, 10, 3)),
+                          R.reshape(6, 10, 3, 3))
+    v = matrix_to_rodrigues(R)
+    assert np.array_equal(v, np.stack([matrix_to_rodrigues(M) for M in R]))
+    assert np.array_equal(matrix_to_rodrigues(R.reshape(6, 10, 3, 3)),
+                          v.reshape(6, 10, 3))
+
+
+def test_matrix_to_rodrigues_canonical_sign_at_pi():
+    for R in (np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+              np.diag([-1.0, -1.0, 1.0])):
+        r = matrix_to_rodrigues(R)
+        assert np.isclose(np.linalg.norm(r), np.pi)
+        assert r[np.flatnonzero(np.abs(r) > 1e-12)[0]] > 0
+    r = matrix_to_rodrigues(rodrigues_to_matrix(np.array([0.0, -np.pi, 0.0])))
+    assert np.allclose(r, [0.0, np.pi, 0.0])
+
+
 def test_rotation_point_jacobian_fd():
     rng = np.random.default_rng(15)
     h = 1e-7

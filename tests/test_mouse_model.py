@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,18 @@ def test_ear_coordinates():
     m = RigidMouseModel()
     assert np.allclose(m.part(LEFT_EAR), [7.75, 16.0, 19.0])
     assert np.allclose(m.part(RIGHT_EAR), [-7.75, 16.0, 19.0])
+
+
+def test_no_three_parts_collinear():
+    # initialize fits the model to any three triangulated parts, so every
+    # triple must span a plane (ratio of its two centred singular values)
+    coords = RigidMouseModel().coords
+    triples = list(itertools.combinations(range(8), 3))
+    assert len(triples) == 56
+    for triple in triples:
+        A = coords[list(triple)]
+        s = np.linalg.svd(A - A.mean(axis=0), compute_uv=False)
+        assert s[1] / s[0] > 0.1, triple
 
 
 def test_tail_root_coordinate():
@@ -71,7 +85,8 @@ def test_swing_vs_stance_world_displacement():
         phase = frame / cycle
         pose = PoseVector(np.zeros(3), np.array([0.0, speed * frame, 0.0]))
         state = deform(model, phase, speed, cycle_length=cycle, head_angle=0.0)
-        worlds.append(world_part_positions(pose, state, model))
+        worlds.append(world_part_positions(pose.as_array(),
+                                           state.deformed_positions(model)))
         poses.append(pose)
     delta = worlds[1] - worlds[0]
     body_delta = np.array([0.0, speed, 0.0])
@@ -89,7 +104,8 @@ def test_paw_roles_swap_at_half_cycle():
         pose = PoseVector(np.zeros(3), np.array([0.0, speed * frame, 0.0]))
         state = deform(model, frame / cycle, speed, cycle_length=cycle,
                        head_angle=0.0)
-        worlds.append(world_part_positions(pose, state, model))
+        worlds.append(world_part_positions(pose.as_array(),
+                                           state.deformed_positions(model)))
     delta = worlds[1] - worlds[0]
     for p in mouse_model.SWING_FIRST_PAWS:
         assert np.allclose(delta[p], 0.0, atol=1e-12)
@@ -154,13 +170,13 @@ def test_deform_rejects_bad_phase():
 
 def test_world_positions_identity_pose():
     pose = PoseVector(np.zeros(3), np.zeros(3))
-    pts = world_part_positions(pose)
+    pts = world_part_positions(pose.as_array())
     assert np.allclose(pts, RigidMouseModel().rigid_part_positions())
 
 
 def test_world_positions_pure_translation():
     pose = PoseVector(np.zeros(3), np.array([10.0, 0.0, 0.0]))
-    pts = world_part_positions(pose)
+    pts = world_part_positions(pose.as_array())
     assert np.allclose(pts, RigidMouseModel().rigid_part_positions()
                        + [10.0, 0.0, 0.0])
 
@@ -173,7 +189,7 @@ def test_world_positions_isometry():
         r = rng.normal(size=3)
         r = r / np.linalg.norm(r) * rng.uniform(0, np.pi - 0.1)
         pose = PoseVector(r, rng.normal(scale=100, size=3))
-        pts = world_part_positions(pose)
+        pts = world_part_positions(pose.as_array())
         dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         assert np.allclose(dist, ref, atol=1e-9)
 
@@ -184,8 +200,21 @@ def test_deformation_offsets_applied_in_model_frame():
     pose = PoseVector(r, np.array([5.0, 6.0, 7.0]))
     offsets = rng.normal(size=(8, 3))
     state = DeformationState(phase=0.0, head_angle=0.0, offsets=offsets)
-    pts = world_part_positions(pose, state)
+    pts = world_part_positions(pose.as_array(), state.deformed_positions())
     R = geometry.rodrigues_to_matrix(r)
     expected = (RigidMouseModel().rigid_part_positions() + offsets) @ R.T \
         + pose.translation
     assert np.allclose(pts, expected, atol=1e-12)
+
+
+def test_world_positions_batched_equal_per_pose():
+    rng = np.random.default_rng(4)
+    params = np.column_stack([rng.normal(size=(20, 3)),
+                              rng.normal(scale=100, size=(20, 3))])
+    offsets = rng.normal(size=(20, 8, 3))
+    pts = RigidMouseModel().coords + offsets
+    assert np.array_equal(world_part_positions(params),
+                          np.stack([world_part_positions(p) for p in params]))
+    assert np.array_equal(world_part_positions(params, pts),
+                          np.stack([world_part_positions(p, q)
+                                    for p, q in zip(params, pts)]))

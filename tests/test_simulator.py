@@ -66,7 +66,7 @@ def test_track_determinism():
 
 def test_body_height_rests_paws_on_plane():
     track = generate_track(make_config())
-    pts = mouse_model.world_part_positions(track[0])
+    pts = mouse_model.world_part_positions(track[0].as_array())
     assert pts[:, 2].min() == pytest.approx(0.0, abs=1e-9)
 
 
@@ -106,6 +106,19 @@ def test_noiseless_observations_retriangulate():
             assert len(views) >= 2
             X, _ = geometry.triangulate(views)
             assert np.allclose(X, ds.deformable_world[t, i], atol=1e-6)
+
+
+def test_render_equals_per_epoch_projection():
+    # one projection over all epochs equals projecting epoch by epoch
+    ds = simulate(make_config(n_epochs=12, seed=3,
+                              occlusion=OcclusionConfig(random_dropout_rate=0.3)))
+    for t in range(12):
+        for k, cam in enumerate(ds.cameras):
+            px, _ = geometry.project_many(cam, ds.deformable_world[t])
+            vis = ds.visible[t, k]
+            assert np.array_equal(ds.observations[t, k, vis],
+                                  px[vis] + ds.noise[t, k, vis])
+            assert np.isnan(ds.observations[t, k, ~vis]).all()
 
 
 def test_noise_audit_matches_observations():
