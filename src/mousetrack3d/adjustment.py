@@ -31,7 +31,6 @@ from .errors import (
     numbers,
     read_json,
 )
-from .geometry import PoseVector
 
 # Levenberg-Marquardt settings
 MAX_ITERATIONS = 100
@@ -59,16 +58,25 @@ class StochasticConfig:
     smoothness_weight: float = 1e-3
 
     def __post_init__(self):
-        if self.sigma_px_geometric <= 0 or self.sigma_px_deformation <= 0:
-            raise ValueError("sigmas must be > 0")
+        sigmas = [self.sigma_px_geometric, self.sigma_px_deformation]
+        if not (np.isfinite(sigmas).all() and min(sigmas) > 0):
+            raise ValueError("sigmas must be finite and > 0")
+        if not (np.isfinite(self.smoothness_weight)
+                and self.smoothness_weight >= 0):
+            raise ValueError("smoothness_weight must be finite and >= 0")
 
 
 @dataclass
 class MouseStateTrack:
-    """Per-epoch pose estimates with provenance flags."""
+    """Pose estimates of a whole recording with provenance flags.
 
-    poses: list                       # PoseVector per epoch
-    solved_from: list                 # 'local' | 'interpolated' | 'adjusted'
+    poses is a (T, 6) float array: row t holds epoch t's Rodrigues rotation
+    vector, then its translation in mm. solved_from holds one flag per epoch,
+    'local', 'interpolated' or 'adjusted'.
+    """
+
+    poses: np.ndarray
+    solved_from: list
     residual_rms: np.ndarray | None = None
 
     @property
@@ -76,14 +84,7 @@ class MouseStateTrack:
         return len(self.poses)
 
     def as_array(self):
-        return np.array([p.as_array() for p in self.poses])
-
-    @staticmethod
-    def from_array(x, solved_from=None):
-        x = np.asarray(x, dtype=float).reshape(-1, 6)
-        flags = solved_from or ["adjusted"] * len(x)
-        return MouseStateTrack([PoseVector.from_array(row) for row in x],
-                               list(flags))
+        return self.poses
 
 
 @dataclass
@@ -177,8 +178,7 @@ def initialize(dataset, cameras=None) -> MouseStateTrack:
                               for j in range(6)])
     flags = np.full(T, "interpolated", dtype=object)
     flags[solved] = "local"
-    return MouseStateTrack([PoseVector.from_array(p) for p in params],
-                           flags.tolist())
+    return MouseStateTrack(params, flags.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +253,11 @@ class Problem:
         self._init_band()
 
     def _init_band(self):
-        """Index maps from 6x6 blocks to lower banded storage.
+        """Index maps from each epoch's smoothness blocks to the 6x6 blocks
+        of J^T J.
 
         J^T J is accumulated as blocks (T, 5, 6, 6), where [j, d] is the
-        block coupling epoch j + d (rows) with epoch j (columns); banded
-        storage holds N[i - j, j] = (J^T J)[i, j] for i >= j.
+        block coupling epoch j + d (rows) with epoch j (columns).
 
         Epoch t's smoothness Jacobian with respect to window node a is
         node_w[t, a] times the own-pose block A_t (a = 0) or the
@@ -279,12 +279,6 @@ class Problem:
         self._pair_sa, self._pair_sb = self.node_side[pa], self.node_side[pb]
         self._pair_w = self.node_w[pt, pa] * self.node_w[pt, pb]
         self._pair_dst = (nb * 5 + (na - nb))[lower]
-        jb, d, p, q = np.meshgrid(np.arange(T), np.arange(5), np.arange(6),
-                                  np.arange(6), indexing="ij")
-        i, j = 6 * (jb + d) + p, 6 * jb + q
-        keep = (i >= j) & (jb + d < T)
-        self._band_src = np.flatnonzero(keep)
-        self._band_dst = ((i - j) * self.n_params + j)[keep]
 
     # -- residuals ----------------------------------------------------------
 
@@ -419,8 +413,15 @@ class Problem:
         Ctr = (Ct @ r_s[:, :, None]).reshape(T, 2, 6)
         g_nodes = Ctr[:, self.node_side] * self.node_w[:, :, None]   # (T, 5, 6)
         g += _sum_rows(self.smooth_nodes.ravel(), g_nodes.reshape(-1, 6), T)
+        # block [j, d] entry (p, q) is (J^T J)[6(j + d) + p, 6j + q], stored at
+        # N[6d + p - q, 6j + q] when on or below the diagonal
+        blocks = blocks.reshape(T, 5, 6, 6)
         N = np.zeros((self.bandwidth + 1, self.n_params))
-        N.reshape(-1)[self._band_dst] = blocks.reshape(-1)[self._band_src]
+        for d in range(min(5, T)):
+            for q in range(6):
+                lo = max(q - 6 * d, 0)
+                N[6 * d + lo - q:6 * d + 6 - q, q::6][:, :T - d] = \
+                    blocks[:T - d, d, lo:, q].T
         return N, g.ravel()
 
     def residual_rms(self, x):
@@ -477,7 +478,7 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model):
     T = dataset.n_epochs
     n = model.window
     world, have = _triangulate_parts(dataset, cameras)
-    x = track.as_array()
+    x = track.poses
     R = geometry.rodrigues_to_matrix(x[:, :3])
     est = (world - x[:, None, 3:]) @ R               # R^T (X - t), model frame
 
@@ -502,7 +503,7 @@ def solve(problem: Problem, track: MouseStateTrack):
     step is retried. Returns (MouseStateTrack, SolveReport); on hitting the
     iteration cap the best iterate is returned with status 'max_iterations'.
     """
-    x = track.as_array().ravel().copy()
+    x = track.poses.ravel().copy()
     r = problem.residuals(x)
     cost = float(r @ r)
     if not np.isfinite(cost):
@@ -553,16 +554,14 @@ def solve(problem: Problem, track: MouseStateTrack):
     report = SolveReport(initial_cost=initial_cost, final_cost=cost,
                          iterations=it, converged=converged, status=status,
                          reprojection_rms_px=rp_rms, smoothness_rms_mm=sm_rms)
-    flags = ["adjusted"] * problem.n_epochs
-    out = MouseStateTrack.from_array(x.reshape(-1, 6), flags)
-    out.residual_rms = per_epoch
-    return out, report
+    return (MouseStateTrack(x.reshape(-1, 6), ["adjusted"] * problem.n_epochs,
+                            per_epoch), report)
 
 
 def check_jacobian(problem: Problem, track: MouseStateTrack, step=1e-6):
     """Worst relative deviation between the analytic Jacobian and central
     finite differences over all pose parameters."""
-    x = track.as_array().ravel()
+    x = track.poses.ravel()
     J = problem.jacobian(x).toarray()
     J_fd = np.zeros_like(J)
     for j in range(len(x)):
@@ -605,27 +604,23 @@ def solve_dataset(dataset, cameras=None, mode="rigid", deform_model=None,
         raise ValueError(f"unknown mode '{mode}'")
     # provenance: epochs with no observations are never constrained, and
     # without smoothness coupling the locally deficient ones stay guesses
-    for t in range(dataset.n_epochs):
-        if not dataset.visible[t].any():
-            track.solved_from[t] = "interpolated"
-        elif (stochastic.smoothness_weight == 0
-              and init.solved_from[t] == "interpolated"):
-            track.solved_from[t] = "interpolated"
+    guess = ~dataset.visible.any(axis=(1, 2))
+    if stochastic.smoothness_weight == 0:
+        guess |= np.array(init.solved_from) == "interpolated"
+    track.solved_from = np.where(guess, "interpolated",
+                                 track.solved_from).tolist()
     return track, report
 
 
 def save_track(track: MouseStateTrack, path):
-    records = []
-    for t, p in enumerate(track.poses):
-        rec = {
-            "t": t,
-            "rodrigues": [float(v) for v in p.rodrigues],
-            "translation_mm": [float(v) for v in p.translation],
-            "solved_from": track.solved_from[t],
-        }
-        if track.residual_rms is not None:
-            rec["residual_rms"] = float(track.residual_rms[t])
-        records.append(rec)
+    """Write a track as a JSON list of epoch records."""
+    columns = {"rodrigues": track.poses[:, :3].tolist(),
+               "translation_mm": track.poses[:, 3:].tolist(),
+               "solved_from": track.solved_from}
+    if track.residual_rms is not None:
+        columns["residual_rms"] = track.residual_rms.tolist()
+    records = [{"t": t, **dict(zip(columns, rec))}
+               for t, rec in enumerate(zip(*columns.values()))]
     with open(path, "w") as f:
         f.write(json.dumps(records, sort_keys=True, separators=(",", ":")))
 
@@ -647,6 +642,4 @@ def load_track(path) -> MouseStateTrack:
                               f"{', '.join(SOLVED_FROM)}")
         rms[t] = numbers(rec.get("residual_rms", 0.0), (),
                          f"pose t = {t}: 'residual_rms'")
-    track = MouseStateTrack.from_array(params, flags)
-    track.residual_rms = rms
-    return track
+    return MouseStateTrack(params, flags, rms)

@@ -70,14 +70,23 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _flags(args, spec):
+    """The values of the flags named by the fields of a config spec, checked
+    by the spec's rules; unset flags take the spec's defaults. SchemaError
+    names the flag as written."""
+    given = {f"--{key}": getattr(args, key) for key in spec
+             if getattr(args, key) is not None}
+    checked = fields(given, {f"--{key}": rule for key, rule in spec.items()},
+                     "command line")
+    return {key[2:]: value for key, value in checked.items()}
+
+
 def cmd_train_deform(args):
-    if args.epochs < 1:
-        raise SchemaError(f"--epochs must be >= 1, got {args.epochs}")
+    train = _flags(args, _TRAIN_FIELDS)
     datasets = [simulator.import_dataset(p) for p in args.data]
     model, losses = deform_predictor.train(
-        datasets, epochs=args.epochs, lr=args.lr,
-        seed=args.seed if args.seed is not None else 0,
-        hidden_size=args.hidden)
+        datasets, epochs=train["epochs"], lr=train["lr"], seed=train["seed"],
+        hidden_size=train["hidden"])
     deform_predictor.save_model(model, args.out)
     print(f"train-deform: final loss {losses[-1]:.6g} after {len(losses)} epochs, "
           f"model written to {args.out}")
@@ -85,6 +94,7 @@ def cmd_train_deform(args):
 
 
 def cmd_solve(args):
+    solve = _flags(args, _SOLVE_FIELDS)
     dataset = simulator.import_dataset(args.data)
     cameras = dataset.cameras
     if args.cameras:
@@ -93,10 +103,8 @@ def cmd_solve(args):
             raise SchemaError(f"{args.cameras}: camera ids must be 0.."
                               f"{len(dataset.cameras) - 1}, one per dataset camera")
     deform_model = deform_predictor.load_model(args.deform) if args.deform else None
-    stochastic = adjustment.StochasticConfig(
-        smoothness_weight=args.ws if args.ws is not None
-        else adjustment.StochasticConfig().smoothness_weight)
-    mode = args.mode
+    stochastic = adjustment.StochasticConfig(smoothness_weight=solve["ws"])
+    mode = solve["mode"]
     if mode == "deformed" and deform_model is None:
         raise SchemaError("--mode deformed requires --deform MODEL")
     track, report = adjustment.solve_dataset(
@@ -130,7 +138,8 @@ def cmd_plot(args):
 
 
 # pipeline config sections, as specs for `errors.fields`; train.seed
-# defaults to the scene seed
+# defaults to the scene seed. The train-deform and solve flags of the same
+# names follow the same rules.
 _PIPELINE_FIELDS = {key: ({}, dict, None, "an object")
                     for key in ("scene", "train", "solve", "check")}
 _TRAIN_FIELDS = {

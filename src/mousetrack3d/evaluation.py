@@ -53,8 +53,7 @@ def evaluate(track, dataset, deform_offsets_est=None) -> EvaluationReport:
     T = dataset.n_epochs
     if track.n_epochs != T:
         raise EpochMismatch(f"track has {track.n_epochs} epochs, dataset {T}")
-    est = track.as_array()
-    gt = np.array([p.as_array() for p in dataset.poses])
+    est, gt = track.poses, dataset.poses
 
     d = est[:, 3:] - gt[:, 3:]
     pos_err = np.sqrt(np.vecdot(d, d))
@@ -101,21 +100,13 @@ def save_report(report: EvaluationReport, path, extra=None):
 # ---------------------------------------------------------------------------
 
 def _track_svg(track, size=640, margin=20):
-    xy = np.array([p.translation[:2] for p in track.poses])
+    xy = track.poses[:, 3:5]
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)
     span = max((hi - lo).max(), 1e-9)
-    scale = (size - 2 * margin) / span
-
-    def to_px(p):
-        q = (p - lo) * scale + margin
-        return q[0], size - q[1]  # y up
-
-    d = []
-    for j, p in enumerate(xy):
-        u, v = to_px(p)
-        d.append(f"{'M' if j == 0 else 'L'} {u:.2f} {v:.2f}")
-    path = " ".join(d)
+    q = (xy - lo) * ((size - 2 * margin) / span) + margin
+    path = " ".join(f"{'M' if j == 0 else 'L'} {u:.2f} {size - v:.2f}"  # y up
+                    for j, (u, v) in enumerate(q))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">\n'
@@ -143,13 +134,12 @@ def plot(track, dataset, out_dir):
     with open(ts_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t", "rx", "ry", "rz", "tx_mm", "ty_mm", "tz_mm", "solved_from"])
-        for t, p in enumerate(track.poses):
-            w.writerow([t, *[f"{v:.9g}" for v in p.rodrigues],
-                        *[f"{v:.9g}" for v in p.translation],
-                        track.solved_from[t]])
+        w.writerows([t, *[f"{v:.9g}" for v in p], flag]
+                    for t, (p, flag) in enumerate(zip(track.poses,
+                                                      track.solved_from)))
     written.append(ts_path)
 
-    world = mouse_model.world_part_positions(track.as_array()).reshape(-1, 3)
+    world = mouse_model.world_part_positions(track.poses).reshape(-1, 3)
     for k, cam in enumerate(dataset.cameras):
         proj, depth = geometry.project_many(cam, world)
         proj = proj.reshape(-1, 8, 2)

@@ -165,7 +165,8 @@ class RigidTransform:
 
 @dataclass(frozen=True)
 class PoseVector:
-    """Six pose parameters: Rodrigues rotation vector plus translation (mm)."""
+    """One pose's six parameters: Rodrigues rotation vector plus translation
+    (mm). Pose tracks are (T, 6) arrays with the same layout per row."""
 
     rodrigues: np.ndarray
     translation: np.ndarray
@@ -177,14 +178,6 @@ class PoseVector:
                            np.array(self.translation, dtype=float).reshape(3))
         self.rodrigues.setflags(write=False)
         self.translation.setflags(write=False)
-
-    def as_array(self):
-        return np.concatenate([self.rodrigues, self.translation])
-
-    @staticmethod
-    def from_array(p):
-        p = np.asarray(p, dtype=float).reshape(6)
-        return PoseVector(p[:3], p[3:])
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:

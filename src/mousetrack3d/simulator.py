@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry, mouse_model
 from .errors import CameraSeesNothing, SchemaError, fields, numbers, read_json
-from .geometry import CameraModel, PoseVector, RigidTransform
+from .geometry import CameraModel, RigidTransform
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,15 @@ class SceneConfig:
 class SimulatedDataset:
     """Per-epoch ground truth plus per-camera observations.
 
-    observations[t, k, i] = (u, v); visible[t, k, i] boolean; pixels of
-    invisible observations are NaN (never stored on export). noise holds the
-    exact Gaussian perturbation applied to each visible pixel for audit.
+    poses is the (T, 6) ground-truth track: row t holds epoch t's Rodrigues
+    rotation vector, then its translation in mm. observations[t, k, i] =
+    (u, v); visible[t, k, i] boolean; pixels of invisible observations are
+    NaN (never stored on export). noise holds the exact Gaussian perturbation
+    applied to each visible pixel for audit.
     """
 
     config: SceneConfig
-    poses: list                      # n_epochs PoseVectors (ground truth)
+    poses: np.ndarray                # (T, 6) ground-truth pose parameters
     rigid_world: np.ndarray          # (T, 8, 3) world rigid part positions
     deformable_world: np.ndarray     # (T, 8, 3) world deformed part positions
     deform_offsets: np.ndarray       # (T, 8, 3) model-frame offsets
@@ -115,9 +117,10 @@ def _reflect(value, lo, hi):
 
 
 def generate_track(config: SceneConfig):
-    """Ground-truth body poses: 2D Brownian positions reflected at the plane
-    borders, yaw-only heading smoothed from the motion direction, and a fixed
-    z so the resting paws touch the plane."""
+    """Ground-truth body poses as a (T, 6) array (Rodrigues vector, then
+    translation in mm): 2D Brownian positions reflected at the plane borders,
+    yaw-only heading smoothed from the motion direction, and a fixed z so the
+    resting paws touch the plane."""
     rng = np.random.default_rng(config.seed)
     T = config.n_epochs
     e = config.plane_extent_mm
@@ -132,21 +135,18 @@ def generate_track(config: SceneConfig):
 
     # heading: smoothed motion direction, yaw about z; model anterior is +Y
     alpha = config.heading_smoothing
-    heading = 0.0
-    poses = []
-    for t in range(T):
-        if t > 0:
-            d = xy[t] - xy[t - 1]
-            dist = np.linalg.norm(d)
-            if dist > 1e-12:
-                target = math.atan2(d[1], d[0]) - math.pi / 2.0
-                delta = (target - heading + math.pi) % (2 * math.pi) - math.pi
-                # turn toward the travel direction at a rate proportional to
-                # distance covered (capped), so short steps barely steer
-                heading = heading + alpha * min(1.0, dist) * delta
-        poses.append(PoseVector(np.array([0.0, 0.0, heading]),
-                                np.array([xy[t][0], xy[t][1], z_body])))
-    return poses
+    heading = np.zeros(T)
+    for t in range(1, T):
+        heading[t] = heading[t - 1]
+        d = xy[t] - xy[t - 1]
+        dist = np.linalg.norm(d)
+        if dist > 1e-12:
+            target = math.atan2(d[1], d[0]) - math.pi / 2.0
+            delta = (target - heading[t] + math.pi) % (2 * math.pi) - math.pi
+            # turn toward the travel direction at a rate proportional to
+            # distance covered (capped), so short steps barely steer
+            heading[t] += alpha * min(1.0, dist) * delta
+    return np.column_stack([np.zeros((T, 2)), heading, xy, np.full(T, z_body)])
 
 
 def _world_parts(params, offsets):
@@ -158,8 +158,11 @@ def _world_parts(params, offsets):
 
 
 def render(config: SceneConfig, track) -> SimulatedDataset:
-    """Project the deformed model into every camera with noise and dropout."""
-    T = len(track)
+    """Project the deformed model at the poses of track, a (T, 6) array
+    (Rodrigues vector, then translation in mm), into every camera with noise
+    and dropout."""
+    params = np.array(track, dtype=float)
+    T = len(params)
     cams = config.cameras
     K = len(cams)
     model = mouse_model.RigidMouseModel()
@@ -171,7 +174,6 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
         if np.all(depth <= 0):
             raise CameraSeesNothing(f"camera {cam.id} never images the plane")
 
-    params = np.array([p.as_array() for p in track])
     offsets = np.zeros((T, 8, 3))
     if config.deformation_enabled:
         # body speed over the step to the next epoch (the last epoch reuses
@@ -203,7 +205,7 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
             w, h = cam.image_size
             u, v = noisy[:, k, :, 0], noisy[:, k, :, 1]
             keep[:, k] &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    return SimulatedDataset(config=config, poses=list(track),
+    return SimulatedDataset(config=config, poses=params,
                             rigid_world=rigid_world,
                             deformable_world=deform_world,
                             deform_offsets=offsets,
@@ -273,7 +275,7 @@ def export_dataset(dataset: SimulatedDataset, path):
     t, k, i = index.T
     values = np.concatenate([dataset.observations[t, k, i],
                              dataset.noise[t, k, i]], axis=1)
-    params = np.array([p.as_array() for p in dataset.poses]).tolist()
+    params = dataset.poses.tolist()
     doc = {
         "meta": _config_to_dict(dataset.config),
         "ground_truth": {
@@ -328,8 +330,7 @@ def import_dataset(path) -> SimulatedDataset:
     if "poses" not in gt:
         raise SchemaError("dataset ground_truth missing field 'poses'")
     params = geometry.pose_table(gt["poses"])
-    poses = [PoseVector(p[:3], p[3:]) for p in params]
-    T = len(poses)
+    T = len(params)
     if T != config.n_epochs:
         raise SchemaError(f"meta n_epochs = {config.n_epochs}, but ground_truth "
                           f"has {T} poses")
@@ -347,7 +348,7 @@ def import_dataset(path) -> SimulatedDataset:
     obs[t, k, i] = table[:, 3:5]
     noise[t, k, i] = table[:, 5:7]
     vis[t, k, i] = True
-    return SimulatedDataset(config=config, poses=poses,
+    return SimulatedDataset(config=config, poses=params,
                             rigid_world=rigid_world,
                             deformable_world=deform_world,
                             deform_offsets=offsets,

@@ -154,22 +154,21 @@ def grid_rmse(H: RigidTransform, S: RigidTransform, grid: ComparisonGrid):
 
 
 def track_residual(track, t, grid: ComparisonGrid | None = None):
-    """Smoothness residual for epoch t of a pose track.
+    """Smoothness residual for epoch t of a pose track, a (T, 6) array
+    (Rodrigues vector, then translation in mm).
 
     Returns the (n_grid, 3) grid displacements between the epoch's pose and
     the cubic interpolation of its four window neighbors; the RMS of the
     flattened vector equals `grid_rmse` of the two transforms.
     """
     grid = grid or default_grid()
-    poses = list(track)
-    n = len(poses)
+    params = np.array(track, dtype=float)
+    n = len(params)
     if n < 5:
         raise ValueError("track must have at least 5 epochs")
     nodes, weights = interpolation_window(t, n)
-    rv_all = unwrap_rodrigues([p.rodrigues for p in poses])
-    params = np.array([np.concatenate([rv_all[u], poses[u].translation])
-                       for u in nodes])
-    interp = weights @ params
-    S = geometry.pose_to_transform(PoseVector(interp[:3], interp[3:]))
-    H = geometry.pose_to_transform(PoseVector(rv_all[t], poses[t].translation))
+    params[:, :3] = unwrap_rodrigues(params[:, :3])
+    interp = weights @ params[nodes]
+    S = RigidTransform(geometry.rodrigues_to_matrix(interp[:3]), interp[3:])
+    H = RigidTransform(geometry.rodrigues_to_matrix(params[t, :3]), params[t, 3:])
     return grid_displacements(H, S, grid)

@@ -102,8 +102,8 @@ def test_criterion_2_spline_exactness():
                     float(np.abs(q.rodrigues - expect[:3] * 0.05).max()),
                     float(np.abs(q.translation - expect[3:]).max()))
     # uniform linear motion has zero residual at every epoch
-    track = [PoseVector(np.array([0.0, 0.0, 0.002 * t]),
-                        np.array([3.0 * t, -t, 0.5 * t])) for t in range(20)]
+    track = np.array([[0.0, 0.0, 0.002 * t, 3.0 * t, -t, 0.5 * t]
+                      for t in range(20)])
     worst_lin = max(np.abs(track_constraint.track_residual(track, t)).max()
                     for t in range(20))
     ok = worst < 1e-9 and worst_lin < 1e-9
@@ -242,9 +242,8 @@ def test_criterion_7_jacobian_validity():
             ds, ds.cameras,
             stochastic=StochasticConfig(
                 smoothness_weight=float(rng.uniform(1e-3, 1.0))))
-        poses = [PoseVector(p.rodrigues + rng.normal(scale=0.2, size=3),
-                            p.translation + rng.normal(scale=8.0, size=3))
-                 for p in ds.poses]
+        poses = ds.poses + rng.normal(scale=[0.2] * 3 + [8.0] * 3,
+                                      size=(5, 6))
         track = MouseStateTrack(poses, ["local"] * 5)
         worst = max(worst, adjustment.check_jacobian(problem, track))
     ok = worst < 1e-5

@@ -48,11 +48,11 @@ def make_problem(ds, offsets=None, stochastic=None, grid=None):
 
 
 def gt_track(ds):
-    return MouseStateTrack(list(ds.poses), ["local"] * ds.n_epochs)
+    return MouseStateTrack(ds.poses.copy(), ["local"] * ds.n_epochs)
 
 
 def max_position_error(track, ds):
-    d = track.as_array()[:, 3:] - np.array([p.translation for p in ds.poses])
+    d = track.poses[:, 3:] - ds.poses[:, 3:]
     return np.linalg.norm(d, axis=1).max()
 
 
@@ -244,9 +244,7 @@ def test_jacobian_random_pose_reprojection():
     ds = make_dataset(n_epochs=8, noise=0.5)
     problem = build_problem(ds, ds.cameras)
     rng = np.random.default_rng(1)
-    poses = [PoseVector(p.rodrigues + rng.normal(scale=0.1, size=3),
-                        p.translation + rng.normal(scale=5.0, size=3))
-             for p in ds.poses]
+    poses = ds.poses + rng.normal(scale=[0.1] * 3 + [5.0] * 3, size=(8, 6))
     track = MouseStateTrack(poses, ["local"] * 8)
     assert check_jacobian(problem, track) < 1e-5
 
@@ -257,8 +255,7 @@ def test_jacobian_smoothness_only():
     problem = build_problem(
         ds, ds.cameras, stochastic=StochasticConfig(smoothness_weight=0.7))
     rng = np.random.default_rng(2)
-    poses = [PoseVector(rng.normal(scale=0.3, size=3),
-                        rng.normal(scale=10, size=3)) for _ in range(5)]
+    poses = rng.normal(scale=[0.3] * 3 + [10.0] * 3, size=(5, 6))
     track = MouseStateTrack(poses, ["local"] * 5)
     assert problem.n_obs == 0
     assert check_jacobian(problem, track) < 1e-5
@@ -267,8 +264,7 @@ def test_jacobian_smoothness_only():
 def test_jacobian_identity_pose_finite():
     ds = make_dataset(n_epochs=6)
     problem = build_problem(ds, ds.cameras)
-    track = MouseStateTrack([PoseVector(np.zeros(3), np.zeros(3))] * 6,
-                            ["local"] * 6)
+    track = MouseStateTrack(np.zeros((6, 6)), ["local"] * 6)
     dev = check_jacobian(problem, track)
     assert np.isfinite(dev)
 
@@ -300,9 +296,10 @@ def test_perturbed_init_reaches_same_optimum():
     problem = build_problem(ds, ds.cameras)
     rng = np.random.default_rng(3)
     _, ref = solve(problem, gt_track(ds))
-    poses = [PoseVector(p.rodrigues + rng.uniform(-1, 1, 3) * np.radians(5),
-                        p.translation + rng.uniform(-5, 5, 3))
-             for p in ds.poses]
+    # rotations within +-5 degrees, translations within +-5 mm per axis
+    poses = ds.poses + (rng.uniform([-1.0] * 3 + [-5.0] * 3,
+                                    [1.0] * 3 + [5.0] * 3, size=(25, 6))
+                        * ([np.radians(5)] * 3 + [1.0] * 3))
     _, rep = solve(problem, MouseStateTrack(poses, ["local"] * 25))
     assert abs(rep.final_cost - ref.final_cost) \
         < 1e-9 * max(ref.final_cost, 1e-30)
@@ -381,6 +378,35 @@ def test_solve_dataset_recovers_track_with_dropout():
         rmse_all = np.sqrt((errs ** 2).mean())
         rmse_well = np.sqrt((errs[well] ** 2).mean())
         assert rmse_all <= 1.5 * rmse_well
+
+
+def test_solve_dataset_provenance_flags():
+    ds = make_dataset(seed=2, noise=0.5, dropout=0.6, n_epochs=30)
+    blank = 12
+    ds.visible[blank] = False
+    ds.observations[blank] = np.nan
+    # an epoch without observations ends interpolated, even when the
+    # smoothness term ties it to its neighbours
+    track, _ = solve_dataset(ds)
+    assert track.solved_from == ["interpolated" if t == blank else "adjusted"
+                                 for t in range(30)]
+    # without smoothness, every epoch initialize interpolated stays so,
+    # including some that have observations
+    guessed = np.array(initialize(ds).solved_from) == "interpolated"
+    assert (guessed & ds.visible.any(axis=(1, 2))).any() and not guessed.all()
+    track, _ = solve_dataset(ds, stochastic=StochasticConfig(
+        smoothness_weight=0.0))
+    assert track.solved_from == ["interpolated" if g else "adjusted"
+                                 for g in guessed]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"smoothness_weight": -0.5}, {"smoothness_weight": np.nan},
+    {"smoothness_weight": np.inf}, {"sigma_px_geometric": 0.0},
+    {"sigma_px_deformation": np.nan}])
+def test_stochastic_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        StochasticConfig(**kwargs)
 
 
 def test_deformed_solve_uses_predicted_offsets():

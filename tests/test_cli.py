@@ -40,11 +40,15 @@ def test_solve_missing_data_exit_2(tmp_path):
                "--out", str(tmp_path / "track.json")) == 2
 
 
-def test_solve_deformed_without_model_exit_2(tmp_path):
+@pytest.mark.parametrize("flag, value", [("--mode", "deformed"),
+                                         ("--ws", "-0.5"), ("--ws", "nan")])
+def test_solve_deformed_without_model_exit_2(tmp_path, capsys, flag, value):
+    # also a smoothness weight that the pipeline config would reject
     data = tmp_path / "data.json"
     run("simulate", "--config", scene_file(tmp_path), "--out", str(data))
-    assert run("solve", "--data", str(data), "--mode", "deformed",
+    assert run("solve", "--data", str(data), flag, value,
                "--out", str(tmp_path / "track.json")) == 2
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["negative_t", "camera_out_of_range",
@@ -186,13 +190,18 @@ def test_train_deform_writes_model(tmp_path):
     assert doc["format_version"] == 1
 
 
-def test_train_deform_zero_epochs_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value", [
+    ("--epochs", "0"), ("--hidden", "0"), ("--seed", "-1"), ("--lr", "nan"),
+    ("--lr", "-1")])
+def test_train_deform_zero_epochs_exit_2(tmp_path, capsys, flag, value):
+    # also the other flags the pipeline config's train section would reject
     data = tmp_path / "data.json"
     run("simulate", "--config", scene_file(tmp_path, n_epochs=10),
         "--out", str(data))
-    assert run("train-deform", "--data", str(data), "--epochs", "0",
+    assert run("train-deform", "--data", str(data), flag, value,
                "--out", str(tmp_path / "model.json")) == 2
-    assert "--epochs" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
 
 
 # -- pipeline -----------------------------------------------------------------

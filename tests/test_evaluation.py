@@ -19,7 +19,7 @@ def make_dataset(seed=0, n_epochs=25, **kw):
 
 
 def gt_track(ds):
-    return MouseStateTrack(list(ds.poses), ["adjusted"] * ds.n_epochs)
+    return MouseStateTrack(ds.poses.copy(), ["adjusted"] * ds.n_epochs)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -42,9 +42,8 @@ def test_ground_truth_track_scores_zero():
 
 def test_shifted_track_unit_error():
     ds = make_dataset()
-    shifted = MouseStateTrack(
-        [PoseVector(p.rodrigues, p.translation + [1.0, 0.0, 0.0])
-         for p in ds.poses], ["adjusted"] * ds.n_epochs)
+    shifted = MouseStateTrack(ds.poses + [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                              ["adjusted"] * ds.n_epochs)
     report = evaluate(shifted, ds)
     assert np.allclose(report.position_error_mm, 1.0)
     assert report.position_rmse_mm == pytest.approx(1.0)
@@ -56,19 +55,18 @@ def test_evaluate_equals_per_epoch_reference():
     ds = make_dataset(n_epochs=15)
     rng = np.random.default_rng(0)
     track = MouseStateTrack(
-        [PoseVector(p.rodrigues + rng.normal(scale=0.05, size=3),
-                    p.translation + rng.normal(size=3)) for p in ds.poses],
+        ds.poses + rng.normal(scale=[0.05] * 3 + [1.0] * 3, size=(15, 6)),
         ["adjusted"] * ds.n_epochs)
     offsets = rng.normal(size=(15, 8, 3))
     report = evaluate(track, ds, deform_offsets_est=offsets)
     part_sq = np.zeros((15, 8))
     for t, (est, gt) in enumerate(zip(track.poses, ds.poses)):
-        assert report.position_error_mm[t] == np.linalg.norm(
-            est.translation - gt.translation)
+        assert report.position_error_mm[t] == np.linalg.norm(est[3:] - gt[3:])
         assert report.rotation_error_deg[t] == np.degrees(geodesic_angle(
-            rodrigues_to_matrix(est.rodrigues), rodrigues_to_matrix(gt.rodrigues)))
+            rodrigues_to_matrix(est[:3]), rodrigues_to_matrix(gt[:3])))
         pts = mouse_model.RigidMouseModel().coords + offsets[t]
-        world = geometry.apply(geometry.pose_to_transform(est), pts)
+        world = geometry.apply(
+            geometry.pose_to_transform(PoseVector(est[:3], est[3:])), pts)
         part_sq[t] = ((world - ds.deformable_world[t]) ** 2).sum(axis=1)
     assert np.array_equal(report.per_part_rmse_mm, np.sqrt(part_sq.mean(axis=0)))
 
@@ -83,7 +81,7 @@ def test_completeness_counts_deficient_epochs():
 
 def test_epoch_mismatch_raises():
     ds = make_dataset(n_epochs=10)
-    short = MouseStateTrack(list(ds.poses[:8]), ["adjusted"] * 8)
+    short = MouseStateTrack(ds.poses[:8], ["adjusted"] * 8)
     with pytest.raises(EpochMismatch):
         evaluate(short, ds)
 
@@ -148,7 +146,7 @@ def test_parameter_csv_contents(tmp_path):
         rows = list(csv.DictReader(f))
     assert len(rows) == 12
     assert float(rows[3]["tx_mm"]) == pytest.approx(
-        ds.poses[3].translation[0], abs=1e-6)
+        ds.poses[3, 3], abs=1e-6)
     assert rows[0]["solved_from"] == "adjusted"
 
 

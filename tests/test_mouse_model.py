@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mousetrack3d import geometry, mouse_model
-from mousetrack3d.geometry import PoseVector
 from mousetrack3d.mouse_model import (
     LEFT_EAR,
     LEFT_FRONT_PAW,
@@ -79,15 +78,13 @@ def test_swing_vs_stance_world_displacement():
     model = RigidMouseModel()
     speed = 2.0  # mm per frame
     cycle = 10
-    poses = []
     worlds = []
     for frame in (1, 2):  # both inside the first half cycle
         phase = frame / cycle
-        pose = PoseVector(np.zeros(3), np.array([0.0, speed * frame, 0.0]))
+        pose = np.array([0.0, 0.0, 0.0, 0.0, speed * frame, 0.0])
         state = deform(model, phase, speed, cycle_length=cycle, head_angle=0.0)
-        worlds.append(world_part_positions(pose.as_array(),
+        worlds.append(world_part_positions(pose,
                                            state.deformed_positions(model)))
-        poses.append(pose)
     delta = worlds[1] - worlds[0]
     body_delta = np.array([0.0, speed, 0.0])
     for p in mouse_model.SWING_FIRST_PAWS:
@@ -101,10 +98,10 @@ def test_paw_roles_swap_at_half_cycle():
     speed, cycle = 2.0, 10
     worlds = []
     for frame in (6, 7):  # inside the second half cycle
-        pose = PoseVector(np.zeros(3), np.array([0.0, speed * frame, 0.0]))
+        pose = np.array([0.0, 0.0, 0.0, 0.0, speed * frame, 0.0])
         state = deform(model, frame / cycle, speed, cycle_length=cycle,
                        head_angle=0.0)
-        worlds.append(world_part_positions(pose.as_array(),
+        worlds.append(world_part_positions(pose,
                                            state.deformed_positions(model)))
     delta = worlds[1] - worlds[0]
     for p in mouse_model.SWING_FIRST_PAWS:
@@ -169,14 +166,12 @@ def test_deform_rejects_bad_phase():
 # -- world positions ----------------------------------------------------------
 
 def test_world_positions_identity_pose():
-    pose = PoseVector(np.zeros(3), np.zeros(3))
-    pts = world_part_positions(pose.as_array())
+    pts = world_part_positions(np.zeros(6))
     assert np.allclose(pts, RigidMouseModel().rigid_part_positions())
 
 
 def test_world_positions_pure_translation():
-    pose = PoseVector(np.zeros(3), np.array([10.0, 0.0, 0.0]))
-    pts = world_part_positions(pose.as_array())
+    pts = world_part_positions(np.array([0.0, 0.0, 0.0, 10.0, 0.0, 0.0]))
     assert np.allclose(pts, RigidMouseModel().rigid_part_positions()
                        + [10.0, 0.0, 0.0])
 
@@ -188,8 +183,8 @@ def test_world_positions_isometry():
     for _ in range(50):
         r = rng.normal(size=3)
         r = r / np.linalg.norm(r) * rng.uniform(0, np.pi - 0.1)
-        pose = PoseVector(r, rng.normal(scale=100, size=3))
-        pts = world_part_positions(pose.as_array())
+        pose = np.concatenate([r, rng.normal(scale=100, size=3)])
+        pts = world_part_positions(pose)
         dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         assert np.allclose(dist, ref, atol=1e-9)
 
@@ -197,13 +192,13 @@ def test_world_positions_isometry():
 def test_deformation_offsets_applied_in_model_frame():
     rng = np.random.default_rng(3)
     r = np.array([0.3, -0.2, 0.9])
-    pose = PoseVector(r, np.array([5.0, 6.0, 7.0]))
+    t = np.array([5.0, 6.0, 7.0])
     offsets = rng.normal(size=(8, 3))
     state = DeformationState(phase=0.0, head_angle=0.0, offsets=offsets)
-    pts = world_part_positions(pose.as_array(), state.deformed_positions())
+    pts = world_part_positions(np.concatenate([r, t]),
+                               state.deformed_positions())
     R = geometry.rodrigues_to_matrix(r)
-    expected = (RigidMouseModel().rigid_part_positions() + offsets) @ R.T \
-        + pose.translation
+    expected = (RigidMouseModel().rigid_part_positions() + offsets) @ R.T + t
     assert np.allclose(pts, expected, atol=1e-12)
 
 

@@ -50,30 +50,24 @@ def test_config_requires_two_cameras():
 def test_zero_step_sigma_stationary():
     config = make_config(step_sigma_mm=0.0)
     track = generate_track(config)
-    first = track[0]
-    for p in track:
-        assert np.array_equal(p.rodrigues, first.rodrigues)
-        assert np.array_equal(p.translation, first.translation)
+    assert np.array_equal(track, np.broadcast_to(track[0], track.shape))
 
 
 def test_track_determinism():
     a = generate_track(make_config(seed=42))
     b = generate_track(make_config(seed=42))
-    for p, q in zip(a, b):
-        assert np.array_equal(p.rodrigues, q.rodrigues)
-        assert np.array_equal(p.translation, q.translation)
+    assert np.array_equal(a, b)
 
 
 def test_body_height_rests_paws_on_plane():
     track = generate_track(make_config())
-    pts = mouse_model.world_part_positions(track[0].as_array())
+    pts = mouse_model.world_part_positions(track[0])
     assert pts[:, 2].min() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_track_stays_inside_plane_extent():
     config = make_config(n_epochs=2000, step_sigma_mm=30.0, plane_extent_mm=80.0)
-    track = generate_track(config)
-    xy = np.array([p.translation[:2] for p in track])
+    xy = generate_track(config)[:, 3:5]
     assert np.all(np.abs(xy) <= 80.0 + 1e-9)
 
 
@@ -81,8 +75,7 @@ def test_brownian_mean_squared_displacement_linear():
     # MSD of an unconstrained 2D random walk grows linearly in lag time
     config = make_config(n_epochs=10000, step_sigma_mm=1.0,
                          plane_extent_mm=1e7)
-    track = generate_track(config)
-    xy = np.array([p.translation[:2] for p in track])
+    xy = generate_track(config)[:, 3:5]
     lags = np.arange(1, 60)
     msd = np.array([np.mean(np.sum((xy[lag:] - xy[:-lag]) ** 2, axis=1))
                     for lag in lags])
@@ -195,9 +188,7 @@ def test_export_import_roundtrip(tmp_path):
     vis = ds.visible
     assert np.allclose(loaded.observations[vis], ds.observations[vis])
     assert np.allclose(loaded.deform_offsets, ds.deform_offsets, atol=1e-9)
-    for p, q in zip(ds.poses, loaded.poses):
-        assert np.allclose(p.rodrigues, q.rodrigues)
-        assert np.allclose(p.translation, q.translation)
+    assert np.allclose(loaded.poses, ds.poses)
     for a, b in zip(ds.cameras, loaded.cameras):
         assert np.allclose(a.calibration, b.calibration)
         assert np.allclose(a.pose_global.matrix(), b.pose_global.matrix())
@@ -289,5 +280,4 @@ def test_import_accepts_shuffled_pose_records(tmp_path):
     loaded = import_dataset(path)
     assert np.array_equal(loaded.visible, ds.visible)
     assert np.array_equal(loaded.observations, ds.observations, equal_nan=True)
-    for p, q in zip(ds.poses, loaded.poses):
-        assert np.array_equal(p.as_array(), q.as_array())
+    assert np.array_equal(loaded.poses, ds.poses)

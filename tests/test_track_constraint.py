@@ -168,9 +168,8 @@ def test_grid_displacement_shape_and_rms_consistency():
 # -- track residual -----------------------------------------------------------
 
 def linear_track(n=20):
-    return [PoseVector(np.array([0.0, 0.0, 0.001 * t]),
-                       np.array([2.0 * t, -1.0 * t, 0.5 * t]))
-            for t in range(n)]
+    return np.array([[0.0, 0.0, 0.001 * t, 2.0 * t, -1.0 * t, 0.5 * t]
+                     for t in range(n)])
 
 
 def test_uniform_linear_motion_zero_residual():
@@ -198,14 +197,12 @@ def test_brownian_residual_vanishes_with_step_sigma():
 def test_outlier_pose_residual_matches_oracle():
     track = linear_track()
     t = 8
-    outlier = PoseVector(track[t].rodrigues + [0.02, 0.0, 0.0],
-                         track[t].translation + [3.0, 0.0, 0.0])
-    track[t] = outlier
+    track[t] += [0.02, 0.0, 0.0, 3.0, 0.0, 0.0]
     g = default_grid()
     res = track_residual(track, t, g)
     # oracle: interpolate the neighbors directly and compare transforms
-    S = spline_interpolate([track[t - 2], track[t - 1],
-                            track[t + 1], track[t + 2]])
-    expect = grid_displacements(geometry.pose_to_transform(outlier),
+    S = spline_interpolate([PoseVector(p[:3], p[3:])
+                            for p in track[[t - 2, t - 1, t + 1, t + 2]]])
+    expect = grid_displacements(rigid(track[t, :3], track[t, 3:]),
                                 geometry.pose_to_transform(S), g)
     assert np.allclose(res, expect, atol=1e-12)
