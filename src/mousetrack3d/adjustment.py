@@ -4,8 +4,11 @@ trajectory from all cameras and epochs.
 The cost combines per-observation reprojection residuals (rigid body parts,
 or deformation-predicted parts) with per-epoch motion-track smoothness
 residuals. The smoothness residuals are the exact four-weighted-point
-equivalent of the comparison grid's displacements (see `Problem`). Unknowns
-are six pose parameters per epoch; the smoothness window couples five
+equivalent of the comparison grid's displacements (see `Problem`); they
+interpolate window nodes re-expressed on the rotation branch nearest each
+epoch's canonical rotation vector, so they do not depend on 2 pi branches.
+Unknowns are six pose parameters per epoch, with every rotation vector kept
+canonical (angle at most pi) by the solver; the smoothness window couples five
 consecutive epochs, so the normal matrix is banded with half-bandwidth 29
 (6 * 4 + 5). Levenberg-Marquardt accumulates it straight into banded
 storage from per-epoch rotation derivatives and one 12x12 smoothness factor
@@ -158,8 +161,10 @@ def initialize(dataset, cameras=None) -> MouseStateTrack:
     Parts visible in >= 2 cameras are triangulated; epochs with at least
     three triangulated parts get a closed-form rigid fit of the model (no
     three model parts are collinear). Remaining epochs are linearly
-    interpolated between solved neighbors (nearest solved state at the
-    track ends).
+    interpolated between solved neighbors i < j (nearest solved state at the
+    track ends): the rotation vector between canonical r_i and r_j
+    re-expressed on the 2 pi branch nearest r_i, so that every solved epoch
+    keeps its canonical vector.
     """
     cameras = cameras if cameras is not None else dataset.cameras
     T = dataset.n_epochs
@@ -170,12 +175,17 @@ def initialize(dataset, cameras=None) -> MouseStateTrack:
     R, t = fit_rigid(mouse_model.RigidMouseModel().coords, world[solved],
                      have[solved])
 
-    # linear interpolation of the six parameters on an unwrapped branch
-    rv = track_constraint.unwrap_rodrigues(geometry.matrix_to_rodrigues(R),
-                                           strict=False)
-    sol_params = np.concatenate([rv, t], axis=1)
-    params = np.column_stack([np.interp(np.arange(T), solved, sol_params[:, j])
-                              for j in range(6)])
+    epochs = np.arange(T)
+    rv = geometry.matrix_to_rodrigues(R)
+    # each epoch's place between solved epochs i = solved[lo] and solved[hi]
+    place = np.interp(epochs, solved, np.arange(len(solved)))
+    lo = np.floor(place).astype(int)
+    frac = (place - lo)[:, None]
+    hi = np.minimum(lo + 1, len(solved) - 1)
+    r_hi = geometry.branch_scale(rv[hi], rv[lo])[:, None] * rv[hi]
+    params = np.column_stack([(1.0 - frac) * rv[lo] + frac * r_hi]
+                             + [np.interp(epochs, solved, t[:, j])
+                                for j in range(3)])
     flags = np.full(T, "interpolated", dtype=object)
     flags[solved] = "local"
     return MouseStateTrack(params, flags.tolist())
@@ -207,6 +217,11 @@ class Problem:
     sum exactly, and each epoch's smoothness block is the 12 residuals
     smoothness_weight * (R_H R_S^T (p_j - s_j t_S) + s_j t_H - p_j) of those
     four weighted points. This holds for flat grids too, where R is singular.
+
+    The cubic takes each window node's rotation vector on the 2 pi branch
+    nearest the epoch's own canonical vector (angle at most pi), so the cost
+    depends only on the rotations, not on how x writes them (see
+    `_interpolated`).
 
     The smoothness residual of epoch t depends on the poses of the five
     epochs in `smooth_nodes[t]` (t itself, then its four window nodes), at
@@ -259,25 +274,25 @@ class Problem:
         J^T J is accumulated as blocks (T, 5, 6, 6), where [j, d] is the
         block coupling epoch j + d (rows) with epoch j (columns).
 
-        Epoch t's smoothness Jacobian with respect to window node a is
-        node_w[t, a] times the own-pose block A_t (a = 0) or the
-        interpolated-pose block B_t (a > 0), so each pair (a, b) of its nodes
-        gets node_w[t, a] node_w[t, b] times one 6x6 block of C_t^T C_t, with
-        C_t = [A_t | B_t].
+        Epoch t's smoothness Jacobian with respect to its own pose (node
+        a = 0) is the block A_t, and with respect to window node a > 0 it is
+        w_ta B_t, then the branch map D_ta (see `_blocks`). So each of the 15
+        pairs (a, b) of its nodes that lands on or below the block diagonal
+        gets w_ta w_tb times one 6x6 block of C_t^T C_t, with
+        C_t = [A_t | B_t]: A^T A, A^T B, B^T A or B^T B (w_t0 = 1).
         """
         T = self.n_epochs
         self.bandwidth = min(29, 6 * T - 1)
-        self.node_w = np.column_stack([np.ones(T), self.win_weights])
-        self.node_side = np.array([0, 1, 1, 1, 1])   # A_t or B_t per node
-        # window node pairs (a, b) of each epoch's smoothness blocks that land
-        # on or below the block diagonal, and the block they add into
+        node_w = np.column_stack([np.ones(T), self.win_weights])
         na = self.smooth_nodes[:, :, None]
         nb = self.smooth_nodes[:, None, :]
         lower = np.broadcast_to(na >= nb, (T, 5, 5))
         pt, pa, pb = np.nonzero(lower)
-        self._pair_t = pt
-        self._pair_sa, self._pair_sb = self.node_side[pa], self.node_side[pb]
-        self._pair_w = self.node_w[pt, pa] * self.node_w[pt, pb]
+        # an epoch's five nodes are distinct, so its 15 pairs are consecutive
+        self._pair_a, self._pair_b = pa.reshape(T, 15), pb.reshape(T, 15)
+        # index of the pair's block in the (4T, 6, 6) stack of C_t^T C_t blocks
+        self._pair_src = 4 * pt + 2 * (pa > 0) + (pb > 0)
+        self._pair_w = node_w[pt, pa] * node_w[pt, pb]
         self._pair_dst = (nb * 5 + (na - nb))[lower]
 
     # -- residuals ----------------------------------------------------------
@@ -285,7 +300,7 @@ class Problem:
     def residuals(self, x):
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
         RH = geometry.rodrigues_to_matrix(x[:, :3])
-        S = self._interpolated(x)
+        S, _ = self._interpolated(x)
         RS = geometry.rodrigues_to_matrix(S[:, :3])
         return np.concatenate([self._reproj_forward(x, RH)[0].ravel(),
                                self._smooth_forward(x, S, RH, RS)[2].ravel()])
@@ -303,8 +318,29 @@ class Problem:
         return (proj - self.obs_px) / self.sigma_px, q, z
 
     def _interpolated(self, x):
-        """Cubic recombination S (T, 6) of each epoch's window nodes."""
-        return np.einsum("ta,tap->tp", self.win_weights, x[self.smooth_nodes[:, 1:]])
+        """Cubic recombination S (T, 6) of each epoch's window nodes, and the
+        branch factors s (T, 4) of the nodes.
+
+        The cubic combines the nodes' rotation vectors v re-expressed as
+        v' = s v, the vector of v's rotation on the 2 pi branch nearest the
+        epoch's own canonical vector (`geometry.branch_scale`). So S, and the
+        cost, depend only on the rotations, not on how x writes them. s is
+        exactly 1 wherever a node keeps its branch.
+        """
+        nodes = x[self.smooth_nodes[:, 1:]]                           # (T, 4, 6)
+        own = geometry.canonical_rodrigues(x[:, :3])
+        s = geometry.branch_scale(nodes[..., :3], own[:, None])
+        nodes[..., :3] *= s[..., None]
+        return np.einsum("ta,tap->tp", self.win_weights, nodes), s
+
+    def _branch_maps(self, x, s, epochs):
+        """dv'/dv = s I + (1 - s) v v^T / |v|^2 (n, 4, 3, 3) for the window
+        nodes of the given epochs, v' = s v with s held fixed (see
+        `_interpolated`)."""
+        v = x[self.smooth_nodes[epochs, 1:], :3]
+        s = s[epochs][..., None, None]
+        theta2 = np.maximum(np.sum(v * v, axis=-1), 1e-300)[..., None, None]
+        return s * np.eye(3) + (1.0 - s) * (v[..., :, None] * v[..., None, :]) / theta2
 
     def _smooth_forward(self, x, S, RH, RS):
         """c_j = p_j - s_j t_S and y_j = R_S^T c_j (T, 4, 3), and the
@@ -325,17 +361,19 @@ class Problem:
     def _blocks(self, x):
         """Residuals and Jacobian factors at x (T, 6).
 
-        Returns (r_p (n_obs, 2), J_p (n_obs, 2, 6), r_s (T, 12), C (T, 12, 12)).
-        J_p[n] is d r_p[n] / d x[obs_t[n]]. C[t] = [A_t | B_t] holds
-        d r_s[t] / d x[t] (A_t) and d r_s[t] / d S[t] (B_t), where S[t] is the
-        interpolated pose, so d r_s[t] / d x[smooth_nodes[t, a]] is
-        node_w[t, a] times the block node_side[a] of C[t]. Rotation
-        derivatives come from one `rotation_derivatives` call for the T poses
-        and one for the T interpolated poses.
+        Returns (r_p (n_obs, 2), J_p (n_obs, 2, 6), r_s (T, 12),
+        C (T, 12, 12), s (T, 4)). J_p[n] is d r_p[n] / d x[obs_t[n]].
+        C[t] = [A_t | B_t] holds d r_s[t] / d x[t] (A_t) and
+        d r_s[t] / d S[t] (B_t), where S[t] is the interpolated pose. So
+        d r_s[t] / d x[smooth_nodes[t, a]] for a window node a > 0 is
+        win_weights[t, a - 1] B_t with its rotation columns times the node's
+        branch map D_ta (`_branch_maps` of the branch factors s, the identity
+        where s = 1). Rotation derivatives come from one `rotation_derivatives`
+        call for the T poses and one for the T interpolated poses.
         """
         T = self.n_epochs
         RH, dRH = geometry.rotation_derivatives(x[:, :3])
-        S = self._interpolated(x)
+        S, branch = self._interpolated(x)
         RS, dRS = geometry.rotation_derivatives(S[:, :3])
 
         r_p = np.zeros((0, 2))
@@ -362,16 +400,20 @@ class Problem:
                        ).transpose(0, 2, 3, 1)
         C[..., 9:12] = -s * (RH @ RS.transpose(0, 2, 1))[:, None]
         C *= self.stochastic.smoothness_weight
-        return r_p, J_p, r_s.reshape(T, 12), C.reshape(T, 12, 12)
+        return r_p, J_p, r_s.reshape(T, 12), C.reshape(T, 12, 12), branch
 
     def jacobian(self, x):
         """Sparse (n_residuals, n_params) Jacobian at x, expanded from the
         same factors as `normal_equations`."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        _, J_p, _, C = self._blocks(x)
+        _, J_p, _, C, branch = self._blocks(x)
         T = self.n_epochs
-        J_s = (C.reshape(T, 12, 2, 6)[:, :, self.node_side]
-               * self.node_w[:, None, :, None])                     # (T, 12, 5, 6)
+        J_s = np.concatenate(
+            [C[:, :, None, :6],
+             C[:, :, None, 6:] * self.win_weights[:, None, :, None]],
+            axis=2)                                                # (T, 12, 5, 6)
+        J_s[:, :, 1:, :3] = np.einsum("tiap,tapq->tiaq", J_s[:, :, 1:, :3],
+                                      self._branch_maps(x, branch, np.arange(T)))
         n = self.n_obs
         rows = [np.broadcast_to((2 * np.arange(n))[:, None, None]
                                 + np.arange(2)[:, None], (n, 2, 6)),
@@ -396,7 +438,7 @@ class Problem:
         scipy.linalg.cholesky_banded with lower=True), g = J^T r.
         """
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        r_p, J_p, r_s, C = self._blocks(x)
+        r_p, J_p, r_s, C, branch = self._blocks(x)
         T = self.n_epochs
         blocks = np.zeros((T, 5, 36))
         g = np.zeros((T, 6))
@@ -404,14 +446,30 @@ class Problem:
             Jt = J_p.transpose(0, 2, 1)
             blocks[:, 0] = _sum_rows(self.obs_t, Jt @ J_p, T)
             g += _sum_rows(self.obs_t, Jt @ r_p[:, :, None], T)
-        # one C_t^T C_t per epoch, spread over its 5 x 5 window node pairs
+        # one C_t^T C_t per epoch, spread over its 15 window node pairs
         Ct = C.transpose(0, 2, 1)
         CtC = (Ct @ C).reshape(T, 2, 6, 2, 6).transpose(0, 1, 3, 2, 4)
-        pairs = (CtC[self._pair_t, self._pair_sa, self._pair_sb]
-                 * self._pair_w[:, None, None])
-        blocks += _sum_rows(self._pair_dst, pairs, T * 5).reshape(T, 5, 36)
+        pairs = (CtC.reshape(4 * T, 6, 6)[self._pair_src]
+                 * self._pair_w[:, None, None]).reshape(T, 15, 6, 6)
         Ctr = (Ct @ r_s[:, :, None]).reshape(T, 2, 6)
-        g_nodes = Ctr[:, self.node_side] * self.node_w[:, :, None]   # (T, 5, 6)
+        g_nodes = np.concatenate(
+            [Ctr[:, :1], self.win_weights[:, :, None] * Ctr[:, 1:]], axis=1)
+        # epochs with a window node off its branch: D_a^T (.) D_b on their
+        # pairs' rotation rows and columns, D_a^T on their gradient
+        bent = np.flatnonzero((branch != 1.0).any(axis=1))
+        if bent.size:
+            D = np.concatenate([np.broadcast_to(np.eye(3), (len(bent), 1, 3, 3)),
+                                self._branch_maps(x, branch, bent)], axis=1)
+            own = np.arange(len(bent))[:, None]
+            P = pairs[bent]
+            P[..., :3, :] = (D[own, self._pair_a[bent]].transpose(0, 1, 3, 2)
+                             @ P[..., :3, :])
+            P[..., :3] = P[..., :3] @ D[own, self._pair_b[bent]]
+            pairs[bent] = P
+            g_nodes[bent, :, :3] = (D.transpose(0, 1, 3, 2)
+                                    @ g_nodes[bent, :, :3, None])[..., 0]
+        blocks += _sum_rows(self._pair_dst, pairs.reshape(-1, 36),
+                            T * 5).reshape(T, 5, 36)
         g += _sum_rows(self.smooth_nodes.ravel(), g_nodes.reshape(-1, 6), T)
         # block [j, d] entry (p, q) is (J^T J)[6(j + d) + p, 6j + q], stored at
         # N[6d + p - q, 6j + q] when on or below the diagonal
@@ -495,28 +553,41 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model):
 # Levenberg-Marquardt
 # ---------------------------------------------------------------------------
 
+def _canonical(x):
+    """Flat pose vector x with every rotation vector canonical (angle at
+    most pi)."""
+    x = x.reshape(-1, 6).copy()
+    x[:, :3] = geometry.canonical_rodrigues(x[:, :3])
+    return x.ravel()
+
+
 def solve(problem: Problem, track: MouseStateTrack):
     """Levenberg-Marquardt with banded Cholesky steps.
 
-    Accepted steps never increase the cost. A damped normal matrix that is
-    not positive definite counts as a rejected step: lambda grows and the
-    step is retried. Returns (MouseStateTrack, SolveReport); on hitting the
-    iteration cap the best iterate is returned with status 'max_iterations'.
+    The cost depends only on the rotations, not on their 2 pi branches, so
+    x is kept canonical: on entry and after every accepted step. Accepted
+    steps never increase the cost. A damped normal matrix that is not
+    positive definite counts as a rejected step: lambda grows and the step
+    is retried. Returns (MouseStateTrack, SolveReport). The report's status
+    names the exit: 'gradient' (max |J^T r| below GRADIENT_TOLERANCE),
+    'cost' (relative cost decrease below COST_TOLERANCE), 'no_descent'
+    (lambda passed 1e12 without a downhill step) or 'max_iterations'; only
+    the first two count as converged. The last accepted iterate is returned
+    in every case.
     """
-    x = track.poses.ravel().copy()
+    x = _canonical(track.poses.ravel())
     r = problem.residuals(x)
     cost = float(r @ r)
     if not np.isfinite(cost):
         raise NonFiniteCost("initial cost is not finite")
     initial_cost = cost
     lam = INITIAL_LAMBDA
-    status = "converged"
-    converged = False
+    status = "max_iterations"
     it = 0
     for it in range(1, MAX_ITERATIONS + 1):
         N, g = problem.normal_equations(x)
         if np.max(np.abs(g)) < GRADIENT_TOLERANCE:
-            converged = True
+            status = "gradient"
             break
         scale = np.maximum(N[0], 1e-12)
         while True:
@@ -534,25 +605,25 @@ def solve(problem: Problem, track: MouseStateTrack):
                     raise NonFiniteCost(f"cost non-finite at iteration {it}")
                 if cost_new < cost:
                     rel = (cost - cost_new) / max(cost, 1e-300)
-                    x, r, cost = x_new, r_new, cost_new
+                    x, r, cost = _canonical(x_new), r_new, cost_new
                     lam = max(lam / LAMBDA_DOWN, 1e-12)
                     if rel < COST_TOLERANCE:
-                        converged = True
+                        status = "cost"
                     break
             lam *= LAMBDA_UP
             if lam > 1e12:
                 # no downhill step exists at numerical precision
-                converged = True
+                status = "no_descent"
                 break
-        if converged:
+        if status != "max_iterations":
             break
-    else:
-        status = "max_iterations"
 
     # r holds the residuals at the final x
     rp_rms, sm_rms, per_epoch = problem._rms(r)
     report = SolveReport(initial_cost=initial_cost, final_cost=cost,
-                         iterations=it, converged=converged, status=status,
+                         iterations=it,
+                         converged=status in ("gradient", "cost"),
+                         status=status,
                          reprojection_rms_px=rp_rms, smoothness_rms_mm=sm_rms)
     return (MouseStateTrack(x.reshape(-1, 6), ["adjusted"] * problem.n_epochs,
                             per_epoch), report)

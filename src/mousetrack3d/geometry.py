@@ -89,6 +89,31 @@ def matrix_to_rodrigues(R):
     return np.where(near_pi, theta * axis, out)
 
 
+def branch_scale(r, ref):
+    """Factors s (...,) such that s r is the axis-angle vector of r's
+    rotation nearest ref: broadcasting (..., 3) vectors r and ref.
+
+    The vectors of one rotation are (theta + 2 pi k) r / |r| for integer k,
+    with theta = |r|; the nearest to ref takes k = round((r / |r| . ref -
+    theta) / 2 pi), so s = (theta + 2 pi k) / theta. Below an angle of 1e-12,
+    and wherever k = 0, s is exactly 1.
+    """
+    r = np.asarray(r, dtype=float)
+    theta = np.sqrt(np.einsum("...i,...i->...", r, r))
+    small = theta < _EPS_ANGLE
+    theta = np.where(small, 1.0, theta)
+    along = np.einsum("...i,...i->...", r, ref) / theta
+    k = np.where(small, 0.0, np.round((along - theta) / (2.0 * np.pi)))
+    return 1.0 + 2.0 * np.pi * k / theta
+
+
+def canonical_rodrigues(r):
+    """Axis-angle vectors re-expressed with angle at most pi, the vectors of
+    the same rotations nearest zero: (..., 3) -> (..., 3)."""
+    r = np.asarray(r, dtype=float)
+    return branch_scale(r, np.zeros(3))[..., None] * r
+
+
 def _skew_many(a):
     """Cross-product matrices [a]x for (..., 3) vectors: (..., 3, 3)."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]

@@ -94,12 +94,12 @@ def interpolation_window(t, n_epochs):
 MAX_ROTATION_JUMP = np.pi / 2   # rad between consecutive unwrapped vectors
 
 
-def unwrap_rodrigues(rvecs, strict=True):
+def unwrap_rodrigues(rvecs):
     """Re-express each rotation vector on the branch nearest its predecessor.
 
     Equivalent representations differ by (|r| - 2 pi k) along the same axis.
     Raises BranchDiscontinuity when consecutive vectors still differ by more
-    than MAX_ROTATION_JUMP (strict mode only).
+    than MAX_ROTATION_JUMP.
     """
     rvecs = np.array(rvecs, dtype=float)
     out = rvecs.copy()
@@ -113,7 +113,7 @@ def unwrap_rodrigues(rvecs, strict=True):
             candidates.append((theta + 2 * np.pi) * axis)
         dists = [np.linalg.norm(c - out[t - 1]) for c in candidates]
         out[t] = candidates[int(np.argmin(dists))]
-        if strict and min(dists) > MAX_ROTATION_JUMP:
+        if min(dists) > MAX_ROTATION_JUMP:
             raise BranchDiscontinuity(
                 f"rotation jump {min(dists):.3f} rad > {MAX_ROTATION_JUMP:.3f} rad "
                 f"between epochs {t - 1} and {t}")
@@ -162,13 +162,17 @@ def track_residual(track, t, grid: ComparisonGrid | None = None):
     flattened vector equals `grid_rmse` of the two transforms.
     """
     grid = grid or default_grid()
-    params = np.array(track, dtype=float)
+    params = np.asarray(track, dtype=float)
     n = len(params)
     if n < 5:
         raise ValueError("track must have at least 5 epochs")
     nodes, weights = interpolation_window(t, n)
-    params[:, :3] = unwrap_rodrigues(params[:, :3])
-    interp = weights @ params[nodes]
+    # the window and t span five consecutive epochs; only they are unwrapped
+    first = min(nodes[0], t)
+    window = params[first:first + 5].copy()
+    window[:, :3] = unwrap_rodrigues(window[:, :3])
+    interp = weights @ window[np.subtract(nodes, first)]
+    own = window[t - first]
     S = RigidTransform(geometry.rodrigues_to_matrix(interp[:3]), interp[3:])
-    H = RigidTransform(geometry.rodrigues_to_matrix(params[t, :3]), params[t, 3:])
+    H = RigidTransform(geometry.rodrigues_to_matrix(own[:3]), own[3:])
     return grid_displacements(H, S, grid)

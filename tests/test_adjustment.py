@@ -113,6 +113,23 @@ def test_initialize_interpolates_thin_epochs():
     assert np.allclose(track.as_array()[t], expect, atol=1e-9)
 
 
+def test_initialize_interpolates_across_pi():
+    # the heading passes pi between epochs 48 and 49, so the canonical
+    # vectors of the solved neighbors of epoch 48 point opposite ways
+    ds = make_dataset(seed=4, n_epochs=60, step_sigma=3.0)
+    t = 48
+    ds.visible[t, :, 2:] = False
+    ds.observations[t, :, 2:] = np.nan
+    track = initialize(ds)
+    assert track.solved_from[t] == "interpolated"
+    solved = np.array(track.solved_from) == "local"
+    assert np.all(np.linalg.norm(track.poses[solved, :3], axis=1) <= np.pi)
+    R = geometry.rodrigues_to_matrix(track.poses[:, :3])
+    R_true = geometry.rodrigues_to_matrix(ds.poses[:, :3])
+    # a midpoint taken across branches would be about pi off
+    assert evaluation.geodesic_angle(R[t], R_true[t]) < 0.1
+
+
 def test_initialize_no_solvable_epoch():
     ds = make_dataset(n_epochs=10)
     ds.visible[:] = False
@@ -209,6 +226,54 @@ def test_normal_equations_match_dense_jacobian(n_epochs, kind):
             <= 1e-12 * np.abs(JtJ).max())
     Jtr = J.T @ r
     assert np.abs(g - Jtr).max() <= 1e-12 * np.abs(Jtr).max()
+
+
+def mixed_branch_poses(ds, rng):
+    """Poses whose rotations turn through pi about one axis, so that
+    smoothness windows straddle |r| = pi, each written on a random 2 pi
+    branch (angle shifted by -2 pi, 0, 2 pi or 4 pi along its axis)."""
+    T = ds.n_epochs
+    axis = np.array([0.3, -0.2, 1.0]) + rng.normal(scale=0.05, size=(T, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    theta = np.pi + 0.2 * (np.arange(T) - (T - 1) / 2) + 0.01
+    k = rng.integers(-1, 3, size=T)
+    x = ds.poses + rng.normal(scale=[0.0] * 3 + [5.0] * 3, size=(T, 6))
+    x[:, :3] = (theta + 2 * np.pi * k)[:, None] * axis
+    return x
+
+
+@pytest.mark.parametrize("kind", ["rigid", "smoothness_only"])
+def test_jacobian_across_rotation_branches(kind):
+    ds = make_dataset(n_epochs=9, noise=0.5)
+    if kind == "smoothness_only":
+        ds.visible[:] = False
+    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=0.7))
+    x = mixed_branch_poses(ds, np.random.default_rng(5))
+    _, scale = problem._interpolated(x)
+    assert (scale != 1.0).any()          # some window nodes change branch
+    assert check_jacobian(problem, MouseStateTrack(x, ["local"] * 9)) < 1e-7
+    # the banded normal equations carry the same branch maps
+    J = problem.jacobian(x.ravel()).toarray()
+    N, g = problem.normal_equations(x.ravel())
+    JtJ = J.T @ J
+    assert (np.abs(band_to_dense(N) - np.tril(JtJ)).max()
+            <= 1e-12 * np.abs(JtJ).max())
+    Jtr = J.T @ problem.residuals(x.ravel())
+    assert np.abs(g - Jtr).max() <= 1e-12 * np.abs(Jtr).max()
+
+
+def test_cost_is_branch_invariant():
+    ds = make_dataset(n_epochs=12, noise=0.5)
+    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=0.7))
+    x = mixed_branch_poses(ds, np.random.default_rng(6))
+    canon = x.copy()
+    canon[:, :3] = geometry.canonical_rodrigues(x[:, :3])
+    assert np.all(np.linalg.norm(canon[:, :3], axis=1) <= np.pi)
+    assert np.abs(canon - x).max() > 1.0
+    assert np.allclose(geometry.rodrigues_to_matrix(canon[:, :3]),
+                       geometry.rodrigues_to_matrix(x[:, :3]), atol=1e-12)
+    assert (problem.cost(canon.ravel())
+            == pytest.approx(problem.cost(x.ravel()), rel=1e-12, abs=0.0))
 
 
 @pytest.mark.parametrize("grid", [
@@ -319,6 +384,17 @@ class IndefiniteFirstStep(adjustment.Problem):
         return N, g
 
 
+class IndefiniteBand(adjustment.Problem):
+    """Variant of IndefiniteFirstStep whose band stays indefinite: only
+    damping with lambda > 1e13 - 1 would make it positive definite, and LM
+    gives up once lambda passes 1e12."""
+
+    def normal_equations(self, x):
+        N, g = super().normal_equations(x)
+        N[1, 0] = 1e13 * np.sqrt(N[0, 0] * N[0, 1])
+        return N, g
+
+
 def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
     ds = make_dataset(noise=0.5, n_epochs=12)
     model_pts = mouse_model.RigidMouseModel().rigid_part_positions()
@@ -346,6 +422,64 @@ def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
     assert attempts[first_ok][0] > attempts[0][0] * adjustment.LAMBDA_UP
     assert np.all(np.isfinite(track.as_array()))
     assert report.final_cost < report.initial_cost
+
+
+def test_solve_reports_no_descent():
+    ds = make_dataset(noise=0.5, n_epochs=12)
+    model_pts = mouse_model.RigidMouseModel().rigid_part_positions()
+    stochastic = StochasticConfig()
+    problem = IndefiniteBand(ds, ds.cameras, model_pts, stochastic,
+                             stochastic.sigma_px_deformation)
+    init = initialize(ds)
+    track, report = solve(problem, init)
+    assert report.status == "no_descent"
+    assert not report.converged
+    assert report.iterations == 1
+    assert report.final_cost == report.initial_cost
+    assert np.array_equal(track.poses, init.poses)
+
+
+def test_solve_stop_reasons(monkeypatch):
+    ds = make_dataset(noise=0.0, n_epochs=20)
+    problem = build_problem(
+        ds, ds.cameras, stochastic=StochasticConfig(smoothness_weight=0.0))
+    _, report = solve(problem, gt_track(ds))
+    assert (report.status, report.converged) == ("gradient", True)
+
+    ds = make_dataset(noise=0.5, dropout=0.2, n_epochs=30)
+    problem = build_problem(ds, ds.cameras)
+    _, report = solve(problem, initialize(ds))
+    assert (report.status, report.converged) == ("cost", True)
+
+    monkeypatch.setattr(adjustment, "MAX_ITERATIONS", 2)
+    _, report = solve(problem, initialize(ds))
+    assert (report.status, report.converged) == ("max_iterations", False)
+    assert report.iterations == 2
+
+
+def test_solve_converges_past_4pi_heading():
+    # criterion-9 scene at T = 2000: the true heading reaches 33.8 rad
+    ds = simulator.simulate(simulator.SceneConfig(
+        cameras=simulator.default_cameras(), seed=0, n_epochs=2000,
+        noise_sigma_px=0.5,
+        occlusion=simulator.OcclusionConfig(random_dropout_rate=0.2)))
+    assert np.linalg.norm(ds.poses[:, :3], axis=1).max() > 4 * np.pi
+    track, report = solve_dataset(ds)
+    assert report.status in ("cost", "gradient")
+    assert report.iterations <= 20
+    assert evaluation.evaluate(track, ds).position_rmse_mm < 1.0
+
+
+def test_solve_occluded_scene_converges_below_cap():
+    # criterion-5 seed 3: 75% dropout, smoothness carries the blind epochs
+    ds = simulator.simulate(simulator.SceneConfig(
+        cameras=simulator.default_cameras(), seed=3, n_epochs=100,
+        step_sigma_mm=0.5, noise_sigma_px=0.5, deformation_enabled=False,
+        occlusion=simulator.OcclusionConfig(random_dropout_rate=0.75)))
+    _, report = solve_dataset(
+        ds, stochastic=StochasticConfig(smoothness_weight=0.1))
+    assert report.converged
+    assert report.iterations < adjustment.MAX_ITERATIONS
 
 
 def test_solve_per_epoch_residual_rms():

@@ -233,6 +233,20 @@ def test_pipeline_byte_identical_reports(tmp_path):
     assert (a / "track.json").read_bytes() == (b / "track.json").read_bytes()
 
 
+def test_solve_and_pipeline_name_stop_reason(tmp_path, capsys):
+    data = tmp_path / "data.json"
+    assert run("simulate", "--config", scene_file(tmp_path),
+               "--out", str(data)) == 0
+    assert run("solve", "--data", str(data),
+               "--out", str(tmp_path / "track.json")) == 0
+    assert "\nsolve: cost in " in capsys.readouterr().out
+    out = tmp_path / "run"
+    assert run("pipeline", "--config", pipeline_config(tmp_path),
+               "--out-dir", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_status"] == "cost"
+
+
 def test_pipeline_check_negative_control(tmp_path, capsys):
     # sabotaged solve: no smoothness coupling plus crushing dropout leaves
     # deficient epochs unconstrained, so the completeness check must fail

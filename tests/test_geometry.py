@@ -272,6 +272,39 @@ def test_matrix_to_rodrigues_canonical_sign_at_pi():
     assert np.allclose(r, [0.0, np.pi, 0.0])
 
 
+def test_branch_scale_picks_nearest_representation():
+    rng = np.random.default_rng(17)
+    r = rng.normal(size=(200, 3)) * rng.uniform(0.1, 12.0, size=(200, 1))
+    ref = rng.normal(scale=6.0, size=(200, 3))
+    s = geometry.branch_scale(r, ref)
+    theta = np.linalg.norm(r, axis=1, keepdims=True)
+    # brute force over the branches theta + 2 pi k, k = -10..10
+    cands = ((1 + 2 * np.pi * np.arange(-10, 11)[None, :, None]
+              / theta[:, :, None]) * r[:, None, :])
+    best = cands[np.arange(200),
+                 np.argmin(np.linalg.norm(cands - ref[:, None], axis=2), axis=1)]
+    assert np.allclose(s[:, None] * r, best, atol=1e-12)
+    assert np.allclose(rodrigues_to_matrix(s[:, None] * r),
+                       rodrigues_to_matrix(r), atol=1e-12)
+    # small angles and vectors already nearest keep their branch exactly
+    assert geometry.branch_scale(np.zeros(3), np.ones(3)) == 1.0
+    assert np.all(geometry.branch_scale(ref, ref) == 1.0)
+
+
+def test_canonical_rodrigues():
+    r = _stack_cases()
+    below_pi = np.linalg.norm(r, axis=1) < np.pi - 1e-9
+    assert np.array_equal(geometry.canonical_rodrigues(r)[below_pi],
+                          r[below_pi])
+    shifted = r * (1 + 2 * np.pi * np.arange(-2, 4).repeat(10)[:, None]
+                   / np.maximum(np.linalg.norm(r, axis=1), 1e-300)[:, None])
+    shifted[:10] = r[:10]           # angles below 1e-12 have one branch
+    canon = geometry.canonical_rodrigues(shifted)
+    assert np.all(np.linalg.norm(canon, axis=1) <= np.pi + 1e-12)
+    assert np.allclose(rodrigues_to_matrix(canon), rodrigues_to_matrix(r),
+                       atol=1e-9)
+
+
 def test_rotation_point_jacobian_fd():
     rng = np.random.default_rng(15)
     h = 1e-7

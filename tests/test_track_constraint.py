@@ -119,9 +119,7 @@ def test_unwrap_fixes_branch_jump():
 def test_unwrap_strict_raises_on_true_jump():
     seq = [np.zeros(3), np.array([0.0, 0.0, 2.0])]
     with pytest.raises(BranchDiscontinuity):
-        unwrap_rodrigues(seq, strict=True)
-    out = unwrap_rodrigues(seq, strict=False)
-    assert np.allclose(out[1], [0.0, 0.0, 2.0])
+        unwrap_rodrigues(seq)
 
 
 # -- grid comparison ----------------------------------------------------------
@@ -192,6 +190,22 @@ def test_brownian_residual_vanishes_with_step_sigma():
     assert results[0] > results[1] > results[2]
     # decays roughly in proportion to the step size
     assert results[2] < 0.05 * results[0]
+
+
+def test_track_residual_unwraps_window_only():
+    # bit-identical to unwrapping the whole track first, as it did before
+    config = simulator.SceneConfig(cameras=simulator.default_cameras(),
+                                   seed=0, n_epochs=2000)
+    track = simulator.generate_track(config)
+    unwrapped = track.copy()
+    unwrapped[:, :3] = unwrap_rodrigues(track[:, :3])
+    for t in (0, 1, 1000, 1998, 1999):
+        nodes, weights = interpolation_window(t, len(track))
+        interp = weights @ unwrapped[nodes]
+        expect = grid_displacements(rigid(unwrapped[t, :3], unwrapped[t, 3:]),
+                                    rigid(interp[:3], interp[3:]),
+                                    default_grid())
+        assert np.array_equal(track_residual(track, t), expect)
 
 
 def test_outlier_pose_residual_matches_oracle():
