@@ -22,7 +22,7 @@ os.makedirs(OUT, exist_ok=True)
 
 model = mouse_model.RigidMouseModel()
 print("rigid body parts (model frame, mm):")
-for pid, name, xyz in model.parts():
+for pid, (name, xyz) in enumerate(zip(mouse_model.PART_NAMES, model.coords)):
     print(f"  {pid}  {name:16s} {xyz}")
 
 # -- a scene with noise and occlusion ------------------------------------------

@@ -9,7 +9,7 @@ prediction error against the rigid baseline that simply assumes no
 deformation.
 """
 
-from mousetrack3d import deform_predictor, simulator
+from mousetrack3d import deform_predictor, mouse_model, simulator
 
 
 def gait_dataset(seed, n_epochs=300):
@@ -27,10 +27,14 @@ print(f"training on {sum(d.n_epochs for d in train_sets)} epochs "
 
 # -- tokenization: what the model actually sees ------------------------------------
 
-seq = deform_predictor.build_tokens(train_sets[0], t=10)
-print(f"\ntoken window: {seq.masked.size} tokens over "
-      f"{len(seq.epochs)} epochs x 8 parts; "
-      f"{int(seq.masked.sum())} masked (the mid epoch plus dropouts)")
+# every window of a recording at once: (windows, 2n+1 epochs, 8 parts, xyz);
+# window w is centred at epoch w + n
+n = deform_predictor.DEFAULT_WINDOW
+deformable, masked, _ = deform_predictor.training_windows([train_sets[0]])
+window = masked[10 - n]
+print(f"\ntoken window: {window.size} tokens over "
+      f"{len(window)} epochs x 8 parts; "
+      f"{int(window.sum())} masked (the mid epoch plus dropouts)")
 
 # -- train -------------------------------------------------------------------------
 
@@ -48,8 +52,10 @@ print(f"improvement factor: {baseline / mse:.2f}x")
 # -- a single prediction, part by part ------------------------------------------------
 
 t = 23   # mid-swing (cycle length 10, so phase 0.3)
-seq = deform_predictor.build_tokens(held_out, t)
-pred_offsets = model.predict(seq) - seq.rigid[seq.mid]
+deformable, masked, _ = deform_predictor.training_windows([held_out])
+w = slice(t - n, t - n + 1)   # the window centred at t
+pred_offsets = (model.predict(deformable[w], masked[w])[0]
+                - mouse_model.RigidMouseModel().coords)
 true_offsets = held_out.deform_offsets[t]
 print(f"\nmid-epoch offset prediction at t={t} (model-frame Y, mm):")
 for i in range(8):

@@ -30,11 +30,11 @@ from .geometry import (
     transform_to_pose,
     triangulate,
 )
-from .mouse_model import DeformationState, RigidMouseModel, deform, world_part_positions
+from .mouse_model import RigidMouseModel, deform, world_part_positions
 from .simulator import SceneConfig, SimulatedDataset, default_cameras, simulate
 from .track_constraint import ComparisonGrid, default_grid, grid_rmse, spline_interpolate, track_residual
 from .adjustment import MouseStateTrack, StochasticConfig, initialize, build_problem, solve, solve_dataset
-from .deform_predictor import SequenceModel, TokenSequence, build_tokens, train
+from .deform_predictor import SequenceModel, token_windows, train
 from .evaluation import EvaluationReport, evaluate
 
 __version__ = "0.1.0"

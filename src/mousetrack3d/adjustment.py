@@ -514,7 +514,7 @@ def build_problem(dataset, cameras, track=None, deform_model=None,
     current track and blocks use sigma_px_geometric.
     """
     stochastic = stochastic or StochasticConfig()
-    model_pts = mouse_model.RigidMouseModel().rigid_part_positions()
+    model_pts = mouse_model.RigidMouseModel().coords
     if deform_model is None:
         return Problem(dataset, cameras, model_pts, stochastic,
                        stochastic.sigma_px_deformation)
@@ -529,7 +529,7 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model):
     """Per-epoch model-frame deformation offsets predicted from observations.
 
     Parts visible in >= 2 cameras are triangulated and mapped into the model
-    frame via the current pose estimates; the resulting token windows feed
+    frame via the current pose estimates; the recording's token windows feed
     the sequence model in one batch. Epochs whose window does not fit inside
     the track get zero offsets.
     """
@@ -541,11 +541,10 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model):
     est = (world - x[:, None, 3:]) @ R               # R^T (X - t), model frame
 
     offsets = np.zeros((T, 8, 3))
-    seqs = [deform_predictor.window_tokens(est, ~have, t, n)
-            for t in range(n, T - n)]
-    if seqs:
-        offsets[n:T - n] = (model.predict_many(seqs)
-                            - mouse_model.RigidMouseModel().rigid_part_positions())
+    if T > 2 * n:
+        windows = deform_predictor.token_windows(est, ~have, n)
+        offsets[n:T - n] = (model.predict(*windows)
+                            - mouse_model.RigidMouseModel().coords)
     return offsets
 
 

@@ -1,11 +1,15 @@
-"""Learned body-part deformation from token sequences.
+"""Learned body-part deformation from token windows.
 
 Each token pairs a body part's rigid model coordinate with its deformable
-coordinate (model frame, mm). Windows of tokens over 2n+1 epochs form the
-input sequence; the deformable components of the mid epoch are masked and
-predicted. The predictor is a small single-layer LSTM trained by
-backpropagation through time, with a skip connection: the network outputs
-the offset from the rigid coordinate, so prediction = rigid + offset.
+coordinate (model frame, mm). A window covers the 2n+1 epochs around a
+centre epoch (n = `SequenceModel.window`); the deformable components of the
+mid epoch are masked and predicted. `token_windows` cuts every window of a
+recording with one fancy index into (W, 2n+1, 8, 3) deformable coordinates
+and (W, 2n+1, 8) masks. The rigid half of every token is the model's
+coordinates, so windows store only the deformable half. The predictor is a
+small single-layer LSTM trained by backpropagation through time, with a skip
+connection: the network outputs the offset from the rigid coordinate, so
+prediction = rigid + offset.
 
 Implementation is plain numpy; training is single-threaded and bit-exact
 reproducible for a fixed seed and dataset order.
@@ -19,85 +23,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mouse_model
-from .errors import (
-    DivergedLoss,
-    SchemaError,
-    UntrainedModel,
-    WindowOutOfRange,
-    numbers,
-    read_json,
-)
+from .errors import DivergedLoss, SchemaError, UntrainedModel, numbers, read_json
 
 N_PARTS = 8
 DEFAULT_WINDOW = 2  # n; sequence covers 2n+1 epochs
 BATCH_SIZE = 64     # training windows per Adam step
 
 
-@dataclass
-class TokenSequence:
-    """Token window over 2n+1 epochs and all parts, mid epoch masked.
-
-    rigid, deformable : (2n+1, N_PARTS, 3) model-frame mm
-    masked : (2n+1, N_PARTS) bool; True where the deformable component is
-        unavailable (mid epoch by construction, elsewhere missing data).
-    """
-
-    epochs: np.ndarray
-    rigid: np.ndarray
-    deformable: np.ndarray
-    masked: np.ndarray
-
-    def __post_init__(self):
-        self.epochs = np.asarray(self.epochs, dtype=int)
-        self.rigid = np.asarray(self.rigid, dtype=float)
-        self.deformable = np.asarray(self.deformable, dtype=float)
-        self.masked = np.asarray(self.masked, dtype=bool)
-        T = len(self.epochs)
-        if T % 2 == 0:
-            raise ValueError("token window length must be odd")
-        mid = T // 2
-        if not self.masked[mid].all():
-            raise ValueError("mid-epoch deformable components must be masked")
-
-    @property
-    def mid(self):
-        return len(self.epochs) // 2
-
-
-def window_tokens(deformable, missing, t, n) -> TokenSequence:
-    """Token window over epochs t-n..t+n of a recording.
+def token_windows(deformable, missing, n):
+    """Token windows over epochs t-n..t+n for every centre t = n..T-n-1 of a
+    recording.
 
     deformable : (T, N_PARTS, 3) model-frame deformable coordinates
     missing : (T, N_PARTS) bool, parts whose deformable coordinate is unknown
 
-    Missing parts and the whole mid epoch are masked and carry the rigid
-    coordinate.
+    Returns (deformable (W, 2n+1, N_PARTS, 3), masked (W, 2n+1, N_PARTS)),
+    W = max(T - 2n, 0). Missing parts and the whole mid epoch are masked and
+    carry the rigid coordinate.
     """
-    T = len(deformable)
-    if t - n < 0 or t + n >= T:
-        raise WindowOutOfRange(f"window [{t - n}, {t + n}] outside dataset [0, {T - 1}]")
-    epochs = np.arange(t - n, t + n + 1)
-    rigid = np.broadcast_to(mouse_model.RigidMouseModel().rigid_part_positions(),
-                            (2 * n + 1, N_PARTS, 3))
+    epochs = np.arange(n, len(deformable) - n)[:, None] + np.arange(-n, n + 1)
     masked = missing[epochs]
-    masked[n, :] = True
-    return TokenSequence(epochs, rigid,
-                         np.where(masked[:, :, None], rigid, deformable[epochs]),
-                         masked)
+    masked[:, n] = True
+    rigid = mouse_model.RigidMouseModel().coords
+    return np.where(masked[..., None], rigid, deformable[epochs]), masked
 
 
 def _ground_truth(dataset):
-    """(deformable, missing) of a simulated dataset for `window_tokens`:
+    """(deformable, missing) of a simulated dataset for `token_windows`:
     rigid coordinates plus ground-truth offsets, and parts visible in fewer
     than two cameras (so they could not be triangulated)."""
-    rigid = mouse_model.RigidMouseModel().rigid_part_positions()
+    rigid = mouse_model.RigidMouseModel().coords
     return rigid + dataset.deform_offsets, dataset.visible.sum(axis=1) < 2
-
-
-def build_tokens(dataset, t, n=DEFAULT_WINDOW) -> TokenSequence:
-    """Token window centered at epoch t of a simulated dataset, with
-    deformable coordinates from its ground-truth offsets."""
-    return window_tokens(*_ground_truth(dataset), t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +106,17 @@ class SequenceModel:
         off = offsets.reshape(-1, 3)
         self.off_std = np.maximum(off.std(axis=0), 1e-3)
 
-    def features(self, seq: TokenSequence):
-        """(T, input_size) normalized feature rows, one per window epoch."""
-        rig = (seq.rigid - self.pos_mean) / self.pos_std
-        off = (seq.deformable - seq.rigid) / self.off_std
-        off = np.where(seq.masked[:, :, None], 0.0, off)
-        flag = seq.masked[:, :, None].astype(float)
-        return np.concatenate([rig, off, flag], axis=2).reshape(len(seq.epochs), -1)
+    def features(self, deformable, masked):
+        """(W, 2n+1, input_size) normalized feature rows of token windows,
+        one per window epoch."""
+        rigid = mouse_model.RigidMouseModel().coords
+        rig = np.broadcast_to((rigid - self.pos_mean) / self.pos_std,
+                              deformable.shape)
+        off = (deformable - rigid) / self.off_std
+        off = np.where(masked[..., None], 0.0, off)
+        flag = masked[..., None].astype(float)
+        return np.concatenate([rig, off, flag], axis=-1).reshape(
+            *masked.shape[:2], -1)
 
     def forward(self, X):
         """Batched forward pass; X is (B, T, input_size).
@@ -208,20 +168,15 @@ class SequenceModel:
             dh = dz @ W["Wh"]
         return grads
 
-    def predict(self, seq: TokenSequence):
-        """Deformable model-frame coordinates (N_PARTS, 3) for the masked
-        mid-epoch parts: rigid coordinate plus predicted offset."""
-        return self.predict_many([seq])[0]
-
-    def predict_many(self, seqs):
-        """`predict` for equal-length windows in one forward pass;
-        returns (len(seqs), N_PARTS, 3)."""
+    def predict(self, deformable, masked):
+        """Deformable model-frame coordinates (W, N_PARTS, 3) of the masked
+        mid-epoch parts of token windows in one forward pass: rigid
+        coordinate plus predicted offset."""
         if not self.trained:
             raise UntrainedModel("model has no trained weights")
-        X = np.stack([self.features(seq) for seq in seqs])
-        y, _ = self.forward(X)
-        off = y.reshape(len(seqs), N_PARTS, 3) * self.off_std
-        return np.stack([seq.rigid[seq.mid] for seq in seqs]) + off
+        y, _ = self.forward(self.features(deformable, masked))
+        off = y.reshape(len(y), N_PARTS, 3) * self.off_std
+        return mouse_model.RigidMouseModel().coords + off
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +184,20 @@ class SequenceModel:
 # ---------------------------------------------------------------------------
 
 def training_windows(datasets, n=DEFAULT_WINDOW):
-    """All sliding-window token sequences plus mid-epoch offset targets."""
-    seqs, targets = [], []
-    for ds in datasets:
-        deformable, missing = _ground_truth(ds)
-        for t in range(n, ds.n_epochs - n):
-            seqs.append(window_tokens(deformable, missing, t, n))
-            targets.append(ds.deform_offsets[t])
-    return seqs, np.asarray(targets)
+    """Every token window of the datasets plus its mid-epoch offset target:
+    (deformable (N, 2n+1, N_PARTS, 3), masked (N, 2n+1, N_PARTS),
+    targets (N, N_PARTS, 3))."""
+    windows = [token_windows(*_ground_truth(ds), n) for ds in datasets]
+    return (np.concatenate([w[0] for w in windows]),
+            np.concatenate([w[1] for w in windows]),
+            np.concatenate([ds.deform_offsets[n:ds.n_epochs - n]
+                            for ds in datasets]))
 
 
 def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48,
-          n=DEFAULT_WINDOW, model: SequenceModel | None = None):
-    """Train a sequence model on simulated datasets.
+          model: SequenceModel | None = None):
+    """Train a sequence model on simulated datasets, on windows of
+    2 model.window + 1 epochs.
 
     Gradient descent (Adam) on the mean squared error of the masked
     mid-epoch deformable offsets, in normalized units. Deterministic for a
@@ -253,19 +209,22 @@ def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48,
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if model is None:
-        model = SequenceModel(hidden_size=hidden_size, window=n)
+        model = SequenceModel(hidden_size=hidden_size)
     rng = np.random.default_rng(seed)
     if not model.weights:
         model.init_weights(rng)
 
-    seqs, targets = training_windows(datasets, n=n)
-    if not seqs:
+    deformable, masked, targets = training_windows(datasets, n=model.window)
+    N = len(targets)
+    if not N:
         raise ValueError("no training windows; datasets too short for the window")
-    rigid_all = np.concatenate([s.rigid for s in seqs])
-    model.set_normalization(rigid_all, targets)
+    # position statistics over the rigid coordinate of every token
+    model.set_normalization(
+        np.broadcast_to(mouse_model.RigidMouseModel().coords, deformable.shape),
+        targets)
 
-    X = np.stack([model.features(s) for s in seqs])      # (N, T, D)
-    Y = targets.reshape(len(seqs), -1) / np.tile(model.off_std, N_PARTS)
+    X = model.features(deformable, masked)                # (N, 2n+1, D)
+    Y = targets.reshape(N, -1) / np.tile(model.off_std, N_PARTS)
 
     W = model.weights
     mom = {k: np.zeros_like(v) for k, v in W.items()}
@@ -273,7 +232,6 @@ def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     losses = []
-    N = len(seqs)
     for epoch in range(epochs):
         order = rng.permutation(N)
         epoch_loss = 0.0
@@ -300,13 +258,13 @@ def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48,
     return model, np.asarray(losses)
 
 
-def evaluate_mse(model: SequenceModel, datasets, n=DEFAULT_WINDOW):
+def evaluate_mse(model: SequenceModel, datasets):
     """Mean squared prediction error (mm^2 per coordinate) of the masked
     mid-epoch deformable coordinates, plus the rigid-baseline MSE that
     predicts zero offset."""
-    seqs, targets = training_windows(datasets, n=n)
-    truth = np.stack([seq.rigid[seq.mid] for seq in seqs]) + targets
-    err = ((model.predict_many(seqs) - truth) ** 2).mean(axis=(1, 2))
+    deformable, masked, targets = training_windows(datasets, n=model.window)
+    truth = mouse_model.RigidMouseModel().coords + targets
+    err = ((model.predict(deformable, masked) - truth) ** 2).mean(axis=(1, 2))
     base = (targets ** 2).mean(axis=(1, 2))
     return float(err.mean()), float(base.mean())
 

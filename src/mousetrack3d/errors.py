@@ -53,10 +53,6 @@ class BranchDiscontinuity(MouseTrackError):
 
 # -- deformation predictor --------------------------------------------------
 
-class WindowOutOfRange(MouseTrackError):
-    """Requested token window extends past the dataset bounds."""
-
-
 class DivergedLoss(MouseTrackError):
     """Training loss became non-finite."""
 

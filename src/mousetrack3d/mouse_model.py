@@ -9,7 +9,6 @@ swing) and a rigid head triangle nodding about the ear-connecting line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +53,7 @@ HEAD_INTERVALS_DEG = ((-15.0, -5.0), (-5.0, 5.0), (5.0, 15.0))
 
 @dataclass(frozen=True)
 class RigidMouseModel:
-    """Ordered list of (part_id, name, model-frame coordinate in mm)."""
+    """Model-frame coordinates (8, 3) in mm of the parts in PART_NAMES order."""
 
     coords: np.ndarray = field(default_factory=lambda: _DEFAULT_COORDS_MM.copy())
 
@@ -63,111 +62,70 @@ class RigidMouseModel:
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
-    def rigid_part_positions(self):
-        """(8, 3) model-frame coordinates in mm."""
-        return self.coords.copy()
-
-    def part(self, part_id):
-        return self.coords[part_id].copy()
-
     def bounding_box(self):
         """(min_xyz, max_xyz) of the rigid coordinates."""
         return self.coords.min(axis=0), self.coords.max(axis=0)
 
-    def parts(self):
-        return [(i, PART_NAMES[i], self.coords[i].copy()) for i in range(8)]
-
-
-@dataclass(frozen=True)
-class DeformationState:
-    """Model-frame deformation at one instant.
-
-    phase is the position in the gait cycle in [0, 1); offsets is the (8, 3)
-    array of per-part model-frame displacements added to the rigid model.
-    """
-
-    phase: float
-    head_angle: float
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        o = np.array(self.offsets, dtype=float).reshape(8, 3)
-        o.setflags(write=False)
-        object.__setattr__(self, "offsets", o)
-
-    def deformed_positions(self, model: RigidMouseModel | None = None):
-        model = model or RigidMouseModel()
-        return model.rigid_part_positions() + self.offsets
-
-
-def _paw_forward_offset(phase, stride):
-    """Triangle waveforms (stance pair, swing pair), zero at phase 0.
-
-    The stance-first pair regresses in the model frame during [0, 0.5) so its
-    world position stays put while the body advances; the swing-first pair
-    advances at the same model-frame rate (double body speed in the world).
-    Offsets of the two pairs are exact negatives, so the across-paw mean is
-    zero at every phase and all paws return to rest at the cycle boundary.
-    """
-    if phase < 0.5:
-        swing = stride * phase
-    else:
-        swing = stride * (1.0 - phase)
-    return -swing, swing
-
 
 def head_angle_at(phase):
-    """Piecewise-linear head angle (radians) over one cycle.
+    """Piecewise-linear head angle (radians) over one cycle, for a scalar
+    or an array of phases.
 
-    The angle ramps through the waypoint loop
-    0 -> lo1 -> ... -> hi_last -> 0 built from HEAD_INTERVALS_DEG, giving
-    the linear back-and-forth sweep through each interval. Zero at phase 0.
+    The angle ramps through the waypoint loop built from HEAD_INTERVALS_DEG,
+    0 -> the interval lows in reverse -> the highs -> 0 (0, 5, -5, -15, -5,
+    5, 15, 0 degrees), giving the linear back-and-forth sweep through each
+    interval. Zero at phase 0.
     """
     los = [iv[0] for iv in HEAD_INTERVALS_DEG]
     his = [iv[1] for iv in HEAD_INTERVALS_DEG]
-    waypoints = [0.0] + los[::-1] + his + [0.0]
+    waypoints = np.array([0.0] + los[::-1] + his + [0.0])
     seg = len(waypoints) - 1
-    u = (phase % 1.0) * seg
-    k = min(int(u), seg - 1)
+    u = (np.asarray(phase, dtype=float) % 1.0) * seg
+    k = np.minimum(u.astype(int), seg - 1)
     frac = u - k
     deg = waypoints[k] + frac * (waypoints[k + 1] - waypoints[k])
-    return math.radians(deg)
+    return np.radians(deg)
 
 
-def deform(model: RigidMouseModel, phase, body_speed, cycle_length=10,
-           head_angle=None):
-    """Deformation state at a gait phase.
+def deform(phase, body_speed, cycle_length=10):
+    """(T, 8, 3) model-frame deformation offsets at gait phases.
 
     Parameters
     ----------
-    phase : gait-cycle position in [0, 1)
-    body_speed : overall body advance in mm per frame
+    phase : (T,) gait-cycle positions in [0, 1)
+    body_speed : (T,) overall body advance in mm per frame
     cycle_length : frames per gait cycle (sets the paw stride amplitude)
-    head_angle : explicit head angle in radians; default derives it from
-        the phase via `head_angle_at`
-    """
-    if not 0.0 <= phase < 1.0:
-        raise ValueError(f"phase must be in [0, 1), got {phase}")
-    offsets = np.zeros((8, 3))
-    stride = body_speed * cycle_length
-    back, fwd = _paw_forward_offset(phase, stride)
-    for p in STANCE_FIRST_PAWS:
-        offsets[p, 1] = back
-    for p in SWING_FIRST_PAWS:
-        offsets[p, 1] = fwd
 
-    if head_angle is None:
-        head_angle = head_angle_at(phase)
-    if head_angle != 0.0:
-        coords = model.rigid_part_positions()
-        pivot = 0.5 * (coords[LEFT_EAR] + coords[RIGHT_EAR])
-        # nod about the model X axis through the ear midpoint
-        R = geometry.rodrigues_to_matrix(np.array([head_angle, 0.0, 0.0]))
-        for p in HEAD_PARTS:
-            rotated = R @ (coords[p] - pivot) + pivot
-            offsets[p] = rotated - coords[p]
-    return DeformationState(phase=float(phase), head_angle=float(head_angle),
-                            offsets=offsets)
+    The paws follow triangle waves, zero at phase 0: the stance-first pair
+    regresses in the model frame during [0, 0.5) so its world position stays
+    put while the body advances; the swing-first pair advances at the same
+    model-frame rate (double body speed in the world). The two pairs are
+    exact negatives, so the across-paw mean is zero at every phase and all
+    paws return to rest at the cycle boundary. The head triangle nods by
+    `head_angle_at(phase)` about the model X axis through the ear midpoint;
+    its offsets are exactly zero where the angle is zero.
+    """
+    phase = np.asarray(phase, dtype=float)
+    bad = (phase < 0.0) | (phase >= 1.0)
+    if bad.any():
+        raise ValueError(f"phase must be in [0, 1), got {phase[bad][0]}")
+    T = len(phase)
+    offsets = np.zeros((T, 8, 3))
+    stride = np.asarray(body_speed, dtype=float) * cycle_length
+    swing = stride * np.where(phase < 0.5, phase, 1.0 - phase)
+    offsets[:, list(STANCE_FIRST_PAWS), 1] = -swing[:, None]
+    offsets[:, list(SWING_FIRST_PAWS), 1] = swing[:, None]
+
+    # nod about the model X axis through the ear midpoint
+    angle = head_angle_at(phase)
+    coords = RigidMouseModel().coords
+    head = coords[list(HEAD_PARTS)]
+    pivot = 0.5 * (coords[LEFT_EAR] + coords[RIGHT_EAR])
+    R = geometry.rodrigues_to_matrix(np.column_stack([angle, np.zeros((T, 2))]))
+    rotated = (head - pivot) @ R.transpose(0, 2, 1) + pivot
+    nods = (angle != 0.0)[:, None, None]
+    offsets[:, list(HEAD_PARTS)] = np.where(nods, rotated - head, 0.0)
+    return offsets
 
 
 def world_part_positions(params, points=None):

@@ -131,7 +131,7 @@ def generate_track(config: SceneConfig):
         xy[t] = [_reflect(raw[0], -e, e), _reflect(raw[1], -e, e)]
 
     # paw rest height is the minimum model z; body origin sits above the plane
-    z_body = -mouse_model.RigidMouseModel().rigid_part_positions()[:, 2].min()
+    z_body = -mouse_model.RigidMouseModel().coords[:, 2].min()
 
     # heading: smoothed motion direction, yaw about z; model anterior is +Y
     alpha = config.heading_smoothing
@@ -165,7 +165,6 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
     T = len(params)
     cams = config.cameras
     K = len(cams)
-    model = mouse_model.RigidMouseModel()
 
     # sanity: every camera must image some of the plane
     for cam in cams:
@@ -181,10 +180,8 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
         d = np.diff(params[:, 3:5], axis=0)
         speed = np.sqrt(np.vecdot(d, d))
         cycle = config.gait_cycle_length
-        for t in range(T):
-            offsets[t] = mouse_model.deform(
-                model, (t % cycle) / cycle, float(speed[min(t, T - 2)]),
-                cycle_length=cycle).offsets
+        offsets = mouse_model.deform((np.arange(T) % cycle) / cycle,
+                                     np.append(speed, speed[-1]), cycle)
     rigid_world, deform_world = _world_parts(params, offsets)
 
     # derived per-epoch streams keep epoch rendering order-independent

@@ -39,7 +39,7 @@ def make_problem(ds, offsets=None, stochastic=None, grid=None):
     """Problem with the rigid model, or with given per-epoch offsets (the
     deformed mode's sigma), without a trained deformation model."""
     stochastic = stochastic or StochasticConfig()
-    pts = mouse_model.RigidMouseModel().rigid_part_positions()
+    pts = mouse_model.RigidMouseModel().coords
     if offsets is None:
         return Problem(ds, ds.cameras, pts, stochastic,
                        stochastic.sigma_px_deformation, grid=grid)
@@ -397,7 +397,7 @@ class IndefiniteBand(adjustment.Problem):
 
 def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
     ds = make_dataset(noise=0.5, n_epochs=12)
-    model_pts = mouse_model.RigidMouseModel().rigid_part_positions()
+    model_pts = mouse_model.RigidMouseModel().coords
     stochastic = StochasticConfig()
     problem = IndefiniteFirstStep(ds, ds.cameras, model_pts, stochastic,
                                   stochastic.sigma_px_deformation)
@@ -426,7 +426,7 @@ def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
 
 def test_solve_reports_no_descent():
     ds = make_dataset(noise=0.5, n_epochs=12)
-    model_pts = mouse_model.RigidMouseModel().rigid_part_positions()
+    model_pts = mouse_model.RigidMouseModel().coords
     stochastic = StochasticConfig()
     problem = IndefiniteBand(ds, ds.cameras, model_pts, stochastic,
                              stochastic.sigma_px_deformation)

@@ -3,18 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from mousetrack3d import deform_predictor, simulator
+from mousetrack3d import simulator
 from mousetrack3d.deform_predictor import (
     SequenceModel,
-    TokenSequence,
-    build_tokens,
     evaluate_mse,
     load_model,
     save_model,
+    token_windows,
     train,
     training_windows,
 )
-from mousetrack3d.errors import SchemaError, UntrainedModel, WindowOutOfRange
+from mousetrack3d.errors import SchemaError, UntrainedModel
+from mousetrack3d.mouse_model import RigidMouseModel
+
+RIGID = RigidMouseModel().coords
 
 
 def gait_dataset(seed=0, n_epochs=240, dropout=0.0):
@@ -48,46 +50,58 @@ def trained_rigid_model():
 
 # -- tokenization -------------------------------------------------------------
 
+def windows_at(ds, t):
+    """(deformable, masked) of the single token window centred at epoch t of
+    a dataset (default window n = 2)."""
+    deformable, masked, _ = training_windows([ds])
+    return deformable[t - 2:t - 1], masked[t - 2:t - 1]
+
+
 def test_token_window_shape_and_masking():
     ds = gait_dataset(n_epochs=5)
-    seq = build_tokens(ds, 2, n=2)
-    assert seq.masked.shape == (5, 8)
-    assert seq.masked.sum() == 8
-    assert seq.masked[seq.mid].all()
-    assert not seq.masked[[0, 1, 3, 4]].any()
+    deformable, masked, targets = training_windows([ds])
+    assert deformable.shape == (1, 5, 8, 3)
+    assert masked.shape == (1, 5, 8)
+    assert targets.shape == (1, 8, 3)
+    assert masked.sum() == 8
+    assert masked[0, 2].all()
+    assert not masked[0, [0, 1, 3, 4]].any()
 
 
-def test_window_out_of_range():
-    ds = gait_dataset(n_epochs=10)
-    with pytest.raises(WindowOutOfRange):
-        build_tokens(ds, 1, n=2)
-    with pytest.raises(WindowOutOfRange):
-        build_tokens(ds, 8, n=2)
+def test_token_windows_equal_per_centre_slices():
+    rng = np.random.default_rng(1)
+    T = 30
+    deformable = rng.normal(size=(T, 8, 3))
+    missing = rng.random((T, 8)) < 0.3
+    for n in (1, 2, 3):
+        windows, masked = token_windows(deformable, missing, n)
+        assert windows.shape == (T - 2 * n, 2 * n + 1, 8, 3)
+        assert masked[:, n].all()
+        for w, t in enumerate(range(n, T - n)):
+            m = missing[t - n:t + n + 1].copy()
+            m[n] = True
+            assert np.array_equal(masked[w], m)
+            assert np.array_equal(
+                windows[w], np.where(m[:, :, None], RIGID,
+                                     deformable[t - n:t + n + 1]))
+    # a recording shorter than one window has none
+    windows, masked = token_windows(deformable[:4], missing[:4], 2)
+    assert windows.shape == (0, 5, 8, 3) and masked.shape == (0, 5, 8)
 
 
 def test_zero_deformation_tokens_equal_rigid():
     ds = rigid_dataset(n_epochs=20)
-    seq = build_tokens(ds, 5)
-    assert np.allclose(seq.deformable, seq.rigid)
+    deformable, _, _ = training_windows([ds])
+    assert np.allclose(deformable, RIGID)
 
 
 def test_dropout_missing_flags_match_visibility():
     ds = gait_dataset(n_epochs=60, dropout=0.2)
+    _, masked, _ = training_windows([ds])
     for t in (5, 20, 40):
-        seq = build_tokens(ds, t, n=2)
-        cam_counts = ds.visible[seq.epochs].sum(axis=1)
-        expected = cam_counts < 2
-        expected[seq.mid] = True
-        assert np.array_equal(seq.masked, expected)
-
-
-def test_mid_epoch_must_be_masked():
-    ds = gait_dataset(n_epochs=20)
-    seq = build_tokens(ds, 5)
-    bad = seq.masked.copy()
-    bad[seq.mid] = False
-    with pytest.raises(ValueError):
-        TokenSequence(seq.epochs, seq.rigid, seq.deformable, bad)
+        expected = ds.visible[t - 2:t + 3].sum(axis=1) < 2
+        expected[2] = True
+        assert np.array_equal(masked[t - 2], expected)
 
 
 # -- training -----------------------------------------------------------------
@@ -128,44 +142,50 @@ def test_untrained_model_raises():
     ds = gait_dataset(n_epochs=20)
     model = SequenceModel()
     model.init_weights(np.random.default_rng(0))
-    seqs, targets = training_windows([ds])
-    model.set_normalization(np.concatenate([s.rigid for s in seqs]), targets)
+    deformable, masked, targets = training_windows([ds])
+    model.set_normalization(np.broadcast_to(RIGID, deformable.shape), targets)
     with pytest.raises(UntrainedModel):
-        model.predict(build_tokens(ds, 5))
+        model.predict(deformable, masked)
+
+
+def test_window_size_comes_from_model(monkeypatch):
+    # a window = 3 model trains and is scored on 7-epoch windows
+    lengths = []
+    forward = SequenceModel.forward
+
+    def recording_forward(self, X):
+        lengths.append(X.shape[1])
+        return forward(self, X)
+
+    monkeypatch.setattr(SequenceModel, "forward", recording_forward)
+    ds = gait_dataset(n_epochs=40)
+    model, _ = train([ds], epochs=1, model=SequenceModel(window=3))
+    assert set(lengths) == {7}
+    lengths.clear()
+    evaluate_mse(model, [ds])
+    assert lengths == [7]
 
 
 # -- prediction ---------------------------------------------------------------
 
 def test_rigid_input_passthrough(trained_rigid_model):
     ds, model = trained_rigid_model
-    seq = build_tokens(ds, 10)
-    pred = model.predict(seq)
-    assert np.abs(pred - seq.rigid[seq.mid]).max() < 0.1
+    pred = model.predict(*windows_at(ds, 10))
+    assert pred.shape == (1, 8, 3)
+    assert np.abs(pred - RIGID).max() < 0.1
 
 
 def test_prediction_deterministic(trained_gait_model):
     ds, model, _ = trained_gait_model
-    seq = build_tokens(ds, 10)
-    assert np.array_equal(model.predict(seq), model.predict(seq))
-
-
-def test_predict_many_matches_predict(trained_gait_model):
-    ds, model, _ = trained_gait_model
-    seqs = [build_tokens(ds, t) for t in range(2, 40)]
-    batched = model.predict_many(seqs)
-    single = np.stack([model.predict(seq) for seq in seqs])
-    assert batched.shape == (len(seqs), 8, 3)
-    assert np.abs(batched - single).max() < 1e-12
+    window = windows_at(ds, 10)
+    assert np.array_equal(model.predict(*window), model.predict(*window))
 
 
 def test_sequence_order_matters(trained_gait_model):
     ds, model, _ = trained_gait_model
-    seq = build_tokens(ds, 10)
-    reversed_seq = TokenSequence(seq.epochs, seq.rigid[::-1].copy(),
-                                 seq.deformable[::-1].copy(),
-                                 seq.masked[::-1].copy())
-    a = model.predict(seq)
-    b = model.predict(reversed_seq)
+    deformable, masked = windows_at(ds, 10)
+    a = model.predict(deformable, masked)
+    b = model.predict(deformable[:, ::-1], masked[:, ::-1])
     assert np.abs(a - b).max() > 1e-3
 
 
@@ -176,8 +196,9 @@ def test_model_save_load_roundtrip(tmp_path, trained_gait_model):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    seq = build_tokens(ds, 10)
-    assert np.allclose(loaded.predict(seq), model.predict(seq), atol=1e-12)
+    window = windows_at(ds, 10)
+    assert np.allclose(loaded.predict(*window), model.predict(*window),
+                       atol=1e-12)
 
 
 def _drop(key):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from mousetrack3d.mouse_model import (
     RIGHT_FRONT_PAW,
     RIGHT_HIND_PAW,
     TAIL_ROOT,
-    DeformationState,
     RigidMouseModel,
     deform,
     head_angle_at,
@@ -25,13 +25,13 @@ from mousetrack3d.mouse_model import (
 
 def test_nose_tip_coordinate():
     m = RigidMouseModel()
-    assert np.allclose(m.part(NOSE_TIP), [0.0, 36.0, 2.5])
+    assert np.allclose(m.coords[NOSE_TIP], [0.0, 36.0, 2.5])
 
 
 def test_ear_coordinates():
     m = RigidMouseModel()
-    assert np.allclose(m.part(LEFT_EAR), [7.75, 16.0, 19.0])
-    assert np.allclose(m.part(RIGHT_EAR), [-7.75, 16.0, 19.0])
+    assert np.allclose(m.coords[LEFT_EAR], [7.75, 16.0, 19.0])
+    assert np.allclose(m.coords[RIGHT_EAR], [-7.75, 16.0, 19.0])
 
 
 def test_no_three_parts_collinear():
@@ -47,11 +47,11 @@ def test_no_three_parts_collinear():
 
 
 def test_tail_root_coordinate():
-    assert np.allclose(RigidMouseModel().part(TAIL_ROOT), [0.0, -30.0, -6.0])
+    assert np.allclose(RigidMouseModel().coords[TAIL_ROOT], [0.0, -30.0, -6.0])
 
 
 def test_bilateral_symmetry():
-    m = RigidMouseModel().rigid_part_positions()
+    m = RigidMouseModel().coords
     for l, r in [(LEFT_EAR, RIGHT_EAR), (LEFT_FRONT_PAW, RIGHT_FRONT_PAW),
                  (LEFT_HIND_PAW, RIGHT_HIND_PAW)]:
         assert np.allclose(m[l] * [-1, 1, 1], m[r])
@@ -65,27 +65,70 @@ def test_coords_immutable():
 
 # -- deformation --------------------------------------------------------------
 
+PAWS = [LEFT_FRONT_PAW, RIGHT_FRONT_PAW, LEFT_HIND_PAW, RIGHT_HIND_PAW]
+
+
+def deform_one(phase, speed, cycle):
+    """Offsets (8, 3) at one phase, written out part by part: triangle wave
+    for the paws, waypoint nod for the head."""
+    offsets = np.zeros((8, 3))
+    stride = speed * cycle
+    swing = stride * phase if phase < 0.5 else stride * (1.0 - phase)
+    for p in mouse_model.STANCE_FIRST_PAWS:
+        offsets[p, 1] = -swing
+    for p in mouse_model.SWING_FIRST_PAWS:
+        offsets[p, 1] = swing
+    waypoints = [0.0, 5.0, -5.0, -15.0, -5.0, 5.0, 15.0, 0.0]
+    u = phase * 7
+    k = min(int(u), 6)
+    angle = math.radians(waypoints[k] + (u - k) * (waypoints[k + 1] - waypoints[k]))
+    if angle != 0.0:
+        coords = RigidMouseModel().coords
+        pivot = 0.5 * (coords[LEFT_EAR] + coords[RIGHT_EAR])
+        R = geometry.rodrigues_to_matrix(np.array([angle, 0.0, 0.0]))
+        for p in mouse_model.HEAD_PARTS:
+            offsets[p] = R @ (coords[p] - pivot) + pivot - coords[p]
+    return offsets, angle
+
+
+def test_batched_deform_equals_per_phase():
+    rng = np.random.default_rng(5)
+    boundaries = np.arange(7) / 7          # head-nod waypoints
+    phases = np.concatenate([[0.0, 0.5, 0.4999999], boundaries,
+                             np.nextafter(boundaries[1:], 0.0), rng.random(200)])
+    speeds = rng.uniform(0.0, 5.0, size=len(phases))
+    for cycle in (1, 10):
+        expected = [deform_one(p, s, cycle) for p, s in zip(phases, speeds)]
+        assert np.array_equal(deform(phases, speeds, cycle),
+                              np.stack([o for o, _ in expected]))
+        assert np.array_equal(head_angle_at(phases), [a for _, a in expected])
+    # the head stays exactly at rest where the nod angle is zero
+    assert np.array_equal(deform(np.zeros(1), np.ones(1))[0], np.zeros((8, 3)))
+
+
 def test_phase_zero_no_deformation():
-    state = deform(RigidMouseModel(), 0.0, body_speed=2.0, head_angle=0.0)
-    assert np.allclose(state.offsets, 0.0)
-    assert np.allclose(state.deformed_positions(),
-                       RigidMouseModel().rigid_part_positions())
+    offsets = deform(np.zeros(1), np.array([2.0]))[0]
+    assert np.allclose(offsets, 0.0)
+    assert np.allclose(RigidMouseModel().coords + offsets,
+                       RigidMouseModel().coords)
+
+
+def _world_paws(frames, speed, cycle):
+    """World paw positions (len(frames), 4, 3) of a body advancing along +Y
+    at speed mm per frame."""
+    frames = np.asarray(frames)
+    poses = np.zeros((len(frames), 6))
+    poses[:, 4] = speed * frames
+    offsets = deform(frames / cycle, np.full(len(frames), speed), cycle)
+    return world_part_positions(poses, RigidMouseModel().coords + offsets)[:, PAWS]
 
 
 def test_swing_vs_stance_world_displacement():
     # a quarter cycle into the first half: swing paws' world displacement is
     # twice the body's, stance paws' world displacement is zero
-    model = RigidMouseModel()
     speed = 2.0  # mm per frame
-    cycle = 10
-    worlds = []
-    for frame in (1, 2):  # both inside the first half cycle
-        phase = frame / cycle
-        pose = np.array([0.0, 0.0, 0.0, 0.0, speed * frame, 0.0])
-        state = deform(model, phase, speed, cycle_length=cycle, head_angle=0.0)
-        worlds.append(world_part_positions(pose,
-                                           state.deformed_positions(model)))
-    delta = worlds[1] - worlds[0]
+    worlds = _world_paws([1, 2], speed, 10)  # both inside the first half cycle
+    delta = dict(zip(PAWS, worlds[1] - worlds[0]))
     body_delta = np.array([0.0, speed, 0.0])
     for p in mouse_model.SWING_FIRST_PAWS:
         assert np.allclose(delta[p], 2.0 * body_delta, atol=1e-12)
@@ -94,16 +137,9 @@ def test_swing_vs_stance_world_displacement():
 
 
 def test_paw_roles_swap_at_half_cycle():
-    model = RigidMouseModel()
-    speed, cycle = 2.0, 10
-    worlds = []
-    for frame in (6, 7):  # inside the second half cycle
-        pose = np.array([0.0, 0.0, 0.0, 0.0, speed * frame, 0.0])
-        state = deform(model, frame / cycle, speed, cycle_length=cycle,
-                       head_angle=0.0)
-        worlds.append(world_part_positions(pose,
-                                           state.deformed_positions(model)))
-    delta = worlds[1] - worlds[0]
+    speed = 2.0
+    worlds = _world_paws([6, 7], speed, 10)  # inside the second half cycle
+    delta = dict(zip(PAWS, worlds[1] - worlds[0]))
     for p in mouse_model.SWING_FIRST_PAWS:
         assert np.allclose(delta[p], 0.0, atol=1e-12)
     for p in mouse_model.STANCE_FIRST_PAWS:
@@ -111,32 +147,32 @@ def test_paw_roles_swap_at_half_cycle():
 
 
 def test_paw_offsets_cancel_and_close_cycle():
-    model = RigidMouseModel()
-    for phase in np.linspace(0, 0.999, 40):
-        state = deform(model, phase, 2.0, head_angle=0.0)
-        # diagonal pairs are exact negatives
-        assert state.offsets[:, [0, 2]].max() == 0.0
-        y = state.offsets[:, 1]
-        assert y[LEFT_FRONT_PAW] == pytest.approx(-y[RIGHT_FRONT_PAW])
-        assert y[LEFT_FRONT_PAW] == pytest.approx(y[RIGHT_HIND_PAW])
-    closing = deform(model, 0.0, 2.0, head_angle=0.0)
-    assert np.allclose(closing.offsets, 0.0)
+    phases = np.linspace(0, 0.999, 40)
+    paws = deform(phases, np.full(40, 2.0))[:, PAWS]
+    # paws move along the model Y axis only
+    assert paws[:, :, [0, 2]].max() == 0.0
+    # diagonal pairs are exact negatives
+    y = dict(zip(PAWS, paws[:, :, 1].T))
+    assert np.allclose(y[LEFT_FRONT_PAW], -y[RIGHT_FRONT_PAW])
+    assert np.allclose(y[LEFT_FRONT_PAW], y[RIGHT_HIND_PAW])
+    closing = deform(np.zeros(1), np.array([2.0]))
+    assert np.allclose(closing, 0.0)
 
 
 def test_stride_amplitude():
     # peak model-frame offset at phase 0.5 is body_speed * cycle / 2 each way
-    state = deform(RigidMouseModel(), 0.4999999, 3.0, cycle_length=10,
-                   head_angle=0.0)
-    assert state.offsets[LEFT_FRONT_PAW, 1] == pytest.approx(15.0, abs=1e-4)
+    offsets = deform(np.array([0.4999999]), np.array([3.0]), cycle_length=10)[0]
+    assert offsets[LEFT_FRONT_PAW, 1] == pytest.approx(15.0, abs=1e-4)
 
 
 def test_head_triangle_rigid():
-    model = RigidMouseModel()
-    rigid = model.rigid_part_positions()
+    rigid = RigidMouseModel().coords
     mid = 0.5 * (rigid[LEFT_EAR] + rigid[RIGHT_EAR])
     base = np.linalg.norm(rigid[NOSE_TIP] - mid)
-    for angle in np.radians([-15.0, -5.0, 3.0, 15.0]):
-        pts = deform(model, 0.0, 0.0, head_angle=angle).deformed_positions(model)
+    # nod angles -5, -15, 3 and 15 degrees
+    phases = np.array([2.0, 3.0, 0.6, 6.0]) / 7
+    assert np.degrees(head_angle_at(phases)) == pytest.approx([-5, -15, 3, 15])
+    for pts in rigid + deform(phases, np.zeros(4)):
         assert np.linalg.norm(pts[NOSE_TIP]
                               - 0.5 * (pts[LEFT_EAR] + pts[RIGHT_EAR])) \
             == pytest.approx(base, abs=1e-9)
@@ -149,7 +185,7 @@ def test_head_angle_waypoints():
     # the nod sweeps 0 -> -15 -> ... -> 15 -> 0 piecewise linearly
     assert head_angle_at(0.0) == pytest.approx(0.0)
     assert head_angle_at(0.99999999) == pytest.approx(0.0, abs=1e-5)
-    angles = [head_angle_at(p) for p in np.linspace(0, 1, 2001)]
+    angles = head_angle_at(np.linspace(0, 1, 2001))
     assert np.degrees(min(angles)) == pytest.approx(-15.0, abs=0.1)
     assert np.degrees(max(angles)) == pytest.approx(15.0, abs=0.1)
     # visits each interval boundary
@@ -160,25 +196,25 @@ def test_head_angle_waypoints():
 
 def test_deform_rejects_bad_phase():
     with pytest.raises(ValueError):
-        deform(RigidMouseModel(), 1.0, 1.0)
+        deform(np.array([0.5, 1.0]), np.ones(2))
 
 
 # -- world positions ----------------------------------------------------------
 
 def test_world_positions_identity_pose():
     pts = world_part_positions(np.zeros(6))
-    assert np.allclose(pts, RigidMouseModel().rigid_part_positions())
+    assert np.allclose(pts, RigidMouseModel().coords)
 
 
 def test_world_positions_pure_translation():
     pts = world_part_positions(np.array([0.0, 0.0, 0.0, 10.0, 0.0, 0.0]))
-    assert np.allclose(pts, RigidMouseModel().rigid_part_positions()
+    assert np.allclose(pts, RigidMouseModel().coords
                        + [10.0, 0.0, 0.0])
 
 
 def test_world_positions_isometry():
     rng = np.random.default_rng(2)
-    rigid = RigidMouseModel().rigid_part_positions()
+    rigid = RigidMouseModel().coords
     ref = np.linalg.norm(rigid[:, None] - rigid[None, :], axis=2)
     for _ in range(50):
         r = rng.normal(size=3)
@@ -194,11 +230,10 @@ def test_deformation_offsets_applied_in_model_frame():
     r = np.array([0.3, -0.2, 0.9])
     t = np.array([5.0, 6.0, 7.0])
     offsets = rng.normal(size=(8, 3))
-    state = DeformationState(phase=0.0, head_angle=0.0, offsets=offsets)
     pts = world_part_positions(np.concatenate([r, t]),
-                               state.deformed_positions())
+                               RigidMouseModel().coords + offsets)
     R = geometry.rodrigues_to_matrix(r)
-    expected = (RigidMouseModel().rigid_part_positions() + offsets) @ R.T + t
+    expected = (RigidMouseModel().coords + offsets) @ R.T + t
     assert np.allclose(pts, expected, atol=1e-12)
 
 
