@@ -4,9 +4,10 @@ trajectory from all cameras and epochs.
 The cost combines per-observation reprojection residuals (rigid body parts,
 or deformation-predicted parts) with per-epoch motion-track smoothness
 residuals. The smoothness residuals are the exact four-weighted-point
-equivalent of the comparison grid's displacements (see `Problem`); they
-interpolate window nodes re-expressed on the rotation branch nearest each
-epoch's canonical rotation vector, so they do not depend on 2 pi branches.
+equivalent of the comparison grid's displacements that `track_constraint`
+defines (see `Problem`); they interpolate window nodes re-expressed on the
+rotation branch nearest each epoch's canonical rotation vector, so they do
+not depend on 2 pi branches.
 Unknowns are six pose parameters per epoch, with every rotation vector kept
 canonical (angle at most pi) by the solver; the smoothness window couples five
 consecutive epochs, so the normal matrix is banded with half-bandwidth 29
@@ -211,17 +212,13 @@ class Problem:
     between the epoch's pose and the cubic recombination of its window
     neighbors.
 
-    The displacement of grid point g is affine in h = (g, 1), so every sum of
-    squares over the grid depends on the grid only through sum h h^T. The
-    rows (p_j, s_j) of the 4x4 R factor of the grid's h-matrix reproduce that
-    sum exactly, and each epoch's smoothness block is the 12 residuals
-    smoothness_weight * (R_H R_S^T (p_j - s_j t_S) + s_j t_H - p_j) of those
-    four weighted points. This holds for flat grids too, where R is singular.
-
-    The cubic takes each window node's rotation vector on the 2 pi branch
-    nearest the epoch's own canonical vector (angle at most pi), so the cost
-    depends only on the rotations, not on how x writes them (see
-    `_interpolated`).
+    The windows, their weights and the rotation-branch rule of the cubic
+    are `track_constraint`'s (`windows`, `interpolate`), so the cost depends
+    only on the rotations, not on how x writes them. Each epoch's smoothness
+    block is the 12 residuals
+    smoothness_weight * (R_H R_S^T (p_j - s_j t_S) + s_j t_H - p_j) of the
+    four weighted points (p_j, s_j) of the default grid's
+    `track_constraint.grid_factor`, which have the grid's sum of squares.
 
     The smoothness residual of epoch t depends on the poses of the five
     epochs in `smooth_nodes[t]` (t itself, then its four window nodes), at
@@ -229,12 +226,10 @@ class Problem:
     `bandwidth` = min(29, 6T - 1).
     """
 
-    def __init__(self, dataset, cameras, model_points, stochastic, sigma_px,
-                 grid=None):
+    def __init__(self, dataset, cameras, model_points, stochastic, sigma_px):
         self.n_epochs = dataset.n_epochs
         self.stochastic = stochastic
         self.sigma_px = float(sigma_px)
-        self.grid = grid if grid is not None else track_constraint.default_grid()
 
         cams = _dataset_cameras(dataset, cameras)
         # q = K (R_c X + t_c) = (K R_c) X + K t_c
@@ -254,14 +249,13 @@ class Problem:
 
         # smoothness windows: (T, 4) nodes and cubic weights
         T = self.n_epochs
-        windows = [track_constraint.interpolation_window(t, T) for t in range(T)]
-        self.win_weights = np.array([w for _, w in windows])
-        self.smooth_nodes = np.column_stack(
-            [np.arange(T), np.array([nodes for nodes, _ in windows], dtype=int)])
+        nodes, self.win_weights = track_constraint.windows(T)
+        self.smooth_nodes = np.column_stack([np.arange(T), nodes])
         # the four weighted points (p_j, s_j) equivalent to the grid
-        h = np.column_stack([self.grid.points, np.ones(self.grid.n_points)])
-        rq = np.linalg.qr(h, mode="r")
+        grid = track_constraint.default_grid()
+        rq = track_constraint.grid_factor(grid)
         self.smooth_p, self.smooth_s = rq[:, :3], rq[:, 3]
+        self.n_grid_points = grid.n_points
         self.n_obs = len(self.obs_t)
         self.n_residuals = 2 * self.n_obs + 12 * T
         self.n_params = 6 * T
@@ -318,29 +312,12 @@ class Problem:
         return (proj - self.obs_px) / self.sigma_px, q, z
 
     def _interpolated(self, x):
-        """Cubic recombination S (T, 6) of each epoch's window nodes, and the
-        branch factors s (T, 4) of the nodes.
-
-        The cubic combines the nodes' rotation vectors v re-expressed as
-        v' = s v, the vector of v's rotation on the 2 pi branch nearest the
-        epoch's own canonical vector (`geometry.branch_scale`). So S, and the
-        cost, depend only on the rotations, not on how x writes them. s is
-        exactly 1 wherever a node keeps its branch.
-        """
-        nodes = x[self.smooth_nodes[:, 1:]]                           # (T, 4, 6)
-        own = geometry.canonical_rodrigues(x[:, :3])
-        s = geometry.branch_scale(nodes[..., :3], own[:, None])
-        nodes[..., :3] *= s[..., None]
-        return np.einsum("ta,tap->tp", self.win_weights, nodes), s
-
-    def _branch_maps(self, x, s, epochs):
-        """dv'/dv = s I + (1 - s) v v^T / |v|^2 (n, 4, 3, 3) for the window
-        nodes of the given epochs, v' = s v with s held fixed (see
-        `_interpolated`)."""
-        v = x[self.smooth_nodes[epochs, 1:], :3]
-        s = s[epochs][..., None, None]
-        theta2 = np.maximum(np.sum(v * v, axis=-1), 1e-300)[..., None, None]
-        return s * np.eye(3) + (1.0 - s) * (v[..., :, None] * v[..., None, :]) / theta2
+        """Cubic recombination S (T, 6) of each epoch's window nodes, on the
+        branch nearest the epoch's canonical vector, and the nodes' branch
+        factors s (T, 4) (`track_constraint.interpolate`)."""
+        return track_constraint.interpolate(
+            x, self.smooth_nodes[:, 1:], self.win_weights,
+            geometry.canonical_rodrigues(x[:, :3]))
 
     def _smooth_forward(self, x, S, RH, RS):
         """c_j = p_j - s_j t_S and y_j = R_S^T c_j (T, 4, 3), and the
@@ -367,9 +344,10 @@ class Problem:
         d r_s[t] / d S[t] (B_t), where S[t] is the interpolated pose. So
         d r_s[t] / d x[smooth_nodes[t, a]] for a window node a > 0 is
         win_weights[t, a - 1] B_t with its rotation columns times the node's
-        branch map D_ta (`_branch_maps` of the branch factors s, the identity
-        where s = 1). Rotation derivatives come from one `rotation_derivatives`
-        call for the T poses and one for the T interpolated poses.
+        branch map D_ta (`track_constraint.branch_maps` of the branch factors
+        s, the identity where s = 1). Rotation derivatives come from one
+        `rotation_derivatives` call for the T poses and one for the T
+        interpolated poses.
         """
         T = self.n_epochs
         RH, dRH = geometry.rotation_derivatives(x[:, :3])
@@ -412,8 +390,8 @@ class Problem:
             [C[:, :, None, :6],
              C[:, :, None, 6:] * self.win_weights[:, None, :, None]],
             axis=2)                                                # (T, 12, 5, 6)
-        J_s[:, :, 1:, :3] = np.einsum("tiap,tapq->tiaq", J_s[:, :, 1:, :3],
-                                      self._branch_maps(x, branch, np.arange(T)))
+        D = track_constraint.branch_maps(x[self.smooth_nodes[:, 1:], :3], branch)
+        J_s[:, :, 1:, :3] = np.einsum("tiap,tapq->tiaq", J_s[:, :, 1:, :3], D)
         n = self.n_obs
         rows = [np.broadcast_to((2 * np.arange(n))[:, None, None]
                                 + np.arange(2)[:, None], (n, 2, 6)),
@@ -458,8 +436,10 @@ class Problem:
         # pairs' rotation rows and columns, D_a^T on their gradient
         bent = np.flatnonzero((branch != 1.0).any(axis=1))
         if bent.size:
-            D = np.concatenate([np.broadcast_to(np.eye(3), (len(bent), 1, 3, 3)),
-                                self._branch_maps(x, branch, bent)], axis=1)
+            D = np.concatenate(
+                [np.broadcast_to(np.eye(3), (len(bent), 1, 3, 3)),
+                 track_constraint.branch_maps(x[self.smooth_nodes[bent, 1:], :3],
+                                              branch[bent])], axis=1)
             own = np.arange(len(bent))[:, None]
             P = pairs[bent]
             P[..., :3, :] = (D[own, self._pair_a[bent]].transpose(0, 1, 3, 2)
@@ -496,7 +476,7 @@ class Problem:
         w_s = self.stochastic.smoothness_weight
         sm = r[n:] / w_s if w_s > 0 else np.zeros(1)
         rp_rms = float(np.sqrt((rp ** 2).mean())) if rp.size else 0.0
-        n_disp = 3 * self.grid.n_points * self.n_epochs
+        n_disp = 3 * self.n_grid_points * self.n_epochs
         sq = (rp.reshape(-1, 2) ** 2).sum(axis=1)
         count = np.bincount(self.obs_t, minlength=self.n_epochs)
         total = np.bincount(self.obs_t, weights=sq, minlength=self.n_epochs)

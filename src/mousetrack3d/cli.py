@@ -137,13 +137,13 @@ def cmd_plot(args):
     return EXIT_OK
 
 
-# pipeline config sections, as specs for `errors.fields`; train.seed
-# defaults to the scene seed. The train-deform and solve flags of the same
-# names follow the same rules.
+# pipeline config sections, as specs for `errors.fields`; the pipeline's
+# train.seed defaults to the scene seed. The train-deform and solve flags of
+# the same names follow the same rules and defaults.
 _PIPELINE_FIELDS = {key: ({}, dict, None, "an object")
                     for key in ("scene", "train", "solve", "check")}
 _TRAIN_FIELDS = {
-    "seed": (None, int, lambda v: v >= 0, "an integer >= 0"),
+    "seed": (0, int, lambda v: v >= 0, "an integer >= 0"),
     "epochs": (150, int, lambda v: v >= 1, "an integer >= 1"),
     "lr": (1e-2, float, lambda v: v > 0, "a number > 0"),
     "hidden": (48, int, lambda v: v >= 1, "an integer >= 1"),
@@ -246,10 +246,10 @@ def build_parser():
     p.add_argument("--data", action="append", required=True,
                    help="dataset JSON (repeatable)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--hidden", type=int, default=48)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--hidden", type=int, default=None)
     p.set_defaults(func=cmd_train_deform)
 
     p = sub.add_parser("solve", help="run the bundle adjustment")

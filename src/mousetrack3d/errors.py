@@ -45,12 +45,6 @@ class SchemaError(MouseTrackError):
     """Malformed input file; message names the offending field."""
 
 
-# -- track constraint -------------------------------------------------------
-
-class BranchDiscontinuity(MouseTrackError):
-    """Consecutive Rodrigues vectors differ by more than pi/2 after unwrapping."""
-
-
 # -- deformation predictor --------------------------------------------------
 
 class DivergedLoss(MouseTrackError):

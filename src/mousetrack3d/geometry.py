@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     DegenerateConfiguration,
@@ -369,6 +368,7 @@ def _reprojection_residuals(params, K, X, x):
 
 
 def _refine_pose(K, X, x, r0, t0):
+    import scipy.optimize   # slow to import; only the refinements use it
     res = scipy.optimize.least_squares(
         _reprojection_residuals, np.concatenate([r0, t0]),
         args=(K, X, x), method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
@@ -505,6 +505,7 @@ def triangulate(observations):
             out.extend(q[:2] / z - px)
         return np.asarray(out)
 
+    import scipy.optimize   # slow to import; only the refinements use it
     res = scipy.optimize.least_squares(residuals, X0, method="lm",
                                        xtol=1e-14, ftol=1e-14, gtol=1e-14)
     per_cam = np.sqrt((res.fun.reshape(-1, 2) ** 2).sum(axis=1))

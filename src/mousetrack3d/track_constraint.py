@@ -1,14 +1,15 @@
-"""Motion-track smoothness residual.
+"""Motion-track smoothness residual, the one definition shared by the bundle
+adjustment and `track_residual`.
 
 Each epoch's six pose parameters are compared against the unique cubic
 polynomial through four neighboring epochs (t-2, t-1, t+1, t+2; one-sided
-windows at the track boundaries). The comparison is expressed as the
-displacement of a 3x3x3 grid of points covering the body under the transform
-H * S^-1, where H is the epoch's pose and S the recombined interpolated pose.
-The RMS of the grid displacements is the scalar smoothness metric. The
-displacements are affine in the homogeneous grid point, so the bundle
-adjustment uses an exact equivalent with four weighted points (the R factor
-of the grid's homogeneous coordinates) as its least-squares residuals; it
+windows at the track boundaries), which takes the nodes' rotation vectors on
+the 2 pi branch nearest the epoch's canonical vector. The comparison is
+expressed as the displacement of a 3x3x3 grid of points covering the body
+under the transform H * S^-1, where H is the epoch's pose and S the
+recombined interpolated pose. The RMS of the grid displacements is the
+scalar smoothness metric. The bundle adjustment uses an exact equivalent
+with four weighted points (`grid_factor`) as its least-squares residuals; it
 has the same sum of squares and the same normal equations.
 """
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, mouse_model
-from .errors import BranchDiscontinuity
 from .geometry import PoseVector, RigidTransform
 
 
@@ -71,74 +71,93 @@ def lagrange_weights(nodes, at):
                 w[j] *= (at - nodes[m]) / (nodes[j] - nodes[m])
     return w
 
-# interior window: neighbors at t-2, t-1, t+1, t+2, evaluated at t
-INTERIOR_OFFSETS = (-2, -1, 1, 2)
-INTERIOR_WEIGHTS = lagrange_weights(INTERIOR_OFFSETS, 0.0)
+
+# Epoch t's window lies in the five consecutive epochs from `_window_start`:
+# t sits in slot 2 of them in the track's interior, in slots 0, 1, 3 or 4
+# near its ends. Row i holds the other four slots and the weights of the
+# cubic through them evaluated at slot i.
+WINDOW_NODES = np.array([[j for j in range(5) if j != i] for i in range(5)])
+WINDOW_WEIGHTS = np.array([lagrange_weights(nodes, float(i))
+                           for i, nodes in enumerate(WINDOW_NODES)])
+
+
+def _window_start(t, n_epochs):
+    return np.maximum(np.minimum(t - 2, n_epochs - 5), 0)
+
+
+def windows(n_epochs):
+    """Neighbor epochs (T, 4) and cubic weights (T, 4) of every epoch.
+
+    Interior epochs use the symmetric window t-2, t-1, t+1, t+2; the first
+    and last two epochs use the four nearest other epochs (one-sided
+    window).
+    """
+    t = np.arange(n_epochs)
+    first = _window_start(t, n_epochs)
+    return first[:, None] + WINDOW_NODES[t - first], WINDOW_WEIGHTS[t - first]
 
 
 def interpolation_window(t, n_epochs):
-    """Neighbor epochs and cubic weights for epoch t.
+    """Neighbor epochs (a list of four) and cubic weights of epoch t, as
+    in `windows`. IndexError unless 0 <= t < n_epochs."""
+    if not 0 <= t < n_epochs:
+        raise IndexError(f"epoch {t} outside a track of {n_epochs} epochs")
+    first = _window_start(t, n_epochs)
+    return ((first + WINDOW_NODES[t - first]).tolist(),
+            WINDOW_WEIGHTS[t - first].copy())
 
-    Interior epochs use the symmetric window; the first/last two epochs fall
-    back to the four nearest available epochs (one-sided window).
+
+def interpolate(x, nodes, weights, ref):
+    """Cubic recombinations (n, 6) of the poses x[nodes] (x (T, 6), nodes
+    (n, 4)) with weights (n, 4), and the nodes' branch factors s (n, 4).
+
+    Each node's rotation vector v enters as v' = s v, its rotation's vector
+    on the 2 pi branch nearest ref (n, 3) (`geometry.branch_scale`); s is
+    exactly 1 wherever a node keeps its branch.
     """
-    if 2 <= t <= n_epochs - 3:
-        nodes = [t + o for o in INTERIOR_OFFSETS]
-        return nodes, INTERIOR_WEIGHTS.copy()
-    nodes = sorted(range(max(0, min(t - 2, n_epochs - 5)),
-                         max(0, min(t - 2, n_epochs - 5)) + 5))
-    nodes = [u for u in nodes if u != t][:4]
-    return nodes, lagrange_weights(nodes, float(t))
+    v = x[nodes]                                                  # (n, 4, 6)
+    s = geometry.branch_scale(v[..., :3], ref[:, None])
+    v[..., :3] *= s[..., None]
+    return np.einsum("ta,tap->tp", weights, v), s
 
 
-MAX_ROTATION_JUMP = np.pi / 2   # rad between consecutive unwrapped vectors
-
-
-def unwrap_rodrigues(rvecs):
-    """Re-express each rotation vector on the branch nearest its predecessor.
-
-    Equivalent representations differ by (|r| - 2 pi k) along the same axis.
-    Raises BranchDiscontinuity when consecutive vectors still differ by more
-    than MAX_ROTATION_JUMP.
-    """
-    rvecs = np.array(rvecs, dtype=float)
-    out = rvecs.copy()
-    for t in range(1, len(out)):
-        r = out[t]
-        theta = np.linalg.norm(r)
-        candidates = [r]
-        if theta > 1e-12:
-            axis = r / theta
-            candidates.append((theta - 2 * np.pi) * axis)
-            candidates.append((theta + 2 * np.pi) * axis)
-        dists = [np.linalg.norm(c - out[t - 1]) for c in candidates]
-        out[t] = candidates[int(np.argmin(dists))]
-        if min(dists) > MAX_ROTATION_JUMP:
-            raise BranchDiscontinuity(
-                f"rotation jump {min(dists):.3f} rad > {MAX_ROTATION_JUMP:.3f} rad "
-                f"between epochs {t - 1} and {t}")
-    return out
+def branch_maps(v, s):
+    """Derivatives dv'/dv = s I + (1 - s) v v^T / |v|^2 (..., 3, 3) of the
+    re-expressed node vectors v' = s v of `interpolate`, for node rotation
+    vectors v (..., 3) and their branch factors s (...,) held fixed."""
+    s = s[..., None, None]
+    theta2 = np.maximum(np.sum(v * v, axis=-1), 1e-300)[..., None, None]
+    return s * np.eye(3) + (1.0 - s) * (v[..., :, None] * v[..., None, :]) / theta2
 
 
 def spline_interpolate(neighbors) -> PoseVector:
     """Pose at t from the four neighbors at t-2, t-1, t+1, t+2.
 
     Each of the six parameters is interpolated independently by the unique
-    cubic through the four samples. Rotation vectors are unwrapped onto a
-    locally consistent branch first.
+    cubic through the four samples, with the rotation vectors on the 2 pi
+    branch nearest the first neighbor's.
     """
     if len(neighbors) != 4:
         raise ValueError(f"expected 4 neighbor poses, got {len(neighbors)}")
-    rv = unwrap_rodrigues([p.rodrigues for p in neighbors])
-    params = np.array([np.concatenate([r, p.translation])
-                       for r, p in zip(rv, neighbors)])
-    interp = INTERIOR_WEIGHTS @ params
-    return PoseVector(interp[:3], interp[3:])
+    params = np.array([np.concatenate([p.rodrigues, p.translation])
+                       for p in neighbors])
+    interp, _ = interpolate(params, np.arange(4)[None], WINDOW_WEIGHTS[2:3],
+                            params[:1, :3])
+    return PoseVector(interp[0, :3], interp[0, 3:])
 
 
 # ---------------------------------------------------------------------------
 # Grid comparison
 # ---------------------------------------------------------------------------
+
+def grid_factor(grid: ComparisonGrid):
+    """The 4x4 R factor of the grid's homogeneous points h = (g, 1). Grid
+    displacements are affine in h, so their sums of squares depend on the
+    grid only through sum h h^T = R^T R: the rows (p_j, s_j) of R act as four
+    weighted points with the grid's sums of squares, even for a flat grid."""
+    h = np.column_stack([grid.points, np.ones(grid.n_points)])
+    return np.linalg.qr(h, mode="r")
+
 
 def grid_displacements(H: RigidTransform, S: RigidTransform,
                        grid: ComparisonGrid):
@@ -158,21 +177,18 @@ def track_residual(track, t, grid: ComparisonGrid | None = None):
     (Rodrigues vector, then translation in mm).
 
     Returns the (n_grid, 3) grid displacements between the epoch's pose and
-    the cubic interpolation of its four window neighbors; the RMS of the
-    flattened vector equals `grid_rmse` of the two transforms.
+    the cubic interpolation of its four window neighbors, as in the bundle
+    adjustment; the RMS of the flattened vector equals `grid_rmse` of the
+    two transforms.
     """
     grid = grid or default_grid()
     params = np.asarray(track, dtype=float)
-    n = len(params)
-    if n < 5:
+    if len(params) < 5:
         raise ValueError("track must have at least 5 epochs")
-    nodes, weights = interpolation_window(t, n)
-    # the window and t span five consecutive epochs; only they are unwrapped
-    first = min(nodes[0], t)
-    window = params[first:first + 5].copy()
-    window[:, :3] = unwrap_rodrigues(window[:, :3])
-    interp = weights @ window[np.subtract(nodes, first)]
-    own = window[t - first]
-    S = RigidTransform(geometry.rodrigues_to_matrix(interp[:3]), interp[3:])
+    nodes, weights = interpolation_window(t, len(params))
+    own = params[t]
+    interp, _ = interpolate(params, np.array([nodes]), weights[None],
+                            geometry.canonical_rodrigues(own[None, :3]))
+    S = RigidTransform(geometry.rodrigues_to_matrix(interp[0, :3]), interp[0, 3:])
     H = RigidTransform(geometry.rodrigues_to_matrix(own[:3]), own[3:])
     return grid_displacements(H, S, grid)

@@ -35,16 +35,16 @@ def make_dataset(seed=0, n_epochs=30, noise=0.0, dropout=0.0,
     return simulator.simulate(config)
 
 
-def make_problem(ds, offsets=None, stochastic=None, grid=None):
+def make_problem(ds, offsets=None, stochastic=None):
     """Problem with the rigid model, or with given per-epoch offsets (the
     deformed mode's sigma), without a trained deformation model."""
     stochastic = stochastic or StochasticConfig()
     pts = mouse_model.RigidMouseModel().coords
     if offsets is None:
         return Problem(ds, ds.cameras, pts, stochastic,
-                       stochastic.sigma_px_deformation, grid=grid)
+                       stochastic.sigma_px_deformation)
     return Problem(ds, ds.cameras, pts + offsets, stochastic,
-                   stochastic.sigma_px_geometric, grid=grid)
+                   stochastic.sigma_px_geometric)
 
 
 def gt_track(ds):
@@ -276,17 +276,14 @@ def test_cost_is_branch_invariant():
             == pytest.approx(problem.cost(x.ravel()), rel=1e-12, abs=0.0))
 
 
-@pytest.mark.parametrize("grid", [
-    track_constraint.default_grid(),
-    track_constraint.default_grid(4, 3, 5),
-    track_constraint.default_grid(3, 3, 3, extent_mm=[27.0, 66.0, 0.0]),
-], ids=["default", "4x3x5", "flat"])
-def test_four_point_smoothness_equals_grid_sum(grid):
+def test_four_point_smoothness_equals_grid_sum():
+    # other grids' four weighted points: test_track_constraint's
+    # test_grid_factor_reproduces_grid_sums
+    grid = track_constraint.default_grid()
     ds = make_dataset(n_epochs=9, step_sigma=1.5)
     ds.visible[:] = False
     w = 0.7
-    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=w),
-                           grid=grid)
+    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=w))
     rng = np.random.default_rng(4)
     x = gt_track(ds).as_array() + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
                                              size=(9, 6))
@@ -303,6 +300,36 @@ def test_four_point_smoothness_equals_grid_sum(grid):
     _, sm_rms = problem.residual_rms(x.ravel())
     assert sm_rms == pytest.approx(np.sqrt(sq / (3 * grid.n_points * 9)),
                                    rel=1e-12)
+
+
+def per_epoch_smoothness(problem, x):
+    """Problem's smoothness sum of squares per epoch, over w^2."""
+    r = problem.residuals(x.ravel())[2 * problem.n_obs:]
+    return ((r.reshape(-1, 12) ** 2).sum(axis=1)
+            / problem.stochastic.smoothness_weight ** 2)
+
+
+def test_track_residual_equals_solver_smoothness():
+    # the solved canonical heading of this scene crosses pi, so some
+    # windows mix vectors near pi and -pi
+    ds = make_dataset(seed=4, n_epochs=60, noise=0.5, dropout=0.2)
+    track, report = solve_dataset(ds)
+    assert report.converged
+    x = track.poses
+    assert np.abs(np.diff(x[:, :3], axis=0)).max() > np.pi
+    expect = per_epoch_smoothness(build_problem(ds, ds.cameras), x)
+    got = [(track_constraint.track_residual(x, t) ** 2).sum() for t in range(60)]
+    assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
+
+
+def test_track_residual_across_rotation_branches():
+    ds = make_dataset(n_epochs=9, noise=0.5)
+    x = mixed_branch_poses(ds, np.random.default_rng(5))
+    got = np.array([(track_constraint.track_residual(x, t) ** 2).sum()
+                    for t in range(9)])
+    assert np.isfinite(got).all()
+    expect = per_epoch_smoothness(make_problem(ds), x)
+    assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
 
 
 def test_jacobian_random_pose_reprojection():

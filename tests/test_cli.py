@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from mousetrack3d import cli, geometry, simulator
+from mousetrack3d import cli, deform_predictor, geometry, simulator
+from mousetrack3d.errors import DivergedLoss
 
 
 def run(*argv):
@@ -204,6 +205,27 @@ def test_train_deform_zero_epochs_exit_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_train_deform_and_pipeline_share_training_defaults(tmp_path,
+                                                           monkeypatch):
+    calls = []
+
+    def record(datasets, **kwargs):
+        calls.append(kwargs)
+        raise DivergedLoss("arguments recorded")
+
+    monkeypatch.setattr(deform_predictor, "train", record)
+    data = tmp_path / "data.json"
+    run("simulate", "--config", scene_file(tmp_path, seed=0), "--out", str(data))
+    assert run("train-deform", "--data", str(data),
+               "--out", str(tmp_path / "model.json")) == 3
+    cfg = tmp_path / "pipe.json"
+    cfg.write_text(json.dumps({"scene": {"n_epochs": 40, "seed": 0},
+                               "solve": {"mode": "deformed"}}))
+    assert run("pipeline", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "out")) == 3
+    assert calls == [{"epochs": 150, "lr": 1e-2, "seed": 0, "hidden_size": 48}] * 2
+
+
 # -- pipeline -----------------------------------------------------------------
 
 def pipeline_config(tmp_path, name="pipe.json", **scene):
@@ -243,6 +265,19 @@ def test_solve_and_pipeline_name_stop_reason(tmp_path, capsys):
     out = tmp_path / "run"
     assert run("pipeline", "--config", pipeline_config(tmp_path),
                "--out-dir", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver_status"] == "cost"
+
+
+def test_pipeline_deformed_mode(tmp_path):
+    cfg = tmp_path / "pipe.json"
+    cfg.write_text(json.dumps({"scene": {"n_epochs": 40, "seed": 1},
+                               "train": {"epochs": 3},
+                               "solve": {"mode": "deformed"}}))
+    out = tmp_path / "out"
+    assert run("pipeline", "--config", str(cfg), "--out-dir", str(out)) == 0
+    model = json.loads((out / "deform_model.json").read_text())
+    assert model["format_version"] == 1
     report = json.loads((out / "report.json").read_text())
     assert report["solver_status"] == "cost"
 

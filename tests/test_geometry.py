@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mousetrack3d
 from mousetrack3d import geometry, simulator
 from mousetrack3d.errors import (
     InsufficientPoints,
@@ -536,3 +540,14 @@ def test_camera_json_missing_field(tmp_path):
     path.write_text(json.dumps([{"id": 0, "R": [0] * 9, "t": [0] * 3}]))
     with pytest.raises(SchemaError, match="K"):
         geometry.load_cameras(path)
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is slow to import; only the iterative refinements of
+    # `resect` and `triangulate` load it
+    src = os.path.dirname(os.path.dirname(mousetrack3d.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, mousetrack3d; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from mousetrack3d import geometry, simulator, track_constraint
-from mousetrack3d.errors import BranchDiscontinuity
 from mousetrack3d.geometry import PoseVector, RigidTransform
 from mousetrack3d.track_constraint import (
     ComparisonGrid,
     default_grid,
     grid_displacements,
+    grid_factor,
     grid_rmse,
     interpolation_window,
     lagrange_weights,
     spline_interpolate,
     track_residual,
-    unwrap_rodrigues,
+    windows,
 )
 
 
@@ -40,7 +40,7 @@ def test_grid_minimum_size():
 
 def test_interior_weights():
     # unique cubic through nodes -2,-1,1,2 evaluated at 0
-    assert np.allclose(track_constraint.INTERIOR_WEIGHTS,
+    assert np.allclose(track_constraint.WINDOW_WEIGHTS[2],
                        [-1 / 6, 2 / 3, 2 / 3, -1 / 6])
 
 
@@ -71,7 +71,7 @@ def test_quartic_interpolation_error():
     # samples of t^4 at -2,-1,1,2: the cubic through them is 5t^2 - 4,
     # so the interpolated value at 0 is -4 while the true value is 0
     vals = np.array([16.0, 1.0, 1.0, 16.0])
-    assert track_constraint.INTERIOR_WEIGHTS @ vals == pytest.approx(-4.0)
+    assert track_constraint.WINDOW_WEIGHTS[2] @ vals == pytest.approx(-4.0)
     # cross-check the quoted cubic
     for t in (-2.0, -1.0, 1.0, 2.0):
         assert 5 * t * t - 4 == pytest.approx(t ** 4)
@@ -107,22 +107,54 @@ def test_boundary_windows():
     assert nodes == [3, 4, 6, 7]
 
 
-# -- rodrigues branch handling ------------------------------------------------
+@pytest.mark.parametrize("t", [-1, 10])
+def test_epoch_outside_track_rejected(t):
+    with pytest.raises(IndexError):
+        interpolation_window(t, 10)
+    with pytest.raises(IndexError):
+        track_residual(linear_track(10), t)
 
-def test_unwrap_fixes_branch_jump():
+
+def test_window_table_accessors_agree():
+    for n in range(5, 40):
+        nodes, weights = windows(n)
+        for t in range(n):
+            nodes_t, weights_t = interpolation_window(t, n)
+            assert list(nodes[t]) == nodes_t
+            assert np.array_equal(weights[t], weights_t)
+
+
+def test_spline_interpolate_across_pi():
+    # neighbors turning through pi about z, written as their canonical
+    # vectors: the cubic takes them on the branch of the first neighbor
     axis = np.array([0.0, 0.0, 1.0])
-    seq = [axis * 3.0, axis * 3.1, axis * (3.2 - 2 * np.pi)]
-    out = unwrap_rodrigues(seq)
-    assert np.allclose(out[2], axis * 3.2, atol=1e-12)
-
-
-def test_unwrap_strict_raises_on_true_jump():
-    seq = [np.zeros(3), np.array([0.0, 0.0, 2.0])]
-    with pytest.raises(BranchDiscontinuity):
-        unwrap_rodrigues(seq)
+    angles = np.pi + 0.1 * np.array([-2.0, -1.0, 1.0, 2.0])
+    canon = np.where(angles > np.pi, angles - 2 * np.pi, angles)
+    q = spline_interpolate([PoseVector(a * axis, np.zeros(3)) for a in canon])
+    assert np.allclose(q.rodrigues, np.pi * axis, atol=1e-12)
 
 
 # -- grid comparison ----------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [
+    default_grid(),
+    default_grid(4, 3, 5),
+    default_grid(3, 3, 3, extent_mm=[27.0, 66.0, 0.0]),
+], ids=["default", "4x3x5", "flat"])
+def test_grid_factor_reproduces_grid_sums(grid):
+    # the flat grid's homogeneous points have rank 3, so R is singular
+    h = np.column_stack([grid.points, np.ones(grid.n_points)])
+    R = grid_factor(grid)
+    assert R.shape == (4, 4)
+    assert np.allclose(R.T @ R, h.T @ h, rtol=1e-12, atol=1e-9)
+    # a displacement A h has the grid's sum of squares at the four points
+    H = rigid([0.2, -0.1, 0.3], [4.0, -2.0, 1.0])
+    S = rigid([0.25, -0.05, 0.2], [3.0, -1.0, 2.5])
+    M = geometry.compose(H, geometry.invert(S))
+    A = np.column_stack([M.rotation - np.eye(3), M.translation])
+    sq = (grid_displacements(H, S, grid) ** 2).sum()
+    assert ((R @ A.T) ** 2).sum() == pytest.approx(sq, rel=1e-12)
+
 
 def test_identical_transforms_zero_rmse():
     H = rigid([0.2, 0.1, -0.3], [5.0, -2.0, 1.0])
@@ -190,22 +222,6 @@ def test_brownian_residual_vanishes_with_step_sigma():
     assert results[0] > results[1] > results[2]
     # decays roughly in proportion to the step size
     assert results[2] < 0.05 * results[0]
-
-
-def test_track_residual_unwraps_window_only():
-    # bit-identical to unwrapping the whole track first, as it did before
-    config = simulator.SceneConfig(cameras=simulator.default_cameras(),
-                                   seed=0, n_epochs=2000)
-    track = simulator.generate_track(config)
-    unwrapped = track.copy()
-    unwrapped[:, :3] = unwrap_rodrigues(track[:, :3])
-    for t in (0, 1, 1000, 1998, 1999):
-        nodes, weights = interpolation_window(t, len(track))
-        interp = weights @ unwrapped[nodes]
-        expect = grid_displacements(rigid(unwrapped[t, :3], unwrapped[t, 3:]),
-                                    rigid(interp[:3], interp[3:]),
-                                    default_grid())
-        assert np.array_equal(track_residual(track, t), expect)
 
 
 def test_outlier_pose_residual_matches_oracle():
