@@ -300,15 +300,13 @@ class Problem:
                                self._smooth_forward(x, S, RH, RS)[2].ravel()])
 
     def _reproj_forward(self, x, R):
-        """(residuals (n_obs, 2), q = K pc (n_obs, 3), guarded depth q_z) at
-        x with epoch rotations R (T, 3, 3)."""
+        """(residuals (n_obs, 2), q = K pc (n_obs, 3), divisors z (n_obs,) of
+        `geometry.dehomogenize`) at x with epoch rotations R (T, 3, 3)."""
         world = ((self.model_pts @ R.transpose(0, 2, 1))[self.obs_t, self.obs_i]
                  + x[self.obs_t, 3:])
         q = ((self.cam_KR[self.obs_k] @ world[:, :, None])[:, :, 0]
              + self.cam_Kt[self.obs_k])
-        z = np.where(np.abs(q[:, 2]) > geometry.EPS_DEPTH, q[:, 2],
-                     geometry.EPS_DEPTH)
-        proj = q[:, :2] / z[:, None]
+        proj, z = geometry.dehomogenize(q)
         return (proj - self.obs_px) / self.sigma_px, q, z
 
     def _interpolated(self, x):

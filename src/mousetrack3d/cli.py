@@ -18,6 +18,7 @@ import sys
 from . import adjustment, deform_predictor, evaluation, geometry, simulator
 from .errors import (
     DivergedLoss,
+    EpochMismatch,
     MouseTrackError,
     NonFiniteCost,
     NoSolvableEpoch,
@@ -95,6 +96,9 @@ def cmd_train_deform(args):
 
 def cmd_solve(args):
     solve = _flags(args, _SOLVE_FIELDS)
+    mode = solve["mode"]
+    if (mode == "deformed") != bool(args.deform):
+        raise SchemaError("--mode deformed and --deform MODEL go together")
     dataset = simulator.import_dataset(args.data)
     cameras = dataset.cameras
     if args.cameras:
@@ -104,9 +108,6 @@ def cmd_solve(args):
                               f"{len(dataset.cameras) - 1}, one per dataset camera")
     deform_model = deform_predictor.load_model(args.deform) if args.deform else None
     stochastic = adjustment.StochasticConfig(smoothness_weight=solve["ws"])
-    mode = solve["mode"]
-    if mode == "deformed" and deform_model is None:
-        raise SchemaError("--mode deformed requires --deform MODEL")
     track, report = adjustment.solve_dataset(
         dataset, cameras, mode=mode, deform_model=deform_model,
         stochastic=stochastic)
@@ -289,7 +290,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as e:
+    except (SchemaError, EpochMismatch) as e:
         print(f"{args.command}: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     except (NonFiniteCost, NoSolvableEpoch, DivergedLoss) as e:

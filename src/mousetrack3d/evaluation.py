@@ -44,15 +44,20 @@ def geodesic_angle(Ra, Rb):
     return np.arccos(c)
 
 
+def _check_epochs(track, dataset):
+    if track.n_epochs != dataset.n_epochs:
+        raise EpochMismatch(f"track has {track.n_epochs} epochs, "
+                            f"dataset {dataset.n_epochs}")
+
+
 def evaluate(track, dataset, deform_offsets_est=None) -> EvaluationReport:
     """Compare an estimated track with the dataset's ground truth.
 
     deform_offsets_est : optional (T, 8, 3) model-frame offsets used by the
         solver; when given, part reconstruction uses the deformed model.
     """
+    _check_epochs(track, dataset)
     T = dataset.n_epochs
-    if track.n_epochs != T:
-        raise EpochMismatch(f"track has {track.n_epochs} epochs, dataset {T}")
     est, gt = track.poses, dataset.poses
 
     d = est[:, 3:] - gt[:, 3:]
@@ -118,7 +123,9 @@ def _track_svg(track, size=640, margin=20):
 
 def plot(track, dataset, out_dir):
     """Write the top-down track SVG, per-parameter time-series CSV, and the
-    per-camera reprojection overlay CSVs. Returns the list of files written."""
+    per-camera reprojection overlay CSVs. Returns the list of files written.
+    EpochMismatch when the track and the dataset differ in length."""
+    _check_epochs(track, dataset)
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -148,7 +155,8 @@ def plot(track, dataset, out_dir):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["t", "part", "u_obs", "v_obs", "u_proj", "v_proj"])
-            shown = dataset.visible[:, k] & (depth.reshape(-1, 8) > 0)
+            shown = (dataset.visible[:, k]
+                     & (depth.reshape(-1, 8) > geometry.EPS_DEPTH))
             w.writerows([t, i, *[f"{v:.4f}" for v in (*obs[t, i], *proj[t, i])]]
                         for t, i in zip(*np.nonzero(shown)))
         written.append(path)

@@ -6,6 +6,8 @@ Conventions
 * World/model coordinates are millimeters, image coordinates pixels.
 * A camera maps global points through ``x ~ K [I|0] H`` where ``H`` is the
   rigid transform from global to camera coordinates.
+* Pixels are q[:2] / q_z of the homogeneous image point q = K p_c, by the
+  one rule of `dehomogenize`; every projection in the package uses it.
 * Rotations are exchanged with 3-vector axis-angle (Rodrigues) encodings;
   the canonical branch keeps the angle in ``[0, pi]`` and, at exactly pi,
   picks the axis whose first nonzero component is positive.
@@ -33,7 +35,8 @@ from .errors import (
     read_json,
 )
 
-EPS_DEPTH = 1e-9  # mm; depths at or below this are rejected
+EPS_DEPTH = 1e-9  # mm; `project` rejects depths at or below this and
+                  # `dehomogenize` divides by it where |q_z| is no larger
 _EPS_ANGLE = 1e-12
 
 
@@ -258,6 +261,19 @@ class CameraModel:
         return -H.rotation.T @ H.translation
 
 
+def dehomogenize(q):
+    """Pixels (..., 2) and divisors z (...,) of homogeneous image points
+    q = K p_c (..., 3), with p_c in camera coordinates: q[:2] / z, where
+    z = q_z, or EPS_DEPTH wherever |q_z| <= EPS_DEPTH.
+
+    The one pinhole division of the package (Hartley & Zisserman, Multiple
+    View Geometry, 2nd ed., sec. 6.1). A point behind the camera keeps its
+    negative z, so it projects mirrored through the principal point.
+    """
+    z = np.where(np.abs(q[..., 2]) > EPS_DEPTH, q[..., 2], EPS_DEPTH)
+    return q[..., :2] / z[..., None], z
+
+
 def project(camera: CameraModel, point):
     """Project one global 3D point (mm) to pixels.
 
@@ -267,21 +283,17 @@ def project(camera: CameraModel, point):
     pc = apply(camera.pose_global, np.asarray(point, dtype=float))
     if pc[2] <= EPS_DEPTH:
         raise NonPositiveDepth(f"depth {pc[2]:.3g} mm <= {EPS_DEPTH} mm")
-    q = camera.calibration @ pc
-    return q[:2] / q[2]
+    return dehomogenize(camera.calibration @ pc)[0]
 
 
 def project_many(camera: CameraModel, points):
-    """Project (N, 3) points; returns ((N, 2) pixels, (N,) depths).
+    """Project (N, 3) points; returns ((N, 2) pixels, (N,) camera-frame
+    depths in mm).
 
     Does not raise on bad depth; callers filter on the returned depths.
     """
-    pts = np.asarray(points, dtype=float)
-    pc = apply(camera.pose_global, pts)
-    q = pc @ camera.calibration.T
-    depth = pc[:, 2]
-    safe = np.where(np.abs(q[:, 2]) > EPS_DEPTH, q[:, 2], 1.0)
-    return q[:, :2] / safe[:, None], depth
+    pc = apply(camera.pose_global, np.asarray(points, dtype=float))
+    return dehomogenize(pc @ camera.calibration.T)[0], pc[:, 2]
 
 
 def decompose_projection(P) -> CameraModel:
@@ -315,37 +327,28 @@ def decompose_projection(P) -> CameraModel:
 # Resection (camera pose from 3D-2D correspondences)
 # ---------------------------------------------------------------------------
 
-def _hartley_normalization_2d(x):
-    c = x.mean(axis=0)
-    d = np.sqrt(((x - c) ** 2).sum(axis=1)).mean()
-    s = np.sqrt(2.0) / max(d, 1e-12)
-    T = np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1.0]])
-    return T
-
-
-def _hartley_normalization_3d(X):
+def _hartley_normalization(X):
+    """Similarity (d + 1, d + 1) moving points X (n, d) to centroid zero
+    and mean distance sqrt(d) from it (Hartley & Zisserman, sec. 4.4.4)."""
+    d = X.shape[1]
     c = X.mean(axis=0)
-    d = np.sqrt(((X - c) ** 2).sum(axis=1)).mean()
-    s = np.sqrt(3.0) / max(d, 1e-12)
-    U = np.eye(4)
-    U[:3, :3] *= s
-    U[:3, 3] = -s * c
-    return U
+    s = np.sqrt(d) / max(np.sqrt(((X - c) ** 2).sum(axis=1)).mean(), 1e-12)
+    T = np.eye(d + 1)
+    T[:d, :d] *= s
+    T[:d, d] = -s * c
+    return T
 
 
 def _dlt_projection(X, x):
     """Linear 11-parameter camera fit with Hartley isotropic normalization."""
-    T = _hartley_normalization_2d(x)
-    U = _hartley_normalization_3d(X)
+    T = _hartley_normalization(x)
+    U = _hartley_normalization(X)
     Xh = np.hstack([X, np.ones((len(X), 1))]) @ U.T
     xh = np.hstack([x, np.ones((len(x), 1))]) @ T.T
-    A = []
-    for Xi, xi in zip(Xh, xh):
-        u, v = xi[0], xi[1]
-        A.append(np.concatenate([np.zeros(4), -Xi, v * Xi]))
-        A.append(np.concatenate([Xi, np.zeros(4), -u * Xi]))
-    A = np.asarray(A)
-    _, _, Vt = np.linalg.svd(A)
+    zero = np.zeros_like(Xh)
+    A = np.stack([np.hstack([zero, -Xh, xh[:, 1:2] * Xh]),
+                  np.hstack([Xh, zero, -xh[:, 0:1] * Xh])], axis=1)
+    _, _, Vt = np.linalg.svd(A.reshape(-1, 12))
     Pn = Vt[-1].reshape(3, 4)
     P = np.linalg.inv(T) @ Pn @ U
     return P / np.linalg.norm(P)
@@ -358,13 +361,8 @@ def _coplanarity_score(X):
 
 
 def _reprojection_residuals(params, K, X, x):
-    R = rodrigues_to_matrix(params[:3])
-    t = params[3:6]
-    pc = X @ R.T + t
-    z = np.where(np.abs(pc[:, 2]) > EPS_DEPTH, pc[:, 2], EPS_DEPTH)
-    q = pc @ K.T
-    proj = q[:, :2] / z[:, None]
-    return (proj - x).ravel()
+    pc = X @ rodrigues_to_matrix(params[:3]).T + params[3:6]
+    return (dehomogenize(pc @ K.T)[0] - x).ravel()
 
 
 def _refine_pose(K, X, x, r0, t0):
@@ -383,7 +381,14 @@ def resect(correspondences, known_K=None):
     correspondences : sequence of (3-vector global mm, 2-vector pixel)
     known_K : optional 3x3 calibration. With unknown K a full DLT needs
         >= 6 non-coplanar points; with known K >= 4 points suffice (planar
-        configurations allowed) via direct reprojection minimization.
+        configurations allowed).
+
+    The pose is refined by reprojection minimization from every start: the
+    DLT camera, turned to face the points, whenever >= 6 non-coplanar points
+    allow it, and with known K also coarse viewing directions at a depth
+    guessed from the point spread. The refinement with the lowest cost that
+    keeps every point in front of the camera wins; with unknown K the DLT's
+    own calibration is kept.
 
     Returns
     -------
@@ -392,70 +397,58 @@ def resect(correspondences, known_K=None):
     X = np.asarray([c[0] for c in correspondences], dtype=float)
     x = np.asarray([c[1] for c in correspondences], dtype=float)
     n = len(X)
+    need, what = ((6, "DLT with unknown K") if known_K is None
+                  else (4, "known-K resection"))
+    if n < need:
+        raise InsufficientPoints(f"{what} needs >= {need} points, got {n}")
 
-    if known_K is None:
-        if n < 6:
-            raise InsufficientPoints(f"DLT with unknown K needs >= 6 points, got {n}")
-        if _coplanarity_score(X) < 1e-8:
-            raise DegenerateConfiguration("points are coplanar; unknown-K DLT is degenerate")
-        P = _dlt_projection(X, x)
-        cam = decompose_projection(P)
-        # check cheirality; flip if the DLT solution put points behind the camera
-        pc = apply(cam.pose_global, X)
-        if np.median(pc[:, 2]) < 0:
-            cam = decompose_projection(-P)
-        K = cam.calibration
-        r0 = matrix_to_rodrigues(cam.pose_global.rotation)
-        t0 = cam.pose_global.translation
-        r, t, fun = _refine_pose(K, X, x, r0, t0)
-    else:
-        K = np.asarray(known_K, dtype=float)
-        if n < 4:
-            raise InsufficientPoints(f"known-K resection needs >= 4 points, got {n}")
-        r, t, fun = _resect_known_k(K, X, x)
-
-    cam = CameraModel(K / K[2, 2], RigidTransform(rodrigues_to_matrix(r), t))
-    mean_err = float(np.sqrt((fun.reshape(-1, 2) ** 2).sum(axis=1)).mean())
-    return cam, mean_err
-
-
-def _resect_known_k(K, X, x):
-    """Known-calibration pose: DLT start when possible, else multi-start LM."""
     starts = []
-    if len(X) >= 6 and _coplanarity_score(X) >= 1e-8:
+    K = None
+    if n >= 6 and _coplanarity_score(X) >= 1e-8:
+        P = _dlt_projection(X, x)
         try:
-            cam = decompose_projection(_dlt_projection(X, x))
-            starts.append((matrix_to_rodrigues(cam.pose_global.rotation),
-                           cam.pose_global.translation))
+            cam = decompose_projection(P)
         except SingularCamera:
             pass
-    # deterministic coarse starts: axis-aligned viewing directions at a
-    # depth guessed from the point spread
-    centroid = X.mean(axis=0)
-    spread = max(np.linalg.norm(X - centroid, axis=1).max(), 1.0)
-    f = 0.5 * (K[0, 0] + K[1, 1])
-    px_spread = max(np.linalg.norm(x - x.mean(axis=0), axis=1).max(), 1.0)
-    depth = f * spread / px_spread
-    for rv in _COARSE_ROTATIONS:
-        R = rodrigues_to_matrix(rv)
-        t = np.array([0.0, 0.0, depth]) - R @ centroid
-        starts.append((rv, t))
+        else:
+            if np.median(apply(cam.pose_global, X)[:, 2]) < 0:
+                cam = decompose_projection(-P)
+            K = cam.calibration
+            starts.append((matrix_to_rodrigues(cam.pose_global.rotation),
+                           cam.pose_global.translation))
+    if known_K is not None:
+        K = np.asarray(known_K, dtype=float)
+        K = K / K[2, 2]
+        # deterministic coarse starts: axis-aligned viewing directions at a
+        # depth guessed from the point spread
+        centroid = X.mean(axis=0)
+        spread = max(np.linalg.norm(X - centroid, axis=1).max(), 1.0)
+        px_spread = max(np.linalg.norm(x - x.mean(axis=0), axis=1).max(), 1.0)
+        depth = 0.5 * (K[0, 0] + K[1, 1]) * spread / px_spread
+        for rv in _COARSE_ROTATIONS:
+            starts.append((rv, np.array([0.0, 0.0, depth])
+                           - rodrigues_to_matrix(rv) @ centroid))
+    if K is None:
+        raise DegenerateConfiguration(
+            "points are coplanar or give a singular DLT camera; "
+            "unknown-K resection needs 6 points in general position")
 
     best = None
     for r0, t0 in starts:
         try:
-            r, t, fun = _refine_pose(K, X, x, np.asarray(r0, float), np.asarray(t0, float))
-        except Exception:
+            r, t, fun = _refine_pose(K, X, x, r0, t0)
+        except ValueError:   # least_squares: residuals not finite at the start
             continue
         cost = float(fun @ fun)
-        pc = X @ rodrigues_to_matrix(r).T + t
-        if np.min(pc[:, 2]) <= 0:
+        if (X @ rodrigues_to_matrix(r)[2] + t[2]).min() <= 0:
             cost += 1e12  # reject mirror solutions behind the camera
         if best is None or cost < best[0]:
             best = (cost, r, t, fun)
     if best is None:
-        raise DegenerateConfiguration("known-K resection failed from every start")
-    return best[1], best[2], best[3]
+        raise DegenerateConfiguration("resection failed from every start")
+    _, r, t, fun = best
+    mean_err = float(np.sqrt((fun.reshape(-1, 2) ** 2).sum(axis=1)).mean())
+    return CameraModel(K, RigidTransform(rodrigues_to_matrix(r), t)), mean_err
 
 
 _COARSE_ROTATIONS = [
@@ -496,14 +489,11 @@ def triangulate(observations):
         raise ParallelRays(f"no ray pair subtends {MIN_TRIANGULATION_ANGLE_DEG} "
                            f"deg, or the point lies at infinity")
 
+    P = np.stack([cam.projection_matrix() for cam, _ in observations])
+    pixels = np.asarray([px for _, px in observations], dtype=float)
+
     def residuals(X):
-        out = []
-        for cam, px in observations:
-            pc = apply(cam.pose_global, X)
-            z = pc[2] if abs(pc[2]) > EPS_DEPTH else EPS_DEPTH
-            q = cam.calibration @ pc
-            out.extend(q[:2] / z - px)
-        return np.asarray(out)
+        return (dehomogenize(P[:, :, :3] @ X + P[:, :, 3])[0] - pixels).ravel()
 
     import scipy.optimize   # slow to import; only the refinements use it
     res = scipy.optimize.least_squares(residuals, X0, method="lm",

@@ -97,16 +97,6 @@ def windows(n_epochs):
     return first[:, None] + WINDOW_NODES[t - first], WINDOW_WEIGHTS[t - first]
 
 
-def interpolation_window(t, n_epochs):
-    """Neighbor epochs (a list of four) and cubic weights of epoch t, as
-    in `windows`. IndexError unless 0 <= t < n_epochs."""
-    if not 0 <= t < n_epochs:
-        raise IndexError(f"epoch {t} outside a track of {n_epochs} epochs")
-    first = _window_start(t, n_epochs)
-    return ((first + WINDOW_NODES[t - first]).tolist(),
-            WINDOW_WEIGHTS[t - first].copy())
-
-
 def interpolate(x, nodes, weights, ref):
     """Cubic recombinations (n, 6) of the poses x[nodes] (x (T, 6), nodes
     (n, 4)) with weights (n, 4), and the nodes' branch factors s (n, 4).
@@ -179,15 +169,17 @@ def track_residual(track, t, grid: ComparisonGrid | None = None):
     Returns the (n_grid, 3) grid displacements between the epoch's pose and
     the cubic interpolation of its four window neighbors, as in the bundle
     adjustment; the RMS of the flattened vector equals `grid_rmse` of the
-    two transforms.
+    two transforms. IndexError unless 0 <= t < T.
     """
     grid = grid or default_grid()
     params = np.asarray(track, dtype=float)
     if len(params) < 5:
         raise ValueError("track must have at least 5 epochs")
-    nodes, weights = interpolation_window(t, len(params))
+    if not 0 <= t < len(params):
+        raise IndexError(f"epoch {t} outside a track of {len(params)} epochs")
+    nodes, weights = windows(len(params))
     own = params[t]
-    interp, _ = interpolate(params, np.array([nodes]), weights[None],
+    interp, _ = interpolate(params, nodes[t:t + 1], weights[t:t + 1],
                             geometry.canonical_rodrigues(own[None, :3]))
     S = RigidTransform(geometry.rodrigues_to_matrix(interp[0, :3]), interp[0, 3:])
     H = RigidTransform(geometry.rodrigues_to_matrix(own[:3]), own[3:])

@@ -21,7 +21,8 @@ from mousetrack3d.adjustment import (
     solve,
     solve_dataset,
 )
-from mousetrack3d.errors import InconsistentCameraIds, NoSolvableEpoch, SchemaError
+from mousetrack3d.errors import (InconsistentCameraIds, NonPositiveDepth,
+                                 NoSolvableEpoch, SchemaError)
 from mousetrack3d.geometry import PoseVector
 
 
@@ -289,9 +290,9 @@ def test_four_point_smoothness_equals_grid_sum():
                                              size=(9, 6))
     # oracle: every grid point's displacement under H_t S_t^-1
     sq = 0.0
+    all_nodes, all_weights = track_constraint.windows(9)
     for t in range(9):
-        nodes, weights = track_constraint.interpolation_window(t, 9)
-        s = weights @ x[nodes]
+        s = all_weights[t] @ x[all_nodes[t]]
         H = geometry.pose_to_transform(PoseVector(x[t, :3], x[t, 3:]))
         S = geometry.pose_to_transform(PoseVector(s[:3], s[3:]))
         sq += (track_constraint.grid_displacements(H, S, grid) ** 2).sum()
@@ -362,6 +363,38 @@ def test_jacobian_identity_pose_finite():
 
 
 # -- solver -------------------------------------------------------------------
+
+def test_depth_rule_behind_camera():
+    # the one depth rule of `geometry.dehomogenize`, pinned until a
+    # cheirality behaviour is chosen: a point behind a camera projects
+    # mirrored with negative depth, `project` refuses it, the solver's
+    # residuals stay finite, and |q_z| <= EPS_DEPTH divides by EPS_DEPTH
+    ds = make_dataset(n_epochs=5)
+    cam = ds.cameras[0]
+    R, K = cam.pose_global.rotation, cam.calibration
+
+    def world(pc):
+        return R.T @ (np.asarray(pc, dtype=float) - cam.pose_global.translation)
+
+    px, depth = geometry.project_many(cam, [world([30.0, -20.0, -100.0])])
+    front = geometry.project(cam, world([30.0, -20.0, 100.0]))
+    assert np.allclose(px[0], 2.0 * K[:2, 2] - front, rtol=0, atol=1e-9)
+    assert depth[0] == pytest.approx(-100.0)
+    with pytest.raises(NonPositiveDepth):
+        geometry.project(cam, world([30.0, -20.0, -100.0]))
+
+    # epoch 2's body 200 mm behind the top camera
+    x = ds.poses.copy()
+    x[2, 3:] = world([0.0, 0.0, -200.0])
+    parts = mouse_model.world_part_positions(x[2:3])[0]
+    assert np.all(geometry.project_many(cam, parts)[1] < 0)
+    assert np.all(np.isfinite(make_problem(ds).residuals(x.ravel())))
+
+    ident = geometry.CameraModel(np.eye(3), geometry.RigidTransform.identity())
+    for z in (0.0, geometry.EPS_DEPTH, -geometry.EPS_DEPTH / 2):
+        px, _ = geometry.project_many(ident, [[1.0, 2.0, z]])
+        assert np.array_equal(px[0], np.array([1.0, 2.0]) / geometry.EPS_DEPTH)
+
 
 def test_noiseless_ground_truth_is_optimum():
     ds = make_dataset(noise=0.0, n_epochs=20)

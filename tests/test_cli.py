@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from mousetrack3d import cli, deform_predictor, geometry, simulator
+import numpy as np
+
+from mousetrack3d import adjustment, cli, deform_predictor, geometry, simulator
 from mousetrack3d.errors import DivergedLoss
 
 
@@ -50,6 +52,38 @@ def test_solve_deformed_without_model_exit_2(tmp_path, capsys, flag, value):
     assert run("solve", "--data", str(data), flag, value,
                "--out", str(tmp_path / "track.json")) == 2
     assert flag in capsys.readouterr().err
+
+
+def test_solve_model_without_deformed_mode_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.json"
+    run("simulate", "--config", scene_file(tmp_path), "--out", str(data))
+    model = deform_predictor.SequenceModel(hidden_size=2)
+    model.init_weights(np.random.default_rng(0))
+    model.pos_mean, model.pos_std = np.zeros(3), np.ones(3)
+    model.off_std = np.ones(3)
+    model.trained = True
+    deform_predictor.save_model(model, tmp_path / "model.json")
+    track = tmp_path / "track.json"
+    assert run("solve", "--data", str(data), "--deform",
+               str(tmp_path / "model.json"), "--out", str(track)) == 2
+    err = capsys.readouterr().err
+    assert "--deform" in err and "--mode" in err
+    assert not track.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "plot"])
+def test_track_of_other_length_exit_2(tmp_path, capsys, command):
+    data = tmp_path / "data.json"
+    run("simulate", "--config", scene_file(tmp_path), "--out", str(data))
+    ds = simulator.import_dataset(data)
+    track = tmp_path / "track.json"
+    adjustment.save_track(adjustment.MouseStateTrack(
+        ds.poses[:20], ["local"] * 20), track)
+    out = tmp_path / "out"
+    assert run(command, "--data", str(data), "--track", str(track),
+               "--out-dir" if command == "plot" else "--out", str(out)) == 2
+    assert "20 epochs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["negative_t", "camera_out_of_range",

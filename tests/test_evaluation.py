@@ -79,11 +79,14 @@ def test_completeness_counts_deficient_epochs():
     assert report.completeness_input == pytest.approx(18 / 20)
 
 
-def test_epoch_mismatch_raises():
+def test_epoch_mismatch_raises(tmp_path):
     ds = make_dataset(n_epochs=10)
     short = MouseStateTrack(ds.poses[:8], ["adjusted"] * 8)
     with pytest.raises(EpochMismatch):
         evaluate(short, ds)
+    with pytest.raises(EpochMismatch):
+        plot(short, ds, tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_deform_offsets_improve_part_scores():

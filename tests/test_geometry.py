@@ -408,6 +408,33 @@ def test_resect_known_k_four_points():
     assert err < 1e-6
 
 
+def doubled_k_cameras(tmp_path, source):
+    """The default rig with every K scaled by 2 (the same pixels), built
+    directly or saved and read back through `load_cameras`."""
+    cams = [CameraModel(2.0 * c.calibration, c.pose_global, id=c.id,
+                        image_size=c.image_size)
+            for c in simulator.default_cameras()]
+    if source == "loaded":
+        path = tmp_path / "cameras.json"
+        geometry.save_cameras(cams, path)
+        cams = geometry.load_cameras(path)
+    return cams
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_resect_known_k_with_scaled_calibration(tmp_path, source):
+    cam = doubled_k_cameras(tmp_path, source)[0]
+    X = np.random.default_rng(0).normal(scale=60, size=(8, 3))
+    rec, err = resect([(Xi, project(cam, Xi)) for Xi in X],
+                      known_K=cam.calibration)
+    assert err < 1e-6
+    assert np.allclose(rec.pose_global.translation,
+                       cam.pose_global.translation, rtol=0, atol=1e-6)
+    assert np.allclose(rec.pose_global.rotation, cam.pose_global.rotation,
+                       rtol=0, atol=1e-9)
+    assert np.allclose(rec.calibration, cam.calibration / 2.0)
+
+
 # -- triangulation ------------------------------------------------------------
 
 def two_orthogonal_cameras():
@@ -448,6 +475,15 @@ def test_triangulate_project_roundtrip():
         X = rng.normal(scale=80, size=3)
         rec, _ = triangulate([(a, project(a, X)), (b, project(b, X))])
         assert np.allclose(rec, X, atol=1e-6)
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_triangulate_with_scaled_calibration(tmp_path, source):
+    a, b = doubled_k_cameras(tmp_path, source)[:2]
+    X = np.array([10.0, -20.0, 30.0])
+    rec, res = triangulate([(a, project(a, X)), (b, project(b, X))])
+    assert np.allclose(rec, X, rtol=0, atol=1e-6)
+    assert np.all(res < 1e-6)
 
 
 def dlt_reference(observations):

@@ -9,7 +9,6 @@ from mousetrack3d.track_constraint import (
     grid_displacements,
     grid_factor,
     grid_rmse,
-    interpolation_window,
     lagrange_weights,
     spline_interpolate,
     track_residual,
@@ -87,8 +86,9 @@ def test_lagrange_weights_partition_of_unity():
 
 def test_boundary_windows():
     n = 10
+    all_nodes, all_weights = windows(n)
     for t in range(n):
-        nodes, weights = interpolation_window(t, n)
+        nodes, weights = all_nodes[t], all_weights[t]
         assert len(nodes) == 4
         assert t not in nodes
         assert all(0 <= u < n for u in nodes)
@@ -103,25 +103,13 @@ def test_boundary_windows():
         assert weights @ [cubic(u) for u in nodes] \
             == pytest.approx(cubic(t), abs=1e-9)
     # interior epochs use the symmetric window
-    nodes, _ = interpolation_window(5, n)
-    assert nodes == [3, 4, 6, 7]
+    assert list(all_nodes[5]) == [3, 4, 6, 7]
 
 
 @pytest.mark.parametrize("t", [-1, 10])
 def test_epoch_outside_track_rejected(t):
     with pytest.raises(IndexError):
-        interpolation_window(t, 10)
-    with pytest.raises(IndexError):
         track_residual(linear_track(10), t)
-
-
-def test_window_table_accessors_agree():
-    for n in range(5, 40):
-        nodes, weights = windows(n)
-        for t in range(n):
-            nodes_t, weights_t = interpolation_window(t, n)
-            assert list(nodes[t]) == nodes_t
-            assert np.array_equal(weights[t], weights_t)
 
 
 def test_spline_interpolate_across_pi():
