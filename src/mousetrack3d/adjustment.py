@@ -23,8 +23,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from . import deform_predictor, geometry, mouse_model, track_constraint
 from .errors import (
@@ -399,6 +397,7 @@ class Problem:
                                 (n, 2, 6)),
                 np.broadcast_to((6 * self.smooth_nodes)[:, None, :, None]
                                 + np.arange(6), (T, 12, 5, 6))]
+        import scipy.sparse   # slow to import; only the Jacobian check uses it
         J = scipy.sparse.coo_matrix(
             (np.concatenate([J_p.ravel(), J_s.ravel()]),
              (np.concatenate([r.ravel() for r in rows]),
@@ -552,6 +551,7 @@ def solve(problem: Problem, track: MouseStateTrack):
     the first two count as converged. The last accepted iterate is returned
     in every case.
     """
+    import scipy.linalg   # slow to import; only the banded steps use it
     x = _canonical(track.poses.ravel())
     r = problem.residuals(x)
     cost = float(r @ r)

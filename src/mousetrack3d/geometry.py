@@ -19,10 +19,9 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateConfiguration,
@@ -308,6 +307,7 @@ def decompose_projection(P) -> CameraModel:
     if abs(np.linalg.det(M)) < 1e-12 * max(np.linalg.norm(M), 1.0) ** 3:
         raise SingularCamera("left 3x3 block is rank-deficient")
 
+    import scipy.linalg   # slow to import; only the RQ step uses it
     K, R = scipy.linalg.rq(M)
     # force positive K diagonal
     D = np.diag(np.sign(np.diag(K)))

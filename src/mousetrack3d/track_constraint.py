@@ -41,17 +41,11 @@ class ComparisonGrid:
         return len(self.points)
 
 
-def default_grid(nx=3, ny=3, nz=3, extent_mm=None) -> ComparisonGrid:
-    """3x3x3 grid over the rigid model bounding box (default
-    [-13.5, 13.5] x [-30, 36] x [-8, 19] mm)."""
-    if extent_mm is None:
-        lo, hi = mouse_model.RigidMouseModel().bounding_box()
-    else:
-        lo = -np.asarray(extent_mm, dtype=float) / 2.0
-        hi = np.asarray(extent_mm, dtype=float) / 2.0
-    xs = np.linspace(lo[0], hi[0], nx)
-    ys = np.linspace(lo[1], hi[1], ny)
-    zs = np.linspace(lo[2], hi[2], nz)
+def default_grid() -> ComparisonGrid:
+    """3x3x3 grid over the rigid model bounding box
+    ([-13.5, 13.5] x [-30, 36] x [-8, 19] mm)."""
+    lo, hi = mouse_model.RigidMouseModel().bounding_box()
+    xs, ys, zs = (np.linspace(lo[i], hi[i], 3) for i in range(3))
     pts = np.array([[x, y, z] for x in xs for y in ys for z in zs])
     return ComparisonGrid(pts)
 

@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from mousetrack3d import (
     adjustment,

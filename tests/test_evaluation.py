@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mousetrack3d import evaluation, geometry, mouse_model, simulator
+from mousetrack3d import geometry, mouse_model, simulator
 from mousetrack3d.adjustment import MouseStateTrack
 from mousetrack3d.errors import EpochMismatch
 from mousetrack3d.evaluation import evaluate, geodesic_angle, plot, save_report

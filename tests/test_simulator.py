@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mousetrack3d import geometry, mouse_model, simulator
+from mousetrack3d import geometry, mouse_model
 from mousetrack3d.errors import SchemaError
 from mousetrack3d.simulator import (
     OcclusionConfig,

@@ -124,10 +124,16 @@ def test_spline_interpolate_across_pi():
 
 # -- grid comparison ----------------------------------------------------------
 
+def lattice(lo, hi, counts):
+    axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, counts)]
+    return ComparisonGrid(
+        np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3))
+
+
 @pytest.mark.parametrize("grid", [
     default_grid(),
-    default_grid(4, 3, 5),
-    default_grid(3, 3, 3, extent_mm=[27.0, 66.0, 0.0]),
+    lattice([-13.5, -30.0, -8.0], [13.5, 36.0, 19.0], (4, 3, 5)),
+    lattice([-13.5, -33.0, 0.0], [13.5, 33.0, 0.0], (3, 3, 3)),
 ], ids=["default", "4x3x5", "flat"])
 def test_grid_factor_reproduces_grid_sums(grid):
     # the flat grid's homogeneous points have rank 3, so R is singular
