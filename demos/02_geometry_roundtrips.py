@@ -20,9 +20,9 @@ rng = np.random.default_rng(0)
 K = np.array([[1500.0, 0.0, 640.0],
               [0.0, 1500.0, 512.0],
               [0.0, 0.0, 1.0]])
-pose = geometry.pose_to_transform(
-    geometry.PoseVector(np.array([0.1, -0.2, 0.3]),
-                        np.array([10.0, -5.0, 800.0])))
+pose = geometry.RigidTransform(
+    geometry.rodrigues_to_matrix(np.array([0.1, -0.2, 0.3])),
+    np.array([10.0, -5.0, 800.0]))
 cam = geometry.CameraModel(K, pose)
 
 X = np.array([25.0, -40.0, 60.0])

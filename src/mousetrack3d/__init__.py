@@ -18,16 +18,11 @@ from . import (
 )
 from .geometry import (
     CameraModel,
-    PoseVector,
     RigidTransform,
     apply,
-    compose,
     decompose_projection,
-    invert,
-    pose_to_transform,
     project,
     resect,
-    transform_to_pose,
     triangulate,
 )
 from .mouse_model import RigidMouseModel, deform, world_part_positions

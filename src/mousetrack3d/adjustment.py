@@ -377,33 +377,26 @@ class Problem:
         return r_p, J_p, r_s.reshape(T, 12), C.reshape(T, 12, 12), branch
 
     def jacobian(self, x):
-        """Sparse (n_residuals, n_params) Jacobian at x, expanded from the
-        same factors as `normal_equations`."""
+        """Dense (n_residuals, n_params) Jacobian at x, expanded from the
+        same factors as `normal_equations`. It holds n_residuals x 6T floats,
+        so it serves checks only; the solver never forms it."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
         _, J_p, _, C, branch = self._blocks(x)
-        T = self.n_epochs
+        T, n = self.n_epochs, self.n_obs
         J_s = np.concatenate(
             [C[:, :, None, :6],
              C[:, :, None, 6:] * self.win_weights[:, None, :, None]],
             axis=2)                                                # (T, 12, 5, 6)
         D = track_constraint.branch_maps(x[self.smooth_nodes[:, 1:], :3], branch)
         J_s[:, :, 1:, :3] = np.einsum("tiap,tapq->tiaq", J_s[:, :, 1:, :3], D)
-        n = self.n_obs
-        rows = [np.broadcast_to((2 * np.arange(n))[:, None, None]
-                                + np.arange(2)[:, None], (n, 2, 6)),
-                np.broadcast_to((2 * n + 12 * np.arange(T))[:, None, None, None]
-                                + np.arange(12)[:, None, None], (T, 12, 5, 6))]
-        cols = [np.broadcast_to((6 * self.obs_t)[:, None, None] + np.arange(6),
-                                (n, 2, 6)),
-                np.broadcast_to((6 * self.smooth_nodes)[:, None, :, None]
-                                + np.arange(6), (T, 12, 5, 6))]
-        import scipy.sparse   # slow to import; only the Jacobian check uses it
-        J = scipy.sparse.coo_matrix(
-            (np.concatenate([J_p.ravel(), J_s.ravel()]),
-             (np.concatenate([r.ravel() for r in rows]),
-              np.concatenate([c.ravel() for c in cols]))),
-            shape=(self.n_residuals, self.n_params))
-        return J.tocsr()
+        # one write per entry: an epoch's five window nodes are distinct
+        J = np.zeros((self.n_residuals, self.n_params))
+        J[(2 * np.arange(n))[:, None, None] + np.arange(2)[:, None],
+          (6 * self.obs_t)[:, None, None] + np.arange(6)] = J_p
+        J[(2 * n + 12 * np.arange(T))[:, None, None, None]
+          + np.arange(12)[:, None, None],
+          (6 * self.smooth_nodes)[:, None, :, None] + np.arange(6)] = J_s
+        return J
 
     def normal_equations(self, x):
         """J^T J in lower banded storage and J^T r at x.
@@ -610,7 +603,7 @@ def check_jacobian(problem: Problem, track: MouseStateTrack, step=1e-6):
     """Worst relative deviation between the analytic Jacobian and central
     finite differences over all pose parameters."""
     x = track.poses.ravel()
-    J = problem.jacobian(x).toarray()
+    J = problem.jacobian(x)
     J_fd = np.zeros_like(J)
     for j in range(len(x)):
         xp, xm = x.copy(), x.copy()

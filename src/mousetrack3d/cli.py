@@ -103,9 +103,6 @@ def cmd_solve(args):
     cameras = dataset.cameras
     if args.cameras:
         cameras = geometry.load_cameras(args.cameras)
-        if sorted(c.id for c in cameras) != list(range(len(dataset.cameras))):
-            raise SchemaError(f"{args.cameras}: camera ids must be 0.."
-                              f"{len(dataset.cameras) - 1}, one per dataset camera")
     deform_model = deform_predictor.load_model(args.deform) if args.deform else None
     stochastic = adjustment.StochasticConfig(smoothness_weight=solve["ws"])
     track, report = adjustment.solve_dataset(

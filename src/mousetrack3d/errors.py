@@ -61,8 +61,9 @@ class NoSolvableEpoch(MouseTrackError):
     """No epoch has enough observations for a local initialization."""
 
 
-class InconsistentCameraIds(MouseTrackError):
-    """Dataset references camera ids absent from the camera set."""
+class InconsistentCameraIds(SchemaError):
+    """Camera ids are not 0..K-1 for the dataset's K camera slots (an input
+    inconsistency)."""
 
 
 class NonFiniteCost(MouseTrackError):

@@ -1,5 +1,5 @@
-"""Homogeneous projective geometry: projection, decomposition, rigid-transform
-algebra, spatial resection, and triangulation.
+"""Homogeneous projective geometry: Rodrigues rotations and their derivatives,
+projection, decomposition, spatial resection, and triangulation.
 
 Conventions
 -----------
@@ -11,6 +11,8 @@ Conventions
 * Rotations are exchanged with 3-vector axis-angle (Rodrigues) encodings;
   the canonical branch keeps the angle in ``[0, pi]`` and, at exactly pi,
   picks the axis whose first nonzero component is positive.
+* Body poses are (..., 6) rows: Rodrigues vector, then translation in mm.
+  `RigidTransform` is only the camera pose record.
 
 All values are immutable after construction and every function is pure, so
 everything here is safe to share across threads.
@@ -160,12 +162,13 @@ def rotation_point_jacobians(rv, pts):
 
 
 # ---------------------------------------------------------------------------
-# Rigid transforms and pose vectors
+# Rigid transforms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """6-DoF rigid transform: x -> R x + t (t in mm)."""
+    """6-DoF rigid transform x -> R x + t (t in mm): a camera's fixed
+    global->camera pose."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -177,57 +180,11 @@ class RigidTransform:
         self.rotation.setflags(write=False)
         self.translation.setflags(write=False)
 
-    @staticmethod
-    def identity():
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-    def matrix(self):
-        """4x4 homogeneous matrix."""
-        H = np.eye(4)
-        H[:3, :3] = self.rotation
-        H[:3, 3] = self.translation
-        return H
-
-
-@dataclass(frozen=True)
-class PoseVector:
-    """One pose's six parameters: Rodrigues rotation vector plus translation
-    (mm). Pose tracks are (T, 6) arrays with the same layout per row."""
-
-    rodrigues: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rodrigues",
-                           np.array(self.rodrigues, dtype=float).reshape(3))
-        object.__setattr__(self, "translation",
-                           np.array(self.translation, dtype=float).reshape(3))
-        self.rodrigues.setflags(write=False)
-        self.translation.setflags(write=False)
-
-
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Transform equal to applying b first, then a."""
-    return RigidTransform(a.rotation @ b.rotation,
-                          a.rotation @ b.translation + a.translation)
-
-
-def invert(t: RigidTransform) -> RigidTransform:
-    return RigidTransform(t.rotation.T, -t.rotation.T @ t.translation)
-
 
 def apply(t: RigidTransform, x):
     """Map one point (3,) or many points (N, 3) through the transform."""
     x = np.asarray(x, dtype=float)
     return x @ t.rotation.T + t.translation
-
-
-def pose_to_transform(p: PoseVector) -> RigidTransform:
-    return RigidTransform(rodrigues_to_matrix(p.rodrigues), p.translation)
-
-
-def transform_to_pose(t: RigidTransform) -> PoseVector:
-    return PoseVector(matrix_to_rodrigues(t.rotation), t.translation)
 
 
 # ---------------------------------------------------------------------------

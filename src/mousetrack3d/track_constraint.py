@@ -7,7 +7,8 @@ windows at the track boundaries), which takes the nodes' rotation vectors on
 the 2 pi branch nearest the epoch's canonical vector. The comparison is
 expressed as the displacement of a 3x3x3 grid of points covering the body
 under the transform H * S^-1, where H is the epoch's pose and S the
-recombined interpolated pose. The RMS of the grid displacements is the
+recombined interpolated pose. Poses are (..., 6) rows: Rodrigues vector, then
+translation in mm. The RMS of the grid displacements is the
 scalar smoothness metric. The bundle adjustment uses an exact equivalent
 with four weighted points (`grid_factor`) as its least-squares residuals; it
 has the same sum of squares and the same normal equations.
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, mouse_model
-from .geometry import PoseVector, RigidTransform
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,20 @@ def branch_maps(v, s):
     return s * np.eye(3) + (1.0 - s) * (v[..., :, None] * v[..., None, :]) / theta2
 
 
-def spline_interpolate(neighbors) -> PoseVector:
-    """Pose at t from the four neighbors at t-2, t-1, t+1, t+2.
+def spline_interpolate(neighbors):
+    """Pose row (6,) at t from the (4, 6) neighbor rows at t-2, t-1, t+1,
+    t+2.
 
     Each of the six parameters is interpolated independently by the unique
     cubic through the four samples, with the rotation vectors on the 2 pi
     branch nearest the first neighbor's.
     """
-    if len(neighbors) != 4:
-        raise ValueError(f"expected 4 neighbor poses, got {len(neighbors)}")
-    params = np.array([np.concatenate([p.rodrigues, p.translation])
-                       for p in neighbors])
+    params = np.asarray(neighbors, dtype=float)
+    if params.shape != (4, 6):
+        raise ValueError(f"expected (4, 6) neighbor poses, got {params.shape}")
     interp, _ = interpolate(params, np.arange(4)[None], WINDOW_WEIGHTS[2:3],
                             params[:1, :3])
-    return PoseVector(interp[0, :3], interp[0, 3:])
+    return interp[0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +143,22 @@ def grid_factor(grid: ComparisonGrid):
     return np.linalg.qr(h, mode="r")
 
 
-def grid_displacements(H: RigidTransform, S: RigidTransform,
-                       grid: ComparisonGrid):
-    """(n, 3) displacement of each grid point under H * S^-1."""
-    moved = geometry.apply(geometry.compose(H, geometry.invert(S)), grid.points)
-    return moved - grid.points
+def grid_displacements(H, S, grid: ComparisonGrid):
+    """(..., n, 3) displacement R_H R_S^T (g - t_S) + t_H - g of each grid
+    point g under H * S^-1, for broadcasting (..., 6) pose rows H and S."""
+    H, S = np.asarray(H, dtype=float), np.asarray(S, dtype=float)
+    RH = geometry.rodrigues_to_matrix(H[..., :3])
+    RS = geometry.rodrigues_to_matrix(S[..., :3])
+    g = grid.points
+    return ((g - S[..., None, 3:]) @ RS @ np.swapaxes(RH, -1, -2)
+            + H[..., None, 3:] - g)
 
 
-def grid_rmse(H: RigidTransform, S: RigidTransform, grid: ComparisonGrid):
-    """RMS grid-point displacement (mm) between two transforms."""
+def grid_rmse(H, S, grid: ComparisonGrid):
+    """RMS grid-point displacement (mm) between broadcasting (..., 6) pose
+    rows H and S: shape (...)."""
     d = grid_displacements(H, S, grid)
-    return float(np.sqrt((d ** 2).sum(axis=1).mean()))
+    return np.sqrt((d ** 2).sum(axis=-1).mean(axis=-1))
 
 
 def track_residual(track, t, grid: ComparisonGrid | None = None):
@@ -163,7 +168,7 @@ def track_residual(track, t, grid: ComparisonGrid | None = None):
     Returns the (n_grid, 3) grid displacements between the epoch's pose and
     the cubic interpolation of its four window neighbors, as in the bundle
     adjustment; the RMS of the flattened vector equals `grid_rmse` of the
-    two transforms. IndexError unless 0 <= t < T.
+    two poses. IndexError unless 0 <= t < T.
     """
     grid = grid or default_grid()
     params = np.asarray(track, dtype=float)
@@ -172,9 +177,6 @@ def track_residual(track, t, grid: ComparisonGrid | None = None):
     if not 0 <= t < len(params):
         raise IndexError(f"epoch {t} outside a track of {len(params)} epochs")
     nodes, weights = windows(len(params))
-    own = params[t]
     interp, _ = interpolate(params, nodes[t:t + 1], weights[t:t + 1],
-                            geometry.canonical_rodrigues(own[None, :3]))
-    S = RigidTransform(geometry.rodrigues_to_matrix(interp[0, :3]), interp[0, 3:])
-    H = RigidTransform(geometry.rodrigues_to_matrix(own[:3]), own[3:])
-    return grid_displacements(H, S, grid)
+                            geometry.canonical_rodrigues(params[t:t + 1, :3]))
+    return grid_displacements(params[t], interp[0], grid)

@@ -19,7 +19,6 @@ from mousetrack3d import (
     track_constraint,
 )
 from mousetrack3d.adjustment import MouseStateTrack, StochasticConfig
-from mousetrack3d.geometry import PoseVector
 
 
 def _verdict(num, name, ok, detail=""):
@@ -60,8 +59,8 @@ def test_criterion_1_geometry_closure():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         Rb = geometry.rodrigues_to_matrix(axis * np.radians(40))
-        pose_b = geometry.compose(
-            pose, geometry.RigidTransform(Rb, X - Rb @ X))
+        pose_b = geometry.RigidTransform(
+            pose.rotation @ Rb, pose.rotation @ (X - Rb @ X) + pose.translation)
         cam_b = geometry.CameraModel(K, pose_b)
         rec, _ = geometry.triangulate(
             [(cam, geometry.project(cam, X)),
@@ -93,13 +92,10 @@ def test_criterion_2_spline_exactness():
         def params(t):
             return coeff @ np.array([1.0, t, t * t, t ** 3])
 
-        neighbors = [PoseVector(params(o)[:3] * 0.05, params(o)[3:])
-                     for o in (-2, -1, 1, 2)]
-        q = track_constraint.spline_interpolate(neighbors)
-        expect = params(0.0)
-        worst = max(worst,
-                    float(np.abs(q.rodrigues - expect[:3] * 0.05).max()),
-                    float(np.abs(q.translation - expect[3:]).max()))
+        scale = [0.05] * 3 + [1.0] * 3
+        q = track_constraint.spline_interpolate(
+            [params(o) * scale for o in (-2, -1, 1, 2)])
+        worst = max(worst, float(np.abs(q - params(0.0) * scale).max()))
     # uniform linear motion has zero residual at every epoch
     track = np.array([[0.0, 0.0, 0.002 * t, 3.0 * t, -t, 0.5 * t]
                       for t in range(20)])
@@ -115,32 +111,25 @@ def test_criterion_2_spline_exactness():
 def test_criterion_3_grid_metric():
     rng = np.random.default_rng(2)
     grid = track_constraint.default_grid()
-    ok = True
-    details = []
-    for _ in range(50):
-        r = rng.normal(size=3) * 0.5
-        t = rng.normal(scale=20, size=3)
-        S = geometry.pose_to_transform(PoseVector(r, t))
-        # identity case: zero
-        if track_constraint.grid_rmse(S, S, grid) > 1e-12:
-            ok = False
-        # distinct transforms: strictly positive
-        H = geometry.pose_to_transform(
-            PoseVector(r + rng.normal(size=3) * 0.01,
-                       t + rng.normal(size=3) * 0.1))
-        if track_constraint.grid_rmse(H, S, grid) <= 0.0:
-            ok = False
-        # pure translation: rmse equals |delta| to 1e-12
-        delta = rng.normal(scale=5, size=3)
-        Ht = geometry.compose(
-            geometry.RigidTransform(np.eye(3), delta), S)
-        err = abs(track_constraint.grid_rmse(Ht, S, grid)
-                  - np.linalg.norm(delta))
-        details.append(err)
-        if err > 1e-12:
-            ok = False
+    # 50 cases, one pose row each: S, a distinct H near it, and S moved by
+    # a pure translation delta
+    S, H, delta = np.empty((50, 6)), np.empty((50, 6)), np.empty((50, 3))
+    for n in range(50):
+        S[n, :3] = rng.normal(size=3) * 0.5
+        S[n, 3:] = rng.normal(scale=20, size=3)
+        H[n, :3] = S[n, :3] + rng.normal(size=3) * 0.01
+        H[n, 3:] = S[n, 3:] + rng.normal(size=3) * 0.1
+        delta[n] = rng.normal(scale=5, size=3)
+    Ht = S + np.column_stack([np.zeros((50, 3)), delta])
+    # identity case: zero; distinct poses: strictly positive; pure
+    # translation: rmse equals |delta| to 1e-12
+    err = np.abs(track_constraint.grid_rmse(Ht, S, grid)
+                 - np.linalg.norm(delta, axis=1))
+    ok = bool((track_constraint.grid_rmse(S, S, grid) <= 1e-12).all()
+              and (track_constraint.grid_rmse(H, S, grid) > 0.0).all()
+              and (err <= 1e-12).all())
     _verdict(3, "grid metric", ok,
-             f"translation identity error {max(details):.2e} mm")
+             f"translation identity error {err.max():.2e} mm")
 
 
 # -- 4. noiseless end-to-end -----------------------------------------------------

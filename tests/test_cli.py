@@ -160,6 +160,8 @@ BAD_CAMERA_FILES = {
     "cameras_not_objects": ["cam0", "cam1", "cam2"],
     "cameras_singular_K": _camera_docs(K=[0] * 9),
     "cameras_too_few": _camera_docs()[:2],
+    "cameras_wrong_ids": [dict(doc, id=i)
+                          for doc, i in zip(_camera_docs(), (0, 1, 3))],
 }
 # changes to the `meta` object of a dataset given to `solve --data`
 BAD_METAS = {

@@ -5,11 +5,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mousetrack3d import geometry, mouse_model, simulator
+from mousetrack3d import mouse_model, simulator
 from mousetrack3d.adjustment import MouseStateTrack
 from mousetrack3d.errors import EpochMismatch
 from mousetrack3d.evaluation import evaluate, geodesic_angle, plot, save_report
-from mousetrack3d.geometry import PoseVector, rodrigues_to_matrix
+from mousetrack3d.geometry import rodrigues_to_matrix
 
 
 def make_dataset(seed=0, n_epochs=25, **kw):
@@ -65,8 +65,7 @@ def test_evaluate_equals_per_epoch_reference():
         assert report.rotation_error_deg[t] == np.degrees(geodesic_angle(
             rodrigues_to_matrix(est[:3]), rodrigues_to_matrix(gt[:3])))
         pts = mouse_model.RigidMouseModel().coords + offsets[t]
-        world = geometry.apply(
-            geometry.pose_to_transform(PoseVector(est[:3], est[3:])), pts)
+        world = mouse_model.world_part_positions(est, pts)
         part_sq[t] = ((world - ds.deformable_world[t]) ** 2).sum(axis=1)
     assert np.array_equal(report.per_part_rmse_mm, np.sqrt(part_sq.mean(axis=0)))
 

@@ -82,7 +82,7 @@ def test_unused_import_scan_sees_every_scope():
 
 
 def test_no_unused_imports():
-    files = sorted(p for top in ("src", "tests", "demos")
+    files = sorted(p for top in ("src", "tests", "demos", "tools")
                    for p in (ROOT / top).rglob("*.py"))
     assert len(files) > 10
     unused = [f"{p.relative_to(ROOT)}:{line} {name}" for p in files
@@ -92,7 +92,8 @@ def test_no_unused_imports():
 
 
 # Runs in a fresh interpreter: the numpy-only half of the pipeline on a
-# T = 20 scene, then one solve. Prints the scipy modules loaded after each.
+# T = 20 scene, then one solve, then a Jacobian check on a T = 6 problem.
+# Prints the scipy modules loaded after each.
 NUMPY_ONLY_PATH = """
 import json, sys
 import mousetrack3d
@@ -122,18 +123,24 @@ for argv in (["simulate", "--config", "scene.json", "--out", "cli_data.json"],
 scipy_modules()
 adjustment.solve_dataset(dataset)
 scipy_modules()
+short = simulator.simulate(simulator.SceneConfig(
+    cameras=simulator.default_cameras(), seed=1, n_epochs=6))
+adjustment.check_jacobian(adjustment.build_problem(short, short.cameras),
+                          adjustment.initialize(short, short.cameras))
+scipy_modules()
 """
 
 
 def test_numpy_only_paths_load_no_scipy(tmp_path):
     # scipy is slow to import; simulate, export/import, evaluate and plot
-    # (also through the CLI) need none of it, and the solver only
-    # scipy.linalg's banded Cholesky
+    # (also through the CLI) need none of it, the solver only
+    # scipy.linalg's banded Cholesky, and the dense Jacobian check no more
     src = pathlib.Path(mousetrack3d.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", NUMPY_ONLY_PATH],
                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
                          check=True, capture_output=True, text=True).stdout
-    before_solve, after_solve = map(json.loads, out.splitlines()[-2:])
+    before_solve, after_solve, after_check = map(json.loads,
+                                                 out.splitlines()[-3:])
     assert before_solve == []
     assert "scipy.linalg" in after_solve
-    assert "scipy.sparse" not in after_solve
+    assert not any(m.startswith("scipy.sparse") for m in after_check)

@@ -191,7 +191,8 @@ def test_export_import_roundtrip(tmp_path):
     assert np.allclose(loaded.poses, ds.poses)
     for a, b in zip(ds.cameras, loaded.cameras):
         assert np.allclose(a.calibration, b.calibration)
-        assert np.allclose(a.pose_global.matrix(), b.pose_global.matrix())
+        assert np.allclose(a.pose_global.rotation, b.pose_global.rotation)
+        assert np.allclose(a.pose_global.translation, b.pose_global.translation)
 
 
 def test_export_size_budget(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mousetrack3d import geometry, simulator, track_constraint
-from mousetrack3d.geometry import PoseVector, RigidTransform
 from mousetrack3d.track_constraint import (
     ComparisonGrid,
     default_grid,
@@ -14,11 +13,6 @@ from mousetrack3d.track_constraint import (
     track_residual,
     windows,
 )
-
-
-def rigid(rvec, t):
-    return geometry.pose_to_transform(PoseVector(np.asarray(rvec, float),
-                                                 np.asarray(t, float)))
 
 
 # -- grid ---------------------------------------------------------------------
@@ -44,10 +38,10 @@ def test_interior_weights():
 
 
 def test_constant_poses_interpolate_exactly():
-    p0 = PoseVector(np.array([0.1, -0.2, 0.3]), np.array([4.0, 5.0, 6.0]))
+    p0 = np.array([0.1, -0.2, 0.3, 4.0, 5.0, 6.0])
     q = spline_interpolate([p0, p0, p0, p0])
-    assert np.allclose(q.rodrigues, p0.rodrigues, atol=1e-12)
-    assert np.allclose(q.translation, p0.translation, atol=1e-12)
+    assert q.shape == (6,)
+    assert np.allclose(q, p0, atol=1e-12)
 
 
 def test_cubic_parameters_reproduced_exactly():
@@ -58,12 +52,11 @@ def test_cubic_parameters_reproduced_exactly():
         def params(t):
             return coeff @ np.array([1.0, t, t * t, t ** 3])
 
-        neighbors = [PoseVector(params(o)[:3] * 0.05, params(o)[3:])
-                     for o in (-2, -1, 1, 2)]
-        q = spline_interpolate(neighbors)
+        scale = [0.05] * 3 + [1.0] * 3
+        q = spline_interpolate([params(o) * scale for o in (-2, -1, 1, 2)])
         expect = params(0.0)
-        assert np.allclose(q.rodrigues, expect[:3] * 0.05, atol=1e-9)
-        assert np.allclose(q.translation, expect[3:], atol=1e-9)
+        assert np.allclose(q[:3], expect[:3] * 0.05, atol=1e-9)
+        assert np.allclose(q[3:], expect[3:], atol=1e-9)
 
 
 def test_quartic_interpolation_error():
@@ -118,8 +111,14 @@ def test_spline_interpolate_across_pi():
     axis = np.array([0.0, 0.0, 1.0])
     angles = np.pi + 0.1 * np.array([-2.0, -1.0, 1.0, 2.0])
     canon = np.where(angles > np.pi, angles - 2 * np.pi, angles)
-    q = spline_interpolate([PoseVector(a * axis, np.zeros(3)) for a in canon])
-    assert np.allclose(q.rodrigues, np.pi * axis, atol=1e-12)
+    q = spline_interpolate(np.column_stack([canon[:, None] * axis,
+                                            np.zeros((4, 3))]))
+    assert np.allclose(q[:3], np.pi * axis, atol=1e-12)
+
+
+def test_spline_interpolate_rejects_other_shapes():
+    with pytest.raises(ValueError):
+        spline_interpolate(np.zeros((3, 6)))
 
 
 # -- grid comparison ----------------------------------------------------------
@@ -142,24 +141,24 @@ def test_grid_factor_reproduces_grid_sums(grid):
     assert R.shape == (4, 4)
     assert np.allclose(R.T @ R, h.T @ h, rtol=1e-12, atol=1e-9)
     # a displacement A h has the grid's sum of squares at the four points
-    H = rigid([0.2, -0.1, 0.3], [4.0, -2.0, 1.0])
-    S = rigid([0.25, -0.05, 0.2], [3.0, -1.0, 2.5])
-    M = geometry.compose(H, geometry.invert(S))
-    A = np.column_stack([M.rotation - np.eye(3), M.translation])
+    H = np.array([0.2, -0.1, 0.3, 4.0, -2.0, 1.0])
+    S = np.array([0.25, -0.05, 0.2, 3.0, -1.0, 2.5])
+    M = geometry.rodrigues_to_matrix(H[:3]) @ geometry.rodrigues_to_matrix(S[:3]).T
+    A = np.column_stack([M - np.eye(3), H[3:] - M @ S[3:]])
     sq = (grid_displacements(H, S, grid) ** 2).sum()
     assert ((R @ A.T) ** 2).sum() == pytest.approx(sq, rel=1e-12)
 
 
 def test_identical_transforms_zero_rmse():
-    H = rigid([0.2, 0.1, -0.3], [5.0, -2.0, 1.0])
+    H = np.array([0.2, 0.1, -0.3, 5.0, -2.0, 1.0])
     assert grid_rmse(H, H, default_grid()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pure_translation_rmse_is_norm():
     g = default_grid()
-    S = rigid([0.3, -0.1, 0.2], [1.0, 2.0, 3.0])
+    S = np.array([0.3, -0.1, 0.2, 1.0, 2.0, 3.0])
     delta = np.array([0.3, -0.4, 1.2])
-    H = geometry.compose(RigidTransform(np.eye(3), delta), S)
+    H = S + np.concatenate([np.zeros(3), delta])
     assert grid_rmse(H, S, g) == pytest.approx(np.linalg.norm(delta), abs=1e-9)
 
 
@@ -170,9 +169,9 @@ def test_one_degree_rotation_rmse_chord_oracle():
     center = 0.5 * (g.points.min(axis=0) + g.points.max(axis=0))
     theta = np.radians(1.0)
     R = geometry.rodrigues_to_matrix(np.array([0.0, 0.0, theta]))
-    S = RigidTransform(np.eye(3), np.zeros(3))
+    S = np.zeros(6)
     # rotate about the center: x -> R(x - c) + c
-    H = RigidTransform(R, center - R @ center)
+    H = np.concatenate([[0.0, 0.0, theta], center - R @ center])
     radii = np.linalg.norm(g.points[:, :2] - center[:2], axis=1)
     chords = 2.0 * radii * np.sin(theta / 2.0)
     expected = np.sqrt(np.mean(chords ** 2))
@@ -181,12 +180,31 @@ def test_one_degree_rotation_rmse_chord_oracle():
 
 def test_grid_displacement_shape_and_rms_consistency():
     g = default_grid()
-    H = rigid([0.1, 0.0, 0.05], [1.0, 0.0, 0.0])
-    S = rigid([0.1, 0.01, 0.05], [1.0, 0.2, 0.0])
+    H = np.array([0.1, 0.0, 0.05, 1.0, 0.0, 0.0])
+    S = np.array([0.1, 0.01, 0.05, 1.0, 0.2, 0.0])
     d = grid_displacements(H, S, g)
     assert d.shape == (27, 3)
     assert np.sqrt((d ** 2).sum(axis=1).mean()) \
         == pytest.approx(grid_rmse(H, S, g))
+
+
+def test_grid_metric_broadcasts_over_pose_rows():
+    rng = np.random.default_rng(21)
+    g = default_grid()
+    H = np.column_stack([rng.normal(size=(40, 3)), rng.normal(scale=20, size=(40, 3))])
+    S = np.column_stack([rng.normal(size=(40, 3)), rng.normal(scale=20, size=(40, 3))])
+    d = grid_displacements(H, S, g)
+    rmse = grid_rmse(H, S, g)
+    assert d.shape == (40, 27, 3) and rmse.shape == (40,)
+    for n in range(40):
+        assert np.allclose(d[n], grid_displacements(H[n], S[n], g),
+                           rtol=0, atol=1e-12)
+        assert rmse[n] == pytest.approx(grid_rmse(H[n], S[n], g), abs=1e-12)
+    # one pose row against many, and a (2, 20, 6) stack
+    assert np.allclose(grid_rmse(H, S[0], g),
+                       [grid_rmse(h, S[0], g) for h in H], rtol=0, atol=1e-12)
+    assert np.allclose(grid_rmse(H.reshape(2, 20, 6), S.reshape(2, 20, 6), g),
+                       rmse.reshape(2, 20), rtol=0, atol=1e-12)
 
 
 # -- track residual -----------------------------------------------------------
@@ -224,9 +242,7 @@ def test_outlier_pose_residual_matches_oracle():
     track[t] += [0.02, 0.0, 0.0, 3.0, 0.0, 0.0]
     g = default_grid()
     res = track_residual(track, t, g)
-    # oracle: interpolate the neighbors directly and compare transforms
-    S = spline_interpolate([PoseVector(p[:3], p[3:])
-                            for p in track[[t - 2, t - 1, t + 1, t + 2]]])
-    expect = grid_displacements(rigid(track[t, :3], track[t, 3:]),
-                                geometry.pose_to_transform(S), g)
+    # oracle: interpolate the neighbors directly and compare poses
+    S = spline_interpolate(track[[t - 2, t - 1, t + 1, t + 2]])
+    expect = grid_displacements(track[t], S, g)
     assert np.allclose(res, expect, atol=1e-12)

@@ -1,0 +1,85 @@
+"""Print the SHA-256 of the files the library writes, for the current checkout.
+
+    python3 tools/output_digests.py
+
+Run from any directory; the library is imported from the checkout's `src/`.
+Two sets of files are hashed:
+
+* the track that `adjustment.save_track` writes for every full-size
+  recording of the benchmark's workloads (named in BENCHMARK.json, built by
+  `perfbench/workloads.py`), each solved as the benchmark solves it: the
+  scene simulated, exported and imported, then `solve_dataset` in the
+  workload's mode, with the deformation model trained once per workload;
+* `report.json` and `track.json` of the criterion-8 `pipeline` run of
+  tests/test_acceptance.py.
+
+Each line is "<sha256>  <file>". Run it on two checkouts and `diff` the
+outputs: a change that keeps every one of these files byte-identical prints
+the same lines. BLAS is pinned to one thread, as in the benchmark.
+"""
+
+import contextlib
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from mousetrack3d import adjustment, cli, deform_predictor, simulator
+import workloads
+
+# the criterion-8 pipeline config (tests/test_acceptance.py)
+PIPELINE_CONFIG = {"scene": {"n_epochs": 60, "seed": 3, "noise_sigma_px": 0.5},
+                   "solve": {"mode": "rigid"}}
+
+
+def digest(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def workload_tracks(name, workdir):
+    """(label, saved track path) of every recording of the named workload."""
+    workload = workloads.build(name)
+    model = None
+    if workload.training:
+        model, _ = deform_predictor.train(
+            [simulator.simulate(config) for _, config in workload.training],
+            epochs=workload.train_epochs, seed=0)
+    for label, config in workload.recordings:
+        data = os.path.join(workdir, f"{label}.json")
+        simulator.export_dataset(simulator.simulate(config), data)
+        track, _ = adjustment.solve_dataset(
+            simulator.import_dataset(data), mode=workload.mode,
+            deform_model=model, stochastic=workload.stochastic)
+        out = os.path.join(workdir, f"{label}-track.json")
+        adjustment.save_track(track, out)
+        yield label, out
+
+
+def main():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        names = [w["name"] for w in json.load(f)["workloads"]]
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in names:
+            for label, path in workload_tracks(name, workdir):
+                print(f"{digest(path)}  {name}/{label}/track.json")
+        config = os.path.join(workdir, "pipeline.json")
+        with open(config, "w") as f:
+            json.dump(PIPELINE_CONFIG, f)
+        out = os.path.join(workdir, "pipeline")
+        with contextlib.redirect_stdout(sys.stderr):
+            code = cli.main(["pipeline", "--config", config, "--out-dir", out])
+        if code != 0:
+            sys.exit(f"pipeline exited with {code}")
+        for file in ("report.json", "track.json"):
+            print(f"{digest(os.path.join(out, file))}  pipeline/{file}")
+
+
+if __name__ == "__main__":
+    main()
