@@ -12,9 +12,11 @@ Unknowns are six pose parameters per epoch, with every rotation vector kept
 canonical (angle at most pi) by the solver; the smoothness window couples five
 consecutive epochs, so the normal matrix is banded with half-bandwidth 29
 (6 * 4 + 5). Levenberg-Marquardt accumulates it straight into banded
-storage from per-epoch rotation derivatives and one 12x12 smoothness factor
-per epoch, and solves each damped step by banded Cholesky. Camera poses are
-fixed throughout.
+storage, and solves each damped step by banded Cholesky: the reprojection
+terms are summed over cameras per (epoch, part) and lifted once into their
+epoch's 6x6 block, and the smoothness terms come from one 12x12 factor per
+epoch. The recording is triangulated once per solve, for the initialization
+and every deformation-offset prediction. Camera poses are fixed throughout.
 """
 
 from __future__ import annotations
@@ -142,10 +144,11 @@ def _dataset_cameras(dataset, cameras):
     return cams
 
 
-def _triangulate_parts(dataset, cameras):
+def triangulate_parts(dataset, cameras):
     """Linear triangulation of every (epoch, part): ((T, 8, 3) global
     positions, (T, 8) mask of parts seen by >= 2 cameras and
-    triangulated)."""
+    triangulated). `initialize`, `build_problem` and `predict_offsets` take
+    the pair as `parts=`, so one solve triangulates once."""
     cameras = _dataset_cameras(dataset, cameras)
     T, K = dataset.visible.shape[:2]
     visible = dataset.visible.transpose(0, 2, 1).reshape(T * 8, K)
@@ -154,7 +157,7 @@ def _triangulate_parts(dataset, cameras):
     return X.reshape(T, 8, 3), ok.reshape(T, 8)
 
 
-def initialize(dataset, cameras=None) -> MouseStateTrack:
+def initialize(dataset, cameras=None, *, parts=None) -> MouseStateTrack:
     """Per-epoch initialization from local observations.
 
     Parts visible in >= 2 cameras are triangulated; epochs with at least
@@ -163,11 +166,13 @@ def initialize(dataset, cameras=None) -> MouseStateTrack:
     interpolated between solved neighbors i < j (nearest solved state at the
     track ends): the rotation vector between canonical r_i and r_j
     re-expressed on the 2 pi branch nearest r_i, so that every solved epoch
-    keeps its canonical vector.
+    keeps its canonical vector. `parts` is `triangulate_parts`'s result,
+    computed here when not given.
     """
     cameras = cameras if cameras is not None else dataset.cameras
     T = dataset.n_epochs
-    world, have = _triangulate_parts(dataset, cameras)
+    world, have = (parts if parts is not None
+                   else triangulate_parts(dataset, cameras))
     solved = np.flatnonzero(have.sum(axis=1) >= 3)
     if not solved.size:
         raise NoSolvableEpoch("no epoch has enough triangulated parts for a local fit")
@@ -221,7 +226,10 @@ class Problem:
     The smoothness residual of epoch t depends on the poses of the five
     epochs in `smooth_nodes[t]` (t itself, then its four window nodes), at
     most four epochs apart, so J^T J is banded with half-bandwidth
-    `bandwidth` = min(29, 6T - 1).
+    `bandwidth` = min(29, 6T - 1). A reprojection residual depends on its
+    epoch's pose only through the world point R_t m_i + t_t of its part,
+    so `normal_equations` sums the observations of each (epoch, part) in
+    world-point terms first and meets the pose once per (epoch, part).
     """
 
     def __init__(self, dataset, cameras, model_points, stochastic, sigma_px):
@@ -334,8 +342,11 @@ class Problem:
     def _blocks(self, x):
         """Residuals and Jacobian factors at x (T, 6).
 
-        Returns (r_p (n_obs, 2), J_p (n_obs, 2, 6), r_s (T, 12),
-        C (T, 12, 12), s (T, 4)). J_p[n] is d r_p[n] / d x[obs_t[n]].
+        Returns (r_p (n_obs, 2), J_w (n_obs, 2, 3), J_rot (T, 8, 3, 3),
+        r_s (T, 12), C (T, 12, 12), s (T, 4)). J_w[n] is d r_p[n] / d X_n,
+        the derivative by observation n's world point X_n = R_t m_ti + t_t,
+        and J_rot[t, i] = d(R_t m_ti)/dr_t, so that d r_p[n] / d x[t] =
+        J_w[n] [J_rot[t, i] | I] for t = obs_t[n], i = obs_i[n].
         C[t] = [A_t | B_t] holds d r_s[t] / d x[t] (A_t) and
         d r_s[t] / d S[t] (B_t), where S[t] is the interpolated pose. So
         d r_s[t] / d x[smooth_nodes[t, a]] for a window node a > 0 is
@@ -350,18 +361,14 @@ class Problem:
         S, branch = self._interpolated(x)
         RS, dRS = geometry.rotation_derivatives(S[:, :3])
 
-        r_p = np.zeros((0, 2))
-        J_p = np.zeros((0, 2, 6))
-        if self.n_obs > 0:
-            r_p, q, z = self._reproj_forward(x, RH)
-            KR = self.cam_KR[self.obs_k]
-            # d(proj)/d(world): (u, v) = (q0/q2, q1/q2), q = K R_c world + K t_c
-            Jworld = ((KR[:, :2, :] * z[:, None, None] - q[:, :2, None] * KR[:, 2:3, :])
-                      / (z ** 2)[:, None, None])                       # (n, 2, 3)
-            # d(R_t m)/dr for every (epoch, part): [t, part, :, i] = dR_t/dr_i m
-            Jrot = (self.model_pts[..., None, :, :] @ dRH.transpose(0, 1, 3, 2))
-            Jrot = Jrot.transpose(0, 2, 3, 1)[self.obs_t, self.obs_i]  # (n, 3, 3)
-            J_p = np.concatenate([Jworld @ Jrot, Jworld], axis=2) / self.sigma_px
+        r_p, q, z = self._reproj_forward(x, RH)
+        KR = self.cam_KR[self.obs_k]
+        # d(proj)/d(world): (u, v) = (q0/q2, q1/q2), q = K R_c world + K t_c
+        J_w = ((KR[:, :2, :] * z[:, None, None] - q[:, :2, None] * KR[:, 2:3, :])
+               / (self.sigma_px * z ** 2)[:, None, None])
+        # d(R_t m)/dr for every (epoch, part): [t, part, :, i] = dR_t/dr_i m
+        J_rot = (dRH.reshape(T, 9, 3) @ np.swapaxes(self.model_pts, -1, -2)
+                 ).reshape(T, 3, 3, 8).transpose(0, 3, 2, 1).copy()
 
         c, y, r_s = self._smooth_forward(x, S, RH, RS)
         s = self.smooth_s[None, :, None, None]
@@ -374,15 +381,16 @@ class Problem:
                        ).transpose(0, 2, 3, 1)
         C[..., 9:12] = -s * (RH @ RS.transpose(0, 2, 1))[:, None]
         C *= self.stochastic.smoothness_weight
-        return r_p, J_p, r_s.reshape(T, 12), C.reshape(T, 12, 12), branch
+        return r_p, J_w, J_rot, r_s.reshape(T, 12), C.reshape(T, 12, 12), branch
 
     def jacobian(self, x):
         """Dense (n_residuals, n_params) Jacobian at x, expanded from the
         same factors as `normal_equations`. It holds n_residuals x 6T floats,
         so it serves checks only; the solver never forms it."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        _, J_p, _, C, branch = self._blocks(x)
+        _, J_w, J_rot, _, C, branch = self._blocks(x)
         T, n = self.n_epochs, self.n_obs
+        J_p = np.concatenate([J_w @ J_rot[self.obs_t, self.obs_i], J_w], axis=2)
         J_s = np.concatenate(
             [C[:, :, None, :6],
              C[:, :, None, 6:] * self.win_weights[:, None, :, None]],
@@ -404,16 +412,18 @@ class Problem:
         Returns (N, g): N has shape (bandwidth + 1, n_params) with
         N[i - j, j] = (J^T J)[i, j] for i >= j (the layout of
         scipy.linalg.cholesky_banded with lower=True), g = J^T r.
+
+        Reprojection terms are summed per (epoch, part) before they meet the
+        pose (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000,
+        sec. 6): each observation gives J_w^T J_w (3x3) and J_w^T r (3), one
+        scatter sums them over cameras into A_ti and b_ti, and each
+        (epoch, part) is lifted once through [J_rot | I] into its epoch's
+        6x6 block [[J_rot^T A J_rot, J_rot^T A], [A J_rot, A]] and gradient
+        [J_rot^T b, b].
         """
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        r_p, J_p, r_s, C, branch = self._blocks(x)
+        r_p, J_w, J_rot, r_s, C, branch = self._blocks(x)
         T = self.n_epochs
-        blocks = np.zeros((T, 5, 36))
-        g = np.zeros((T, 6))
-        if self.n_obs > 0:
-            Jt = J_p.transpose(0, 2, 1)
-            blocks[:, 0] = _sum_rows(self.obs_t, Jt @ J_p, T)
-            g += _sum_rows(self.obs_t, Jt @ r_p[:, :, None], T)
         # one C_t^T C_t per epoch, spread over its 15 window node pairs
         Ct = C.transpose(0, 2, 1)
         CtC = (Ct @ C).reshape(T, 2, 6, 2, 6).transpose(0, 1, 3, 2, 4)
@@ -438,12 +448,30 @@ class Problem:
             pairs[bent] = P
             g_nodes[bent, :, :3] = (D.transpose(0, 1, 3, 2)
                                     @ g_nodes[bent, :, :3, None])[..., 0]
-        blocks += _sum_rows(self._pair_dst, pairs.reshape(-1, 36),
-                            T * 5).reshape(T, 5, 36)
-        g += _sum_rows(self.smooth_nodes.ravel(), g_nodes.reshape(-1, 6), T)
+        blocks = _sum_rows(self._pair_dst, pairs.reshape(-1, 36),
+                           T * 5).reshape(T, 5, 6, 6)
+        g = _sum_rows(self.smooth_nodes.ravel(), g_nodes.reshape(-1, 6), T)
+
+        # reprojection: J_w^T [J_w | r] of every observation, summed over
+        # cameras per (epoch, part) into [A | b], then lifted once by
+        # [J_rot | I]
+        Ab = _sum_rows(8 * self.obs_t + self.obs_i,
+                       J_w.transpose(0, 2, 1)
+                       @ np.concatenate([J_w, r_p[:, :, None]], axis=2),
+                       8 * T).reshape(T, 8, 3, 4)
+        A, b = Ab[..., :3], Ab[..., 3:]
+        J_rotT = J_rot.transpose(0, 1, 3, 2)
+        AJ = A @ J_rot
+        # the band holds the diagonal block's lower triangle only, so its
+        # upper-right J_rot^T A is not needed
+        diag = blocks[:, 0]
+        diag[:, :3, :3] += (J_rotT @ AJ).sum(axis=1)
+        diag[:, 3:, :3] += AJ.sum(axis=1)
+        diag[:, 3:, 3:] += A.sum(axis=1)
+        g[:, :3] += (J_rotT @ b).sum(axis=1)[..., 0]
+        g[:, 3:] += b.sum(axis=1)[..., 0]
         # block [j, d] entry (p, q) is (J^T J)[6(j + d) + p, 6j + q], stored at
         # N[6d + p - q, 6j + q] when on or below the diagonal
-        blocks = blocks.reshape(T, 5, 6, 6)
         N = np.zeros((self.bandwidth + 1, self.n_params))
         for d in range(min(5, T)):
             for q in range(6):
@@ -475,13 +503,15 @@ class Problem:
 
 
 def build_problem(dataset, cameras, track=None, deform_model=None,
-                  stochastic: StochasticConfig | None = None) -> Problem:
+                  stochastic: StochasticConfig | None = None, *,
+                  parts=None) -> Problem:
     """Assemble the residual system for a dataset.
 
     Without a deformation model every observation becomes a rigid
     reprojection block weighted by sigma_px_deformation (body deformation
     treated as noise). With one, per-epoch offsets are predicted from the
-    current track and blocks use sigma_px_geometric.
+    current track (`predict_offsets`, which gets `parts`) and blocks use
+    sigma_px_geometric.
     """
     stochastic = stochastic or StochasticConfig()
     model_pts = mouse_model.RigidMouseModel().coords
@@ -490,22 +520,26 @@ def build_problem(dataset, cameras, track=None, deform_model=None,
                        stochastic.sigma_px_deformation)
     if track is None:
         raise ValueError("deformed mode needs a current track estimate")
-    offsets = predict_offsets(dataset, cameras, track, deform_model)
+    offsets = predict_offsets(dataset, cameras, track, deform_model,
+                              parts=parts)
     return Problem(dataset, cameras, model_pts + offsets, stochastic,
                    stochastic.sigma_px_geometric)
 
 
-def predict_offsets(dataset, cameras, track: MouseStateTrack, model):
+def predict_offsets(dataset, cameras, track: MouseStateTrack, model, *,
+                    parts=None):
     """Per-epoch model-frame deformation offsets predicted from observations.
 
-    Parts visible in >= 2 cameras are triangulated and mapped into the model
-    frame via the current pose estimates; the recording's token windows feed
-    the sequence model in one batch. Epochs whose window does not fit inside
-    the track get zero offsets.
+    Parts visible in >= 2 cameras are triangulated (`parts`, computed here
+    when not given) and mapped into the model frame via the current pose
+    estimates; the recording's token windows feed the sequence model in one
+    batch. Epochs whose window does not fit inside the track get zero
+    offsets.
     """
     T = dataset.n_epochs
     n = model.window
-    world, have = _triangulate_parts(dataset, cameras)
+    world, have = (parts if parts is not None
+                   else triangulate_parts(dataset, cameras))
     x = track.poses
     R = geometry.rodrigues_to_matrix(x[:, :3])
     est = (world - x[:, None, 3:]) @ R               # R^T (X - t), model frame
@@ -622,13 +656,15 @@ def solve_dataset(dataset, cameras=None, mode="rigid", deform_model=None,
                   stochastic: StochasticConfig | None = None):
     """Initialize and solve a dataset end to end.
 
-    In deformed mode the offset prediction and the pose solve alternate for
-    two rounds (offsets held fixed within each LM solve); one round gives a
-    higher part RMSE on gait recordings.
+    The recording is triangulated once, for the initialization and every
+    offset prediction. In deformed mode the offset prediction and the pose
+    solve alternate for two rounds (offsets held fixed within each LM
+    solve); one round gives a higher part RMSE on gait recordings.
     """
     cameras = cameras if cameras is not None else dataset.cameras
     stochastic = stochastic or StochasticConfig()
-    init = initialize(dataset, cameras)
+    parts = triangulate_parts(dataset, cameras)
+    init = initialize(dataset, cameras, parts=parts)
     if mode == "rigid":
         problem = build_problem(dataset, cameras, stochastic=stochastic)
         track, report = solve(problem, init)
@@ -639,7 +675,7 @@ def solve_dataset(dataset, cameras=None, mode="rigid", deform_model=None,
         for _ in range(2):
             problem = build_problem(dataset, cameras, track=track,
                                     deform_model=deform_model,
-                                    stochastic=stochastic)
+                                    stochastic=stochastic, parts=parts)
             track, report = solve(problem, track)
     else:
         raise ValueError(f"unknown mode '{mode}'")

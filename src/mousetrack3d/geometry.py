@@ -65,31 +65,35 @@ def matrix_to_rodrigues(R):
     """Axis-angle 3-vectors for rotation matrices, on the canonical branch:
     (..., 3, 3) -> (..., 3).
 
-    Angle lies in [0, pi]; at pi the axis sign is fixed so its first nonzero
-    component is positive (deterministic serialization).
+    With v = (R32 - R23, R13 - R31, R21 - R12) = 2 sin(theta) a for the unit
+    axis a, the angle is theta = atan2(|v| / 2, (tr R - 1) / 2) in [0, pi].
+    Up to pi / 2 the vector is theta v / (2 sin theta) (v / 2 below an angle
+    of 1e-7). Beyond pi / 2, where v loses relative precision, the axis is
+    the largest-diagonal column of the symmetric part
+    (R + R^T) / 2 - cos(theta) I = (1 - cos theta) a a^T, normalized and
+    signed along v. Where theta rounds to pi, v carries no sign, and the
+    axis's first nonzero component is made positive (deterministic
+    serialization).
     """
     R = np.asarray(R, dtype=float)
-    tr = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(tr)[..., None]
     v = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
                   R[..., 1, 0] - R[..., 0, 1]], axis=-1)
-    small = theta < 1e-7
-    near_pi = ~small & (np.pi - theta < 1e-6)
-    general = np.where(small | near_pi, 1.0, theta)
-    out = np.where(small, 0.5 * v, (general / (2.0 * np.sin(general))) * v)
+    sin = np.sqrt(np.vecdot(v, v))[..., None] / 2.0
+    cos = (np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0
+    theta = np.arctan2(sin, cos[..., None])
+    out = np.where(theta < 1e-7, 0.5 * v,
+                   theta / (2.0 * np.where(sin > 0.0, sin, 1.0)) * v)
 
-    # near pi the skew part vanishes; recover the axis from R + I: its
-    # largest component k is positive, the others take the signs of row k
-    A = (R + np.eye(3)) / 2.0
-    axis = np.sqrt(np.clip(np.diagonal(A, axis1=-2, axis2=-1), 0.0, None))
-    k = np.argmax(axis, axis=-1)[..., None]
-    row = np.take_along_axis(A, k[..., None], axis=-2)[..., 0, :]
-    axis = axis * np.where((np.arange(3) == k) | (row >= 0), 1.0, -1.0)
-    axis = axis / np.sqrt(np.vecdot(axis, axis))[..., None]
-    # canonical sign at the branch boundary
+    S = (R + np.swapaxes(R, -1, -2)) / 2.0 - cos[..., None, None] * np.eye(3)
+    k = np.argmax(np.diagonal(S, axis1=-2, axis2=-1), axis=-1)
+    axis = np.take_along_axis(S, k[..., None, None], axis=-1)[..., 0]
+    norm = np.sqrt(np.vecdot(axis, axis))[..., None]
+    axis = axis / np.where(norm > 0.0, norm, 1.0)
     first = np.argmax(np.abs(axis) > 1e-12, axis=-1)[..., None]
-    axis = np.where(np.take_along_axis(axis, first, axis=-1) < 0, -axis, axis)
-    return np.where(near_pi, theta * axis, out)
+    sign = np.where(theta < np.pi, np.vecdot(axis, v)[..., None],
+                    np.take_along_axis(axis, first, axis=-1))
+    axis = np.where(sign < 0.0, -axis, axis)
+    return np.where(theta > np.pi / 2, theta * axis, out)
 
 
 def branch_scale(r, ref):
@@ -575,11 +579,21 @@ def load_cameras(path):
     return [camera_from_dict(d) for d in data]
 
 
+_POSE_FIELDS = ("rodrigues", "translation_mm")
+
+
 def pose_table(records):
     """(T, 6) pose parameters (Rodrigues vector, translation in mm) from
-    pose records whose `t` values are exactly 0..T-1, in any order."""
+    pose records whose `t` values are exactly 0..T-1, in any order.
+
+    Well-formed records are checked and converted as one array; any other
+    list is read record by record, so that the SchemaError names the first
+    bad record."""
     if not isinstance(records, list):
         raise SchemaError("poses must be a JSON list of pose records")
+    table = _pose_array(records)
+    if table is not None:
+        return table
     table = np.zeros((len(records), 6))
     seen = np.zeros(len(records), dtype=bool)
     for rec in records:
@@ -597,5 +611,30 @@ def pose_table(records):
             raise SchemaError(f"duplicate pose t = {t}")
         seen[t] = True
         table[t] = np.concatenate([numbers(rec[key], (3,), f"pose t = {t}: '{key}'")
-                                   for key in ("rodrigues", "translation_mm")])
+                                   for key in _POSE_FIELDS])
+    return table
+
+
+def _pose_array(records):
+    """`pose_table` of records that are all JSON objects with integer `t`
+    values 0..T-1 and 3-lists of JSON numbers below 2^53 in magnitude, or
+    None. On such records `errors.numbers` gives the same floats."""
+    try:
+        t = [rec["t"] for rec in records]
+        values = [rec[key] for rec in records for key in _POSE_FIELDS]
+    except (TypeError, KeyError):       # not an object, or a field missing
+        return None
+    if (any(type(v) is not int for v in t) or sorted(t) != list(range(len(t)))
+            or any(type(vec) is not list or len(vec) != 3 for vec in values)
+            or any(type(a) is not float and type(a) is not int
+                   for vec in values for a in vec)):
+        return None
+    try:
+        values = np.array(values, dtype=float).reshape(-1, 6)
+    except OverflowError:               # an integer beyond the float range
+        return None
+    if not np.all(np.abs(values) < 2.0 ** 53):     # also NaN and infinities
+        return None
+    table = np.empty_like(values)
+    table[t] = values
     return table

@@ -201,12 +201,19 @@ def band_to_dense(N):
 
 
 @pytest.mark.parametrize("n_epochs", [5, 6, 12])
-@pytest.mark.parametrize("kind", ["rigid", "deformed", "smoothness_only"])
+@pytest.mark.parametrize("kind", ["rigid", "deformed", "smoothness_only",
+                                  "occluded"])
 def test_normal_equations_match_dense_jacobian(n_epochs, kind):
     ds = make_dataset(n_epochs=n_epochs, noise=0.5, step_sigma=1.5,
-                      deformation=kind == "deformed")
+                      deformation=kind == "deformed",
+                      dropout=0.75 if kind == "occluded" else 0.0)
     if kind == "smoothness_only":
         ds.visible[:] = False
+    if kind == "occluded":
+        # (epoch, part) pairs seen by 0, 1, 2 and 3 cameras, and an epoch
+        # seen by none
+        ds.visible[np.argmin(ds.visible.sum(axis=(1, 2)))] = False
+        assert set(ds.visible.sum(axis=1).ravel()) == {0, 1, 2, 3}
     stochastic = StochasticConfig(smoothness_weight=0.7)
     offsets = ds.deform_offsets if kind == "deformed" else None
     problem = make_problem(ds, offsets=offsets, stochastic=stochastic)
@@ -587,6 +594,25 @@ def test_solve_dataset_provenance_flags():
         smoothness_weight=0.0))
     assert track.solved_from == ["interpolated" if g else "adjusted"
                                  for g in guessed]
+
+
+@pytest.mark.parametrize("mode", ["rigid", "deformed"])
+def test_solve_dataset_triangulates_once(monkeypatch, mode):
+    from mousetrack3d import deform_predictor
+    ds = make_dataset(seed=5, noise=0.5, deformation=True, n_epochs=40,
+                      step_sigma=1.5)
+    model = None
+    if mode == "deformed":
+        model, _ = deform_predictor.train([ds], epochs=2, seed=0)
+    original, calls = geometry.triangulate_batch, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "triangulate_batch", counted)
+    solve_dataset(ds, mode=mode, deform_model=model)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -207,6 +207,19 @@ def test_rodrigues_near_pi():
         assert np.allclose(rodrigues_to_matrix(r2), R, atol=1e-6)
 
 
+@pytest.mark.parametrize("gap", [1e-2, 1e-5, 1e-6])
+def test_matrix_to_rodrigues_near_pi(gap):
+    # angles just below pi, where the skew part 2 sin(theta) a is small
+    rng = np.random.default_rng(15)
+    axes = rng.normal(size=(20000, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    r = (np.pi - gap) * axes
+    R = rodrigues_to_matrix(r)
+    r2 = matrix_to_rodrigues(R)
+    assert np.abs(r2 - r).max() <= 1e-13
+    assert np.abs(rodrigues_to_matrix(r2) - R).max() <= 1e-13
+
+
 def _stack_cases():
     """Rotation vectors covering the first-order branch (|r| < 1e-12),
     general angles and angles at and just below pi."""

@@ -1,6 +1,6 @@
 """Print the SHA-256 of the files the library writes, for the current checkout.
 
-    python3 tools/output_digests.py
+    python3 tools/output_digests.py [DIR]
 
 Run from any directory; the library is imported from the checkout's `src/`.
 Two sets of files are hashed:
@@ -15,13 +15,18 @@ Two sets of files are hashed:
 
 Each line is "<sha256>  <file>". Run it on two checkouts and `diff` the
 outputs: a change that keeps every one of these files byte-identical prints
-the same lines. BLAS is pinned to one thread, as in the benchmark.
+the same lines. With DIR, every saved track is also kept there, at the path
+its line names (for example DIR/rigid-long/c9-seed0/track.json), so that
+`tools/compare_tracks.py` can say by how much two checkouts' tracks differ
+where the digests do. BLAS is pinned to one thread, as in the benchmark.
 """
 
+import argparse
 import contextlib
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -43,8 +48,9 @@ def digest(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def workload_tracks(name, workdir):
-    """(label, saved track path) of every recording of the named workload."""
+def workload_tracks(name, workdir, trackdir):
+    """(label, saved track path) of every recording of the named workload;
+    datasets go to workdir, tracks to trackdir/<name>/<label>/track.json."""
     workload = workloads.build(name)
     model = None
     if workload.training:
@@ -57,17 +63,23 @@ def workload_tracks(name, workdir):
         track, _ = adjustment.solve_dataset(
             simulator.import_dataset(data), mode=workload.mode,
             deform_model=model, stochastic=workload.stochastic)
-        out = os.path.join(workdir, f"{label}-track.json")
+        out = os.path.join(trackdir, name, label, "track.json")
+        os.makedirs(os.path.dirname(out), exist_ok=True)
         adjustment.save_track(track, out)
         yield label, out
 
 
-def main():
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("dir", nargs="?",
+                   help="directory to keep the saved tracks in")
+    args = p.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         names = [w["name"] for w in json.load(f)["workloads"]]
     with tempfile.TemporaryDirectory() as workdir:
+        trackdir = args.dir or workdir
         for name in names:
-            for label, path in workload_tracks(name, workdir):
+            for label, path in workload_tracks(name, workdir, trackdir):
                 print(f"{digest(path)}  {name}/{label}/track.json")
         config = os.path.join(workdir, "pipeline.json")
         with open(config, "w") as f:
@@ -79,6 +91,10 @@ def main():
             sys.exit(f"pipeline exited with {code}")
         for file in ("report.json", "track.json"):
             print(f"{digest(os.path.join(out, file))}  pipeline/{file}")
+        if args.dir:
+            os.makedirs(os.path.join(args.dir, "pipeline"), exist_ok=True)
+            shutil.copy(os.path.join(out, "track.json"),
+                        os.path.join(args.dir, "pipeline", "track.json"))
 
 
 if __name__ == "__main__":
