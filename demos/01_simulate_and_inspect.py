@@ -20,9 +20,8 @@ os.makedirs(OUT, exist_ok=True)
 
 # -- the body model -----------------------------------------------------------
 
-model = mouse_model.RigidMouseModel()
 print("rigid body parts (model frame, mm):")
-for pid, (name, xyz) in enumerate(zip(mouse_model.PART_NAMES, model.coords)):
+for pid, (name, xyz) in enumerate(zip(mouse_model.PART_NAMES, mouse_model.COORDS)):
     print(f"  {pid}  {name:16s} {xyz}")
 
 # -- a scene with noise and occlusion ------------------------------------------

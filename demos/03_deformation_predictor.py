@@ -55,7 +55,7 @@ t = 23   # mid-swing (cycle length 10, so phase 0.3)
 deformable, masked, _ = deform_predictor.training_windows([held_out])
 w = slice(t - n, t - n + 1)   # the window centred at t
 pred_offsets = (model.predict(deformable[w], masked[w])[0]
-                - mouse_model.RigidMouseModel().coords)
+                - mouse_model.COORDS)
 true_offsets = held_out.deform_offsets[t]
 print(f"\nmid-epoch offset prediction at t={t} (model-frame Y, mm):")
 for i in range(8):

@@ -25,9 +25,9 @@ from .geometry import (
     resect,
     triangulate,
 )
-from .mouse_model import RigidMouseModel, deform, world_part_positions
+from .mouse_model import deform, world_part_positions
 from .simulator import SceneConfig, SimulatedDataset, default_cameras, simulate
-from .track_constraint import ComparisonGrid, default_grid, grid_rmse, spline_interpolate, track_residual
+from .track_constraint import grid_rmse, spline_interpolate, track_residual
 from .adjustment import MouseStateTrack, StochasticConfig, initialize, build_problem, solve, solve_dataset
 from .deform_predictor import SequenceModel, token_windows, train
 from .evaluation import EvaluationReport, evaluate

@@ -176,8 +176,7 @@ def initialize(dataset, cameras=None, *, parts=None) -> MouseStateTrack:
     solved = np.flatnonzero(have.sum(axis=1) >= 3)
     if not solved.size:
         raise NoSolvableEpoch("no epoch has enough triangulated parts for a local fit")
-    R, t = fit_rigid(mouse_model.RigidMouseModel().coords, world[solved],
-                     have[solved])
+    R, t = fit_rigid(mouse_model.COORDS, world[solved], have[solved])
 
     epochs = np.arange(T)
     rv = geometry.matrix_to_rodrigues(R)
@@ -220,8 +219,8 @@ class Problem:
     only on the rotations, not on how x writes them. Each epoch's smoothness
     block is the 12 residuals
     smoothness_weight * (R_H R_S^T (p_j - s_j t_S) + s_j t_H - p_j) of the
-    four weighted points (p_j, s_j) of the default grid's
-    `track_constraint.grid_factor`, which have the grid's sum of squares.
+    four weighted points (p_j, s_j) of `track_constraint.grid_factor` of
+    `track_constraint.GRID`, which have the grid's sum of squares.
 
     The smoothness residual of epoch t depends on the poses of the five
     epochs in `smooth_nodes[t]` (t itself, then its four window nodes), at
@@ -258,10 +257,8 @@ class Problem:
         nodes, self.win_weights = track_constraint.windows(T)
         self.smooth_nodes = np.column_stack([np.arange(T), nodes])
         # the four weighted points (p_j, s_j) equivalent to the grid
-        grid = track_constraint.default_grid()
-        rq = track_constraint.grid_factor(grid)
+        rq = track_constraint.grid_factor(track_constraint.GRID)
         self.smooth_p, self.smooth_s = rq[:, :3], rq[:, 3]
-        self.n_grid_points = grid.n_points
         self.n_obs = len(self.obs_t)
         self.n_residuals = 2 * self.n_obs + 12 * T
         self.n_params = 6 * T
@@ -487,14 +484,14 @@ class Problem:
     def _rms(self, r):
         """(reprojection RMS in px, smoothness RMS in mm, (T,) per-epoch
         reprojection RMS in px) of the residual vector r. The smoothness RMS
-        is over the 3 n_grid displacement components of every epoch, which
+        is over the 3 x 27 grid displacement components of every epoch, which
         the four weighted points reproduce in sum of squares."""
         n = 2 * self.n_obs
         rp = r[:n] * self.sigma_px
         w_s = self.stochastic.smoothness_weight
         sm = r[n:] / w_s if w_s > 0 else np.zeros(1)
         rp_rms = float(np.sqrt((rp ** 2).mean())) if rp.size else 0.0
-        n_disp = 3 * self.n_grid_points * self.n_epochs
+        n_disp = 3 * len(track_constraint.GRID) * self.n_epochs
         sq = (rp.reshape(-1, 2) ** 2).sum(axis=1)
         count = np.bincount(self.obs_t, minlength=self.n_epochs)
         total = np.bincount(self.obs_t, weights=sq, minlength=self.n_epochs)
@@ -514,7 +511,7 @@ def build_problem(dataset, cameras, track=None, deform_model=None,
     sigma_px_geometric.
     """
     stochastic = stochastic or StochasticConfig()
-    model_pts = mouse_model.RigidMouseModel().coords
+    model_pts = mouse_model.COORDS
     if deform_model is None:
         return Problem(dataset, cameras, model_pts, stochastic,
                        stochastic.sigma_px_deformation)
@@ -547,8 +544,7 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model, *,
     offsets = np.zeros((T, 8, 3))
     if T > 2 * n:
         windows = deform_predictor.token_windows(est, ~have, n)
-        offsets[n:T - n] = (model.predict(*windows)
-                            - mouse_model.RigidMouseModel().coords)
+        offsets[n:T - n] = model.predict(*windows) - mouse_model.COORDS
     return offsets
 
 
@@ -633,9 +629,10 @@ def solve(problem: Problem, track: MouseStateTrack):
                             per_epoch), report)
 
 
-def check_jacobian(problem: Problem, track: MouseStateTrack, step=1e-6):
+def check_jacobian(problem: Problem, track: MouseStateTrack):
     """Worst relative deviation between the analytic Jacobian and central
-    finite differences over all pose parameters."""
+    finite differences (step 1e-6) over all pose parameters."""
+    step = 1e-6
     x = track.poses.ravel()
     J = problem.jacobian(x)
     J_fd = np.zeros_like(J)

@@ -44,7 +44,7 @@ def token_windows(deformable, missing, n):
     epochs = np.arange(n, len(deformable) - n)[:, None] + np.arange(-n, n + 1)
     masked = missing[epochs]
     masked[:, n] = True
-    rigid = mouse_model.RigidMouseModel().coords
+    rigid = mouse_model.COORDS
     return np.where(masked[..., None], rigid, deformable[epochs]), masked
 
 
@@ -52,7 +52,7 @@ def _ground_truth(dataset):
     """(deformable, missing) of a simulated dataset for `token_windows`:
     rigid coordinates plus ground-truth offsets, and parts visible in fewer
     than two cameras (so they could not be triangulated)."""
-    rigid = mouse_model.RigidMouseModel().coords
+    rigid = mouse_model.COORDS
     return rigid + dataset.deform_offsets, dataset.visible.sum(axis=1) < 2
 
 
@@ -109,7 +109,7 @@ class SequenceModel:
     def features(self, deformable, masked):
         """(W, 2n+1, input_size) normalized feature rows of token windows,
         one per window epoch."""
-        rigid = mouse_model.RigidMouseModel().coords
+        rigid = mouse_model.COORDS
         rig = np.broadcast_to((rigid - self.pos_mean) / self.pos_std,
                               deformable.shape)
         off = (deformable - rigid) / self.off_std
@@ -176,7 +176,7 @@ class SequenceModel:
             raise UntrainedModel("model has no trained weights")
         y, _ = self.forward(self.features(deformable, masked))
         off = y.reshape(len(y), N_PARTS, 3) * self.off_std
-        return mouse_model.RigidMouseModel().coords + off
+        return mouse_model.COORDS + off
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48,
         raise ValueError("no training windows; datasets too short for the window")
     # position statistics over the rigid coordinate of every token
     model.set_normalization(
-        np.broadcast_to(mouse_model.RigidMouseModel().coords, deformable.shape),
+        np.broadcast_to(mouse_model.COORDS, deformable.shape),
         targets)
 
     X = model.features(deformable, masked)                # (N, 2n+1, D)
@@ -263,7 +263,7 @@ def evaluate_mse(model: SequenceModel, datasets):
     mid-epoch deformable coordinates, plus the rigid-baseline MSE that
     predicts zero offset."""
     deformable, masked, targets = training_windows(datasets, n=model.window)
-    truth = mouse_model.RigidMouseModel().coords + targets
+    truth = mouse_model.COORDS + targets
     err = ((model.predict(deformable, masked) - truth) ** 2).mean(axis=(1, 2))
     base = (targets ** 2).mean(axis=(1, 2))
     return float(err.mean()), float(base.mean())

@@ -64,7 +64,7 @@ def evaluate(track, dataset, deform_offsets_est=None) -> EvaluationReport:
     pos_err = np.sqrt(np.vecdot(d, d))
     rot_err = np.degrees(geodesic_angle(geometry.rodrigues_to_matrix(est[:, :3]),
                                         geometry.rodrigues_to_matrix(gt[:, :3])))
-    pts = mouse_model.RigidMouseModel().coords
+    pts = mouse_model.COORDS
     if deform_offsets_est is not None:
         pts = pts + deform_offsets_est
     world = mouse_model.world_part_positions(est, pts)
@@ -104,7 +104,8 @@ def save_report(report: EvaluationReport, path, extra=None):
 # Plot artifacts (static SVG + CSV; inspected post hoc)
 # ---------------------------------------------------------------------------
 
-def _track_svg(track, size=640, margin=20):
+def _track_svg(track):
+    size, margin = 640, 20      # px
     xy = track.poses[:, 3:5]
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)

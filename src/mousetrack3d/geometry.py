@@ -463,20 +463,18 @@ def triangulate(observations):
     return res.x, per_cam
 
 
-def triangulate_linear(observations, min_angle_deg=MIN_TRIANGULATION_ANGLE_DEG):
+def triangulate_linear(observations):
     """DLT-only triangulation (no iterative refinement) of one point; returns
     the point or None for parallel/degenerate ray bundles."""
     if len(observations) < 2:
         return None
     cams = [cam for cam, _ in observations]
     pixels = np.asarray([px for _, px in observations], dtype=float)
-    X, ok = triangulate_batch(cams, pixels[None], np.ones((1, len(cams)), bool),
-                              min_angle_deg)
+    X, ok = triangulate_batch(cams, pixels[None], np.ones((1, len(cams)), bool))
     return X[0] if ok[0] else None
 
 
-def triangulate_batch(cameras, pixels, visible,
-                      min_angle_deg=MIN_TRIANGULATION_ANGLE_DEG):
+def triangulate_batch(cameras, pixels, visible):
     """Linear (DLT) triangulation of many points at once.
 
     Parameters
@@ -490,7 +488,8 @@ def triangulate_batch(cameras, pixels, visible,
     -------
     (points (N, 3) global mm, ok (N,) bool). A point is rejected (ok False,
     coordinates NaN) when fewer than two views see it, when no pair of its
-    rays subtends min_angle_deg, or when its DLT solution lies at infinity.
+    rays subtends MIN_TRIANGULATION_ANGLE_DEG, or when its DLT solution lies
+    at infinity.
     """
     visible = np.asarray(visible, dtype=bool)
     n, k = visible.shape
@@ -509,7 +508,7 @@ def triangulate_batch(cameras, pixels, visible,
     cos = np.clip(np.abs(np.einsum("nki,nli->nkl", d, d)), -1.0, 1.0)
     pairs = (visible[:, :, None] & visible[:, None, :]
              & np.triu(np.ones((k, k), bool), 1))
-    wide = pairs & (np.degrees(np.arccos(cos)) >= min_angle_deg)
+    wide = pairs & (np.degrees(np.arccos(cos)) >= MIN_TRIANGULATION_ANGLE_DEG)
     ok = wide.any(axis=(1, 2))
 
     # two rows per view, zero rows for invisible views (null space unchanged)

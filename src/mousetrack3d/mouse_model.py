@@ -1,15 +1,14 @@
 """Rigid eight-part mouse body model and its parametric gait/head deformation.
 
-The rigid model is a fixed set of eight body-part coordinates in a model
-frame with X lateral (left positive), Y anterior, Z up, origin at the body
-center of gravity. Deformation adds model-frame offsets for a pace gait
-(diagonal paw pairs alternating between ground-fixed stance and double-speed
-swing) and a rigid head triangle nodding about the ear-connecting line.
+The rigid model is `COORDS`, a fixed read-only (8, 3) array of body-part
+coordinates in mm in a model frame with X lateral (left positive), Y
+anterior, Z up, origin at the body center of gravity. Deformation adds
+model-frame offsets for a pace gait (diagonal paw pairs alternating between
+ground-fixed stance and double-speed swing) and a rigid head triangle nodding
+about the ear-connecting line.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +30,8 @@ PART_NAMES = [
     "left_hind_paw", "right_hind_paw", "tail_root",
 ]
 
-_DEFAULT_COORDS_MM = np.array([
+# model-frame coordinates (8, 3) in mm of the parts in PART_NAMES order
+COORDS = np.array([
     [0.0, 36.0, 2.5],      # nose tip
     [7.75, 16.0, 19.0],    # left ear
     [-7.75, 16.0, 19.0],   # right ear
@@ -41,6 +41,7 @@ _DEFAULT_COORDS_MM = np.array([
     [-13.5, -8.5, -8.0],   # right hind paw
     [0.0, -30.0, -6.0],    # tail root
 ])
+COORDS.setflags(write=False)
 
 HEAD_PARTS = (NOSE_TIP, LEFT_EAR, RIGHT_EAR)
 # pace gait: diagonal pairs alternate; pair A is ground-fixed first
@@ -49,22 +50,6 @@ SWING_FIRST_PAWS = (LEFT_FRONT_PAW, RIGHT_HIND_PAW)
 
 # head nodding intervals (degrees), visited back and forth in one cycle
 HEAD_INTERVALS_DEG = ((-15.0, -5.0), (-5.0, 5.0), (5.0, 15.0))
-
-
-@dataclass(frozen=True)
-class RigidMouseModel:
-    """Model-frame coordinates (8, 3) in mm of the parts in PART_NAMES order."""
-
-    coords: np.ndarray = field(default_factory=lambda: _DEFAULT_COORDS_MM.copy())
-
-    def __post_init__(self):
-        c = np.array(self.coords, dtype=float).reshape(8, 3)
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    def bounding_box(self):
-        """(min_xyz, max_xyz) of the rigid coordinates."""
-        return self.coords.min(axis=0), self.coords.max(axis=0)
 
 
 def head_angle_at(phase):
@@ -118,9 +103,8 @@ def deform(phase, body_speed, cycle_length=10):
 
     # nod about the model X axis through the ear midpoint
     angle = head_angle_at(phase)
-    coords = RigidMouseModel().coords
-    head = coords[list(HEAD_PARTS)]
-    pivot = 0.5 * (coords[LEFT_EAR] + coords[RIGHT_EAR])
+    head = COORDS[list(HEAD_PARTS)]
+    pivot = 0.5 * (COORDS[LEFT_EAR] + COORDS[RIGHT_EAR])
     R = geometry.rodrigues_to_matrix(np.column_stack([angle, np.zeros((T, 2))]))
     rotated = (head - pivot) @ R.transpose(0, 2, 1) + pivot
     nods = (angle != 0.0)[:, None, None]
@@ -137,6 +121,6 @@ def world_part_positions(params, points=None):
     Returns (..., 8, 3).
     """
     params = np.asarray(params, dtype=float)
-    pts = RigidMouseModel().coords if points is None else np.asarray(points, float)
+    pts = COORDS if points is None else np.asarray(points, float)
     R = geometry.rodrigues_to_matrix(params[..., :3])
     return pts @ np.swapaxes(R, -1, -2) + params[..., None, 3:]

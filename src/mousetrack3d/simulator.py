@@ -10,6 +10,8 @@ order-independent.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -81,20 +83,22 @@ class SimulatedDataset:
         return self.visible.sum(axis=2)
 
 
-def default_cameras(distance_mm=1200.0, focal_px=1500.0,
-                    image_size=(1280, 1024)):
-    """Three-camera rig at roughly 90 degree separation: top, side, front.
+def default_cameras():
+    """The three-camera rig at roughly 90 degree separation: top, side and
+    front, centred at (0, 0, 1200), (1200, 0, 300) and (0, -1200, 300) mm.
 
-    All cameras look at the origin of the table plane (z = 0).
+    Every camera has a 1280 x 1024 px image, a focal length of 1500 px and
+    the principal point at the image centre, and looks at the origin of the
+    table plane (z = 0).
     """
-    w, h = image_size
-    K = np.array([[focal_px, 0.0, w / 2.0],
-                  [0.0, focal_px, h / 2.0],
+    w, h = 1280, 1024
+    K = np.array([[1500.0, 0.0, w / 2.0],
+                  [0.0, 1500.0, h / 2.0],
                   [0.0, 0.0, 1.0]])
     centers = [
-        np.array([0.0, 0.0, distance_mm]),       # top
-        np.array([distance_mm, 0.0, 300.0]),     # side
-        np.array([0.0, -distance_mm, 300.0]),    # front
+        np.array([0.0, 0.0, 1200.0]),       # top
+        np.array([1200.0, 0.0, 300.0]),     # side
+        np.array([0.0, -1200.0, 300.0]),    # front
     ]
     cams = []
     for k, c in enumerate(centers):
@@ -131,7 +135,7 @@ def generate_track(config: SceneConfig):
         xy[t] = [_reflect(raw[0], -e, e), _reflect(raw[1], -e, e)]
 
     # paw rest height is the minimum model z; body origin sits above the plane
-    z_body = -mouse_model.RigidMouseModel().coords[:, 2].min()
+    z_body = -mouse_model.COORDS[:, 2].min()
 
     # heading: smoothed motion direction, yaw about z; model anterior is +Y
     alpha = config.heading_smoothing
@@ -220,18 +224,9 @@ def simulate(config: SceneConfig) -> SimulatedDataset:
 # ---------------------------------------------------------------------------
 
 def _config_to_dict(config: SceneConfig) -> dict:
-    d = {
-        "cameras": [geometry.camera_to_dict(c) for c in config.cameras],
-        "plane_extent_mm": config.plane_extent_mm,
-        "seed": config.seed,
-        "n_epochs": config.n_epochs,
-        "step_sigma_mm": config.step_sigma_mm,
-        "heading_smoothing": config.heading_smoothing,
-        "noise_sigma_px": config.noise_sigma_px,
-        "occlusion": asdict(config.occlusion),
-        "gait_cycle_length": config.gait_cycle_length,
-        "deformation_enabled": config.deformation_enabled,
-    }
+    d = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    d["cameras"] = [geometry.camera_to_dict(c) for c in config.cameras]
+    d["occlusion"] = asdict(config.occlusion)
     return d
 
 
@@ -289,22 +284,36 @@ def export_dataset(dataset: SimulatedDataset, path):
         f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
+def _is_row(row):
+    return (type(row) is list and len(row) == 7
+            and all(type(a) is int or type(a) is float for a in row))
+
+
 def _observation_table(rows, T, Kn):
-    """Observation rows as one (n, 7) array with checked integer indices
+    """Observation rows, lists of 7 finite JSON numbers (not strings,
+    booleans or nulls), as one (n, 7) array with checked integer indices
     0 <= t < T, 0 <= k < Kn and 0 <= i < 8."""
+    if not isinstance(rows, list):
+        raise SchemaError("observation rows must be a list")
+    # one pass over the value types; the row-by-row test only names the
+    # first bad row
+    if not (all(type(row) is list and len(row) == 7 for row in rows)
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        bad = next(n for n, row in enumerate(rows) if not _is_row(row))
+        raise SchemaError(f"observation row {bad}: must be a list of 7 numbers")
     try:
-        table = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError("observation rows must be lists of 7 numbers")
-    if table.size == 0:
-        return np.zeros((0, 7))
-    if table.ndim != 2 or table.shape[1] != 7:
-        raise SchemaError(f"observation rows must be lists of 7 numbers, "
-                          f"got an array of shape {table.shape}")
+        table = np.array(rows, dtype=float).reshape(-1, 7)
+    except OverflowError:               # an integer beyond the float range
+        raise SchemaError("observation rows must hold numbers within the "
+                          "float range")
+    nonfinite = ~np.isfinite(table).all(axis=1)
+    if nonfinite.any():
+        raise SchemaError(f"observation row {int(np.flatnonzero(nonfinite)[0])}: "
+                          f"values must be finite")
     idx = table[:, :3]
-    bad = ~np.isfinite(idx) | (idx != np.round(idx))
+    bad = (idx != np.round(idx)).any(axis=1)
     if bad.any():
-        raise SchemaError(f"observation row {int(np.flatnonzero(bad.any(axis=1))[0])}: "
+        raise SchemaError(f"observation row {int(np.flatnonzero(bad)[0])}: "
                           f"t, k and i must be integers")
     for col, (name, limit) in enumerate((("t", T), ("k", Kn), ("i", 8))):
         out = (idx[:, col] < 0) | (idx[:, col] >= limit)

@@ -5,10 +5,10 @@ Each epoch's six pose parameters are compared against the unique cubic
 polynomial through four neighboring epochs (t-2, t-1, t+1, t+2; one-sided
 windows at the track boundaries), which takes the nodes' rotation vectors on
 the 2 pi branch nearest the epoch's canonical vector. The comparison is
-expressed as the displacement of a 3x3x3 grid of points covering the body
-under the transform H * S^-1, where H is the epoch's pose and S the
-recombined interpolated pose. Poses are (..., 6) rows: Rodrigues vector, then
-translation in mm. The RMS of the grid displacements is the
+expressed as the displacement of `GRID`, the 3x3x3 grid of model-frame points
+spanning the body, under the transform H * S^-1, where H is the epoch's pose
+and S the recombined interpolated pose. Poses are (..., 6) rows: Rodrigues
+vector, then translation in mm. The RMS of the grid displacements is the
 scalar smoothness metric. The bundle adjustment uses an exact equivalent
 with four weighted points (`grid_factor`) as its least-squares residuals; it
 has the same sum of squares and the same normal equations.
@@ -16,38 +16,18 @@ has the same sum of squares and the same normal equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
 from . import geometry, mouse_model
 
-
-@dataclass(frozen=True)
-class ComparisonGrid:
-    """Lattice of model-frame points spanning the mouse bounding box."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.points, dtype=float).reshape(-1, 3)
-        if len(p) < 27:
-            raise ValueError(f"grid needs >= 27 points, got {len(p)}")
-        p.setflags(write=False)
-        object.__setattr__(self, "points", p)
-
-    @property
-    def n_points(self):
-        return len(self.points)
-
-
-def default_grid() -> ComparisonGrid:
-    """3x3x3 grid over the rigid model bounding box
-    ([-13.5, 13.5] x [-30, 36] x [-8, 19] mm)."""
-    lo, hi = mouse_model.RigidMouseModel().bounding_box()
-    xs, ys, zs = (np.linspace(lo[i], hi[i], 3) for i in range(3))
-    pts = np.array([[x, y, z] for x in xs for y in ys for z in zs])
-    return ComparisonGrid(pts)
+# (27, 3) read-only grid over the rigid model's bounding box
+# ([-13.5, 13.5] x [-30, 36] x [-8, 19] mm), x slowest and z fastest
+GRID = np.array(list(itertools.product(*(
+    np.linspace(lo, hi, 3) for lo, hi in zip(mouse_model.COORDS.min(axis=0),
+                                             mouse_model.COORDS.max(axis=0))))))
+GRID.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -134,43 +114,42 @@ def spline_interpolate(neighbors):
 # Grid comparison
 # ---------------------------------------------------------------------------
 
-def grid_factor(grid: ComparisonGrid):
-    """The 4x4 R factor of the grid's homogeneous points h = (g, 1). Grid
-    displacements are affine in h, so their sums of squares depend on the
-    grid only through sum h h^T = R^T R: the rows (p_j, s_j) of R act as four
-    weighted points with the grid's sums of squares, even for a flat grid."""
-    h = np.column_stack([grid.points, np.ones(grid.n_points)])
+def grid_factor(points):
+    """The 4x4 R factor of the homogeneous points h = (g, 1) of an (n, 3)
+    grid. Grid displacements are affine in h, so their sums of squares depend
+    on the grid only through sum h h^T = R^T R: the rows (p_j, s_j) of R act
+    as four weighted points with the grid's sums of squares, even for a flat
+    grid."""
+    h = np.column_stack([points, np.ones(len(points))])
     return np.linalg.qr(h, mode="r")
 
 
-def grid_displacements(H, S, grid: ComparisonGrid):
-    """(..., n, 3) displacement R_H R_S^T (g - t_S) + t_H - g of each grid
-    point g under H * S^-1, for broadcasting (..., 6) pose rows H and S."""
+def grid_displacements(H, S):
+    """(..., 27, 3) displacement R_H R_S^T (g - t_S) + t_H - g of each point
+    g of `GRID` under H * S^-1, for broadcasting (..., 6) pose rows H and S."""
     H, S = np.asarray(H, dtype=float), np.asarray(S, dtype=float)
     RH = geometry.rodrigues_to_matrix(H[..., :3])
     RS = geometry.rodrigues_to_matrix(S[..., :3])
-    g = grid.points
-    return ((g - S[..., None, 3:]) @ RS @ np.swapaxes(RH, -1, -2)
-            + H[..., None, 3:] - g)
+    return ((GRID - S[..., None, 3:]) @ RS @ np.swapaxes(RH, -1, -2)
+            + H[..., None, 3:] - GRID)
 
 
-def grid_rmse(H, S, grid: ComparisonGrid):
+def grid_rmse(H, S):
     """RMS grid-point displacement (mm) between broadcasting (..., 6) pose
     rows H and S: shape (...)."""
-    d = grid_displacements(H, S, grid)
+    d = grid_displacements(H, S)
     return np.sqrt((d ** 2).sum(axis=-1).mean(axis=-1))
 
 
-def track_residual(track, t, grid: ComparisonGrid | None = None):
+def track_residual(track, t):
     """Smoothness residual for epoch t of a pose track, a (T, 6) array
     (Rodrigues vector, then translation in mm).
 
-    Returns the (n_grid, 3) grid displacements between the epoch's pose and
+    Returns the (27, 3) `GRID` displacements between the epoch's pose and
     the cubic interpolation of its four window neighbors, as in the bundle
     adjustment; the RMS of the flattened vector equals `grid_rmse` of the
     two poses. IndexError unless 0 <= t < T.
     """
-    grid = grid or default_grid()
     params = np.asarray(track, dtype=float)
     if len(params) < 5:
         raise ValueError("track must have at least 5 epochs")
@@ -179,4 +158,4 @@ def track_residual(track, t, grid: ComparisonGrid | None = None):
     nodes, weights = windows(len(params))
     interp, _ = interpolate(params, nodes[t:t + 1], weights[t:t + 1],
                             geometry.canonical_rodrigues(params[t:t + 1, :3]))
-    return grid_displacements(params[t], interp[0], grid)
+    return grid_displacements(params[t], interp[0])

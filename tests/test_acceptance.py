@@ -110,7 +110,6 @@ def test_criterion_2_spline_exactness():
 
 def test_criterion_3_grid_metric():
     rng = np.random.default_rng(2)
-    grid = track_constraint.default_grid()
     # 50 cases, one pose row each: S, a distinct H near it, and S moved by
     # a pure translation delta
     S, H, delta = np.empty((50, 6)), np.empty((50, 6)), np.empty((50, 3))
@@ -123,10 +122,10 @@ def test_criterion_3_grid_metric():
     Ht = S + np.column_stack([np.zeros((50, 3)), delta])
     # identity case: zero; distinct poses: strictly positive; pure
     # translation: rmse equals |delta| to 1e-12
-    err = np.abs(track_constraint.grid_rmse(Ht, S, grid)
+    err = np.abs(track_constraint.grid_rmse(Ht, S)
                  - np.linalg.norm(delta, axis=1))
-    ok = bool((track_constraint.grid_rmse(S, S, grid) <= 1e-12).all()
-              and (track_constraint.grid_rmse(H, S, grid) > 0.0).all()
+    ok = bool((track_constraint.grid_rmse(S, S) <= 1e-12).all()
+              and (track_constraint.grid_rmse(H, S) > 0.0).all()
               and (err <= 1e-12).all())
     _verdict(3, "grid metric", ok,
              f"translation identity error {err.max():.2e} mm")

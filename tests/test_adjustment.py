@@ -39,7 +39,7 @@ def make_problem(ds, offsets=None, stochastic=None):
     """Problem with the rigid model, or with given per-epoch offsets (the
     deformed mode's sigma), without a trained deformation model."""
     stochastic = stochastic or StochasticConfig()
-    pts = mouse_model.RigidMouseModel().coords
+    pts = mouse_model.COORDS
     if offsets is None:
         return Problem(ds, ds.cameras, pts, stochastic,
                        stochastic.sigma_px_deformation)
@@ -286,7 +286,6 @@ def test_cost_is_branch_invariant():
 def test_four_point_smoothness_equals_grid_sum():
     # other grids' four weighted points: test_track_constraint's
     # test_grid_factor_reproduces_grid_sums
-    grid = track_constraint.default_grid()
     ds = make_dataset(n_epochs=9, step_sigma=1.5)
     ds.visible[:] = False
     w = 0.7
@@ -297,11 +296,11 @@ def test_four_point_smoothness_equals_grid_sum():
     # oracle: every grid point's displacement under H_t S_t^-1
     all_nodes, all_weights = track_constraint.windows(9)
     S = np.einsum("ta,tap->tp", all_weights, x[all_nodes])
-    sq = (track_constraint.grid_displacements(x, S, grid) ** 2).sum()
+    sq = (track_constraint.grid_displacements(x, S) ** 2).sum()
     assert problem.n_residuals == 12 * 9
     assert abs(problem.cost(x.ravel()) - w ** 2 * sq) <= 1e-12 * w ** 2 * sq
     _, sm_rms = problem.residual_rms(x.ravel())
-    assert sm_rms == pytest.approx(np.sqrt(sq / (3 * grid.n_points * 9)),
+    assert sm_rms == pytest.approx(np.sqrt(sq / (3 * 27 * 9)),
                                    rel=1e-12)
 
 
@@ -459,7 +458,7 @@ class IndefiniteBand(adjustment.Problem):
 
 def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
     ds = make_dataset(noise=0.5, n_epochs=12)
-    model_pts = mouse_model.RigidMouseModel().coords
+    model_pts = mouse_model.COORDS
     stochastic = StochasticConfig()
     problem = IndefiniteFirstStep(ds, ds.cameras, model_pts, stochastic,
                                   stochastic.sigma_px_deformation)
@@ -488,7 +487,7 @@ def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
 
 def test_solve_reports_no_descent():
     ds = make_dataset(noise=0.5, n_epochs=12)
-    model_pts = mouse_model.RigidMouseModel().coords
+    model_pts = mouse_model.COORDS
     stochastic = StochasticConfig()
     problem = IndefiniteBand(ds, ds.cameras, model_pts, stochastic,
                              stochastic.sigma_px_deformation)

@@ -14,9 +14,7 @@ from mousetrack3d.deform_predictor import (
     training_windows,
 )
 from mousetrack3d.errors import SchemaError, UntrainedModel
-from mousetrack3d.mouse_model import RigidMouseModel
-
-RIGID = RigidMouseModel().coords
+from mousetrack3d.mouse_model import COORDS
 
 
 def gait_dataset(seed=0, n_epochs=240, dropout=0.0):
@@ -82,7 +80,7 @@ def test_token_windows_equal_per_centre_slices():
             m[n] = True
             assert np.array_equal(masked[w], m)
             assert np.array_equal(
-                windows[w], np.where(m[:, :, None], RIGID,
+                windows[w], np.where(m[:, :, None], COORDS,
                                      deformable[t - n:t + n + 1]))
     # a recording shorter than one window has none
     windows, masked = token_windows(deformable[:4], missing[:4], 2)
@@ -92,7 +90,7 @@ def test_token_windows_equal_per_centre_slices():
 def test_zero_deformation_tokens_equal_rigid():
     ds = rigid_dataset(n_epochs=20)
     deformable, _, _ = training_windows([ds])
-    assert np.allclose(deformable, RIGID)
+    assert np.allclose(deformable, COORDS)
 
 
 def test_dropout_missing_flags_match_visibility():
@@ -143,7 +141,7 @@ def test_untrained_model_raises():
     model = SequenceModel()
     model.init_weights(np.random.default_rng(0))
     deformable, masked, targets = training_windows([ds])
-    model.set_normalization(np.broadcast_to(RIGID, deformable.shape), targets)
+    model.set_normalization(np.broadcast_to(COORDS, deformable.shape), targets)
     with pytest.raises(UntrainedModel):
         model.predict(deformable, masked)
 
@@ -172,7 +170,7 @@ def test_rigid_input_passthrough(trained_rigid_model):
     ds, model = trained_rigid_model
     pred = model.predict(*windows_at(ds, 10))
     assert pred.shape == (1, 8, 3)
-    assert np.abs(pred - RIGID).max() < 0.1
+    assert np.abs(pred - COORDS).max() < 0.1
 
 
 def test_prediction_deterministic(trained_gait_model):

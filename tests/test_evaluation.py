@@ -64,7 +64,7 @@ def test_evaluate_equals_per_epoch_reference():
         assert report.position_error_mm[t] == np.linalg.norm(est[3:] - gt[3:])
         assert report.rotation_error_deg[t] == np.degrees(geodesic_angle(
             rodrigues_to_matrix(est[:3]), rodrigues_to_matrix(gt[:3])))
-        pts = mouse_model.RigidMouseModel().coords + offsets[t]
+        pts = mouse_model.COORDS + offsets[t]
         world = mouse_model.world_part_positions(est, pts)
         part_sq[t] = ((world - ds.deformable_world[t]) ** 2).sum(axis=1)
     assert np.array_equal(report.per_part_rmse_mm, np.sqrt(part_sq.mean(axis=0)))

@@ -498,7 +498,7 @@ def test_triangulate_batch_matches_per_point_dlt():
             <= 1e-9 * max(np.abs(ref).max(), 1.0)
 
 
-def test_triangulate_batch_rejects_degenerate_points():
+def test_triangulate_batch_rejects_degenerate_points(monkeypatch):
     K = np.diag([1000.0, 1000.0, 1.0])
     a = CameraModel(K, RigidTransform(np.eye(3), np.array([0, 0, 1000.0])))
     b = CameraModel(K, RigidTransform(np.eye(3), np.array([-100.0, 0, 1000.0])))
@@ -518,12 +518,11 @@ def test_triangulate_batch_rejects_degenerate_points():
     px = np.array([[project(a, X), project(near, X)]])
     _, ok = triangulate_batch([a, near], px, np.ones((1, 2), bool))
     assert not ok[0]
-    Y, ok = triangulate_batch([a, near], px, np.ones((1, 2), bool),
-                              min_angle_deg=0.0)
+    monkeypatch.setattr(geometry, "MIN_TRIANGULATION_ANGLE_DEG", 0.0)
+    Y, ok = triangulate_batch([a, near], px, np.ones((1, 2), bool))
     assert ok[0] and np.allclose(Y[0], X, atol=1e-6)
     # without the angle check the parallel rays meet only at infinity
-    _, ok = triangulate_batch([a, b], zero, np.ones((1, 2), bool),
-                              min_angle_deg=0.0)
+    _, ok = triangulate_batch([a, b], zero, np.ones((1, 2), bool))
     assert not ok[0]
     # a well-posed point in the same batch is unaffected
     X, ok = triangulate_batch([a, c], np.stack([one[0], zero[0]]),

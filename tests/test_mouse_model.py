@@ -6,6 +6,7 @@ import pytest
 
 from mousetrack3d import geometry, mouse_model
 from mousetrack3d.mouse_model import (
+    COORDS,
     LEFT_EAR,
     LEFT_FRONT_PAW,
     LEFT_HIND_PAW,
@@ -14,7 +15,6 @@ from mousetrack3d.mouse_model import (
     RIGHT_FRONT_PAW,
     RIGHT_HIND_PAW,
     TAIL_ROOT,
-    RigidMouseModel,
     deform,
     head_angle_at,
     world_part_positions,
@@ -24,43 +24,38 @@ from mousetrack3d.mouse_model import (
 # -- rigid model --------------------------------------------------------------
 
 def test_nose_tip_coordinate():
-    m = RigidMouseModel()
-    assert np.allclose(m.coords[NOSE_TIP], [0.0, 36.0, 2.5])
+    assert np.allclose(COORDS[NOSE_TIP], [0.0, 36.0, 2.5])
 
 
 def test_ear_coordinates():
-    m = RigidMouseModel()
-    assert np.allclose(m.coords[LEFT_EAR], [7.75, 16.0, 19.0])
-    assert np.allclose(m.coords[RIGHT_EAR], [-7.75, 16.0, 19.0])
+    assert np.allclose(COORDS[LEFT_EAR], [7.75, 16.0, 19.0])
+    assert np.allclose(COORDS[RIGHT_EAR], [-7.75, 16.0, 19.0])
 
 
 def test_no_three_parts_collinear():
     # initialize fits the model to any three triangulated parts, so every
     # triple must span a plane (ratio of its two centred singular values)
-    coords = RigidMouseModel().coords
     triples = list(itertools.combinations(range(8), 3))
     assert len(triples) == 56
     for triple in triples:
-        A = coords[list(triple)]
+        A = COORDS[list(triple)]
         s = np.linalg.svd(A - A.mean(axis=0), compute_uv=False)
         assert s[1] / s[0] > 0.1, triple
 
 
 def test_tail_root_coordinate():
-    assert np.allclose(RigidMouseModel().coords[TAIL_ROOT], [0.0, -30.0, -6.0])
+    assert np.allclose(COORDS[TAIL_ROOT], [0.0, -30.0, -6.0])
 
 
 def test_bilateral_symmetry():
-    m = RigidMouseModel().coords
     for l, r in [(LEFT_EAR, RIGHT_EAR), (LEFT_FRONT_PAW, RIGHT_FRONT_PAW),
                  (LEFT_HIND_PAW, RIGHT_HIND_PAW)]:
-        assert np.allclose(m[l] * [-1, 1, 1], m[r])
+        assert np.allclose(COORDS[l] * [-1, 1, 1], COORDS[r])
 
 
 def test_coords_immutable():
-    m = RigidMouseModel()
     with pytest.raises(ValueError):
-        m.coords[0, 0] = 1.0
+        COORDS[0, 0] = 1.0
 
 
 # -- deformation --------------------------------------------------------------
@@ -83,11 +78,10 @@ def deform_one(phase, speed, cycle):
     k = min(int(u), 6)
     angle = math.radians(waypoints[k] + (u - k) * (waypoints[k + 1] - waypoints[k]))
     if angle != 0.0:
-        coords = RigidMouseModel().coords
-        pivot = 0.5 * (coords[LEFT_EAR] + coords[RIGHT_EAR])
+        pivot = 0.5 * (COORDS[LEFT_EAR] + COORDS[RIGHT_EAR])
         R = geometry.rodrigues_to_matrix(np.array([angle, 0.0, 0.0]))
         for p in mouse_model.HEAD_PARTS:
-            offsets[p] = R @ (coords[p] - pivot) + pivot - coords[p]
+            offsets[p] = R @ (COORDS[p] - pivot) + pivot - COORDS[p]
     return offsets, angle
 
 
@@ -109,8 +103,7 @@ def test_batched_deform_equals_per_phase():
 def test_phase_zero_no_deformation():
     offsets = deform(np.zeros(1), np.array([2.0]))[0]
     assert np.allclose(offsets, 0.0)
-    assert np.allclose(RigidMouseModel().coords + offsets,
-                       RigidMouseModel().coords)
+    assert np.allclose(COORDS + offsets, COORDS)
 
 
 def _world_paws(frames, speed, cycle):
@@ -120,7 +113,7 @@ def _world_paws(frames, speed, cycle):
     poses = np.zeros((len(frames), 6))
     poses[:, 4] = speed * frames
     offsets = deform(frames / cycle, np.full(len(frames), speed), cycle)
-    return world_part_positions(poses, RigidMouseModel().coords + offsets)[:, PAWS]
+    return world_part_positions(poses, COORDS + offsets)[:, PAWS]
 
 
 def test_swing_vs_stance_world_displacement():
@@ -166,7 +159,7 @@ def test_stride_amplitude():
 
 
 def test_head_triangle_rigid():
-    rigid = RigidMouseModel().coords
+    rigid = COORDS
     mid = 0.5 * (rigid[LEFT_EAR] + rigid[RIGHT_EAR])
     base = np.linalg.norm(rigid[NOSE_TIP] - mid)
     # nod angles -5, -15, 3 and 15 degrees
@@ -203,18 +196,17 @@ def test_deform_rejects_bad_phase():
 
 def test_world_positions_identity_pose():
     pts = world_part_positions(np.zeros(6))
-    assert np.allclose(pts, RigidMouseModel().coords)
+    assert np.allclose(pts, COORDS)
 
 
 def test_world_positions_pure_translation():
     pts = world_part_positions(np.array([0.0, 0.0, 0.0, 10.0, 0.0, 0.0]))
-    assert np.allclose(pts, RigidMouseModel().coords
-                       + [10.0, 0.0, 0.0])
+    assert np.allclose(pts, COORDS + [10.0, 0.0, 0.0])
 
 
 def test_world_positions_isometry():
     rng = np.random.default_rng(2)
-    rigid = RigidMouseModel().coords
+    rigid = COORDS
     ref = np.linalg.norm(rigid[:, None] - rigid[None, :], axis=2)
     for _ in range(50):
         r = rng.normal(size=3)
@@ -231,9 +223,9 @@ def test_deformation_offsets_applied_in_model_frame():
     t = np.array([5.0, 6.0, 7.0])
     offsets = rng.normal(size=(8, 3))
     pts = world_part_positions(np.concatenate([r, t]),
-                               RigidMouseModel().coords + offsets)
+                               COORDS + offsets)
     R = geometry.rodrigues_to_matrix(r)
-    expected = (RigidMouseModel().coords + offsets) @ R.T + t
+    expected = (COORDS + offsets) @ R.T + t
     assert np.allclose(pts, expected, atol=1e-12)
 
 
@@ -242,7 +234,7 @@ def test_world_positions_batched_equal_per_pose():
     params = np.column_stack([rng.normal(size=(20, 3)),
                               rng.normal(scale=100, size=(20, 3))])
     offsets = rng.normal(size=(20, 8, 3))
-    pts = RigidMouseModel().coords + offsets
+    pts = COORDS + offsets
     assert np.array_equal(world_part_positions(params),
                           np.stack([world_part_positions(p) for p in params]))
     assert np.array_equal(world_part_positions(params, pts),

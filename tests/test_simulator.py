@@ -40,6 +40,18 @@ def test_rig_baselines_not_degenerate():
             assert np.linalg.norm(centers[i] - centers[j]) > 100.0
 
 
+def test_default_rig_values():
+    cams = default_cameras()
+    assert np.allclose([c.center() for c in cams],
+                       [[0.0, 0.0, 1200.0], [1200.0, 0.0, 300.0],
+                        [0.0, -1200.0, 300.0]], rtol=0, atol=1e-9)
+    for cam in cams:
+        assert np.array_equal(cam.calibration, [[1500.0, 0.0, 640.0],
+                                                [0.0, 1500.0, 512.0],
+                                                [0.0, 0.0, 1.0]])
+        assert cam.image_size == (1280, 1024)
+
+
 def test_config_requires_two_cameras():
     with pytest.raises(ValueError):
         SceneConfig(cameras=default_cameras()[:1])
@@ -250,6 +262,9 @@ MALFORMED_DATASETS = {
     "part_out_of_range": (_set_row(2, 8), "i = 8"),
     "fractional_index": (_set_row(2, 1.5), "integers"),
     "short_row": (_short_row, "7 numbers"),
+    "string_pixel": (_set_row(3, "640.06"), "observation row 0"),
+    "bool_part": (_set_row(2, False), "observation row 0"),
+    "nan_pixel": (_set_row(3, float("nan")), "observation row 0"),
     "pose_missing_rodrigues": (_del_pose_field("rodrigues"), "rodrigues"),
     "pose_missing_translation": (_del_pose_field("translation_mm"),
                                  "translation_mm"),

@@ -3,8 +3,7 @@ import pytest
 
 from mousetrack3d import geometry, simulator, track_constraint
 from mousetrack3d.track_constraint import (
-    ComparisonGrid,
-    default_grid,
+    GRID,
     grid_displacements,
     grid_factor,
     grid_rmse,
@@ -18,15 +17,14 @@ from mousetrack3d.track_constraint import (
 # -- grid ---------------------------------------------------------------------
 
 def test_default_grid_covers_model_bbox():
-    g = default_grid()
-    assert g.n_points == 27
-    assert np.allclose(g.points.min(axis=0), [-13.5, -30.0, -8.0])
-    assert np.allclose(g.points.max(axis=0), [13.5, 36.0, 19.0])
+    assert GRID.shape == (27, 3)
+    assert np.allclose(GRID.min(axis=0), [-13.5, -30.0, -8.0])
+    assert np.allclose(GRID.max(axis=0), [13.5, 36.0, 19.0])
 
 
-def test_grid_minimum_size():
+def test_grid_immutable():
     with pytest.raises(ValueError):
-        ComparisonGrid(np.zeros((26, 3)))
+        GRID[0, 0] = 99.0
 
 
 # -- interpolation ------------------------------------------------------------
@@ -125,18 +123,17 @@ def test_spline_interpolate_rejects_other_shapes():
 
 def lattice(lo, hi, counts):
     axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, counts)]
-    return ComparisonGrid(
-        np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @pytest.mark.parametrize("grid", [
-    default_grid(),
+    GRID,
     lattice([-13.5, -30.0, -8.0], [13.5, 36.0, 19.0], (4, 3, 5)),
     lattice([-13.5, -33.0, 0.0], [13.5, 33.0, 0.0], (3, 3, 3)),
 ], ids=["default", "4x3x5", "flat"])
 def test_grid_factor_reproduces_grid_sums(grid):
     # the flat grid's homogeneous points have rank 3, so R is singular
-    h = np.column_stack([grid.points, np.ones(grid.n_points)])
+    h = np.column_stack([grid, np.ones(len(grid))])
     R = grid_factor(grid)
     assert R.shape == (4, 4)
     assert np.allclose(R.T @ R, h.T @ h, rtol=1e-12, atol=1e-9)
@@ -145,65 +142,61 @@ def test_grid_factor_reproduces_grid_sums(grid):
     S = np.array([0.25, -0.05, 0.2, 3.0, -1.0, 2.5])
     M = geometry.rodrigues_to_matrix(H[:3]) @ geometry.rodrigues_to_matrix(S[:3]).T
     A = np.column_stack([M - np.eye(3), H[3:] - M @ S[3:]])
-    sq = (grid_displacements(H, S, grid) ** 2).sum()
+    sq = ((h @ A.T) ** 2).sum()
     assert ((R @ A.T) ** 2).sum() == pytest.approx(sq, rel=1e-12)
 
 
 def test_identical_transforms_zero_rmse():
     H = np.array([0.2, 0.1, -0.3, 5.0, -2.0, 1.0])
-    assert grid_rmse(H, H, default_grid()) == pytest.approx(0.0, abs=1e-12)
+    assert grid_rmse(H, H) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pure_translation_rmse_is_norm():
-    g = default_grid()
     S = np.array([0.3, -0.1, 0.2, 1.0, 2.0, 3.0])
     delta = np.array([0.3, -0.4, 1.2])
     H = S + np.concatenate([np.zeros(3), delta])
-    assert grid_rmse(H, S, g) == pytest.approx(np.linalg.norm(delta), abs=1e-9)
+    assert grid_rmse(H, S) == pytest.approx(np.linalg.norm(delta), abs=1e-9)
 
 
 def test_one_degree_rotation_rmse_chord_oracle():
     # rotation about the grid-center z-axis displaces each point along a
     # chord of length 2 r sin(theta/2) where r is its xy-radius from center
-    g = default_grid()
-    center = 0.5 * (g.points.min(axis=0) + g.points.max(axis=0))
+    center = 0.5 * (GRID.min(axis=0) + GRID.max(axis=0))
     theta = np.radians(1.0)
     R = geometry.rodrigues_to_matrix(np.array([0.0, 0.0, theta]))
     S = np.zeros(6)
     # rotate about the center: x -> R(x - c) + c
     H = np.concatenate([[0.0, 0.0, theta], center - R @ center])
-    radii = np.linalg.norm(g.points[:, :2] - center[:2], axis=1)
+    radii = np.linalg.norm(GRID[:, :2] - center[:2], axis=1)
     chords = 2.0 * radii * np.sin(theta / 2.0)
     expected = np.sqrt(np.mean(chords ** 2))
-    assert grid_rmse(H, S, g) == pytest.approx(expected, abs=1e-12)
+    assert grid_rmse(H, S) == pytest.approx(expected, abs=1e-12)
 
 
 def test_grid_displacement_shape_and_rms_consistency():
-    g = default_grid()
     H = np.array([0.1, 0.0, 0.05, 1.0, 0.0, 0.0])
     S = np.array([0.1, 0.01, 0.05, 1.0, 0.2, 0.0])
-    d = grid_displacements(H, S, g)
+    d = grid_displacements(H, S)
     assert d.shape == (27, 3)
     assert np.sqrt((d ** 2).sum(axis=1).mean()) \
-        == pytest.approx(grid_rmse(H, S, g))
+        == pytest.approx(grid_rmse(H, S))
 
 
 def test_grid_metric_broadcasts_over_pose_rows():
     rng = np.random.default_rng(21)
-    g = default_grid()
     H = np.column_stack([rng.normal(size=(40, 3)), rng.normal(scale=20, size=(40, 3))])
     S = np.column_stack([rng.normal(size=(40, 3)), rng.normal(scale=20, size=(40, 3))])
-    d = grid_displacements(H, S, g)
-    rmse = grid_rmse(H, S, g)
+    d = grid_displacements(H, S)
+    rmse = grid_rmse(H, S)
     assert d.shape == (40, 27, 3) and rmse.shape == (40,)
     for n in range(40):
-        assert np.allclose(d[n], grid_displacements(H[n], S[n], g),
+        assert np.allclose(d[n], grid_displacements(H[n], S[n]),
                            rtol=0, atol=1e-12)
-        assert rmse[n] == pytest.approx(grid_rmse(H[n], S[n], g), abs=1e-12)
+        assert rmse[n] == pytest.approx(grid_rmse(H[n], S[n]), abs=1e-12)
     # one pose row against many, and a (2, 20, 6) stack
-    assert np.allclose(grid_rmse(H, S[0], g),
-                       [grid_rmse(h, S[0], g) for h in H], rtol=0, atol=1e-12)
-    assert np.allclose(grid_rmse(H.reshape(2, 20, 6), S.reshape(2, 20, 6), g),
+    assert np.allclose(grid_rmse(H, S[0]),
+                       [grid_rmse(h, S[0]) for h in H], rtol=0, atol=1e-12)
+    assert np.allclose(grid_rmse(H.reshape(2, 20, 6), S.reshape(2, 20, 6)),
                        rmse.reshape(2, 20), rtol=0, atol=1e-12)
 
 
@@ -240,9 +233,8 @@ def test_outlier_pose_residual_matches_oracle():
     track = linear_track()
     t = 8
     track[t] += [0.02, 0.0, 0.0, 3.0, 0.0, 0.0]
-    g = default_grid()
-    res = track_residual(track, t, g)
+    res = track_residual(track, t)
     # oracle: interpolate the neighbors directly and compare poses
     S = spline_interpolate(track[[t - 2, t - 1, t + 1, t + 2]])
-    expect = grid_displacements(track[t], S, g)
+    expect = grid_displacements(track[t], S)
     assert np.allclose(res, expect, atol=1e-12)
