@@ -13,9 +13,11 @@ canonical (angle at most pi) by the solver; the smoothness window couples five
 consecutive epochs, so the normal matrix is banded with half-bandwidth 29
 (6 * 4 + 5). Levenberg-Marquardt accumulates it straight into banded
 storage, and solves each damped step by banded Cholesky: the reprojection
-terms are summed over cameras per (epoch, part) and lifted once into their
-epoch's 6x6 block, and the smoothness terms come from one 12x12 factor per
-epoch. The recording is triangulated once per solve, for the initialization
+terms, evaluated on the dense (epoch, part, camera) grid, are summed over
+cameras per (epoch, part) and lifted once into their epoch's 6x6 block, and
+the smoothness terms come from one 12x12 factor per epoch. Each
+linearization reuses the forward pass of the cost evaluation at the same
+point. The recording is triangulated once per solve, for the initialization
 and every deformation-offset prediction. Camera poses are fixed throughout.
 """
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,12 +208,32 @@ def _sum_rows(index, values, n):
     return np.bincount(flat, weights=values.ravel(), minlength=n * k).reshape(n, k)
 
 
+class _Forward(NamedTuple):
+    """One forward pass of a `Problem` at x: what its residuals and its
+    linearization share. Grid arrays are over (epoch, part, camera)."""
+
+    R: np.ndarray         # (T, 3, 3) epoch rotations
+    S: np.ndarray         # (T, 6) interpolated poses
+    branch: np.ndarray    # (T, 4) branch factors of the window nodes
+    RS: np.ndarray        # (T, 3, 3) rotations of S
+    proj: np.ndarray      # (T, 8, K, 2) pixels
+    z: np.ndarray         # (T, 8, K) divisors of `geometry.dehomogenize`
+    r_p: np.ndarray       # (T, 8, K, 2) weighted reprojection residuals
+    c: np.ndarray         # (T, 4, 3) p_j - s_j t_S
+    y: np.ndarray         # (T, 4, 3) R_S^T c_j
+    r_s: np.ndarray       # (T, 4, 3) smoothness residuals
+
+
 class Problem:
     """Stacked residual system over all epochs.
 
     Reprojection blocks: one per visible (epoch, camera, part) observation,
-    residual (projected - observed) / sigma. Smoothness blocks: one per
-    epoch, smoothness_weight times the displacements of the comparison grid
+    residual (projected - observed) / sigma, in (epoch, camera, part) order.
+    They are evaluated on the dense (epoch, part, camera) grid of all
+    T x 8 x K entries, with weight 1 / sigma where the observation is
+    visible and 0 where not, so an invisible entry contributes nothing,
+    wherever its point projects. Smoothness blocks: one per epoch,
+    smoothness_weight times the displacements of the comparison grid
     between the epoch's pose and the cubic recombination of its window
     neighbors.
 
@@ -227,8 +250,13 @@ class Problem:
     most four epochs apart, so J^T J is banded with half-bandwidth
     `bandwidth` = min(29, 6T - 1). A reprojection residual depends on its
     epoch's pose only through the world point R_t m_i + t_t of its part,
-    so `normal_equations` sums the observations of each (epoch, part) in
+    so `normal_equations` sums the K cameras of each (epoch, part) in
     world-point terms first and meets the pose once per (epoch, part).
+
+    `residuals` keeps its forward pass, and `normal_equations` at a
+    bit-equal x linearizes on it instead of repeating it, as
+    Levenberg-Marquardt does at its start point and after every accepted
+    step. So a Problem is not to be shared across threads.
     """
 
     def __init__(self, dataset, cameras, model_points, stochastic, sigma_px):
@@ -237,17 +265,23 @@ class Problem:
         self.sigma_px = float(sigma_px)
 
         cams = _dataset_cameras(dataset, cameras)
-        # q = K (R_c X + t_c) = (K R_c) X + K t_c
+        # q = K (R_c X + t_c) = (K R_c) X + K t_c; for world points X (n, 3),
+        # X @ KR_cols + Kt holds every camera's q as (n, K * 3)
         self.cam_KR = np.stack([c.calibration @ c.pose_global.rotation
                                 for c in cams])
-        self.cam_Kt = np.stack([c.calibration @ c.pose_global.translation
-                                for c in cams])
+        self._KR_cols = self.cam_KR.transpose(2, 0, 1).reshape(3, -1)
+        self._Kt = np.concatenate([c.calibration @ c.pose_global.translation
+                                   for c in cams])
 
-        # visible observations in (epoch, camera, part) order
+        # visible observations in (epoch, camera, part) order, and their
+        # entries of the flattened (epoch, part, camera) grid
+        K = len(cams)
         self.obs_t, self.obs_k, self.obs_i = np.nonzero(dataset.visible)
-        self.obs_px = np.asarray(
-            dataset.observations[self.obs_t, self.obs_k, self.obs_i],
-            dtype=float).reshape(-1, 2)
+        self._obs_grid = (8 * self.obs_t + self.obs_i) * K + self.obs_k
+        visible = dataset.visible.transpose(0, 2, 1)
+        self._weight = np.where(visible, 1.0 / self.sigma_px, 0.0)
+        self._px = np.where(visible[..., None],
+                            dataset.observations.transpose(0, 2, 1, 3), 0.0)
         # model-frame part positions: (8, 3) rigid coordinates, or (T, 8, 3)
         # rigid + predicted offsets in deformed mode
         self.model_pts = np.asarray(model_points, dtype=float)
@@ -262,6 +296,7 @@ class Problem:
         self.n_obs = len(self.obs_t)
         self.n_residuals = 2 * self.n_obs + 12 * T
         self.n_params = 6 * T
+        self._last = (None, None)       # (x bytes, its _Forward)
         self._init_band()
 
     def _init_band(self):
@@ -295,22 +330,32 @@ class Problem:
     # -- residuals ----------------------------------------------------------
 
     def residuals(self, x):
-        x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        RH = geometry.rodrigues_to_matrix(x[:, :3])
-        S, _ = self._interpolated(x)
-        RS = geometry.rodrigues_to_matrix(S[:, :3])
-        return np.concatenate([self._reproj_forward(x, RH)[0].ravel(),
-                               self._smooth_forward(x, S, RH, RS)[2].ravel()])
+        f = self._forward(np.asarray(x, dtype=float).reshape(self.n_epochs, 6))
+        return np.concatenate([f.r_p.reshape(-1, 2)[self._obs_grid].ravel(),
+                               f.r_s.ravel()])
 
-    def _reproj_forward(self, x, R):
-        """(residuals (n_obs, 2), q = K pc (n_obs, 3), divisors z (n_obs,) of
-        `geometry.dehomogenize`) at x with epoch rotations R (T, 3, 3)."""
-        world = ((self.model_pts @ R.transpose(0, 2, 1))[self.obs_t, self.obs_i]
-                 + x[self.obs_t, 3:])
-        q = ((self.cam_KR[self.obs_k] @ world[:, :, None])[:, :, 0]
-             + self.cam_Kt[self.obs_k])
+    def _forward(self, x):
+        """The `_Forward` at x (T, 6), kept for `_state`. Every camera
+        projects the (epoch, part) world points in one product."""
+        T = self.n_epochs
+        R = geometry.rodrigues_to_matrix(x[:, :3])
+        S, branch = self._interpolated(x)
+        RS = geometry.rodrigues_to_matrix(S[:, :3])
+        world = self.model_pts @ R.transpose(0, 2, 1) + x[:, None, 3:]
+        q = (world.reshape(8 * T, 3) @ self._KR_cols + self._Kt).reshape(
+            T, 8, -1, 3)
         proj, z = geometry.dehomogenize(q)
-        return (proj - self.obs_px) / self.sigma_px, q, z
+        r_p = (proj - self._px) * self._weight[..., None]
+        f = _Forward(R, S, branch, RS, proj, z, r_p,
+                     *self._smooth_forward(x, S, R, RS))
+        self._last = (x.tobytes(), f)
+        return f
+
+    def _state(self, x):
+        """The `_Forward` at x (T, 6): the last pass's if it was at a
+        bit-equal x, else a new one."""
+        key, f = self._last
+        return f if key == x.tobytes() else self._forward(x)
 
     def _interpolated(self, x):
         """Cubic recombination S (T, 6) of each epoch's window nodes, on the
@@ -337,62 +382,63 @@ class Problem:
     # -- analytic Jacobian ----------------------------------------------------
 
     def _blocks(self, x):
-        """Residuals and Jacobian factors at x (T, 6).
+        """Forward pass and Jacobian factors at x (T, 6).
 
-        Returns (r_p (n_obs, 2), J_w (n_obs, 2, 3), J_rot (T, 8, 3, 3),
-        r_s (T, 12), C (T, 12, 12), s (T, 4)). J_w[n] is d r_p[n] / d X_n,
-        the derivative by observation n's world point X_n = R_t m_ti + t_t,
-        and J_rot[t, i] = d(R_t m_ti)/dr_t, so that d r_p[n] / d x[t] =
-        J_w[n] [J_rot[t, i] | I] for t = obs_t[n], i = obs_i[n].
+        Returns (f, J_w (T, 8, K, 2, 3), J_rot (T, 8, 3, 3), C (T, 12, 12)),
+        f being the `_Forward` at x. J_w[t, i, k] is d r_p[t, i, k] / d X_ti,
+        the derivative of the grid entry's weighted residual by the world
+        point X_ti = R_t m_ti + t_t, zero where the entry is invisible, and
+        J_rot[t, i] = d(R_t m_ti)/dr_t, so that d r_p[t, i, k] / d x[t] =
+        J_w[t, i, k] [J_rot[t, i] | I].
         C[t] = [A_t | B_t] holds d r_s[t] / d x[t] (A_t) and
         d r_s[t] / d S[t] (B_t), where S[t] is the interpolated pose. So
         d r_s[t] / d x[smooth_nodes[t, a]] for a window node a > 0 is
         win_weights[t, a - 1] B_t with its rotation columns times the node's
         branch map D_ta (`track_constraint.branch_maps` of the branch factors
-        s, the identity where s = 1). Rotation derivatives come from one
-        `rotation_derivatives` call for the T poses and one for the T
-        interpolated poses.
+        f.branch, the identity where they are 1). Rotation derivatives come
+        from one `rotation_derivatives` call for the T poses and one for the
+        T interpolated poses.
         """
         T = self.n_epochs
-        RH, dRH = geometry.rotation_derivatives(x[:, :3])
-        S, branch = self._interpolated(x)
-        RS, dRS = geometry.rotation_derivatives(S[:, :3])
+        f = self._state(x)
+        _, dRH = geometry.rotation_derivatives(x[:, :3])
+        _, dRS = geometry.rotation_derivatives(f.S[:, :3])
 
-        r_p, q, z = self._reproj_forward(x, RH)
-        KR = self.cam_KR[self.obs_k]
-        # d(proj)/d(world): (u, v) = (q0/q2, q1/q2), q = K R_c world + K t_c
-        J_w = ((KR[:, :2, :] * z[:, None, None] - q[:, :2, None] * KR[:, 2:3, :])
-               / (self.sigma_px * z ** 2)[:, None, None])
+        # d(proj)/d(world): (u, v) = (q0, q1) / z, q = K R_c world + K t_c
+        KR = self.cam_KR
+        J_w = ((KR[:, :2, :] - f.proj[..., None] * KR[:, 2:3, :])
+               * (self._weight / f.z)[..., None, None])
         # d(R_t m)/dr for every (epoch, part): [t, part, :, i] = dR_t/dr_i m
         J_rot = (dRH.reshape(T, 9, 3) @ np.swapaxes(self.model_pts, -1, -2)
                  ).reshape(T, 3, 3, 8).transpose(0, 3, 2, 1).copy()
 
-        c, y, r_s = self._smooth_forward(x, S, RH, RS)
         s = self.smooth_s[None, :, None, None]
         C = np.empty((T, 4, 3, 12))
         # own pose: d(R_H y + s t_H)/d(r_H, t_H)
-        C[..., 0:3] = (y[:, None] @ dRH.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
+        C[..., 0:3] = (f.y[:, None] @ dRH.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
         C[..., 3:6] = s * np.eye(3)
         # interpolated pose: d(R_H R_S^T c)/d r_S and d/d t_S = -s R_H R_S^T
-        C[..., 6:9] = ((c[:, None] @ dRS) @ RH.transpose(0, 2, 1)[:, None]
+        C[..., 6:9] = ((f.c[:, None] @ dRS) @ f.R.transpose(0, 2, 1)[:, None]
                        ).transpose(0, 2, 3, 1)
-        C[..., 9:12] = -s * (RH @ RS.transpose(0, 2, 1))[:, None]
+        C[..., 9:12] = -s * (f.R @ f.RS.transpose(0, 2, 1))[:, None]
         C *= self.stochastic.smoothness_weight
-        return r_p, J_w, J_rot, r_s.reshape(T, 12), C.reshape(T, 12, 12), branch
+        return f, J_w, J_rot, C.reshape(T, 12, 12)
 
     def jacobian(self, x):
         """Dense (n_residuals, n_params) Jacobian at x, expanded from the
         same factors as `normal_equations`. It holds n_residuals x 6T floats,
         so it serves checks only; the solver never forms it."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        _, J_w, J_rot, _, C, branch = self._blocks(x)
+        f, J_w, J_rot, C = self._blocks(x)
         T, n = self.n_epochs, self.n_obs
+        J_w = J_w.reshape(-1, 2, 3)[self._obs_grid]
         J_p = np.concatenate([J_w @ J_rot[self.obs_t, self.obs_i], J_w], axis=2)
         J_s = np.concatenate(
             [C[:, :, None, :6],
              C[:, :, None, 6:] * self.win_weights[:, None, :, None]],
             axis=2)                                                # (T, 12, 5, 6)
-        D = track_constraint.branch_maps(x[self.smooth_nodes[:, 1:], :3], branch)
+        D = track_constraint.branch_maps(x[self.smooth_nodes[:, 1:], :3],
+                                         f.branch)
         J_s[:, :, 1:, :3] = np.einsum("tiap,tapq->tiaq", J_s[:, :, 1:, :3], D)
         # one write per entry: an epoch's five window nodes are distinct
         J = np.zeros((self.n_residuals, self.n_params))
@@ -412,21 +458,22 @@ class Problem:
 
         Reprojection terms are summed per (epoch, part) before they meet the
         pose (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000,
-        sec. 6): each observation gives J_w^T J_w (3x3) and J_w^T r (3), one
-        scatter sums them over cameras into A_ti and b_ti, and each
-        (epoch, part) is lifted once through [J_rot | I] into its epoch's
-        6x6 block [[J_rot^T A J_rot, J_rot^T A], [A J_rot, A]] and gradient
+        sec. 6): one batched product J_w^T [J_w | r] over the grid's K
+        cameras gives A_ti (3x3) and b_ti (3) of every (epoch, part), with
+        invisible entries adding zeros, and each is lifted once through
+        [J_rot | I] into its epoch's 6x6 block
+        [[J_rot^T A J_rot, J_rot^T A], [A J_rot, A]] and gradient
         [J_rot^T b, b].
         """
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        r_p, J_w, J_rot, r_s, C, branch = self._blocks(x)
-        T = self.n_epochs
+        f, J_w, J_rot, C = self._blocks(x)
+        T, branch = self.n_epochs, f.branch
         # one C_t^T C_t per epoch, spread over its 15 window node pairs
         Ct = C.transpose(0, 2, 1)
         CtC = (Ct @ C).reshape(T, 2, 6, 2, 6).transpose(0, 1, 3, 2, 4)
         pairs = (CtC.reshape(4 * T, 6, 6)[self._pair_src]
                  * self._pair_w[:, None, None]).reshape(T, 15, 6, 6)
-        Ctr = (Ct @ r_s[:, :, None]).reshape(T, 2, 6)
+        Ctr = (Ct @ f.r_s.reshape(T, 12, 1)).reshape(T, 2, 6)
         g_nodes = np.concatenate(
             [Ctr[:, :1], self.win_weights[:, :, None] * Ctr[:, 1:]], axis=1)
         # epochs with a window node off its branch: D_a^T (.) D_b on their
@@ -449,13 +496,13 @@ class Problem:
                            T * 5).reshape(T, 5, 6, 6)
         g = _sum_rows(self.smooth_nodes.ravel(), g_nodes.reshape(-1, 6), T)
 
-        # reprojection: J_w^T [J_w | r] of every observation, summed over
-        # cameras per (epoch, part) into [A | b], then lifted once by
+        # reprojection: J_w^T [J_w | r] over the K cameras of every
+        # (epoch, part) in one batched product, then lifted once by
         # [J_rot | I]
-        Ab = _sum_rows(8 * self.obs_t + self.obs_i,
-                       J_w.transpose(0, 2, 1)
-                       @ np.concatenate([J_w, r_p[:, :, None]], axis=2),
-                       8 * T).reshape(T, 8, 3, 4)
+        J_w = J_w.reshape(8 * T, -1, 3)
+        Ab = (J_w.transpose(0, 2, 1)
+              @ np.concatenate([J_w, f.r_p.reshape(8 * T, -1, 1)], axis=2)
+              ).reshape(T, 8, 3, 4)
         A, b = Ab[..., :3], Ab[..., 3:]
         J_rotT = J_rot.transpose(0, 1, 3, 2)
         AJ = A @ J_rot
@@ -701,12 +748,19 @@ def save_track(track: MouseStateTrack, path):
 
 def load_track(path) -> MouseStateTrack:
     """Track written by `save_track`. Records must hold epochs 0..T-1 once
-    each, in any order; anything else raises SchemaError."""
+    each, in any order; anything else raises SchemaError.
+
+    Well-formed records are checked and converted as columns; any other
+    list is read record by record, so that the SchemaError names the first
+    bad record."""
     records = read_json(path, "track")
     if not records:
         raise SchemaError("track file must be a non-empty JSON list of "
                           "epoch records")
     params = geometry.pose_table(records)
+    columns = _track_columns(records)
+    if columns is not None:
+        return MouseStateTrack(params, *columns)
     flags, rms = [None] * len(records), np.zeros(len(records))
     for rec in records:
         t = rec["t"]
@@ -717,3 +771,23 @@ def load_track(path) -> MouseStateTrack:
         rms[t] = numbers(rec.get("residual_rms", 0.0), (),
                          f"pose t = {t}: 'residual_rms'")
     return MouseStateTrack(params, flags, rms)
+
+
+def _track_columns(records):
+    """(solved_from flags, residual_rms (T,)) in epoch order of records that
+    `pose_table` accepted, when every flag is legal and every residual_rms
+    is a JSON number below 2^53 in magnitude, or None. On such records
+    `errors.numbers` gives the same floats."""
+    order = np.argsort([rec["t"] for rec in records])
+    flags = [records[j].get("solved_from", "adjusted") for j in order]
+    rms = [records[j].get("residual_rms", 0.0) for j in order]
+    if not (all(flag in SOLVED_FROM for flag in flags)
+            and all(type(v) is float or type(v) is int for v in rms)):
+        return None
+    try:
+        rms = np.array(rms, dtype=float)
+    except OverflowError:               # an integer beyond the float range
+        return None
+    if not np.all(np.abs(rms) < 2.0 ** 53):     # also NaN and infinities
+        return None
+    return flags, rms

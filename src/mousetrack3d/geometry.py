@@ -477,6 +477,11 @@ def triangulate_linear(observations):
 def triangulate_batch(cameras, pixels, visible):
     """Linear (DLT) triangulation of many points at once.
 
+    Pixels are normalized by each camera's K^-1, so each view gives two rows
+    against its [R | t]; the homogeneous point is the null vector of these
+    rows A: the eigenvector of the 4x4 A^T A with the smallest eigenvalue,
+    corrected to first order so that it is as accurate as A's SVD.
+
     Parameters
     ----------
     cameras : sequence of K CameraModel
@@ -493,13 +498,13 @@ def triangulate_batch(cameras, pixels, visible):
     """
     visible = np.asarray(visible, dtype=bool)
     n, k = visible.shape
-    calib = np.stack([cam.calibration for cam in cameras])
     rot = np.stack([cam.pose_global.rotation for cam in cameras])
     # normalized image coordinates m = K^-1 (u, v, 1); invisible views -> 0
     h = np.concatenate([np.asarray(pixels, dtype=float).reshape(n, k, 2),
                         np.ones((n, k, 1))], axis=2)
     h = np.where(visible[:, :, None], h, 0.0)
-    m = np.linalg.solve(calib[None], h[..., None])[..., 0]       # (N, K, 3)
+    calib_inv = np.linalg.inv(np.stack([cam.calibration for cam in cameras]))
+    m = np.einsum("kij,nkj->nki", calib_inv, h)                  # (N, K, 3)
 
     # ray directions in the global frame; one angle check for all pairs
     d = np.einsum("kji,nkj->nki", rot, m)
@@ -511,14 +516,26 @@ def triangulate_batch(cameras, pixels, visible):
     wide = pairs & (np.degrees(np.arccos(cos)) >= MIN_TRIANGULATION_ANGLE_DEG)
     ok = wide.any(axis=(1, 2))
 
-    # two rows per view, zero rows for invisible views (null space unchanged)
-    P = np.linalg.solve(calib, np.stack([cam.projection_matrix()
-                                         for cam in cameras]))  # (K, 3, 4)
+    # two rows per view of K^-1 P = [R | t], zero rows for invisible views
+    # (null space unchanged)
+    P = np.concatenate([rot, np.stack([cam.pose_global.translation
+                                       for cam in cameras])[:, :, None]],
+                       axis=2)                                   # (K, 3, 4)
     A = np.stack([m[:, :, 0:1] * P[None, :, 2] - m[:, :, 2:3] * P[None, :, 0],
                   m[:, :, 1:2] * P[None, :, 2] - m[:, :, 2:3] * P[None, :, 1]],
                  axis=2).reshape(n, 2 * k, 4)
-    _, _, Vt = np.linalg.svd(A)
-    Xh = Vt[:, -1]
+    # the null vector of A: the eigenvector of the 4x4 A^T A with the
+    # smallest eigenvalue, V[:, :, 0]. A^T A squares the condition of A, so
+    # V is corrected to first order in G = B^T B, B = A V, whose entries
+    # carry A's own rounding: G[0, j] / (G[j, j] - G[0, 0]) of eigenvector j
+    # comes off, as one Jacobi sweep on column 0 would take it
+    V = np.linalg.eigh(A.transpose(0, 2, 1) @ A)[1]
+    B = A @ V
+    couple = np.einsum("nr,nrj->nj", B[:, :, 0], B[:, :, 1:])
+    gap = np.einsum("nrj,nrj->nj", B[:, :, 1:], B[:, :, 1:]) \
+        - np.einsum("nr,nr->n", B[:, :, 0], B[:, :, 0])[:, None]
+    theta = np.where(gap > 0.0, couple / np.where(gap > 0.0, gap, 1.0), 0.0)
+    Xh = V[:, :, 0] - np.einsum("nij,nj->ni", V[:, :, 1:], theta)
     ok &= np.abs(Xh[:, 3]) >= 1e-14
     X = np.full((n, 3), np.nan)
     X[ok] = Xh[ok, :3] / Xh[ok, 3:]

@@ -292,7 +292,7 @@ def _is_row(row):
 def _observation_table(rows, T, Kn):
     """Observation rows, lists of 7 finite JSON numbers (not strings,
     booleans or nulls), as one (n, 7) array with checked integer indices
-    0 <= t < T, 0 <= k < Kn and 0 <= i < 8."""
+    0 <= t < T, 0 <= k < Kn and 0 <= i < 8, each (t, k, i) at most once."""
     if not isinstance(rows, list):
         raise SchemaError("observation rows must be a list")
     # one pass over the value types; the row-by-row test only names the
@@ -321,6 +321,14 @@ def _observation_table(rows, T, Kn):
             row = int(np.flatnonzero(out)[0])
             raise SchemaError(f"observation row {row}: {name} = "
                               f"{int(idx[row, col])} outside 0..{limit - 1}")
+    t, k, i = idx.astype(int).T
+    key = (t * Kn + k) * 8 + i
+    if (np.bincount(key, minlength=T * Kn * 8) > 1).any():
+        first = np.zeros(len(key), dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        row = int(np.flatnonzero(~first)[0])
+        raise SchemaError(f"observation row {row}: duplicate observation "
+                          f"t = {t[row]}, k = {k[row]}, i = {i[row]}")
     return table
 
 

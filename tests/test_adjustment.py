@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +249,91 @@ def mixed_branch_poses(ds, rng):
     x = ds.poses + rng.normal(scale=[0.0] * 3 + [5.0] * 3, size=(T, 6))
     x[:, :3] = (theta + 2 * np.pi * k)[:, None] * axis
     return x
+
+
+def test_invisible_grid_entries_are_inert():
+    # the reprojection runs on the dense (epoch, part, camera) grid; an
+    # invisible entry has weight 0, so neither its stored pixel nor a world
+    # point on or behind the camera's principal plane may reach r, N or g
+    ds = make_dataset(n_epochs=8, noise=0.5)
+    top = ds.cameras[0]
+    x = ds.poses.copy()
+    # epoch 3: part 0 on the top camera's principal plane; epoch 5: the
+    # body 200 mm behind the camera
+    x[3] = np.concatenate([np.zeros(3), top.center() + [30.0, -20.0, 0.0]
+                           - mouse_model.COORDS[0]])
+    x[5, 3:] = top.center() + [0.0, 0.0, 200.0]
+    parts = mouse_model.world_part_positions(x)
+    assert abs(geometry.project_many(top, parts[3])[1][0]) <= geometry.EPS_DEPTH
+    assert np.all(geometry.project_many(top, parts[5])[1] < 0.0)
+    ds.visible[[3, 5], 0] = False
+    results = []
+    for stored in (0.0, np.nan, 1e9):
+        obs = ds.observations.copy()
+        obs[[3, 5], 0] = stored
+        problem = make_problem(dataclasses.replace(ds, observations=obs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = problem.residuals(x.ravel())
+            results.append((r, *problem.normal_equations(x.ravel())))
+            J = problem.jacobian(x.ravel())
+    for other in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(results[0], other))
+    # the dense Jacobian holds the visible observations' rows only
+    r, N, g = results[0]
+    JtJ, Jtr = J.T @ J, J.T @ r
+    assert np.isfinite(r).all()
+    assert (np.abs(band_to_dense(N) - np.tril(JtJ)).max()
+            <= 1e-12 * np.abs(JtJ).max())
+    assert np.abs(g - Jtr).max() <= 1e-12 * np.abs(Jtr).max()
+
+
+def test_normal_equations_reuse_cannot_go_stale():
+    # normal_equations reuses the forward pass of the last residuals call
+    # only at a bit-equal x; the result equals a fresh Problem's
+    ds = make_dataset(n_epochs=12, noise=0.5, dropout=0.3)
+    rng = np.random.default_rng(8)
+    x1 = (ds.poses + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
+                                size=(12, 6))).ravel()
+    x2 = x1 + rng.normal(scale=[0.01] * 3 + [0.5] * 3, size=(12, 6)).ravel()
+
+    def assert_fresh(got, x):
+        want = make_problem(ds).normal_equations(x.copy())
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    problem = make_problem(ds)
+    problem.residuals(x1)
+    assert_fresh(problem.normal_equations(x2), x2)
+    # the array residuals saw, changed in place afterwards
+    x = x1.copy()
+    problem.residuals(x)
+    x[7] += 1e-3
+    assert_fresh(problem.normal_equations(x), x)
+    # a bit-equal copy is served from the kept pass
+    problem.residuals(x2)
+    assert_fresh(problem.normal_equations(x2.copy()), x2)
+
+
+def test_solve_linearizes_on_the_residuals_forward_pass(monkeypatch):
+    # LM evaluates the start and every trial with residuals and linearizes
+    # only at the start and accepted trials, so no forward pass is repeated
+    ds = make_dataset(noise=0.5, dropout=0.2, n_epochs=30)
+    problem = build_problem(ds, ds.cameras)
+    calls = {"_forward": 0, "residuals": 0}
+
+    def counted(name):
+        method = getattr(Problem, name)
+
+        def wrapper(self, x):
+            calls[name] += 1
+            return method(self, x)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Problem, name, counted(name))
+    _, report = solve(problem, initialize(ds))
+    assert report.iterations > 1
+    assert calls["_forward"] == calls["residuals"]
 
 
 @pytest.mark.parametrize("kind", ["rigid", "smoothness_only"])

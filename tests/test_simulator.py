@@ -254,6 +254,12 @@ def _short_row(doc):
     doc["observations"]["rows"][0] = doc["observations"]["rows"][0][:6]
 
 
+def _repeat_row(doc):
+    # row 0 again as row 1, 50 px off in u: kept, it would overwrite row 0
+    rows = doc["observations"]["rows"]
+    rows.insert(1, rows[0][:3] + [rows[0][3] + 50.0] + rows[0][4:])
+
+
 # (mutation of an exported 10-epoch dataset, expected message)
 MALFORMED_DATASETS = {
     "negative_t": (_set_row(0, -1), "t = -1"),
@@ -262,6 +268,8 @@ MALFORMED_DATASETS = {
     "part_out_of_range": (_set_row(2, 8), "i = 8"),
     "fractional_index": (_set_row(2, 1.5), "integers"),
     "short_row": (_short_row, "7 numbers"),
+    "duplicate_row": (_repeat_row, "observation row 1: duplicate observation "
+                                   "t = 0, k = 0, i = 0$"),
     "string_pixel": (_set_row(3, "640.06"), "observation row 0"),
     "bool_part": (_set_row(2, False), "observation row 0"),
     "nan_pixel": (_set_row(3, float("nan")), "observation row 0"),

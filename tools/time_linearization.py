@@ -1,0 +1,90 @@
+"""Print the CPU time of one Levenberg-Marquardt linearization per workload.
+
+    python3 tools/time_linearization.py [-n SAMPLES]
+
+Run from any directory; the library is imported from the checkout's `src/`.
+For the first recording of each benchmark workload (named in BENCHMARK.json,
+built by `perfbench/workloads.py`) it times, at the initialized track:
+
+* `Problem.residuals` alone, as LM evaluates every trial step;
+* `Problem.residuals` then `Problem.normal_equations` at the same x, as LM
+  evaluates a start point or an accepted step and linearizes there (the
+  normal-matrix assembly that the benchmark's tracer does not see);
+* `adjustment.triangulate_parts`, which runs once per solve.
+
+Deformed workloads are timed with the recording's ground-truth offsets as
+the model points, which gives the deformed mode's problem without training
+the deformation model. Each figure is the minimum over SAMPLES calls of the
+process CPU time, in ms; one line per workload. BLAS is pinned to one
+thread, as in the benchmark.
+"""
+
+import argparse
+import json
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from mousetrack3d import adjustment, mouse_model, simulator
+import workloads
+
+
+def min_cpu_ms(fn, samples):
+    """Smallest process CPU time of `samples` calls of fn, in ms."""
+    best = float("inf")
+    for _ in range(samples):
+        start = time.process_time()
+        fn()
+        best = min(best, time.process_time() - start)
+    return 1e3 * best
+
+
+def first_recording_problem(workload):
+    """(dataset, Problem, x at the initialized track) of the workload's first
+    recording, solved in the workload's mode."""
+    _, config = workload.recordings[0]
+    ds = simulator.simulate(config)
+    stochastic = workload.stochastic
+    if workload.mode == "deformed":
+        problem = adjustment.Problem(
+            ds, ds.cameras, mouse_model.COORDS + ds.deform_offsets,
+            stochastic, stochastic.sigma_px_geometric)
+    else:
+        problem = adjustment.build_problem(ds, ds.cameras,
+                                           stochastic=stochastic)
+    return ds, problem, adjustment.initialize(ds).poses.ravel()
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("-n", "--samples", type=int, default=25,
+                   help="calls timed per figure (default 25)")
+    args = p.parse_args(argv)
+    if args.samples < 1:
+        p.error("--samples must be at least 1")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        names = [w["name"] for w in json.load(f)["workloads"]]
+    for name in names:
+        ds, problem, x = first_recording_problem(workloads.build(name))
+
+        def linearize():
+            problem.residuals(x)
+            problem.normal_equations(x)
+
+        res = min_cpu_ms(lambda: problem.residuals(x), args.samples)
+        lin = min_cpu_ms(linearize, args.samples)
+        tri = min_cpu_ms(
+            lambda: adjustment.triangulate_parts(ds, ds.cameras), args.samples)
+        print(f"{name}: T = {ds.n_epochs}, {problem.n_obs} observations; "
+              f"residuals {res:.3f} ms, residuals + normal_equations "
+              f"{lin:.3f} ms, triangulate_parts {tri:.3f} ms "
+              f"(min of {args.samples} CPU times)")
+
+
+if __name__ == "__main__":
+    main()
