@@ -15,10 +15,11 @@ consecutive epochs, so the normal matrix is banded with half-bandwidth 29
 storage, and solves each damped step by banded Cholesky: the reprojection
 terms, evaluated on the dense (epoch, part, camera) grid, are summed over
 cameras per (epoch, part) and lifted once into their epoch's 6x6 block, and
-the smoothness terms come from one 12x12 factor per epoch. Each
-linearization reuses the forward pass of the cost evaluation at the same
-point. The recording is triangulated once per solve, for the initialization
-and every deformation-offset prediction. Camera poses are fixed throughout.
+the smoothness terms from one 12 x 30 Jacobian per epoch, over the five
+epochs of its window. Each linearization reuses the forward pass of the cost
+evaluation at the same point. The recording is triangulated once per solve,
+for the initialization and every deformation-offset prediction. Camera poses
+are fixed throughout.
 """
 
 from __future__ import annotations
@@ -201,20 +202,13 @@ def initialize(dataset, cameras=None, *, parts=None) -> MouseStateTrack:
 # Problem construction
 # ---------------------------------------------------------------------------
 
-def _sum_rows(index, values, n):
-    """Sum the rows of values (m, ...) into n rows selected by index (m,)."""
-    k = int(np.prod(values.shape[1:]))
-    flat = (index[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=n * k).reshape(n, k)
-
-
 class _Forward(NamedTuple):
     """One forward pass of a `Problem` at x: what its residuals and its
     linearization share. Grid arrays are over (epoch, part, camera)."""
 
     R: np.ndarray         # (T, 3, 3) epoch rotations
     S: np.ndarray         # (T, 6) interpolated poses
-    branch: np.ndarray    # (T, 4) branch factors of the window nodes
+    branch: np.ndarray    # (T, 5) branch factors of the window slots
     RS: np.ndarray        # (T, 3, 3) rotations of S
     proj: np.ndarray      # (T, 8, K, 2) pixels
     z: np.ndarray         # (T, 8, K) divisors of `geometry.dehomogenize`
@@ -238,26 +232,31 @@ class Problem:
     neighbors.
 
     The windows, their weights and the rotation-branch rule of the cubic
-    are `track_constraint`'s (`windows`, `interpolate`), so the cost depends
-    only on the rotations, not on how x writes them. Each epoch's smoothness
-    block is the 12 residuals
+    are `track_constraint`'s (`window_slots`, `interpolate`), so the cost
+    depends only on the rotations, not on how x writes them. Each epoch's
+    smoothness block is the 12 residuals
     smoothness_weight * (R_H R_S^T (p_j - s_j t_S) + s_j t_H - p_j) of the
     four weighted points (p_j, s_j) of `track_constraint.grid_factor` of
     `track_constraint.GRID`, which have the grid's sum of squares.
 
     The smoothness residual of epoch t depends on the poses of the five
-    epochs in `smooth_nodes[t]` (t itself, then its four window nodes), at
-    most four epochs apart, so J^T J is banded with half-bandwidth
-    `bandwidth` = min(29, 6T - 1). A reprojection residual depends on its
-    epoch's pose only through the world point R_t m_i + t_t of its part,
-    so `normal_equations` sums the K cameras of each (epoch, part) in
-    world-point terms first and meets the pose once per (epoch, part).
+    consecutive epochs from `win_start[t]`, the slots of its window (t
+    itself and its four nodes), so J^T J is banded with half-bandwidth
+    `bandwidth` = 29 (a track has at least five epochs).
+    `_smooth_jacobian` forms that Jacobian once per linearization, over the
+    five slots, for both `jacobian` and `normal_equations`. A reprojection
+    residual depends on its epoch's pose only through the world point
+    R_t m_i + t_t of its part, so `normal_equations` sums the K cameras of
+    each (epoch, part) in world-point terms first and meets the pose once
+    per (epoch, part).
 
     `residuals` keeps its forward pass, and `normal_equations` at a
     bit-equal x linearizes on it instead of repeating it, as
     Levenberg-Marquardt does at its start point and after every accepted
     step. So a Problem is not to be shared across threads.
     """
+
+    bandwidth = 29
 
     def __init__(self, dataset, cameras, model_points, stochastic, sigma_px):
         self.n_epochs = dataset.n_epochs
@@ -286,10 +285,11 @@ class Problem:
         # rigid + predicted offsets in deformed mode
         self.model_pts = np.asarray(model_points, dtype=float)
 
-        # smoothness windows: (T, 4) nodes and cubic weights
+        # smoothness windows: each epoch's five consecutive slot epochs
+        # from win_start, and the slots' cubic weights (T, 5)
         T = self.n_epochs
-        nodes, self.win_weights = track_constraint.windows(T)
-        self.smooth_nodes = np.column_stack([np.arange(T), nodes])
+        self.win_start, self.slot_weights = track_constraint.window_slots(T)
+        self._slots = self.win_start[:, None] + np.arange(5)
         # the four weighted points (p_j, s_j) equivalent to the grid
         rq = track_constraint.grid_factor(track_constraint.GRID)
         self.smooth_p, self.smooth_s = rq[:, :3], rq[:, 3]
@@ -297,35 +297,6 @@ class Problem:
         self.n_residuals = 2 * self.n_obs + 12 * T
         self.n_params = 6 * T
         self._last = (None, None)       # (x bytes, its _Forward)
-        self._init_band()
-
-    def _init_band(self):
-        """Index maps from each epoch's smoothness blocks to the 6x6 blocks
-        of J^T J.
-
-        J^T J is accumulated as blocks (T, 5, 6, 6), where [j, d] is the
-        block coupling epoch j + d (rows) with epoch j (columns).
-
-        Epoch t's smoothness Jacobian with respect to its own pose (node
-        a = 0) is the block A_t, and with respect to window node a > 0 it is
-        w_ta B_t, then the branch map D_ta (see `_blocks`). So each of the 15
-        pairs (a, b) of its nodes that lands on or below the block diagonal
-        gets w_ta w_tb times one 6x6 block of C_t^T C_t, with
-        C_t = [A_t | B_t]: A^T A, A^T B, B^T A or B^T B (w_t0 = 1).
-        """
-        T = self.n_epochs
-        self.bandwidth = min(29, 6 * T - 1)
-        node_w = np.column_stack([np.ones(T), self.win_weights])
-        na = self.smooth_nodes[:, :, None]
-        nb = self.smooth_nodes[:, None, :]
-        lower = np.broadcast_to(na >= nb, (T, 5, 5))
-        pt, pa, pb = np.nonzero(lower)
-        # an epoch's five nodes are distinct, so its 15 pairs are consecutive
-        self._pair_a, self._pair_b = pa.reshape(T, 15), pb.reshape(T, 15)
-        # index of the pair's block in the (4T, 6, 6) stack of C_t^T C_t blocks
-        self._pair_src = 4 * pt + 2 * (pa > 0) + (pb > 0)
-        self._pair_w = node_w[pt, pa] * node_w[pt, pb]
-        self._pair_dst = (nb * 5 + (na - nb))[lower]
 
     # -- residuals ----------------------------------------------------------
 
@@ -359,10 +330,10 @@ class Problem:
 
     def _interpolated(self, x):
         """Cubic recombination S (T, 6) of each epoch's window nodes, on the
-        branch nearest the epoch's canonical vector, and the nodes' branch
-        factors s (T, 4) (`track_constraint.interpolate`)."""
+        branch nearest the epoch's canonical vector, and the window slots'
+        branch factors s (T, 5) (`track_constraint.interpolate`)."""
         return track_constraint.interpolate(
-            x, self.smooth_nodes[:, 1:], self.win_weights,
+            x, self._slots, self.slot_weights,
             geometry.canonical_rodrigues(x[:, :3]))
 
     def _smooth_forward(self, x, S, RH, RS):
@@ -384,25 +355,20 @@ class Problem:
     def _blocks(self, x):
         """Forward pass and Jacobian factors at x (T, 6).
 
-        Returns (f, J_w (T, 8, K, 2, 3), J_rot (T, 8, 3, 3), C (T, 12, 12)),
+        Returns (f, J_w (T, 8, K, 2, 3), J_rot (T, 8, 3, 3), J_s (T, 12, 30)),
         f being the `_Forward` at x. J_w[t, i, k] is d r_p[t, i, k] / d X_ti,
         the derivative of the grid entry's weighted residual by the world
         point X_ti = R_t m_ti + t_t, zero where the entry is invisible, and
         J_rot[t, i] = d(R_t m_ti)/dr_t, so that d r_p[t, i, k] / d x[t] =
-        J_w[t, i, k] [J_rot[t, i] | I].
-        C[t] = [A_t | B_t] holds d r_s[t] / d x[t] (A_t) and
-        d r_s[t] / d S[t] (B_t), where S[t] is the interpolated pose. So
-        d r_s[t] / d x[smooth_nodes[t, a]] for a window node a > 0 is
-        win_weights[t, a - 1] B_t with its rotation columns times the node's
-        branch map D_ta (`track_constraint.branch_maps` of the branch factors
-        f.branch, the identity where they are 1). Rotation derivatives come
-        from one `rotation_derivatives` call for the T poses and one for the
-        T interpolated poses.
+        J_w[t, i, k] [J_rot[t, i] | I]. J_s is `_smooth_jacobian`'s.
+        Rotation derivatives come from one `rotation_derivatives` call for
+        the T poses and one for the T interpolated poses.
         """
         T = self.n_epochs
         f = self._state(x)
         _, dRH = geometry.rotation_derivatives(x[:, :3])
-        _, dRS = geometry.rotation_derivatives(f.S[:, :3])
+        # first, so that its temporaries are freed before J_w is formed
+        J_s = self._smooth_jacobian(x, f, dRH)
 
         # d(proj)/d(world): (u, v) = (q0, q1) / z, q = K R_c world + K t_c
         KR = self.cam_KR
@@ -411,7 +377,25 @@ class Problem:
         # d(R_t m)/dr for every (epoch, part): [t, part, :, i] = dR_t/dr_i m
         J_rot = (dRH.reshape(T, 9, 3) @ np.swapaxes(self.model_pts, -1, -2)
                  ).reshape(T, 3, 3, 8).transpose(0, 3, 2, 1).copy()
+        return f, J_w, J_rot, J_s
 
+    def _smooth_jacobian(self, x, f, dRH):
+        """Jacobian J_s (T, 12, 30) of the smoothness residuals at x (T, 6),
+        for the `_Forward` f at x and the derivatives dRH of the epoch
+        rotations.
+
+        Columns 6a to 6a + 5 of J_s[t] are d r_s[t] / d x[win_start[t] + a]
+        for the five slots a of epoch t's window. J_s[t] = [A_t | B_t] M_t:
+        A_t and B_t are d r_s[t] / d x[t] and d r_s[t] / d S[t], where S[t]
+        is the interpolated pose, and M_t = d(x[t], S[t]) / d(slot poses)
+        holds I on t's own slot for x[t], and w_ta D_ta (rotation) and
+        w_ta I (translation) on every slot a for S[t]. w_ta is
+        `slot_weights` (0 on t's own slot) and D_ta the slot's branch map
+        (`track_constraint.branch_maps` of the branch factors f.branch,
+        exactly the identity where they are 1).
+        """
+        T = self.n_epochs
+        _, dRS = geometry.rotation_derivatives(f.S[:, :3])
         s = self.smooth_s[None, :, None, None]
         C = np.empty((T, 4, 3, 12))
         # own pose: d(R_H y + s t_H)/d(r_H, t_H)
@@ -422,31 +406,29 @@ class Problem:
                        ).transpose(0, 2, 3, 1)
         C[..., 9:12] = -s * (f.R @ f.RS.transpose(0, 2, 1))[:, None]
         C *= self.stochastic.smoothness_weight
-        return f, J_w, J_rot, C.reshape(T, 12, 12)
+        w = self.slot_weights
+        D = track_constraint.branch_maps(x[self._slots, :3], f.branch)
+        M = np.zeros((T, 12, 5, 6))
+        M[np.arange(T), :6, np.arange(T) - self.win_start] = np.eye(6)
+        M[:, 6:9, :, :3] = (w[..., None, None] * D).transpose(0, 2, 1, 3)
+        M[:, 9:, :, 3:] = w[:, None, :, None] * np.eye(3)[:, None]
+        return C.reshape(T, 12, 12) @ M.reshape(T, 12, 30)
 
     def jacobian(self, x):
-        """Dense (n_residuals, n_params) Jacobian at x, expanded from the
+        """Dense (n_residuals, n_params) Jacobian at x, written from the
         same factors as `normal_equations`. It holds n_residuals x 6T floats,
         so it serves checks only; the solver never forms it."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        f, J_w, J_rot, C = self._blocks(x)
+        f, J_w, J_rot, J_s = self._blocks(x)
         T, n = self.n_epochs, self.n_obs
         J_w = J_w.reshape(-1, 2, 3)[self._obs_grid]
         J_p = np.concatenate([J_w @ J_rot[self.obs_t, self.obs_i], J_w], axis=2)
-        J_s = np.concatenate(
-            [C[:, :, None, :6],
-             C[:, :, None, 6:] * self.win_weights[:, None, :, None]],
-            axis=2)                                                # (T, 12, 5, 6)
-        D = track_constraint.branch_maps(x[self.smooth_nodes[:, 1:], :3],
-                                         f.branch)
-        J_s[:, :, 1:, :3] = np.einsum("tiap,tapq->tiaq", J_s[:, :, 1:, :3], D)
-        # one write per entry: an epoch's five window nodes are distinct
         J = np.zeros((self.n_residuals, self.n_params))
         J[(2 * np.arange(n))[:, None, None] + np.arange(2)[:, None],
           (6 * self.obs_t)[:, None, None] + np.arange(6)] = J_p
-        J[(2 * n + 12 * np.arange(T))[:, None, None, None]
-          + np.arange(12)[:, None, None],
-          (6 * self.smooth_nodes)[:, None, :, None] + np.arange(6)] = J_s
+        # epoch t's 12 rows over the 30 columns of its window's five slots
+        J[(2 * n + 12 * np.arange(T))[:, None, None] + np.arange(12)[:, None],
+          (6 * self.win_start)[:, None, None] + np.arange(30)] = J_s
         return J
 
     def normal_equations(self, x):
@@ -455,6 +437,16 @@ class Problem:
         Returns (N, g): N has shape (bandwidth + 1, n_params) with
         N[i - j, j] = (J^T J)[i, j] for i >= j (the layout of
         scipy.linalg.cholesky_banded with lower=True), g = J^T r.
+
+        With J_ta the columns of slot a in J_s[t], epoch t's smoothness
+        residuals add J_tb^T J_ta to the block of J^T J with the rows of
+        slot epoch win_start[t] + b and the columns of win_start[t] + a,
+        for its 15 slot pairs b <= a, and J_ta^T r_s[t] to the gradient of
+        slot epoch a. Every interior epoch t has a window start of its own,
+        t - 2; the first three epochs share start 0 and the last three start
+        T - 5. So the terms of the two first and two last epochs are added
+        onto epochs 2 and T - 3 first, and then epochs 2..T-3 map onto the
+        window starts 0..T-5 one to one, by slices.
 
         Reprojection terms are summed per (epoch, part) before they meet the
         pose (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000,
@@ -466,35 +458,25 @@ class Problem:
         [J_rot^T b, b].
         """
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        f, J_w, J_rot, C = self._blocks(x)
-        T, branch = self.n_epochs, f.branch
-        # one C_t^T C_t per epoch, spread over its 15 window node pairs
-        Ct = C.transpose(0, 2, 1)
-        CtC = (Ct @ C).reshape(T, 2, 6, 2, 6).transpose(0, 1, 3, 2, 4)
-        pairs = (CtC.reshape(4 * T, 6, 6)[self._pair_src]
-                 * self._pair_w[:, None, None]).reshape(T, 15, 6, 6)
-        Ctr = (Ct @ f.r_s.reshape(T, 12, 1)).reshape(T, 2, 6)
-        g_nodes = np.concatenate(
-            [Ctr[:, :1], self.win_weights[:, :, None] * Ctr[:, 1:]], axis=1)
-        # epochs with a window node off its branch: D_a^T (.) D_b on their
-        # pairs' rotation rows and columns, D_a^T on their gradient
-        bent = np.flatnonzero((branch != 1.0).any(axis=1))
-        if bent.size:
-            D = np.concatenate(
-                [np.broadcast_to(np.eye(3), (len(bent), 1, 3, 3)),
-                 track_constraint.branch_maps(x[self.smooth_nodes[bent, 1:], :3],
-                                              branch[bent])], axis=1)
-            own = np.arange(len(bent))[:, None]
-            P = pairs[bent]
-            P[..., :3, :] = (D[own, self._pair_a[bent]].transpose(0, 1, 3, 2)
-                             @ P[..., :3, :])
-            P[..., :3] = P[..., :3] @ D[own, self._pair_b[bent]]
-            pairs[bent] = P
-            g_nodes[bent, :, :3] = (D.transpose(0, 1, 3, 2)
-                                    @ g_nodes[bent, :, :3, None])[..., 0]
-        blocks = _sum_rows(self._pair_dst, pairs.reshape(-1, 36),
-                           T * 5).reshape(T, 5, 6, 6)
-        g = _sum_rows(self.smooth_nodes.ravel(), g_nodes.reshape(-1, 6), T)
+        f, J_w, J_rot, J_s = self._blocks(x)
+        T = self.n_epochs
+        # blocks[j, d] is the block of J^T J with the rows of epoch j and
+        # the columns of epoch j + d
+        blocks = np.zeros((T, 5, 6, 6))
+        g = np.zeros((T, 6))
+        ends, shared = [0, 1, T - 2, T - 1], [2, 2, T - 3, T - 3]
+        for a in range(5):
+            # slots b = 0..a against slot a, stacked over b
+            P = (J_s[:, :, :6 * a + 6].transpose(0, 2, 1)
+                 @ J_s[:, :, 6 * a:6 * a + 6])
+            np.add.at(P, shared, P[ends])
+            for b in range(a + 1):
+                blocks[b:b + T - 4, a - b] += P[2:T - 2, 6 * b:6 * b + 6]
+        gs = (f.r_s.reshape(T, 1, 12) @ J_s).reshape(T, 5, 6)
+        np.add.at(gs, shared, gs[ends])
+        for a in range(5):
+            g[a:a + T - 4] += gs[2:T - 2, a]
+        del J_s     # 360 floats per epoch, not needed from here on
 
         # reprojection: J_w^T [J_w | r] over the K cameras of every
         # (epoch, part) in one batched product, then lifted once by
@@ -506,22 +488,23 @@ class Problem:
         A, b = Ab[..., :3], Ab[..., 3:]
         J_rotT = J_rot.transpose(0, 1, 3, 2)
         AJ = A @ J_rot
-        # the band holds the diagonal block's lower triangle only, so its
-        # upper-right J_rot^T A is not needed
+        # the band holds the diagonal block's upper triangle only, so its
+        # lower-left A J_rot is not needed; its upper-right J_rot^T A is
+        # the transpose, A being symmetric
         diag = blocks[:, 0]
         diag[:, :3, :3] += (J_rotT @ AJ).sum(axis=1)
-        diag[:, 3:, :3] += AJ.sum(axis=1)
+        diag[:, :3, 3:] += AJ.sum(axis=1).transpose(0, 2, 1)
         diag[:, 3:, 3:] += A.sum(axis=1)
         g[:, :3] += (J_rotT @ b).sum(axis=1)[..., 0]
         g[:, 3:] += b.sum(axis=1)[..., 0]
-        # block [j, d] entry (p, q) is (J^T J)[6(j + d) + p, 6j + q], stored at
-        # N[6d + p - q, 6j + q] when on or below the diagonal
+        # block [j, d] entry (q, p) is (J^T J)[6(j + d) + p, 6j + q], stored
+        # at N[6d + p - q, 6j + q] when on or below the diagonal
         N = np.zeros((self.bandwidth + 1, self.n_params))
-        for d in range(min(5, T)):
+        for d in range(5):
             for q in range(6):
                 lo = max(q - 6 * d, 0)
                 N[6 * d + lo - q:6 * d + 6 - q, q::6][:, :T - d] = \
-                    blocks[:T - d, d, lo:, q].T
+                    blocks[:T - d, d, q, lo:].T
         return N, g.ravel()
 
     def residual_rms(self, x):

@@ -26,7 +26,6 @@ from .geometry import CameraModel, RigidTransform
 @dataclass(frozen=True)
 class OcclusionConfig:
     random_dropout_rate: float = 0.0
-    min_visible_floor: int = 0  # informational; no artificial rescue
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,6 @@ _SCENE_FIELDS = {
 _OCCLUSION_FIELDS = {
     "random_dropout_rate": (0.0, float, lambda v: 0 <= v <= 1,
                             "a number in [0, 1]"),
-    "min_visible_floor": (0, int, lambda v: v >= 0, "an integer >= 0"),
 }
 
 

@@ -46,40 +46,41 @@ def lagrange_weights(nodes, at):
     return w
 
 
-# Epoch t's window lies in the five consecutive epochs from `_window_start`:
-# t sits in slot 2 of them in the track's interior, in slots 0, 1, 3 or 4
-# near its ends. Row i holds the other four slots and the weights of the
-# cubic through them evaluated at slot i.
+# Epoch t's window lies in five consecutive epochs, its slots (see
+# `window_slots`): t sits in slot 2 of them in the track's interior, in
+# slots 0, 1, 3 or 4 near its ends. Row i holds the other four slots and the
+# weights of the cubic through them evaluated at slot i; SLOT_WEIGHTS row i
+# holds the same weights on all five slots, 0 on slot i.
 WINDOW_NODES = np.array([[j for j in range(5) if j != i] for i in range(5)])
 WINDOW_WEIGHTS = np.array([lagrange_weights(nodes, float(i))
                            for i, nodes in enumerate(WINDOW_NODES)])
+SLOT_WEIGHTS = np.zeros((5, 5))
+np.put_along_axis(SLOT_WEIGHTS, WINDOW_NODES, WINDOW_WEIGHTS, axis=1)
 
 
-def _window_start(t, n_epochs):
-    return np.maximum(np.minimum(t - 2, n_epochs - 5), 0)
-
-
-def windows(n_epochs):
-    """Neighbor epochs (T, 4) and cubic weights (T, 4) of every epoch.
+def window_slots(n_epochs):
+    """First epochs (T,) of every epoch's window and the cubic weights (T, 5)
+    of its five slots, the consecutive epochs from the first, 0 on the
+    epoch's own slot.
 
     Interior epochs use the symmetric window t-2, t-1, t+1, t+2; the first
     and last two epochs use the four nearest other epochs (one-sided
     window).
     """
     t = np.arange(n_epochs)
-    first = _window_start(t, n_epochs)
-    return first[:, None] + WINDOW_NODES[t - first], WINDOW_WEIGHTS[t - first]
+    first = np.maximum(np.minimum(t - 2, n_epochs - 5), 0)
+    return first, SLOT_WEIGHTS[t - first]
 
 
 def interpolate(x, nodes, weights, ref):
     """Cubic recombinations (n, 6) of the poses x[nodes] (x (T, 6), nodes
-    (n, 4)) with weights (n, 4), and the nodes' branch factors s (n, 4).
+    (n, m)) with weights (n, m), and the nodes' branch factors s (n, m).
 
     Each node's rotation vector v enters as v' = s v, its rotation's vector
     on the 2 pi branch nearest ref (n, 3) (`geometry.branch_scale`); s is
     exactly 1 wherever a node keeps its branch.
     """
-    v = x[nodes]                                                  # (n, 4, 6)
+    v = x[nodes]                                                  # (n, m, 6)
     s = geometry.branch_scale(v[..., :3], ref[:, None])
     v[..., :3] *= s[..., None]
     return np.einsum("ta,tap->tp", weights, v), s
@@ -155,7 +156,8 @@ def track_residual(track, t):
         raise ValueError("track must have at least 5 epochs")
     if not 0 <= t < len(params):
         raise IndexError(f"epoch {t} outside a track of {len(params)} epochs")
-    nodes, weights = windows(len(params))
-    interp, _ = interpolate(params, nodes[t:t + 1], weights[t:t + 1],
+    first, weights = window_slots(len(params))
+    interp, _ = interpolate(params, first[t] + np.arange(5)[None],
+                            weights[t:t + 1],
                             geometry.canonical_rodrigues(params[t:t + 1, :3]))
     return grid_displacements(params[t], interp[0])

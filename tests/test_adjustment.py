@@ -356,6 +356,33 @@ def test_jacobian_across_rotation_branches(kind):
     assert np.abs(g - Jtr).max() <= 1e-12 * np.abs(Jtr).max()
 
 
+@pytest.mark.parametrize("case", ["one_window", "occluded", "mixed_branches"])
+def test_gradient_is_half_the_cost_gradient(case):
+    # g = J^T r is half the gradient of the cost r^T r. Checked against the
+    # cost alone: `jacobian` shares the smoothness Jacobian with
+    # normal_equations, so it cannot check that Jacobian's assembly
+    n_epochs = {"one_window": 5, "occluded": 12, "mixed_branches": 9}[case]
+    ds = make_dataset(n_epochs=n_epochs, noise=0.5, step_sigma=1.5,
+                      dropout=0.75 if case == "occluded" else 0.0)
+    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=0.7))
+    rng = np.random.default_rng(n_epochs)
+    if case == "mixed_branches":
+        x = mixed_branch_poses(ds, rng)
+        assert (problem._interpolated(x)[1] != 1.0).any()
+    else:
+        x = ds.poses + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
+                                  size=(n_epochs, 6))
+    x = x.ravel()
+    _, g = problem.normal_equations(x)
+    step = 1e-6
+    fd = np.empty_like(x)
+    for j in range(len(x)):
+        dx = np.zeros_like(x)
+        dx[j] = step
+        fd[j] = (problem.cost(x + dx) - problem.cost(x - dx)) / (4 * step)
+    assert np.abs(g - fd).max() <= 1e-7 * np.abs(g).max()
+
+
 def test_cost_is_branch_invariant():
     ds = make_dataset(n_epochs=12, noise=0.5)
     problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=0.7))
@@ -381,8 +408,9 @@ def test_four_point_smoothness_equals_grid_sum():
     x = gt_track(ds).as_array() + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
                                              size=(9, 6))
     # oracle: every grid point's displacement under H_t S_t^-1
-    all_nodes, all_weights = track_constraint.windows(9)
-    S = np.einsum("ta,tap->tp", all_weights, x[all_nodes])
+    first, slot_weights = track_constraint.window_slots(9)
+    S = np.einsum("ta,tap->tp", slot_weights,
+                  x[first[:, None] + np.arange(5)])
     sq = (track_constraint.grid_displacements(x, S) ** 2).sum()
     assert problem.n_residuals == 12 * 9
     assert abs(problem.cost(x.ravel()) - w ** 2 * sq) <= 1e-12 * w ** 2 * sq

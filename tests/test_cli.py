@@ -142,6 +142,9 @@ def _scene(**changes):
 BAD_SCENES = {
     "occlusion_unknown_key": _scene(occlusion={"dropout": 0.2}),
     "occlusion_not_object": _scene(occlusion=[0.2]),
+    # a field of older files that nothing read
+    "occlusion_min_visible_floor": _scene(
+        occlusion={"random_dropout_rate": 0.2, "min_visible_floor": 0}),
     "seed_text": _scene(seed="abc"),
     "too_few_epochs": _scene(n_epochs=4),
     "negative_step": _scene(step_sigma_mm=-1.0),
@@ -167,6 +170,8 @@ BAD_CAMERA_FILES = {
 BAD_METAS = {
     "meta_seed_text": {"seed": "abc"},
     "meta_occlusion_unknown_key": {"occlusion": {"bogus": 1}},
+    "meta_occlusion_min_visible_floor": {
+        "occlusion": {"random_dropout_rate": 0.0, "min_visible_floor": 0}},
     "meta_epochs_mismatch": {"n_epochs": 11},
     "meta_not_object_camera": {"cameras": [[1, 2, 3]]},
 }

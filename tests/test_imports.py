@@ -1,7 +1,8 @@
-"""What the package imports: scipy only where the solver needs it, and no
-import that nothing uses."""
+"""What the package imports: scipy only where the solver needs it, no
+import that nothing uses, and every name the benchmark's tracer wraps."""
 
 import ast
+import importlib.util
 import json
 import os
 import pathlib
@@ -144,3 +145,17 @@ def test_numpy_only_paths_load_no_scipy(tmp_path):
     assert before_solve == []
     assert "scipy.linalg" in after_solve
     assert not any(m.startswith("scipy.sparse") for m in after_check)
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py looks up each traced (owner, attr) without a
+    # default, so a removed or renamed function would make every traced
+    # benchmark run fail
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [name for owner, attr, name in tracing.TRACED
+               if not callable(getattr(owner, attr, None))]
+    assert len(tracing.TRACED) > 10
+    assert missing == []

@@ -10,7 +10,7 @@ from mousetrack3d.track_constraint import (
     lagrange_weights,
     spline_interpolate,
     track_residual,
-    windows,
+    window_slots,
 )
 
 
@@ -77,9 +77,14 @@ def test_lagrange_weights_partition_of_unity():
 
 def test_boundary_windows():
     n = 10
-    all_nodes, all_weights = windows(n)
+    first, slot_weights = window_slots(n)
+    assert np.array_equal(first, np.clip(np.arange(n) - 2, 0, n - 5))
     for t in range(n):
-        nodes, weights = all_nodes[t], all_weights[t]
+        # the window's nodes: its five slots but t, which has weight 0
+        slots = first[t] + np.arange(5)
+        assert slot_weights[t, t - first[t]] == 0.0
+        nodes = slots[slots != t]
+        weights = slot_weights[t, nodes - first[t]]
         assert len(nodes) == 4
         assert t not in nodes
         assert all(0 <= u < n for u in nodes)
@@ -94,7 +99,7 @@ def test_boundary_windows():
         assert weights @ [cubic(u) for u in nodes] \
             == pytest.approx(cubic(t), abs=1e-9)
     # interior epochs use the symmetric window
-    assert list(all_nodes[5]) == [3, 4, 6, 7]
+    assert list(first[5] + np.flatnonzero(slot_weights[5])) == [3, 4, 6, 7]
 
 
 @pytest.mark.parametrize("t", [-1, 10])

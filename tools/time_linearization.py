@@ -1,4 +1,5 @@
-"""Print the CPU time of one Levenberg-Marquardt linearization per workload.
+"""Print the CPU time and memory of one Levenberg-Marquardt linearization
+per workload.
 
     python3 tools/time_linearization.py [-n SAMPLES]
 
@@ -14,9 +15,10 @@ built by `perfbench/workloads.py`) it times, at the initialized track:
 
 Deformed workloads are timed with the recording's ground-truth offsets as
 the model points, which gives the deformed mode's problem without training
-the deformation model. Each figure is the minimum over SAMPLES calls of the
-process CPU time, in ms; one line per workload. BLAS is pinned to one
-thread, as in the benchmark.
+the deformation model. Each time is the minimum over SAMPLES calls of the
+process CPU time, in ms. Each line ends with the peak of the memory that one
+`residuals` + `normal_equations` pair allocates (`tracemalloc`), in MiB. One
+line per workload. BLAS is pinned to one thread, as in the benchmark.
 """
 
 import argparse
@@ -24,6 +26,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -42,6 +45,16 @@ def min_cpu_ms(fn, samples):
         fn()
         best = min(best, time.process_time() - start)
     return 1e3 * best
+
+
+def peak_mib(fn):
+    """Peak of the memory that one call of fn allocates, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def first_recording_problem(workload):
@@ -80,10 +93,12 @@ def main(argv=None):
         lin = min_cpu_ms(linearize, args.samples)
         tri = min_cpu_ms(
             lambda: adjustment.triangulate_parts(ds, ds.cameras), args.samples)
+        peak = peak_mib(linearize)
         print(f"{name}: T = {ds.n_epochs}, {problem.n_obs} observations; "
               f"residuals {res:.3f} ms, residuals + normal_equations "
               f"{lin:.3f} ms, triangulate_parts {tri:.3f} ms "
-              f"(min of {args.samples} CPU times)")
+              f"(min of {args.samples} CPU times); residuals + "
+              f"normal_equations allocate {peak:.2f} MiB at peak")
 
 
 if __name__ == "__main__":
