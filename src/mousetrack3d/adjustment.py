@@ -13,13 +13,13 @@ canonical (angle at most pi) by the solver; the smoothness window couples five
 consecutive epochs, so the normal matrix is banded with half-bandwidth 29
 (6 * 4 + 5). Levenberg-Marquardt accumulates it straight into banded
 storage, and solves each damped step by banded Cholesky: the reprojection
-terms, evaluated on the dense (epoch, part, camera) grid, are summed over
-cameras per (epoch, part) and lifted once into their epoch's 6x6 block, and
-the smoothness terms from one 12 x 30 Jacobian per epoch, over the five
-epochs of its window. Each linearization reuses the forward pass of the cost
-evaluation at the same point. The recording is triangulated once per solve,
-for the initialization and every deformation-offset prediction. Camera poses
-are fixed throughout.
+terms, evaluated on the dense (epoch, part, camera) grid, enter their
+epoch's 6x6 block in one product over its grid rows, and the smoothness
+terms come from one 12 x 30 Jacobian per epoch, over the five epochs of its
+window. Each linearization reuses the forward pass of the cost evaluation at
+the same point, rotation matrices included. The recording is triangulated
+once per solve, for the initialization and every deformation-offset
+prediction. Camera poses are fixed throughout.
 """
 
 from __future__ import annotations
@@ -245,10 +245,8 @@ class Problem:
     `bandwidth` = 29 (a track has at least five epochs).
     `_smooth_jacobian` forms that Jacobian once per linearization, over the
     five slots, for both `jacobian` and `normal_equations`. A reprojection
-    residual depends on its epoch's pose only through the world point
-    R_t m_i + t_t of its part, so `normal_equations` sums the K cameras of
-    each (epoch, part) in world-point terms first and meets the pose once
-    per (epoch, part).
+    residual depends on its own epoch's pose only, so its terms enter that
+    epoch's diagonal block alone.
 
     `residuals` keeps its forward pass, and `normal_equations` at a
     bit-equal x linearizes on it instead of repeating it, as
@@ -309,9 +307,8 @@ class Problem:
         """The `_Forward` at x (T, 6), kept for `_state`. Every camera
         projects the (epoch, part) world points in one product."""
         T = self.n_epochs
-        R = geometry.rodrigues_to_matrix(x[:, :3])
         S, branch = self._interpolated(x)
-        RS = geometry.rodrigues_to_matrix(S[:, :3])
+        R, RS = geometry.rodrigues_to_matrix(np.stack([x[:, :3], S[:, :3]]))
         world = self.model_pts @ R.transpose(0, 2, 1) + x[:, None, 3:]
         q = (world.reshape(8 * T, 3) @ self._KR_cols + self._Kt).reshape(
             T, 8, -1, 3)
@@ -353,36 +350,43 @@ class Problem:
     # -- analytic Jacobian ----------------------------------------------------
 
     def _blocks(self, x):
-        """Forward pass and Jacobian factors at x (T, 6).
+        """Forward pass and smoothness Jacobian at x (T, 6).
 
-        Returns (f, J_w (T, 8, K, 2, 3), J_rot (T, 8, 3, 3), J_s (T, 12, 30)),
-        f being the `_Forward` at x. J_w[t, i, k] is d r_p[t, i, k] / d X_ti,
-        the derivative of the grid entry's weighted residual by the world
-        point X_ti = R_t m_ti + t_t, zero where the entry is invisible, and
-        J_rot[t, i] = d(R_t m_ti)/dr_t, so that d r_p[t, i, k] / d x[t] =
-        J_w[t, i, k] [J_rot[t, i] | I]. J_s is `_smooth_jacobian`'s.
-        Rotation derivatives come from one `rotation_derivatives` call for
-        the T poses and one for the T interpolated poses.
+        Returns (f, dRH, J_s): f is the `_Forward` at x, dRH (T, 3, 3, 3)
+        the derivatives of its epoch rotations and J_s `_smooth_jacobian`'s.
+        One `rotation_derivatives` call serves the T epoch rotations and the
+        T interpolated ones, on the matrices f already holds.
         """
         T = self.n_epochs
         f = self._state(x)
-        _, dRH = geometry.rotation_derivatives(x[:, :3])
-        # first, so that its temporaries are freed before J_w is formed
-        J_s = self._smooth_jacobian(x, f, dRH)
+        dR = geometry.rotation_derivatives(
+            np.concatenate([x[:, :3], f.S[:, :3]]), np.concatenate([f.R, f.RS]))
+        return f, dR[:T], self._smooth_jacobian(x, f, dR[:T], dR[T:])
 
+    def _reprojection_jacobian(self, f, dRH):
+        """J_p (T, 8, 2K, 6), for the `_Forward` f and the derivatives dRH
+        of its epoch rotations: rows 2k and 2k + 1 of J_p[t, i] are
+        d r_p[t, i, k] / d x[t], zero where the grid entry is invisible.
+
+        They are J_w [J_rot | I], with J_w the derivative of the entry's
+        weighted residual by the world point X_ti = R_t m_ti + t_t and
+        J_rot = d(R_t m_ti)/dr_t.
+        """
+        T = self.n_epochs
         # d(proj)/d(world): (u, v) = (q0, q1) / z, q = K R_c world + K t_c
         KR = self.cam_KR
         J_w = ((KR[:, :2, :] - f.proj[..., None] * KR[:, 2:3, :])
                * (self._weight / f.z)[..., None, None])
-        # d(R_t m)/dr for every (epoch, part): [t, part, :, i] = dR_t/dr_i m
-        J_rot = (dRH.reshape(T, 9, 3) @ np.swapaxes(self.model_pts, -1, -2)
-                 ).reshape(T, 3, 3, 8).transpose(0, 3, 2, 1).copy()
-        return f, J_w, J_rot, J_s
+        L = np.empty((T, 8, 3, 6))
+        L[..., :3] = (dRH.reshape(T, 9, 3) @ np.swapaxes(self.model_pts, -1, -2)
+                      ).reshape(T, 3, 3, 8).transpose(0, 3, 2, 1)
+        L[..., 3:] = np.eye(3)
+        return J_w.reshape(T, 8, -1, 3) @ L
 
-    def _smooth_jacobian(self, x, f, dRH):
+    def _smooth_jacobian(self, x, f, dRH, dRS):
         """Jacobian J_s (T, 12, 30) of the smoothness residuals at x (T, 6),
-        for the `_Forward` f at x and the derivatives dRH of the epoch
-        rotations.
+        for the `_Forward` f at x and the derivatives dRH and dRS of its epoch
+        and interpolated rotations (`_blocks`).
 
         Columns 6a to 6a + 5 of J_s[t] are d r_s[t] / d x[win_start[t] + a]
         for the five slots a of epoch t's window. J_s[t] = [A_t | B_t] M_t:
@@ -395,7 +399,6 @@ class Problem:
         exactly the identity where they are 1).
         """
         T = self.n_epochs
-        _, dRS = geometry.rotation_derivatives(f.S[:, :3])
         s = self.smooth_s[None, :, None, None]
         C = np.empty((T, 4, 3, 12))
         # own pose: d(R_H y + s t_H)/d(r_H, t_H)
@@ -419,10 +422,9 @@ class Problem:
         same factors as `normal_equations`. It holds n_residuals x 6T floats,
         so it serves checks only; the solver never forms it."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        f, J_w, J_rot, J_s = self._blocks(x)
+        f, dRH, J_s = self._blocks(x)
         T, n = self.n_epochs, self.n_obs
-        J_w = J_w.reshape(-1, 2, 3)[self._obs_grid]
-        J_p = np.concatenate([J_w @ J_rot[self.obs_t, self.obs_i], J_w], axis=2)
+        J_p = self._reprojection_jacobian(f, dRH).reshape(-1, 2, 6)[self._obs_grid]
         J = np.zeros((self.n_residuals, self.n_params))
         J[(2 * np.arange(n))[:, None, None] + np.arange(2)[:, None],
           (6 * self.obs_t)[:, None, None] + np.arange(6)] = J_p
@@ -445,67 +447,53 @@ class Problem:
         slot epoch a. Every interior epoch t has a window start of its own,
         t - 2; the first three epochs share start 0 and the last three start
         T - 5. So the terms of the two first and two last epochs are added
-        onto epochs 2 and T - 3 first, and then epochs 2..T-3 map onto the
-        window starts 0..T-5 one to one, by slices.
+        onto epochs 2 and T - 3 first, by slice adds, and then epochs
+        2..T-3 map onto the window starts 0..T-5 one to one, by slices.
 
-        Reprojection terms are summed per (epoch, part) before they meet the
-        pose (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000,
-        sec. 6): one batched product J_w^T [J_w | r] over the grid's K
-        cameras gives A_ti (3x3) and b_ti (3) of every (epoch, part), with
-        invisible entries adding zeros, and each is lifted once through
-        [J_rot | I] into its epoch's 6x6 block
-        [[J_rot^T A J_rot, J_rot^T A], [A J_rot, A]] and gradient
-        [J_rot^T b, b].
+        A reprojection residual depends on its own epoch's pose only, so its
+        terms fill the diagonal blocks (Triggs et al., "Bundle Adjustment -
+        A Modern Synthesis", 2000, sec. 6): with J_p[t] the epoch's 16K grid
+        rows of `_reprojection_jacobian`, J_p[t]^T J_p[t] and
+        J_p[t]^T r_p[t] are one batched product each, and invisible entries
+        add zeros. The band is written from the (T, 5, 6, 6) blocks by one
+        strided copy per column offset q within an epoch.
         """
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        f, J_w, J_rot, J_s = self._blocks(x)
+        f, dRH, J_s = self._blocks(x)
         T = self.n_epochs
         # blocks[j, d] is the block of J^T J with the rows of epoch j and
         # the columns of epoch j + d
         blocks = np.zeros((T, 5, 6, 6))
         g = np.zeros((T, 6))
-        ends, shared = [0, 1, T - 2, T - 1], [2, 2, T - 3, T - 3]
+        folds = ((2, 0), (2, 1), (T - 3, T - 2), (T - 3, T - 1))
         for a in range(5):
             # slots b = 0..a against slot a, stacked over b
             P = (J_s[:, :, :6 * a + 6].transpose(0, 2, 1)
                  @ J_s[:, :, 6 * a:6 * a + 6])
-            np.add.at(P, shared, P[ends])
+            for i, j in folds:
+                P[i] += P[j]
             for b in range(a + 1):
                 blocks[b:b + T - 4, a - b] += P[2:T - 2, 6 * b:6 * b + 6]
         gs = (f.r_s.reshape(T, 1, 12) @ J_s).reshape(T, 5, 6)
-        np.add.at(gs, shared, gs[ends])
+        for i, j in folds:
+            gs[i] += gs[j]
         for a in range(5):
             g[a:a + T - 4] += gs[2:T - 2, a]
-        del J_s     # 360 floats per epoch, not needed from here on
+        del J_s     # 360 floats per epoch, freed before J_p is formed
 
-        # reprojection: J_w^T [J_w | r] over the K cameras of every
-        # (epoch, part) in one batched product, then lifted once by
-        # [J_rot | I]
-        J_w = J_w.reshape(8 * T, -1, 3)
-        Ab = (J_w.transpose(0, 2, 1)
-              @ np.concatenate([J_w, f.r_p.reshape(8 * T, -1, 1)], axis=2)
-              ).reshape(T, 8, 3, 4)
-        A, b = Ab[..., :3], Ab[..., 3:]
-        J_rotT = J_rot.transpose(0, 1, 3, 2)
-        AJ = A @ J_rot
-        # the band holds the diagonal block's upper triangle only, so its
-        # lower-left A J_rot is not needed; its upper-right J_rot^T A is
-        # the transpose, A being symmetric
-        diag = blocks[:, 0]
-        diag[:, :3, :3] += (J_rotT @ AJ).sum(axis=1)
-        diag[:, :3, 3:] += AJ.sum(axis=1).transpose(0, 2, 1)
-        diag[:, 3:, 3:] += A.sum(axis=1)
-        g[:, :3] += (J_rotT @ b).sum(axis=1)[..., 0]
-        g[:, 3:] += b.sum(axis=1)[..., 0]
-        # block [j, d] entry (q, p) is (J^T J)[6(j + d) + p, 6j + q], stored
-        # at N[6d + p - q, 6j + q] when on or below the diagonal
-        N = np.zeros((self.bandwidth + 1, self.n_params))
-        for d in range(5):
-            for q in range(6):
-                lo = max(q - 6 * d, 0)
-                N[6 * d + lo - q:6 * d + 6 - q, q::6][:, :T - d] = \
-                    blocks[:T - d, d, q, lo:].T
-        return N, g.ravel()
+        # reprojection: each epoch's 16K grid rows in one product
+        J_p = self._reprojection_jacobian(f, dRH).reshape(T, -1, 6)
+        blocks[:, 0] += J_p.transpose(0, 2, 1) @ J_p
+        g += (f.r_p.reshape(T, 1, -1) @ J_p)[:, 0]
+        # entry (q, p) of block [j, d] is (J^T J)[6(j + d) + p, 6j + q], at
+        # N[6d + p - q, 6j + q]. Column q of each epoch takes its 30 (d, p)
+        # entries in order from row -q: six rows above N hold the p < q
+        # entries of the diagonal blocks, which the band leaves out
+        N = np.zeros((self.bandwidth + 7, self.n_params))
+        for q in range(6):
+            N[6 - q:36 - q, q::6].reshape(5, 6, T)[...] = \
+                blocks[:, :, q].transpose(1, 2, 0)
+        return N[6:], g.ravel()
 
     def residual_rms(self, x):
         """(reprojection RMS in px, smoothness RMS in mm) at x."""

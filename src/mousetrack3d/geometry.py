@@ -121,32 +121,39 @@ def canonical_rodrigues(r):
     return branch_scale(r, np.zeros(3))[..., None] * r
 
 
+# row i: the cross-product matrix [e_i]x, flattened
+_SKEW_BASIS = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
+                        [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                        [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+
+
 def _skew_many(a):
     """Cross-product matrices [a]x for (..., 3) vectors: (..., 3, 3)."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    z = np.zeros_like(a0)
-    return np.stack([z, -a2, a1, a2, z, -a0, -a1, a0, z],
-                    axis=-1).reshape(a.shape[:-1] + (3, 3))
+    return (a @ _SKEW_BASIS).reshape(a.shape[:-1] + (3, 3))
 
 
-def rotation_derivatives(rv):
-    """Rotation matrices and their derivatives for stacked axis-angle vectors.
+def rotation_derivatives(rv, R):
+    """Derivatives of the rotation matrices R (N, 3, 3) of stacked
+    axis-angle vectors rv (N, 3), which the caller has already formed
+    (`rodrigues_to_matrix`): dR (N, 3, 3, 3) with dR[n, i] = dR(r_n)/dr_i.
 
-    Returns (R (N, 3, 3), dR (N, 3, 3, 3)) with dR[n, i] = dR(r_n)/dr_i, by
-    the closed form dR/dr_i = (r_i [r]x + [r x (I - R) e_i]x) R / |r|^2
-    (Gallego & Yezzi, J. Math. Imaging Vis. 2015). Below |r|^2 = 1e-16 the
-    exact r -> 0 limit [e_i]x R is used.
+    By the closed form dR/dr_i = (r_i [r]x + [u_i]x) R / |r|^2 (Gallego &
+    Yezzi, "A compact formula for the derivative of a 3-D rotation in
+    exponential coordinates", J. Math. Imaging Vis. 2015), where
+    u_i = r x (I - R) e_i is column i of the one product [r]x (I - R).
+    Below |r|^2 = 1e-16 the exact r -> 0 limit [e_i]x R is used.
     """
     rv = np.asarray(rv, dtype=float).reshape(-1, 3)
-    R = rodrigues_to_matrix(rv)
+    R = np.asarray(R, dtype=float).reshape(-1, 3, 3)
     theta2 = np.einsum("ni,ni->n", rv, rv)
     small = theta2 < 1e-16
-    # rows: r x (I - R) e_i for each i
-    u = np.cross(rv[:, None, :], (np.eye(3) - R).transpose(0, 2, 1))
-    M = rv[:, :, None, None] * _skew_many(rv)[:, None] + _skew_many(u)
+    skew = _skew_many(rv)
+    # rows: u_i = r x (I - R) e_i for each i
+    u = (skew @ (np.eye(3) - R)).transpose(0, 2, 1)
+    M = rv[:, :, None, None] * skew[:, None] + _skew_many(u)
     M = np.where(small[:, None, None, None], _skew_many(np.eye(3)),
                  M / np.where(small, 1.0, theta2)[:, None, None, None])
-    return R, M @ R[:, None]
+    return M @ R[:, None]
 
 
 def rotation_point_jacobians(rv, pts):
@@ -161,8 +168,9 @@ def rotation_point_jacobians(rv, pts):
     -------
     (N, 3, 3) array; [j, :, i] is d(R(r_j) x_j)/dr_i.
     """
-    return np.einsum("nijk,nk->nji", rotation_derivatives(rv)[1],
-                     np.asarray(pts, dtype=float))
+    rv = np.asarray(rv, dtype=float).reshape(-1, 3)
+    dR = rotation_derivatives(rv, rodrigues_to_matrix(rv))
+    return np.einsum("nijk,nk->nji", dR, np.asarray(pts, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +523,9 @@ def triangulate_batch(cameras, pixels, visible):
              & np.triu(np.ones((k, k), bool), 1))
     wide = pairs & (np.degrees(np.arccos(cos)) >= MIN_TRIANGULATION_ANGLE_DEG)
     ok = wide.any(axis=(1, 2))
+    # the DLT only for the points that pass; each point's problem is its own
+    use = np.flatnonzero(ok)
+    m = m[use]
 
     # two rows per view of K^-1 P = [R | t], zero rows for invisible views
     # (null space unchanged)
@@ -523,7 +534,7 @@ def triangulate_batch(cameras, pixels, visible):
                        axis=2)                                   # (K, 3, 4)
     A = np.stack([m[:, :, 0:1] * P[None, :, 2] - m[:, :, 2:3] * P[None, :, 0],
                   m[:, :, 1:2] * P[None, :, 2] - m[:, :, 2:3] * P[None, :, 1]],
-                 axis=2).reshape(n, 2 * k, 4)
+                 axis=2).reshape(len(use), 2 * k, 4)
     # the null vector of A: the eigenvector of the 4x4 A^T A with the
     # smallest eigenvalue, V[:, :, 0]. A^T A squares the condition of A, so
     # V is corrected to first order in G = B^T B, B = A V, whose entries
@@ -536,9 +547,10 @@ def triangulate_batch(cameras, pixels, visible):
         - np.einsum("nr,nr->n", B[:, :, 0], B[:, :, 0])[:, None]
     theta = np.where(gap > 0.0, couple / np.where(gap > 0.0, gap, 1.0), 0.0)
     Xh = V[:, :, 0] - np.einsum("nij,nj->ni", V[:, :, 1:], theta)
-    ok &= np.abs(Xh[:, 3]) >= 1e-14
+    finite = np.abs(Xh[:, 3]) >= 1e-14
+    ok[use] = finite
     X = np.full((n, 3), np.nan)
-    X[ok] = Xh[ok, :3] / Xh[ok, 3:]
+    X[use[finite]] = Xh[finite, :3] / Xh[finite, 3:]
     return X, ok
 
 

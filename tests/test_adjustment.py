@@ -336,6 +336,25 @@ def test_solve_linearizes_on_the_residuals_forward_pass(monkeypatch):
     assert calls["_forward"] == calls["residuals"]
 
 
+def test_linearization_reuses_forward_rotations(monkeypatch):
+    # residuals forms the epoch and interpolated rotations in one call, and
+    # normal_equations at the same x differentiates those matrices
+    ds = make_dataset(noise=0.5, dropout=0.2, n_epochs=12)
+    problem = build_problem(ds, ds.cameras)
+    x = initialize(ds).poses.ravel()
+    original, calls = geometry.rodrigues_to_matrix, []
+
+    def counted(r):
+        calls.append(r)
+        return original(r)
+
+    monkeypatch.setattr(geometry, "rodrigues_to_matrix", counted)
+    problem.residuals(x)
+    assert len(calls) == 1
+    problem.normal_equations(x)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("kind", ["rigid", "smoothness_only"])
 def test_jacobian_across_rotation_branches(kind):
     ds = make_dataset(n_epochs=9, noise=0.5)

@@ -18,6 +18,7 @@ from mousetrack3d.geometry import (
     decompose_projection,
     matrix_to_rodrigues,
     project,
+    project_many,
     resect,
     rodrigues_to_matrix,
     triangulate,
@@ -325,15 +326,24 @@ def test_rotation_derivatives_fd(scale):
              "near_pi": np.pi + rng.uniform(-1e-6, 1e-6, size=50),
              "beyond_2pi": rng.uniform(2 * np.pi, 30.0, size=50)}[scale]
     rv = axes * angle[:, None]
-    R, dR = geometry.rotation_derivatives(rv)
-    assert R.shape == (50, 3, 3) and dR.shape == (50, 3, 3, 3)
-    assert np.array_equal(R, rodrigues_to_matrix(rv))
+    dR = geometry.rotation_derivatives(rv, rodrigues_to_matrix(rv))
+    assert dR.shape == (50, 3, 3, 3)
     for n in range(50):
         assert np.abs(dR[n] - rotation_derivative_fd(rv[n], 1e-7)).max() < 1e-6
     # the per-point form is the same derivative applied to a point
     x = rng.normal(scale=20, size=(50, 3))
     assert np.allclose(geometry.rotation_point_jacobians(rv, x),
                        np.einsum("nijk,nk->nji", dR, x), rtol=0, atol=1e-12)
+    # R taken from one stacked call over two sets of vectors, as
+    # `Problem._blocks` passes it
+    other = rng.normal(size=(50, 3))
+    both = np.concatenate([rv, other])
+    dR2 = geometry.rotation_derivatives(
+        both, rodrigues_to_matrix(np.stack([rv, other])).reshape(-1, 3, 3))
+    assert np.array_equal(dR2[:50], dR)
+    for n in range(50):
+        assert np.abs(dR2[50 + n] - rotation_derivative_fd(other[n], 1e-7)
+                      ).max() < 1e-6
 
 
 # -- resection ----------------------------------------------------------------
@@ -496,6 +506,31 @@ def test_triangulate_batch_matches_per_point_dlt():
         assert np.abs(X[p] - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
         assert np.abs(triangulate_linear(views) - ref).max() \
             <= 1e-9 * max(np.abs(ref).max(), 1.0)
+
+
+def test_triangulate_batch_points_are_independent():
+    """Every point of a batch gets the bits it gets when triangulated alone,
+    whichever points share the batch and whether or not they pass."""
+    K = np.diag([1000.0, 1000.0, 1.0])
+    a, c = two_orthogonal_cameras()
+    b = CameraModel(K, RigidTransform(np.eye(3), np.array([-100.0, 0, 1000.0])))
+    cams = [a, b, c]
+    rng = np.random.default_rng(19)
+    X = rng.normal(scale=80, size=(40, 3))
+    pixels = np.stack([project_many(cam, X)[0] for cam in cams], axis=1)
+    visible = rng.random((40, 3)) < 0.5
+    # a parallel-ray pair: the same pixel in the equally oriented a and b
+    pixels = np.concatenate([pixels, np.zeros((1, 3, 2))])
+    visible = np.concatenate([visible, [[True, True, False]]])
+    pixels[~visible] = np.nan
+    assert set(visible.sum(axis=1)) == {0, 1, 2, 3}
+    Y, ok = triangulate_batch(cams, pixels, visible)
+    assert np.array_equal(ok[:-1], visible[:-1].sum(axis=1) >= 2)
+    assert not ok[-1]
+    for p in range(len(pixels)):
+        Yp, okp = triangulate_batch(cams, pixels[p:p + 1], visible[p:p + 1])
+        assert okp[0] == ok[p]
+        assert np.array_equal(Yp[0], Y[p], equal_nan=True)
 
 
 def test_triangulate_batch_rejects_degenerate_points(monkeypatch):

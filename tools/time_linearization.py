@@ -15,15 +15,22 @@ built by `perfbench/workloads.py`) it times, at the initialized track:
 
 Deformed workloads are timed with the recording's ground-truth offsets as
 the model points, which gives the deformed mode's problem without training
-the deformation model. Each time is the minimum over SAMPLES calls of the
-process CPU time, in ms. Each line ends with the peak of the memory that one
-`residuals` + `normal_equations` pair allocates (`tracemalloc`), in MiB. One
-line per workload. BLAS is pinned to one thread, as in the benchmark.
+the deformation model. Each time is the minimum and the median over
+SAMPLES calls (default 200) of the process CPU time, in ms. Each line ends
+with the peak of the memory that one `residuals` + `normal_equations` pair
+allocates (`tracemalloc`), in MiB. One line per workload. BLAS is pinned to
+one thread, as in the benchmark.
+
+The figures of one process move by up to 2x between processes on a busy
+host, even as minima. To compare two trees, run the tool in at least six
+alternating pairs of processes (tree A, tree B, tree A, ...) and compare
+the medians over the pairs.
 """
 
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 import tracemalloc
@@ -37,14 +44,14 @@ from mousetrack3d import adjustment, mouse_model, simulator
 import workloads
 
 
-def min_cpu_ms(fn, samples):
-    """Smallest process CPU time of `samples` calls of fn, in ms."""
-    best = float("inf")
+def cpu_ms(fn, samples):
+    """(smallest, median) process CPU time of `samples` calls of fn, in ms."""
+    times = []
     for _ in range(samples):
         start = time.process_time()
         fn()
-        best = min(best, time.process_time() - start)
-    return 1e3 * best
+        times.append(1e3 * (time.process_time() - start))
+    return min(times), statistics.median(times)
 
 
 def peak_mib(fn):
@@ -75,8 +82,8 @@ def first_recording_problem(workload):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    p.add_argument("-n", "--samples", type=int, default=25,
-                   help="calls timed per figure (default 25)")
+    p.add_argument("-n", "--samples", type=int, default=200,
+                   help="calls timed per figure (default 200)")
     args = p.parse_args(argv)
     if args.samples < 1:
         p.error("--samples must be at least 1")
@@ -89,15 +96,16 @@ def main(argv=None):
             problem.residuals(x)
             problem.normal_equations(x)
 
-        res = min_cpu_ms(lambda: problem.residuals(x), args.samples)
-        lin = min_cpu_ms(linearize, args.samples)
-        tri = min_cpu_ms(
+        res = cpu_ms(lambda: problem.residuals(x), args.samples)
+        lin = cpu_ms(linearize, args.samples)
+        tri = cpu_ms(
             lambda: adjustment.triangulate_parts(ds, ds.cameras), args.samples)
         peak = peak_mib(linearize)
         print(f"{name}: T = {ds.n_epochs}, {problem.n_obs} observations; "
-              f"residuals {res:.3f} ms, residuals + normal_equations "
-              f"{lin:.3f} ms, triangulate_parts {tri:.3f} ms "
-              f"(min of {args.samples} CPU times); residuals + "
+              f"residuals {res[0]:.3f} / {res[1]:.3f} ms, residuals + "
+              f"normal_equations {lin[0]:.3f} / {lin[1]:.3f} ms, "
+              f"triangulate_parts {tri[0]:.3f} / {tri[1]:.3f} ms (min / "
+              f"median of {args.samples} CPU times); residuals + "
               f"normal_equations allocate {peak:.2f} MiB at peak")
 
 
