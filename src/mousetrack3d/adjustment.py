@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteCost,
     NoSolvableEpoch,
     SchemaError,
-    numbers,
+    number_rows,
     read_json,
 )
 
@@ -721,44 +721,20 @@ def load_track(path) -> MouseStateTrack:
     """Track written by `save_track`. Records must hold epochs 0..T-1 once
     each, in any order; anything else raises SchemaError.
 
-    Well-formed records are checked and converted as columns; any other
-    list is read record by record, so that the SchemaError names the first
-    bad record."""
+    After `geometry.pose_table`, the `solved_from` flags are checked as one
+    column and `residual_rms` by `errors.number_rows`, naming the first bad
+    epoch."""
     records = read_json(path, "track")
     if not records:
         raise SchemaError("track file must be a non-empty JSON list of "
                           "epoch records")
     params = geometry.pose_table(records)
-    columns = _track_columns(records)
-    if columns is not None:
-        return MouseStateTrack(params, *columns)
-    flags, rms = [None] * len(records), np.zeros(len(records))
-    for rec in records:
-        t = rec["t"]
-        flags[t] = rec.get("solved_from", "adjusted")
-        if flags[t] not in SOLVED_FROM:
-            raise SchemaError(f"pose t = {t}: 'solved_from' must be one of "
-                              f"{', '.join(SOLVED_FROM)}")
-        rms[t] = numbers(rec.get("residual_rms", 0.0), (),
-                         f"pose t = {t}: 'residual_rms'")
+    by_t = sorted(records, key=lambda rec: rec["t"])
+    flags = [rec.get("solved_from", "adjusted") for rec in by_t]
+    bad = [t for t, flag in enumerate(flags) if flag not in SOLVED_FROM]
+    if bad:
+        raise SchemaError(f"pose t = {bad[0]}: 'solved_from' must be one of "
+                          f"{', '.join(SOLVED_FROM)}")
+    rms = number_rows([rec.get("residual_rms", 0.0) for rec in by_t], (),
+                      lambda t: f"pose t = {t}: 'residual_rms'")
     return MouseStateTrack(params, flags, rms)
-
-
-def _track_columns(records):
-    """(solved_from flags, residual_rms (T,)) in epoch order of records that
-    `pose_table` accepted, when every flag is legal and every residual_rms
-    is a JSON number below 2^53 in magnitude, or None. On such records
-    `errors.numbers` gives the same floats."""
-    order = np.argsort([rec["t"] for rec in records])
-    flags = [records[j].get("solved_from", "adjusted") for j in order]
-    rms = [records[j].get("residual_rms", 0.0) for j in order]
-    if not (all(flag in SOLVED_FROM for flag in flags)
-            and all(type(v) is float or type(v) is int for v in rms)):
-        return None
-    try:
-        rms = np.array(rms, dtype=float)
-    except OverflowError:               # an integer beyond the float range
-        return None
-    if not np.all(np.abs(rms) < 2.0 ** 53):     # also NaN and infinities
-        return None
-    return flags, rms

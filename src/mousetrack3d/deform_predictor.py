@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mouse_model
-from .errors import DivergedLoss, SchemaError, UntrainedModel, numbers, read_json
+from .errors import (DivergedLoss, SchemaError, UntrainedModel, is_int, numbers,
+                     read_json)
 
 N_PARTS = 8
 DEFAULT_WINDOW = 2  # n; sequence covers 2n+1 epochs
@@ -301,12 +302,12 @@ def load_model(path) -> SequenceModel:
                 "pos_std", "off_std"):
         if key not in doc:
             raise SchemaError(f"model file missing field '{key}'")
-    if doc["format_version"] != FORMAT_VERSION:
+    if not is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
         raise SchemaError(f"unsupported model format version {doc['format_version']!r}")
     m = SequenceModel()
     for key in ("hidden_size", "window"):
         value = doc.get(key, getattr(m, key))
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not is_int(value) or value < 1:
             raise SchemaError(f"model field '{key}' must be an integer >= 1")
         setattr(m, key, value)
     if not isinstance(doc.get("trained", True), bool):

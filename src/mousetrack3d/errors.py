@@ -1,8 +1,10 @@
 """Exception hierarchy for the tracking pipeline, plus the input checks the
-file loaders share: reading a JSON document, a numeric field and the fields
-of a config object. All raise SchemaError on malformed input.
+file loaders share: a JSON document, an integer, an array of numbers, a list
+of such arrays and the fields of a config object. All raise SchemaError on
+malformed input; only `is_int` and `numbers` decide what a JSON number is.
 """
 
+import itertools
 import json
 import math
 
@@ -89,19 +91,48 @@ def read_json(path, what):
         raise SchemaError(f"cannot read {what} file {path}: {e}")
 
 
+def is_int(value):
+    """True when value is a JSON integer: a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def numbers(value, shape, what):
-    """value as a float array of the given shape with finite entries, or
-    SchemaError naming `what`. Strings, booleans and nulls are not numbers."""
+    """value, nested lists of exactly the given shape, as a float array, or
+    SchemaError naming `what`. Every leaf must be a JSON integer or float:
+    booleans, strings and nulls are rejected at any depth, and so are
+    integers beyond 64 bits, NaN and infinities."""
     try:
         raw = np.asarray(value)
     except (ValueError, OverflowError):
         raw = None
-    if (raw is None or raw.dtype.kind not in "iuf" or raw.shape != tuple(shape)
+    # numpy reads true as 1: check the leaves' types once the shape holds
+    leaves = [value]
+    for _ in shape:
+        leaves = itertools.chain.from_iterable(leaves)
+    if (raw is None or raw.shape != tuple(shape) or raw.dtype.kind not in "iuf"
+            or set(map(type, leaves)) - {int, float}
             or not np.all(np.isfinite(raw))):
         size = "x".join(map(str, shape)) or "a"
-        raise SchemaError(f"{what} must be {size} finite number"
-                          f"{'s' if shape else ''}")
-    return raw.astype(float)
+        raise SchemaError(f"{what} must be {size} number"
+                          f"{'s' if shape else ''} (finite)")
+    return raw.astype(float, copy=False)
+
+
+def number_rows(values, shape, name):
+    """The list `values` of arrays of the given shape as one float array by
+    the rule of `numbers`, or SchemaError. Only when the check as one array
+    fails is the list checked entry by entry, so that the error names the
+    first bad entry: `name(n)` is what entry n is called."""
+    if not values:
+        return np.zeros((0, *shape))
+    try:
+        return numbers(values, (len(values), *shape), "")
+    except SchemaError as e:
+        whole = e
+    # entries that each pass also pass as one array, so one of them fails
+    for n, value in enumerate(values):
+        numbers(value, shape, name(n))
+    raise whole
 
 
 def fields(d, spec, what):
@@ -120,12 +151,11 @@ def fields(d, spec, what):
         if key not in d and default is None:
             raise SchemaError(f"{what} missing field '{key}'")
         value = d.get(key, default)
-        is_int = isinstance(value, int) and not isinstance(value, bool)
         if kind is float:
-            ok = (is_int and abs(value) < 2 ** 53
+            ok = (is_int(value) and abs(value) < 2 ** 53
                   or isinstance(value, float) and math.isfinite(value))
         elif kind is int:
-            ok = is_int
+            ok = is_int(value)
         else:
             ok = isinstance(value, kind)
         if not ok or (test is not None and not test(value)):

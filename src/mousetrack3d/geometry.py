@@ -32,6 +32,8 @@ from .errors import (
     ParallelRays,
     SchemaError,
     SingularCamera,
+    is_int,
+    number_rows,
     numbers,
     read_json,
 )
@@ -526,6 +528,7 @@ def triangulate_batch(cameras, pixels, visible):
     # the DLT only for the points that pass; each point's problem is its own
     use = np.flatnonzero(ok)
     m = m[use]
+    del h, d, norm, cos, pairs, wide    # freed before the DLT allocates
 
     # two rows per view of K^-1 P = [R | t], zero rows for invisible views
     # (null space unchanged)
@@ -570,17 +573,13 @@ def camera_to_dict(cam: CameraModel) -> dict:
     return d
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def camera_from_dict(d: dict) -> CameraModel:
     if not isinstance(d, dict):
         raise SchemaError("camera records must be JSON objects")
     for key in ("id", "K", "R", "t"):
         if key not in d:
             raise SchemaError(f"camera record missing field '{key}'")
-    if not _is_int(d["id"]):
+    if not is_int(d["id"]):
         raise SchemaError(f"camera field 'id' must be an integer, got {d['id']!r}")
     K, R, t = (numbers(d[key], (n,), f"camera field '{key}'")
                for key, n in (("K", 9), ("R", 9), ("t", 3)))
@@ -589,7 +588,7 @@ def camera_from_dict(d: dict) -> CameraModel:
         raise SchemaError(f"camera {d['id']}: calibration 'K' is singular")
     size = d.get("image_size")
     if size is not None and not (isinstance(size, list) and len(size) == 2
-                                 and all(_is_int(v) and v > 0 for v in size)):
+                                 and all(is_int(v) and v > 0 for v in size)):
         raise SchemaError("camera field 'image_size' must be 2 positive integers")
     return CameraModel(K, RigidTransform(R.reshape(3, 3), t), id=d["id"],
                        image_size=tuple(size) if size is not None else None)
@@ -614,55 +613,28 @@ def pose_table(records):
     """(T, 6) pose parameters (Rodrigues vector, translation in mm) from
     pose records whose `t` values are exactly 0..T-1, in any order.
 
-    Well-formed records are checked and converted as one array; any other
-    list is read record by record, so that the SchemaError names the first
-    bad record."""
+    Structure is checked first, record by record: a JSON object with all
+    fields and an integer `t` in range that no earlier record holds. Then
+    the values, in epoch order, by `errors.number_rows`. A SchemaError names
+    the first bad record of the first check that fails."""
     if not isinstance(records, list):
         raise SchemaError("poses must be a JSON list of pose records")
-    table = _pose_array(records)
-    if table is not None:
-        return table
-    table = np.zeros((len(records), 6))
-    seen = np.zeros(len(records), dtype=bool)
+    by_t = [None] * len(records)
     for rec in records:
         if not isinstance(rec, dict):
             raise SchemaError("pose records must be JSON objects")
-        for key in ("t", "rodrigues", "translation_mm"):
+        for key in ("t", *_POSE_FIELDS):
             if key not in rec:
                 raise SchemaError(f"pose record missing field '{key}'")
         t = rec["t"]
-        if not _is_int(t):
+        if not is_int(t):
             raise SchemaError(f"pose field 't' must be an integer, got {t!r}")
         if not 0 <= t < len(records):
             raise SchemaError(f"pose t = {t} outside 0..{len(records) - 1}")
-        if seen[t]:
+        if by_t[t] is not None:
             raise SchemaError(f"duplicate pose t = {t}")
-        seen[t] = True
-        table[t] = np.concatenate([numbers(rec[key], (3,), f"pose t = {t}: '{key}'")
-                                   for key in _POSE_FIELDS])
-    return table
-
-
-def _pose_array(records):
-    """`pose_table` of records that are all JSON objects with integer `t`
-    values 0..T-1 and 3-lists of JSON numbers below 2^53 in magnitude, or
-    None. On such records `errors.numbers` gives the same floats."""
-    try:
-        t = [rec["t"] for rec in records]
-        values = [rec[key] for rec in records for key in _POSE_FIELDS]
-    except (TypeError, KeyError):       # not an object, or a field missing
-        return None
-    if (any(type(v) is not int for v in t) or sorted(t) != list(range(len(t)))
-            or any(type(vec) is not list or len(vec) != 3 for vec in values)
-            or any(type(a) is not float and type(a) is not int
-                   for vec in values for a in vec)):
-        return None
-    try:
-        values = np.array(values, dtype=float).reshape(-1, 6)
-    except OverflowError:               # an integer beyond the float range
-        return None
-    if not np.all(np.abs(values) < 2.0 ** 53):     # also NaN and infinities
-        return None
-    table = np.empty_like(values)
-    table[t] = values
-    return table
+        by_t[t] = rec
+    return np.concatenate(
+        [number_rows([rec[key] for rec in by_t], (3,),
+                     lambda t: f"pose t = {t}: '{key}'")
+         for key in _POSE_FIELDS], axis=1)

@@ -11,7 +11,6 @@ order-independent.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -19,7 +18,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import geometry, mouse_model
-from .errors import CameraSeesNothing, SchemaError, fields, numbers, read_json
+from .errors import (CameraSeesNothing, SchemaError, fields, number_rows,
+                     numbers, read_json)
 from .geometry import CameraModel, RigidTransform
 
 
@@ -282,32 +282,13 @@ def export_dataset(dataset: SimulatedDataset, path):
         f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _is_row(row):
-    return (type(row) is list and len(row) == 7
-            and all(type(a) is int or type(a) is float for a in row))
-
-
 def _observation_table(rows, T, Kn):
-    """Observation rows, lists of 7 finite JSON numbers (not strings,
-    booleans or nulls), as one (n, 7) array with checked integer indices
-    0 <= t < T, 0 <= k < Kn and 0 <= i < 8, each (t, k, i) at most once."""
+    """Observation rows, lists of 7 numbers (`errors.number_rows`), as one
+    (n, 7) array with integer indices 0 <= t < T, 0 <= k < Kn and 0 <= i < 8,
+    each (t, k, i) at most once, or SchemaError naming the first bad row."""
     if not isinstance(rows, list):
         raise SchemaError("observation rows must be a list")
-    # one pass over the value types; the row-by-row test only names the
-    # first bad row
-    if not (all(type(row) is list and len(row) == 7 for row in rows)
-            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
-        bad = next(n for n, row in enumerate(rows) if not _is_row(row))
-        raise SchemaError(f"observation row {bad}: must be a list of 7 numbers")
-    try:
-        table = np.array(rows, dtype=float).reshape(-1, 7)
-    except OverflowError:               # an integer beyond the float range
-        raise SchemaError("observation rows must hold numbers within the "
-                          "float range")
-    nonfinite = ~np.isfinite(table).all(axis=1)
-    if nonfinite.any():
-        raise SchemaError(f"observation row {int(np.flatnonzero(nonfinite)[0])}: "
-                          f"values must be finite")
+    table = number_rows(rows, (7,), lambda n: f"observation row {n}:")
     idx = table[:, :3]
     bad = (idx != np.round(idx)).any(axis=1)
     if bad.any():

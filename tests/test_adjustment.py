@@ -826,6 +826,11 @@ def _records(ts, **fields):
     # 20 records with t = 2 twice and no t = 3
     (_records([0, 1, 2, 2] + list(range(4, 20))), "duplicate pose t = 2"),
     (_records([0, 1, 3]), "t = 3 outside 0..2"),
+    # a bad value in record 0 and a repeated t in record 1: the structure
+    # of every record is checked before any value
+    ('[{"t": 0, "rodrigues": ["a", 0, 0], "translation_mm": [0, 0, 0]},'
+     ' {"t": 0, "rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}]',
+     "duplicate pose t = 0"),
     ("[]", "non-empty"),
     (_records([0], solved_from="guessed"), "solved_from"),
     (_records([0], residual_rms=[1.0]), "residual_rms"),

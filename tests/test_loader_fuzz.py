@@ -3,7 +3,8 @@ SchemaError and nothing else, and the CLI turns that into exit code 2.
 
 Each example takes a valid file, replaces or deletes one value somewhere in
 it (or replaces the whole document) and loads the result. Runs are
-derandomized, so every run checks the same examples.
+derandomized, so every run checks the same examples. One more test sets
+numbers to `true`, which Python and numpy would otherwise read as 1.
 """
 
 import json
@@ -110,3 +111,35 @@ def test_arbitrary_bytes_raise_only_schema_error(valid, kind, blob):
     path = root / f"bytes-{kind}.json"
     path.write_bytes(blob)
     _check(kind, root, str(path))
+
+
+def _number_paths(node, path=()):
+    """Path (keys and list indices) of every number in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _number_paths(child, path + (key,))
+    elif type(node) in (int, float):
+        yield path
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_boolean_for_any_number_raises_schema_error(valid, kind):
+    """Each number, one per path with list indices wildcarded, set to true:
+    the loader raises SchemaError and the CLI exits with 2."""
+    root, docs = valid
+    first = {}
+    for path in _number_paths(docs[kind]):
+        first.setdefault(tuple("*" if type(key) is int else key
+                               for key in path), path)
+    path = root / f"true-{kind}.json"
+    for keys in first.values():
+        doc = json.loads(json.dumps(docs[kind]))
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            LOADERS[kind](str(path))
+        assert cli.main(_argv(kind, root, str(path))) == 2, keys

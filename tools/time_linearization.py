@@ -18,8 +18,8 @@ the model points, which gives the deformed mode's problem without training
 the deformation model. Each time is the minimum and the median over
 SAMPLES calls (default 200) of the process CPU time, in ms. Each line ends
 with the peak of the memory that one `residuals` + `normal_equations` pair
-allocates (`tracemalloc`), in MiB. One line per workload. BLAS is pinned to
-one thread, as in the benchmark.
+and one `triangulate_parts` call allocate (`tracemalloc`), in MiB. One line
+per workload. BLAS is pinned to one thread, as in the benchmark.
 
 The figures of one process move by up to 2x between processes on a busy
 host, even as minima. To compare two trees, run the tool in at least six
@@ -96,17 +96,19 @@ def main(argv=None):
             problem.residuals(x)
             problem.normal_equations(x)
 
+        def triangulate():
+            adjustment.triangulate_parts(ds, ds.cameras)
+
         res = cpu_ms(lambda: problem.residuals(x), args.samples)
         lin = cpu_ms(linearize, args.samples)
-        tri = cpu_ms(
-            lambda: adjustment.triangulate_parts(ds, ds.cameras), args.samples)
-        peak = peak_mib(linearize)
+        tri = cpu_ms(triangulate, args.samples)
         print(f"{name}: T = {ds.n_epochs}, {problem.n_obs} observations; "
               f"residuals {res[0]:.3f} / {res[1]:.3f} ms, residuals + "
               f"normal_equations {lin[0]:.3f} / {lin[1]:.3f} ms, "
               f"triangulate_parts {tri[0]:.3f} / {tri[1]:.3f} ms (min / "
               f"median of {args.samples} CPU times); residuals + "
-              f"normal_equations allocate {peak:.2f} MiB at peak")
+              f"normal_equations allocate {peak_mib(linearize):.2f} MiB "
+              f"at peak, triangulate_parts {peak_mib(triangulate):.2f} MiB")
 
 
 if __name__ == "__main__":
