@@ -578,6 +578,24 @@ def _canonical(x):
     return x.ravel()
 
 
+def _damped_step(N, g, damping):
+    """The LM step -(N + diag(damping))^-1 g for the lower band N, or None
+    when the damped matrix is not positive definite.
+
+    The damped band is one Fortran-order copy of N, which LAPACK's banded
+    Cholesky (dpbtrf) factors in place and the solve reads as it is, so a
+    trial holds one band beyond N; it is freed on return."""
+    import scipy.linalg   # slow to import; only the banded steps use it
+    damped = np.array(N, order="F")
+    damped[0] += damping
+    try:
+        factor = scipy.linalg.cholesky_banded(damped, overwrite_ab=True,
+                                              lower=True)
+    except np.linalg.LinAlgError:
+        return None
+    return scipy.linalg.cho_solve_banded((factor, True), -g)
+
+
 def solve(problem: Problem, track: MouseStateTrack):
     """Levenberg-Marquardt with banded Cholesky steps.
 
@@ -591,8 +609,13 @@ def solve(problem: Problem, track: MouseStateTrack):
     (lambda passed 1e12 without a downhill step) or 'max_iterations'; only
     the first two count as converged. The last accepted iterate is returned
     in every case.
+
+    Memory: each trial step holds the band N and one damped copy of it,
+    factored in place (`_damped_step`), and frees the copy before the next
+    trial. N, g and every trial array are freed before the next
+    linearization, so no band of the previous step is alive while
+    `normal_equations` allocates the next.
     """
-    import scipy.linalg   # slow to import; only the banded steps use it
     x = _canonical(track.poses.ravel())
     r = problem.residuals(x)
     cost = float(r @ r)
@@ -609,14 +632,9 @@ def solve(problem: Problem, track: MouseStateTrack):
             break
         scale = np.maximum(N[0], 1e-12)
         while True:
-            damped = N.copy()
-            damped[0] += lam * scale
-            try:
-                factor = scipy.linalg.cholesky_banded(damped, lower=True)
-            except np.linalg.LinAlgError:
-                pass    # not positive definite: handled as a rejected step
-            else:
-                x_new = x + scipy.linalg.cho_solve_banded((factor, True), -g)
+            step = _damped_step(N, g, lam * scale)
+            if step is not None:    # None: handled as a rejected step
+                x_new = x + step
                 r_new = problem.residuals(x_new)
                 cost_new = float(r_new @ r_new)
                 if not np.isfinite(cost_new):
@@ -635,6 +653,8 @@ def solve(problem: Problem, track: MouseStateTrack):
                 break
         if status != "max_iterations":
             break
+        # nothing of this step is alive while the next linearization allocates
+        del N, g, scale, step, x_new
 
     # r holds the residuals at the final x
     rp_rms, sm_rms, per_epoch = problem._rms(r)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mouse_model
-from .errors import (DivergedLoss, SchemaError, UntrainedModel, is_int, numbers,
-                     read_json)
+from .errors import (DivergedLoss, SchemaError, UntrainedModel, check_object,
+                     is_int, numbers, read_json)
 
 N_PARTS = 8
 DEFAULT_WINDOW = 2  # n; sequence covers 2n+1 epochs
@@ -293,15 +293,12 @@ def save_model(model: SequenceModel, path):
 
 
 def load_model(path) -> SequenceModel:
-    """Model written by `save_model`; every field is checked, and anything
-    malformed raises SchemaError."""
+    """Model written by `save_model`; every field is checked, and a field
+    it does not know or anything malformed raises SchemaError."""
     doc = read_json(path, "model")
-    if not isinstance(doc, dict):
-        raise SchemaError("model file must be a JSON object")
-    for key in ("format_version", "hidden_size", "weights", "pos_mean",
-                "pos_std", "off_std"):
-        if key not in doc:
-            raise SchemaError(f"model file missing field '{key}'")
+    check_object(doc, ("format_version", "hidden_size", "weights", "pos_mean",
+                       "pos_std", "off_std"), ("window", "trained"),
+                 "model file")
     if not is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
         raise SchemaError(f"unsupported model format version {doc['format_version']!r}")
     m = SequenceModel()

@@ -1,12 +1,12 @@
 """Exception hierarchy for the tracking pipeline, plus the input checks the
 file loaders share: a JSON document, an integer, an array of numbers, a list
-of such arrays and the fields of a config object. All raise SchemaError on
-malformed input; only `is_int` and `numbers` decide what a JSON number is.
+of such arrays, the field names of a JSON object and the fields of a config
+object. All raise SchemaError on malformed input; only `is_int` and
+`_number_array` decide what a JSON number is.
 """
 
 import itertools
 import json
-import math
 
 import numpy as np
 
@@ -96,26 +96,47 @@ def is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def numbers(value, shape, what):
+def _number_array(value, shape):
     """value, nested lists of exactly the given shape, as a float array, or
-    SchemaError naming `what`. Every leaf must be a JSON integer or float:
-    booleans, strings and nulls are rejected at any depth, and so are
-    integers beyond 64 bits, NaN and infinities."""
+    None unless every leaf is a JSON number: an integer that float64 holds
+    exactly (at most 2**53 in magnitude) or a finite float. Booleans,
+    strings and nulls are not numbers, at any depth."""
     try:
         raw = np.asarray(value)
     except (ValueError, OverflowError):
-        raw = None
+        return None
+
+    def leaves():
+        out = [value]
+        for _ in shape:
+            out = itertools.chain.from_iterable(out)
+        return out
+
     # numpy reads true as 1: check the leaves' types once the shape holds
-    leaves = [value]
-    for _ in shape:
-        leaves = itertools.chain.from_iterable(leaves)
-    if (raw is None or raw.shape != tuple(shape) or raw.dtype.kind not in "iuf"
-            or set(map(type, leaves)) - {int, float}
-            or not np.all(np.isfinite(raw))):
+    if (raw.shape != tuple(shape) or raw.dtype.kind not in "iuf"
+            or set(map(type, leaves())) - {int, float}):
+        return None
+    out = raw.astype(float, copy=False)
+    if not np.all(np.isfinite(out)):
+        return None
+    # an integer beyond 2**53 reads as a float at least that large, so the
+    # leaves themselves are compared only when such a float is present
+    if (np.abs(out).max(initial=0.0) >= 2 ** 53
+            and any(type(v) is int and abs(v) > 2 ** 53 for v in leaves())):
+        return None
+    return out
+
+
+def numbers(value, shape, what):
+    """value, nested lists of exactly the given shape, as a float array, or
+    SchemaError naming `what` unless every leaf is a JSON number (see
+    `_number_array`)."""
+    out = _number_array(value, shape)
+    if out is None:
         size = "x".join(map(str, shape)) or "a"
         raise SchemaError(f"{what} must be {size} number"
                           f"{'s' if shape else ''} (finite)")
-    return raw.astype(float, copy=False)
+    return out
 
 
 def number_rows(values, shape, name):
@@ -135,25 +156,33 @@ def number_rows(values, shape, name):
     raise whole
 
 
+def check_object(d, required, optional, what):
+    """SchemaError naming `what` unless d is a JSON object that holds every
+    field of `required` and no field outside `required` and `optional`:
+    a misspelt optional field must not silently take its default."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    for key in d:
+        if key not in required and key not in optional:
+            raise SchemaError(f"{what} has unknown field '{key}'")
+    for key in required:
+        if key not in d:
+            raise SchemaError(f"{what} missing field '{key}'")
+
+
 def fields(d, spec, what):
     """The fields of JSON object d, defaults filled in, each checked against
     its spec entry, or SchemaError naming `what`. A spec maps each field to
     (default, type, test of the value or None, what the test requires); a
     default of None marks a required field. Values keep their JSON type, so
     configs hash as written."""
-    if not isinstance(d, dict):
-        raise SchemaError(f"{what} must be a JSON object")
-    for key in d:
-        if key not in spec:
-            raise SchemaError(f"{what} has unknown field '{key}'")
+    check_object(d, [key for key, rule in spec.items() if rule[0] is None],
+                 spec, what)
     out = {}
     for key, (default, kind, test, meaning) in spec.items():
-        if key not in d and default is None:
-            raise SchemaError(f"{what} missing field '{key}'")
         value = d.get(key, default)
         if kind is float:
-            ok = (is_int(value) and abs(value) < 2 ** 53
-                  or isinstance(value, float) and math.isfinite(value))
+            ok = _number_array(value, ()) is not None
         elif kind is int:
             ok = is_int(value)
         else:

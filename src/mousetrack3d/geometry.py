@@ -32,6 +32,7 @@ from .errors import (
     ParallelRays,
     SchemaError,
     SingularCamera,
+    check_object,
     is_int,
     number_rows,
     numbers,
@@ -574,11 +575,7 @@ def camera_to_dict(cam: CameraModel) -> dict:
 
 
 def camera_from_dict(d: dict) -> CameraModel:
-    if not isinstance(d, dict):
-        raise SchemaError("camera records must be JSON objects")
-    for key in ("id", "K", "R", "t"):
-        if key not in d:
-            raise SchemaError(f"camera record missing field '{key}'")
+    check_object(d, ("id", "K", "R", "t"), ("image_size",), "camera record")
     if not is_int(d["id"]):
         raise SchemaError(f"camera field 'id' must be an integer, got {d['id']!r}")
     K, R, t = (numbers(d[key], (n,), f"camera field '{key}'")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -336,6 +337,29 @@ def test_solve_linearizes_on_the_residuals_forward_pass(monkeypatch):
     assert calls["_forward"] == calls["residuals"]
 
 
+def test_solve_holds_no_band_across_linearizations():
+    # each LM trial holds N and one damped copy factored in place, and no
+    # band outlives its step, so the allocation peak of a whole solve stays
+    # within one band of that of one linearization at the start point
+    ds = make_dataset(noise=0.5, dropout=0.2, n_epochs=60)
+    init = initialize(ds)
+    x = init.poses.ravel()
+    solve(build_problem(ds, ds.cameras), init)   # warm-up: loads scipy.linalg
+
+    def peak(run):
+        problem = build_problem(ds, ds.cameras)
+        tracemalloc.start()
+        try:
+            run(problem)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    pair = peak(lambda p: (p.residuals(x), p.normal_equations(x)))
+    band = 30 * 6 * ds.n_epochs * 8     # bytes of the (30, 6T) lower band
+    assert peak(lambda p: solve(p, init)) - pair < band
+
+
 def test_linearization_reuses_forward_rotations(monkeypatch):
     # residuals forms the epoch and interpolated rotations in one call, and
     # normal_equations at the same x differentiates those matrices
@@ -600,12 +624,13 @@ def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
     factorize = scipy.linalg.cholesky_banded
 
     def recording(ab, *args, **kwargs):
+        diagonal = ab[0, 0]     # read first: the factorization is in place
         try:
             out = factorize(ab, *args, **kwargs)
         except np.linalg.LinAlgError:
-            attempts.append((ab[0, 0], False))
+            attempts.append((diagonal, False))
             raise
-        attempts.append((ab[0, 0], True))
+        attempts.append((diagonal, True))
         return out
 
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)

@@ -160,6 +160,10 @@ BAD_SCENES = {
 BAD_CAMERA_FILES = {
     "cameras_K_number": _camera_docs(K=5),
     "cameras_t_text": _camera_docs(t=["1", "2", "3"]),
+    # float64 cannot hold 2**53 + 1: it would load as 2**53
+    "cameras_t_beyond_2_53": _camera_docs(t=[0.0, 0.0, 2 ** 53 + 1]),
+    # a misspelt optional field would otherwise load as no image size
+    "cameras_misspelt_image_size": _camera_docs(image_sise=[640, 480]),
     "cameras_not_objects": ["cam0", "cam1", "cam2"],
     "cameras_singular_K": _camera_docs(K=[0] * 9),
     "cameras_too_few": _camera_docs()[:2],

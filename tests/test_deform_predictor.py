@@ -231,6 +231,8 @@ MALFORMED_MODELS = {
     "text_pos_mean": (_set("pos_mean", ["a", 0, 0]), "pos_mean"),
     "text_hidden_size": (_set("hidden_size", "48"), "hidden_size"),
     "zero_window": (_set("window", 0), "window"),
+    # a misspelt optional field would otherwise load with the default window
+    "misspelt_window": (_set("windw", 3), "unknown field 'windw'"),
     "extra_weight": (_set_weight("Wz", [0.0]), "weights"),
     "missing_weight": (_drop_weight("Wh"), "weights"),
     "hidden_size_mismatch": (_set("hidden_size", 47), "Wx"),

@@ -10,6 +10,7 @@ from mousetrack3d.errors import (
     ParallelRays,
     SchemaError,
     SingularCamera,
+    fields,
 )
 from mousetrack3d.geometry import (
     CameraModel,
@@ -590,3 +591,21 @@ def test_camera_json_missing_field(tmp_path):
     with pytest.raises(SchemaError, match="K"):
         geometry.load_cameras(path)
 
+
+@pytest.mark.parametrize("value", [2 ** 53, -2 ** 53, 2 ** 53 + 1, -2 ** 53 - 1])
+def test_camera_json_integer_limit(tmp_path, value):
+    # a JSON integer is a number only where float64 holds it exactly, in
+    # camera files as in config fields
+    doc = geometry.camera_to_dict(random_camera(np.random.default_rng(19)))
+    doc["t"][2] = value
+    path = tmp_path / "cams.json"
+    path.write_text(json.dumps([doc]))
+    spec = {"x": (None, float, None, "a number")}
+    if abs(value) <= 2 ** 53:
+        assert geometry.load_cameras(path)[0].pose_global.translation[2] == value
+        assert fields({"x": value}, spec, "config") == {"x": value}
+    else:
+        with pytest.raises(SchemaError, match="'t'"):
+            geometry.load_cameras(path)
+        with pytest.raises(SchemaError, match="'x'"):
+            fields({"x": value}, spec, "config")
