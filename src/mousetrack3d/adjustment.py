@@ -17,9 +17,12 @@ terms, evaluated on the dense (epoch, part, camera) grid, enter their
 epoch's 6x6 block in one product over its grid rows, and the smoothness
 terms come from one 12 x 30 Jacobian per epoch, over the five epochs of its
 window. Each linearization reuses the forward pass of the cost evaluation at
-the same point, rotation matrices included. The recording is triangulated
-once per solve, for the initialization and every deformation-offset
-prediction. Camera poses are fixed throughout.
+the same point, rotation matrices included, and forms its Jacobians one
+chunk of CHUNK_EPOCHS consecutive epochs at a time: beyond that forward
+pass, only the normal matrix's blocks and band and the gradient grow with
+the recording's length, and they are bit-identical at any chunk length.
+The recording is triangulated once per solve, for the initialization and
+every deformation-offset prediction. Camera poses are fixed throughout.
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ LAMBDA_UP = 10.0
 LAMBDA_DOWN = 10.0
 
 SOLVED_FROM = ("local", "interpolated", "adjusted")
+
+# epochs per chunk of `Problem.normal_equations`: at least 3, so that
+# epochs 0 and 1 share the chunk of epoch 2, onto which they are folded
+# (`_chunks` merges a last chunk shorter than 3 for T - 2 and T - 1)
+CHUNK_EPOCHS = 128
+
+_EYE3, _EYE6 = np.eye(3), np.eye(6)
 
 
 @dataclass(frozen=True)
@@ -202,6 +212,16 @@ def initialize(dataset, cameras=None, *, parts=None) -> MouseStateTrack:
 # Problem construction
 # ---------------------------------------------------------------------------
 
+def _chunks(n_epochs):
+    """(lo, hi) epoch ranges of `normal_equations`' chunks, in order: runs
+    of CHUNK_EPOCHS consecutive epochs, the last one merged into the one
+    before it when it is shorter than 3."""
+    starts = list(range(0, n_epochs, CHUNK_EPOCHS))
+    if len(starts) > 1 and n_epochs - starts[-1] < 3:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_epochs]))
+
+
 class _Forward(NamedTuple):
     """One forward pass of a `Problem` at x: what its residuals and its
     linearization share. Grid arrays are over (epoch, part, camera)."""
@@ -243,8 +263,9 @@ class Problem:
     consecutive epochs from `win_start[t]`, the slots of its window (t
     itself and its four nodes), so J^T J is banded with half-bandwidth
     `bandwidth` = 29 (a track has at least five epochs).
-    `_smooth_jacobian` forms that Jacobian once per linearization, over the
-    five slots, for both `jacobian` and `normal_equations`. A reprojection
+    `_smooth_jacobian` forms that Jacobian over the five slots for a range
+    of epochs: `jacobian` takes it over all epochs at once and
+    `normal_equations` chunk by chunk. A reprojection
     residual depends on its own epoch's pose only, so its terms enter that
     epoch's diagonal block alone.
 
@@ -288,9 +309,14 @@ class Problem:
         T = self.n_epochs
         self.win_start, self.slot_weights = track_constraint.window_slots(T)
         self._slots = self.win_start[:, None] + np.arange(5)
+        self._own_slot = np.arange(T) - self.win_start
+        # the two first and two last epochs' smoothness terms are folded
+        # onto epochs 2 and T - 3, in this order (`normal_equations`)
+        self._folds = ((2, 0), (2, 1), (T - 3, T - 2), (T - 3, T - 1))
         # the four weighted points (p_j, s_j) equivalent to the grid
         rq = track_constraint.grid_factor(track_constraint.GRID)
         self.smooth_p, self.smooth_s = rq[:, :3], rq[:, 3]
+        self._s_eye = self.smooth_s[:, None, None] * _EYE3
         self.n_obs = len(self.obs_t)
         self.n_residuals = 2 * self.n_obs + 12 * T
         self.n_params = 6 * T
@@ -349,46 +375,51 @@ class Problem:
 
     # -- analytic Jacobian ----------------------------------------------------
 
-    def _blocks(self, x):
-        """Forward pass and smoothness Jacobian at x (T, 6).
+    def _rotation_derivatives(self, x, f, lo, hi):
+        """Derivatives (dRH, dRS), each (n, 3, 3, 3), of the epoch rotations
+        and the interpolated ones of epochs lo..hi-1 (n = hi - lo), for the
+        `_Forward` f at x (T, 6): one `rotation_derivatives` call on the
+        matrices f already holds.
 
-        Returns (f, dRH, J_s): f is the `_Forward` at x, dRH (T, 3, 3, 3)
-        the derivatives of its epoch rotations and J_s `_smooth_jacobian`'s.
-        One `rotation_derivatives` call serves the T epoch rotations and the
-        T interpolated ones, on the matrices f already holds.
+        Every Jacobian row depends on its own epoch's data alone, so the
+        rows that these and `_smooth_jacobian` and `_reprojection_jacobian`
+        give for a range of epochs equal those of the whole track, bit for
+        bit.
         """
-        T = self.n_epochs
-        f = self._state(x)
+        n = hi - lo
         dR = geometry.rotation_derivatives(
-            np.concatenate([x[:, :3], f.S[:, :3]]), np.concatenate([f.R, f.RS]))
-        return f, dR[:T], self._smooth_jacobian(x, f, dR[:T], dR[T:])
+            np.concatenate([x[lo:hi, :3], f.S[lo:hi, :3]]),
+            np.concatenate([f.R[lo:hi], f.RS[lo:hi]]))
+        return dR[:n], dR[n:]
 
-    def _reprojection_jacobian(self, f, dRH):
-        """J_p (T, 8, 2K, 6), for the `_Forward` f and the derivatives dRH
-        of its epoch rotations: rows 2k and 2k + 1 of J_p[t, i] are
-        d r_p[t, i, k] / d x[t], zero where the grid entry is invisible.
+    def _reprojection_jacobian(self, f, dRH, lo, hi):
+        """J_p (n, 8, 2K, 6) of epochs lo..hi-1, for the `_Forward` f and the
+        derivatives dRH of those epochs' rotations: rows 2k and 2k + 1 of
+        J_p[t - lo, i] are d r_p[t, i, k] / d x[t], zero where the grid entry
+        is invisible.
 
         They are J_w [J_rot | I], with J_w the derivative of the entry's
         weighted residual by the world point X_ti = R_t m_ti + t_t and
         J_rot = d(R_t m_ti)/dr_t.
         """
-        T = self.n_epochs
+        n = hi - lo
         # d(proj)/d(world): (u, v) = (q0, q1) / z, q = K R_c world + K t_c
         KR = self.cam_KR
-        J_w = ((KR[:, :2, :] - f.proj[..., None] * KR[:, 2:3, :])
-               * (self._weight / f.z)[..., None, None])
-        L = np.empty((T, 8, 3, 6))
-        L[..., :3] = (dRH.reshape(T, 9, 3) @ np.swapaxes(self.model_pts, -1, -2)
-                      ).reshape(T, 3, 3, 8).transpose(0, 3, 2, 1)
-        L[..., 3:] = np.eye(3)
-        return J_w.reshape(T, 8, -1, 3) @ L
+        J_w = ((KR[:, :2, :] - f.proj[lo:hi, ..., None] * KR[:, 2:3, :])
+               * (self._weight[lo:hi] / f.z[lo:hi])[..., None, None])
+        m = self.model_pts if self.model_pts.ndim == 2 else self.model_pts[lo:hi]
+        L = np.empty((n, 8, 3, 6))
+        L[..., :3] = (dRH.reshape(n, 9, 3) @ np.swapaxes(m, -1, -2)
+                      ).reshape(n, 3, 3, 8).transpose(0, 3, 2, 1)
+        L[..., 3:] = _EYE3
+        return J_w.reshape(n, 8, -1, 3) @ L
 
-    def _smooth_jacobian(self, x, f, dRH, dRS):
-        """Jacobian J_s (T, 12, 30) of the smoothness residuals at x (T, 6),
-        for the `_Forward` f at x and the derivatives dRH and dRS of its epoch
-        and interpolated rotations (`_blocks`).
+    def _smooth_jacobian(self, x, f, dRH, dRS, lo, hi):
+        """Jacobian J_s (n, 12, 30) of the smoothness residuals of epochs
+        lo..hi-1 at x (T, 6), for the `_Forward` f at x and the derivatives
+        dRH and dRS of those epochs' own and interpolated rotations.
 
-        Columns 6a to 6a + 5 of J_s[t] are d r_s[t] / d x[win_start[t] + a]
+        Columns 6a to 6a + 5 of J_s[t - lo] are d r_s[t] / d x[win_start[t] + a]
         for the five slots a of epoch t's window. J_s[t] = [A_t | B_t] M_t:
         A_t and B_t are d r_s[t] / d x[t] and d r_s[t] / d S[t], where S[t]
         is the interpolated pose, and M_t = d(x[t], S[t]) / d(slot poses)
@@ -398,33 +429,39 @@ class Problem:
         (`track_constraint.branch_maps` of the branch factors f.branch,
         exactly the identity where they are 1).
         """
-        T = self.n_epochs
+        n = hi - lo
         s = self.smooth_s[None, :, None, None]
-        C = np.empty((T, 4, 3, 12))
+        y, c = f.y[lo:hi, None], f.c[lo:hi, None]
+        R, RS = f.R[lo:hi], f.RS[lo:hi]
+        C = np.empty((n, 4, 3, 12))
         # own pose: d(R_H y + s t_H)/d(r_H, t_H)
-        C[..., 0:3] = (f.y[:, None] @ dRH.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
-        C[..., 3:6] = s * np.eye(3)
+        C[..., 0:3] = (y @ dRH.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
+        C[..., 3:6] = self._s_eye
         # interpolated pose: d(R_H R_S^T c)/d r_S and d/d t_S = -s R_H R_S^T
-        C[..., 6:9] = ((f.c[:, None] @ dRS) @ f.R.transpose(0, 2, 1)[:, None]
+        C[..., 6:9] = ((c @ dRS) @ R.transpose(0, 2, 1)[:, None]
                        ).transpose(0, 2, 3, 1)
-        C[..., 9:12] = -s * (f.R @ f.RS.transpose(0, 2, 1))[:, None]
+        C[..., 9:12] = -s * (R @ RS.transpose(0, 2, 1))[:, None]
         C *= self.stochastic.smoothness_weight
-        w = self.slot_weights
-        D = track_constraint.branch_maps(x[self._slots, :3], f.branch)
-        M = np.zeros((T, 12, 5, 6))
-        M[np.arange(T), :6, np.arange(T) - self.win_start] = np.eye(6)
-        M[:, 6:9, :, :3] = (w[..., None, None] * D).transpose(0, 2, 1, 3)
-        M[:, 9:, :, 3:] = w[:, None, :, None] * np.eye(3)[:, None]
-        return C.reshape(T, 12, 12) @ M.reshape(T, 12, 30)
+        w = self.slot_weights[lo:hi]
+        M = np.zeros((n, 12, 5, 6))
+        M[np.arange(n), :6, self._own_slot[lo:hi]] = _EYE6
+        M[:, 6:9, :, :3] = (w[..., None, None] * track_constraint.branch_maps(
+            x[self._slots[lo:hi], :3], f.branch[lo:hi])).transpose(0, 2, 1, 3)
+        M[:, 9:, :, 3:] = w[:, None, :, None] * _EYE3[:, None]
+        return C.reshape(n, 12, 12) @ M.reshape(n, 12, 30)
 
     def jacobian(self, x):
         """Dense (n_residuals, n_params) Jacobian at x, written from the
-        same factors as `normal_equations`. It holds n_residuals x 6T floats,
-        so it serves checks only; the solver never forms it."""
+        same per-range factors as `normal_equations`, over all epochs at
+        once. It holds n_residuals x 6T floats, so it serves checks only;
+        the solver never forms it."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        f, dRH, J_s = self._blocks(x)
         T, n = self.n_epochs, self.n_obs
-        J_p = self._reprojection_jacobian(f, dRH).reshape(-1, 2, 6)[self._obs_grid]
+        f = self._state(x)
+        dRH, dRS = self._rotation_derivatives(x, f, 0, T)
+        J_s = self._smooth_jacobian(x, f, dRH, dRS, 0, T)
+        J_p = self._reprojection_jacobian(f, dRH, 0, T).reshape(
+            -1, 2, 6)[self._obs_grid]
         J = np.zeros((self.n_residuals, self.n_params))
         J[(2 * np.arange(n))[:, None, None] + np.arange(2)[:, None],
           (6 * self.obs_t)[:, None, None] + np.arange(6)] = J_p
@@ -447,8 +484,8 @@ class Problem:
         slot epoch a. Every interior epoch t has a window start of its own,
         t - 2; the first three epochs share start 0 and the last three start
         T - 5. So the terms of the two first and two last epochs are added
-        onto epochs 2 and T - 3 first, by slice adds, and then epochs
-        2..T-3 map onto the window starts 0..T-5 one to one, by slices.
+        onto epochs 2 and T - 3 first, and then epochs 2..T-3 map onto the
+        window starts 0..T-5 one to one, by slices.
 
         A reprojection residual depends on its own epoch's pose only, so its
         terms fill the diagonal blocks (Triggs et al., "Bundle Adjustment -
@@ -457,34 +494,22 @@ class Problem:
         J_p[t]^T r_p[t] are one batched product each, and invisible entries
         add zeros. The band is written from the (T, 5, 6, 6) blocks by one
         strided copy per column offset q within an epoch.
+
+        The blocks are sums over epochs, so they are accumulated one chunk
+        of CHUNK_EPOCHS consecutive epochs at a time (`_add_chunk`), and
+        each chunk's Jacobians and products are freed before the next
+        chunk's are formed: only the blocks, g and N grow with T. The
+        chunks are visited from the last to the first. Block row j takes
+        its smoothness terms from epochs j + 2 down to j - 2, in that
+        order, whatever the chunking, so every sum is added in one order
+        and N and g are the same, bit for bit, at every chunk length.
         """
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        f, dRH, J_s = self._blocks(x)
+        f = self._state(x)
         T = self.n_epochs
-        # blocks[j, d] is the block of J^T J with the rows of epoch j and
-        # the columns of epoch j + d
-        blocks = np.zeros((T, 5, 6, 6))
-        g = np.zeros((T, 6))
-        folds = ((2, 0), (2, 1), (T - 3, T - 2), (T - 3, T - 1))
-        for a in range(5):
-            # slots b = 0..a against slot a, stacked over b
-            P = (J_s[:, :, :6 * a + 6].transpose(0, 2, 1)
-                 @ J_s[:, :, 6 * a:6 * a + 6])
-            for i, j in folds:
-                P[i] += P[j]
-            for b in range(a + 1):
-                blocks[b:b + T - 4, a - b] += P[2:T - 2, 6 * b:6 * b + 6]
-        gs = (f.r_s.reshape(T, 1, 12) @ J_s).reshape(T, 5, 6)
-        for i, j in folds:
-            gs[i] += gs[j]
-        for a in range(5):
-            g[a:a + T - 4] += gs[2:T - 2, a]
-        del J_s     # 360 floats per epoch, freed before J_p is formed
-
-        # reprojection: each epoch's 16K grid rows in one product
-        J_p = self._reprojection_jacobian(f, dRH).reshape(T, -1, 6)
-        blocks[:, 0] += J_p.transpose(0, 2, 1) @ J_p
-        g += (f.r_p.reshape(T, 1, -1) @ J_p)[:, 0]
+        blocks = g = later = None
+        for lo, hi in reversed(_chunks(T)):
+            blocks, g, later = self._add_chunk(x, f, lo, hi, blocks, g, later)
         # entry (q, p) of block [j, d] is (J^T J)[6(j + d) + p, 6j + q], at
         # N[6d + p - q, 6j + q]. Column q of each epoch takes its 30 (d, p)
         # entries in order from row -q: six rows above N hold the p < q
@@ -494,6 +519,60 @@ class Problem:
             N[6 - q:36 - q, q::6].reshape(5, 6, T)[...] = \
                 blocks[:, :, q].transpose(1, 2, 0)
         return N[6:], g.ravel()
+
+    def _add_chunk(self, x, f, lo, hi, blocks, g, later):
+        """Add the terms of epochs lo..hi-1 to `normal_equations`' blocks
+        and g, once the chunks after it have been added, and return
+        (blocks, g, pending). blocks[j, d] is the block of J^T J with the
+        rows of epoch j and the columns of epoch j + d. blocks and g are
+        None before the first chunk visited, and are formed after its J_s,
+        so that a track of one chunk does not hold both at once.
+
+        A diagonal block takes its reprojection terms after all of its
+        smoothness terms, and those of rows lo and lo + 1 (lo > 0) come
+        also from the two epochs before the chunk. So these two rows'
+        reprojection terms are returned as `pending`, and `later` holds
+        those of the chunk after, rows hi and hi + 1, which this chunk's
+        smoothness terms complete. Epochs 0, 1 and T - 2, T - 1 lie in the
+        chunks of the epochs 2 and T - 3 they are folded onto (`_chunks`).
+        """
+        T = self.n_epochs
+        dRH, dRS = self._rotation_derivatives(x, f, lo, hi)
+        J_s = self._smooth_jacobian(x, f, dRH, dRS, lo, hi)
+        if blocks is None:
+            blocks, g = np.zeros((T, 5, 6, 6)), np.zeros((T, 6))
+        folds = [(i - lo, j - lo) for i, j in self._folds if lo <= j < hi]
+        # the chunk's epochs among 2..T-3 are rows first..end - 1 of its
+        # arrays, and their window starts are start..stop - 1
+        first, end = max(lo, 2) - lo, min(hi, T - 2) - lo
+        start, stop = lo + first - 2, lo + end - 2
+        for a in range(5):
+            # slots b = 0..a against slot a, stacked over b
+            P = (J_s[:, :, :6 * a + 6].transpose(0, 2, 1)
+                 @ J_s[:, :, 6 * a:6 * a + 6])
+            for i, j in folds:
+                P[i] += P[j]
+            for b in range(a + 1):
+                blocks[start + b:stop + b, a - b] += \
+                    P[first:end, 6 * b:6 * b + 6]
+        gs = (f.r_s[lo:hi].reshape(-1, 1, 12) @ J_s).reshape(-1, 5, 6)
+        for i, j in folds:
+            gs[i] += gs[j]
+        for a in range(5):
+            g[start + a:stop + a] += gs[first:end, a]
+        del J_s     # 360 floats per epoch, freed before J_p is formed
+
+        # reprojection: each epoch's 16K grid rows in one product
+        J_p = self._reprojection_jacobian(f, dRH, lo, hi).reshape(hi - lo, -1, 6)
+        JtJ = J_p.transpose(0, 2, 1) @ J_p
+        Jtr = (f.r_p[lo:hi].reshape(hi - lo, 1, -1) @ J_p)[:, 0]
+        if later is not None:
+            blocks[hi:hi + 2, 0] += later[0]
+            g[hi:hi + 2] += later[1]
+        done = 0 if lo == 0 else 2
+        blocks[lo + done:hi, 0] += JtJ[done:]
+        g[lo + done:hi] += Jtr[done:]
+        return blocks, g, (JtJ[:done].copy(), Jtr[:done].copy())
 
     def residual_rms(self, x):
         """(reprojection RMS in px, smoothness RMS in mm) at x."""
@@ -614,7 +693,9 @@ def solve(problem: Problem, track: MouseStateTrack):
     factored in place (`_damped_step`), and frees the copy before the next
     trial. N, g and every trial array are freed before the next
     linearization, so no band of the previous step is alive while
-    `normal_equations` allocates the next.
+    `normal_equations` allocates the next. That call holds the Jacobians
+    and products of one chunk of CHUNK_EPOCHS epochs at a time, so beyond
+    the forward pass of `residuals` only its blocks, N and g grow with T.
     """
     x = _canonical(track.poses.ravel())
     r = problem.residuals(x)
@@ -741,14 +822,14 @@ def load_track(path) -> MouseStateTrack:
     """Track written by `save_track`. Records must hold epochs 0..T-1 once
     each, in any order; anything else raises SchemaError.
 
-    After `geometry.pose_table`, the `solved_from` flags are checked as one
-    column and `residual_rms` by `errors.number_rows`, naming the first bad
-    epoch."""
+    After `geometry.pose_table`, which also rejects a field that records
+    do not hold, the `solved_from` flags are checked as one column and
+    `residual_rms` by `errors.number_rows`, naming the first bad epoch."""
     records = read_json(path, "track")
     if not records:
         raise SchemaError("track file must be a non-empty JSON list of "
                           "epoch records")
-    params = geometry.pose_table(records)
+    params = geometry.pose_table(records, ("solved_from", "residual_rms"))
     by_t = sorted(records, key=lambda rec: rec["t"])
     flags = [rec.get("solved_from", "adjusted") for rec in by_t]
     bad = [t for t, flag in enumerate(flags) if flag not in SOLVED_FROM]

@@ -606,13 +606,14 @@ def load_cameras(path):
 _POSE_FIELDS = ("rodrigues", "translation_mm")
 
 
-def pose_table(records):
+def pose_table(records, optional=()):
     """(T, 6) pose parameters (Rodrigues vector, translation in mm) from
     pose records whose `t` values are exactly 0..T-1, in any order.
 
     Structure is checked first, record by record: a JSON object with all
-    fields and an integer `t` in range that no earlier record holds. Then
-    the values, in epoch order, by `errors.number_rows`. A SchemaError names
+    fields, no field outside them and `optional` (`errors.check_object`),
+    and an integer `t` in range that no earlier record holds. Then the
+    values, in epoch order, by `errors.number_rows`. A SchemaError names
     the first bad record of the first check that fails."""
     if not isinstance(records, list):
         raise SchemaError("poses must be a JSON list of pose records")
@@ -620,9 +621,7 @@ def pose_table(records):
     for rec in records:
         if not isinstance(rec, dict):
             raise SchemaError("pose records must be JSON objects")
-        for key in ("t", *_POSE_FIELDS):
-            if key not in rec:
-                raise SchemaError(f"pose record missing field '{key}'")
+        check_object(rec, ("t", *_POSE_FIELDS), optional, "pose record")
         t = rec["t"]
         if not is_int(t):
             raise SchemaError(f"pose field 't' must be an integer, got {t!r}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import geometry, mouse_model
-from .errors import (CameraSeesNothing, SchemaError, fields, number_rows,
-                     numbers, read_json)
+from .errors import (CameraSeesNothing, SchemaError, check_object, fields,
+                     number_rows, numbers, read_json)
 from .geometry import CameraModel, RigidTransform
 
 
@@ -312,16 +312,16 @@ def _observation_table(rows, T, Kn):
 
 
 def import_dataset(path) -> SimulatedDataset:
+    """Dataset written by `export_dataset`. A field that the file's objects
+    do not hold, such as a misspelt optional one, raises SchemaError, as
+    any other malformed input does."""
     doc = read_json(path, "dataset")
-    if not isinstance(doc, dict):
-        raise SchemaError("dataset file must be a JSON object")
-    for key in ("meta", "ground_truth", "observations"):
-        if not isinstance(doc.get(key), dict):
-            raise SchemaError(f"dataset file missing object field '{key}'")
+    check_object(doc, ("meta", "ground_truth", "observations"), (),
+                 "dataset file")
+    gt, observations = doc["ground_truth"], doc["observations"]
+    check_object(gt, ("poses",), ("deform_offsets_mm",), "dataset ground_truth")
+    check_object(observations, (), ("columns", "rows"), "dataset observations")
     config = _config_from_dict(doc["meta"])
-    gt = doc["ground_truth"]
-    if "poses" not in gt:
-        raise SchemaError("dataset ground_truth missing field 'poses'")
     params = geometry.pose_table(gt["poses"])
     T = len(params)
     if T != config.n_epochs:
@@ -333,7 +333,7 @@ def import_dataset(path) -> SimulatedDataset:
         offsets = numbers(gt["deform_offsets_mm"], (T, 8, 3), "deform_offsets_mm")
 
     rigid_world, deform_world = _world_parts(params, offsets)
-    table = _observation_table(doc["observations"].get("rows", []), T, Kn)
+    table = _observation_table(observations.get("rows", []), T, Kn)
     t, k, i = table[:, :3].astype(int).T
     obs = np.full((T, Kn, 8, 2), np.nan)
     vis = np.zeros((T, Kn, 8), dtype=bool)

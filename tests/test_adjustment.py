@@ -206,7 +206,7 @@ def band_to_dense(N):
 @pytest.mark.parametrize("n_epochs", [5, 6, 12])
 @pytest.mark.parametrize("kind", ["rigid", "deformed", "smoothness_only",
                                   "occluded"])
-def test_normal_equations_match_dense_jacobian(n_epochs, kind):
+def test_normal_equations_match_dense_jacobian(n_epochs, kind, monkeypatch):
     ds = make_dataset(n_epochs=n_epochs, noise=0.5, step_sigma=1.5,
                       deformation=kind == "deformed",
                       dropout=0.75 if kind == "occluded" else 0.0)
@@ -225,17 +225,19 @@ def test_normal_equations_match_dense_jacobian(n_epochs, kind):
                                              size=(n_epochs, 6))
     J = problem.jacobian(x.ravel())
     r = problem.residuals(x.ravel())
-    N, g = problem.normal_equations(x.ravel())
-
     JtJ = J.T @ J
     u = min(29, 6 * n_epochs - 1)
-    assert N.shape == (u + 1, 6 * n_epochs)
     i, j = np.indices(JtJ.shape)
     assert np.all(JtJ[np.abs(i - j) > u] == 0.0)
-    assert (np.abs(band_to_dense(N) - np.tril(JtJ)).max()
-            <= 1e-12 * np.abs(JtJ).max())
     Jtr = J.T @ r
-    assert np.abs(g - Jtr).max() <= 1e-12 * np.abs(Jtr).max()
+    # the default chunk length, and the shortest one
+    for chunk in (adjustment.CHUNK_EPOCHS, 5):
+        monkeypatch.setattr(adjustment, "CHUNK_EPOCHS", chunk)
+        N, g = problem.normal_equations(x.ravel())
+        assert N.shape == (u + 1, 6 * n_epochs)
+        assert (np.abs(band_to_dense(N) - np.tril(JtJ)).max()
+                <= 1e-12 * np.abs(JtJ).max())
+        assert np.abs(g - Jtr).max() <= 1e-12 * np.abs(Jtr).max()
 
 
 def mixed_branch_poses(ds, rng):
@@ -250,6 +252,59 @@ def mixed_branch_poses(ds, rng):
     x = ds.poses + rng.normal(scale=[0.0] * 3 + [5.0] * 3, size=(T, 6))
     x[:, :3] = (theta + 2 * np.pi * k)[:, None] * axis
     return x
+
+
+@pytest.mark.parametrize("n_epochs", [5, 6, 12, 23])
+@pytest.mark.parametrize("kind", ["rigid", "deformed", "occluded",
+                                  "smoothness_only", "mixed_branches"])
+def test_chunked_linearization_is_bit_identical(n_epochs, kind, monkeypatch):
+    # normal_equations adds every sum in one order at any chunk length, so
+    # N, g and whole solves equal those of one chunk over the whole track
+    ds = make_dataset(n_epochs=n_epochs, noise=0.5, step_sigma=1.5,
+                      deformation=kind == "deformed",
+                      dropout=0.75 if kind == "occluded" else 0.2)
+    if kind == "smoothness_only":
+        ds.visible[:] = False
+    offsets = ds.deform_offsets if kind == "deformed" else None
+    stochastic = StochasticConfig(smoothness_weight=0.7)
+    rng = np.random.default_rng(n_epochs)
+    if kind == "mixed_branches":
+        x = mixed_branch_poses(ds, rng)
+    else:
+        x = ds.poses + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
+                                  size=(n_epochs, 6))
+    track = MouseStateTrack(x, ["local"] * n_epochs)
+
+    def run(chunk):
+        monkeypatch.setattr(adjustment, "CHUNK_EPOCHS", chunk)
+        problem = make_problem(ds, offsets=offsets, stochastic=stochastic)
+        N, g = problem.normal_equations(x.ravel())
+        solved, report = solve(problem, track)
+        return N, g, solved.poses, report.iterations, report.final_cost
+
+    whole = run(n_epochs)
+    for chunk in (5, 6, 7):
+        got = run(chunk)
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole)), chunk
+
+
+def test_normal_equations_memory_is_bounded_per_epoch():
+    # beyond the forward pass, only the (T, 5, 6, 6) blocks, the band and g
+    # grow with T: about 3.2 KB per epoch. Forming every Jacobian of the
+    # track at once took 8.2 KB per epoch
+    def peak(n_epochs):
+        ds = make_dataset(n_epochs=n_epochs, noise=0.5, dropout=0.2)
+        problem = build_problem(ds, ds.cameras)
+        x = initialize(ds).poses.ravel()
+        problem.residuals(x)    # the forward pass that is reused
+        tracemalloc.start()
+        try:
+            problem.normal_equations(x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1024) - peak(256) < 768 * 4.5e3
 
 
 def test_invisible_grid_entries_are_inert():
@@ -859,6 +914,9 @@ def _records(ts, **fields):
     ("[]", "non-empty"),
     (_records([0], solved_from="guessed"), "solved_from"),
     (_records([0], residual_rms=[1.0]), "residual_rms"),
+    # a misspelt optional field would otherwise load as zero residual RMS
+    (_records([0], residual_rmss=1.0),
+     "pose record has unknown field 'residual_rmss'"),
 ])
 def test_track_load_malformed_records(tmp_path, text, match):
     path = tmp_path / "bad.json"

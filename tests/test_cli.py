@@ -87,7 +87,8 @@ def test_track_of_other_length_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("case", ["negative_t", "camera_out_of_range",
-                                  "pose_missing_rodrigues", "duplicate_pose_t"])
+                                  "pose_missing_rodrigues", "duplicate_pose_t",
+                                  "misspelt_deform_offsets", "misspelt_rows"])
 def test_solve_malformed_dataset_exit_2(tmp_path, case):
     data = tmp_path / "data.json"
     run("simulate", "--config", scene_file(tmp_path, n_epochs=10),
@@ -100,8 +101,13 @@ def test_solve_malformed_dataset_exit_2(tmp_path, case):
         rows[0][1] = 9
     elif case == "pose_missing_rodrigues":
         del poses[3]["rodrigues"]
-    else:
+    elif case == "duplicate_pose_t":
         poses[4]["t"] = 3
+    elif case == "misspelt_deform_offsets":
+        gt = doc["ground_truth"]
+        gt["deform_offset_mm"] = gt.pop("deform_offsets_mm")
+    else:
+        doc["observations"]["rws"] = doc["observations"].pop("rows")
     data.write_text(json.dumps(doc))
     assert run("solve", "--data", str(data),
                "--out", str(tmp_path / "track.json")) == 2
@@ -118,6 +124,8 @@ def _pose_records(ts):
     _pose_records([0, 0, 5]),
     # 40 records, the length of the dataset, with t = 2 twice and no t = 3
     _pose_records([0, 1, 2, 2] + list(range(4, 40))),
+    # a misspelt optional field would otherwise load as zero residual RMS
+    [dict(rec, residual_rmss=1.0) for rec in _pose_records(range(40))],
 ])
 def test_evaluate_malformed_track_exit_2(tmp_path, records):
     data = tmp_path / "data.json"

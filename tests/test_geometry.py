@@ -336,7 +336,7 @@ def test_rotation_derivatives_fd(scale):
     assert np.allclose(geometry.rotation_point_jacobians(rv, x),
                        np.einsum("nijk,nk->nji", dR, x), rtol=0, atol=1e-12)
     # R taken from one stacked call over two sets of vectors, as
-    # `Problem._blocks` passes it
+    # `Problem._rotation_derivatives` passes it
     other = rng.normal(size=(50, 3))
     both = np.concatenate([rv, other])
     dR2 = geometry.rotation_derivatives(

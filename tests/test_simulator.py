@@ -260,8 +260,31 @@ def _repeat_row(doc):
     rows.insert(1, rows[0][:3] + [rows[0][3] + 50.0] + rows[0][4:])
 
 
+def _rename(*keys, new):
+    """Mutation that renames the field at path `keys` to `new`."""
+    def mutate(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[new] = node.pop(keys[-1])
+    return mutate
+
+
 # (mutation of an exported 10-epoch dataset, expected message)
 MALFORMED_DATASETS = {
+    # misspelt optional fields would otherwise load as all-zero offsets and
+    # as no observations at all
+    "misspelt_deform_offsets": (
+        _rename("ground_truth", "deform_offsets_mm", new="deform_offset_mm"),
+        "dataset ground_truth has unknown field 'deform_offset_mm'"),
+    "misspelt_observation_rows": (
+        _rename("observations", "rows", new="rws"),
+        "dataset observations has unknown field 'rws'"),
+    "misspelt_pose_field": (
+        _rename("ground_truth", "poses", 3, "rodrigues", new="rodriguez"),
+        "pose record has unknown field 'rodriguez'"),
+    "unknown_top_level_field": (_rename("meta", new="metadata"),
+                                "dataset file has unknown field 'metadata'"),
     "negative_t": (_set_row(0, -1), "t = -1"),
     "t_past_end": (_set_row(0, 10), "t = 10"),
     "camera_out_of_range": (_set_row(1, 9), "k = 9"),

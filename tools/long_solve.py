@@ -8,7 +8,9 @@ about 11 minutes of 30 fps video): the default cameras, 0.5 px noise, 20%
 random dropout and seed 0, as in the benchmark's rigid-long recording. It
 then runs `adjustment.solve_dataset` on it in rigid mode. It prints the
 process peak RSS (`getrusage` ru_maxrss) before and after the solve, in MiB,
-the solve's wall time, and its LM iterations and stop status.
+the solve's wall time, and its LM iterations and stop status. It exits with
+code 1 when the solve stops without converging (a status other than `cost`
+or `gradient`), so that a script or CI step running it fails.
 
 Peak RSS is a high-water mark of the whole process, so each figure needs a
 process of its own, which one run of the tool is. To compare two trees, run
@@ -54,7 +56,8 @@ def main(argv=None):
     print(f"T = {args.epochs}: peak RSS {before:.1f} MiB before the solve, "
           f"{peak_rss_mib():.1f} MiB after; solve_dataset {seconds:.2f} s, "
           f"{report.iterations} iterations, status {report.status}")
+    return 0 if report.converged else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
