@@ -54,11 +54,13 @@ cam_b = geometry.CameraModel(K, geometry.RigidTransform(
 cam_a = geometry.CameraModel(K, geometry.RigidTransform(
     np.eye(3), np.array([0.0, 0.0, 900.0])))
 target = np.array([12.0, 34.0, -8.0])
-rec_pt, residuals = geometry.triangulate(
-    [(cam_a, geometry.project(cam_a, target)),
-     (cam_b, geometry.project(cam_b, target))])
+# one point seen by both cameras: pixels (points, cameras, 2), visibility
+pixels = np.array([[geometry.project(cam_a, target),
+                    geometry.project(cam_b, target)]])
+rec, ok = geometry.triangulate_batch([cam_a, cam_b], pixels,
+                                     np.ones((1, 2), bool))
 print(f"\ntriangulated {target} back to within "
-      f"{np.abs(rec_pt - target).max():.2e} mm")
+      f"{np.abs(rec[0] - target).max():.2e} mm (accepted: {bool(ok[0])})")
 
 # -- rodrigues algebra --------------------------------------------------------------
 

@@ -29,7 +29,7 @@ print(f"training on {sum(d.n_epochs for d in train_sets)} epochs "
 
 # every window of a recording at once: (windows, 2n+1 epochs, 8 parts, xyz);
 # window w is centred at epoch w + n
-n = deform_predictor.DEFAULT_WINDOW
+n = deform_predictor.WINDOW
 deformable, masked, _ = deform_predictor.training_windows([train_sets[0]])
 window = masked[10 - n]
 print(f"\ntoken window: {window.size} tokens over "
@@ -41,6 +41,8 @@ print(f"\ntoken window: {window.size} tokens over "
 model, losses = deform_predictor.train(train_sets, epochs=200, seed=0)
 print(f"\nloss curve: {losses[0]:.4f} -> {losses[-1]:.4f} "
       f"over {len(losses)} training epochs")
+print(f"offsets enter and leave the network in units of "
+      f"{model.offset_scale:.2f} mm (the training targets' spread)")
 
 # -- held-out evaluation -------------------------------------------------------------
 

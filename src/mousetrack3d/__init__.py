@@ -23,7 +23,6 @@ from .geometry import (
     decompose_projection,
     project,
     resect,
-    triangulate,
 )
 from .mouse_model import deform, world_part_positions
 from .simulator import SceneConfig, SimulatedDataset, default_cameras, simulate

@@ -631,7 +631,7 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model, *,
     offsets.
     """
     T = dataset.n_epochs
-    n = model.window
+    n = deform_predictor.WINDOW
     world, have = (parts if parts is not None
                    else triangulate_parts(dataset, cameras))
     x = track.poses

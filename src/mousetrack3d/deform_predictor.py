@@ -1,15 +1,16 @@
 """Learned body-part deformation from token windows.
 
-Each token pairs a body part's rigid model coordinate with its deformable
-coordinate (model frame, mm). A window covers the 2n+1 epochs around a
-centre epoch (n = `SequenceModel.window`); the deformable components of the
-mid epoch are masked and predicted. `token_windows` cuts every window of a
-recording with one fancy index into (W, 2n+1, 8, 3) deformable coordinates
-and (W, 2n+1, 8) masks. The rigid half of every token is the model's
-coordinates, so windows store only the deformable half. The predictor is a
-small single-layer LSTM trained by backpropagation through time, with a skip
-connection: the network outputs the offset from the rigid coordinate, so
-prediction = rigid + offset.
+A token is one body part at one epoch: its deformable coordinate's offset
+from the rigid model coordinate (model frame, mm) and a mask flag. A window
+covers the 2n+1 epochs around a centre epoch (n = `WINDOW`); the mid epoch's
+parts are masked and their offsets predicted. `token_windows` cuts every
+window of a recording with one fancy index into (W, 2n+1, 8, 3) deformable
+coordinates and (W, 2n+1, 8) masks. The network sees offsets divided by one
+number, `SequenceModel.offset_scale` (the spread of the training targets'
+offset components, in mm), and its outputs are multiplied by the same
+number. The predictor is a small single-layer LSTM trained by
+backpropagation through time, with a skip connection: the network outputs
+the offset from the rigid coordinate, so prediction = rigid + offset.
 
 Implementation is plain numpy; training is single-threaded and bit-exact
 reproducible for a fixed seed and dataset order.
@@ -27,7 +28,7 @@ from .errors import (DivergedLoss, SchemaError, UntrainedModel, check_object,
                      is_int, numbers, read_json)
 
 N_PARTS = 8
-DEFAULT_WINDOW = 2  # n; sequence covers 2n+1 epochs
+WINDOW = 2          # n; a token window covers the 2n+1 epochs t-n..t+n
 BATCH_SIZE = 64     # training windows per Adam step
 
 
@@ -70,16 +71,13 @@ class SequenceModel:
     """Single-layer LSTM mapping token windows to masked mid-epoch offsets."""
 
     hidden_size: int = 48
-    window: int = DEFAULT_WINDOW
     weights: dict = field(default_factory=dict)
-    pos_mean: np.ndarray | None = None
-    pos_std: np.ndarray | None = None
-    off_std: np.ndarray | None = None
+    offset_scale: float | None = None   # mm per network unit, in and out
     trained: bool = False
 
     @property
     def input_size(self):
-        return N_PARTS * 7  # per part: rigid(3) + offset(3) + mask flag
+        return N_PARTS * 4  # per part: offset(3) + mask flag
 
     @property
     def output_size(self):
@@ -99,24 +97,14 @@ class SequenceModel:
         # bias the forget gate open: standard LSTM trick for gradient flow
         self.weights["b"][self.hidden_size:2 * self.hidden_size] = 1.0
 
-    def set_normalization(self, rigid, offsets):
-        """Per-coordinate z-score statistics from training arrays."""
-        pos = rigid.reshape(-1, 3)
-        self.pos_mean = pos.mean(axis=0)
-        self.pos_std = np.maximum(pos.std(axis=0), 1e-6)
-        off = offsets.reshape(-1, 3)
-        self.off_std = np.maximum(off.std(axis=0), 1e-3)
-
     def features(self, deformable, masked):
-        """(W, 2n+1, input_size) normalized feature rows of token windows,
-        one per window epoch."""
-        rigid = mouse_model.COORDS
-        rig = np.broadcast_to((rigid - self.pos_mean) / self.pos_std,
-                              deformable.shape)
-        off = (deformable - rigid) / self.off_std
+        """(W, 2n+1, input_size) feature rows of token windows, one per
+        window epoch: every part's offset in units of `offset_scale` (zero
+        where masked) and its mask flag."""
+        off = (deformable - mouse_model.COORDS) / self.offset_scale
         off = np.where(masked[..., None], 0.0, off)
         flag = masked[..., None].astype(float)
-        return np.concatenate([rig, off, flag], axis=-1).reshape(
+        return np.concatenate([off, flag], axis=-1).reshape(
             *masked.shape[:2], -1)
 
     def forward(self, X):
@@ -176,7 +164,7 @@ class SequenceModel:
         if not self.trained:
             raise UntrainedModel("model has no trained weights")
         y, _ = self.forward(self.features(deformable, masked))
-        off = y.reshape(len(y), N_PARTS, 3) * self.off_std
+        off = y.reshape(len(y), N_PARTS, 3) * self.offset_scale
         return mouse_model.COORDS + off
 
 
@@ -184,10 +172,11 @@ class SequenceModel:
 # Training
 # ---------------------------------------------------------------------------
 
-def training_windows(datasets, n=DEFAULT_WINDOW):
+def training_windows(datasets):
     """Every token window of the datasets plus its mid-epoch offset target:
     (deformable (N, 2n+1, N_PARTS, 3), masked (N, 2n+1, N_PARTS),
-    targets (N, N_PARTS, 3))."""
+    targets (N, N_PARTS, 3)), n = WINDOW."""
+    n = WINDOW
     windows = [token_windows(*_ground_truth(ds), n) for ds in datasets]
     return (np.concatenate([w[0] for w in windows]),
             np.concatenate([w[1] for w in windows]),
@@ -195,37 +184,32 @@ def training_windows(datasets, n=DEFAULT_WINDOW):
                             for ds in datasets]))
 
 
-def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48,
-          model: SequenceModel | None = None):
+def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48):
     """Train a sequence model on simulated datasets, on windows of
-    2 model.window + 1 epochs.
+    2 WINDOW + 1 epochs.
 
     Gradient descent (Adam) on the mean squared error of the masked
-    mid-epoch deformable offsets, in normalized units. Deterministic for a
-    fixed seed and dataset order.
+    mid-epoch deformable offsets, in units of the model's `offset_scale`:
+    the standard deviation of every offset component of the targets, at
+    least 1e-3 mm. Deterministic for a fixed seed and dataset order.
 
     Returns (trained model, per-epoch loss curve). Raises ValueError for
     epochs < 1.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if model is None:
-        model = SequenceModel(hidden_size=hidden_size)
+    model = SequenceModel(hidden_size=hidden_size)
     rng = np.random.default_rng(seed)
-    if not model.weights:
-        model.init_weights(rng)
+    model.init_weights(rng)
 
-    deformable, masked, targets = training_windows(datasets, n=model.window)
+    deformable, masked, targets = training_windows(datasets)
     N = len(targets)
     if not N:
         raise ValueError("no training windows; datasets too short for the window")
-    # position statistics over the rigid coordinate of every token
-    model.set_normalization(
-        np.broadcast_to(mouse_model.COORDS, deformable.shape),
-        targets)
+    model.offset_scale = max(float(targets.std()), 1e-3)
 
     X = model.features(deformable, masked)                # (N, 2n+1, D)
-    Y = targets.reshape(N, -1) / np.tile(model.off_std, N_PARTS)
+    Y = targets.reshape(N, -1) / model.offset_scale
 
     W = model.weights
     mom = {k: np.zeros_like(v) for k, v in W.items()}
@@ -263,7 +247,7 @@ def evaluate_mse(model: SequenceModel, datasets):
     """Mean squared prediction error (mm^2 per coordinate) of the masked
     mid-epoch deformable coordinates, plus the rigid-baseline MSE that
     predicts zero offset."""
-    deformable, masked, targets = training_windows(datasets, n=model.window)
+    deformable, masked, targets = training_windows(datasets)
     truth = mouse_model.COORDS + targets
     err = ((model.predict(deformable, masked) - truth) ** 2).mean(axis=(1, 2))
     base = (targets ** 2).mean(axis=(1, 2))
@@ -274,18 +258,15 @@ def evaluate_mse(model: SequenceModel, datasets):
 # Serialization
 # ---------------------------------------------------------------------------
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_model(model: SequenceModel, path):
     doc = {
         "format_version": FORMAT_VERSION,
         "hidden_size": model.hidden_size,
-        "window": model.window,
         "trained": model.trained,
-        "pos_mean": model.pos_mean.tolist(),
-        "pos_std": model.pos_std.tolist(),
-        "off_std": model.off_std.tolist(),
+        "offset_scale_mm": model.offset_scale,
         "weights": {k: v.tolist() for k, v in model.weights.items()},
     }
     with open(path, "w") as f:
@@ -293,30 +274,29 @@ def save_model(model: SequenceModel, path):
 
 
 def load_model(path) -> SequenceModel:
-    """Model written by `save_model`; every field is checked, and a field
-    it does not know or anything malformed raises SchemaError."""
+    """Model written by `save_model`; every field is checked, and a file of
+    another format version, a missing or unknown field or anything malformed
+    raises SchemaError."""
     doc = read_json(path, "model")
-    check_object(doc, ("format_version", "hidden_size", "weights", "pos_mean",
-                       "pos_std", "off_std"), ("window", "trained"),
-                 "model file")
-    if not is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
-        raise SchemaError(f"unsupported model format version {doc['format_version']!r}")
-    m = SequenceModel()
-    for key in ("hidden_size", "window"):
-        value = doc.get(key, getattr(m, key))
-        if not is_int(value) or value < 1:
-            raise SchemaError(f"model field '{key}' must be an integer >= 1")
-        setattr(m, key, value)
-    if not isinstance(doc.get("trained", True), bool):
+    # the version first: another version's fields are not this one's
+    if isinstance(doc, dict) and "format_version" in doc:
+        version = doc["format_version"]
+        if not is_int(version) or version != FORMAT_VERSION:
+            raise SchemaError(f"unsupported model format version {version!r}; "
+                              f"this version reads {FORMAT_VERSION}")
+    check_object(doc, ("format_version", "hidden_size", "trained",
+                       "offset_scale_mm", "weights"), (), "model file")
+    H = doc["hidden_size"]
+    if not is_int(H) or H < 1:
+        raise SchemaError("model field 'hidden_size' must be an integer >= 1")
+    if not isinstance(doc["trained"], bool):
         raise SchemaError("model field 'trained' must be true or false")
-    m.trained = doc.get("trained", True)
-    m.pos_mean = numbers(doc["pos_mean"], (3,), "model field 'pos_mean'")
-    for key in ("pos_std", "off_std"):
-        std = numbers(doc[key], (3,), f"model field '{key}'")
-        if not np.all(std > 0):
-            raise SchemaError(f"model field '{key}' must be positive")
-        setattr(m, key, std)
-    H, D, O = m.hidden_size, m.input_size, m.output_size
+    scale = numbers(doc["offset_scale_mm"], (), "model field 'offset_scale_mm'")
+    if not scale > 0:
+        raise SchemaError("model field 'offset_scale_mm' must be positive")
+    m = SequenceModel(hidden_size=H, offset_scale=float(scale),
+                      trained=doc["trained"])
+    D, O = m.input_size, m.output_size
     shapes = {"Wx": (4 * H, D), "Wh": (4 * H, H), "b": (4 * H,),
               "Wo": (O, H), "bo": (O,)}
     weights = doc["weights"]

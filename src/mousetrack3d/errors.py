@@ -33,10 +33,6 @@ class DegenerateConfiguration(MouseTrackError):
     """Correspondences are coplanar/collinear where a full solve needs depth."""
 
 
-class ParallelRays(MouseTrackError):
-    """Viewing rays too close to parallel for a stable triangulation."""
-
-
 # -- simulator / io ---------------------------------------------------------
 
 class CameraSeesNothing(MouseTrackError):

@@ -29,7 +29,6 @@ from .errors import (
     DegenerateConfiguration,
     InsufficientPoints,
     NonPositiveDepth,
-    ParallelRays,
     SchemaError,
     SingularCamera,
     check_object,
@@ -338,7 +337,7 @@ def _reprojection_residuals(params, K, X, x):
 
 
 def _refine_pose(K, X, x, r0, t0):
-    import scipy.optimize   # slow to import; only the refinements use it
+    import scipy.optimize   # slow to import; only this refinement uses it
     res = scipy.optimize.least_squares(
         _reprojection_residuals, np.concatenate([r0, t0]),
         args=(K, X, x), method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
@@ -439,44 +438,9 @@ _COARSE_ROTATIONS = [
 MIN_TRIANGULATION_ANGLE_DEG = 0.1
 
 
-def triangulate(observations):
-    """Intersect viewing rays from >= 2 cameras.
-
-    Parameters
-    ----------
-    observations : sequence of (CameraModel, 2-vector pixel)
-
-    Returns
-    -------
-    (3-vector global mm, per-camera residual array in px)
-
-    Raises ParallelRays when fewer than two cameras are given, when every
-    ray pair subtends less than 0.1 degrees, or when the linear solution
-    lies at infinity.
-    """
-    if len(observations) < 2:
-        raise ParallelRays(f"triangulation needs >= 2 cameras, got {len(observations)}")
-    X0 = triangulate_linear(observations)
-    if X0 is None:
-        raise ParallelRays(f"no ray pair subtends {MIN_TRIANGULATION_ANGLE_DEG} "
-                           f"deg, or the point lies at infinity")
-
-    P = np.stack([cam.projection_matrix() for cam, _ in observations])
-    pixels = np.asarray([px for _, px in observations], dtype=float)
-
-    def residuals(X):
-        return (dehomogenize(P[:, :, :3] @ X + P[:, :, 3])[0] - pixels).ravel()
-
-    import scipy.optimize   # slow to import; only the refinements use it
-    res = scipy.optimize.least_squares(residuals, X0, method="lm",
-                                       xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    per_cam = np.sqrt((res.fun.reshape(-1, 2) ** 2).sum(axis=1))
-    return res.x, per_cam
-
-
 def triangulate_linear(observations):
-    """DLT-only triangulation (no iterative refinement) of one point; returns
-    the point or None for parallel/degenerate ray bundles."""
+    """`triangulate_batch` of one point seen by (CameraModel, pixel) pairs;
+    returns the point or None for parallel/degenerate ray bundles."""
     if len(observations) < 2:
         return None
     cams = [cam for cam, _ in observations]

@@ -62,10 +62,12 @@ def test_criterion_1_geometry_closure():
         pose_b = geometry.RigidTransform(
             pose.rotation @ Rb, pose.rotation @ (X - Rb @ X) + pose.translation)
         cam_b = geometry.CameraModel(K, pose_b)
-        rec, _ = geometry.triangulate(
-            [(cam, geometry.project(cam, X)),
-             (cam_b, geometry.project(cam_b, X))])
-        worst_tri = max(worst_tri, float(np.abs(rec - X).max()))
+        rec, ok = geometry.triangulate_batch(
+            [cam, cam_b],
+            np.array([[geometry.project(cam, X), geometry.project(cam_b, X)]]),
+            np.ones((1, 2), bool))
+        worst_tri = max(worst_tri, float(np.abs(rec[0] - X).max())
+                        if ok[0] else np.inf)
 
         P = cam.projection_matrix() * rng.choice([-2.0, 0.5, 3.0])
         cam2 = geometry.decompose_projection(P)

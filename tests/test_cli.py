@@ -59,8 +59,7 @@ def test_solve_model_without_deformed_mode_exit_2(tmp_path, capsys):
     run("simulate", "--config", scene_file(tmp_path), "--out", str(data))
     model = deform_predictor.SequenceModel(hidden_size=2)
     model.init_weights(np.random.default_rng(0))
-    model.pos_mean, model.pos_std = np.zeros(3), np.ones(3)
-    model.off_std = np.ones(3)
+    model.offset_scale = 1.0
     model.trained = True
     deform_predictor.save_model(model, tmp_path / "model.json")
     track = tmp_path / "track.json"
@@ -241,7 +240,35 @@ def test_train_deform_writes_model(tmp_path):
     assert run("train-deform", "--data", str(data), "--epochs", "5",
                "--out", str(model)) == 0
     doc = json.loads(model.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
+
+
+def test_solve_with_saved_model_equals_in_memory_solve(tmp_path):
+    # the model file carries everything the solve reads from the model
+    data = tmp_path / "data.json"
+    run("simulate", "--config", scene_file(tmp_path, n_epochs=60),
+        "--out", str(data))
+    model, track = tmp_path / "model.json", tmp_path / "track.json"
+    assert run("train-deform", "--data", str(data), "--epochs", "5",
+               "--out", str(model)) == 0
+    assert run("solve", "--data", str(data), "--mode", "deformed",
+               "--deform", str(model), "--out", str(track)) == 0
+    ds = simulator.import_dataset(data)
+    trained, _ = deform_predictor.train([ds], epochs=5)
+    expected, _ = adjustment.solve_dataset(ds, mode="deformed",
+                                           deform_model=trained)
+    adjustment.save_track(expected, tmp_path / "expected.json")
+    assert track.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+def test_solve_with_version_1_model_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.json"
+    run("simulate", "--config", scene_file(tmp_path), "--out", str(data))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format_version": 1, "pos_mean": [0, 0, 0]}))
+    assert run("solve", "--data", str(data), "--mode", "deformed",
+               "--deform", str(model), "--out", str(tmp_path / "t.json")) == 2
+    assert "format version 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -330,7 +357,7 @@ def test_pipeline_deformed_mode(tmp_path):
     out = tmp_path / "out"
     assert run("pipeline", "--config", str(cfg), "--out-dir", str(out)) == 0
     model = json.loads((out / "deform_model.json").read_text())
-    assert model["format_version"] == 1
+    assert model["format_version"] == 2
     report = json.loads((out / "report.json").read_text())
     assert report["solver_status"] == "cost"
 

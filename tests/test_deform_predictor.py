@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from mousetrack3d import simulator
+from mousetrack3d import adjustment, simulator
 from mousetrack3d.deform_predictor import (
+    WINDOW,
     SequenceModel,
     evaluate_mse,
     load_model,
@@ -130,38 +131,42 @@ def test_training_determinism():
 
 
 def test_train_rejects_zero_epochs():
-    model = SequenceModel()
     with pytest.raises(ValueError):
-        train([gait_dataset(n_epochs=20)], epochs=0, model=model)
-    assert not model.trained
+        train([gait_dataset(n_epochs=20)], epochs=0)
+
+
+def test_offset_scale_is_the_targets_spread(trained_gait_model,
+                                            trained_rigid_model):
+    ds, model, _ = trained_gait_model
+    _, _, targets = training_windows([ds])
+    assert model.offset_scale == targets.std()
+    assert model.offset_scale > 1.0    # the gait moves the paws by mm
+    # no deformation: the floor, not a division by zero
+    assert trained_rigid_model[1].offset_scale == 1e-3
 
 
 def test_untrained_model_raises():
     ds = gait_dataset(n_epochs=20)
-    model = SequenceModel()
+    model = SequenceModel(offset_scale=1.0)
     model.init_weights(np.random.default_rng(0))
-    deformable, masked, targets = training_windows([ds])
-    model.set_normalization(np.broadcast_to(COORDS, deformable.shape), targets)
+    deformable, masked, _ = training_windows([ds])
     with pytest.raises(UntrainedModel):
         model.predict(deformable, masked)
 
 
-def test_window_size_comes_from_model(monkeypatch):
-    # a window = 3 model trains and is scored on 7-epoch windows
-    lengths = []
-    forward = SequenceModel.forward
-
-    def recording_forward(self, X):
-        lengths.append(X.shape[1])
-        return forward(self, X)
-
-    monkeypatch.setattr(SequenceModel, "forward", recording_forward)
-    ds = gait_dataset(n_epochs=40)
-    model, _ = train([ds], epochs=1, model=SequenceModel(window=3))
-    assert set(lengths) == {7}
-    lengths.clear()
-    evaluate_mse(model, [ds])
-    assert lengths == [7]
+def test_features_are_offsets_and_flags_on_one_scale(trained_gait_model):
+    ds, model, _ = trained_gait_model
+    deformable, masked, _ = training_windows([ds])
+    X = model.features(deformable, masked)
+    assert X.shape == (len(masked), 2 * WINDOW + 1, 8 * 4)
+    tokens = X.reshape(*masked.shape, 4)
+    assert np.array_equal(tokens[..., 3], masked)
+    assert np.allclose(tokens[..., :3] * model.offset_scale,
+                       np.where(masked[..., None], 0.0, deformable - COORDS))
+    # a triangulation error of 0.5 mm on every axis is at most 0.5 mm of
+    # input on every axis, whatever the training targets' spread per axis
+    moved = model.features(deformable + 0.5, masked)
+    assert np.abs(moved - X).max() <= 0.5 / model.offset_scale + 1e-12
 
 
 # -- prediction ---------------------------------------------------------------
@@ -177,6 +182,25 @@ def test_prediction_deterministic(trained_gait_model):
     ds, model, _ = trained_gait_model
     window = windows_at(ds, 10)
     assert np.array_equal(model.predict(*window), model.predict(*window))
+
+
+def test_offsets_from_triangulated_tokens_beat_zero_offsets(trained_gait_model):
+    # inference tokens are triangulated parts, with errors the noise-free
+    # training tokens never show; at the true poses the predicted offsets
+    # must still be closer to the truth than no offsets at all
+    _, model, _ = trained_gait_model
+    config = simulator.SceneConfig(
+        cameras=simulator.default_cameras(), seed=1, n_epochs=120,
+        step_sigma_mm=1.5, noise_sigma_px=0.5)
+    ds = simulator.simulate(config)
+    true_track = adjustment.MouseStateTrack(ds.poses, ["local"] * ds.n_epochs)
+    offsets = adjustment.predict_offsets(ds, ds.cameras, true_track, model)
+    inner = slice(WINDOW, ds.n_epochs - WINDOW)
+
+    def rms(err):
+        return np.sqrt((err[inner] ** 2).sum(axis=-1).mean())
+
+    assert rms(offsets - ds.deform_offsets) < rms(ds.deform_offsets)
 
 
 def test_sequence_order_matters(trained_gait_model):
@@ -225,13 +249,12 @@ def _set_weight(key, value):
 
 # (mutation of a saved model, expected message)
 MALFORMED_MODELS = {
-    "no_pos_mean": (_drop("pos_mean"), "pos_mean"),
-    "short_pos_std": (_set("pos_std", [1.0, 1.0]), "pos_std"),
-    "zero_off_std": (_set("off_std", [1.0, 0.0, 1.0]), "off_std"),
-    "text_pos_mean": (_set("pos_mean", ["a", 0, 0]), "pos_mean"),
+    "no_offset_scale": (_drop("offset_scale_mm"), "offset_scale_mm"),
+    "zero_offset_scale": (_set("offset_scale_mm", 0.0), "offset_scale_mm"),
+    "negative_offset_scale": (_set("offset_scale_mm", -2.5), "offset_scale_mm"),
+    "true_offset_scale": (_set("offset_scale_mm", True), "offset_scale_mm"),
+    "list_offset_scale": (_set("offset_scale_mm", [2.5]), "offset_scale_mm"),
     "text_hidden_size": (_set("hidden_size", "48"), "hidden_size"),
-    "zero_window": (_set("window", 0), "window"),
-    # a misspelt optional field would otherwise load with the default window
     "misspelt_window": (_set("windw", 3), "unknown field 'windw'"),
     "extra_weight": (_set_weight("Wz", [0.0]), "weights"),
     "missing_weight": (_drop_weight("Wh"), "weights"),
@@ -255,6 +278,18 @@ def test_model_load_rejects_malformed(tmp_path, saved_model_doc, case):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=message):
+        load_model(path)
+
+
+def test_model_load_rejects_version_1(tmp_path, saved_model_doc):
+    # a version-1 file: rigid-coordinate statistics and per-axis scales
+    doc = {key: value for key, value in saved_model_doc.items()
+           if key != "offset_scale_mm"}
+    doc.update(format_version=1, window=2, pos_mean=[0.0] * 3,
+               pos_std=[1.0] * 3, off_std=[1.0] * 3)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="format version 1"):
         load_model(path)
 
 

@@ -7,7 +7,6 @@ from mousetrack3d import geometry, simulator
 from mousetrack3d.errors import (
     InsufficientPoints,
     NonPositiveDepth,
-    ParallelRays,
     SchemaError,
     SingularCamera,
     fields,
@@ -22,7 +21,6 @@ from mousetrack3d.geometry import (
     project_many,
     resect,
     rodrigues_to_matrix,
-    triangulate,
     triangulate_batch,
     triangulate_linear,
 )
@@ -434,43 +432,56 @@ def two_orthogonal_cameras():
     return a, b
 
 
+def triangulate_views(cams, X):
+    """triangulate_batch of the one point X seen by every camera of cams:
+    (point, ok, reprojection error in px per camera)."""
+    pixels = np.stack([project(cam, X) for cam in cams])[None]
+    Y, ok = triangulate_batch(cams, pixels, np.ones((1, len(cams)), bool))
+    error = [np.linalg.norm(project(cam, Y[0]) - px)
+             for cam, px in zip(cams, pixels[0])]
+    return Y[0], ok[0], np.asarray(error)
+
+
 def test_triangulate_origin():
-    a, b = two_orthogonal_cameras()
-    X, res = triangulate([(a, project(a, [0.0, 0.0, 0.0])),
-                          (b, project(b, [0.0, 0.0, 0.0]))])
+    X, ok, res = triangulate_views(two_orthogonal_cameras(), np.zeros(3))
+    assert ok
     assert np.allclose(X, 0.0, atol=1e-9)
     assert np.all(res < 1e-9)
 
 
 def test_triangulate_single_camera_raises():
+    # the batch does not raise: its ok mask rejects the point
     a, _ = two_orthogonal_cameras()
-    with pytest.raises(ParallelRays):
-        triangulate([(a, np.array([0.0, 0.0]))])
+    X, ok = triangulate_batch([a], np.zeros((1, 1, 2)), np.ones((1, 1), bool))
+    assert not ok[0] and np.isnan(X[0]).all()
 
 
 def test_triangulate_parallel_rays_raise():
+    # the batch does not raise: its ok mask rejects the point
     K = np.diag([1000.0, 1000.0, 1.0])
     a = CameraModel(K, RigidTransform(np.eye(3), np.array([0, 0, 1000.0])))
     b = CameraModel(K, RigidTransform(np.eye(3), np.array([0, 0, 2000.0])))
     # same pixel in both cameras of identical orientation -> near-parallel rays
-    with pytest.raises(ParallelRays):
-        triangulate([(a, np.array([0.0, 0.0])), (b, np.array([0.0, 0.0]))])
+    X, ok = triangulate_batch([a, b], np.zeros((1, 2, 2)), np.ones((1, 2), bool))
+    assert not ok[0] and np.isnan(X[0]).all()
 
 
 def test_triangulate_project_roundtrip():
     rng = np.random.default_rng(17)
     a, b = two_orthogonal_cameras()
-    for _ in range(100):
-        X = rng.normal(scale=80, size=3)
-        rec, _ = triangulate([(a, project(a, X)), (b, project(b, X))])
-        assert np.allclose(rec, X, atol=1e-6)
+    X = rng.normal(scale=80, size=(100, 3))
+    pixels = np.stack([project_many(a, X)[0], project_many(b, X)[0]], axis=1)
+    rec, ok = triangulate_batch([a, b], pixels, np.ones((100, 2), bool))
+    assert ok.all()
+    assert np.allclose(rec, X, atol=1e-6)
 
 
 @pytest.mark.parametrize("source", ["built", "loaded"])
 def test_triangulate_with_scaled_calibration(tmp_path, source):
-    a, b = doubled_k_cameras(tmp_path, source)[:2]
+    cams = doubled_k_cameras(tmp_path, source)[:2]
     X = np.array([10.0, -20.0, 30.0])
-    rec, res = triangulate([(a, project(a, X)), (b, project(b, X))])
+    rec, ok, res = triangulate_views(cams, X)
+    assert ok
     assert np.allclose(rec, X, rtol=0, atol=1e-6)
     assert np.all(res < 1e-6)
 

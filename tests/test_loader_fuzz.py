@@ -58,7 +58,7 @@ def valid(tmp_path_factory):
     geometry.save_cameras(ds.cameras, root / "cameras.json")
     model = deform_predictor.SequenceModel(hidden_size=2)
     model.init_weights(np.random.default_rng(0))
-    model.pos_mean, model.pos_std, model.off_std = np.zeros(3), np.ones(3), np.ones(3)
+    model.offset_scale = 1.0
     model.trained = True
     deform_predictor.save_model(model, root / "model.json")
     docs = {kind: json.loads((root / f"{kind}.json").read_text())

@@ -103,14 +103,17 @@ def test_brownian_mean_squared_displacement_linear():
 def test_noiseless_observations_retriangulate():
     config = make_config(noise_sigma_px=0.0, n_epochs=30)
     ds = simulate(config)
-    cams = ds.cameras
-    for t in range(0, 30, 7):
-        for i in range(8):
-            views = [(cams[k], ds.observations[t, k, i])
-                     for k in range(len(cams)) if ds.visible[t, k, i]]
-            assert len(views) >= 2
-            X, _ = geometry.triangulate(views)
-            assert np.allclose(X, ds.deformable_world[t, i], atol=1e-6)
+    epochs = np.arange(0, 30, 7)
+    # (epochs, parts) points, each seen by the cameras that see it
+    pixels = ds.observations[epochs].transpose(0, 2, 1, 3)
+    visible = ds.visible[epochs].transpose(0, 2, 1)
+    assert (visible.sum(axis=2) >= 2).all()
+    X, ok = geometry.triangulate_batch(
+        ds.cameras, pixels.reshape(-1, len(ds.cameras), 2),
+        visible.reshape(-1, len(ds.cameras)))
+    assert ok.all()
+    assert np.allclose(X.reshape(len(epochs), 8, 3),
+                       ds.deformable_world[epochs], atol=1e-6)
 
 
 def test_render_equals_per_epoch_projection():
