@@ -58,27 +58,23 @@ SOLVED_FROM = ("local", "interpolated", "adjusted")
 # (`_chunks` merges a last chunk shorter than 3 for T - 2 and T - 1)
 CHUNK_EPOCHS = 128
 
+# two-tier observation sigmas (px): pure body-part localization accuracy
+# where deformation is modeled (deformed mode), and that accuracy plus
+# unmodeled body deformation absorbed as inflated noise (rigid mode)
+SIGMA_PX_GEOMETRIC = 0.5
+SIGMA_PX_DEFORMATION = 3.0
+
 _EYE3, _EYE6 = np.eye(3), np.eye(6)
 
 
 @dataclass(frozen=True)
 class StochasticConfig:
-    """Two-tier observation weights plus the smoothness weight.
+    """The smoothness weight, which converts grid displacements (mm) into
+    residual units."""
 
-    sigma_px_geometric reflects pure body-part localization accuracy
-    (deformation modeled explicitly); sigma_px_deformation additionally
-    absorbs unmodeled body deformation as inflated noise.
-    smoothness_weight converts grid displacements (mm) into residual units.
-    """
-
-    sigma_px_geometric: float = 0.5
-    sigma_px_deformation: float = 3.0
     smoothness_weight: float = 1e-3
 
     def __post_init__(self):
-        sigmas = [self.sigma_px_geometric, self.sigma_px_deformation]
-        if not (np.isfinite(sigmas).all() and min(sigmas) > 0):
-            raise ValueError("sigmas must be finite and > 0")
         if not (np.isfinite(self.smoothness_weight)
                 and self.smoothness_weight >= 0):
             raise ValueError("smoothness_weight must be finite and >= 0")
@@ -224,7 +220,8 @@ def _chunks(n_epochs):
 
 class _Forward(NamedTuple):
     """One forward pass of a `Problem` at x: what its residuals and its
-    linearization share. Grid arrays are over (epoch, part, camera)."""
+    linearization share, the rotation matrices that `_rotation_derivatives`
+    differentiates included. Grid arrays are over (epoch, part, camera)."""
 
     R: np.ndarray         # (T, 3, 3) epoch rotations
     S: np.ndarray         # (T, 6) interpolated poses
@@ -233,8 +230,6 @@ class _Forward(NamedTuple):
     proj: np.ndarray      # (T, 8, K, 2) pixels
     z: np.ndarray         # (T, 8, K) divisors of `geometry.dehomogenize`
     r_p: np.ndarray       # (T, 8, K, 2) weighted reprojection residuals
-    c: np.ndarray         # (T, 4, 3) p_j - s_j t_S
-    y: np.ndarray         # (T, 4, 3) R_S^T c_j
     r_s: np.ndarray       # (T, 4, 3) smoothness residuals
 
 
@@ -247,17 +242,19 @@ class Problem:
     T x 8 x K entries, with weight 1 / sigma where the observation is
     visible and 0 where not, so an invisible entry contributes nothing,
     wherever its point projects. Smoothness blocks: one per epoch,
-    smoothness_weight times the displacements of the comparison grid
-    between the epoch's pose and the cubic recombination of its window
-    neighbors.
+    smoothness_weight times the world displacements H g - S g of the
+    body's comparison grid between the epoch's pose H and the cubic
+    recombination S of its window neighbors.
 
     The windows, their weights and the rotation-branch rule of the cubic
     are `track_constraint`'s (`window_slots`, `interpolate`), so the cost
     depends only on the rotations, not on how x writes them. Each epoch's
     smoothness block is the 12 residuals
-    smoothness_weight * (R_H R_S^T (p_j - s_j t_S) + s_j t_H - p_j) of the
-    four weighted points (p_j, s_j) of `track_constraint.grid_factor` of
-    `track_constraint.GRID`, which have the grid's sum of squares.
+    smoothness_weight * ((R_H - R_S) p_j + s_j (t_H - t_S)) of the four
+    weighted points (p_j, s_j) of `track_constraint.grid_factor` of
+    `track_constraint.GRID`, which have the grid's sum of squares. A
+    translation of the world origin adds the same vector to t_H and t_S,
+    so it leaves them unchanged.
 
     The smoothness residual of epoch t depends on the poses of the five
     consecutive epochs from `win_start[t]`, the slots of its window (t
@@ -341,7 +338,7 @@ class Problem:
         proj, z = geometry.dehomogenize(q)
         r_p = (proj - self._px) * self._weight[..., None]
         f = _Forward(R, S, branch, RS, proj, z, r_p,
-                     *self._smooth_forward(x, S, R, RS))
+                     self._smooth_forward(x, S, R, RS))
         self._last = (x.tobytes(), f)
         return f
 
@@ -360,14 +357,13 @@ class Problem:
             geometry.canonical_rodrigues(x[:, :3]))
 
     def _smooth_forward(self, x, S, RH, RS):
-        """c_j = p_j - s_j t_S and y_j = R_S^T c_j (T, 4, 3), and the
-        residuals (T, 4, 3), for interpolated poses S with rotations R_S and
-        epoch rotations R_H."""
-        s = self.smooth_s[:, None]
-        c = self.smooth_p - s * S[:, None, 3:]
-        y = c @ RS
-        res = y @ RH.transpose(0, 2, 1) + s * x[:, None, 3:] - self.smooth_p
-        return c, y, self.stochastic.smoothness_weight * res
+        """Smoothness residuals (T, 4, 3), the weighted world displacements
+        (R_H - R_S) p_j + s_j (t_H - t_S) of the four points, for epoch poses
+        x (T, 6) with rotations R_H and interpolated poses S with rotations
+        R_S."""
+        res = (self.smooth_p @ (RH - RS).transpose(0, 2, 1)
+               + self.smooth_s[:, None] * (x[:, None, 3:] - S[:, None, 3:]))
+        return self.stochastic.smoothness_weight * res
 
     def cost(self, x):
         r = self.residuals(x)
@@ -430,17 +426,13 @@ class Problem:
         exactly the identity where they are 1).
         """
         n = hi - lo
-        s = self.smooth_s[None, :, None, None]
-        y, c = f.y[lo:hi, None], f.c[lo:hi, None]
-        R, RS = f.R[lo:hi], f.RS[lo:hi]
+        p = self.smooth_p
         C = np.empty((n, 4, 3, 12))
-        # own pose: d(R_H y + s t_H)/d(r_H, t_H)
-        C[..., 0:3] = (y @ dRH.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
+        # d r_j / d(r_H, t_H, r_S, t_S) = [dR_H p_j | s_j I | -dR_S p_j | -s_j I]
+        C[..., 0:3] = (p @ dRH.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
         C[..., 3:6] = self._s_eye
-        # interpolated pose: d(R_H R_S^T c)/d r_S and d/d t_S = -s R_H R_S^T
-        C[..., 6:9] = ((c @ dRS) @ R.transpose(0, 2, 1)[:, None]
-                       ).transpose(0, 2, 3, 1)
-        C[..., 9:12] = -s * (R @ RS.transpose(0, 2, 1))[:, None]
+        C[..., 6:9] = -(p @ dRS.transpose(0, 1, 3, 2)).transpose(0, 2, 3, 1)
+        C[..., 9:12] = -self._s_eye
         C *= self.stochastic.smoothness_weight
         w = self.slot_weights[lo:hi]
         M = np.zeros((n, 12, 5, 6))
@@ -602,22 +594,22 @@ def build_problem(dataset, cameras, track=None, deform_model=None,
     """Assemble the residual system for a dataset.
 
     Without a deformation model every observation becomes a rigid
-    reprojection block weighted by sigma_px_deformation (body deformation
+    reprojection block weighted by SIGMA_PX_DEFORMATION (body deformation
     treated as noise). With one, per-epoch offsets are predicted from the
     current track (`predict_offsets`, which gets `parts`) and blocks use
-    sigma_px_geometric.
+    SIGMA_PX_GEOMETRIC.
     """
     stochastic = stochastic or StochasticConfig()
     model_pts = mouse_model.COORDS
     if deform_model is None:
         return Problem(dataset, cameras, model_pts, stochastic,
-                       stochastic.sigma_px_deformation)
+                       SIGMA_PX_DEFORMATION)
     if track is None:
         raise ValueError("deformed mode needs a current track estimate")
     offsets = predict_offsets(dataset, cameras, track, deform_model,
                               parts=parts)
     return Problem(dataset, cameras, model_pts + offsets, stochastic,
-                   stochastic.sigma_px_geometric)
+                   SIGMA_PX_GEOMETRIC)
 
 
 def predict_offsets(dataset, cameras, track: MouseStateTrack, model, *,

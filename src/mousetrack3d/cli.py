@@ -197,7 +197,11 @@ def cmd_pipeline(args):
         stochastic=stochastic)
     adjustment.save_track(track, os.path.join(out, "track.json"))
 
-    report = evaluation.evaluate(track, dataset)
+    # deformed parts are scored with the offsets of the final track
+    offsets = (adjustment.predict_offsets(dataset, config.cameras, track,
+                                          deform_model)
+               if deform_model is not None else None)
+    report = evaluation.evaluate(track, dataset, offsets)
     evaluation.save_report(report, os.path.join(out, "report.json"),
                            extra={"config_hash": cfg_hash,
                                   "solver_status": solve_report.status})

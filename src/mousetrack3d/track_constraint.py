@@ -4,14 +4,16 @@ adjustment and `track_residual`.
 Each epoch's six pose parameters are compared against the unique cubic
 polynomial through four neighboring epochs (t-2, t-1, t+1, t+2; one-sided
 windows at the track boundaries), which takes the nodes' rotation vectors on
-the 2 pi branch nearest the epoch's canonical vector. The comparison is
-expressed as the displacement of `GRID`, the 3x3x3 grid of model-frame points
-spanning the body, under the transform H * S^-1, where H is the epoch's pose
-and S the recombined interpolated pose. Poses are (..., 6) rows: Rodrigues
-vector, then translation in mm. The RMS of the grid displacements is the
-scalar smoothness metric. The bundle adjustment uses an exact equivalent
-with four weighted points (`grid_factor`) as its least-squares residuals; it
-has the same sum of squares and the same normal equations.
+the 2 pi branch nearest the epoch's canonical vector. The comparison is the
+world displacement H g - S g of each point g of `GRID`, the 3x3x3 grid of
+model-frame points spanning the body, where H is the epoch's pose and S the
+recombined interpolated pose. It is the body-frame difference S^-1 H g - g
+turned by R_S, so its norm does not depend on where the world frame sits.
+Poses are (..., 6) rows: Rodrigues vector, then translation in mm. The RMS
+of the grid displacements is the scalar smoothness metric. The bundle
+adjustment uses an exact equivalent with four weighted points
+(`grid_factor`) as its least-squares residuals; it has the same sum of
+squares and the same normal equations.
 """
 
 from __future__ import annotations
@@ -126,13 +128,12 @@ def grid_factor(points):
 
 
 def grid_displacements(H, S):
-    """(..., 27, 3) displacement R_H R_S^T (g - t_S) + t_H - g of each point
-    g of `GRID` under H * S^-1, for broadcasting (..., 6) pose rows H and S."""
-    H, S = np.asarray(H, dtype=float), np.asarray(S, dtype=float)
-    RH = geometry.rodrigues_to_matrix(H[..., :3])
-    RS = geometry.rodrigues_to_matrix(S[..., :3])
-    return ((GRID - S[..., None, 3:]) @ RS @ np.swapaxes(RH, -1, -2)
-            + H[..., None, 3:] - GRID)
+    """(..., 27, 3) world displacement H g - S g = (R_H - R_S) g + t_H - t_S
+    of each body point g of `GRID`, for broadcasting (..., 6) pose rows H and
+    S. Its norm is that of the body-frame displacement S^-1 H g - g, so the
+    norm does not depend on the world frame."""
+    return (mouse_model.world_part_positions(H, GRID)
+            - mouse_model.world_part_positions(S, GRID))
 
 
 def grid_rmse(H, S):

@@ -45,9 +45,9 @@ def make_problem(ds, offsets=None, stochastic=None):
     pts = mouse_model.COORDS
     if offsets is None:
         return Problem(ds, ds.cameras, pts, stochastic,
-                       stochastic.sigma_px_deformation)
+                       adjustment.SIGMA_PX_DEFORMATION)
     return Problem(ds, ds.cameras, pts + offsets, stochastic,
-                   stochastic.sigma_px_geometric)
+                   adjustment.SIGMA_PX_GEOMETRIC)
 
 
 def gt_track(ds):
@@ -161,7 +161,7 @@ def test_problem_sizing_counts():
 def test_problem_rigid_kind_without_model():
     ds = make_dataset(n_epochs=10)
     problem = build_problem(ds, ds.cameras)
-    assert problem.sigma_px == StochasticConfig().sigma_px_deformation
+    assert problem.sigma_px == adjustment.SIGMA_PX_DEFORMATION
     assert problem.model_pts.shape == (8, 3)
 
 
@@ -185,7 +185,7 @@ def test_zero_smoothness_weight_block_diagonal():
 def test_deformed_problem_uses_per_epoch_points():
     ds = make_dataset(n_epochs=15, deformation=True, step_sigma=1.5)
     problem = make_problem(ds, offsets=ds.deform_offsets)
-    assert problem.sigma_px == StochasticConfig().sigma_px_geometric
+    assert problem.sigma_px == adjustment.SIGMA_PX_GEOMETRIC
     assert problem.model_pts.shape == (15, 8, 3)
     # ground-truth offsets make the ground-truth track almost reprojection-free
     rp, _ = problem.residual_rms(gt_track(ds).as_array())
@@ -505,7 +505,7 @@ def test_four_point_smoothness_equals_grid_sum():
     rng = np.random.default_rng(4)
     x = gt_track(ds).as_array() + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
                                              size=(9, 6))
-    # oracle: every grid point's displacement under H_t S_t^-1
+    # oracle: every grid point's world displacement H_t g - S_t g
     first, slot_weights = track_constraint.window_slots(9)
     S = np.einsum("ta,tap->tp", slot_weights,
                   x[first[:, None] + np.arange(5)])
@@ -674,7 +674,7 @@ def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
     model_pts = mouse_model.COORDS
     stochastic = StochasticConfig()
     problem = IndefiniteFirstStep(ds, ds.cameras, model_pts, stochastic,
-                                  stochastic.sigma_px_deformation)
+                                  adjustment.SIGMA_PX_DEFORMATION)
     attempts = []   # (damped diagonal of entry 0, factorization succeeded)
     factorize = scipy.linalg.cholesky_banded
 
@@ -704,7 +704,7 @@ def test_solve_reports_no_descent():
     model_pts = mouse_model.COORDS
     stochastic = StochasticConfig()
     problem = IndefiniteBand(ds, ds.cameras, model_pts, stochastic,
-                             stochastic.sigma_px_deformation)
+                             adjustment.SIGMA_PX_DEFORMATION)
     init = initialize(ds)
     track, report = solve(problem, init)
     assert report.status == "no_descent"
@@ -830,8 +830,7 @@ def test_solve_dataset_triangulates_once(monkeypatch, mode):
 
 @pytest.mark.parametrize("kwargs", [
     {"smoothness_weight": -0.5}, {"smoothness_weight": np.nan},
-    {"smoothness_weight": np.inf}, {"sigma_px_geometric": 0.0},
-    {"sigma_px_deformation": np.nan}])
+    {"smoothness_weight": np.inf}])
 def test_stochastic_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         StochasticConfig(**kwargs)

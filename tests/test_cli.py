@@ -4,7 +4,8 @@ import pytest
 
 import numpy as np
 
-from mousetrack3d import adjustment, cli, deform_predictor, geometry, simulator
+from mousetrack3d import (adjustment, cli, deform_predictor, evaluation,
+                          geometry, simulator)
 from mousetrack3d.errors import DivergedLoss
 
 
@@ -360,6 +361,17 @@ def test_pipeline_deformed_mode(tmp_path):
     assert model["format_version"] == 2
     report = json.loads((out / "report.json").read_text())
     assert report["solver_status"] == "cost"
+    # parts are scored with the offsets predicted for the final track; the
+    # report rounds to 1e-9 mm, and the files round-trip to about that
+    dataset = simulator.import_dataset(out / "data.json")
+    track = adjustment.load_track(out / "track.json")
+    offsets = adjustment.predict_offsets(
+        dataset, dataset.cameras, track,
+        deform_predictor.load_model(out / "deform_model.json"))
+    expected = evaluation.evaluate(track, dataset, offsets).per_part_rmse_mm
+    rigid = evaluation.evaluate(track, dataset).per_part_rmse_mm
+    assert report["per_part_rmse_mm"] == pytest.approx(expected, rel=0, abs=1e-8)
+    assert np.abs(rigid - expected).max() > 1e-3
 
 
 def test_pipeline_check_negative_control(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Metamorphic tests: transformations of a recording that must leave the
-solve unchanged, so no reference solution is needed.
+solve unchanged, or move it by the same translation, so no reference
+solution is needed. A world rotation is not among them: the cubic
+interpolates rotation vectors component by component, so turning the world
+changes the solve.
 
 Each runs on short criterion-5-type scenes (75% dropout, smoothness weight
 0.1), where about a third of the epochs have fewer than three visible parts
@@ -20,9 +23,11 @@ SEEDS = range(6)
 STOCHASTIC = StochasticConfig(smoothness_weight=0.1)
 # largest differences measured on SEEDS, translation / rotation entry /
 # relative final cost: reversal 5.6e-10 mm / 7.6e-11 / 3.0e-15; K x 2
-# exactly 0; permutation 8.7e-14 mm / 6.4e-15 / 3.2e-15
+# exactly 0; permutation 8.7e-14 mm / 6.4e-15 / 3.2e-15; world origin
+# moved 1000 mm 5.0e-9 mm / 6.6e-10 / 1.3e-14
 REVERSAL_TOL_MM, REVERSAL_TOL_ROT = 1e-6, 1e-7
 EXACT_TOL_MM, EXACT_TOL_ROT = 1e-10, 1e-11
+SHIFT_TOL_MM, SHIFT_TOL_ROT = 1e-6, 1e-7
 
 
 def _scene(seed):
@@ -88,3 +93,24 @@ def test_permuted_camera_slots_give_same_solve(solved):
         permuted, permuted_report = _solve(permuted_ds)
         _assert_same_solve(track, report, permuted, permuted_report,
                            EXACT_TOL_MM, EXACT_TOL_ROT)
+
+
+def test_moved_world_origin_gives_translated_track(solved):
+    # the world origin moves by -d: a world point X becomes X + d, so the
+    # cameras map it by t_c - R_c d and the truth moves by d; the pixels stay
+    d = np.array([1000.0, 0.0, 0.0])
+    for ds, track, report in solved:
+        cameras = [dataclasses.replace(c, pose_global=geometry.RigidTransform(
+            c.pose_global.rotation,
+            c.pose_global.translation - c.pose_global.rotation @ d))
+            for c in ds.cameras]
+        poses = ds.poses.copy()
+        poses[:, 3:] += d
+        moved_ds = dataclasses.replace(
+            ds, config=dataclasses.replace(ds.config, cameras=cameras),
+            poses=poses, rigid_world=ds.rigid_world + d,
+            deformable_world=ds.deformable_world + d)
+        moved, moved_report = _solve(moved_ds)
+        moved.poses[:, 3:] -= d
+        _assert_same_solve(track, report, moved, moved_report,
+                           SHIFT_TOL_MM, SHIFT_TOL_ROT)

@@ -205,6 +205,25 @@ def test_grid_metric_broadcasts_over_pose_rows():
                        rmse.reshape(2, 20), rtol=0, atol=1e-12)
 
 
+def test_grid_metric_does_not_depend_on_world_frame():
+    # a rigid world change W maps each displacement H g - S g to R_W times
+    # it, which keeps its norm
+    rng = np.random.default_rng(22)
+    H = np.column_stack([rng.normal(size=(40, 3)), rng.normal(scale=20, size=(40, 3))])
+    S = np.column_stack([rng.normal(size=(40, 3)), rng.normal(scale=20, size=(40, 3))])
+    for _ in range(5):
+        R_W = geometry.rodrigues_to_matrix(rng.normal(size=3))
+        t_W = rng.normal(scale=1000, size=3)
+
+        def moved(P):
+            R = R_W @ geometry.rodrigues_to_matrix(P[:, :3])
+            return np.column_stack([geometry.matrix_to_rodrigues(R),
+                                    P[:, 3:] @ R_W.T + t_W])
+
+        assert np.allclose(grid_rmse(moved(H), moved(S)), grid_rmse(H, S),
+                           rtol=0, atol=1e-12)
+
+
 # -- track residual -----------------------------------------------------------
 
 def linear_track(n=20):

@@ -73,7 +73,7 @@ def first_recording_problem(workload):
     if workload.mode == "deformed":
         problem = adjustment.Problem(
             ds, ds.cameras, mouse_model.COORDS + ds.deform_offsets,
-            stochastic, stochastic.sigma_px_geometric)
+            stochastic, adjustment.SIGMA_PX_GEOMETRIC)
     else:
         problem = adjustment.build_problem(ds, ds.cameras,
                                            stochastic=stochastic)
