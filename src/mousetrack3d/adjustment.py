@@ -19,8 +19,10 @@ terms come from one 12 x 30 Jacobian per epoch, over the five epochs of its
 window. Each linearization reuses the forward pass of the cost evaluation at
 the same point, rotation matrices included, and forms its Jacobians one
 chunk of CHUNK_EPOCHS consecutive epochs at a time: beyond that forward
-pass, only the normal matrix's blocks and band and the gradient grow with
-the recording's length, and they are bit-identical at any chunk length.
+pass, only the normal matrix's blocks and band, the per-epoch reprojection
+products and the gradient grow with the recording's length, and they are
+bit-identical at any chunk length. The Jacobian has one layout, rows over
+five consecutive epochs (`Problem.jacobian`), checked in 30 colours.
 The recording is triangulated once per solve, for the initialization and
 every deformation-offset prediction. Camera poses are fixed throughout.
 """
@@ -261,10 +263,10 @@ class Problem:
     itself and its four nodes), so J^T J is banded with half-bandwidth
     `bandwidth` = 29 (a track has at least five epochs).
     `_smooth_jacobian` forms that Jacobian over the five slots for a range
-    of epochs: `jacobian` takes it over all epochs at once and
-    `normal_equations` chunk by chunk. A reprojection
-    residual depends on its own epoch's pose only, so its terms enter that
-    epoch's diagonal block alone.
+    of epochs. A reprojection residual depends on its own epoch's pose
+    only, so every row of J lies within five consecutive epochs: the
+    windowed rows of `jacobian`, which `normal_equations` forms chunk by
+    chunk.
 
     `residuals` keeps its forward pass, and `normal_equations` at a
     bit-equal x linearizes on it instead of repeating it, as
@@ -443,24 +445,24 @@ class Problem:
         return C.reshape(n, 12, 12) @ M.reshape(n, 12, 30)
 
     def jacobian(self, x):
-        """Dense (n_residuals, n_params) Jacobian at x, written from the
-        same per-range factors as `normal_equations`, over all epochs at
-        once. It holds n_residuals x 6T floats, so it serves checks only;
-        the solver never forms it."""
+        """(J, first): the Jacobian at x in windowed rows, in the order of
+        `residuals`. Columns 6a..6a+5 of row i of J (n_residuals, 30) are
+        its derivatives by x[first[i] + a]; all others are zero. A
+        reprojection row fills only its epoch's slot in that epoch's window.
+        Formed from the same per-range factors as `normal_equations`, over
+        all epochs at once; the solver never forms it."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
         T, n = self.n_epochs, self.n_obs
         f = self._state(x)
         dRH, dRS = self._rotation_derivatives(x, f, 0, T)
+        J_p = np.zeros((n, 2, 5, 6))
+        J_p[np.arange(n), :, self._own_slot[self.obs_t]] = \
+            self._reprojection_jacobian(f, dRH, 0, T).reshape(
+                -1, 2, 6)[self._obs_grid]
         J_s = self._smooth_jacobian(x, f, dRH, dRS, 0, T)
-        J_p = self._reprojection_jacobian(f, dRH, 0, T).reshape(
-            -1, 2, 6)[self._obs_grid]
-        J = np.zeros((self.n_residuals, self.n_params))
-        J[(2 * np.arange(n))[:, None, None] + np.arange(2)[:, None],
-          (6 * self.obs_t)[:, None, None] + np.arange(6)] = J_p
-        # epoch t's 12 rows over the 30 columns of its window's five slots
-        J[(2 * n + 12 * np.arange(T))[:, None, None] + np.arange(12)[:, None],
-          (6 * self.win_start)[:, None, None] + np.arange(30)] = J_s
-        return J
+        first = np.concatenate([np.repeat(self.win_start[self.obs_t], 2),
+                                np.repeat(self.win_start, 12)])
+        return np.concatenate([J_p.reshape(-1, 30), J_s.reshape(-1, 30)]), first
 
     def normal_equations(self, x):
         """J^T J in lower banded storage and J^T r at x.
@@ -469,17 +471,9 @@ class Problem:
         N[i - j, j] = (J^T J)[i, j] for i >= j (the layout of
         scipy.linalg.cholesky_banded with lower=True), g = J^T r.
 
-        With J_ta the columns of slot a in J_s[t], epoch t's smoothness
-        residuals add J_tb^T J_ta to the block of J^T J with the rows of
-        slot epoch win_start[t] + b and the columns of win_start[t] + a,
-        for its 15 slot pairs b <= a, and J_ta^T r_s[t] to the gradient of
-        slot epoch a. Every interior epoch t has a window start of its own,
-        t - 2; the first three epochs share start 0 and the last three start
-        T - 5. So the terms of the two first and two last epochs are added
-        onto epochs 2 and T - 3 first, and then epochs 2..T-3 map onto the
-        window starts 0..T-5 one to one, by slices.
-
-        A reprojection residual depends on its own epoch's pose only, so its
+        Epoch t's smoothness residuals add their slot products to the
+        blocks of the five epochs of their window (`_add_smoothness`). A
+        reprojection residual depends on its own epoch's pose only, so its
         terms fill the diagonal blocks (Triggs et al., "Bundle Adjustment -
         A Modern Synthesis", 2000, sec. 6): with J_p[t] the epoch's 16K grid
         rows of `_reprojection_jacobian`, J_p[t]^T J_p[t] and
@@ -487,21 +481,30 @@ class Problem:
         add zeros. The band is written from the (T, 5, 6, 6) blocks by one
         strided copy per column offset q within an epoch.
 
-        The blocks are sums over epochs, so they are accumulated one chunk
-        of CHUNK_EPOCHS consecutive epochs at a time (`_add_chunk`), and
-        each chunk's Jacobians and products are freed before the next
-        chunk's are formed: only the blocks, g and N grow with T. The
-        chunks are visited from the last to the first. Block row j takes
-        its smoothness terms from epochs j + 2 down to j - 2, in that
-        order, whatever the chunking, so every sum is added in one order
-        and N and g are the same, bit for bit, at every chunk length.
+        The products are formed one chunk of CHUNK_EPOCHS consecutive epochs
+        at a time, from the last chunk to the first, and each chunk's
+        Jacobians are freed before the next chunk's: only the blocks, the
+        (T, 6, 6) and (T, 6) reprojection products, g and N grow with T.
+        Block row j takes its smoothness terms from epochs j + 2 down to
+        j - 2, whatever the chunking, and its reprojection terms last, after
+        the chunk loop, so N and g are the same, bit for bit, at every
+        chunk length.
         """
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
         f = self._state(x)
         T = self.n_epochs
-        blocks = g = later = None
+        blocks, g = np.zeros((T, 5, 6, 6)), np.zeros((T, 6))
+        JtJ, Jtr = np.empty((T, 6, 6)), np.empty((T, 6))
         for lo, hi in reversed(_chunks(T)):
-            blocks, g, later = self._add_chunk(x, f, lo, hi, blocks, g, later)
+            dRH, dRS = self._rotation_derivatives(x, f, lo, hi)
+            self._add_smoothness(x, f, dRH, dRS, lo, hi, blocks, g)
+            # reprojection: each epoch's 16K grid rows in one product
+            J_p = self._reprojection_jacobian(f, dRH, lo, hi).reshape(
+                hi - lo, -1, 6)
+            JtJ[lo:hi] = J_p.transpose(0, 2, 1) @ J_p
+            Jtr[lo:hi] = (f.r_p[lo:hi].reshape(hi - lo, 1, -1) @ J_p)[:, 0]
+        blocks[:, 0] += JtJ
+        g += Jtr
         # entry (q, p) of block [j, d] is (J^T J)[6(j + d) + p, 6j + q], at
         # N[6d + p - q, 6j + q]. Column q of each epoch takes its 30 (d, p)
         # entries in order from row -q: six rows above N hold the p < q
@@ -512,27 +515,22 @@ class Problem:
                 blocks[:, :, q].transpose(1, 2, 0)
         return N[6:], g.ravel()
 
-    def _add_chunk(self, x, f, lo, hi, blocks, g, later):
-        """Add the terms of epochs lo..hi-1 to `normal_equations`' blocks
-        and g, once the chunks after it have been added, and return
-        (blocks, g, pending). blocks[j, d] is the block of J^T J with the
-        rows of epoch j and the columns of epoch j + d. blocks and g are
-        None before the first chunk visited, and are formed after its J_s,
-        so that a track of one chunk does not hold both at once.
+    def _add_smoothness(self, x, f, dRH, dRS, lo, hi, blocks, g):
+        """Add the smoothness terms of epochs lo..hi-1, with the derivatives
+        dRH and dRS of their own and interpolated rotations, to
+        `normal_equations`' blocks and g; blocks[j, d] is the block of J^T J
+        with the rows of epoch j and the columns of epoch j + d.
 
-        A diagonal block takes its reprojection terms after all of its
-        smoothness terms, and those of rows lo and lo + 1 (lo > 0) come
-        also from the two epochs before the chunk. So these two rows'
-        reprojection terms are returned as `pending`, and `later` holds
-        those of the chunk after, rows hi and hi + 1, which this chunk's
-        smoothness terms complete. Epochs 0, 1 and T - 2, T - 1 lie in the
-        chunks of the epochs 2 and T - 3 they are folded onto (`_chunks`).
+        With J_ta the columns of slot a in J_s[t], epoch t adds J_tb^T J_ta
+        to the block of slot epochs win_start[t] + b and win_start[t] + a,
+        for its 15 slot pairs b <= a, and J_ta^T r_s[t] to slot epoch a's
+        gradient. Epochs 0, 1 and T - 2, T - 1 share the window start of
+        epochs 2 and T - 3, so their terms are folded onto those first (they
+        lie in one chunk, `_chunks`); then epochs 2..T-3 map onto the window
+        starts 0..T-5 one to one, by slices.
         """
         T = self.n_epochs
-        dRH, dRS = self._rotation_derivatives(x, f, lo, hi)
         J_s = self._smooth_jacobian(x, f, dRH, dRS, lo, hi)
-        if blocks is None:
-            blocks, g = np.zeros((T, 5, 6, 6)), np.zeros((T, 6))
         folds = [(i - lo, j - lo) for i, j in self._folds if lo <= j < hi]
         # the chunk's epochs among 2..T-3 are rows first..end - 1 of its
         # arrays, and their window starts are start..stop - 1
@@ -552,19 +550,6 @@ class Problem:
             gs[i] += gs[j]
         for a in range(5):
             g[start + a:stop + a] += gs[first:end, a]
-        del J_s     # 360 floats per epoch, freed before J_p is formed
-
-        # reprojection: each epoch's 16K grid rows in one product
-        J_p = self._reprojection_jacobian(f, dRH, lo, hi).reshape(hi - lo, -1, 6)
-        JtJ = J_p.transpose(0, 2, 1) @ J_p
-        Jtr = (f.r_p[lo:hi].reshape(hi - lo, 1, -1) @ J_p)[:, 0]
-        if later is not None:
-            blocks[hi:hi + 2, 0] += later[0]
-            g[hi:hi + 2] += later[1]
-        done = 0 if lo == 0 else 2
-        blocks[lo + done:hi, 0] += JtJ[done:]
-        g[lo + done:hi] += Jtr[done:]
-        return blocks, g, (JtJ[:done].copy(), Jtr[:done].copy())
 
     def residual_rms(self, x):
         """(reprojection RMS in px, smoothness RMS in mm) at x."""
@@ -742,18 +727,24 @@ def solve(problem: Problem, track: MouseStateTrack):
 
 def check_jacobian(problem: Problem, track: MouseStateTrack):
     """Worst relative deviation between the analytic Jacobian and central
-    finite differences (step 1e-6) over all pose parameters."""
+    finite differences (step 1e-6), in the 30 colours (epoch mod 5,
+    parameter) of Curtis, Powell & Reid, "On the estimation of sparse
+    Jacobian matrices", 1974. A row lies within five consecutive epochs,
+    so moving parameter p of every epoch a, a + 5, ... at once moves it
+    through one column alone: 60 `residuals` calls check every entry at
+    any T. At T = 5 each colour is one column."""
     step = 1e-6
-    x = track.poses.ravel()
-    J = problem.jacobian(x)
-    J_fd = np.zeros_like(J)
-    for j in range(len(x)):
+    x = track.poses.reshape(-1, 6)
+    J, first = problem.jacobian(x)
+    worst = 0.0
+    for a, p in np.ndindex(5, 6):
         xp, xm = x.copy(), x.copy()
-        xp[j] += step
-        xm[j] -= step
-        J_fd[:, j] = (problem.residuals(xp) - problem.residuals(xm)) / (2 * step)
-    scale = max(np.abs(J).max(), 1.0)
-    return float(np.abs(J - J_fd).max() / scale)
+        xp[a::5, p] += step
+        xm[a::5, p] -= step
+        fd = (problem.residuals(xp) - problem.residuals(xm)) / (2 * step)
+        col = 6 * ((a - first) % 5) + p
+        worst = max(worst, np.abs(J[np.arange(len(J)), col] - fd).max())
+    return float(worst / max(np.abs(J).max(), 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line orchestration.
 
 Subcommands: simulate, train-deform, solve, evaluate, plot, pipeline.
-Exit codes: 0 success, 2 validation/schema error, 3 numerical failure,
-4 acceptance-check failure (pipeline --check only).
+Exit codes: 0 success, 2 validation/schema error or unwritable output,
+3 numerical failure, 4 acceptance-check failure (pipeline --check only).
 All commands are deterministic under a fixed seed; emitted reports carry the
 hash of the effective config.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -46,14 +47,17 @@ def _load_config(path):
     return doc
 
 
-def _scene_config(doc, seed=None):
-    d = dict(doc)
+def _scene_config(doc, seed):
+    """(scene object, SceneConfig) of a scene config object doc: doc with
+    SceneConfig's n_epochs and seed where it gives none and the --seed
+    flag's seed when set, and its config, on the default cameras where it
+    names none."""
+    d = {"n_epochs": simulator.SceneConfig.n_epochs,
+         "seed": simulator.SceneConfig.seed, **doc}
     if seed is not None:
         d["seed"] = seed
-    if "cameras" not in d:
-        d["cameras"] = [geometry.camera_to_dict(c)
-                        for c in simulator.default_cameras()]
-    return simulator._config_from_dict(d)
+    cameras = [geometry.camera_to_dict(c) for c in simulator.default_cameras()]
+    return d, simulator._config_from_dict({"cameras": cameras, **d})
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +65,7 @@ def _scene_config(doc, seed=None):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    doc = _load_config(args.config)
-    doc.setdefault("n_epochs", 100)
-    doc.setdefault("seed", 0)
-    config = _scene_config(doc, seed=args.seed)
+    _, config = _scene_config(_load_config(args.config), args.seed)
     dataset = simulator.simulate(config)
     simulator.export_dataset(dataset, args.out)
     print(f"simulate: wrote {dataset.n_epochs} epochs to {args.out}")
@@ -140,11 +141,14 @@ def cmd_plot(args):
 # the same names follow the same rules and defaults.
 _PIPELINE_FIELDS = {key: ({}, dict, None, "an object")
                     for key in ("scene", "train", "solve", "check")}
+_TRAIN = {name: p.default for name, p in  # deform_predictor.train's defaults
+          inspect.signature(deform_predictor.train).parameters.items()}
 _TRAIN_FIELDS = {
-    "seed": (0, int, lambda v: v >= 0, "an integer >= 0"),
-    "epochs": (150, int, lambda v: v >= 1, "an integer >= 1"),
-    "lr": (1e-2, float, lambda v: v > 0, "a number > 0"),
-    "hidden": (48, int, lambda v: v >= 1, "an integer >= 1"),
+    "seed": (_TRAIN["seed"], int, lambda v: v >= 0, "an integer >= 0"),
+    "epochs": (_TRAIN["epochs"], int, lambda v: v >= 1, "an integer >= 1"),
+    "lr": (_TRAIN["lr"], float, lambda v: v > 0, "a number > 0"),
+    "hidden": (_TRAIN["hidden_size"], int, lambda v: v >= 1,
+               "an integer >= 1"),
 }
 _SOLVE_FIELDS = {
     "mode": ("rigid", str, lambda v: v in ("rigid", "deformed"),
@@ -161,13 +165,8 @@ _CHECK_FIELDS = {
 
 def cmd_pipeline(args):
     cfg = fields(_load_config(args.config), _PIPELINE_FIELDS, "pipeline config")
-    scene_doc = dict(cfg["scene"])
-    scene_doc.setdefault("n_epochs", 100)
-    scene_doc.setdefault("seed", 0)
-    if args.seed is not None:
-        scene_doc["seed"] = args.seed
+    scene_doc, config = _scene_config(cfg["scene"], args.seed)
     train_cfg, solve_cfg = cfg["train"], cfg["solve"]
-    config = _scene_config(scene_doc)
     train = fields({"seed": config.seed, **train_cfg}, _TRAIN_FIELDS,
                    "pipeline config train")
     solve = fields(solve_cfg, _SOLVE_FIELDS, "pipeline config solve")
@@ -291,7 +290,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, EpochMismatch) as e:
+    except (SchemaError, EpochMismatch, OSError) as e:
         print(f"{args.command}: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     except (NonFiniteCost, NoSolvableEpoch, DivergedLoss) as e:

@@ -184,7 +184,7 @@ def training_windows(datasets):
                             for ds in datasets]))
 
 
-def train(datasets, epochs=200, lr=1e-2, seed=0, hidden_size=48):
+def train(datasets, epochs=150, lr=1e-2, seed=0, hidden_size=48):
     """Train a sequence model on simulated datasets, on windows of
     2 WINDOW + 1 epochs.
 

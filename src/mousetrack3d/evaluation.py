@@ -18,7 +18,7 @@ class EvaluationReport:
     n_epochs: int
     position_error_mm: np.ndarray      # per epoch
     rotation_error_deg: np.ndarray     # per epoch, geodesic angle
-    completeness_input: float          # fraction of epochs solvable per frame
+    completeness_input: float          # fraction of epochs posable per frame
     completeness_output: float         # fraction of epochs with a pose
     per_part_rmse_mm: np.ndarray       # (8,) 3D reconstruction RMSE
     position_rmse_mm: float
@@ -55,6 +55,10 @@ def evaluate(track, dataset, deform_offsets_est=None) -> EvaluationReport:
 
     deform_offsets_est : optional (T, 8, 3) model-frame offsets used by the
         solver; when given, part reconstruction uses the deformed model.
+
+    completeness_input is the share of epochs that `adjustment.initialize`
+    can pose, with >= 3 parts seen by >= 2 cameras; an upper bound, since
+    triangulation also rejects near-parallel rays.
     """
     _check_epochs(track, dataset)
     T = dataset.n_epochs
@@ -70,8 +74,8 @@ def evaluate(track, dataset, deform_offsets_est=None) -> EvaluationReport:
     world = mouse_model.world_part_positions(est, pts)
     part_sq = ((world - dataset.deformable_world) ** 2).sum(axis=2)
 
-    deficient = (dataset.visible_part_counts() < 3).all(axis=1)
-    completeness_in = float(1.0 - deficient.mean())
+    completeness_in = float(np.mean(
+        (dataset.visible.sum(axis=1) >= 2).sum(axis=1) >= 3))
     # an output epoch counts only when its pose is actually constrained by
     # the solve (not a mere gap-filling interpolation)
     completeness_out = float(np.mean(
@@ -131,11 +135,8 @@ def plot(track, dataset, out_dir):
     written = []
 
     svg_path = os.path.join(out_dir, "track_topdown.svg")
-    try:
-        with open(svg_path, "w") as f:
-            f.write(_track_svg(track))
-    except OSError as e:
-        raise OSError(f"writing {svg_path}: {e}") from e
+    with open(svg_path, "w") as f:
+        f.write(_track_svg(track))
     written.append(svg_path)
 
     ts_path = os.path.join(out_dir, "track_parameters.csv")

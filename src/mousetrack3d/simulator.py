@@ -62,7 +62,6 @@ class SimulatedDataset:
 
     config: SceneConfig
     poses: np.ndarray                # (T, 6) ground-truth pose parameters
-    rigid_world: np.ndarray          # (T, 8, 3) world rigid part positions
     deformable_world: np.ndarray     # (T, 8, 3) world deformed part positions
     deform_offsets: np.ndarray       # (T, 8, 3) model-frame offsets
     observations: np.ndarray         # (T, K, 8, 2) pixels, NaN if invisible
@@ -152,12 +151,12 @@ def generate_track(config: SceneConfig):
     return np.column_stack([np.zeros((T, 2)), heading, xy, np.full(T, z_body)])
 
 
-def _world_parts(params, offsets):
-    """(rigid_world, deformable_world), each (T, 8, 3), of the rigid model
-    at pose parameters (T, 6) and with model-frame offsets (T, 8, 3)."""
-    rigid_world = mouse_model.world_part_positions(params)
+def _deformable_world(params, offsets):
+    """(T, 8, 3) world part positions of the model with model-frame offsets
+    (T, 8, 3) at pose parameters (T, 6)."""
     R = geometry.rodrigues_to_matrix(params[:, :3])
-    return rigid_world, rigid_world + offsets @ R.transpose(0, 2, 1)
+    return (mouse_model.world_part_positions(params)
+            + offsets @ R.transpose(0, 2, 1))
 
 
 def render(config: SceneConfig, track) -> SimulatedDataset:
@@ -185,7 +184,7 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
         cycle = config.gait_cycle_length
         offsets = mouse_model.deform((np.arange(T) % cycle) / cycle,
                                      np.append(speed, speed[-1]), cycle)
-    rigid_world, deform_world = _world_parts(params, offsets)
+    deform_world = _deformable_world(params, offsets)
 
     # derived per-epoch streams keep epoch rendering order-independent
     eps = np.empty((T, K, 8, 2))
@@ -206,7 +205,6 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
             u, v = noisy[:, k, :, 0], noisy[:, k, :, 1]
             keep[:, k] &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
     return SimulatedDataset(config=config, poses=params,
-                            rigid_world=rigid_world,
                             deformable_world=deform_world,
                             deform_offsets=offsets,
                             observations=np.where(keep[..., None], noisy, np.nan),
@@ -229,23 +227,30 @@ def _config_to_dict(config: SceneConfig) -> dict:
     return d
 
 
-# field specs for `errors.fields`
+# field specs for `errors.fields`, with the config classes' defaults
 _SCENE_FIELDS = {
     "cameras": (None, list, lambda v: len(v) >= 2, "a list of >= 2 cameras"),
     "seed": (None, int, lambda v: v >= 0, "an integer >= 0"),
     "n_epochs": (None, int, lambda v: v >= 5, "an integer >= 5"),
-    "plane_extent_mm": (500.0, float, lambda v: v > 0, "a number > 0"),
-    "step_sigma_mm": (1.0, float, lambda v: v >= 0, "a number >= 0"),
-    "heading_smoothing": (0.3, float, None, "a number"),
-    "noise_sigma_px": (0.5, float, lambda v: v >= 0, "a number >= 0"),
+    "plane_extent_mm": (SceneConfig.plane_extent_mm, float, lambda v: v > 0,
+                        "a number > 0"),
+    "step_sigma_mm": (SceneConfig.step_sigma_mm, float, lambda v: v >= 0,
+                      "a number >= 0"),
+    "heading_smoothing": (SceneConfig.heading_smoothing, float, None,
+                          "a number"),
+    "noise_sigma_px": (SceneConfig.noise_sigma_px, float, lambda v: v >= 0,
+                       "a number >= 0"),
     "occlusion": ({}, dict, None, "an object"),
-    "gait_cycle_length": (10, int, lambda v: v >= 1, "an integer >= 1"),
-    "deformation_enabled": (True, bool, None, "true or false"),
+    "gait_cycle_length": (SceneConfig.gait_cycle_length, int,
+                          lambda v: v >= 1, "an integer >= 1"),
+    "deformation_enabled": (SceneConfig.deformation_enabled, bool, None,
+                            "true or false"),
 }
 _OCCLUSION_FIELDS = {
-    "random_dropout_rate": (0.0, float, lambda v: 0 <= v <= 1,
-                            "a number in [0, 1]"),
+    "random_dropout_rate": (OcclusionConfig.random_dropout_rate, float,
+                            lambda v: 0 <= v <= 1, "a number in [0, 1]"),
 }
+_OBSERVATION_COLUMNS = ["t", "k", "i", "u", "v", "noise_u", "noise_v"]
 
 
 def _config_from_dict(d: dict) -> SceneConfig:
@@ -274,7 +279,7 @@ def export_dataset(dataset: SimulatedDataset, path):
             "deform_offsets_mm": np.round(dataset.deform_offsets, 9).tolist(),
         },
         "observations": {
-            "columns": ["t", "k", "i", "u", "v", "noise_u", "noise_v"],
+            "columns": _OBSERVATION_COLUMNS,
             "rows": [a + b for a, b in zip(index.tolist(), values.tolist())],
         },
     }
@@ -314,13 +319,18 @@ def _observation_table(rows, T, Kn):
 def import_dataset(path) -> SimulatedDataset:
     """Dataset written by `export_dataset`. A field that the file's objects
     do not hold, such as a misspelt optional one, raises SchemaError, as
-    any other malformed input does."""
+    any other malformed input does. Observation rows are read by position,
+    so `columns`, where given, must be the exported list."""
     doc = read_json(path, "dataset")
     check_object(doc, ("meta", "ground_truth", "observations"), (),
                  "dataset file")
     gt, observations = doc["ground_truth"], doc["observations"]
     check_object(gt, ("poses",), ("deform_offsets_mm",), "dataset ground_truth")
     check_object(observations, (), ("columns", "rows"), "dataset observations")
+    columns = observations.get("columns", _OBSERVATION_COLUMNS)
+    if columns != _OBSERVATION_COLUMNS:
+        raise SchemaError(f"dataset observations field 'columns' must be "
+                          f"{_OBSERVATION_COLUMNS}, got {columns!r}")
     config = _config_from_dict(doc["meta"])
     params = geometry.pose_table(gt["poses"])
     T = len(params)
@@ -332,7 +342,6 @@ def import_dataset(path) -> SimulatedDataset:
     if "deform_offsets_mm" in gt:
         offsets = numbers(gt["deform_offsets_mm"], (T, 8, 3), "deform_offsets_mm")
 
-    rigid_world, deform_world = _world_parts(params, offsets)
     table = _observation_table(observations.get("rows", []), T, Kn)
     t, k, i = table[:, :3].astype(int).T
     obs = np.full((T, Kn, 8, 2), np.nan)
@@ -342,7 +351,6 @@ def import_dataset(path) -> SimulatedDataset:
     noise[t, k, i] = table[:, 5:7]
     vis[t, k, i] = True
     return SimulatedDataset(config=config, poses=params,
-                            rigid_world=rigid_world,
-                            deformable_world=deform_world,
+                            deformable_world=_deformable_world(params, offsets),
                             deform_offsets=offsets,
                             observations=obs, visible=vis, noise=noise)

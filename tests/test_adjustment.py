@@ -171,7 +171,7 @@ def test_zero_smoothness_weight_block_diagonal():
         ds, ds.cameras,
         stochastic=StochasticConfig(smoothness_weight=0.0))
     track = initialize(ds)
-    J = problem.jacobian(track.as_array().ravel())
+    J = dense_jacobian(problem, track.as_array().ravel())
     N = J.T @ J
     for a in range(10):
         for b in range(10):
@@ -193,6 +193,15 @@ def test_deformed_problem_uses_per_epoch_points():
 
 
 # -- jacobian -----------------------------------------------------------------
+
+def dense_jacobian(problem, x):
+    """The (n_residuals, 6T) Jacobian at x, expanded from the windowed rows
+    of `Problem.jacobian`."""
+    J, first = problem.jacobian(x)
+    dense = np.zeros((len(J), problem.n_params))
+    dense[np.arange(len(J))[:, None], 6 * first[:, None] + np.arange(30)] = J
+    return dense
+
 
 def band_to_dense(N):
     """Lower triangle of the matrix held in lower banded storage N."""
@@ -223,7 +232,7 @@ def test_normal_equations_match_dense_jacobian(n_epochs, kind, monkeypatch):
     rng = np.random.default_rng(n_epochs)
     x = gt_track(ds).as_array() + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
                                              size=(n_epochs, 6))
-    J = problem.jacobian(x.ravel())
+    J = dense_jacobian(problem, x.ravel())
     r = problem.residuals(x.ravel())
     JtJ = J.T @ J
     u = min(29, 6 * n_epochs - 1)
@@ -238,6 +247,50 @@ def test_normal_equations_match_dense_jacobian(n_epochs, kind, monkeypatch):
         assert (np.abs(band_to_dense(N) - np.tril(JtJ)).max()
                 <= 1e-12 * np.abs(JtJ).max())
         assert np.abs(g - Jtr).max() <= 1e-12 * np.abs(Jtr).max()
+
+
+def band_matvec(N, v):
+    """(J^T J) v for the lower band N of J^T J, with no dense matrix."""
+    out = N[0] * v
+    for k in range(1, N.shape[0]):
+        out[k:] += N[k, :-k] * v[:-k]
+        out[:-k] += N[k, :-k] * v[k:]
+    return out
+
+
+@pytest.mark.parametrize("n_epochs", [300, 517])
+@pytest.mark.parametrize("kind", ["rigid", "deformed", "occluded",
+                                  "mixed_branches"])
+def test_normal_equations_match_windowed_jacobian(n_epochs, kind):
+    # the default CHUNK_EPOCHS makes 3 and 5 chunks; N is compared through
+    # its products with random vectors, so no dense matrix forms
+    assert len(adjustment._chunks(n_epochs)) == {300: 3, 517: 5}[n_epochs]
+    ds = make_dataset(n_epochs=n_epochs, noise=0.5, step_sigma=1.5,
+                      deformation=kind == "deformed",
+                      dropout=0.75 if kind == "occluded" else 0.2)
+    offsets = ds.deform_offsets if kind == "deformed" else None
+    problem = make_problem(ds, offsets=offsets,
+                           stochastic=StochasticConfig(smoothness_weight=0.7))
+    rng = np.random.default_rng(n_epochs)
+    if kind == "mixed_branches":
+        x = mixed_branch_poses(ds, rng).ravel()
+    else:
+        x = (ds.poses + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
+                                   size=(n_epochs, 6))).ravel()
+    J, first = problem.jacobian(x)
+    cols = 6 * first[:, None] + np.arange(30)
+
+    def Jt(u):
+        return np.bincount(cols.ravel(), weights=(J * u[:, None]).ravel(),
+                           minlength=problem.n_params)
+
+    N, g = problem.normal_equations(x)
+    Jtr = Jt(problem.residuals(x))
+    assert np.abs(g - Jtr).max() <= 1e-12 * np.abs(Jtr).max()
+    for v in rng.normal(size=(3, problem.n_params)):
+        JtJv = Jt((J * v[cols]).sum(axis=1))
+        assert (np.abs(band_matvec(N, v) - JtJv).max()
+                <= 1e-12 * np.abs(JtJv).max())
 
 
 def mixed_branch_poses(ds, rng):
@@ -332,7 +385,7 @@ def test_invisible_grid_entries_are_inert():
             warnings.simplefilter("error")
             r = problem.residuals(x.ravel())
             results.append((r, *problem.normal_equations(x.ravel())))
-            J = problem.jacobian(x.ravel())
+            J = dense_jacobian(problem, x.ravel())
     for other in results[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(results[0], other))
     # the dense Jacobian holds the visible observations' rows only
@@ -445,7 +498,7 @@ def test_jacobian_across_rotation_branches(kind):
     assert (scale != 1.0).any()          # some window nodes change branch
     assert check_jacobian(problem, MouseStateTrack(x, ["local"] * 9)) < 1e-7
     # the banded normal equations carry the same branch maps
-    J = problem.jacobian(x.ravel())
+    J = dense_jacobian(problem, x.ravel())
     N, g = problem.normal_equations(x.ravel())
     JtJ = J.T @ J
     assert (np.abs(band_to_dense(N) - np.tril(JtJ)).max()
@@ -574,6 +627,53 @@ def test_jacobian_identity_pose_finite():
     track = MouseStateTrack(np.zeros((6, 6)), ["local"] * 6)
     dev = check_jacobian(problem, track)
     assert np.isfinite(dev)
+
+
+@pytest.mark.parametrize("n_epochs", [300, 517])
+@pytest.mark.parametrize("kind", ["rigid", "deformed"])
+def test_check_jacobian_at_benchmark_length(n_epochs, kind):
+    # 3 and 5 chunks of the default CHUNK_EPOCHS, in 60 residuals calls
+    ds = make_dataset(n_epochs=n_epochs, noise=0.5, dropout=0.2,
+                      step_sigma=1.5, deformation=kind == "deformed")
+    offsets = ds.deform_offsets if kind == "deformed" else None
+    problem = make_problem(ds, offsets=offsets,
+                           stochastic=StochasticConfig(smoothness_weight=0.7))
+    rng = np.random.default_rng(n_epochs)
+    poses = ds.poses + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
+                                  size=(n_epochs, 6))
+    assert check_jacobian(problem, MouseStateTrack(poses, ["local"] * n_epochs)) < 1e-5
+
+
+@pytest.mark.parametrize("n_epochs, kind", [(9, "mixed_branches"),
+                                            (23, "occluded")])
+def test_windowed_jacobian_matches_every_column(n_epochs, kind):
+    # check_jacobian's 30 colours hold only while no row depends on epochs
+    # more than four apart. Every one of the 6T columns of the expanded J
+    # against its own central difference catches a change that breaks it,
+    # such as a row coupled to epoch t + 5 with that derivative written
+    # into the column of epoch t, which the colours would pass
+    ds = make_dataset(n_epochs=n_epochs, noise=0.5, step_sigma=1.5,
+                      dropout=0.75 if kind == "occluded" else 0.0)
+    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=0.7))
+    rng = np.random.default_rng(n_epochs)
+    if kind == "mixed_branches":
+        x = mixed_branch_poses(ds, rng).ravel()
+    else:
+        x = (ds.poses + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
+                                   size=(n_epochs, 6))).ravel()
+    J = dense_jacobian(problem, x)
+    step = 1e-6
+    J_fd = np.empty_like(J)
+    for j in range(len(x)):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += step
+        xm[j] -= step
+        J_fd[:, j] = (problem.residuals(xp) - problem.residuals(xm)) / (2 * step)
+    dev = np.abs(J - J_fd).max() / max(np.abs(J).max(), 1.0)
+    assert dev < 1e-7
+    # each colour's difference equals the single columns', entry by entry
+    track = MouseStateTrack(x.reshape(-1, 6), ["local"] * n_epochs)
+    assert check_jacobian(problem, track) == dev
 
 
 # -- solver -------------------------------------------------------------------

@@ -39,6 +39,30 @@ def test_simulate_bad_config_exit_2(tmp_path):
                "--out", str(tmp_path / "x.json")) == 2
 
 
+def test_simulate_into_missing_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "x.json"
+    assert run("simulate", "--config", scene_file(tmp_path),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: ") and str(out) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_plot_into_a_file_exit_2(tmp_path, capsys):
+    data, track = tmp_path / "data.json", tmp_path / "track.json"
+    run("simulate", "--config", scene_file(tmp_path), "--out", str(data))
+    ds = simulator.import_dataset(data)
+    adjustment.save_track(adjustment.MouseStateTrack(
+        ds.poses, ["local"] * ds.n_epochs), track)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run("plot", "--data", str(data), "--track", str(track),
+               "--out-dir", str(taken)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("plot: ") and str(taken) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_solve_missing_data_exit_2(tmp_path):
     assert run("solve", "--data", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "track.json")) == 2
@@ -88,7 +112,8 @@ def test_track_of_other_length_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("case", ["negative_t", "camera_out_of_range",
                                   "pose_missing_rodrigues", "duplicate_pose_t",
-                                  "misspelt_deform_offsets", "misspelt_rows"])
+                                  "misspelt_deform_offsets", "misspelt_rows",
+                                  "nonsense_columns"])
 def test_solve_malformed_dataset_exit_2(tmp_path, case):
     data = tmp_path / "data.json"
     run("simulate", "--config", scene_file(tmp_path, n_epochs=10),
@@ -106,6 +131,8 @@ def test_solve_malformed_dataset_exit_2(tmp_path, case):
     elif case == "misspelt_deform_offsets":
         gt = doc["ground_truth"]
         gt["deform_offset_mm"] = gt.pop("deform_offsets_mm")
+    elif case == "nonsense_columns":
+        doc["observations"]["columns"] = "nonsense"
     else:
         doc["observations"]["rws"] = doc["observations"].pop("rows")
     data.write_text(json.dumps(doc))

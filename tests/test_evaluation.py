@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mousetrack3d import mouse_model, simulator
-from mousetrack3d.adjustment import MouseStateTrack
+from mousetrack3d.adjustment import MouseStateTrack, initialize
 from mousetrack3d.errors import EpochMismatch
 from mousetrack3d.evaluation import evaluate, geodesic_angle, plot, save_report
 from mousetrack3d.geometry import rodrigues_to_matrix
@@ -76,6 +76,19 @@ def test_completeness_counts_deficient_epochs():
     ds.visible[5] = False
     report = evaluate(gt_track(ds), ds)
     assert report.completeness_input == pytest.approx(18 / 20)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_completeness_input_is_the_per_frame_share(seed):
+    # the criterion-5 scenes of the occluded-batch benchmark: an epoch
+    # counts as input when `initialize` poses it, not when one camera sees
+    # three parts (0.71 against 0.17 on seed 0)
+    ds = make_dataset(seed=seed, n_epochs=100, step_sigma_mm=0.5,
+                      noise_sigma_px=0.5, deformation_enabled=False,
+                      occlusion=simulator.OcclusionConfig(
+                          random_dropout_rate=0.75))
+    local = np.mean(np.array(initialize(ds).solved_from) == "local")
+    assert evaluate(gt_track(ds), ds).completeness_input == local
 
 
 def test_epoch_mismatch_raises(tmp_path):

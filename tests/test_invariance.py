@@ -59,7 +59,7 @@ def _assert_same_solve(a, report_a, b, report_b, tol_mm, tol_rot):
 def test_time_reversed_recording_gives_reversed_track(solved):
     # the window table is mirror-symmetric, so reversing time maps every
     # residual onto one of the reversed recording's
-    per_epoch = ("poses", "rigid_world", "deformable_world", "deform_offsets",
+    per_epoch = ("poses", "deformable_world", "deform_offsets",
                  "observations", "visible", "noise")
     for ds, track, report in solved:
         reversed_ds = dataclasses.replace(
@@ -108,8 +108,7 @@ def test_moved_world_origin_gives_translated_track(solved):
         poses[:, 3:] += d
         moved_ds = dataclasses.replace(
             ds, config=dataclasses.replace(ds.config, cameras=cameras),
-            poses=poses, rigid_world=ds.rigid_world + d,
-            deformable_world=ds.deformable_world + d)
+            poses=poses, deformable_world=ds.deformable_world + d)
         moved, moved_report = _solve(moved_ds)
         moved.poses[:, 3:] -= d
         _assert_same_solve(track, report, moved, moved_report,

@@ -174,7 +174,8 @@ def test_render_order_independent_noise():
 def test_deformation_disabled_matches_rigid():
     ds = simulate(make_config(deformation_enabled=False))
     assert np.allclose(ds.deform_offsets, 0.0)
-    assert np.allclose(ds.deformable_world, ds.rigid_world)
+    assert np.allclose(ds.deformable_world,
+                       mouse_model.world_part_positions(ds.poses))
 
 
 def test_gait_phase_progression():
@@ -280,6 +281,10 @@ MALFORMED_DATASETS = {
     "misspelt_deform_offsets": (
         _rename("ground_truth", "deform_offsets_mm", new="deform_offset_mm"),
         "dataset ground_truth has unknown field 'deform_offset_mm'"),
+    # rows are read by position, whatever the columns say
+    "nonsense_columns": (
+        lambda doc: doc["observations"].update(columns="nonsense"),
+        "dataset observations field 'columns' must be "),
     "misspelt_observation_rows": (
         _rename("observations", "rows", new="rws"),
         "dataset observations has unknown field 'rws'"),
@@ -317,6 +322,18 @@ def test_import_rejects_malformed_dataset(tmp_path, case):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=message):
         import_dataset(path)
+
+
+def test_import_without_columns_reads_rows_by_position(tmp_path):
+    ds = simulate(make_config(n_epochs=10))
+    path = tmp_path / "data.json"
+    export_dataset(ds, path)
+    doc = json.loads(path.read_text())
+    del doc["observations"]["columns"]
+    path.write_text(json.dumps(doc))
+    loaded = import_dataset(path)
+    assert np.array_equal(loaded.observations, ds.observations, equal_nan=True)
+    assert np.array_equal(loaded.noise, ds.noise)
 
 
 def test_import_accepts_shuffled_pose_records(tmp_path):
