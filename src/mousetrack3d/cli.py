@@ -119,7 +119,13 @@ def cmd_solve(args):
 def cmd_evaluate(args):
     dataset = simulator.import_dataset(args.data)
     track = adjustment.load_track(args.track)
-    report = evaluation.evaluate(track, dataset)
+    # with --deform, parts are scored as `pipeline` scores them
+    offsets = None
+    if args.deform:
+        offsets = adjustment.predict_offsets(
+            dataset, dataset.cameras, track,
+            deform_predictor.load_model(args.deform))
+    report = evaluation.evaluate(track, dataset, offsets)
     extra = {"config_hash": _config_hash(simulator._config_to_dict(dataset.config))}
     evaluation.save_report(report, args.out, extra=extra)
     print(f"evaluate: position rmse {report.position_rmse_mm:.4f} mm, "
@@ -265,6 +271,8 @@ def build_parser():
     p = sub.add_parser("evaluate", help="compare a track against ground truth")
     p.add_argument("--data", required=True)
     p.add_argument("--track", required=True)
+    p.add_argument("--deform", help="trained deformation model: score the "
+                   "parts with the offsets it predicts for the track")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -6,10 +6,14 @@ adds Gaussian pixel noise, and drops observations (random dropout plus
 image-bounds test). Everything is reproducible from the config seed; pixel
 noise and dropout use per-epoch derived RNG streams so epoch rendering is
 order-independent.
+
+A dataset file (`export_dataset`, `import_dataset`) keeps the scene config
+as JSON and every array as one base64 block of float64 values.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import geometry, mouse_model
 from .errors import (CameraSeesNothing, SchemaError, check_object, fields,
-                     number_rows, numbers, read_json)
+                     is_int, read_json)
 from .geometry import CameraModel, RigidTransform
 
 
@@ -56,8 +60,8 @@ class SimulatedDataset:
     poses is the (T, 6) ground-truth track: row t holds epoch t's Rodrigues
     rotation vector, then its translation in mm. observations[t, k, i] =
     (u, v); visible[t, k, i] boolean; pixels of invisible observations are
-    NaN (never stored on export). noise holds the exact Gaussian perturbation
-    applied to each visible pixel for audit.
+    NaN. noise holds the exact Gaussian perturbation applied to each visible
+    pixel for audit, and 0 where a part is not seen.
     """
 
     config: SceneConfig
@@ -217,7 +221,7 @@ def simulate(config: SceneConfig) -> SimulatedDataset:
 
 
 # ---------------------------------------------------------------------------
-# Dataset file IO (lossless JSON round-trip incl. ground truth + noise audit)
+# Dataset file IO: JSON with every array as one base64 float64 block
 # ---------------------------------------------------------------------------
 
 def _config_to_dict(config: SceneConfig) -> dict:
@@ -250,7 +254,6 @@ _OCCLUSION_FIELDS = {
     "random_dropout_rate": (OcclusionConfig.random_dropout_rate, float,
                             lambda v: 0 <= v <= 1, "a number in [0, 1]"),
 }
-_OBSERVATION_COLUMNS = ["t", "k", "i", "u", "v", "noise_u", "noise_v"]
 
 
 def _config_from_dict(d: dict) -> SceneConfig:
@@ -264,92 +267,126 @@ def _config_from_dict(d: dict) -> SceneConfig:
     return SceneConfig(**f)
 
 
+FORMAT_VERSION = 2
+
+
+def _encode(array):
+    """array as a dataset block: one base64 string of its little-endian
+    float64 values in C order. `_decode` is its inverse; the two are the
+    only code that knows the encoding."""
+    return base64.b64encode(
+        np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode(block, shape, what):
+    """The dataset block `block` (see `_encode`) as a float array of the
+    given shape, or SchemaError naming the field `what` when it is not a
+    string of valid base64 holding exactly 8 bytes per value."""
+    if not isinstance(block, str):
+        raise SchemaError(f"dataset field '{what}' must be a base64 string")
+    try:
+        raw = base64.b64decode(block, validate=True)
+    except ValueError:      # binascii.Error, or a character outside ASCII
+        raise SchemaError(f"dataset field '{what}' is not valid base64") \
+            from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise SchemaError(
+            f"dataset field '{what}' holds {len(raw)} bytes, not the {size} "
+            f"of {' x '.join(map(str, shape))} float64 values")
+    # frombuffer views the bytes read-only; astype copies to a native array
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+
+
+def _check(bad, what, rule, names):
+    """SchemaError naming field `what`, the rule it breaks and the first
+    entry of the boolean array `bad` that is set, indexed by `names`."""
+    if bad.any():
+        at = ", ".join(f"{name} = {n}" for name, n in
+                       zip(names, np.argwhere(bad)[0].tolist()))
+        raise SchemaError(f"dataset field '{what}' {rule} (at {at})")
+
+
 def export_dataset(dataset: SimulatedDataset, path):
-    """Write a dataset to JSON. Invisible observations are not stored."""
-    index = np.argwhere(dataset.visible)            # (t, k, i) in C order
-    t, k, i = index.T
-    values = np.concatenate([dataset.observations[t, k, i],
-                             dataset.noise[t, k, i]], axis=1)
-    params = dataset.poses.tolist()
+    """Write a dataset file (format version 2): one JSON object whose `meta`
+    is the scene config as JSON and whose arrays are blocks, each one base64
+    string of little-endian float64 in C order with its shape given by
+    `meta` (T epochs, K cameras):
+
+    - `ground_truth.poses` (T, 6) and `ground_truth.deform_offsets_mm`
+      (T, 8, 3);
+    - `observations.pixels` (T, K, 8, 2), NaN where a part is not seen, and
+      `observations.noise` (T, K, 8, 2), 0 there.
+
+    `import_dataset` reads back every array bit for bit."""
     doc = {
+        "format_version": FORMAT_VERSION,
         "meta": _config_to_dict(dataset.config),
         "ground_truth": {
-            "poses": [{"t": n, "rodrigues": p[:3], "translation_mm": p[3:]}
-                      for n, p in enumerate(params)],
-            "deform_offsets_mm": np.round(dataset.deform_offsets, 9).tolist(),
+            "poses": _encode(dataset.poses),
+            "deform_offsets_mm": _encode(dataset.deform_offsets),
         },
         "observations": {
-            "columns": _OBSERVATION_COLUMNS,
-            "rows": [a + b for a, b in zip(index.tolist(), values.tolist())],
+            "pixels": _encode(dataset.observations),
+            "noise": _encode(dataset.noise),
         },
     }
     with open(path, "w") as f:
         f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _observation_table(rows, T, Kn):
-    """Observation rows, lists of 7 numbers (`errors.number_rows`), as one
-    (n, 7) array with integer indices 0 <= t < T, 0 <= k < Kn and 0 <= i < 8,
-    each (t, k, i) at most once, or SchemaError naming the first bad row."""
-    if not isinstance(rows, list):
-        raise SchemaError("observation rows must be a list")
-    table = number_rows(rows, (7,), lambda n: f"observation row {n}:")
-    idx = table[:, :3]
-    bad = (idx != np.round(idx)).any(axis=1)
-    if bad.any():
-        raise SchemaError(f"observation row {int(np.flatnonzero(bad)[0])}: "
-                          f"t, k and i must be integers")
-    for col, (name, limit) in enumerate((("t", T), ("k", Kn), ("i", 8))):
-        out = (idx[:, col] < 0) | (idx[:, col] >= limit)
-        if out.any():
-            row = int(np.flatnonzero(out)[0])
-            raise SchemaError(f"observation row {row}: {name} = "
-                              f"{int(idx[row, col])} outside 0..{limit - 1}")
-    t, k, i = idx.astype(int).T
-    key = (t * Kn + k) * 8 + i
-    if (np.bincount(key, minlength=T * Kn * 8) > 1).any():
-        first = np.zeros(len(key), dtype=bool)
-        first[np.unique(key, return_index=True)[1]] = True
-        row = int(np.flatnonzero(~first)[0])
-        raise SchemaError(f"observation row {row}: duplicate observation "
-                          f"t = {t[row]}, k = {k[row]}, i = {i[row]}")
-    return table
-
-
 def import_dataset(path) -> SimulatedDataset:
-    """Dataset written by `export_dataset`. A field that the file's objects
-    do not hold, such as a misspelt optional one, raises SchemaError, as
-    any other malformed input does. Observation rows are read by position,
-    so `columns`, where given, must be the exported list."""
+    """Dataset written by `export_dataset`, with `visible` where a pixel
+    pair is a pair of numbers. Anything malformed raises SchemaError naming
+    its field:
+
+    - a file without `format_version` 2 (version 1, which listed each
+      observation as a JSON row, is refused by its version);
+    - a missing or unknown field (a misspelt `deform_offsets_mm` would
+      otherwise load as zero offsets), or a bad `meta`;
+    - a block that is not a base64 string or does not hold the shape that
+      `meta` gives;
+    - a non-finite pose, offset or noise value, an infinite pixel, a pixel
+      pair with one NaN and one number, or nonzero noise where no pixel
+      is."""
     doc = read_json(path, "dataset")
-    check_object(doc, ("meta", "ground_truth", "observations"), (),
-                 "dataset file")
+    # the version first: another version's fields are not this one's
+    if isinstance(doc, dict):
+        version = doc.get("format_version", 1)
+        if not is_int(version) or version != FORMAT_VERSION:
+            raise SchemaError(f"unsupported dataset format version "
+                              f"{version!r}; this version reads "
+                              f"{FORMAT_VERSION}")
+    check_object(doc, ("format_version", "meta", "ground_truth",
+                       "observations"), (), "dataset file")
     gt, observations = doc["ground_truth"], doc["observations"]
     check_object(gt, ("poses",), ("deform_offsets_mm",), "dataset ground_truth")
-    check_object(observations, (), ("columns", "rows"), "dataset observations")
-    columns = observations.get("columns", _OBSERVATION_COLUMNS)
-    if columns != _OBSERVATION_COLUMNS:
-        raise SchemaError(f"dataset observations field 'columns' must be "
-                          f"{_OBSERVATION_COLUMNS}, got {columns!r}")
+    check_object(observations, ("pixels", "noise"), (), "dataset observations")
     config = _config_from_dict(doc["meta"])
-    params = geometry.pose_table(gt["poses"])
-    T = len(params)
-    if T != config.n_epochs:
-        raise SchemaError(f"meta n_epochs = {config.n_epochs}, but ground_truth "
-                          f"has {T} poses")
-    Kn = len(config.cameras)
+    T, Kn = config.n_epochs, len(config.cameras)
+    params = _decode(gt["poses"], (T, 6), "ground_truth.poses")
     offsets = np.zeros((T, 8, 3))
     if "deform_offsets_mm" in gt:
-        offsets = numbers(gt["deform_offsets_mm"], (T, 8, 3), "deform_offsets_mm")
+        offsets = _decode(gt["deform_offsets_mm"], (T, 8, 3),
+                          "ground_truth.deform_offsets_mm")
+    obs = _decode(observations["pixels"], (T, Kn, 8, 2), "observations.pixels")
+    noise = _decode(observations["noise"], (T, Kn, 8, 2), "observations.noise")
 
-    table = _observation_table(observations.get("rows", []), T, Kn)
-    t, k, i = table[:, :3].astype(int).T
-    obs = np.full((T, Kn, 8, 2), np.nan)
-    vis = np.zeros((T, Kn, 8), dtype=bool)
-    noise = np.zeros((T, Kn, 8, 2))
-    obs[t, k, i] = table[:, 3:5]
-    noise[t, k, i] = table[:, 5:7]
-    vis[t, k, i] = True
+    _check(~np.isfinite(params), "ground_truth.poses", "must be finite",
+           ("t", "column"))
+    _check(~np.isfinite(offsets), "ground_truth.deform_offsets_mm",
+           "must be finite", ("t", "i", "axis"))
+    cell = ("t", "k", "i")
+    _check(~np.isfinite(noise).all(axis=3), "observations.noise",
+           "must be finite", cell)
+    _check(np.isinf(obs).any(axis=3), "observations.pixels",
+           "holds an infinite value", cell)
+    seen = ~np.isnan(obs)
+    vis = seen[..., 0]
+    _check(seen[..., 1] != vis, "observations.pixels",
+           "holds a pair of one NaN and one number", cell)
+    _check(~vis & (noise != 0).any(axis=3), "observations.noise",
+           "must be 0 where observations.pixels is NaN", cell)
     return SimulatedDataset(config=config, poses=params,
                             deformable_world=_deformable_world(params, offsets),
                             deform_offsets=offsets,

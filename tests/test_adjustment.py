@@ -24,8 +24,9 @@ from mousetrack3d.adjustment import (
     solve,
     solve_dataset,
 )
-from mousetrack3d.errors import (InconsistentCameraIds, NonPositiveDepth,
-                                 NoSolvableEpoch, SchemaError)
+from mousetrack3d.errors import (InconsistentCameraIds, NonFiniteCost,
+                                 NonPositiveDepth, NoSolvableEpoch,
+                                 SchemaError)
 
 
 def make_dataset(seed=0, n_epochs=30, noise=0.0, dropout=0.0,
@@ -812,6 +813,28 @@ def test_solve_reports_no_descent():
     assert report.iterations == 1
     assert report.final_cost == report.initial_cost
     assert np.array_equal(track.poses, init.poses)
+
+
+def test_solve_raises_non_finite_start_cost():
+    ds = make_dataset(noise=0.5, n_epochs=12)
+    start = initialize(ds)
+    start.poses[5, 4] = np.nan
+    with pytest.raises(NonFiniteCost, match="initial cost"):
+        solve(make_problem(ds), start)
+
+
+def test_solve_raises_non_finite_trial_cost(monkeypatch):
+    ds = make_dataset(noise=0.5, n_epochs=12)
+    damped_step = adjustment._damped_step
+
+    def non_finite(N, g, damping):
+        step = damped_step(N, g, damping)
+        step[9] = np.nan    # epoch 1's x translation
+        return step
+
+    monkeypatch.setattr(adjustment, "_damped_step", non_finite)
+    with pytest.raises(NonFiniteCost, match="iteration 1"):
+        solve(make_problem(ds), initialize(ds))
 
 
 def test_solve_stop_reasons(monkeypatch):

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import pytest
@@ -29,7 +30,9 @@ def test_simulate_writes_dataset(tmp_path):
     assert run("simulate", "--config", scene_file(tmp_path),
                "--out", str(out)) == 0
     doc = json.loads(out.read_text())
-    assert len(doc["ground_truth"]["poses"]) == 40
+    assert doc["format_version"] == 2
+    poses = base64.b64decode(doc["ground_truth"]["poses"])
+    assert len(poses) == 40 * 6 * 8
 
 
 def test_simulate_bad_config_exit_2(tmp_path):
@@ -37,6 +40,19 @@ def test_simulate_bad_config_exit_2(tmp_path):
     bad.write_text("{not json")
     assert run("simulate", "--config", str(bad),
                "--out", str(tmp_path / "x.json")) == 2
+
+
+def test_simulate_camera_facing_away_exit_3(tmp_path, capsys):
+    # camera 1 above the table at z = 1200 mm, looking up
+    scene = _scene(cameras=_camera_docs(R=[1, 0, 0, 0, 1, 0, 0, 0, 1],
+                                        t=[0, 0, -1200]))
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    out = tmp_path / "data.json"
+    assert run("simulate", "--config", str(path), "--out", str(out)) == 3
+    assert capsys.readouterr().err == \
+        "simulate: camera 1 never images the plane\n"
+    assert not out.exists()
 
 
 def test_simulate_into_missing_directory_exit_2(tmp_path, capsys):
@@ -110,34 +126,75 @@ def test_track_of_other_length_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["negative_t", "camera_out_of_range",
-                                  "pose_missing_rodrigues", "duplicate_pose_t",
-                                  "misspelt_deform_offsets", "misspelt_rows",
-                                  "nonsense_columns"])
-def test_solve_malformed_dataset_exit_2(tmp_path, case):
+def _block_edit(*keys, shape, edit):
+    """Dataset mutation: the block at path `keys`, decoded to `shape`,
+    passed through `edit` and written back."""
+    def mutate(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        array = np.frombuffer(base64.b64decode(node[keys[-1]]), "<f8")
+        array = edit(array.reshape(shape).copy())
+        node[keys[-1]] = base64.b64encode(
+            np.asarray(array, "<f8").tobytes()).decode()
+    return mutate
+
+
+def _assign(index, value):
+    def edit(array):
+        array[index] = value
+        return array
+    return edit
+
+
+def _rename(node, old, new):
+    node[new] = node.pop(old)
+
+
+_CELLS = (10, 3, 8, 2)
+# dataset mutations, one per class of malformed block and field
+BAD_DATASETS = {
+    "version_1": lambda doc: doc.pop("format_version"),
+    "misspelt_deform_offsets": lambda doc: _rename(
+        doc["ground_truth"], "deform_offsets_mm", "deform_offset_mm"),
+    "nonsense_columns": lambda doc: doc["observations"].update(
+        columns="nonsense"),
+    "misspelt_pixels": lambda doc: _rename(doc["observations"], "pixels",
+                                           "pixel"),
+    "block_not_string": lambda doc: doc["observations"].update(pixels=False),
+    "invalid_base64": lambda doc: doc["observations"].update(noise="640.06"),
+    "camera_out_of_range": _block_edit(
+        "observations", "pixels", shape=_CELLS,
+        edit=lambda a: np.concatenate([a, a[:, :1]], axis=1)),
+    "pose_missing_rodrigues": _block_edit(
+        "ground_truth", "poses", shape=(10, 6), edit=lambda a: a[:, 3:]),
+    "nan_pose": _block_edit("ground_truth", "poses", shape=(10, 6),
+                            edit=_assign((4, 2), np.nan)),
+    "inf_offset": _block_edit("ground_truth", "deform_offsets_mm",
+                              shape=(10, 8, 3), edit=_assign(0, np.inf)),
+    "nan_noise": _block_edit("observations", "noise", shape=_CELLS,
+                             edit=_assign((2, 1, 6, 0), np.nan)),
+    "inf_pixel": _block_edit("observations", "pixels", shape=_CELLS,
+                             edit=_assign((5, 2, 4, 1), -np.inf)),
+    "half_nan_pixel": _block_edit("observations", "pixels", shape=_CELLS,
+                                  edit=_assign((0, 0, 3, 0), np.nan)),
+    "noise_without_pixel": _block_edit("observations", "pixels", shape=_CELLS,
+                                       edit=_assign((7, 1, 2), np.nan)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+def test_solve_malformed_dataset_exit_2(tmp_path, case, capsys):
     data = tmp_path / "data.json"
     run("simulate", "--config", scene_file(tmp_path, n_epochs=10),
         "--out", str(data))
     doc = json.loads(data.read_text())
-    rows, poses = doc["observations"]["rows"], doc["ground_truth"]["poses"]
-    if case == "negative_t":
-        rows[0][0] = -1
-    elif case == "camera_out_of_range":
-        rows[0][1] = 9
-    elif case == "pose_missing_rodrigues":
-        del poses[3]["rodrigues"]
-    elif case == "duplicate_pose_t":
-        poses[4]["t"] = 3
-    elif case == "misspelt_deform_offsets":
-        gt = doc["ground_truth"]
-        gt["deform_offset_mm"] = gt.pop("deform_offsets_mm")
-    elif case == "nonsense_columns":
-        doc["observations"]["columns"] = "nonsense"
-    else:
-        doc["observations"]["rws"] = doc["observations"].pop("rows")
+    BAD_DATASETS[case](doc)
     data.write_text(json.dumps(doc))
     assert run("solve", "--data", str(data),
                "--out", str(tmp_path / "track.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solve: ") and len(err.splitlines()) == 1
 
 
 def _pose_records(ts):
@@ -287,6 +344,31 @@ def test_solve_with_saved_model_equals_in_memory_solve(tmp_path):
                                            deform_model=trained)
     adjustment.save_track(expected, tmp_path / "expected.json")
     assert track.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+def test_evaluate_deform_scores_predicted_offsets(tmp_path):
+    data, model = tmp_path / "data.json", tmp_path / "model.json"
+    track = tmp_path / "track.json"
+    run("simulate", "--config", scene_file(tmp_path, n_epochs=60),
+        "--out", str(data))
+    assert run("train-deform", "--data", str(data), "--epochs", "5",
+               "--out", str(model)) == 0
+    assert run("solve", "--data", str(data), "--mode", "deformed",
+               "--deform", str(model), "--out", str(track)) == 0
+    for name, flags in (("deformed", ["--deform", str(model)]), ("rigid", [])):
+        assert run("evaluate", "--data", str(data), "--track", str(track),
+                   "--out", str(tmp_path / f"{name}.json"), *flags) == 0
+    reports = {name: json.loads((tmp_path / f"{name}.json").read_text())
+               for name in ("deformed", "rigid")}
+    ds = simulator.import_dataset(data)
+    saved = adjustment.load_track(track)
+    offsets = adjustment.predict_offsets(ds, ds.cameras, saved,
+                                         deform_predictor.load_model(model))
+    for name, expected in (("deformed", offsets), ("rigid", None)):
+        doc = evaluation.evaluate(saved, ds, expected).to_dict()
+        assert {key: reports[name][key] for key in doc} == doc, name
+    assert reports["deformed"]["per_part_rmse_mm"] != \
+        reports["rigid"]["per_part_rmse_mm"]
 
 
 def test_solve_with_version_1_model_exit_2(tmp_path, capsys):

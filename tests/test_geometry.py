@@ -5,6 +5,7 @@ import pytest
 
 from mousetrack3d import geometry, simulator
 from mousetrack3d.errors import (
+    DegenerateConfiguration,
     InsufficientPoints,
     NonPositiveDepth,
     SchemaError,
@@ -383,6 +384,21 @@ def test_resect_too_few_points():
     pts = [(Xi, project(cam, Xi)) for Xi in X]
     with pytest.raises(InsufficientPoints):
         resect(pts)
+
+
+def test_resect_unknown_k_coplanar_points_is_degenerate():
+    # eight points on one plane in front of the camera: the DLT cannot
+    # separate K from the pose, while a known K still fixes the pose
+    rng = np.random.default_rng(11)
+    cam = random_camera(rng)
+    X = np.column_stack([rng.normal(scale=100, size=(8, 2)), np.zeros(8)])
+    X = X @ random_rotation(rng).T
+    X += cam.pose_global.rotation.T @ np.array([0, 0, 600.0]) + cam.center()
+    pts = [(Xi, project(cam, Xi)) for Xi in X]
+    with pytest.raises(DegenerateConfiguration, match="coplanar"):
+        resect(pts)
+    _, err = resect(pts, known_K=cam.calibration)
+    assert err < 1e-6
 
 
 def test_resect_known_k_four_points():

@@ -1,10 +1,12 @@
+import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mousetrack3d import geometry, mouse_model
-from mousetrack3d.errors import SchemaError
+from mousetrack3d.errors import CameraSeesNothing, SchemaError
 from mousetrack3d.simulator import (
     OcclusionConfig,
     SceneConfig,
@@ -171,6 +173,17 @@ def test_render_order_independent_noise():
     assert np.allclose(a.observations[:9][vis], b.observations[:9][vis])
 
 
+def test_render_rejects_camera_facing_away():
+    # camera 1 above the table at z = 1200 mm, looking up
+    cams = list(default_cameras())
+    cams[1] = geometry.CameraModel(
+        cams[1].calibration,
+        geometry.RigidTransform(np.eye(3), np.array([0.0, 0.0, -1200.0])),
+        id=1, image_size=cams[1].image_size)
+    with pytest.raises(CameraSeesNothing, match="camera 1 never images"):
+        simulate(make_config(cameras=cams, n_epochs=10))
+
+
 def test_deformation_disabled_matches_rigid():
     ds = simulate(make_config(deformation_enabled=False))
     assert np.allclose(ds.deform_offsets, 0.0)
@@ -193,22 +206,60 @@ def test_gait_phase_progression():
 
 # -- dataset IO ---------------------------------------------------------------
 
+def read_block(doc, *keys):
+    """The array of the block at path `keys` of a dataset document, decoded
+    as the README documents it: flat, in C order."""
+    node = doc
+    for key in keys:
+        node = node[key]
+    return np.frombuffer(base64.b64decode(node), "<f8")
+
+
+def write_block(doc, *keys, array):
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = base64.b64encode(
+        np.asarray(array, "<f8").tobytes()).decode()
+
+
 def test_export_import_roundtrip(tmp_path):
     ds = simulate(make_config(
         n_epochs=40, occlusion=OcclusionConfig(random_dropout_rate=0.2)))
     path = tmp_path / "data.json"
     export_dataset(ds, path)
     loaded = import_dataset(path)
-    assert loaded.n_epochs == ds.n_epochs
-    assert np.array_equal(loaded.visible, ds.visible)
-    vis = ds.visible
-    assert np.allclose(loaded.observations[vis], ds.observations[vis])
-    assert np.allclose(loaded.deform_offsets, ds.deform_offsets, atol=1e-9)
-    assert np.allclose(loaded.poses, ds.poses)
+    for name in ("poses", "deform_offsets", "deformable_world",
+                 "observations", "visible", "noise"):
+        assert np.array_equal(getattr(loaded, name), getattr(ds, name),
+                              equal_nan=True), name
+    assert loaded.deform_offsets.any() and not ds.visible.all()
+    # every array is a writable array of its own
+    assert loaded.observations.flags.writeable
     for a, b in zip(ds.cameras, loaded.cameras):
         assert np.allclose(a.calibration, b.calibration)
         assert np.allclose(a.pose_global.rotation, b.pose_global.rotation)
         assert np.allclose(a.pose_global.translation, b.pose_global.translation)
+
+
+def test_dataset_blocks_decode_with_numpy(tmp_path):
+    ds = simulate(make_config(
+        n_epochs=12, occlusion=OcclusionConfig(random_dropout_rate=0.3)))
+    path = tmp_path / "data.json"
+    export_dataset(ds, path)
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2
+    T, K = 12, len(doc["meta"]["cameras"])
+    pixels = read_block(doc, "observations", "pixels").reshape(T, K, 8, 2)
+    assert np.array_equal(pixels, ds.observations, equal_nan=True)
+    assert np.array_equal(np.isfinite(pixels).all(axis=3), ds.visible)
+    assert np.array_equal(
+        read_block(doc, "observations", "noise").reshape(T, K, 8, 2), ds.noise)
+    assert np.array_equal(
+        read_block(doc, "ground_truth", "poses").reshape(T, 6), ds.poses)
+    assert np.array_equal(
+        read_block(doc, "ground_truth", "deform_offsets_mm").reshape(T, 8, 3),
+        ds.deform_offsets)
 
 
 def test_export_size_budget(tmp_path):
@@ -216,6 +267,22 @@ def test_export_size_budget(tmp_path):
     path = tmp_path / "big.json"
     export_dataset(ds, path)
     assert path.stat().st_size < 10 * 1024 * 1024
+
+
+def test_import_memory_is_bounded_per_epoch(tmp_path):
+    """import_dataset allocates about 3 KB per epoch on three cameras: the
+    file's text and its parsed blocks (1.3 KB each), then the arrays. One
+    JSON row per observation took 11.6 KB."""
+    def peak(n_epochs):
+        path = tmp_path / f"data{n_epochs}.json"
+        export_dataset(simulate(make_config(n_epochs=n_epochs)), path)
+        tracemalloc.start()
+        try:
+            import_dataset(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peak(1024) - peak(256)) / 768 < 5000
 
 
 def test_import_missing_camera_field(tmp_path):
@@ -236,32 +303,30 @@ def test_import_rejects_garbage(tmp_path):
         import_dataset(path)
 
 
-def _set_row(col, value):
+def _set(*keys, value):
+    """Mutation that sets the field at path `keys` to `value`."""
     def mutate(doc):
-        doc["observations"]["rows"][0][col] = value
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
     return mutate
 
 
-def _del_pose_field(key):
+def _edit_block(*keys, shape, edit):
+    """Mutation that decodes the block at path `keys` to `shape`, passes it
+    to `edit` and writes back what `edit` returns."""
     def mutate(doc):
-        del doc["ground_truth"]["poses"][3][key]
+        array = read_block(doc, *keys).reshape(shape).copy()
+        write_block(doc, *keys, array=edit(array))
     return mutate
 
 
-def _set_pose_t(value):
-    def mutate(doc):
-        doc["ground_truth"]["poses"][4]["t"] = value
-    return mutate
-
-
-def _short_row(doc):
-    doc["observations"]["rows"][0] = doc["observations"]["rows"][0][:6]
-
-
-def _repeat_row(doc):
-    # row 0 again as row 1, 50 px off in u: kept, it would overwrite row 0
-    rows = doc["observations"]["rows"]
-    rows.insert(1, rows[0][:3] + [rows[0][3] + 50.0] + rows[0][4:])
+def _assign(index, value):
+    def edit(array):
+        array[index] = value
+        return array
+    return edit
 
 
 def _rename(*keys, new):
@@ -274,48 +339,112 @@ def _rename(*keys, new):
     return mutate
 
 
+def _version_1(doc):
+    # the layout of a version-1 file: no version, one row per observation
+    del doc["format_version"]
+    doc["observations"] = {"columns": ["t", "k", "i", "u", "v", "noise_u",
+                                       "noise_v"], "rows": []}
+
+
+# blocks of the exported 10-epoch, 3-camera dataset, by their shapes
+POSES = ("ground_truth", "poses")
+OFFSETS = ("ground_truth", "deform_offsets_mm")
+PIXELS = ("observations", "pixels")
+NOISE = ("observations", "noise")
+CELLS = (10, 3, 8, 2)
+
+
+def _pixels(edit):
+    return _edit_block(*PIXELS, shape=CELLS, edit=edit)
+
+
 # (mutation of an exported 10-epoch dataset, expected message)
 MALFORMED_DATASETS = {
-    # misspelt optional fields would otherwise load as all-zero offsets and
-    # as no observations at all
+    "version_1": (_version_1, "^unsupported dataset format version 1; "
+                              "this version reads 2$"),
+    "version_3": (_set("format_version", value=3), "format version 3;"),
+    "version_text": (_set("format_version", value="2"),
+                     "format version '2';"),
+    # misspelt optional fields would otherwise load as all-zero offsets
     "misspelt_deform_offsets": (
-        _rename("ground_truth", "deform_offsets_mm", new="deform_offset_mm"),
+        _rename(*OFFSETS, new="deform_offset_mm"),
         "dataset ground_truth has unknown field 'deform_offset_mm'"),
-    # rows are read by position, whatever the columns say
-    "nonsense_columns": (
-        lambda doc: doc["observations"].update(columns="nonsense"),
-        "dataset observations field 'columns' must be "),
-    "misspelt_observation_rows": (
-        _rename("observations", "rows", new="rws"),
-        "dataset observations has unknown field 'rws'"),
-    "misspelt_pose_field": (
-        _rename("ground_truth", "poses", 3, "rodrigues", new="rodriguez"),
-        "pose record has unknown field 'rodriguez'"),
+    "misspelt_observation_pixels": (
+        _rename(*PIXELS, new="pixel"),
+        "dataset observations has unknown field 'pixel'"),
+    "misspelt_pose_field": (_rename(*POSES, new="pose"),
+                            "dataset ground_truth has unknown field 'pose'"),
     "unknown_top_level_field": (_rename("meta", new="metadata"),
                                 "dataset file has unknown field 'metadata'"),
-    "negative_t": (_set_row(0, -1), "t = -1"),
-    "t_past_end": (_set_row(0, 10), "t = 10"),
-    "camera_out_of_range": (_set_row(1, 9), "k = 9"),
-    "part_out_of_range": (_set_row(2, 8), "i = 8"),
-    "fractional_index": (_set_row(2, 1.5), "integers"),
-    "short_row": (_short_row, "7 numbers"),
-    "duplicate_row": (_repeat_row, "observation row 1: duplicate observation "
-                                   "t = 0, k = 0, i = 0$"),
-    "string_pixel": (_set_row(3, "640.06"), "observation row 0"),
-    "bool_part": (_set_row(2, False), "observation row 0"),
-    "nan_pixel": (_set_row(3, float("nan")), "observation row 0"),
-    "pose_missing_rodrigues": (_del_pose_field("rodrigues"), "rodrigues"),
-    "pose_missing_translation": (_del_pose_field("translation_mm"),
-                                 "translation_mm"),
-    "duplicate_pose_t": (_set_pose_t(3), "duplicate pose t = 3"),
-    "pose_t_past_end": (_set_pose_t(10), "t = 10"),
+    # a version-1 field in a version-2 file
+    "nonsense_columns": (_set("observations", "columns", value="nonsense"),
+                         "dataset observations has unknown field 'columns'"),
+    # a block that is not a string
+    "bool_part": (_set(*PIXELS, value=False),
+                  "'observations.pixels' must be a base64 string"),
+    "pose_list": (_set(*POSES, value=[[0.0] * 6] * 10),
+                  "'ground_truth.poses' must be a base64 string"),
+    # not base64
+    "string_pixel": (_set(*PIXELS, value="640.06"),
+                     "'observations.pixels' is not valid base64"),
+    "non_ascii_block": (_set(*NOISE, value="AAAAAAAAéAAA"),
+                        "'observations.noise' is not valid base64"),
+    "unpadded_block": (_set(*OFFSETS, value="AAAAAAAAAAA"),
+                       "'ground_truth.deform_offsets_mm' is not valid base64"),
+    # blocks of another shape than meta gives
+    "short_row": (_pixels(lambda a: a.ravel()[:-1]),
+                  "'observations.pixels' holds 3832 bytes, not the 3840 of "
+                  "10 x 3 x 8 x 2 float64 values"),
+    "t_past_end": (_pixels(lambda a: np.concatenate([a, a[:1]])),
+                   "'observations.pixels' holds 4224 bytes"),
+    "camera_out_of_range": (_pixels(lambda a: np.concatenate([a, a[:, :1]],
+                                                             axis=1)),
+                            "'observations.pixels' holds 5120 bytes"),
+    "part_out_of_range": (_pixels(lambda a: np.concatenate([a, a[:, :, :1]],
+                                                           axis=2)),
+                          "'observations.pixels' holds 4320 bytes"),
+    "pose_t_past_end": (_edit_block(*POSES, shape=(10, 6),
+                                    edit=lambda a: np.concatenate([a, a[:1]])),
+                        "'ground_truth.poses' holds 528 bytes, not the 480"),
+    "pose_missing_rodrigues": (_edit_block(*POSES, shape=(10, 6),
+                                           edit=lambda a: a[:, 3:]),
+                               "'ground_truth.poses' holds 240 bytes"),
+    "pose_missing_translation": (_edit_block(*POSES, shape=(10, 6),
+                                             edit=lambda a: a[:, :3]),
+                                 "'ground_truth.poses' holds 240 bytes"),
+    # non-finite values
+    "nan_pose": (_edit_block(*POSES, shape=(10, 6),
+                             edit=_assign((4, 2), np.nan)),
+                 r"'ground_truth.poses' must be finite \(at t = 4, "
+                 r"column = 2\)"),
+    "inf_offset": (_edit_block(*OFFSETS, shape=(10, 8, 3),
+                               edit=_assign((3, 5, 1), -np.inf)),
+                   r"'ground_truth.deform_offsets_mm' must be finite \(at "
+                   r"t = 3, i = 5, axis = 1\)"),
+    "nan_noise": (_edit_block(*NOISE, shape=CELLS,
+                              edit=_assign((2, 1, 6, 0), np.nan)),
+                  r"'observations.noise' must be finite \(at t = 2, k = 1, "
+                  r"i = 6\)"),
+    "inf_pixel": (_pixels(_assign((5, 2, 4, 1), np.inf)),
+                  r"'observations.pixels' holds an infinite value \(at "
+                  r"t = 5, k = 2, i = 4\)"),
+    # a pixel pair must be two numbers or two NaNs
+    "nan_pixel": (_pixels(_assign((0, 0, 3, 0), np.nan)),
+                  r"'observations.pixels' holds a pair of one NaN and one "
+                  r"number \(at t = 0, k = 0, i = 3\)"),
+    "noise_without_pixel": (_pixels(_assign((7, 1, 2), np.nan)),
+                            r"'observations.noise' must be 0 where "
+                            r"observations.pixels is NaN \(at t = 7, k = 1, "
+                            r"i = 2\)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
 def test_import_rejects_malformed_dataset(tmp_path, case):
     path = tmp_path / "data.json"
-    export_dataset(simulate(make_config(n_epochs=10)), path)
+    ds = simulate(make_config(n_epochs=10))
+    assert ds.visible.all()      # every mutated pixel above is a seen one
+    export_dataset(ds, path)
     doc = json.loads(path.read_text())
     mutate, message = MALFORMED_DATASETS[case]
     mutate(doc)
@@ -324,27 +453,13 @@ def test_import_rejects_malformed_dataset(tmp_path, case):
         import_dataset(path)
 
 
-def test_import_without_columns_reads_rows_by_position(tmp_path):
-    ds = simulate(make_config(n_epochs=10))
+def test_import_without_deform_offsets_reads_zero_offsets(tmp_path):
+    ds = simulate(make_config(n_epochs=10, deformation_enabled=False))
     path = tmp_path / "data.json"
     export_dataset(ds, path)
     doc = json.loads(path.read_text())
-    del doc["observations"]["columns"]
+    del doc["ground_truth"]["deform_offsets_mm"]
     path.write_text(json.dumps(doc))
     loaded = import_dataset(path)
-    assert np.array_equal(loaded.observations, ds.observations, equal_nan=True)
-    assert np.array_equal(loaded.noise, ds.noise)
-
-
-def test_import_accepts_shuffled_pose_records(tmp_path):
-    ds = simulate(make_config(n_epochs=10))
-    path = tmp_path / "data.json"
-    export_dataset(ds, path)
-    doc = json.loads(path.read_text())
-    doc["ground_truth"]["poses"].reverse()
-    doc["observations"]["rows"].reverse()
-    path.write_text(json.dumps(doc))
-    loaded = import_dataset(path)
-    assert np.array_equal(loaded.visible, ds.visible)
-    assert np.array_equal(loaded.observations, ds.observations, equal_nan=True)
-    assert np.array_equal(loaded.poses, ds.poses)
+    assert np.array_equal(loaded.deform_offsets, np.zeros((10, 8, 3)))
+    assert np.array_equal(loaded.deformable_world, ds.deformable_world)

@@ -3,6 +3,7 @@ small inputs."""
 
 import importlib.util
 import os
+import re
 import sys
 
 import numpy as np
@@ -30,7 +31,10 @@ def load_tool(name, monkeypatch):
 def test_long_solve_exits_1_unless_converged(monkeypatch, capsys):
     tool = load_tool("long_solve", monkeypatch)
     assert tool.main(["-T", "30"]) == 0
-    assert "status cost" in capsys.readouterr().out
+    io, solve = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"T = 30: export_dataset \d+\.\d\d s, import_dataset "
+                        r"\d+\.\d\d s, file \d+\.\d MiB", io)
+    assert "status cost" in solve
     monkeypatch.setattr(adjustment, "MAX_ITERATIONS", 1)
     assert tool.main(["-T", "30"]) == 1
     assert "status max_iterations" in capsys.readouterr().out
