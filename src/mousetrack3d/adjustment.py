@@ -551,10 +551,6 @@ class Problem:
         for a in range(5):
             g[start + a:stop + a] += gs[first:end, a]
 
-    def residual_rms(self, x):
-        """(reprojection RMS in px, smoothness RMS in mm) at x."""
-        return self._rms(self.residuals(x))[:2]
-
     def _rms(self, r):
         """(reprojection RMS in px, smoothness RMS in mm, (T,) per-epoch
         reprojection RMS in px) of the residual vector r. The smoothness RMS

@@ -18,6 +18,7 @@ import sys
 
 from . import adjustment, deform_predictor, evaluation, geometry, simulator
 from .errors import (
+    CameraSeesNothing,
     DivergedLoss,
     EpochMismatch,
     MouseTrackError,
@@ -298,7 +299,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, EpochMismatch, OSError) as e:
+    except (SchemaError, EpochMismatch, CameraSeesNothing, OSError) as e:
         print(f"{args.command}: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     except (NonFiniteCost, NoSolvableEpoch, DivergedLoss) as e:

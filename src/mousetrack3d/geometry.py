@@ -457,6 +457,12 @@ def triangulate_batch(cameras, pixels, visible):
     rows A: the eigenvector of the 4x4 A^T A with the smallest eigenvalue,
     corrected to first order so that it is as accurate as A's SVD.
 
+    Every quantity is held with the points along its last axis, and the
+    eigenvectors come from four sweeps of cyclic Jacobi rotations
+    (`_jacobi_eigh`) written as elementwise numpy over all points at once,
+    so no LAPACK call is made per point; `np.linalg.eigh` of the (N, 4, 4)
+    Grams would make one per point.
+
     Parameters
     ----------
     cameras : sequence of K CameraModel
@@ -473,53 +479,142 @@ def triangulate_batch(cameras, pixels, visible):
     """
     visible = np.asarray(visible, dtype=bool)
     n, k = visible.shape
-    rot = np.stack([cam.pose_global.rotation for cam in cameras])
+    X = np.full((n, 3), np.nan)
+    ok = np.zeros(n, bool)
+    # only the N' points that two views see can pass; below, (K, N') rows
+    seen = np.flatnonzero(visible.sum(axis=1) >= 2)
+    vis = visible[seen].T
+    u, v = np.asarray(pixels, dtype=float).reshape(n, k, 2)[seen].T
     # normalized image coordinates m = K^-1 (u, v, 1); invisible views -> 0
-    h = np.concatenate([np.asarray(pixels, dtype=float).reshape(n, k, 2),
-                        np.ones((n, k, 1))], axis=2)
-    h = np.where(visible[:, :, None], h, 0.0)
-    calib_inv = np.linalg.inv(np.stack([cam.calibration for cam in cameras]))
-    m = np.einsum("kij,nkj->nki", calib_inv, h)                  # (N, K, 3)
+    h = (np.where(vis, u, 0.0), np.where(vis, v, 0.0), vis.astype(float))
+    calib_inv = np.linalg.inv(np.stack([cam.calibration
+                                        for cam in cameras]))[..., None]
+    m = [calib_inv[:, i, 0] * h[0] + calib_inv[:, i, 1] * h[1]
+         + calib_inv[:, i, 2] * h[2] for i in range(3)]
 
-    # ray directions in the global frame; one angle check for all pairs
-    d = np.einsum("kji,nkj->nki", rot, m)
-    norm = np.linalg.norm(d, axis=2, keepdims=True)
-    d = d / np.where(norm > 0.0, norm, 1.0)
-    cos = np.clip(np.abs(np.einsum("nki,nli->nkl", d, d)), -1.0, 1.0)
-    pairs = (visible[:, :, None] & visible[:, None, :]
-             & np.triu(np.ones((k, k), bool), 1))
-    wide = pairs & (np.degrees(np.arccos(cos)) >= MIN_TRIANGULATION_ANGLE_DEG)
-    ok = wide.any(axis=(1, 2))
+    # unit ray directions R^T m in the global frame; one angle check for
+    # every pair k < l of views
+    rot = np.stack([cam.pose_global.rotation for cam in cameras])[..., None]
+    d = [rot[:, 0, i] * m[0] + rot[:, 1, i] * m[1] + rot[:, 2, i] * m[2]
+         for i in range(3)]
+    norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    d = [c / np.where(norm > 0.0, norm, 1.0) for c in d]
+    first, second = np.triu_indices(k, 1)
+    cos = (d[0][first] * d[0][second] + d[1][first] * d[1][second]
+           + d[2][first] * d[2][second])
+    wide = (vis[first] & vis[second]
+            & (np.degrees(np.arccos(np.minimum(np.abs(cos), 1.0)))
+               >= MIN_TRIANGULATION_ANGLE_DEG))
     # the DLT only for the points that pass; each point's problem is its own
-    use = np.flatnonzero(ok)
-    m = m[use]
-    del h, d, norm, cos, pairs, wide    # freed before the DLT allocates
+    passed = wide.any(axis=0)
+    use = seen[passed]
+    m = [c[:, passed] for c in m]
+    del h, d, norm, cos, wide           # freed before the DLT allocates
 
     # two rows per view of K^-1 P = [R | t], zero rows for invisible views
-    # (null space unchanged)
+    # (null space unchanged): A[2 k] and A[2 k + 1] (4, N') are view k's
     P = np.concatenate([rot, np.stack([cam.pose_global.translation
-                                       for cam in cameras])[:, :, None]],
-                       axis=2)                                   # (K, 3, 4)
-    A = np.stack([m[:, :, 0:1] * P[None, :, 2] - m[:, :, 2:3] * P[None, :, 0],
-                  m[:, :, 1:2] * P[None, :, 2] - m[:, :, 2:3] * P[None, :, 1]],
-                 axis=2).reshape(len(use), 2 * k, 4)
-    # the null vector of A: the eigenvector of the 4x4 A^T A with the
-    # smallest eigenvalue, V[:, :, 0]. A^T A squares the condition of A, so
-    # V is corrected to first order in G = B^T B, B = A V, whose entries
-    # carry A's own rounding: G[0, j] / (G[j, j] - G[0, 0]) of eigenvector j
-    # comes off, as one Jacobi sweep on column 0 would take it
-    V = np.linalg.eigh(A.transpose(0, 2, 1) @ A)[1]
-    B = A @ V
-    couple = np.einsum("nr,nrj->nj", B[:, :, 0], B[:, :, 1:])
-    gap = np.einsum("nrj,nrj->nj", B[:, :, 1:], B[:, :, 1:]) \
-        - np.einsum("nr,nr->n", B[:, :, 0], B[:, :, 0])[:, None]
+                                       for cam in cameras])[:, :, None, None]],
+                       axis=2)                               # (K, 3, 4, 1)
+    mx, my, mz = (c[:, None] for c in m)                     # (K, 1, N')
+    A = np.stack([mx * P[:, 2] - mz * P[:, 0], my * P[:, 2] - mz * P[:, 1]],
+                 axis=1).reshape(2 * k, 4, len(use))
+    # the null vector of A: the eigenvector of A^T A with the smallest
+    # eigenvalue, V[0] once sorted first. A^T A squares the condition of A,
+    # so V[0] is corrected to first order in G = B^T B, B = A V, whose
+    # entries carry A's own rounding: G[0, j] / (G[j, j] - G[0, 0]) of
+    # eigenvector j comes off, as one Jacobi sweep on V[0] would take it.
+    # Sums over the rows of A add them in order (`sum`, not np.sum, which
+    # may add pairwise when N' = 1), so a point gets the same bits alone
+    # as in a batch.
+    w, V = _jacobi_eigh(sum(a[_GRAM_ROW] * a[_GRAM_COL] for a in A))
+    order = (np.argmin(w, axis=0) + np.arange(4)[:, None]) % 4
+    V = np.take_along_axis(V, order[:, None], axis=0)
+    B = (A[:, 0, None] * V[:, 0] + A[:, 1, None] * V[:, 1]
+         + A[:, 2, None] * V[:, 2] + A[:, 3, None] * V[:, 3])  # (2K, 4, N')
+    # per point: B_0 . B_j for j = 0..3, then B_j . B_j for j = 1..3
+    G = sum(np.concatenate([b[:1] * b, b[1:] * b[1:]]) for b in B)
+    couple, gap = G[1:4], G[4:] - G[0]
     theta = np.where(gap > 0.0, couple / np.where(gap > 0.0, gap, 1.0), 0.0)
-    Xh = V[:, :, 0] - np.einsum("nij,nj->ni", V[:, :, 1:], theta)
-    finite = np.abs(Xh[:, 3]) >= 1e-14
-    ok[use] = finite
-    X = np.full((n, 3), np.nan)
-    X[use[finite]] = Xh[finite, :3] / Xh[finite, 3:]
+    Xh = V[0] - (theta[0] * V[1] + theta[1] * V[2] + theta[2] * V[3])
+    finite = np.abs(Xh[3]) >= 1e-14
+    ok[use[finite]] = True
+    X[use[finite]] = (Xh[:3, finite] / Xh[3, finite]).T
     return X, ok
+
+
+# the Gram entries a00 a11 a22 a33 a01 a02 a03 a12 a13 a23, in the order
+# `_jacobi_eigh` takes them
+_GRAM_ROW = [0, 1, 2, 3, 0, 0, 0, 1, 1, 2]
+_GRAM_COL = [0, 1, 2, 3, 1, 2, 3, 2, 3, 3]
+_JACOBI_SWEEPS = 4
+_TINY = np.finfo(float).tiny
+
+
+def _jacobi_eigh(gram):
+    """Eigenvalues and eigenvectors of N symmetric 4x4 matrices by cyclic
+    Jacobi (Golub & Van Loan, Matrix Computations, 8.5).
+
+    gram is (10, N): the entries a00 a11 a22 a33 a01 a02 a03 a12 a13 a23
+    of every matrix (`_GRAM_ROW`, `_GRAM_COL`). Each entry is one (N,) row,
+    so each rotation is a few elementwise numpy calls over all N matrices.
+    A sweep rotates the pairs (0,1), (2,3), (0,2), (1,3), (0,3), (1,2); the
+    two pairs of each step are disjoint, so their rotations commute and run
+    as one call on both.
+    Rotation (p, q) has the tangent t = 2 a_pq sgn(d) / (|d| + hypot(d,
+    2 a_pq)), d = a_qq - a_pp, which cannot overflow; t = 0 where
+    d = a_pq = 0. The hypot is taken as sqrt(d^2 + 4 a_pq^2), finite for
+    entries below 1e154, as np.hypot costs about 20 times more per element.
+
+    Returns (w (4, N) eigenvalues, V (4, 4, N) with V[j] the unit
+    eigenvector of w[j]), in no particular order.
+    """
+    n = gram.shape[1]
+    w, o = gram[:4].copy(), gram[4:].copy()       # diagonal, off-diagonal
+    V = np.repeat(np.eye(4)[:, :, None], n, axis=2)
+    # per step, views of: (a_pp, a_qq, a_pq) of both pairs (p1, q1),
+    # (p2, q2); the cross block X = [[a_p1p2, a_p1q2], [a_q1p2, a_q1q2]];
+    # the eigenvectors v_p and v_q of both pairs
+    steps = [(w[0::2], w[1::2], o[0::5], o[1:5].reshape(2, 2, n),
+              V[0::2], V[1::2]),
+             (w[0:2], w[2:4], o[1:5:3], o.reshape(2, 3, n)[:, 0::2],
+              V[0:2], V[2:4]),
+             (w[0:2], w[3:1:-1], o[2:4], o.reshape(3, 2, n)[0::2],
+              V[0:2], V[3:1:-1])]
+    z = np.empty((2, 2, n))
+    zp, zq = np.empty((2, 4, n)), np.empty((2, 4, n))
+    for _ in range(_JACOBI_SWEEPS):
+        for app, aqq, apq, X, vp, vq in steps:
+            d = aqq - app
+            a2 = apq + apq
+            # _TINY keeps the denominator nonzero where d = a_pq = 0
+            t = a2 / (d + np.copysign(np.sqrt(d * d + a2 * a2 + _TINY), d))
+            c = 1.0 / np.sqrt(1.0 + t * t)        # cos
+            ta = t * apq
+            app -= ta
+            aqq += ta
+            apq[...] = 0.0
+            # X <- J1^T X J2 for the rotations J1, J2 of the two pairs: rows
+            # by the first, then columns by the second
+            _rotate(X, t[0], c[0], z)
+            _rotate(X.transpose(1, 0, 2), t[1], c[1], z.transpose(1, 0, 2))
+            t, c = t[:, None], c[:, None]
+            np.multiply(vq, t, out=zp)
+            np.multiply(vp, t, out=zq)
+            vp -= zp
+            vq += zq
+            vp *= c
+            vq *= c
+    return w, V
+
+
+def _rotate(x, t, c, z):
+    """x[0], x[1] <- c (x[0] - t x[1]), c (x[1] + t x[0]) in place: the
+    rotation with tangent t and cosine c. z is a work array of x's shape."""
+    np.multiply(x, t, out=z)
+    np.subtract(x[0], z[1], out=x[0])
+    np.add(x[1], z[0], out=x[1])
+    x *= c
 
 
 # ---------------------------------------------------------------------------

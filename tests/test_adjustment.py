@@ -189,7 +189,7 @@ def test_deformed_problem_uses_per_epoch_points():
     assert problem.sigma_px == adjustment.SIGMA_PX_GEOMETRIC
     assert problem.model_pts.shape == (15, 8, 3)
     # ground-truth offsets make the ground-truth track almost reprojection-free
-    rp, _ = problem.residual_rms(gt_track(ds).as_array())
+    rp, _ = problem._rms(problem.residuals(gt_track(ds).as_array()))[:2]
     assert rp < 1e-9
 
 
@@ -566,7 +566,7 @@ def test_four_point_smoothness_equals_grid_sum():
     sq = (track_constraint.grid_displacements(x, S) ** 2).sum()
     assert problem.n_residuals == 12 * 9
     assert abs(problem.cost(x.ravel()) - w ** 2 * sq) <= 1e-12 * w ** 2 * sq
-    _, sm_rms = problem.residual_rms(x.ravel())
+    _, sm_rms = problem._rms(problem.residuals(x.ravel()))[:2]
     assert sm_rms == pytest.approx(np.sqrt(sq / (3 * 27 * 9)),
                                    rel=1e-12)
 

@@ -42,17 +42,25 @@ def test_simulate_bad_config_exit_2(tmp_path):
                "--out", str(tmp_path / "x.json")) == 2
 
 
-def test_simulate_camera_facing_away_exit_3(tmp_path, capsys):
-    # camera 1 above the table at z = 1200 mm, looking up
+def test_simulate_camera_facing_away_exit_2(tmp_path, capsys):
+    # camera 1 above the table at z = 1200 mm, looking up: a bad config
     scene = _scene(cameras=_camera_docs(R=[1, 0, 0, 0, 1, 0, 0, 0, 1],
                                         t=[0, 0, -1200]))
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(scene))
     out = tmp_path / "data.json"
-    assert run("simulate", "--config", str(path), "--out", str(out)) == 3
+    assert run("simulate", "--config", str(path), "--out", str(out)) == 2
     assert capsys.readouterr().err == \
         "simulate: camera 1 never images the plane\n"
     assert not out.exists()
+
+    path.write_text(json.dumps({"scene": scene}))
+    run_dir = tmp_path / "run"
+    assert run("pipeline", "--config", str(path),
+               "--out-dir", str(run_dir)) == 2
+    assert capsys.readouterr().err == \
+        "pipeline: camera 1 never images the plane\n"
+    assert not (run_dir / "data.json").exists()
 
 
 def test_simulate_into_missing_directory_exit_2(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mousetrack3d import geometry, simulator
 from mousetrack3d.errors import (
@@ -25,6 +26,11 @@ from mousetrack3d.geometry import (
     triangulate_batch,
     triangulate_linear,
 )
+
+
+# derandomized, as in test_loader_fuzz.py
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
+                database=None)
 
 
 def random_rotation(rng):
@@ -592,6 +598,105 @@ def test_triangulate_batch_rejects_degenerate_points(monkeypatch):
                               np.array([[True, False], [True, True]]))
     assert ok.tolist() == [False, True]
     assert np.allclose(X[1], 0.0, atol=1e-9)
+
+
+def look_at(center, target, K):
+    """Camera at `center` whose optical axis points at `target`."""
+    z = (target - center) / np.linalg.norm(target - center)
+    x = np.cross([0.0, 0.0, 1.0] if abs(z[2]) < 0.9 else [1.0, 0.0, 0.0], z)
+    x /= np.linalg.norm(x)
+    R = np.stack([x, np.cross(z, x), z])
+    return CameraModel(K, RigidTransform(R, -R @ center))
+
+
+@st.composite
+def dlt_scenes(draw):
+    """(cameras, pixels, visible) of 20 points near a target seen by a rig of
+    2-4 cameras, with 0.5 px noise. Rigs are wide (cameras around the target
+    at 300 mm to 50 m), narrow (2 cameras whose rays meet at 0.1-6 deg) or
+    far (the target 5-50 m from cameras within 1 m of each other). One
+    calibration's last row is not (0, 0, 1)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["wide", "narrow", "far"]))
+    n_cams = 2 if kind == "narrow" else draw(st.integers(2, 4))
+    distance = draw(st.floats(300.0, 50000.0) if kind != "far"
+                    else st.floats(5000.0, 50000.0))
+    target = rng.normal(scale=100.0, size=3)
+    if kind == "narrow":
+        half = np.radians(draw(st.floats(0.1, 6.0))) / 2.0
+        centers = [target + distance * np.array([np.sin(s * half), 0.0,
+                                                 np.cos(half)])
+                   for s in (-1.0, 1.0)]
+    elif kind == "wide":
+        up = rng.normal(size=(n_cams, 3))
+        up[:, 2] = np.abs(up[:, 2]) + 0.2
+        up /= np.linalg.norm(up, axis=1, keepdims=True)
+        centers = list(target + distance * up)
+    else:
+        base = target + distance * np.array([0.0, 0.6, 0.8])
+        centers = list(base + rng.uniform(-500.0, 500.0, size=(n_cams, 3)))
+    cams = []
+    for k, center in enumerate(centers):
+        f = rng.uniform(500.0, 2000.0)
+        K = np.array([[f, 0.0, rng.uniform(200, 800)],
+                      [0.0, f * rng.uniform(0.9, 1.1), rng.uniform(200, 800)],
+                      [0.0, 0.0, 1.0]])
+        if k == 0:
+            K[2] = [rng.uniform(-1e-4, 1e-4), rng.uniform(-1e-4, 1e-4),
+                    rng.uniform(0.5, 2.0)]
+        cams.append(look_at(center, target, K))
+    X = target + rng.normal(scale=0.02 * distance, size=(20, 3))
+    pixels = np.stack([project_many(cam, X)[0] for cam in cams], axis=1)
+    pixels += rng.normal(scale=0.5, size=pixels.shape)
+    visible = rng.random((20, n_cams)) < 0.8
+    visible[:5] = True
+    pixels[~visible] = np.nan
+    return cams, pixels, visible
+
+
+def ray_angle_rule(cams, pixels, visible):
+    """Points seen by two cameras whose rays through the pixels subtend at
+    least MIN_TRIANGULATION_ANGLE_DEG."""
+    ok = np.zeros(len(pixels), bool)
+    for p in range(len(pixels)):
+        rays = []
+        for k in np.flatnonzero(visible[p]):
+            d = cams[k].pose_global.rotation.T @ np.linalg.solve(
+                cams[k].calibration, np.append(pixels[p, k], 1.0))
+            rays.append(d / np.linalg.norm(d))
+        ok[p] = any(np.degrees(np.arccos(min(abs(a @ b), 1.0)))
+                    >= geometry.MIN_TRIANGULATION_ANGLE_DEG
+                    for i, a in enumerate(rays) for b in rays[i + 1:])
+    return ok
+
+
+@FUZZ
+@given(dlt_scenes())
+def test_triangulate_batch_matches_dlt_on_random_rigs(scene):
+    cams, pixels, visible = scene
+    X, ok = triangulate_batch(cams, pixels, visible)
+    assert np.array_equal(ok, ray_angle_rule(cams, pixels, visible))
+    assert np.isnan(X[~ok]).all()
+    for p in np.flatnonzero(ok):
+        ref = dlt_reference([(cams[k], pixels[p, k])
+                             for k in np.flatnonzero(visible[p])])
+        assert np.abs(X[p] - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
+
+
+def test_jacobi_eigh_diagonalizes():
+    rng = np.random.default_rng(23)
+    M = rng.normal(size=(50, 4, 4)) * rng.uniform(1e-3, 1e3, size=(50, 1, 4))
+    gram = M.transpose(0, 2, 1) @ M
+    gram[0] = np.diag([1.0, 1.0, 2.0, 2.0])       # already diagonal, ties
+    gram[1] = 0.0                                 # d = a_pq = 0 everywhere
+    w, V = geometry._jacobi_eigh(
+        gram[:, geometry._GRAM_ROW, geometry._GRAM_COL].T)
+    V = V.transpose(2, 1, 0)                      # eigenvectors as columns
+    scale = np.abs(gram).max(axis=(1, 2))[:, None, None]
+    assert np.abs(V.transpose(0, 2, 1) @ V - np.eye(4)).max() <= 1e-14
+    assert (np.abs(V * w.T[:, None, :] - gram @ V) <= 1e-14 * scale).all()
+    assert (np.abs(np.sort(w.T) - np.linalg.eigvalsh(gram))
+            <= 1e-14 * scale[:, 0]).all()
 
 
 # -- camera file IO -----------------------------------------------------------

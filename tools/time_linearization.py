@@ -11,7 +11,10 @@ built by `perfbench/workloads.py`) it times, at the initialized track:
 * `Problem.residuals` then `Problem.normal_equations` at the same x, as LM
   evaluates a start point or an accepted step and linearizes there (the
   normal-matrix assembly that the benchmark's tracer does not see);
-* `adjustment.triangulate_parts`, which runs once per solve.
+* `adjustment.triangulate_parts`, which runs once per solve, with the
+  number of points it triangulated;
+* `adjustment.initialize` given those parts, the rest of the front end
+  before LM.
 
 Deformed workloads are timed with the recording's ground-truth offsets as
 the model points, which gives the deformed mode's problem without training
@@ -99,16 +102,21 @@ def main(argv=None):
         def triangulate():
             adjustment.triangulate_parts(ds, ds.cameras)
 
+        parts = adjustment.triangulate_parts(ds, ds.cameras)
         res = cpu_ms(lambda: problem.residuals(x), args.samples)
         lin = cpu_ms(linearize, args.samples)
         tri = cpu_ms(triangulate, args.samples)
+        ini = cpu_ms(lambda: adjustment.initialize(ds, parts=parts),
+                     args.samples)
         print(f"{name}: T = {ds.n_epochs}, {problem.n_obs} observations; "
               f"residuals {res[0]:.3f} / {res[1]:.3f} ms, residuals + "
               f"normal_equations {lin[0]:.3f} / {lin[1]:.3f} ms, "
-              f"triangulate_parts {tri[0]:.3f} / {tri[1]:.3f} ms (min / "
-              f"median of {args.samples} CPU times); residuals + "
-              f"normal_equations allocate {peak_mib(linearize):.2f} MiB "
-              f"at peak, triangulate_parts {peak_mib(triangulate):.2f} MiB")
+              f"triangulate_parts {tri[0]:.3f} / {tri[1]:.3f} ms for "
+              f"{int(parts[1].sum())} points, initialize {ini[0]:.3f} / "
+              f"{ini[1]:.3f} ms (min / median of {args.samples} CPU times); "
+              f"residuals + normal_equations allocate "
+              f"{peak_mib(linearize):.2f} MiB at peak, triangulate_parts "
+              f"{peak_mib(triangulate):.2f} MiB")
 
 
 if __name__ == "__main__":
