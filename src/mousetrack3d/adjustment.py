@@ -41,7 +41,12 @@ from .errors import (
     NonFiniteCost,
     NoSolvableEpoch,
     SchemaError,
-    number_rows,
+    check_cells,
+    check_object,
+    check_version,
+    decode_block,
+    encode_block,
+    is_int,
     read_json,
 )
 
@@ -784,37 +789,60 @@ def solve_dataset(dataset, cameras=None, mode="rigid", deform_model=None,
     return track, report
 
 
+FORMAT_VERSION = 2
+
+
 def save_track(track: MouseStateTrack, path):
-    """Write a track as a JSON list of epoch records."""
-    columns = {"rodrigues": track.poses[:, :3].tolist(),
-               "translation_mm": track.poses[:, 3:].tolist(),
-               "solved_from": track.solved_from}
+    """Write a track file (format version 2): one JSON object holding the
+    number of epochs `n_epochs` T, the (T, 6) block `poses` (each row a
+    Rodrigues vector, then a translation in mm), the list of T
+    `solved_from` flags and, when the track has them, the (T,) block
+    `residual_rms`. A block is a base64 string of little-endian float64
+    values in C order, as in a dataset file. `load_track` reads back every
+    value bit for bit."""
+    doc = {"format_version": FORMAT_VERSION, "n_epochs": track.n_epochs,
+           "poses": encode_block(track.poses),
+           "solved_from": track.solved_from}
     if track.residual_rms is not None:
-        columns["residual_rms"] = track.residual_rms.tolist()
-    records = [{"t": t, **dict(zip(columns, rec))}
-               for t, rec in enumerate(zip(*columns.values()))]
+        doc["residual_rms"] = encode_block(track.residual_rms)
     with open(path, "w") as f:
-        f.write(json.dumps(records, sort_keys=True, separators=(",", ":")))
+        f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def load_track(path) -> MouseStateTrack:
-    """Track written by `save_track`. Records must hold epochs 0..T-1 once
-    each, in any order; anything else raises SchemaError.
+    """Track written by `save_track`. Anything malformed raises SchemaError
+    naming its field:
 
-    After `geometry.pose_table`, which also rejects a field that records
-    do not hold, the `solved_from` flags are checked as one column and
-    `residual_rms` by `errors.number_rows`, naming the first bad epoch."""
-    records = read_json(path, "track")
-    if not records:
-        raise SchemaError("track file must be a non-empty JSON list of "
-                          "epoch records")
-    params = geometry.pose_table(records, ("solved_from", "residual_rms"))
-    by_t = sorted(records, key=lambda rec: rec["t"])
-    flags = [rec.get("solved_from", "adjusted") for rec in by_t]
+    - a file without `format_version` 2 (version 1, a JSON list of epoch
+      records, is refused by its version);
+    - a missing or unknown field (a misspelt `residual_rms` would otherwise
+      load as no residual RMS);
+    - an `n_epochs` that is not an integer of at least 1;
+    - a block that is not a base64 string or does not hold T poses or T
+      residual RMS values, or a non-finite value in one;
+    - a `solved_from` that is not a list of T flags from SOLVED_FROM."""
+    doc = read_json(path, "track")
+    check_version(doc, FORMAT_VERSION, "track")
+    check_object(doc, ("format_version", "n_epochs", "poses", "solved_from"),
+                 ("residual_rms",), "track file")
+    T = doc["n_epochs"]
+    if not is_int(T) or T < 1:
+        raise SchemaError(f"track field 'n_epochs' must be an integer >= 1, "
+                          f"got {T!r}")
+    poses = decode_block(doc["poses"], (T, 6), "track", "poses")
+    check_cells(~np.isfinite(poses), "track", "poses", "must be finite",
+                ("t", "column"))
+    flags = doc["solved_from"]
+    if not isinstance(flags, list) or len(flags) != T:
+        raise SchemaError(f"track field 'solved_from' must be a list of {T} "
+                          f"flags")
     bad = [t for t, flag in enumerate(flags) if flag not in SOLVED_FROM]
     if bad:
-        raise SchemaError(f"pose t = {bad[0]}: 'solved_from' must be one of "
-                          f"{', '.join(SOLVED_FROM)}")
-    rms = number_rows([rec.get("residual_rms", 0.0) for rec in by_t], (),
-                      lambda t: f"pose t = {t}: 'residual_rms'")
-    return MouseStateTrack(params, flags, rms)
+        raise SchemaError(f"track field 'solved_from' must hold only "
+                          f"{', '.join(SOLVED_FROM)} (at t = {bad[0]})")
+    rms = None
+    if "residual_rms" in doc:
+        rms = decode_block(doc["residual_rms"], (T,), "track", "residual_rms")
+        check_cells(~np.isfinite(rms), "track", "residual_rms",
+                    "must be finite", ("t",))
+    return MouseStateTrack(poses, flags, rms)

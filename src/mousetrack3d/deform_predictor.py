@@ -25,7 +25,7 @@ import numpy as np
 
 from . import mouse_model
 from .errors import (DivergedLoss, SchemaError, UntrainedModel, check_object,
-                     is_int, numbers, read_json)
+                     check_version, is_int, numbers, read_json)
 
 N_PARTS = 8
 WINDOW = 2          # n; a token window covers the 2n+1 epochs t-n..t+n
@@ -278,12 +278,7 @@ def load_model(path) -> SequenceModel:
     another format version, a missing or unknown field or anything malformed
     raises SchemaError."""
     doc = read_json(path, "model")
-    # the version first: another version's fields are not this one's
-    if isinstance(doc, dict) and "format_version" in doc:
-        version = doc["format_version"]
-        if not is_int(version) or version != FORMAT_VERSION:
-            raise SchemaError(f"unsupported model format version {version!r}; "
-                              f"this version reads {FORMAT_VERSION}")
+    check_version(doc, FORMAT_VERSION, "model")
     check_object(doc, ("format_version", "hidden_size", "trained",
                        "offset_scale_mm", "weights"), (), "model file")
     H = doc["hidden_size"]

@@ -1,12 +1,15 @@
 """Exception hierarchy for the tracking pipeline, plus the input checks the
-file loaders share: a JSON document, an integer, an array of numbers, a list
-of such arrays, the field names of a JSON object and the fields of a config
-object. All raise SchemaError on malformed input; only `is_int` and
-`_number_array` decide what a JSON number is.
+file loaders share: a JSON document and its format version, an integer, an
+array of numbers, a base64 block of float64 values, the field names of a
+JSON object and the fields of a config object. All raise SchemaError on
+malformed input; only `is_int` and `_number_array` decide what a JSON number
+is, and only `encode_block` and `decode_block` know the block encoding.
 """
 
+import base64
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -87,6 +90,24 @@ def read_json(path, what):
         raise SchemaError(f"cannot read {what} file {path}: {e}")
 
 
+def check_version(doc, current, what):
+    """SchemaError unless the JSON document of a `what` file is of format
+    version `current`. It is checked before any other field, since another
+    version's fields are not this one's. A JSON object without
+    `format_version` is version 1, and so is a non-empty JSON list of
+    objects: the first track files were lists of epoch records."""
+    if isinstance(doc, dict):
+        version = doc.get("format_version", 1)
+    elif isinstance(doc, list) and doc and all(isinstance(d, dict)
+                                                for d in doc):
+        version = 1
+    else:
+        return      # not a JSON object: `check_object` says so
+    if not is_int(version) or version != current:
+        raise SchemaError(f"unsupported {what} format version {version!r}; "
+                          f"this version reads {current}")
+
+
 def is_int(value):
     """True when value is a JSON integer: a Python int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -135,21 +156,41 @@ def numbers(value, shape, what):
     return out
 
 
-def number_rows(values, shape, name):
-    """The list `values` of arrays of the given shape as one float array by
-    the rule of `numbers`, or SchemaError. Only when the check as one array
-    fails is the list checked entry by entry, so that the error names the
-    first bad entry: `name(n)` is what entry n is called."""
-    if not values:
-        return np.zeros((0, *shape))
+def encode_block(array):
+    """array as a block: one base64 string of its little-endian float64
+    values in C order. `decode_block` is its inverse."""
+    return base64.b64encode(
+        np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_block(block, shape, kind, field):
+    """The block (see `encode_block`) in field `field` of a `kind` file as a
+    float array of the given shape, or SchemaError naming both unless it is
+    a string of valid base64 holding exactly 8 bytes per value."""
+    what = f"{kind} field '{field}'"
+    if not isinstance(block, str):
+        raise SchemaError(f"{what} must be a base64 string")
     try:
-        return numbers(values, (len(values), *shape), "")
-    except SchemaError as e:
-        whole = e
-    # entries that each pass also pass as one array, so one of them fails
-    for n, value in enumerate(values):
-        numbers(value, shape, name(n))
-    raise whole
+        raw = base64.b64decode(block, validate=True)
+    except ValueError:      # binascii.Error, or a character outside ASCII
+        raise SchemaError(f"{what} is not valid base64") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise SchemaError(
+            f"{what} holds {len(raw)} bytes, not the {size} of "
+            f"{' x '.join(map(str, shape))} float64 values")
+    # frombuffer views the bytes read-only; astype copies to a native array
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+
+
+def check_cells(bad, kind, field, rule, names):
+    """SchemaError naming field `field` of a `kind` file, the rule it breaks
+    and the first entry of the boolean array `bad` that is set, indexed by
+    `names`."""
+    if bad.any():
+        at = ", ".join(f"{name} = {n}" for name, n in
+                       zip(names, np.argwhere(bad)[0].tolist()))
+        raise SchemaError(f"{kind} field '{field}' {rule} (at {at})")
 
 
 def check_object(d, required, optional, what):

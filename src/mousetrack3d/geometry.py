@@ -33,7 +33,6 @@ from .errors import (
     SingularCamera,
     check_object,
     is_int,
-    number_rows,
     numbers,
     read_json,
 )
@@ -618,7 +617,7 @@ def _rotate(x, t, c, z):
 
 
 # ---------------------------------------------------------------------------
-# Camera and pose records
+# Camera records
 # ---------------------------------------------------------------------------
 
 def camera_to_dict(cam: CameraModel) -> dict:
@@ -660,36 +659,3 @@ def load_cameras(path):
     if not isinstance(data, list):
         raise SchemaError("camera file must be a JSON list of camera records")
     return [camera_from_dict(d) for d in data]
-
-
-_POSE_FIELDS = ("rodrigues", "translation_mm")
-
-
-def pose_table(records, optional=()):
-    """(T, 6) pose parameters (Rodrigues vector, translation in mm) from
-    pose records whose `t` values are exactly 0..T-1, in any order.
-
-    Structure is checked first, record by record: a JSON object with all
-    fields, no field outside them and `optional` (`errors.check_object`),
-    and an integer `t` in range that no earlier record holds. Then the
-    values, in epoch order, by `errors.number_rows`. A SchemaError names
-    the first bad record of the first check that fails."""
-    if not isinstance(records, list):
-        raise SchemaError("poses must be a JSON list of pose records")
-    by_t = [None] * len(records)
-    for rec in records:
-        if not isinstance(rec, dict):
-            raise SchemaError("pose records must be JSON objects")
-        check_object(rec, ("t", *_POSE_FIELDS), optional, "pose record")
-        t = rec["t"]
-        if not is_int(t):
-            raise SchemaError(f"pose field 't' must be an integer, got {t!r}")
-        if not 0 <= t < len(records):
-            raise SchemaError(f"pose t = {t} outside 0..{len(records) - 1}")
-        if by_t[t] is not None:
-            raise SchemaError(f"duplicate pose t = {t}")
-        by_t[t] = rec
-    return np.concatenate(
-        [number_rows([rec[key] for rec in by_t], (3,),
-                     lambda t: f"pose t = {t}: '{key}'")
-         for key in _POSE_FIELDS], axis=1)

@@ -13,7 +13,6 @@ as JSON and every array as one base64 block of float64 values.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
 import math
@@ -22,8 +21,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import geometry, mouse_model
-from .errors import (CameraSeesNothing, SchemaError, check_object, fields,
-                     is_int, read_json)
+from .errors import (CameraSeesNothing, SchemaError, check_cells,
+                     check_object, check_version, decode_block, encode_block,
+                     fields, read_json)
 from .geometry import CameraModel, RigidTransform
 
 
@@ -270,43 +270,6 @@ def _config_from_dict(d: dict) -> SceneConfig:
 FORMAT_VERSION = 2
 
 
-def _encode(array):
-    """array as a dataset block: one base64 string of its little-endian
-    float64 values in C order. `_decode` is its inverse; the two are the
-    only code that knows the encoding."""
-    return base64.b64encode(
-        np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode(block, shape, what):
-    """The dataset block `block` (see `_encode`) as a float array of the
-    given shape, or SchemaError naming the field `what` when it is not a
-    string of valid base64 holding exactly 8 bytes per value."""
-    if not isinstance(block, str):
-        raise SchemaError(f"dataset field '{what}' must be a base64 string")
-    try:
-        raw = base64.b64decode(block, validate=True)
-    except ValueError:      # binascii.Error, or a character outside ASCII
-        raise SchemaError(f"dataset field '{what}' is not valid base64") \
-            from None
-    size = 8 * math.prod(shape)
-    if len(raw) != size:
-        raise SchemaError(
-            f"dataset field '{what}' holds {len(raw)} bytes, not the {size} "
-            f"of {' x '.join(map(str, shape))} float64 values")
-    # frombuffer views the bytes read-only; astype copies to a native array
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
-
-
-def _check(bad, what, rule, names):
-    """SchemaError naming field `what`, the rule it breaks and the first
-    entry of the boolean array `bad` that is set, indexed by `names`."""
-    if bad.any():
-        at = ", ".join(f"{name} = {n}" for name, n in
-                       zip(names, np.argwhere(bad)[0].tolist()))
-        raise SchemaError(f"dataset field '{what}' {rule} (at {at})")
-
-
 def export_dataset(dataset: SimulatedDataset, path):
     """Write a dataset file (format version 2): one JSON object whose `meta`
     is the scene config as JSON and whose arrays are blocks, each one base64
@@ -323,12 +286,12 @@ def export_dataset(dataset: SimulatedDataset, path):
         "format_version": FORMAT_VERSION,
         "meta": _config_to_dict(dataset.config),
         "ground_truth": {
-            "poses": _encode(dataset.poses),
-            "deform_offsets_mm": _encode(dataset.deform_offsets),
+            "poses": encode_block(dataset.poses),
+            "deform_offsets_mm": encode_block(dataset.deform_offsets),
         },
         "observations": {
-            "pixels": _encode(dataset.observations),
-            "noise": _encode(dataset.noise),
+            "pixels": encode_block(dataset.observations),
+            "noise": encode_block(dataset.noise),
         },
     }
     with open(path, "w") as f:
@@ -350,13 +313,7 @@ def import_dataset(path) -> SimulatedDataset:
       pair with one NaN and one number, or nonzero noise where no pixel
       is."""
     doc = read_json(path, "dataset")
-    # the version first: another version's fields are not this one's
-    if isinstance(doc, dict):
-        version = doc.get("format_version", 1)
-        if not is_int(version) or version != FORMAT_VERSION:
-            raise SchemaError(f"unsupported dataset format version "
-                              f"{version!r}; this version reads "
-                              f"{FORMAT_VERSION}")
+    check_version(doc, FORMAT_VERSION, "dataset")
     check_object(doc, ("format_version", "meta", "ground_truth",
                        "observations"), (), "dataset file")
     gt, observations = doc["ground_truth"], doc["observations"]
@@ -364,29 +321,33 @@ def import_dataset(path) -> SimulatedDataset:
     check_object(observations, ("pixels", "noise"), (), "dataset observations")
     config = _config_from_dict(doc["meta"])
     T, Kn = config.n_epochs, len(config.cameras)
-    params = _decode(gt["poses"], (T, 6), "ground_truth.poses")
+    params = decode_block(gt["poses"], (T, 6), "dataset", "ground_truth.poses")
     offsets = np.zeros((T, 8, 3))
     if "deform_offsets_mm" in gt:
-        offsets = _decode(gt["deform_offsets_mm"], (T, 8, 3),
-                          "ground_truth.deform_offsets_mm")
-    obs = _decode(observations["pixels"], (T, Kn, 8, 2), "observations.pixels")
-    noise = _decode(observations["noise"], (T, Kn, 8, 2), "observations.noise")
+        offsets = decode_block(gt["deform_offsets_mm"], (T, 8, 3), "dataset",
+                               "ground_truth.deform_offsets_mm")
+    obs = decode_block(observations["pixels"], (T, Kn, 8, 2), "dataset",
+                       "observations.pixels")
+    noise = decode_block(observations["noise"], (T, Kn, 8, 2), "dataset",
+                         "observations.noise")
 
-    _check(~np.isfinite(params), "ground_truth.poses", "must be finite",
-           ("t", "column"))
-    _check(~np.isfinite(offsets), "ground_truth.deform_offsets_mm",
-           "must be finite", ("t", "i", "axis"))
-    cell = ("t", "k", "i")
-    _check(~np.isfinite(noise).all(axis=3), "observations.noise",
-           "must be finite", cell)
-    _check(np.isinf(obs).any(axis=3), "observations.pixels",
-           "holds an infinite value", cell)
+    def check(bad, field, rule, names=("t", "k", "i")):
+        check_cells(bad, "dataset", field, rule, names)
+
+    check(~np.isfinite(params), "ground_truth.poses", "must be finite",
+          ("t", "column"))
+    check(~np.isfinite(offsets), "ground_truth.deform_offsets_mm",
+          "must be finite", ("t", "i", "axis"))
+    check(~np.isfinite(noise).all(axis=3), "observations.noise",
+          "must be finite")
+    check(np.isinf(obs).any(axis=3), "observations.pixels",
+          "holds an infinite value")
     seen = ~np.isnan(obs)
     vis = seen[..., 0]
-    _check(seen[..., 1] != vis, "observations.pixels",
-           "holds a pair of one NaN and one number", cell)
-    _check(~vis & (noise != 0).any(axis=3), "observations.noise",
-           "must be 0 where observations.pixels is NaN", cell)
+    check(seen[..., 1] != vis, "observations.pixels",
+          "holds a pair of one NaN and one number")
+    check(~vis & (noise != 0).any(axis=3), "observations.noise",
+          "must be 0 where observations.pixels is NaN")
     return SimulatedDataset(config=config, poses=params,
                             deformable_world=_deformable_world(params, offsets),
                             deform_offsets=offsets,

@@ -7,7 +7,7 @@ import numpy as np
 
 from mousetrack3d import (adjustment, cli, deform_predictor, evaluation,
                           geometry, simulator)
-from mousetrack3d.errors import DivergedLoss
+from mousetrack3d.errors import DivergedLoss, SchemaError
 
 
 def run(*argv):
@@ -205,27 +205,125 @@ def test_solve_malformed_dataset_exit_2(tmp_path, case, capsys):
     assert err.startswith("solve: ") and len(err.splitlines()) == 1
 
 
-def _pose_records(ts):
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _drop(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+def _version_1(doc):
+    # a version-1 track: a JSON list of epoch records
+    return [{"t": 0, "rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0],
+             "solved_from": "local"}]
+
+
+_POSES = dict(shape=(40, 6))
+# (mutation of a saved 40-epoch track document, expected message); a
+# mutation edits the document in place or returns the document to write
+BAD_TRACKS = {
+    "version_1": (_version_1, "^unsupported track format version 1; "
+                              "this version reads 2$"),
+    "version_3": (_set("format_version", 3), "track format version 3;"),
+    "missing_poses": (_drop("poses"),
+                      "track file missing field 'poses'"),
+    "missing_flags": (_drop("solved_from"),
+                      "track file missing field 'solved_from'"),
+    # a misspelt optional field would otherwise load as no residual RMS
+    "misspelt_residual_rms": (
+        lambda doc: _rename(doc, "residual_rms", "residual_rmss"),
+        "track file has unknown field 'residual_rmss'"),
+    "n_epochs_text": (_set("n_epochs", "40"),
+                      "'n_epochs' must be an integer >= 1, got '40'"),
+    "n_epochs_bool": (_set("n_epochs", True),
+                      "'n_epochs' must be an integer >= 1, got True"),
+    "n_epochs_zero": (_set("n_epochs", 0), "'n_epochs' must be an integer"),
+    "poses_list": (_set("poses", [[0.0] * 6] * 40),
+                   "track field 'poses' must be a base64 string"),
+    "poses_not_base64": (_set("poses", "640.06"),
+                         "track field 'poses' is not valid base64"),
+    "poses_short": (_block_edit("poses", **_POSES,
+                                edit=lambda a: a.ravel()[:-1]),
+                    "track field 'poses' holds 1912 bytes, not the 1920 of "
+                    "40 x 6 float64 values"),
+    "n_epochs_long": (_set("n_epochs", 41),
+                      "'poses' holds 1920 bytes, not the 1968"),
+    "rms_long": (_block_edit("residual_rms", shape=(40,),
+                             edit=lambda a: np.append(a, 1.0)),
+                 "track field 'residual_rms' holds 328 bytes, not the 320"),
+    "nan_pose": (_block_edit("poses", **_POSES, edit=_assign((4, 2), np.nan)),
+                 r"track field 'poses' must be finite \(at t = 4, "
+                 r"column = 2\)"),
+    "inf_rms": (_block_edit("residual_rms", shape=(40,),
+                            edit=_assign(7, np.inf)),
+                r"track field 'residual_rms' must be finite \(at t = 7\)"),
+    "flags_short": (_set("solved_from", ["local"] * 39),
+                    "'solved_from' must be a list of 40 flags"),
+    "flags_not_list": (_set("solved_from", "local"),
+                       "'solved_from' must be a list of 40 flags"),
+    "illegal_flag": (_set("solved_from", ["local"] * 3 + ["guessed"] * 37),
+                     r"'solved_from' must hold only local, interpolated, "
+                     r"adjusted \(at t = 3\)"),
+}
+
+
+@pytest.fixture(scope="module")
+def track_inputs(tmp_path_factory):
+    """A 40-epoch dataset file and the document of a valid track of it."""
+    root = tmp_path_factory.mktemp("track")
+    data = root / "data.json"
+    run("simulate", "--config", scene_file(root), "--out", str(data))
+    ds = simulator.import_dataset(data)
+    adjustment.save_track(adjustment.MouseStateTrack(
+        ds.poses, ["local"] * 40, np.ones(40)), root / "track.json")
+    return data, json.loads((root / "track.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACKS))
+def test_malformed_track_rejected(tmp_path, track_inputs, case, capsys):
+    """load_track raises SchemaError naming the fault, and evaluate and plot
+    exit with 2 on one stderr line and write nothing."""
+    data, doc = track_inputs
+    mutate, match = BAD_TRACKS[case]
+    doc = json.loads(json.dumps(doc))
+    written = mutate(doc)
+    track = tmp_path / "track.json"
+    track.write_text(json.dumps(doc if written is None else written))
+    with pytest.raises(SchemaError, match=match):
+        adjustment.load_track(track)
+    for command, flag in (("evaluate", "--out"), ("plot", "--out-dir")):
+        out = tmp_path / command
+        assert run(command, "--data", str(data), "--track", str(track),
+                   flag, str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+def _version_1_records(ts):
     return [{"t": t, "rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}
             for t in ts]
 
 
+# track files of version 1, JSON lists of epoch records, whatever their
+# records hold, and a list that holds no records
 @pytest.mark.parametrize("records", [
     [{"rodrigues": [0, 0, 0], "translation_mm": [0, 0, 0]}] * 2,
     [1, 2],
-    _pose_records([0, 0, 5]),
-    # 40 records, the length of the dataset, with t = 2 twice and no t = 3
-    _pose_records([0, 1, 2, 2] + list(range(4, 40))),
-    # a misspelt optional field would otherwise load as zero residual RMS
-    [dict(rec, residual_rmss=1.0) for rec in _pose_records(range(40))],
+    _version_1_records([0, 0, 5]),
+    _version_1_records([0, 1, 2, 2] + list(range(4, 40))),
+    [dict(rec, residual_rmss=1.0) for rec in _version_1_records(range(40))],
 ])
-def test_evaluate_malformed_track_exit_2(tmp_path, records):
-    data = tmp_path / "data.json"
-    run("simulate", "--config", scene_file(tmp_path), "--out", str(data))
+def test_evaluate_malformed_track_exit_2(tmp_path, track_inputs, records):
     track = tmp_path / "track.json"
     track.write_text(json.dumps(records))
-    assert run("evaluate", "--data", str(data), "--track", str(track),
-               "--out", str(tmp_path / "report.json")) == 2
+    assert run("evaluate", "--data", str(track_inputs[0]), "--track",
+               str(track), "--out", str(tmp_path / "report.json")) == 2
 
 
 def _camera_docs(**changes):

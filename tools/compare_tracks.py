@@ -5,9 +5,12 @@
 Run from any directory; the library is imported from the checkout's `src/`.
 Every `track.json` under DIR_A, at any depth (as `tools/output_digests.py
 DIR` leaves them), is paired with the file at the same path under DIR_B.
-Each pair prints one line: the largest rotation difference over its epochs,
-the angle of R_a^T R_b in rad, and the largest translation difference, the
-length of t_a - t_b in mm. Bit-identical tracks print zeros.
+Both are read with this checkout's `adjustment.load_track`, so both must be
+track files of the version it reads (2: the poses as one base64 float64
+block). Each pair prints one line: the largest rotation difference over its
+epochs, the angle of R_a^T R_b in rad, and the largest translation
+difference, the length of t_a - t_b in mm. Bit-identical tracks print
+zeros.
 
 Like `diff`, exits 0 when every pair is identical and 1 otherwise,
 including when the two directories hold different sets of tracks.

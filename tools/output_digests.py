@@ -5,7 +5,9 @@
 Run from any directory; the library is imported from the checkout's `src/`.
 Two sets of files are hashed:
 
-* the track that `adjustment.save_track` writes for every full-size
+* the track file that `adjustment.save_track` writes (format version 2:
+  one JSON object whose poses and residual RMS are base64 float64 blocks)
+  for every full-size
   recording of the benchmark's workloads (named in BENCHMARK.json, built by
   `perfbench/workloads.py`), each solved as the benchmark solves it: the
   scene simulated, exported and imported, then `solve_dataset` in the
