@@ -111,6 +111,11 @@ def cmd_solve(args):
         dataset, cameras, mode=mode, deform_model=deform_model,
         stochastic=stochastic)
     adjustment.save_track(track, args.out)
+    first = report.first_round
+    if first is not None:
+        print(f"solve: round 1 {first.status} in {first.iterations} "
+              f"iterations, cost {first.initial_cost:.6g} -> "
+              f"{first.final_cost:.6g}")
     print(f"solve: {report.status} in {report.iterations} iterations, "
           f"cost {report.initial_cost:.6g} -> {report.final_cost:.6g}, "
           f"reprojection rms {report.reprojection_rms_px:.4f} px")

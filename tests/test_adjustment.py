@@ -958,11 +958,18 @@ def test_stochastic_config_rejects_bad_values(kwargs):
         StochasticConfig(**kwargs)
 
 
-def test_deformed_solve_uses_predicted_offsets():
+@pytest.fixture(scope="module")
+def gait_and_model():
+    """A 120-epoch gait recording and a deformation model trained on it."""
     from mousetrack3d import deform_predictor
     ds = make_dataset(seed=4, noise=0.5, deformation=True, n_epochs=120,
                       step_sigma=1.5)
     model, _ = deform_predictor.train([ds], epochs=150, seed=0)
+    return ds, model
+
+
+def test_deformed_solve_uses_predicted_offsets(gait_and_model):
+    ds, model = gait_and_model
     rigid_track, _ = solve_dataset(ds, mode="rigid")
     deform_track, _ = solve_dataset(ds, mode="deformed", deform_model=model)
     offsets = predict_offsets(ds, ds.cameras, deform_track, model)
@@ -972,6 +979,58 @@ def test_deformed_solve_uses_predicted_offsets():
     # modeling the deformation improves 3D part reconstruction
     assert deform_eval.per_part_rmse_mm.mean() \
         < rigid_eval.per_part_rmse_mm.mean()
+
+
+def _spy_on_solve(monkeypatch):
+    """Replace adjustment.solve by a wrapper that records each call's
+    tolerance and report."""
+    original, calls = adjustment.solve, []
+
+    def spy(problem, track, **kwargs):
+        result = original(problem, track, **kwargs)
+        calls.append((kwargs.get("tolerance", "default"), result[1]))
+        return result
+
+    monkeypatch.setattr(adjustment, "solve", spy)
+    return calls
+
+
+def test_solve_dataset_round_tolerances(monkeypatch, gait_and_model):
+    ds, model = gait_and_model
+    calls = _spy_on_solve(monkeypatch)
+    solve_dataset(ds, mode="deformed", deform_model=model)
+    assert [tol for tol, _ in calls] == [adjustment.ROUND_1_TOLERANCE,
+                                         adjustment.COST_TOLERANCE]
+    assert adjustment.ROUND_1_TOLERANCE > adjustment.COST_TOLERANCE
+    calls.clear()
+    solve_dataset(ds)
+    assert [tol for tol, _ in calls] == [adjustment.COST_TOLERANCE]
+
+
+def test_solve_dataset_keeps_round_1_report(monkeypatch, gait_and_model):
+    ds, model = gait_and_model
+    calls = _spy_on_solve(monkeypatch)
+    _, report = solve_dataset(ds, mode="deformed", deform_model=model)
+    (_, first), (_, second) = calls
+    assert report is second and report.first_round is first
+    assert first.status == "cost" and first.first_round is None
+    assert report.converged and report.status in ("cost", "gradient")
+    # round 1 stops early but still lowers the cost
+    assert first.final_cost < first.initial_cost
+    _, report = solve_dataset(ds)
+    assert report.first_round is None
+
+
+def test_early_round_1_moves_the_track_little(monkeypatch, gait_and_model):
+    ds, model = gait_and_model
+    track, _ = solve_dataset(ds, mode="deformed", deform_model=model)
+    monkeypatch.setattr(adjustment, "ROUND_1_TOLERANCE",
+                        adjustment.COST_TOLERANCE)
+    full, report = solve_dataset(ds, mode="deformed", deform_model=model)
+    assert report.first_round.status == "cost"
+    d = np.abs(track.poses - full.poses)
+    assert 0 < d[:, :3].max() < 5e-4       # rad
+    assert d[:, 3:].max() < 2e-3           # mm
 
 
 def test_predict_offsets_zero_at_boundaries():

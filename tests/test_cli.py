@@ -565,6 +565,37 @@ def test_solve_and_pipeline_name_stop_reason(tmp_path, capsys):
     assert report["solver_status"] == "cost"
 
 
+def _solve_lines(out):
+    return [line for line in out.splitlines() if line.startswith("solve: ")]
+
+
+def test_solve_prints_round_1_line_in_deformed_mode(tmp_path, capsys):
+    data, model = tmp_path / "data.json", tmp_path / "model.json"
+    assert run("simulate", "--config", scene_file(tmp_path, n_epochs=60),
+               "--out", str(data)) == 0
+    assert run("train-deform", "--data", str(data), "--epochs", "5",
+               "--out", str(model)) == 0
+    capsys.readouterr()
+    assert run("solve", "--data", str(data),
+               "--out", str(tmp_path / "rigid.json")) == 0
+    rigid = _solve_lines(capsys.readouterr().out)
+    assert len(rigid) == 1 and rigid[0].startswith("solve: cost in ")
+
+    assert run("solve", "--data", str(data), "--mode", "deformed",
+               "--deform", str(model),
+               "--out", str(tmp_path / "deformed.json")) == 0
+    first, last = _solve_lines(capsys.readouterr().out)
+    ds = simulator.import_dataset(data)
+    _, report = adjustment.solve_dataset(
+        ds, mode="deformed", deform_model=deform_predictor.load_model(model))
+    r1 = report.first_round
+    assert first == (f"solve: round 1 cost in {r1.iterations} iterations, "
+                     f"cost {r1.initial_cost:.6g} -> {r1.final_cost:.6g}")
+    assert last.startswith(f"solve: {report.status} in "
+                           f"{report.iterations} iterations, ")
+    assert report.status in ("cost", "gradient")
+
+
 def test_pipeline_deformed_mode(tmp_path):
     cfg = tmp_path / "pipe.json"
     cfg.write_text(json.dumps({"scene": {"n_epochs": 40, "seed": 1},
