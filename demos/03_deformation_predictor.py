@@ -9,7 +9,7 @@ prediction error against the rigid baseline that simply assumes no
 deformation.
 """
 
-from mousetrack3d import deform_predictor, mouse_model, simulator
+from mousetrack3d import deform_predictor, simulator
 
 
 def gait_dataset(seed, n_epochs=300):
@@ -27,10 +27,11 @@ print(f"training on {sum(d.n_epochs for d in train_sets)} epochs "
 
 # -- tokenization: what the model actually sees ------------------------------------
 
-# every window of a recording at once: (windows, 2n+1 epochs, 8 parts, xyz);
-# window w is centred at epoch w + n
+# every window of a recording at once: (windows, 2n+1 epochs, 8 parts, xyz)
+# model-frame offsets from the rigid model, 0 where masked; window w is
+# centred at epoch w + n
 n = deform_predictor.WINDOW
-deformable, masked, _ = deform_predictor.training_windows([train_sets[0]])
+offsets, masked, _ = deform_predictor.training_windows([train_sets[0]])
 window = masked[10 - n]
 print(f"\ntoken window: {window.size} tokens over "
       f"{len(window)} epochs x 8 parts; "
@@ -54,10 +55,9 @@ print(f"improvement factor: {baseline / mse:.2f}x")
 # -- a single prediction, part by part ------------------------------------------------
 
 t = 23   # mid-swing (cycle length 10, so phase 0.3)
-deformable, masked, _ = deform_predictor.training_windows([held_out])
+offsets, masked, _ = deform_predictor.training_windows([held_out])
 w = slice(t - n, t - n + 1)   # the window centred at t
-pred_offsets = (model.predict(deformable[w], masked[w])[0]
-                - mouse_model.COORDS)
+pred_offsets = model.predict(offsets[w], masked[w])[0]
 true_offsets = held_out.deform_offsets[t]
 print(f"\nmid-epoch offset prediction at t={t} (model-frame Y, mm):")
 for i in range(8):

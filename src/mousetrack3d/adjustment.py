@@ -1,9 +1,11 @@
 """Global nonlinear least-squares estimation of the per-epoch 6-DoF body
 trajectory from all cameras and epochs.
 
-The cost combines per-observation reprojection residuals (rigid body parts,
-or deformation-predicted parts) with per-epoch motion-track smoothness
-residuals. The smoothness residuals are the exact four-weighted-point
+The cost combines per-observation reprojection residuals of the body parts
+with per-epoch motion-track smoothness residuals. Every epoch's parts are the
+rigid model plus model-frame offsets: zero in rigid mode, predicted by
+`deform_predictor` in deformed mode, so both modes build one `Problem` and
+run one solve loop. The smoothness residuals are the exact four-weighted-point
 equivalent of the comparison grid's displacements that `track_constraint`
 defines (see `Problem`); they interpolate window nodes re-expressed on the
 rotation branch nearest each epoch's canonical rotation vector, so they do
@@ -315,13 +317,15 @@ class Problem:
         self._weight = np.where(visible, 1.0 / self.sigma_px, 0.0)
         self._px = np.where(visible[..., None],
                             dataset.observations.transpose(0, 2, 1, 3), 0.0)
-        # model-frame part positions: (8, 3) rigid coordinates, or (T, 8, 3)
-        # rigid + predicted offsets in deformed mode
-        self.model_pts = np.asarray(model_points, dtype=float)
+        # (T, 8, 3) model-frame part positions of every epoch: the rigid
+        # coordinates plus the epoch's offsets, which are zero in rigid mode
+        # (an (8, 3) array is read as the same points at every epoch)
+        T = self.n_epochs
+        self.model_pts = np.broadcast_to(
+            np.asarray(model_points, dtype=float), (T, 8, 3))
 
         # smoothness windows: each epoch's five consecutive slot epochs
         # from win_start, and the slots' cubic weights (T, 5)
-        T = self.n_epochs
         self.win_start, self.slot_weights = track_constraint.window_slots(T)
         self._slots = self.win_start[:, None] + np.arange(5)
         self._own_slot = np.arange(T) - self.win_start
@@ -421,9 +425,9 @@ class Problem:
         KR = self.cam_KR
         J_w = ((KR[:, :2, :] - f.proj[lo:hi, ..., None] * KR[:, 2:3, :])
                * (self._weight[lo:hi] / f.z[lo:hi])[..., None, None])
-        m = self.model_pts if self.model_pts.ndim == 2 else self.model_pts[lo:hi]
         L = np.empty((n, 8, 3, 6))
-        L[..., :3] = (dRH.reshape(n, 9, 3) @ np.swapaxes(m, -1, -2)
+        L[..., :3] = (dRH.reshape(n, 9, 3)
+                      @ np.swapaxes(self.model_pts[lo:hi], -1, -2)
                       ).reshape(n, 3, 3, 8).transpose(0, 3, 2, 1)
         L[..., 3:] = _EYE3
         return J_w.reshape(n, 8, -1, 3) @ L
@@ -590,22 +594,22 @@ def build_problem(dataset, cameras, track=None, deform_model=None,
                   parts=None) -> Problem:
     """Assemble the residual system for a dataset.
 
-    Without a deformation model every observation becomes a rigid
-    reprojection block weighted by SIGMA_PX_DEFORMATION (body deformation
-    treated as noise). With one, per-epoch offsets are predicted from the
-    current track (`predict_offsets`, which gets `parts`) and blocks use
-    SIGMA_PX_GEOMETRIC.
+    Without a deformation model the model points are the rigid model at
+    every epoch (zero offsets), and every reprojection block is weighted by
+    SIGMA_PX_DEFORMATION (body deformation treated as noise). With one,
+    per-epoch offsets are predicted from the current track
+    (`predict_offsets`, which gets `parts`) and added to the rigid model,
+    and blocks use SIGMA_PX_GEOMETRIC.
     """
     stochastic = stochastic or StochasticConfig()
-    model_pts = mouse_model.COORDS
     if deform_model is None:
-        return Problem(dataset, cameras, model_pts, stochastic,
+        return Problem(dataset, cameras, mouse_model.COORDS, stochastic,
                        SIGMA_PX_DEFORMATION)
     if track is None:
         raise ValueError("deformed mode needs a current track estimate")
     offsets = predict_offsets(dataset, cameras, track, deform_model,
                               parts=parts)
-    return Problem(dataset, cameras, model_pts + offsets, stochastic,
+    return Problem(dataset, cameras, mouse_model.COORDS + offsets, stochastic,
                    SIGMA_PX_GEOMETRIC)
 
 
@@ -614,10 +618,10 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model, *,
     """Per-epoch model-frame deformation offsets predicted from observations.
 
     Parts visible in >= 2 cameras are triangulated (`parts`, computed here
-    when not given) and mapped into the model frame via the current pose
-    estimates; the recording's token windows feed the sequence model in one
-    batch. Epochs whose window does not fit inside the track get zero
-    offsets.
+    when not given), mapped into the model frame via the current pose
+    estimates and taken as offsets from the rigid model; the recording's
+    token windows of these offsets feed the sequence model in one batch.
+    Epochs whose window does not fit inside the track get zero offsets.
     """
     T = dataset.n_epochs
     n = deform_predictor.WINDOW
@@ -625,12 +629,13 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model, *,
                    else triangulate_parts(dataset, cameras))
     x = track.poses
     R = geometry.rodrigues_to_matrix(x[:, :3])
-    est = (world - x[:, None, 3:]) @ R               # R^T (X - t), model frame
+    # R^T (X - t) - m: the triangulated parts' model-frame offsets
+    est = (world - x[:, None, 3:]) @ R - mouse_model.COORDS
 
     offsets = np.zeros((T, 8, 3))
     if T > 2 * n:
-        windows = deform_predictor.token_windows(est, ~have, n)
-        offsets[n:T - n] = model.predict(*windows) - mouse_model.COORDS
+        offsets[n:T - n] = model.predict(
+            *deform_predictor.token_windows(est, ~have, n))
     return offsets
 
 
@@ -770,9 +775,12 @@ def solve_dataset(dataset, cameras=None, mode="rigid", deform_model=None,
     """Initialize and solve a dataset end to end.
 
     The recording is triangulated once, for the initialization and every
-    offset prediction. In deformed mode the offset prediction and the pose
-    solve alternate for two rounds (offsets held fixed within each LM
-    solve); one round gives a higher part RMSE on gait recordings. Round 1
+    offset prediction. Both modes run the same rounds of `build_problem`
+    then `solve`, each from the previous round's track. Rigid mode is one
+    round with zero offsets (a deform_model given with it is not used),
+    solved to COST_TOLERANCE. In deformed mode the offset prediction and
+    the pose solve alternate for two rounds (offsets held fixed within each
+    LM solve); one round gives a higher part RMSE on gait recordings. Round 1
     stops at ROUND_1_TOLERANCE: its poses only place the triangulated
     parts, about 0.5 mm off, in the model frame for the second prediction.
     On the criterion-6 gait scenes it ends after 2 iterations instead of
@@ -781,26 +789,27 @@ def solve_dataset(dataset, cameras=None, mode="rigid", deform_model=None,
     COST_TOLERANCE, so the returned track meets the same stop rule as a
     rigid one; its report carries round 1's as `first_round`.
     """
+    if mode == "rigid":
+        deform_model, tolerances = None, (COST_TOLERANCE,)
+    elif mode == "deformed":
+        if deform_model is None:
+            raise ValueError("deformed mode requires a trained deform_model")
+        tolerances = (ROUND_1_TOLERANCE, COST_TOLERANCE)
+    else:
+        raise ValueError(f"unknown mode '{mode}'")
     cameras = cameras if cameras is not None else dataset.cameras
     stochastic = stochastic or StochasticConfig()
     parts = triangulate_parts(dataset, cameras)
     init = initialize(dataset, cameras, parts=parts)
-    if mode == "rigid":
-        problem = build_problem(dataset, cameras, stochastic=stochastic)
-        track, report = solve(problem, init, tolerance=COST_TOLERANCE)
-    elif mode == "deformed":
-        if deform_model is None:
-            raise ValueError("deformed mode requires a trained deform_model")
-        track, reports = init, []
-        for tolerance in (ROUND_1_TOLERANCE, COST_TOLERANCE):
-            problem = build_problem(dataset, cameras, track=track,
-                                    deform_model=deform_model,
-                                    stochastic=stochastic, parts=parts)
-            track, report = solve(problem, track, tolerance=tolerance)
-            reports.append(report)
+    track, reports = init, []
+    for tolerance in tolerances:
+        problem = build_problem(dataset, cameras, track=track,
+                                deform_model=deform_model,
+                                stochastic=stochastic, parts=parts)
+        track, report = solve(problem, track, tolerance=tolerance)
+        reports.append(report)
+    if len(reports) == 2:
         report.first_round = reports[0]
-    else:
-        raise ValueError(f"unknown mode '{mode}'")
     # provenance: epochs with no observations are never constrained, and
     # without smoothness coupling the locally deficient ones stay guesses
     guess = ~dataset.visible.any(axis=(1, 2))

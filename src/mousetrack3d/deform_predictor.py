@@ -1,16 +1,15 @@
 """Learned body-part deformation from token windows.
 
-A token is one body part at one epoch: its deformable coordinate's offset
-from the rigid model coordinate (model frame, mm) and a mask flag. A window
-covers the 2n+1 epochs around a centre epoch (n = `WINDOW`); the mid epoch's
-parts are masked and their offsets predicted. `token_windows` cuts every
-window of a recording with one fancy index into (W, 2n+1, 8, 3) deformable
-coordinates and (W, 2n+1, 8) masks. The network sees offsets divided by one
-number, `SequenceModel.offset_scale` (the spread of the training targets'
-offset components, in mm), and its outputs are multiplied by the same
-number. The predictor is a small single-layer LSTM trained by
-backpropagation through time, with a skip connection: the network outputs
-the offset from the rigid coordinate, so prediction = rigid + offset.
+A token is one body part at one epoch: its model-frame offset from the rigid
+model coordinate (mm) and a mask flag. A window covers the 2n+1 epochs
+around a centre epoch (n = `WINDOW`); the mid epoch's parts are masked and
+their offsets predicted. `token_windows` cuts every window of a recording
+with one fancy index into (W, 2n+1, 8, 3) offsets, 0 where masked, and
+(W, 2n+1, 8) masks. The network sees offsets divided by one number,
+`SequenceModel.offset_scale` (the spread of the training targets' offset
+components, in mm), and its outputs are multiplied by the same number. The
+predictor is a small single-layer LSTM trained by backpropagation through
+time; it outputs offsets, so a zero prediction is the rigid model.
 
 Implementation is plain numpy; training is single-threaded and bit-exact
 reproducible for a fixed seed and dataset order.
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mouse_model
 from .errors import (DivergedLoss, SchemaError, UntrainedModel, check_object,
                      check_version, is_int, numbers, read_json)
 
@@ -32,30 +30,21 @@ WINDOW = 2          # n; a token window covers the 2n+1 epochs t-n..t+n
 BATCH_SIZE = 64     # training windows per Adam step
 
 
-def token_windows(deformable, missing, n):
+def token_windows(offsets, missing, n):
     """Token windows over epochs t-n..t+n for every centre t = n..T-n-1 of a
     recording.
 
-    deformable : (T, N_PARTS, 3) model-frame deformable coordinates
-    missing : (T, N_PARTS) bool, parts whose deformable coordinate is unknown
+    offsets : (T, N_PARTS, 3) model-frame offsets from the rigid model
+    missing : (T, N_PARTS) bool, parts whose offset is unknown
 
-    Returns (deformable (W, 2n+1, N_PARTS, 3), masked (W, 2n+1, N_PARTS)),
+    Returns (offsets (W, 2n+1, N_PARTS, 3), masked (W, 2n+1, N_PARTS)),
     W = max(T - 2n, 0). Missing parts and the whole mid epoch are masked and
-    carry the rigid coordinate.
+    carry 0.
     """
-    epochs = np.arange(n, len(deformable) - n)[:, None] + np.arange(-n, n + 1)
+    epochs = np.arange(n, len(offsets) - n)[:, None] + np.arange(-n, n + 1)
     masked = missing[epochs]
     masked[:, n] = True
-    rigid = mouse_model.COORDS
-    return np.where(masked[..., None], rigid, deformable[epochs]), masked
-
-
-def _ground_truth(dataset):
-    """(deformable, missing) of a simulated dataset for `token_windows`:
-    rigid coordinates plus ground-truth offsets, and parts visible in fewer
-    than two cameras (so they could not be triangulated)."""
-    rigid = mouse_model.COORDS
-    return rigid + dataset.deform_offsets, dataset.visible.sum(axis=1) < 2
+    return np.where(masked[..., None], 0.0, offsets[epochs]), masked
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +86,13 @@ class SequenceModel:
         # bias the forget gate open: standard LSTM trick for gradient flow
         self.weights["b"][self.hidden_size:2 * self.hidden_size] = 1.0
 
-    def features(self, deformable, masked):
+    def features(self, offsets, masked):
         """(W, 2n+1, input_size) feature rows of token windows, one per
-        window epoch: every part's offset in units of `offset_scale` (zero
-        where masked) and its mask flag."""
-        off = (deformable - mouse_model.COORDS) / self.offset_scale
-        off = np.where(masked[..., None], 0.0, off)
+        window epoch: every part's offset in units of `offset_scale` (0
+        where masked, as `token_windows` leaves it) and its mask flag."""
         flag = masked[..., None].astype(float)
-        return np.concatenate([off, flag], axis=-1).reshape(
-            *masked.shape[:2], -1)
+        return np.concatenate([offsets / self.offset_scale, flag],
+                              axis=-1).reshape(*masked.shape[:2], -1)
 
     def forward(self, X):
         """Batched forward pass; X is (B, T, input_size).
@@ -157,15 +144,13 @@ class SequenceModel:
             dh = dz @ W["Wh"]
         return grads
 
-    def predict(self, deformable, masked):
-        """Deformable model-frame coordinates (W, N_PARTS, 3) of the masked
-        mid-epoch parts of token windows in one forward pass: rigid
-        coordinate plus predicted offset."""
+    def predict(self, offsets, masked):
+        """Model-frame offsets (W, N_PARTS, 3) of the masked mid-epoch parts
+        of token windows, in one forward pass."""
         if not self.trained:
             raise UntrainedModel("model has no trained weights")
-        y, _ = self.forward(self.features(deformable, masked))
-        off = y.reshape(len(y), N_PARTS, 3) * self.offset_scale
-        return mouse_model.COORDS + off
+        y, _ = self.forward(self.features(offsets, masked))
+        return y.reshape(len(y), N_PARTS, 3) * self.offset_scale
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +158,14 @@ class SequenceModel:
 # ---------------------------------------------------------------------------
 
 def training_windows(datasets):
-    """Every token window of the datasets plus its mid-epoch offset target:
-    (deformable (N, 2n+1, N_PARTS, 3), masked (N, 2n+1, N_PARTS),
-    targets (N, N_PARTS, 3)), n = WINDOW."""
+    """Every token window of the datasets' ground-truth offsets, masking the
+    parts seen by fewer than two cameras (so they could not be
+    triangulated), plus its mid-epoch offset target: (offsets (N, 2n+1,
+    N_PARTS, 3), masked (N, 2n+1, N_PARTS), targets (N, N_PARTS, 3)),
+    n = WINDOW."""
     n = WINDOW
-    windows = [token_windows(*_ground_truth(ds), n) for ds in datasets]
+    windows = [token_windows(ds.deform_offsets, ds.visible.sum(axis=1) < 2, n)
+               for ds in datasets]
     return (np.concatenate([w[0] for w in windows]),
             np.concatenate([w[1] for w in windows]),
             np.concatenate([ds.deform_offsets[n:ds.n_epochs - n]
@@ -189,7 +177,7 @@ def train(datasets, epochs=150, lr=1e-2, seed=0, hidden_size=48):
     2 WINDOW + 1 epochs.
 
     Gradient descent (Adam) on the mean squared error of the masked
-    mid-epoch deformable offsets, in units of the model's `offset_scale`:
+    mid-epoch offsets, in units of the model's `offset_scale`:
     the standard deviation of every offset component of the targets, at
     least 1e-3 mm. Deterministic for a fixed seed and dataset order.
 
@@ -202,13 +190,13 @@ def train(datasets, epochs=150, lr=1e-2, seed=0, hidden_size=48):
     rng = np.random.default_rng(seed)
     model.init_weights(rng)
 
-    deformable, masked, targets = training_windows(datasets)
+    offsets, masked, targets = training_windows(datasets)
     N = len(targets)
     if not N:
         raise ValueError("no training windows; datasets too short for the window")
     model.offset_scale = max(float(targets.std()), 1e-3)
 
-    X = model.features(deformable, masked)                # (N, 2n+1, D)
+    X = model.features(offsets, masked)                   # (N, 2n+1, D)
     Y = targets.reshape(N, -1) / model.offset_scale
 
     W = model.weights
@@ -245,11 +233,10 @@ def train(datasets, epochs=150, lr=1e-2, seed=0, hidden_size=48):
 
 def evaluate_mse(model: SequenceModel, datasets):
     """Mean squared prediction error (mm^2 per coordinate) of the masked
-    mid-epoch deformable coordinates, plus the rigid-baseline MSE that
-    predicts zero offset."""
-    deformable, masked, targets = training_windows(datasets)
-    truth = mouse_model.COORDS + targets
-    err = ((model.predict(deformable, masked) - truth) ** 2).mean(axis=(1, 2))
+    mid-epoch offsets, plus the rigid-baseline MSE that predicts zero
+    offset."""
+    offsets, masked, targets = training_windows(datasets)
+    err = ((model.predict(offsets, masked) - targets) ** 2).mean(axis=(1, 2))
     base = (targets ** 2).mean(axis=(1, 2))
     return float(err.mean()), float(base.mean())
 
@@ -275,8 +262,8 @@ def save_model(model: SequenceModel, path):
 
 def load_model(path) -> SequenceModel:
     """Model written by `save_model`; every field is checked, and a file of
-    another format version, a missing or unknown field or anything malformed
-    raises SchemaError."""
+    another format version, a missing or unknown field, a `trained` that is
+    not true or anything malformed raises SchemaError."""
     doc = read_json(path, "model")
     check_version(doc, FORMAT_VERSION, "model")
     check_object(doc, ("format_version", "hidden_size", "trained",
@@ -284,13 +271,13 @@ def load_model(path) -> SequenceModel:
     H = doc["hidden_size"]
     if not is_int(H) or H < 1:
         raise SchemaError("model field 'hidden_size' must be an integer >= 1")
-    if not isinstance(doc["trained"], bool):
-        raise SchemaError("model field 'trained' must be true or false")
+    if doc["trained"] is not True:
+        raise SchemaError("model field 'trained' must be true: a model "
+                          "without trained weights cannot predict")
     scale = numbers(doc["offset_scale_mm"], (), "model field 'offset_scale_mm'")
     if not scale > 0:
         raise SchemaError("model field 'offset_scale_mm' must be positive")
-    m = SequenceModel(hidden_size=H, offset_scale=float(scale),
-                      trained=doc["trained"])
+    m = SequenceModel(hidden_size=H, offset_scale=float(scale), trained=True)
     D, O = m.input_size, m.output_size
     shapes = {"Wx": (4 * H, D), "Wh": (4 * H, H), "b": (4 * H,),
               "Wo": (O, H), "bo": (O,)}

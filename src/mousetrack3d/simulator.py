@@ -1,11 +1,12 @@
 """Ground-truth scene simulator.
 
 Generates a 2D Brownian body track on a table plane, deforms the mouse model
-per epoch (pace gait + head nodding), projects every part into every camera,
-adds Gaussian pixel noise, and drops observations (random dropout plus
-image-bounds test). Everything is reproducible from the config seed; pixel
-noise and dropout use per-epoch derived RNG streams so epoch rendering is
-order-independent.
+per epoch by model-frame offsets (pace gait + head nodding), poses its parts
+as the solver and the evaluation do (`mouse_model.world_part_positions`),
+projects every part into every camera, adds Gaussian pixel noise, and drops
+observations (random dropout plus image-bounds test). Everything is
+reproducible from the config seed; pixel noise and dropout use per-epoch
+derived RNG streams so epoch rendering is order-independent.
 
 A dataset file (`export_dataset`, `import_dataset`) keeps the scene config
 as JSON and every array as one base64 block of float64 values.
@@ -61,7 +62,9 @@ class SimulatedDataset:
     rotation vector, then its translation in mm. observations[t, k, i] =
     (u, v); visible[t, k, i] boolean; pixels of invisible observations are
     NaN. noise holds the exact Gaussian perturbation applied to each visible
-    pixel for audit, and 0 where a part is not seen.
+    pixel for audit, and 0 where a part is not seen. deformable_world is
+    `mouse_model.world_part_positions(poses, COORDS + deform_offsets)`,
+    whether the dataset was rendered or read from a file.
     """
 
     config: SceneConfig
@@ -155,14 +158,6 @@ def generate_track(config: SceneConfig):
     return np.column_stack([np.zeros((T, 2)), heading, xy, np.full(T, z_body)])
 
 
-def _deformable_world(params, offsets):
-    """(T, 8, 3) world part positions of the model with model-frame offsets
-    (T, 8, 3) at pose parameters (T, 6)."""
-    R = geometry.rodrigues_to_matrix(params[:, :3])
-    return (mouse_model.world_part_positions(params)
-            + offsets @ R.transpose(0, 2, 1))
-
-
 def render(config: SceneConfig, track) -> SimulatedDataset:
     """Project the deformed model at the poses of track, a (T, 6) array
     (Rodrigues vector, then translation in mm), into every camera with noise
@@ -188,7 +183,8 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
         cycle = config.gait_cycle_length
         offsets = mouse_model.deform((np.arange(T) % cycle) / cycle,
                                      np.append(speed, speed[-1]), cycle)
-    deform_world = _deformable_world(params, offsets)
+    deform_world = mouse_model.world_part_positions(
+        params, mouse_model.COORDS + offsets)
 
     # derived per-epoch streams keep epoch rendering order-independent
     eps = np.empty((T, K, 8, 2))
@@ -348,7 +344,8 @@ def import_dataset(path) -> SimulatedDataset:
           "holds a pair of one NaN and one number")
     check(~vis & (noise != 0).any(axis=3), "observations.noise",
           "must be 0 where observations.pixels is NaN")
+    world = mouse_model.world_part_positions(params,
+                                             mouse_model.COORDS + offsets)
     return SimulatedDataset(config=config, poses=params,
-                            deformable_world=_deformable_world(params, offsets),
-                            deform_offsets=offsets,
+                            deformable_world=world, deform_offsets=offsets,
                             observations=obs, visible=vis, noise=noise)

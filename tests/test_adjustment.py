@@ -162,7 +162,20 @@ def test_problem_rigid_kind_without_model():
     ds = make_dataset(n_epochs=10)
     problem = build_problem(ds, ds.cameras)
     assert problem.sigma_px == adjustment.SIGMA_PX_DEFORMATION
-    assert problem.model_pts.shape == (8, 3)
+    # the rigid model at every epoch: the zero-offset case of deformed mode
+    assert problem.model_pts.shape == (10, 8, 3)
+    assert (problem.model_pts == mouse_model.COORDS).all()
+
+
+def test_rigid_points_equal_zero_offsets_bit_for_bit():
+    ds = make_dataset(n_epochs=140, noise=0.5, dropout=0.3, seed=3)
+    x = initialize(ds).poses
+    rigid = make_problem(ds)
+    zero = Problem(ds, ds.cameras, mouse_model.COORDS + np.zeros((140, 8, 3)),
+                   StochasticConfig(), adjustment.SIGMA_PX_DEFORMATION)
+    assert np.array_equal(rigid.residuals(x), zero.residuals(x))
+    for a, b in zip(rigid.normal_equations(x), zero.normal_equations(x)):
+        assert np.array_equal(a, b)
 
 
 def test_zero_smoothness_weight_block_diagonal():
@@ -950,6 +963,16 @@ def test_solve_dataset_triangulates_once(monkeypatch, mode):
     assert len(calls) == 1
 
 
+def test_solve_dataset_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="bogus"):
+        solve_dataset(make_dataset(n_epochs=10), mode="bogus")
+
+
+def test_solve_dataset_deformed_needs_model():
+    with pytest.raises(ValueError, match="deform_model"):
+        solve_dataset(make_dataset(n_epochs=10), mode="deformed")
+
+
 @pytest.mark.parametrize("kwargs", [
     {"smoothness_weight": -0.5}, {"smoothness_weight": np.nan},
     {"smoothness_weight": np.inf}])
@@ -979,6 +1002,16 @@ def test_deformed_solve_uses_predicted_offsets(gait_and_model):
     # modeling the deformation improves 3D part reconstruction
     assert deform_eval.per_part_rmse_mm.mean() \
         < rigid_eval.per_part_rmse_mm.mean()
+
+
+def test_rigid_solve_ignores_a_model(gait_and_model):
+    ds, model = gait_and_model
+    track, report = solve_dataset(ds)
+    given, given_report = solve_dataset(ds, mode="rigid", deform_model=model)
+    assert np.array_equal(given.poses, track.poses)
+    assert np.array_equal(given.residual_rms, track.residual_rms)
+    assert given.solved_from == track.solved_from
+    assert given_report == report
 
 
 def _spy_on_solve(monkeypatch):

@@ -487,6 +487,31 @@ def test_solve_with_version_1_model_exit_2(tmp_path, capsys):
     assert "format version 1" in capsys.readouterr().err
 
 
+def test_untrained_model_exit_2(tmp_path, capsys):
+    # a model file without trained weights is a bad input, not a numerical
+    # failure
+    data = tmp_path / "data.json"
+    run("simulate", "--config", scene_file(tmp_path, n_epochs=30,
+                                           step_sigma_mm=1.5),
+        "--out", str(data))
+    ds = simulator.import_dataset(data)
+    adjustment.save_track(adjustment.MouseStateTrack(
+        ds.poses, ["local"] * ds.n_epochs), tmp_path / "track.json")
+    model = deform_predictor.SequenceModel(hidden_size=2, offset_scale=1.0)
+    model.init_weights(np.random.default_rng(0))
+    deform_predictor.save_model(model, tmp_path / "model.json")
+    out = tmp_path / "out.json"
+    for argv in (["solve", "--data", str(data), "--mode", "deformed"],
+                 ["evaluate", "--data", str(data),
+                  "--track", str(tmp_path / "track.json")]):
+        assert run(*argv, "--deform", str(tmp_path / "model.json"),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'trained'" in err
+        assert err.startswith(f"{argv[0]}: ")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--epochs", "0"), ("--hidden", "0"), ("--seed", "-1"), ("--lr", "nan"),
     ("--lr", "-1")])

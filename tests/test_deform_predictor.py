@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mousetrack3d import adjustment, simulator
+from mousetrack3d import adjustment, geometry, simulator
 from mousetrack3d.deform_predictor import (
     WINDOW,
     SequenceModel,
@@ -50,16 +50,16 @@ def trained_rigid_model():
 # -- tokenization -------------------------------------------------------------
 
 def windows_at(ds, t):
-    """(deformable, masked) of the single token window centred at epoch t of
+    """(offsets, masked) of the single token window centred at epoch t of
     a dataset (default window n = 2)."""
-    deformable, masked, _ = training_windows([ds])
-    return deformable[t - 2:t - 1], masked[t - 2:t - 1]
+    offsets, masked, _ = training_windows([ds])
+    return offsets[t - 2:t - 1], masked[t - 2:t - 1]
 
 
 def test_token_window_shape_and_masking():
     ds = gait_dataset(n_epochs=5)
-    deformable, masked, targets = training_windows([ds])
-    assert deformable.shape == (1, 5, 8, 3)
+    offsets, masked, targets = training_windows([ds])
+    assert offsets.shape == (1, 5, 8, 3)
     assert masked.shape == (1, 5, 8)
     assert targets.shape == (1, 8, 3)
     assert masked.sum() == 8
@@ -70,10 +70,10 @@ def test_token_window_shape_and_masking():
 def test_token_windows_equal_per_centre_slices():
     rng = np.random.default_rng(1)
     T = 30
-    deformable = rng.normal(size=(T, 8, 3))
+    offsets = rng.normal(size=(T, 8, 3))
     missing = rng.random((T, 8)) < 0.3
     for n in (1, 2, 3):
-        windows, masked = token_windows(deformable, missing, n)
+        windows, masked = token_windows(offsets, missing, n)
         assert windows.shape == (T - 2 * n, 2 * n + 1, 8, 3)
         assert masked[:, n].all()
         for w, t in enumerate(range(n, T - n)):
@@ -81,26 +81,28 @@ def test_token_windows_equal_per_centre_slices():
             m[n] = True
             assert np.array_equal(masked[w], m)
             assert np.array_equal(
-                windows[w], np.where(m[:, :, None], COORDS,
-                                     deformable[t - n:t + n + 1]))
+                windows[w], np.where(m[:, :, None], 0.0,
+                                     offsets[t - n:t + n + 1]))
     # a recording shorter than one window has none
-    windows, masked = token_windows(deformable[:4], missing[:4], 2)
+    windows, masked = token_windows(offsets[:4], missing[:4], 2)
     assert windows.shape == (0, 5, 8, 3) and masked.shape == (0, 5, 8)
 
 
 def test_zero_deformation_tokens_equal_rigid():
     ds = rigid_dataset(n_epochs=20)
-    deformable, _, _ = training_windows([ds])
-    assert np.allclose(deformable, COORDS)
+    offsets, _, _ = training_windows([ds])
+    assert np.array_equal(offsets, np.zeros_like(offsets))
 
 
 def test_dropout_missing_flags_match_visibility():
     ds = gait_dataset(n_epochs=60, dropout=0.2)
-    _, masked, _ = training_windows([ds])
+    offsets, masked, _ = training_windows([ds])
     for t in (5, 20, 40):
         expected = ds.visible[t - 2:t + 3].sum(axis=1) < 2
         expected[2] = True
         assert np.array_equal(masked[t - 2], expected)
+    # masked parts, the mid epoch's and the dropped ones, carry exactly 0
+    assert not offsets[masked].any() and offsets[~masked].any()
 
 
 # -- training -----------------------------------------------------------------
@@ -149,23 +151,23 @@ def test_untrained_model_raises():
     ds = gait_dataset(n_epochs=20)
     model = SequenceModel(offset_scale=1.0)
     model.init_weights(np.random.default_rng(0))
-    deformable, masked, _ = training_windows([ds])
+    offsets, masked, _ = training_windows([ds])
     with pytest.raises(UntrainedModel):
-        model.predict(deformable, masked)
+        model.predict(offsets, masked)
 
 
 def test_features_are_offsets_and_flags_on_one_scale(trained_gait_model):
     ds, model, _ = trained_gait_model
-    deformable, masked, _ = training_windows([ds])
-    X = model.features(deformable, masked)
+    offsets, masked, _ = training_windows([ds])
+    X = model.features(offsets, masked)
     assert X.shape == (len(masked), 2 * WINDOW + 1, 8 * 4)
     tokens = X.reshape(*masked.shape, 4)
     assert np.array_equal(tokens[..., 3], masked)
     assert np.allclose(tokens[..., :3] * model.offset_scale,
-                       np.where(masked[..., None], 0.0, deformable - COORDS))
+                       np.where(masked[..., None], 0.0, offsets))
     # a triangulation error of 0.5 mm on every axis is at most 0.5 mm of
     # input on every axis, whatever the training targets' spread per axis
-    moved = model.features(deformable + 0.5, masked)
+    moved = model.features(offsets + 0.5, masked)
     assert np.abs(moved - X).max() <= 0.5 / model.offset_scale + 1e-12
 
 
@@ -175,7 +177,7 @@ def test_rigid_input_passthrough(trained_rigid_model):
     ds, model = trained_rigid_model
     pred = model.predict(*windows_at(ds, 10))
     assert pred.shape == (1, 8, 3)
-    assert np.abs(pred - COORDS).max() < 0.1
+    assert np.abs(pred).max() < 0.1
 
 
 def test_prediction_deterministic(trained_gait_model):
@@ -203,11 +205,31 @@ def test_offsets_from_triangulated_tokens_beat_zero_offsets(trained_gait_model):
     assert rms(offsets - ds.deform_offsets) < rms(ds.deform_offsets)
 
 
+def test_predict_offsets_returns_the_model_prediction(trained_gait_model):
+    # the triangulated parts' model-frame offsets go into token windows,
+    # and the prediction comes back as offsets, unchanged
+    _, model, _ = trained_gait_model
+    config = simulator.SceneConfig(
+        cameras=simulator.default_cameras(), seed=1, n_epochs=30,
+        step_sigma_mm=1.5, noise_sigma_px=0.5,
+        occlusion=simulator.OcclusionConfig(random_dropout_rate=0.3))
+    ds = simulator.simulate(config)
+    track = adjustment.MouseStateTrack(ds.poses, ["local"] * ds.n_epochs)
+    offsets = adjustment.predict_offsets(ds, ds.cameras, track, model)
+    world, have = adjustment.triangulate_parts(ds, ds.cameras)
+    R = geometry.rodrigues_to_matrix(ds.poses[:, :3])
+    est = (world - ds.poses[:, None, 3:]) @ R - COORDS
+    n = WINDOW
+    assert np.array_equal(offsets[n:-n],
+                          model.predict(*token_windows(est, ~have, n)))
+    assert not offsets[:n].any() and not offsets[-n:].any()
+
+
 def test_sequence_order_matters(trained_gait_model):
     ds, model, _ = trained_gait_model
-    deformable, masked = windows_at(ds, 10)
-    a = model.predict(deformable, masked)
-    b = model.predict(deformable[:, ::-1], masked[:, ::-1])
+    offsets, masked = windows_at(ds, 10)
+    a = model.predict(offsets, masked)
+    b = model.predict(offsets[:, ::-1], masked[:, ::-1])
     assert np.abs(a - b).max() > 1e-3
 
 
@@ -255,6 +277,8 @@ MALFORMED_MODELS = {
     "true_offset_scale": (_set("offset_scale_mm", True), "offset_scale_mm"),
     "list_offset_scale": (_set("offset_scale_mm", [2.5]), "offset_scale_mm"),
     "text_hidden_size": (_set("hidden_size", "48"), "hidden_size"),
+    "untrained": (_set("trained", False), "trained"),
+    "text_trained": (_set("trained", "true"), "trained"),
     "misspelt_window": (_set("windw", 3), "unknown field 'windw'"),
     "extra_weight": (_set_weight("Wz", [0.0]), "weights"),
     "missing_weight": (_drop_weight("Wh"), "weights"),

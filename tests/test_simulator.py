@@ -191,6 +191,21 @@ def test_deformation_disabled_matches_rigid():
                        mouse_model.world_part_positions(ds.poses))
 
 
+def test_deformable_world_is_world_part_positions(tmp_path):
+    # one world-part formula for the simulator, the solver and the
+    # evaluation: the rigid model plus the offsets, posed
+    ds = simulate(make_config(
+        n_epochs=500, noise_sigma_px=0.5,
+        occlusion=OcclusionConfig(random_dropout_rate=0.2)))
+    path = tmp_path / "data.json"
+    export_dataset(ds, path)
+    for dataset in (ds, import_dataset(path)):
+        assert np.array_equal(
+            dataset.deformable_world,
+            mouse_model.world_part_positions(
+                dataset.poses, mouse_model.COORDS + dataset.deform_offsets))
+
+
 def test_gait_phase_progression():
     ds = simulate(make_config(n_epochs=25, gait_cycle_length=10))
     # paw offsets return to zero at every cycle boundary (phase 0) and the
