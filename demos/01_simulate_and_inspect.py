@@ -36,7 +36,7 @@ config = simulator.SceneConfig(
 )
 dataset = simulator.simulate(config)
 
-counts = dataset.visible_part_counts()          # (epochs, cameras)
+counts = dataset.visible.sum(axis=2)           # (epochs, cameras)
 deficient = (counts < 3).all(axis=1)
 print(f"\n{dataset.n_epochs} epochs, {len(dataset.cameras)} cameras")
 print(f"observations kept: {dataset.visible.sum()} of "

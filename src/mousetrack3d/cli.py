@@ -208,7 +208,8 @@ def cmd_pipeline(args):
         stochastic=stochastic)
     adjustment.save_track(track, os.path.join(out, "track.json"))
 
-    # deformed parts are scored with the offsets of the final track
+    # deformed parts are scored and plotted with the offsets of the final
+    # track
     offsets = (adjustment.predict_offsets(dataset, config.cameras, track,
                                           deform_model)
                if deform_model is not None else None)
@@ -216,7 +217,7 @@ def cmd_pipeline(args):
     evaluation.save_report(report, os.path.join(out, "report.json"),
                            extra={"config_hash": cfg_hash,
                                   "solver_status": solve_report.status})
-    evaluation.plot(track, dataset, out)
+    evaluation.plot(track, dataset, out, offsets)
     print(f"pipeline: completeness {report.completeness_input:.3f} -> "
           f"{report.completeness_output:.3f}, position rmse "
           f"{report.position_rmse_mm:.4f} mm (config {cfg_hash})")

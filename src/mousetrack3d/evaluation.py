@@ -50,6 +50,15 @@ def _check_epochs(track, dataset):
                             f"dataset {dataset.n_epochs}")
 
 
+def _world_parts(poses, offsets):
+    """(T, 8, 3) world part positions of the model at poses, deformed by
+    model-frame offsets when given."""
+    pts = mouse_model.COORDS
+    if offsets is not None:
+        pts = pts + offsets
+    return mouse_model.world_part_positions(poses, pts)
+
+
 def evaluate(track, dataset, deform_offsets_est=None) -> EvaluationReport:
     """Compare an estimated track with the dataset's ground truth.
 
@@ -68,11 +77,9 @@ def evaluate(track, dataset, deform_offsets_est=None) -> EvaluationReport:
     pos_err = np.sqrt(np.vecdot(d, d))
     rot_err = np.degrees(geodesic_angle(geometry.rodrigues_to_matrix(est[:, :3]),
                                         geometry.rodrigues_to_matrix(gt[:, :3])))
-    pts = mouse_model.COORDS
-    if deform_offsets_est is not None:
-        pts = pts + deform_offsets_est
-    world = mouse_model.world_part_positions(est, pts)
-    part_sq = ((world - dataset.deformable_world) ** 2).sum(axis=2)
+    world = _world_parts(est, deform_offsets_est)
+    truth = _world_parts(gt, dataset.deform_offsets)
+    part_sq = ((world - truth) ** 2).sum(axis=2)
 
     completeness_in = float(np.mean(
         (dataset.visible.sum(axis=1) >= 2).sum(axis=1) >= 3))
@@ -126,10 +133,14 @@ def _track_svg(track):
     )
 
 
-def plot(track, dataset, out_dir):
+def plot(track, dataset, out_dir, deform_offsets_est=None):
     """Write the top-down track SVG, per-parameter time-series CSV, and the
     per-camera reprojection overlay CSVs. Returns the list of files written.
-    EpochMismatch when the track and the dataset differ in length."""
+    EpochMismatch when the track and the dataset differ in length.
+
+    deform_offsets_est : optional (T, 8, 3) model-frame offsets used by the
+        solver; when given, the overlay projects the deformed model, as
+        `evaluate` scores it."""
     _check_epochs(track, dataset)
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -148,7 +159,7 @@ def plot(track, dataset, out_dir):
                                                       track.solved_from)))
     written.append(ts_path)
 
-    world = mouse_model.world_part_positions(track.poses).reshape(-1, 3)
+    world = _world_parts(track.poses, deform_offsets_est).reshape(-1, 3)
     for k, cam in enumerate(dataset.cameras):
         proj, depth = geometry.project_many(cam, world)
         proj = proj.reshape(-1, 8, 2)

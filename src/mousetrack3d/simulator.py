@@ -5,11 +5,16 @@ per epoch by model-frame offsets (pace gait + head nodding), poses its parts
 as the solver and the evaluation do (`mouse_model.world_part_positions`),
 projects every part into every camera, adds Gaussian pixel noise, and drops
 observations (random dropout plus image-bounds test). Everything is
-reproducible from the config seed; pixel noise and dropout use per-epoch
-derived RNG streams so epoch rendering is order-independent.
+reproducible from the config seed. Epoch t's pixel noise and dropout come
+from its own stream, `np.random.default_rng([seed, t])`: first the
+(K, 8, 2) standard normals that, times `noise_sigma_px`, are added to the
+pixels, then the (K, 8) uniforms that decide dropout. So epoch rendering is
+order-independent, and the noise of a recording can be drawn again from its
+seed.
 
 A dataset file (`export_dataset`, `import_dataset`) keeps the scene config
-as JSON and every array as one base64 block of float64 values.
+as JSON and the recording and its truth (poses and offsets) as base64
+blocks of float64 values.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ from .errors import (CameraSeesNothing, SchemaError, check_cells,
 from .geometry import CameraModel, RigidTransform
 
 
+PLANE_EXTENT_MM = 500.0    # the track stays in [-e, e]^2 on z = 0
+HEADING_SMOOTHING = 0.3    # share of the turn toward the travel direction
+GAIT_CYCLE_LENGTH = 10     # epochs per gait cycle
+
+
 @dataclass(frozen=True)
 class OcclusionConfig:
     random_dropout_rate: float = 0.0
@@ -36,14 +46,11 @@ class OcclusionConfig:
 @dataclass(frozen=True)
 class SceneConfig:
     cameras: tuple
-    plane_extent_mm: float = 500.0   # track confined to [-e, e]^2 on z = 0
     seed: int = 0
     n_epochs: int = 100
     step_sigma_mm: float = 1.0
-    heading_smoothing: float = 0.3
     noise_sigma_px: float = 0.5
     occlusion: OcclusionConfig = field(default_factory=OcclusionConfig)
-    gait_cycle_length: int = 10
     deformation_enabled: bool = True
 
     def __post_init__(self):
@@ -59,21 +66,17 @@ class SimulatedDataset:
     """Per-epoch ground truth plus per-camera observations.
 
     poses is the (T, 6) ground-truth track: row t holds epoch t's Rodrigues
-    rotation vector, then its translation in mm. observations[t, k, i] =
-    (u, v); visible[t, k, i] boolean; pixels of invisible observations are
-    NaN. noise holds the exact Gaussian perturbation applied to each visible
-    pixel for audit, and 0 where a part is not seen. deformable_world is
-    `mouse_model.world_part_positions(poses, COORDS + deform_offsets)`,
-    whether the dataset was rendered or read from a file.
+    rotation vector, then its translation in mm. The true world part
+    positions are `mouse_model.world_part_positions(poses, COORDS +
+    deform_offsets)`. observations[t, k, i] = (u, v); visible[t, k, i]
+    boolean; pixels of invisible observations are NaN.
     """
 
     config: SceneConfig
     poses: np.ndarray                # (T, 6) ground-truth pose parameters
-    deformable_world: np.ndarray     # (T, 8, 3) world deformed part positions
     deform_offsets: np.ndarray       # (T, 8, 3) model-frame offsets
     observations: np.ndarray         # (T, K, 8, 2) pixels, NaN if invisible
     visible: np.ndarray              # (T, K, 8) bool
-    noise: np.ndarray                # (T, K, 8, 2) applied pixel noise
 
     @property
     def n_epochs(self):
@@ -82,10 +85,6 @@ class SimulatedDataset:
     @property
     def cameras(self):
         return self.config.cameras
-
-    def visible_part_counts(self):
-        """(T, K) number of visible parts per epoch and camera."""
-        return self.visible.sum(axis=2)
 
 
 def default_cameras():
@@ -132,7 +131,7 @@ def generate_track(config: SceneConfig):
     resting paws touch the plane."""
     rng = np.random.default_rng(config.seed)
     T = config.n_epochs
-    e = config.plane_extent_mm
+    e = PLANE_EXTENT_MM
     steps = rng.normal(0.0, config.step_sigma_mm, size=(T - 1, 2))
     xy = np.zeros((T, 2))
     for t in range(1, T):
@@ -143,7 +142,7 @@ def generate_track(config: SceneConfig):
     z_body = -mouse_model.COORDS[:, 2].min()
 
     # heading: smoothed motion direction, yaw about z; model anterior is +Y
-    alpha = config.heading_smoothing
+    alpha = HEADING_SMOOTHING
     heading = np.zeros(T)
     for t in range(1, T):
         heading[t] = heading[t - 1]
@@ -180,7 +179,7 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
         # the step before it)
         d = np.diff(params[:, 3:5], axis=0)
         speed = np.sqrt(np.vecdot(d, d))
-        cycle = config.gait_cycle_length
+        cycle = GAIT_CYCLE_LENGTH
         offsets = mouse_model.deform((np.arange(T) % cycle) / cycle,
                                      np.append(speed, speed[-1]), cycle)
     deform_world = mouse_model.world_part_positions(
@@ -205,11 +204,9 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
             u, v = noisy[:, k, :, 0], noisy[:, k, :, 1]
             keep[:, k] &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
     return SimulatedDataset(config=config, poses=params,
-                            deformable_world=deform_world,
                             deform_offsets=offsets,
                             observations=np.where(keep[..., None], noisy, np.nan),
-                            visible=keep,
-                            noise=np.where(keep[..., None], eps, 0.0))
+                            visible=keep)
 
 
 def simulate(config: SceneConfig) -> SimulatedDataset:
@@ -232,17 +229,11 @@ _SCENE_FIELDS = {
     "cameras": (None, list, lambda v: len(v) >= 2, "a list of >= 2 cameras"),
     "seed": (None, int, lambda v: v >= 0, "an integer >= 0"),
     "n_epochs": (None, int, lambda v: v >= 5, "an integer >= 5"),
-    "plane_extent_mm": (SceneConfig.plane_extent_mm, float, lambda v: v > 0,
-                        "a number > 0"),
     "step_sigma_mm": (SceneConfig.step_sigma_mm, float, lambda v: v >= 0,
                       "a number >= 0"),
-    "heading_smoothing": (SceneConfig.heading_smoothing, float, None,
-                          "a number"),
     "noise_sigma_px": (SceneConfig.noise_sigma_px, float, lambda v: v >= 0,
                        "a number >= 0"),
     "occlusion": ({}, dict, None, "an object"),
-    "gait_cycle_length": (SceneConfig.gait_cycle_length, int,
-                          lambda v: v >= 1, "an integer >= 1"),
     "deformation_enabled": (SceneConfig.deformation_enabled, bool, None,
                             "true or false"),
 }
@@ -263,19 +254,18 @@ def _config_from_dict(d: dict) -> SceneConfig:
     return SceneConfig(**f)
 
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def export_dataset(dataset: SimulatedDataset, path):
-    """Write a dataset file (format version 2): one JSON object whose `meta`
+    """Write a dataset file (format version 3): one JSON object whose `meta`
     is the scene config as JSON and whose arrays are blocks, each one base64
     string of little-endian float64 in C order with its shape given by
     `meta` (T epochs, K cameras):
 
     - `ground_truth.poses` (T, 6) and `ground_truth.deform_offsets_mm`
       (T, 8, 3);
-    - `observations.pixels` (T, K, 8, 2), NaN where a part is not seen, and
-      `observations.noise` (T, K, 8, 2), 0 there.
+    - `observations.pixels` (T, K, 8, 2), NaN where a part is not seen.
 
     `import_dataset` reads back every array bit for bit."""
     doc = {
@@ -285,10 +275,7 @@ def export_dataset(dataset: SimulatedDataset, path):
             "poses": encode_block(dataset.poses),
             "deform_offsets_mm": encode_block(dataset.deform_offsets),
         },
-        "observations": {
-            "pixels": encode_block(dataset.observations),
-            "noise": encode_block(dataset.noise),
-        },
+        "observations": {"pixels": encode_block(dataset.observations)},
     }
     with open(path, "w") as f:
         f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
@@ -299,33 +286,28 @@ def import_dataset(path) -> SimulatedDataset:
     pair is a pair of numbers. Anything malformed raises SchemaError naming
     its field:
 
-    - a file without `format_version` 2 (version 1, which listed each
-      observation as a JSON row, is refused by its version);
-    - a missing or unknown field (a misspelt `deform_offsets_mm` would
-      otherwise load as zero offsets), or a bad `meta`;
+    - a file without `format_version` 3 (version 1 listed each observation
+      as a JSON row, version 2 also held the pixel noise; both are refused
+      by their version);
+    - a missing or unknown field, or a bad `meta`;
     - a block that is not a base64 string or does not hold the shape that
       `meta` gives;
-    - a non-finite pose, offset or noise value, an infinite pixel, a pixel
-      pair with one NaN and one number, or nonzero noise where no pixel
-      is."""
+    - a non-finite pose or offset, an infinite pixel, or a pixel pair with
+      one NaN and one number."""
     doc = read_json(path, "dataset")
     check_version(doc, FORMAT_VERSION, "dataset")
     check_object(doc, ("format_version", "meta", "ground_truth",
                        "observations"), (), "dataset file")
     gt, observations = doc["ground_truth"], doc["observations"]
-    check_object(gt, ("poses",), ("deform_offsets_mm",), "dataset ground_truth")
-    check_object(observations, ("pixels", "noise"), (), "dataset observations")
+    check_object(gt, ("poses", "deform_offsets_mm"), (), "dataset ground_truth")
+    check_object(observations, ("pixels",), (), "dataset observations")
     config = _config_from_dict(doc["meta"])
     T, Kn = config.n_epochs, len(config.cameras)
     params = decode_block(gt["poses"], (T, 6), "dataset", "ground_truth.poses")
-    offsets = np.zeros((T, 8, 3))
-    if "deform_offsets_mm" in gt:
-        offsets = decode_block(gt["deform_offsets_mm"], (T, 8, 3), "dataset",
-                               "ground_truth.deform_offsets_mm")
+    offsets = decode_block(gt["deform_offsets_mm"], (T, 8, 3), "dataset",
+                           "ground_truth.deform_offsets_mm")
     obs = decode_block(observations["pixels"], (T, Kn, 8, 2), "dataset",
                        "observations.pixels")
-    noise = decode_block(observations["noise"], (T, Kn, 8, 2), "dataset",
-                         "observations.noise")
 
     def check(bad, field, rule, names=("t", "k", "i")):
         check_cells(bad, "dataset", field, rule, names)
@@ -334,18 +316,12 @@ def import_dataset(path) -> SimulatedDataset:
           ("t", "column"))
     check(~np.isfinite(offsets), "ground_truth.deform_offsets_mm",
           "must be finite", ("t", "i", "axis"))
-    check(~np.isfinite(noise).all(axis=3), "observations.noise",
-          "must be finite")
     check(np.isinf(obs).any(axis=3), "observations.pixels",
           "holds an infinite value")
     seen = ~np.isnan(obs)
     vis = seen[..., 0]
     check(seen[..., 1] != vis, "observations.pixels",
           "holds a pair of one NaN and one number")
-    check(~vis & (noise != 0).any(axis=3), "observations.noise",
-          "must be 0 where observations.pixels is NaN")
-    world = mouse_model.world_part_positions(params,
-                                             mouse_model.COORDS + offsets)
     return SimulatedDataset(config=config, poses=params,
-                            deformable_world=world, deform_offsets=offsets,
-                            observations=obs, visible=vis, noise=noise)
+                            deform_offsets=offsets, observations=obs,
+                            visible=vis)

@@ -160,7 +160,7 @@ def test_criterion_5_completeness_claim():
             seed=seed, n_epochs=100, step_sigma_mm=0.5, noise_sigma_px=0.5,
             deformation_enabled=False,
             occlusion=simulator.OcclusionConfig(random_dropout_rate=0.75)))
-        deficient = (ds.visible_part_counts() < 3).all(axis=1)
+        deficient = (ds.visible.sum(axis=2) < 3).all(axis=1)
         if deficient.mean() < 0.10:
             ok = False
         # per-frame baseline cannot pose the deficient epochs

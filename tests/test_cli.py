@@ -30,7 +30,7 @@ def test_simulate_writes_dataset(tmp_path):
     assert run("simulate", "--config", scene_file(tmp_path),
                "--out", str(out)) == 0
     doc = json.loads(out.read_text())
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     poses = base64.b64decode(doc["ground_truth"]["poses"])
     assert len(poses) == 40 * 6 * 8
 
@@ -170,7 +170,7 @@ BAD_DATASETS = {
     "misspelt_pixels": lambda doc: _rename(doc["observations"], "pixels",
                                            "pixel"),
     "block_not_string": lambda doc: doc["observations"].update(pixels=False),
-    "invalid_base64": lambda doc: doc["observations"].update(noise="640.06"),
+    "invalid_base64": lambda doc: doc["observations"].update(pixels="640.06"),
     "camera_out_of_range": _block_edit(
         "observations", "pixels", shape=_CELLS,
         edit=lambda a: np.concatenate([a, a[:, :1]], axis=1)),
@@ -180,14 +180,10 @@ BAD_DATASETS = {
                             edit=_assign((4, 2), np.nan)),
     "inf_offset": _block_edit("ground_truth", "deform_offsets_mm",
                               shape=(10, 8, 3), edit=_assign(0, np.inf)),
-    "nan_noise": _block_edit("observations", "noise", shape=_CELLS,
-                             edit=_assign((2, 1, 6, 0), np.nan)),
     "inf_pixel": _block_edit("observations", "pixels", shape=_CELLS,
                              edit=_assign((5, 2, 4, 1), -np.inf)),
     "half_nan_pixel": _block_edit("observations", "pixels", shape=_CELLS,
                                   edit=_assign((0, 0, 3, 0), np.nan)),
-    "noise_without_pixel": _block_edit("observations", "pixels", shape=_CELLS,
-                                       edit=_assign((7, 1, 2), np.nan)),
 }
 
 
@@ -475,6 +471,29 @@ def test_evaluate_deform_scores_predicted_offsets(tmp_path):
         assert {key: reports[name][key] for key in doc} == doc, name
     assert reports["deformed"]["per_part_rmse_mm"] != \
         reports["rigid"]["per_part_rmse_mm"]
+
+
+def test_version_2_dataset_exit_2(tmp_path, track_inputs, capsys):
+    """A version-2 dataset file, which also held the pixel noise, is refused
+    by its version: solve, evaluate and plot exit with 2 on one stderr line
+    and write nothing."""
+    data, doc = track_inputs
+    track = tmp_path / "track.json"
+    track.write_text(json.dumps(doc))
+    old = json.loads(data.read_text())
+    old["format_version"] = 2
+    old_data = tmp_path / "data_v2.json"
+    old_data.write_text(json.dumps(old))
+    for command, inputs, flag in (("solve", (), "--out"),
+                                  ("evaluate", ("--track", str(track)), "--out"),
+                                  ("plot", ("--track", str(track)), "--out-dir")):
+        out = tmp_path / command
+        assert run(command, "--data", str(old_data), *inputs,
+                   flag, str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: unsupported dataset format version 2; "
+            "this version reads 3\n")
+        assert not out.exists()
 
 
 def test_solve_with_version_1_model_exit_2(tmp_path, capsys):

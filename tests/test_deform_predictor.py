@@ -5,6 +5,7 @@ import pytest
 
 from mousetrack3d import adjustment, geometry, simulator
 from mousetrack3d.deform_predictor import (
+    BATCH_SIZE,
     WINDOW,
     SequenceModel,
     evaluate_mse,
@@ -135,6 +136,61 @@ def test_training_determinism():
 def test_train_rejects_zero_epochs():
     with pytest.raises(ValueError):
         train([gait_dataset(n_epochs=20)], epochs=0)
+
+
+# -- gradients ----------------------------------------------------------------
+
+def test_backward_matches_central_differences():
+    # L = sum(dy * y) for a fixed dy, so backward(dy) is the gradient of L
+    rng = np.random.default_rng(4)
+    model = SequenceModel(hidden_size=6)
+    model.init_weights(rng)
+    model.weights["b"] += rng.normal(scale=0.5, size=model.weights["b"].shape)
+    model.weights["bo"] += rng.normal(size=model.weights["bo"].shape)
+    X = rng.normal(size=(5, 5, model.input_size))
+    dy = rng.normal(size=(5, model.output_size))
+    y, state = model.forward(X)
+    grads = model.backward(dy, state)
+    h = 1e-6
+    for key, w in model.weights.items():
+        numeric = np.zeros_like(w)
+        for j in np.ndindex(w.shape):
+            keep = w[j]
+            w[j] = keep + h
+            up = (dy * model.forward(X)[0]).sum()
+            w[j] = keep - h
+            down = (dy * model.forward(X)[0]).sum()
+            w[j] = keep
+            numeric[j] = (up - down) / (2 * h)
+        error = np.linalg.norm(grads[key] - numeric) / np.linalg.norm(numeric)
+        assert error < 1e-5, (key, error)
+
+
+def test_first_adam_step_is_the_normalized_gradient():
+    # after one Adam step from zero moments, the bias-corrected moments are
+    # g and g ** 2, so every weight moves by -lr * g / (|g| + eps)
+    ds = gait_dataset(n_epochs=20)
+    lr, seed, hidden = 0.01, 3, 6
+    trained, losses = train([ds], epochs=1, lr=lr, seed=seed,
+                            hidden_size=hidden)
+    assert len(losses) == 1
+    # the initial weights and the batch order, drawn as `train` draws them
+    model = SequenceModel(hidden_size=hidden)
+    rng = np.random.default_rng(seed)
+    model.init_weights(rng)
+    offsets, masked, targets = training_windows([ds])
+    assert len(targets) <= BATCH_SIZE
+    model.offset_scale = max(float(targets.std()), 1e-3)
+    assert trained.offset_scale == model.offset_scale
+    order = rng.permutation(len(targets))
+    y, state = model.forward(model.features(offsets, masked)[order])
+    diff = y - targets[order].reshape(len(order), -1) / model.offset_scale
+    grads = model.backward(2.0 * diff / diff.size, state)
+    for key, w in model.weights.items():
+        g = grads[key]
+        expected = w - lr * g / (np.abs(g) + 1e-8)
+        assert np.allclose(trained.weights[key], expected, rtol=0,
+                           atol=1e-9 * lr), key
 
 
 def test_offset_scale_is_the_targets_spread(trained_gait_model,

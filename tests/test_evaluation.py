@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mousetrack3d import mouse_model, simulator
+from mousetrack3d import geometry, mouse_model, simulator
 from mousetrack3d.adjustment import MouseStateTrack, initialize
 from mousetrack3d.errors import EpochMismatch
 from mousetrack3d.evaluation import evaluate, geodesic_angle, plot, save_report
@@ -64,10 +64,26 @@ def test_evaluate_equals_per_epoch_reference():
         assert report.position_error_mm[t] == np.linalg.norm(est[3:] - gt[3:])
         assert report.rotation_error_deg[t] == np.degrees(geodesic_angle(
             rodrigues_to_matrix(est[:3]), rodrigues_to_matrix(gt[:3])))
-        pts = mouse_model.COORDS + offsets[t]
-        world = mouse_model.world_part_positions(est, pts)
-        part_sq[t] = ((world - ds.deformable_world[t]) ** 2).sum(axis=1)
+        world = mouse_model.world_part_positions(
+            est, mouse_model.COORDS + offsets[t])
+        truth = mouse_model.world_part_positions(
+            gt, mouse_model.COORDS + ds.deform_offsets[t])
+        part_sq[t] = ((world - truth) ** 2).sum(axis=1)
     assert np.array_equal(report.per_part_rmse_mm, np.sqrt(part_sq.mean(axis=0)))
+
+
+def test_percentiles_of_position_error():
+    ds = make_dataset(n_epochs=40)
+    rng = np.random.default_rng(1)
+    track = MouseStateTrack(
+        ds.poses + np.hstack([np.zeros((40, 3)),
+                              rng.normal(scale=2.0, size=(40, 3))]),
+        ["adjusted"] * ds.n_epochs)
+    report = evaluate(track, ds)
+    assert sorted(report.percentiles) == ["p50", "p90", "p95"]
+    for key, q in (("p50", 50), ("p90", 90), ("p95", 95)):
+        assert report.percentiles[key] == np.percentile(
+            report.position_error_mm, q), key
 
 
 def test_completeness_counts_deficient_epochs():
@@ -178,3 +194,23 @@ def test_reprojection_csv_matches_observations(tmp_path):
                                                      abs=1e-3)
         assert float(row["v_proj"]) == pytest.approx(float(row["v_obs"]),
                                                      abs=1e-3)
+
+
+def test_reprojection_overlay_poses_the_deformed_model(tmp_path):
+    # the overlay projects the parts that `evaluate` scores: the model plus
+    # the given offsets, at the track's poses
+    ds = make_dataset(n_epochs=10, step_sigma_mm=1.5)
+    track = gt_track(ds)
+    offsets = np.random.default_rng(2).normal(scale=3.0, size=(10, 8, 3))
+    plot(track, ds, tmp_path, deform_offsets_est=offsets)
+    world = mouse_model.world_part_positions(
+        track.poses, mouse_model.COORDS + offsets)
+    for k, cam in enumerate(ds.cameras):
+        proj, _ = geometry.project_many(cam, world.reshape(-1, 3))
+        proj = proj.reshape(10, 8, 2)
+        with open(tmp_path / f"reprojection_cam{k}.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == ds.visible[:, k].sum()
+        for row in rows:
+            u, v = proj[int(row["t"]), int(row["part"])]
+            assert (row["u_proj"], row["v_proj"]) == (f"{u:.4f}", f"{v:.4f}")

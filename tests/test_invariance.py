@@ -59,8 +59,7 @@ def _assert_same_solve(a, report_a, b, report_b, tol_mm, tol_rot):
 def test_time_reversed_recording_gives_reversed_track(solved):
     # the window table is mirror-symmetric, so reversing time maps every
     # residual onto one of the reversed recording's
-    per_epoch = ("poses", "deformable_world", "deform_offsets",
-                 "observations", "visible", "noise")
+    per_epoch = ("poses", "deform_offsets", "observations", "visible")
     for ds, track, report in solved:
         reversed_ds = dataclasses.replace(
             ds, **{key: getattr(ds, key)[::-1].copy() for key in per_epoch})
@@ -89,7 +88,7 @@ def test_permuted_camera_slots_give_same_solve(solved):
         permuted_ds = dataclasses.replace(
             ds, config=dataclasses.replace(ds.config, cameras=cameras),
             **{key: getattr(ds, key)[:, order].copy()
-               for key in ("observations", "visible", "noise")})
+               for key in ("observations", "visible")})
         permuted, permuted_report = _solve(permuted_ds)
         _assert_same_solve(track, report, permuted, permuted_report,
                            EXACT_TOL_MM, EXACT_TOL_ROT)
@@ -108,7 +107,7 @@ def test_moved_world_origin_gives_translated_track(solved):
         poses[:, 3:] += d
         moved_ds = dataclasses.replace(
             ds, config=dataclasses.replace(ds.config, cameras=cameras),
-            poses=poses, deformable_world=ds.deformable_world + d)
+            poses=poses)
         moved, moved_report = _solve(moved_ds)
         moved.poses[:, 3:] -= d
         _assert_same_solve(track, report, moved, moved_report,

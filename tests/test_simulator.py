@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mousetrack3d import geometry, mouse_model
+from mousetrack3d import geometry, mouse_model, simulator
 from mousetrack3d.errors import CameraSeesNothing, SchemaError
 from mousetrack3d.simulator import (
     OcclusionConfig,
@@ -23,6 +23,12 @@ def make_config(**kw):
     kw.setdefault("seed", 0)
     kw.setdefault("n_epochs", 50)
     return SceneConfig(**kw)
+
+
+def true_parts(ds):
+    """(T, 8, 3) true world part positions of a dataset."""
+    return mouse_model.world_part_positions(
+        ds.poses, mouse_model.COORDS + ds.deform_offsets)
 
 
 # -- camera rig ---------------------------------------------------------------
@@ -79,16 +85,17 @@ def test_body_height_rests_paws_on_plane():
     assert pts[:, 2].min() == pytest.approx(0.0, abs=1e-9)
 
 
-def test_track_stays_inside_plane_extent():
-    config = make_config(n_epochs=2000, step_sigma_mm=30.0, plane_extent_mm=80.0)
+def test_track_stays_inside_plane_extent(monkeypatch):
+    monkeypatch.setattr(simulator, "PLANE_EXTENT_MM", 80.0)
+    config = make_config(n_epochs=2000, step_sigma_mm=30.0)
     xy = generate_track(config)[:, 3:5]
     assert np.all(np.abs(xy) <= 80.0 + 1e-9)
 
 
-def test_brownian_mean_squared_displacement_linear():
+def test_brownian_mean_squared_displacement_linear(monkeypatch):
     # MSD of an unconstrained 2D random walk grows linearly in lag time
-    config = make_config(n_epochs=10000, step_sigma_mm=1.0,
-                         plane_extent_mm=1e7)
+    monkeypatch.setattr(simulator, "PLANE_EXTENT_MM", 1e7)
+    config = make_config(n_epochs=10000, step_sigma_mm=1.0)
     xy = generate_track(config)[:, 3:5]
     lags = np.arange(1, 60)
     msd = np.array([np.mean(np.sum((xy[lag:] - xy[:-lag]) ** 2, axis=1))
@@ -115,19 +122,40 @@ def test_noiseless_observations_retriangulate():
         visible.reshape(-1, len(ds.cameras)))
     assert ok.all()
     assert np.allclose(X.reshape(len(epochs), 8, 3),
-                       ds.deformable_world[epochs], atol=1e-6)
+                       true_parts(ds)[epochs], atol=1e-6)
+
+
+def redrawn_streams(config):
+    """Pixel noise (T, K, 8, 2) and dropout (T, K, 8) drawn again from the
+    per-epoch streams, as the simulator documents them: epoch t draws from
+    default_rng([seed, t]) the standard normals, then the uniforms."""
+    K = len(config.cameras)
+    noise, drops = [], []
+    for t in range(config.n_epochs):
+        rng = np.random.default_rng([config.seed, t])
+        noise.append(rng.normal(0.0, 1.0, size=(K, 8, 2))
+                     * config.noise_sigma_px)
+        drops.append(rng.random(size=(K, 8))
+                     < config.occlusion.random_dropout_rate)
+    return np.array(noise), np.array(drops)
 
 
 def test_render_equals_per_epoch_projection():
-    # one projection over all epochs equals projecting epoch by epoch
-    ds = simulate(make_config(n_epochs=12, seed=3,
-                              occlusion=OcclusionConfig(random_dropout_rate=0.3)))
+    # one projection over all epochs equals projecting epoch by epoch, plus
+    # the noise of the epoch's stream; its dropped parts are not seen
+    config = make_config(n_epochs=12, seed=3,
+                         occlusion=OcclusionConfig(random_dropout_rate=0.3))
+    ds = simulate(config)
+    noise, drops = redrawn_streams(config)
+    assert drops.any()
+    assert not ds.visible[drops].any()
+    parts = true_parts(ds)
     for t in range(12):
         for k, cam in enumerate(ds.cameras):
-            px, _ = geometry.project_many(cam, ds.deformable_world[t])
+            px, _ = geometry.project_many(cam, parts[t])
             vis = ds.visible[t, k]
             assert np.array_equal(ds.observations[t, k, vis],
-                                  px[vis] + ds.noise[t, k, vis])
+                                  px[vis] + noise[t, k, vis])
             assert np.isnan(ds.observations[t, k, ~vis]).all()
 
 
@@ -135,9 +163,10 @@ def test_noise_audit_matches_observations():
     config = make_config(noise_sigma_px=0.5, n_epochs=20)
     ds = simulate(config)
     clean = simulate(make_config(noise_sigma_px=0.0, n_epochs=20))
+    noise, _ = redrawn_streams(config)
     vis = ds.visible
     assert np.allclose(ds.observations[vis],
-                       clean.observations[vis] + ds.noise[vis], atol=1e-9)
+                       clean.observations[vis] + noise[vis], atol=1e-9)
 
 
 def test_dropout_rate_binomial():
@@ -157,7 +186,7 @@ def test_heavy_dropout_creates_unsolvable_epochs():
     config = make_config(
         n_epochs=200, occlusion=OcclusionConfig(random_dropout_rate=0.9))
     ds = simulate(config)
-    deficient = (ds.visible_part_counts() < 3).all(axis=1)
+    deficient = (ds.visible.sum(axis=2) < 3).all(axis=1)
     assert deficient.any()
 
 
@@ -186,31 +215,14 @@ def test_render_rejects_camera_facing_away():
 
 def test_deformation_disabled_matches_rigid():
     ds = simulate(make_config(deformation_enabled=False))
-    assert np.allclose(ds.deform_offsets, 0.0)
-    assert np.allclose(ds.deformable_world,
-                       mouse_model.world_part_positions(ds.poses))
-
-
-def test_deformable_world_is_world_part_positions(tmp_path):
-    # one world-part formula for the simulator, the solver and the
-    # evaluation: the rigid model plus the offsets, posed
-    ds = simulate(make_config(
-        n_epochs=500, noise_sigma_px=0.5,
-        occlusion=OcclusionConfig(random_dropout_rate=0.2)))
-    path = tmp_path / "data.json"
-    export_dataset(ds, path)
-    for dataset in (ds, import_dataset(path)):
-        assert np.array_equal(
-            dataset.deformable_world,
-            mouse_model.world_part_positions(
-                dataset.poses, mouse_model.COORDS + dataset.deform_offsets))
+    assert not ds.deform_offsets.any()
 
 
 def test_gait_phase_progression():
-    ds = simulate(make_config(n_epochs=25, gait_cycle_length=10))
+    ds = simulate(make_config(n_epochs=25))
     # paw offsets return to zero at every cycle boundary (phase 0) and the
     # diagonal pairs stay exact negatives in between
-    for t in (0, 10, 20):
+    for t in range(0, 25, simulator.GAIT_CYCLE_LENGTH):
         assert np.allclose(ds.deform_offsets[t, 3:7], 0.0, atol=1e-12)
     y = ds.deform_offsets[:, :, 1]
     assert np.allclose(y[:, mouse_model.LEFT_FRONT_PAW],
@@ -244,8 +256,7 @@ def test_export_import_roundtrip(tmp_path):
     path = tmp_path / "data.json"
     export_dataset(ds, path)
     loaded = import_dataset(path)
-    for name in ("poses", "deform_offsets", "deformable_world",
-                 "observations", "visible", "noise"):
+    for name in ("poses", "deform_offsets", "observations", "visible"):
         assert np.array_equal(getattr(loaded, name), getattr(ds, name),
                               equal_nan=True), name
     assert loaded.deform_offsets.any() and not ds.visible.all()
@@ -263,13 +274,12 @@ def test_dataset_blocks_decode_with_numpy(tmp_path):
     path = tmp_path / "data.json"
     export_dataset(ds, path)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
+    assert sorted(doc["observations"]) == ["pixels"]
     T, K = 12, len(doc["meta"]["cameras"])
     pixels = read_block(doc, "observations", "pixels").reshape(T, K, 8, 2)
     assert np.array_equal(pixels, ds.observations, equal_nan=True)
     assert np.array_equal(np.isfinite(pixels).all(axis=3), ds.visible)
-    assert np.array_equal(
-        read_block(doc, "observations", "noise").reshape(T, K, 8, 2), ds.noise)
     assert np.array_equal(
         read_block(doc, "ground_truth", "poses").reshape(T, 6), ds.poses)
     assert np.array_equal(
@@ -365,7 +375,6 @@ def _version_1(doc):
 POSES = ("ground_truth", "poses")
 OFFSETS = ("ground_truth", "deform_offsets_mm")
 PIXELS = ("observations", "pixels")
-NOISE = ("observations", "noise")
 CELLS = (10, 3, 8, 2)
 
 
@@ -376,11 +385,20 @@ def _pixels(edit):
 # (mutation of an exported 10-epoch dataset, expected message)
 MALFORMED_DATASETS = {
     "version_1": (_version_1, "^unsupported dataset format version 1; "
-                              "this version reads 2$"),
-    "version_3": (_set("format_version", value=3), "format version 3;"),
-    "version_text": (_set("format_version", value="2"),
-                     "format version '2';"),
-    # misspelt optional fields would otherwise load as all-zero offsets
+                              "this version reads 3$"),
+    # version 2 also held the pixel noise
+    "version_2": (_set("format_version", value=2),
+                  "^unsupported dataset format version 2; "
+                  "this version reads 3$"),
+    "version_4": (_set("format_version", value=4), "format version 4;"),
+    "version_text": (_set("format_version", value="3"),
+                     "format version '3';"),
+    "missing_deform_offsets": (
+        lambda doc: doc["ground_truth"].pop("deform_offsets_mm"),
+        "dataset ground_truth missing field 'deform_offsets_mm'"),
+    # a version-2 block in a version-3 file
+    "noise_block": (_set("observations", "noise", value=""),
+                    "dataset observations has unknown field 'noise'"),
     "misspelt_deform_offsets": (
         _rename(*OFFSETS, new="deform_offset_mm"),
         "dataset ground_truth has unknown field 'deform_offset_mm'"),
@@ -391,7 +409,7 @@ MALFORMED_DATASETS = {
                             "dataset ground_truth has unknown field 'pose'"),
     "unknown_top_level_field": (_rename("meta", new="metadata"),
                                 "dataset file has unknown field 'metadata'"),
-    # a version-1 field in a version-2 file
+    # a version-1 field in a version-3 file
     "nonsense_columns": (_set("observations", "columns", value="nonsense"),
                          "dataset observations has unknown field 'columns'"),
     # a block that is not a string
@@ -402,8 +420,8 @@ MALFORMED_DATASETS = {
     # not base64
     "string_pixel": (_set(*PIXELS, value="640.06"),
                      "'observations.pixels' is not valid base64"),
-    "non_ascii_block": (_set(*NOISE, value="AAAAAAAAéAAA"),
-                        "'observations.noise' is not valid base64"),
+    "non_ascii_block": (_set(*POSES, value="AAAAAAAAéAAA"),
+                        "'ground_truth.poses' is not valid base64"),
     "unpadded_block": (_set(*OFFSETS, value="AAAAAAAAAAA"),
                        "'ground_truth.deform_offsets_mm' is not valid base64"),
     # blocks of another shape than meta gives
@@ -436,10 +454,6 @@ MALFORMED_DATASETS = {
                                edit=_assign((3, 5, 1), -np.inf)),
                    r"'ground_truth.deform_offsets_mm' must be finite \(at "
                    r"t = 3, i = 5, axis = 1\)"),
-    "nan_noise": (_edit_block(*NOISE, shape=CELLS,
-                              edit=_assign((2, 1, 6, 0), np.nan)),
-                  r"'observations.noise' must be finite \(at t = 2, k = 1, "
-                  r"i = 6\)"),
     "inf_pixel": (_pixels(_assign((5, 2, 4, 1), np.inf)),
                   r"'observations.pixels' holds an infinite value \(at "
                   r"t = 5, k = 2, i = 4\)"),
@@ -447,10 +461,6 @@ MALFORMED_DATASETS = {
     "nan_pixel": (_pixels(_assign((0, 0, 3, 0), np.nan)),
                   r"'observations.pixels' holds a pair of one NaN and one "
                   r"number \(at t = 0, k = 0, i = 3\)"),
-    "noise_without_pixel": (_pixels(_assign((7, 1, 2), np.nan)),
-                            r"'observations.noise' must be 0 where "
-                            r"observations.pixels is NaN \(at t = 7, k = 1, "
-                            r"i = 2\)"),
 }
 
 
@@ -466,15 +476,3 @@ def test_import_rejects_malformed_dataset(tmp_path, case):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=message):
         import_dataset(path)
-
-
-def test_import_without_deform_offsets_reads_zero_offsets(tmp_path):
-    ds = simulate(make_config(n_epochs=10, deformation_enabled=False))
-    path = tmp_path / "data.json"
-    export_dataset(ds, path)
-    doc = json.loads(path.read_text())
-    del doc["ground_truth"]["deform_offsets_mm"]
-    path.write_text(json.dumps(doc))
-    loaded = import_dataset(path)
-    assert np.array_equal(loaded.deform_offsets, np.zeros((10, 8, 3)))
-    assert np.array_equal(loaded.deformable_world, ds.deformable_world)
