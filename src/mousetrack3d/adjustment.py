@@ -175,16 +175,16 @@ def _dataset_cameras(dataset, cameras):
 
 
 def triangulate_parts(dataset, cameras):
-    """Linear triangulation of every (epoch, part): ((T, 8, 3) global
-    positions, (T, 8) mask of parts seen by >= 2 cameras and
-    triangulated). `initialize`, `build_problem` and `predict_offsets` take
-    the pair as `parts=`, so one solve triangulates once."""
+    """Linear triangulation of every (epoch, part) of a (T, K, P) `visible`:
+    ((T, P, 3) global positions, (T, P) mask of parts seen by >= 2 cameras
+    and triangulated). `initialize`, `build_problem` and `predict_offsets`
+    take the pair as `parts=`, so one solve triangulates once."""
     cameras = _dataset_cameras(dataset, cameras)
-    T, K = dataset.visible.shape[:2]
-    visible = dataset.visible.transpose(0, 2, 1).reshape(T * 8, K)
-    pixels = dataset.observations.transpose(0, 2, 1, 3).reshape(T * 8, K, 2)
+    T, K, P = dataset.visible.shape
+    visible = dataset.visible.transpose(0, 2, 1).reshape(T * P, K)
+    pixels = dataset.observations.transpose(0, 2, 1, 3).reshape(T * P, K, 2)
     X, ok = geometry.triangulate_batch(cameras, pixels, visible)
-    return X.reshape(T, 8, 3), ok.reshape(T, 8)
+    return X.reshape(T, P, 3), ok.reshape(T, P)
 
 
 def initialize(dataset, cameras=None, *, parts=None) -> MouseStateTrack:
@@ -200,7 +200,7 @@ def initialize(dataset, cameras=None, *, parts=None) -> MouseStateTrack:
     computed here when not given.
     """
     cameras = cameras if cameras is not None else dataset.cameras
-    T = dataset.n_epochs
+    T = len(dataset.visible)
     world, have = (parts if parts is not None
                    else triangulate_parts(dataset, cameras))
     solved = np.flatnonzero(have.sum(axis=1) >= 3)
@@ -247,24 +247,24 @@ class _Forward(NamedTuple):
     S: np.ndarray         # (T, 6) interpolated poses
     branch: np.ndarray    # (T, 5) branch factors of the window slots
     RS: np.ndarray        # (T, 3, 3) rotations of S
-    proj: np.ndarray      # (T, 8, K, 2) pixels
-    z: np.ndarray         # (T, 8, K) divisors of `geometry.dehomogenize`
-    r_p: np.ndarray       # (T, 8, K, 2) weighted reprojection residuals
+    proj: np.ndarray      # (T, P, K, 2) pixels
+    z: np.ndarray         # (T, P, K) divisors of `geometry.dehomogenize`
+    r_p: np.ndarray       # (T, P, K, 2) weighted reprojection residuals
     r_s: np.ndarray       # (T, 4, 3) smoothness residuals
 
 
 class Problem:
     """Stacked residual system over all epochs.
 
-    Reprojection blocks: one per visible (epoch, camera, part) observation,
-    residual (projected - observed) / sigma, in (epoch, camera, part) order.
-    They are evaluated on the dense (epoch, part, camera) grid of all
-    T x 8 x K entries, with weight 1 / sigma where the observation is
-    visible and 0 where not, so an invisible entry contributes nothing,
-    wherever its point projects. Smoothness blocks: one per epoch,
-    smoothness_weight times the world displacements H g - S g of the
-    body's comparison grid between the epoch's pose H and the cubic
-    recombination S of its window neighbors.
+    The observations have one layout, the dense (epoch, part, camera) grid
+    of all T x P x K entries of a (T, K, P) `visible`; `n_obs` counts the
+    visible ones. Reprojection blocks: one per grid entry, residual
+    (projected - observed) / sigma where visible and 0 where not, wherever
+    the point projects. Smoothness blocks: one per epoch, smoothness_weight
+    times the world displacements H g - S g of the body's comparison grid
+    between the epoch's pose H and the cubic recombination S of its window
+    neighbors. The residual vector is the (T, P, K, 2) reprojection grid,
+    then the (T, 4, 3) smoothness blocks, each flattened in C order.
 
     The windows, their weights and the rotation-branch rule of the cubic
     are `track_constraint`'s (`window_slots`, `interpolate`), so the cost
@@ -295,7 +295,6 @@ class Problem:
     bandwidth = 29
 
     def __init__(self, dataset, cameras, model_points, stochastic, sigma_px):
-        self.n_epochs = dataset.n_epochs
         self.stochastic = stochastic
         self.sigma_px = float(sigma_px)
 
@@ -308,21 +307,19 @@ class Problem:
         self._Kt = np.concatenate([c.calibration @ c.pose_global.translation
                                    for c in cams])
 
-        # visible observations in (epoch, camera, part) order, and their
-        # entries of the flattened (epoch, part, camera) grid
-        K = len(cams)
-        self.obs_t, self.obs_k, self.obs_i = np.nonzero(dataset.visible)
-        self._obs_grid = (8 * self.obs_t + self.obs_i) * K + self.obs_k
+        # the (epoch, part, camera) grid: weight 1 / sigma and the pixels
+        # where visible, 0 where not
         visible = dataset.visible.transpose(0, 2, 1)
         self._weight = np.where(visible, 1.0 / self.sigma_px, 0.0)
         self._px = np.where(visible[..., None],
                             dataset.observations.transpose(0, 2, 1, 3), 0.0)
-        # (T, 8, 3) model-frame part positions of every epoch: the rigid
+        self._n_visible = visible.sum(axis=(1, 2))      # per epoch
+        # (T, P, 3) model-frame part positions of every epoch: the rigid
         # coordinates plus the epoch's offsets, which are zero in rigid mode
-        # (an (8, 3) array is read as the same points at every epoch)
-        T = self.n_epochs
+        # (a (P, 3) array is read as the same points at every epoch)
+        T = self.n_epochs = len(visible)
         self.model_pts = np.broadcast_to(
-            np.asarray(model_points, dtype=float), (T, 8, 3))
+            np.asarray(model_points, dtype=float), (*visible.shape[:2], 3))
 
         # smoothness windows: each epoch's five consecutive slot epochs
         # from win_start, and the slots' cubic weights (T, 5)
@@ -336,8 +333,8 @@ class Problem:
         rq = track_constraint.grid_factor(track_constraint.GRID)
         self.smooth_p, self.smooth_s = rq[:, :3], rq[:, 3]
         self._s_eye = self.smooth_s[:, None, None] * _EYE3
-        self.n_obs = len(self.obs_t)
-        self.n_residuals = 2 * self.n_obs + 12 * T
+        self.n_obs = int(self._n_visible.sum())
+        self.n_residuals = 2 * self._weight.size + 12 * T
         self.n_params = 6 * T
         self._last = (None, None)       # (x bytes, its _Forward)
 
@@ -345,18 +342,16 @@ class Problem:
 
     def residuals(self, x):
         f = self._forward(np.asarray(x, dtype=float).reshape(self.n_epochs, 6))
-        return np.concatenate([f.r_p.reshape(-1, 2)[self._obs_grid].ravel(),
-                               f.r_s.ravel()])
+        return np.concatenate([f.r_p.ravel(), f.r_s.ravel()])
 
     def _forward(self, x):
         """The `_Forward` at x (T, 6), kept for `_state`. Every camera
         projects the (epoch, part) world points in one product."""
-        T = self.n_epochs
         S, branch = self._interpolated(x)
         R, RS = geometry.rodrigues_to_matrix(np.stack([x[:, :3], S[:, :3]]))
         world = self.model_pts @ R.transpose(0, 2, 1) + x[:, None, 3:]
-        q = (world.reshape(8 * T, 3) @ self._KR_cols + self._Kt).reshape(
-            T, 8, -1, 3)
+        q = (world.reshape(-1, 3) @ self._KR_cols + self._Kt).reshape(
+            *world.shape[:2], -1, 3)
         proj, z = geometry.dehomogenize(q)
         r_p = (proj - self._px) * self._weight[..., None]
         f = _Forward(R, S, branch, RS, proj, z, r_p,
@@ -387,10 +382,6 @@ class Problem:
                + self.smooth_s[:, None] * (x[:, None, 3:] - S[:, None, 3:]))
         return self.stochastic.smoothness_weight * res
 
-    def cost(self, x):
-        r = self.residuals(x)
-        return float(r @ r)
-
     # -- analytic Jacobian ----------------------------------------------------
 
     def _rotation_derivatives(self, x, f, lo, hi):
@@ -411,7 +402,7 @@ class Problem:
         return dR[:n], dR[n:]
 
     def _reprojection_jacobian(self, f, dRH, lo, hi):
-        """J_p (n, 8, 2K, 6) of epochs lo..hi-1, for the `_Forward` f and the
+        """J_p (n, P, 2K, 6) of epochs lo..hi-1, for the `_Forward` f and the
         derivatives dRH of those epochs' rotations: rows 2k and 2k + 1 of
         J_p[t - lo, i] are d r_p[t, i, k] / d x[t], zero where the grid entry
         is invisible.
@@ -420,17 +411,17 @@ class Problem:
         weighted residual by the world point X_ti = R_t m_ti + t_t and
         J_rot = d(R_t m_ti)/dr_t.
         """
-        n = hi - lo
+        n, P = hi - lo, self.model_pts.shape[1]
         # d(proj)/d(world): (u, v) = (q0, q1) / z, q = K R_c world + K t_c
         KR = self.cam_KR
         J_w = ((KR[:, :2, :] - f.proj[lo:hi, ..., None] * KR[:, 2:3, :])
                * (self._weight[lo:hi] / f.z[lo:hi])[..., None, None])
-        L = np.empty((n, 8, 3, 6))
+        L = np.empty((n, P, 3, 6))
         L[..., :3] = (dRH.reshape(n, 9, 3)
                       @ np.swapaxes(self.model_pts[lo:hi], -1, -2)
-                      ).reshape(n, 3, 3, 8).transpose(0, 3, 2, 1)
+                      ).reshape(n, 3, 3, P).transpose(0, 3, 2, 1)
         L[..., 3:] = _EYE3
-        return J_w.reshape(n, 8, -1, 3) @ L
+        return J_w.reshape(n, P, -1, 3) @ L
 
     def _smooth_jacobian(self, x, f, dRH, dRS, lo, hi):
         """Jacobian J_s (n, 12, 30) of the smoothness residuals of epochs
@@ -468,19 +459,19 @@ class Problem:
         """(J, first): the Jacobian at x in windowed rows, in the order of
         `residuals`. Columns 6a..6a+5 of row i of J (n_residuals, 30) are
         its derivatives by x[first[i] + a]; all others are zero. A
-        reprojection row fills only its epoch's slot in that epoch's window.
-        Formed from the same per-range factors as `normal_equations`, over
-        all epochs at once; the solver never forms it."""
+        reprojection row fills only its epoch's slot in that epoch's window,
+        and is zero for an invisible grid entry. Formed from the same
+        per-range factors as `normal_equations`, over all epochs at once;
+        the solver never forms it."""
         x = np.asarray(x, dtype=float).reshape(self.n_epochs, 6)
-        T, n = self.n_epochs, self.n_obs
+        T = self.n_epochs
         f = self._state(x)
         dRH, dRS = self._rotation_derivatives(x, f, 0, T)
-        J_p = np.zeros((n, 2, 5, 6))
-        J_p[np.arange(n), :, self._own_slot[self.obs_t]] = \
-            self._reprojection_jacobian(f, dRH, 0, T).reshape(
-                -1, 2, 6)[self._obs_grid]
+        rows = self._reprojection_jacobian(f, dRH, 0, T).reshape(T, -1, 6)
+        J_p = np.zeros((T, rows.shape[1], 5, 6))
+        J_p[np.arange(T), :, self._own_slot] = rows
         J_s = self._smooth_jacobian(x, f, dRH, dRS, 0, T)
-        first = np.concatenate([np.repeat(self.win_start[self.obs_t], 2),
+        first = np.concatenate([np.repeat(self.win_start, rows.shape[1]),
                                 np.repeat(self.win_start, 12)])
         return np.concatenate([J_p.reshape(-1, 30), J_s.reshape(-1, 30)]), first
 
@@ -495,7 +486,7 @@ class Problem:
         blocks of the five epochs of their window (`_add_smoothness`). A
         reprojection residual depends on its own epoch's pose only, so its
         terms fill the diagonal blocks (Triggs et al., "Bundle Adjustment -
-        A Modern Synthesis", 2000, sec. 6): with J_p[t] the epoch's 16K grid
+        A Modern Synthesis", 2000, sec. 6): with J_p[t] the epoch's 2PK grid
         rows of `_reprojection_jacobian`, J_p[t]^T J_p[t] and
         J_p[t]^T r_p[t] are one batched product each, and invisible entries
         add zeros. The band is written from the (T, 5, 6, 6) blocks by one
@@ -518,7 +509,7 @@ class Problem:
         for lo, hi in reversed(_chunks(T)):
             dRH, dRS = self._rotation_derivatives(x, f, lo, hi)
             self._add_smoothness(x, f, dRH, dRS, lo, hi, blocks, g)
-            # reprojection: each epoch's 16K grid rows in one product
+            # reprojection: each epoch's 2PK grid rows in one product
             J_p = self._reprojection_jacobian(f, dRH, lo, hi).reshape(
                 hi - lo, -1, 6)
             JtJ[lo:hi] = J_p.transpose(0, 2, 1) @ J_p
@@ -573,20 +564,19 @@ class Problem:
 
     def _rms(self, r):
         """(reprojection RMS in px, smoothness RMS in mm, (T,) per-epoch
-        reprojection RMS in px) of the residual vector r. The smoothness RMS
-        is over the 3 x 27 grid displacement components of every epoch, which
-        the four weighted points reproduce in sum of squares."""
-        n = 2 * self.n_obs
-        rp = r[:n] * self.sigma_px
+        reprojection RMS in px) of the residual vector r, over the visible
+        pixel components and, per epoch, its visible observations' squared
+        pixel distances (0 without any). The smoothness RMS is over the
+        3 x 27 grid displacement components of every epoch, which the four
+        weighted points reproduce in sum of squares."""
+        n = 2 * self._weight.size
+        sq = ((r[:n] * self.sigma_px) ** 2).reshape(self.n_epochs, -1).sum(1)
         w_s = self.stochastic.smoothness_weight
         sm = r[n:] / w_s if w_s > 0 else np.zeros(1)
-        rp_rms = float(np.sqrt((rp ** 2).mean())) if rp.size else 0.0
         n_disp = 3 * len(track_constraint.GRID) * self.n_epochs
-        sq = (rp.reshape(-1, 2) ** 2).sum(axis=1)
-        count = np.bincount(self.obs_t, minlength=self.n_epochs)
-        total = np.bincount(self.obs_t, weights=sq, minlength=self.n_epochs)
-        return (rp_rms, float(np.sqrt((sm @ sm) / n_disp)),
-                np.sqrt(total / np.maximum(count, 1)))
+        return (float(np.sqrt(sq.sum() / max(2 * self.n_obs, 1))),
+                float(np.sqrt((sm @ sm) / n_disp)),
+                np.sqrt(sq / np.maximum(self._n_visible, 1)))
 
 
 def build_problem(dataset, cameras, track=None, deform_model=None,
@@ -623,7 +613,6 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model, *,
     token windows of these offsets feed the sequence model in one batch.
     Epochs whose window does not fit inside the track get zero offsets.
     """
-    T = dataset.n_epochs
     n = deform_predictor.WINDOW
     world, have = (parts if parts is not None
                    else triangulate_parts(dataset, cameras))
@@ -632,9 +621,9 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model, *,
     # R^T (X - t) - m: the triangulated parts' model-frame offsets
     est = (world - x[:, None, 3:]) @ R - mouse_model.COORDS
 
-    offsets = np.zeros((T, 8, 3))
-    if T > 2 * n:
-        offsets[n:T - n] = model.predict(
+    offsets = np.zeros_like(est)
+    if len(est) > 2 * n:
+        offsets[n:len(est) - n] = model.predict(
             *deform_predictor.token_windows(est, ~have, n))
     return offsets
 

@@ -283,7 +283,10 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("plot", help="emit SVG/CSV track artifacts")
+    p = sub.add_parser("plot", help="emit SVG/CSV track artifacts",
+                       description="Emit SVG/CSV track artifacts. The "
+                       "reprojection overlay draws the rigid model, also "
+                       "for a track solved in deformed mode.")
     p.add_argument("--data", required=True)
     p.add_argument("--track", required=True)
     p.add_argument("--out-dir", required=True)

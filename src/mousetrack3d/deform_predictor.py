@@ -4,12 +4,14 @@ A token is one body part at one epoch: its model-frame offset from the rigid
 model coordinate (mm) and a mask flag. A window covers the 2n+1 epochs
 around a centre epoch (n = `WINDOW`); the mid epoch's parts are masked and
 their offsets predicted. `token_windows` cuts every window of a recording
-with one fancy index into (W, 2n+1, 8, 3) offsets, 0 where masked, and
-(W, 2n+1, 8) masks. The network sees offsets divided by one number,
-`SequenceModel.offset_scale` (the spread of the training targets' offset
-components, in mm), and its outputs are multiplied by the same number. The
-predictor is a small single-layer LSTM trained by backpropagation through
-time; it outputs offsets, so a zero prediction is the rigid model.
+with one fancy index into (W, 2n+1, P, 3) offsets, 0 where masked, and
+(W, 2n+1, P) masks, for the P parts of `mouse_model.COORDS`, which also set
+the network's input and output sizes. The network sees offsets divided by
+one number, `SequenceModel.offset_scale` (the spread of the training
+targets' offset components, in mm), and its outputs are multiplied by the
+same number. The predictor is a small single-layer LSTM trained by
+backpropagation through time; it outputs offsets, so a zero prediction is
+the rigid model.
 
 Implementation is plain numpy; training is single-threaded and bit-exact
 reproducible for a fixed seed and dataset order.
@@ -22,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mouse_model
 from .errors import (DivergedLoss, SchemaError, UntrainedModel, check_object,
                      check_version, is_int, numbers, read_json)
 
-N_PARTS = 8
 WINDOW = 2          # n; a token window covers the 2n+1 epochs t-n..t+n
 BATCH_SIZE = 64     # training windows per Adam step
 
@@ -34,10 +36,10 @@ def token_windows(offsets, missing, n):
     """Token windows over epochs t-n..t+n for every centre t = n..T-n-1 of a
     recording.
 
-    offsets : (T, N_PARTS, 3) model-frame offsets from the rigid model
-    missing : (T, N_PARTS) bool, parts whose offset is unknown
+    offsets : (T, P, 3) model-frame offsets from the rigid model
+    missing : (T, P) bool, parts whose offset is unknown
 
-    Returns (offsets (W, 2n+1, N_PARTS, 3), masked (W, 2n+1, N_PARTS)),
+    Returns (offsets (W, 2n+1, P, 3), masked (W, 2n+1, P)),
     W = max(T - 2n, 0). Missing parts and the whole mid epoch are masked and
     carry 0.
     """
@@ -66,11 +68,11 @@ class SequenceModel:
 
     @property
     def input_size(self):
-        return N_PARTS * 4  # per part: offset(3) + mask flag
+        return len(mouse_model.COORDS) * 4  # per part: offset(3) + mask flag
 
     @property
     def output_size(self):
-        return N_PARTS * 3
+        return len(mouse_model.COORDS) * 3
 
     def init_weights(self, rng):
         H, D, O = self.hidden_size, self.input_size, self.output_size
@@ -145,12 +147,12 @@ class SequenceModel:
         return grads
 
     def predict(self, offsets, masked):
-        """Model-frame offsets (W, N_PARTS, 3) of the masked mid-epoch parts
+        """Model-frame offsets (W, P, 3) of the masked mid-epoch parts
         of token windows, in one forward pass."""
         if not self.trained:
             raise UntrainedModel("model has no trained weights")
         y, _ = self.forward(self.features(offsets, masked))
-        return y.reshape(len(y), N_PARTS, 3) * self.offset_scale
+        return y.reshape(len(y), -1, 3) * self.offset_scale
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +163,7 @@ def training_windows(datasets):
     """Every token window of the datasets' ground-truth offsets, masking the
     parts seen by fewer than two cameras (so they could not be
     triangulated), plus its mid-epoch offset target: (offsets (N, 2n+1,
-    N_PARTS, 3), masked (N, 2n+1, N_PARTS), targets (N, N_PARTS, 3)),
-    n = WINDOW."""
+    P, 3), masked (N, 2n+1, P), targets (N, P, 3)), n = WINDOW."""
     n = WINDOW
     windows = [token_windows(ds.deform_offsets, ds.visible.sum(axis=1) < 2, n)
                for ds in datasets]

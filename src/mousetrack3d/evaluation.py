@@ -20,7 +20,7 @@ class EvaluationReport:
     rotation_error_deg: np.ndarray     # per epoch, geodesic angle
     completeness_input: float          # fraction of epochs posable per frame
     completeness_output: float         # fraction of epochs with a pose
-    per_part_rmse_mm: np.ndarray       # (8,) 3D reconstruction RMSE
+    per_part_rmse_mm: np.ndarray       # (P,) 3D reconstruction RMSE
     position_rmse_mm: float
     rotation_rmse_deg: float
     percentiles: dict                  # p50/p90/p95 of position error
@@ -45,13 +45,13 @@ def geodesic_angle(Ra, Rb):
 
 
 def _check_epochs(track, dataset):
-    if track.n_epochs != dataset.n_epochs:
+    if track.n_epochs != len(dataset.visible):
         raise EpochMismatch(f"track has {track.n_epochs} epochs, "
-                            f"dataset {dataset.n_epochs}")
+                            f"dataset {len(dataset.visible)}")
 
 
 def _world_parts(poses, offsets):
-    """(T, 8, 3) world part positions of the model at poses, deformed by
+    """(T, P, 3) world part positions of the model at poses, deformed by
     model-frame offsets when given."""
     pts = mouse_model.COORDS
     if offsets is not None:
@@ -62,7 +62,7 @@ def _world_parts(poses, offsets):
 def evaluate(track, dataset, deform_offsets_est=None) -> EvaluationReport:
     """Compare an estimated track with the dataset's ground truth.
 
-    deform_offsets_est : optional (T, 8, 3) model-frame offsets used by the
+    deform_offsets_est : optional (T, P, 3) model-frame offsets used by the
         solver; when given, part reconstruction uses the deformed model.
 
     completeness_input is the share of epochs that `adjustment.initialize`
@@ -136,11 +136,13 @@ def _track_svg(track):
 def plot(track, dataset, out_dir, deform_offsets_est=None):
     """Write the top-down track SVG, per-parameter time-series CSV, and the
     per-camera reprojection overlay CSVs. Returns the list of files written.
-    EpochMismatch when the track and the dataset differ in length.
+    EpochMismatch when the track and the dataset differ in length. Reads
+    only the dataset's `cameras`, `observations` and `visible`.
 
-    deform_offsets_est : optional (T, 8, 3) model-frame offsets used by the
+    deform_offsets_est : optional (T, P, 3) model-frame offsets used by the
         solver; when given, the overlay projects the deformed model, as
-        `evaluate` scores it."""
+        `evaluate` scores it, and else the rigid model, as the CLI `plot`
+        command always does."""
     _check_epochs(track, dataset)
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -159,17 +161,17 @@ def plot(track, dataset, out_dir, deform_offsets_est=None):
                                                       track.solved_from)))
     written.append(ts_path)
 
-    world = _world_parts(track.poses, deform_offsets_est).reshape(-1, 3)
+    world = _world_parts(track.poses, deform_offsets_est)
     for k, cam in enumerate(dataset.cameras):
-        proj, depth = geometry.project_many(cam, world)
-        proj = proj.reshape(-1, 8, 2)
+        proj, depth = geometry.project_many(cam, world.reshape(-1, 3))
+        proj = proj.reshape(*world.shape[:2], 2)
         obs = dataset.observations[:, k]
         path = os.path.join(out_dir, f"reprojection_cam{k}.csv")
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["t", "part", "u_obs", "v_obs", "u_proj", "v_proj"])
             shown = (dataset.visible[:, k]
-                     & (depth.reshape(-1, 8) > geometry.EPS_DEPTH))
+                     & (depth.reshape(proj.shape[:2]) > geometry.EPS_DEPTH))
             w.writerows([t, i, *[f"{v:.4f}" for v in (*obs[t, i], *proj[t, i])]]
                         for t, i in zip(*np.nonzero(shown)))
         written.append(path)

@@ -2,10 +2,11 @@
 
 The rigid model is `COORDS`, a fixed read-only (8, 3) array of body-part
 coordinates in mm in a model frame with X lateral (left positive), Y
-anterior, Z up, origin at the body center of gravity. Deformation adds
-model-frame offsets for a pace gait (diagonal paw pairs alternating between
-ground-fixed stance and double-speed swing) and a rigid head triangle nodding
-about the ear-connecting line.
+anterior, Z up, origin at the body center of gravity. Its row count is the
+package's one part count P, which every array sized by the body model
+reads. Deformation adds model-frame offsets for a pace gait (diagonal paw
+pairs alternating between ground-fixed stance and double-speed swing) and a
+rigid head triangle nodding about the ear-connecting line.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def head_angle_at(phase):
 
 
 def deform(phase, body_speed, cycle_length=10):
-    """(T, 8, 3) model-frame deformation offsets at gait phases.
+    """(T, P, 3) model-frame deformation offsets at gait phases, for the P
+    parts of `COORDS`.
 
     Parameters
     ----------
@@ -95,7 +97,7 @@ def deform(phase, body_speed, cycle_length=10):
     if bad.any():
         raise ValueError(f"phase must be in [0, 1), got {phase[bad][0]}")
     T = len(phase)
-    offsets = np.zeros((T, 8, 3))
+    offsets = np.zeros((T, *COORDS.shape))
     stride = np.asarray(body_speed, dtype=float) * cycle_length
     swing = stride * np.where(phase < 0.5, phase, 1.0 - phase)
     offsets[:, list(STANCE_FIRST_PAWS), 1] = -swing[:, None]
@@ -117,8 +119,8 @@ def world_part_positions(params, points=None):
     parameters (r, t).
 
     params : (..., 6) Rodrigues vectors and translations (mm)
-    points : (8, 3) or (..., 8, 3) model-frame points; default the rigid model
-    Returns (..., 8, 3).
+    points : (P, 3) or (..., P, 3) model-frame points; default the rigid model
+    Returns (..., P, 3).
     """
     params = np.asarray(params, dtype=float)
     pts = COORDS if points is None else np.asarray(points, float)

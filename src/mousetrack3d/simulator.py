@@ -7,10 +7,10 @@ projects every part into every camera, adds Gaussian pixel noise, and drops
 observations (random dropout plus image-bounds test). Everything is
 reproducible from the config seed. Epoch t's pixel noise and dropout come
 from its own stream, `np.random.default_rng([seed, t])`: first the
-(K, 8, 2) standard normals that, times `noise_sigma_px`, are added to the
-pixels, then the (K, 8) uniforms that decide dropout. So epoch rendering is
-order-independent, and the noise of a recording can be drawn again from its
-seed.
+(K, P, 2) standard normals that, times `noise_sigma_px`, are added to the
+pixels, then the (K, P) uniforms that decide dropout, for the P parts of
+`mouse_model.COORDS`. So epoch rendering is order-independent, and the
+noise of a recording can be drawn again from its seed.
 
 A dataset file (`export_dataset`, `import_dataset`) keeps the scene config
 as JSON and the recording and its truth (poses and offsets) as base64
@@ -74,9 +74,9 @@ class SimulatedDataset:
 
     config: SceneConfig
     poses: np.ndarray                # (T, 6) ground-truth pose parameters
-    deform_offsets: np.ndarray       # (T, 8, 3) model-frame offsets
-    observations: np.ndarray         # (T, K, 8, 2) pixels, NaN if invisible
-    visible: np.ndarray              # (T, K, 8) bool
+    deform_offsets: np.ndarray       # (T, P, 3) model-frame offsets
+    observations: np.ndarray         # (T, K, P, 2) pixels, NaN if invisible
+    visible: np.ndarray              # (T, K, P) bool
 
     @property
     def n_epochs(self):
@@ -164,7 +164,7 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
     params = np.array(track, dtype=float)
     T = len(params)
     cams = config.cameras
-    K = len(cams)
+    K, P = len(cams), len(mouse_model.COORDS)
 
     # sanity: every camera must image some of the plane
     for cam in cams:
@@ -173,7 +173,7 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
         if np.all(depth <= 0):
             raise CameraSeesNothing(f"camera {cam.id} never images the plane")
 
-    offsets = np.zeros((T, 8, 3))
+    offsets = np.zeros((T, P, 3))
     if config.deformation_enabled:
         # body speed over the step to the next epoch (the last epoch reuses
         # the step before it)
@@ -186,19 +186,19 @@ def render(config: SceneConfig, track) -> SimulatedDataset:
         params, mouse_model.COORDS + offsets)
 
     # derived per-epoch streams keep epoch rendering order-independent
-    eps = np.empty((T, K, 8, 2))
-    drops = np.empty((T, K, 8), dtype=bool)
+    eps = np.empty((T, K, P, 2))
+    drops = np.empty((T, K, P), dtype=bool)
     for t in range(T):
         rng = np.random.default_rng([config.seed, t])
-        eps[t] = rng.normal(0.0, 1.0, size=(K, 8, 2)) * config.noise_sigma_px
-        drops[t] = rng.random(size=(K, 8)) < config.occlusion.random_dropout_rate
+        eps[t] = rng.normal(0.0, 1.0, size=(K, P, 2)) * config.noise_sigma_px
+        drops[t] = rng.random(size=(K, P)) < config.occlusion.random_dropout_rate
 
     keep = ~drops
-    noisy = np.empty((T, K, 8, 2))
+    noisy = np.empty((T, K, P, 2))
     for k, cam in enumerate(cams):
         px, depth = geometry.project_many(cam, deform_world.reshape(-1, 3))
-        noisy[:, k] = px.reshape(T, 8, 2) + eps[:, k]
-        keep[:, k] &= depth.reshape(T, 8) > geometry.EPS_DEPTH
+        noisy[:, k] = px.reshape(T, P, 2) + eps[:, k]
+        keep[:, k] &= depth.reshape(T, P) > geometry.EPS_DEPTH
         if cam.image_size is not None:
             w, h = cam.image_size
             u, v = noisy[:, k, :, 0], noisy[:, k, :, 1]
@@ -261,11 +261,12 @@ def export_dataset(dataset: SimulatedDataset, path):
     """Write a dataset file (format version 3): one JSON object whose `meta`
     is the scene config as JSON and whose arrays are blocks, each one base64
     string of little-endian float64 in C order with its shape given by
-    `meta` (T epochs, K cameras):
+    `meta` (T epochs, K cameras) and by the P parts of
+    `mouse_model.COORDS`:
 
     - `ground_truth.poses` (T, 6) and `ground_truth.deform_offsets_mm`
-      (T, 8, 3);
-    - `observations.pixels` (T, K, 8, 2), NaN where a part is not seen.
+      (T, P, 3);
+    - `observations.pixels` (T, K, P, 2), NaN where a part is not seen.
 
     `import_dataset` reads back every array bit for bit."""
     doc = {
@@ -302,11 +303,11 @@ def import_dataset(path) -> SimulatedDataset:
     check_object(gt, ("poses", "deform_offsets_mm"), (), "dataset ground_truth")
     check_object(observations, ("pixels",), (), "dataset observations")
     config = _config_from_dict(doc["meta"])
-    T, Kn = config.n_epochs, len(config.cameras)
+    T, Kn, P = config.n_epochs, len(config.cameras), len(mouse_model.COORDS)
     params = decode_block(gt["poses"], (T, 6), "dataset", "ground_truth.poses")
-    offsets = decode_block(gt["deform_offsets_mm"], (T, 8, 3), "dataset",
+    offsets = decode_block(gt["deform_offsets_mm"], (T, P, 3), "dataset",
                            "ground_truth.deform_offsets_mm")
-    obs = decode_block(observations["pixels"], (T, Kn, 8, 2), "dataset",
+    obs = decode_block(observations["pixels"], (T, Kn, P, 2), "dataset",
                        "observations.pixels")
 
     def check(bad, field, rule, names=("t", "k", "i")):

@@ -50,6 +50,12 @@ def make_problem(ds, offsets=None, stochastic=None):
                    adjustment.SIGMA_PX_GEOMETRIC)
 
 
+def cost(problem, x):
+    """Sum of squares of the problem's residuals at x."""
+    r = problem.residuals(x)
+    return float(r @ r)
+
+
 def gt_track(ds):
     return MouseStateTrack(ds.poses.copy(), ["local"] * ds.n_epochs)
 
@@ -155,7 +161,9 @@ def test_problem_sizing_counts():
     assert problem.n_params == 500 * 6
     # about 80% of 500*3*8 = 12000 candidate observations survive
     assert problem.n_obs == pytest.approx(9600, rel=0.03)
-    assert problem.n_residuals == 2 * problem.n_obs + 12 * 500
+    assert problem.n_obs == ds.visible.sum()
+    # one residual pair per grid entry, visible or not
+    assert problem.n_residuals == 2 * 8 * 3 * 500 + 12 * 500
 
 
 def test_problem_rigid_kind_without_model():
@@ -543,7 +551,7 @@ def test_gradient_is_half_the_cost_gradient(case):
     for j in range(len(x)):
         dx = np.zeros_like(x)
         dx[j] = step
-        fd[j] = (problem.cost(x + dx) - problem.cost(x - dx)) / (4 * step)
+        fd[j] = (cost(problem, x + dx) - cost(problem, x - dx)) / (4 * step)
     assert np.abs(g - fd).max() <= 1e-7 * np.abs(g).max()
 
 
@@ -557,8 +565,8 @@ def test_cost_is_branch_invariant():
     assert np.abs(canon - x).max() > 1.0
     assert np.allclose(geometry.rodrigues_to_matrix(canon[:, :3]),
                        geometry.rodrigues_to_matrix(x[:, :3]), atol=1e-12)
-    assert (problem.cost(canon.ravel())
-            == pytest.approx(problem.cost(x.ravel()), rel=1e-12, abs=0.0))
+    assert (cost(problem, canon.ravel())
+            == pytest.approx(cost(problem, x.ravel()), rel=1e-12, abs=0.0))
 
 
 def test_four_point_smoothness_equals_grid_sum():
@@ -576,8 +584,10 @@ def test_four_point_smoothness_equals_grid_sum():
     S = np.einsum("ta,tap->tp", slot_weights,
                   x[first[:, None] + np.arange(5)])
     sq = (track_constraint.grid_displacements(x, S) ** 2).sum()
-    assert problem.n_residuals == 12 * 9
-    assert abs(problem.cost(x.ravel()) - w ** 2 * sq) <= 1e-12 * w ** 2 * sq
+    # the invisible grid entries' residuals are zeros
+    assert problem.n_obs == 0
+    assert problem.n_residuals == 2 * 8 * 3 * 9 + 12 * 9
+    assert abs(cost(problem, x.ravel()) - w ** 2 * sq) <= 1e-12 * w ** 2 * sq
     _, sm_rms = problem._rms(problem.residuals(x.ravel()))[:2]
     assert sm_rms == pytest.approx(np.sqrt(sq / (3 * 27 * 9)),
                                    rel=1e-12)
@@ -585,7 +595,7 @@ def test_four_point_smoothness_equals_grid_sum():
 
 def per_epoch_smoothness(problem, x):
     """Problem's smoothness sum of squares per epoch, over w^2."""
-    r = problem.residuals(x.ravel())[2 * problem.n_obs:]
+    r = problem.residuals(x.ravel())[-12 * problem.n_epochs:]
     return ((r.reshape(-1, 12) ** 2).sum(axis=1)
             / problem.stochastic.smoothness_weight ** 2)
 
@@ -739,7 +749,7 @@ def test_solver_never_increases_cost():
     init = initialize(ds)
     track, report = solve(problem, init)
     assert report.final_cost <= report.initial_cost
-    assert problem.cost(track.as_array().ravel()) \
+    assert cost(problem, track.as_array().ravel()) \
         == pytest.approx(report.final_cost)
 
 
@@ -899,14 +909,47 @@ def test_solve_per_epoch_residual_rms():
     problem = build_problem(ds, ds.cameras)
     track, _ = solve(problem, initialize(ds))
     r = problem.residuals(track.as_array().ravel())
-    rr = (r[:2 * problem.n_obs] * problem.sigma_px).reshape(-1, 2)
+    # the (epoch, part, camera) grid of pixel residual pairs
+    rr = (r[:-12 * 20] * problem.sigma_px).reshape(20, 8, 3, 2)
     expect = np.zeros(20)
     for t in range(20):
-        sel = problem.obs_t == t
+        sel = ds.visible[t].T
         if sel.any():
-            expect[t] = np.sqrt((rr[sel] ** 2).sum(axis=1).mean())
+            expect[t] = np.sqrt((rr[t][sel] ** 2).sum(axis=1).mean())
     assert track.residual_rms[7] == 0.0
     assert np.allclose(track.residual_rms, expect, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["rigid", "deformed"])
+def test_reported_rms_equals_projected_parts(mode, gait_and_model):
+    _, model = gait_and_model
+    T = 40
+    ds = make_dataset(seed=6, noise=0.5, dropout=0.3, deformation=True,
+                      n_epochs=T, step_sigma=1.5)
+    ds.visible[7] = False
+    ds.observations[7] = np.nan
+    init = initialize(ds)
+    offsets = np.zeros((T, 8, 3))
+    if mode == "deformed":
+        offsets = predict_offsets(ds, ds.cameras, init, model)
+    problem = build_problem(ds, ds.cameras, track=init,
+                            deform_model=model if mode == "deformed" else None)
+    track, report = solve(problem, init)
+    # squared pixel distance of every visible (epoch, camera, part)
+    world = mouse_model.world_part_positions(track.poses,
+                                             mouse_model.COORDS + offsets)
+    sq = np.zeros(ds.visible.shape)
+    for k, cam in enumerate(ds.cameras):
+        proj, _ = geometry.project_many(cam, world.reshape(-1, 3))
+        d = proj.reshape(T, 8, 2) - ds.observations[:, k]
+        sq[:, k] = np.where(ds.visible[:, k], (d ** 2).sum(axis=2), 0.0)
+    seen = ds.visible.sum(axis=(1, 2))
+    assert report.reprojection_rms_px == pytest.approx(
+        np.sqrt(sq.sum() / (2 * seen.sum())), rel=1e-9, abs=0.0)
+    assert track.residual_rms[7] == 0.0
+    assert np.allclose(track.residual_rms,
+                       np.sqrt(sq.sum(axis=(1, 2)) / np.maximum(seen, 1)),
+                       rtol=1e-9, atol=0.0)
 
 
 def test_solve_dataset_recovers_track_with_dropout():
