@@ -34,7 +34,8 @@ print(f"{dataset.n_epochs} epochs; {deficient.sum()} "
 
 # -- per-frame baseline ----------------------------------------------------------------
 
-init = adjustment.initialize(dataset)
+init = adjustment.initialize(
+    adjustment.triangulate_parts(dataset, dataset.cameras))
 local = sum(f == "local" for f in init.solved_from)
 print(f"\nper-frame baseline poses {local} epochs, "
       f"interpolates the remaining {dataset.n_epochs - local}")

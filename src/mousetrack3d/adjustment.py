@@ -25,11 +25,10 @@ pass, only the normal matrix's blocks and band, the per-epoch reprojection
 products and the gradient grow with the recording's length, and they are
 bit-identical at any chunk length. The Jacobian has one layout, rows over
 five consecutive epochs (`Problem.jacobian`), checked in 30 colours.
-The recording is triangulated once per solve, for the initialization and
-every deformation-offset prediction. Deformed mode alternates offset
-prediction and pose solve twice; round 1 stops at the looser
-ROUND_1_TOLERANCE, since its poses only feed the second prediction, and
-round 2 at COST_TOLERANCE. Camera poses are fixed throughout.
+Each stage of a solve is a function of the values it reads, and
+`solve_dataset` runs them in order: `triangulate_parts` once, `initialize`
+from its parts, then rounds of `predict_offsets` (deformed mode),
+`build_problem` and `solve`. Camera poses are fixed throughout.
 """
 
 from __future__ import annotations
@@ -177,8 +176,8 @@ def _dataset_cameras(dataset, cameras):
 def triangulate_parts(dataset, cameras):
     """Linear triangulation of every (epoch, part) of a (T, K, P) `visible`:
     ((T, P, 3) global positions, (T, P) mask of parts seen by >= 2 cameras
-    and triangulated). `initialize`, `build_problem` and `predict_offsets`
-    take the pair as `parts=`, so one solve triangulates once."""
+    and triangulated). A solve triangulates once; `initialize` and
+    `predict_offsets` read the pair."""
     cameras = _dataset_cameras(dataset, cameras)
     T, K, P = dataset.visible.shape
     visible = dataset.visible.transpose(0, 2, 1).reshape(T * P, K)
@@ -187,22 +186,19 @@ def triangulate_parts(dataset, cameras):
     return X.reshape(T, P, 3), ok.reshape(T, P)
 
 
-def initialize(dataset, cameras=None, *, parts=None) -> MouseStateTrack:
-    """Per-epoch initialization from local observations.
+def initialize(parts) -> MouseStateTrack:
+    """Per-epoch initialization from the triangulated parts, the
+    ((T, P, 3) positions, (T, P) mask) pair of `triangulate_parts`.
 
-    Parts visible in >= 2 cameras are triangulated; epochs with at least
-    three triangulated parts get a closed-form rigid fit of the model (no
-    three model parts are collinear). Remaining epochs are linearly
-    interpolated between solved neighbors i < j (nearest solved state at the
-    track ends): the rotation vector between canonical r_i and r_j
-    re-expressed on the 2 pi branch nearest r_i, so that every solved epoch
-    keeps its canonical vector. `parts` is `triangulate_parts`'s result,
-    computed here when not given.
+    Epochs with at least three triangulated parts get a closed-form rigid
+    fit of the model (no three model parts are collinear). Remaining epochs
+    are linearly interpolated between solved neighbors i < j (nearest
+    solved state at the track ends): the rotation vector between canonical
+    r_i and r_j re-expressed on the 2 pi branch nearest r_i, so that every
+    solved epoch keeps its canonical vector.
     """
-    cameras = cameras if cameras is not None else dataset.cameras
-    T = len(dataset.visible)
-    world, have = (parts if parts is not None
-                   else triangulate_parts(dataset, cameras))
+    world, have = parts
+    T = len(have)
     solved = np.flatnonzero(have.sum(axis=1) >= 3)
     if not solved.size:
         raise NoSolvableEpoch("no epoch has enough triangulated parts for a local fit")
@@ -272,7 +268,7 @@ class Problem:
     smoothness block is the 12 residuals
     smoothness_weight * ((R_H - R_S) p_j + s_j (t_H - t_S)) of the four
     weighted points (p_j, s_j) of `track_constraint.grid_factor` of
-    `track_constraint.GRID`, which have the grid's sum of squares. A
+    `track_constraint.body_grid`, which have the grid's sum of squares. A
     translation of the world origin adds the same vector to t_H and t_S,
     so it leaves them unchanged.
 
@@ -329,9 +325,11 @@ class Problem:
         # the two first and two last epochs' smoothness terms are folded
         # onto epochs 2 and T - 3, in this order (`normal_equations`)
         self._folds = ((2, 0), (2, 1), (T - 3, T - 2), (T - 3, T - 1))
-        # the four weighted points (p_j, s_j) equivalent to the grid
-        rq = track_constraint.grid_factor(track_constraint.GRID)
+        # the four weighted points (p_j, s_j) equivalent to the body grid
+        grid = track_constraint.body_grid()
+        rq = track_constraint.grid_factor(grid)
         self.smooth_p, self.smooth_s = rq[:, :3], rq[:, 3]
+        self._n_disp = 3 * len(grid) * T     # grid displacement components
         self._s_eye = self.smooth_s[:, None, None] * _EYE3
         self.n_obs = int(self._n_visible.sum())
         self.n_residuals = 2 * self._weight.size + 12 * T
@@ -573,32 +571,26 @@ class Problem:
         sq = ((r[:n] * self.sigma_px) ** 2).reshape(self.n_epochs, -1).sum(1)
         w_s = self.stochastic.smoothness_weight
         sm = r[n:] / w_s if w_s > 0 else np.zeros(1)
-        n_disp = 3 * len(track_constraint.GRID) * self.n_epochs
         return (float(np.sqrt(sq.sum() / max(2 * self.n_obs, 1))),
-                float(np.sqrt((sm @ sm) / n_disp)),
+                float(np.sqrt((sm @ sm) / self._n_disp)),
                 np.sqrt(sq / np.maximum(self._n_visible, 1)))
 
 
-def build_problem(dataset, cameras, track=None, deform_model=None,
-                  stochastic: StochasticConfig | None = None, *,
-                  parts=None) -> Problem:
+def build_problem(dataset, cameras, offsets=None,
+                  stochastic: StochasticConfig | None = None) -> Problem:
     """Assemble the residual system for a dataset.
 
-    Without a deformation model the model points are the rigid model at
-    every epoch (zero offsets), and every reprojection block is weighted by
-    SIGMA_PX_DEFORMATION (body deformation treated as noise). With one,
-    per-epoch offsets are predicted from the current track
-    (`predict_offsets`, which gets `parts`) and added to the rigid model,
-    and blocks use SIGMA_PX_GEOMETRIC.
+    Without offsets (rigid mode) the model points are the rigid model at
+    every epoch, and every reprojection block is weighted by
+    SIGMA_PX_DEFORMATION (body deformation treated as noise). Given (T, P, 3)
+    model-frame offsets (deformed mode, from `predict_offsets`), the model
+    points are the rigid model plus each epoch's offsets, and blocks use
+    SIGMA_PX_GEOMETRIC.
     """
     stochastic = stochastic or StochasticConfig()
-    if deform_model is None:
+    if offsets is None:
         return Problem(dataset, cameras, mouse_model.COORDS, stochastic,
                        SIGMA_PX_DEFORMATION)
-    if track is None:
-        raise ValueError("deformed mode needs a current track estimate")
-    offsets = predict_offsets(dataset, cameras, track, deform_model,
-                              parts=parts)
     return Problem(dataset, cameras, mouse_model.COORDS + offsets, stochastic,
                    SIGMA_PX_GEOMETRIC)
 
@@ -608,9 +600,10 @@ def predict_offsets(dataset, cameras, track: MouseStateTrack, model, *,
     """Per-epoch model-frame deformation offsets predicted from observations.
 
     Parts visible in >= 2 cameras are triangulated (`parts`, computed here
-    when not given), mapped into the model frame via the current pose
-    estimates and taken as offsets from the rigid model; the recording's
-    token windows of these offsets feed the sequence model in one batch.
+    when not given, as when a saved track is scored), mapped into the model
+    frame via the current pose estimates and taken as offsets from the rigid
+    model; the recording's token windows of these offsets feed the sequence
+    model in one batch.
     Epochs whose window does not fit inside the track get zero offsets.
     """
     n = deform_predictor.WINDOW
@@ -761,22 +754,21 @@ def check_jacobian(problem: Problem, track: MouseStateTrack):
 
 def solve_dataset(dataset, cameras=None, mode="rigid", deform_model=None,
                   stochastic: StochasticConfig | None = None):
-    """Initialize and solve a dataset end to end.
+    """Initialize and solve a dataset end to end: the one place that runs
+    the stages in order.
 
-    The recording is triangulated once, for the initialization and every
-    offset prediction. Both modes run the same rounds of `build_problem`
-    then `solve`, each from the previous round's track. Rigid mode is one
-    round with zero offsets (a deform_model given with it is not used),
-    solved to COST_TOLERANCE. In deformed mode the offset prediction and
-    the pose solve alternate for two rounds (offsets held fixed within each
-    LM solve); one round gives a higher part RMSE on gait recordings. Round 1
-    stops at ROUND_1_TOLERANCE: its poses only place the triangulated
-    parts, about 0.5 mm off, in the model frame for the second prediction.
-    On the criterion-6 gait scenes it ends after 2 iterations instead of
-    5-6, and the final track moves by at most 1.5e-4 rad and 1.4e-3 mm
-    against a round 1 solved to COST_TOLERANCE. Round 2 solves to
-    COST_TOLERANCE, so the returned track meets the same stop rule as a
-    rigid one; its report carries round 1's as `first_round`.
+    `triangulate_parts` runs once and `initialize` poses its parts. Each
+    round starts from the previous round's track: in deformed mode it
+    predicts offsets from the same parts (`predict_offsets`), then it runs
+    `build_problem` and `solve`. Rigid mode is one round without offsets (a
+    deform_model given with it is not used), solved to COST_TOLERANCE.
+    Deformed mode runs two rounds, since one gives a higher part RMSE on
+    gait recordings. Round 1 stops at ROUND_1_TOLERANCE: its poses only
+    place the triangulated parts, about 0.5 mm off, in the model frame for
+    the second prediction, and on the criterion-6 gait scenes the final
+    track moves by at most 1.5e-4 rad and 1.4e-3 mm against a round 1
+    solved to COST_TOLERANCE. Round 2 solves to COST_TOLERANCE, like rigid
+    mode; its report carries round 1's as `first_round`.
     """
     if mode == "rigid":
         deform_model, tolerances = None, (COST_TOLERANCE,)
@@ -789,12 +781,13 @@ def solve_dataset(dataset, cameras=None, mode="rigid", deform_model=None,
     cameras = cameras if cameras is not None else dataset.cameras
     stochastic = stochastic or StochasticConfig()
     parts = triangulate_parts(dataset, cameras)
-    init = initialize(dataset, cameras, parts=parts)
+    init = initialize(parts)
     track, reports = init, []
     for tolerance in tolerances:
-        problem = build_problem(dataset, cameras, track=track,
-                                deform_model=deform_model,
-                                stochastic=stochastic, parts=parts)
+        offsets = (None if deform_model is None else
+                   predict_offsets(dataset, cameras, track, deform_model,
+                                   parts=parts))
+        problem = build_problem(dataset, cameras, offsets, stochastic)
         track, report = solve(problem, track, tolerance=tolerance)
         reports.append(report)
     if len(reports) == 2:

@@ -5,10 +5,11 @@ Each epoch's six pose parameters are compared against the unique cubic
 polynomial through four neighboring epochs (t-2, t-1, t+1, t+2; one-sided
 windows at the track boundaries), which takes the nodes' rotation vectors on
 the 2 pi branch nearest the epoch's canonical vector. The comparison is the
-world displacement H g - S g of each point g of `GRID`, the 3x3x3 grid of
-model-frame points spanning the body, where H is the epoch's pose and S the
-recombined interpolated pose. It is the body-frame difference S^-1 H g - g
-turned by R_S, so its norm does not depend on where the world frame sits.
+world displacement H g - S g of each point g of `body_grid`, the 3x3x3 grid
+of model-frame points spanning the body model, where H is the epoch's pose
+and S the recombined interpolated pose. It is the body-frame difference
+S^-1 H g - g turned by R_S, so its norm does not depend on where the world
+frame sits.
 Poses are (..., 6) rows: Rodrigues vector, then translation in mm. The RMS
 of the grid displacements is the scalar smoothness metric. The bundle
 adjustment uses an exact equivalent with four weighted points
@@ -24,12 +25,14 @@ import numpy as np
 
 from . import geometry, mouse_model
 
-# (27, 3) read-only grid over the rigid model's bounding box
-# ([-13.5, 13.5] x [-30, 36] x [-8, 19] mm), x slowest and z fastest
-GRID = np.array(list(itertools.product(*(
-    np.linspace(lo, hi, 3) for lo, hi in zip(mouse_model.COORDS.min(axis=0),
-                                             mouse_model.COORDS.max(axis=0))))))
-GRID.setflags(write=False)
+
+def body_grid():
+    """(27, 3) read-only grid over the bounding box of `mouse_model.COORDS`
+    as it is at the call, x slowest and z fastest."""
+    lo, hi = mouse_model.COORDS.min(axis=0), mouse_model.COORDS.max(axis=0)
+    grid = np.array(list(itertools.product(*np.linspace(lo, hi, 3).T)))
+    grid.setflags(write=False)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +70,11 @@ def window_slots(n_epochs):
 
     Interior epochs use the symmetric window t-2, t-1, t+1, t+2; the first
     and last two epochs use the four nearest other epochs (one-sided
-    window).
+    window). ValueError for a track shorter than one five-epoch window.
     """
+    if n_epochs < 5:
+        raise ValueError(f"a track of {n_epochs} epochs is shorter than one "
+                         f"five-epoch smoothness window")
     t = np.arange(n_epochs)
     first = np.maximum(np.minimum(t - 2, n_epochs - 5), 0)
     return first, SLOT_WEIGHTS[t - first]
@@ -129,11 +135,12 @@ def grid_factor(points):
 
 def grid_displacements(H, S):
     """(..., 27, 3) world displacement H g - S g = (R_H - R_S) g + t_H - t_S
-    of each body point g of `GRID`, for broadcasting (..., 6) pose rows H and
-    S. Its norm is that of the body-frame displacement S^-1 H g - g, so the
-    norm does not depend on the world frame."""
-    return (mouse_model.world_part_positions(H, GRID)
-            - mouse_model.world_part_positions(S, GRID))
+    of each body point g of `body_grid`, for broadcasting (..., 6) pose rows
+    H and S. Its norm is that of the body-frame displacement S^-1 H g - g, so
+    the norm does not depend on the world frame."""
+    grid = body_grid()
+    return (mouse_model.world_part_positions(H, grid)
+            - mouse_model.world_part_positions(S, grid))
 
 
 def grid_rmse(H, S):
@@ -147,17 +154,16 @@ def track_residual(track, t):
     """Smoothness residual for epoch t of a pose track, a (T, 6) array
     (Rodrigues vector, then translation in mm).
 
-    Returns the (27, 3) `GRID` displacements between the epoch's pose and
-    the cubic interpolation of its four window neighbors, as in the bundle
-    adjustment; the RMS of the flattened vector equals `grid_rmse` of the
-    two poses. IndexError unless 0 <= t < T.
+    Returns the (27, 3) `body_grid` displacements between the epoch's pose
+    and the cubic interpolation of its four window neighbors, as in the
+    bundle adjustment; the RMS of the flattened vector equals `grid_rmse` of
+    the two poses. ValueError for a track of fewer than 5 epochs
+    (`window_slots`), IndexError unless 0 <= t < T.
     """
     params = np.asarray(track, dtype=float)
-    if len(params) < 5:
-        raise ValueError("track must have at least 5 epochs")
+    first, weights = window_slots(len(params))
     if not 0 <= t < len(params):
         raise IndexError(f"epoch {t} outside a track of {len(params)} epochs")
-    first, weights = window_slots(len(params))
     interp, _ = interpolate(params, first[t] + np.arange(5)[None],
                             weights[t:t + 1],
                             geometry.canonical_rodrigues(params[t:t + 1, :3]))

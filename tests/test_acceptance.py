@@ -164,7 +164,8 @@ def test_criterion_5_completeness_claim():
         if deficient.mean() < 0.10:
             ok = False
         # per-frame baseline cannot pose the deficient epochs
-        init = adjustment.initialize(ds)
+        init = adjustment.initialize(
+            adjustment.triangulate_parts(ds, ds.cameras))
         if any(init.solved_from[t] == "local"
                for t in np.flatnonzero(deficient)):
             ok = False

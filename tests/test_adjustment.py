@@ -23,6 +23,7 @@ from mousetrack3d.adjustment import (
     save_track,
     solve,
     solve_dataset,
+    triangulate_parts,
 )
 from mousetrack3d.errors import (InconsistentCameraIds, NonFiniteCost,
                                  NonPositiveDepth, NoSolvableEpoch)
@@ -38,16 +39,9 @@ def make_dataset(seed=0, n_epochs=30, noise=0.0, dropout=0.0,
     return simulator.simulate(config)
 
 
-def make_problem(ds, offsets=None, stochastic=None):
-    """Problem with the rigid model, or with given per-epoch offsets (the
-    deformed mode's sigma), without a trained deformation model."""
-    stochastic = stochastic or StochasticConfig()
-    pts = mouse_model.COORDS
-    if offsets is None:
-        return Problem(ds, ds.cameras, pts, stochastic,
-                       adjustment.SIGMA_PX_DEFORMATION)
-    return Problem(ds, ds.cameras, pts + offsets, stochastic,
-                   adjustment.SIGMA_PX_GEOMETRIC)
+def initial_track(ds):
+    """`initialize` from the recording's triangulated parts."""
+    return initialize(triangulate_parts(ds, ds.cameras))
 
 
 def cost(problem, x):
@@ -105,7 +99,7 @@ def test_fit_rigid_batched_matches_separate_fits():
 
 def test_initialize_noiseless_equals_ground_truth():
     ds = make_dataset(noise=0.0)
-    track = initialize(ds)
+    track = initial_track(ds)
     assert all(f == "local" for f in track.solved_from)
     assert max_position_error(track, ds) < 1e-5
 
@@ -115,7 +109,7 @@ def test_initialize_interpolates_thin_epochs():
     t = 9
     ds.visible[t, :, 2:] = False  # leave 2 parts visible everywhere
     ds.observations[t, :, 2:] = np.nan
-    track = initialize(ds)
+    track = initial_track(ds)
     assert track.solved_from[t] == "interpolated"
     # linear interpolation of the six parameters between solved neighbors
     expect = 0.5 * (track.as_array()[t - 1] + track.as_array()[t + 1])
@@ -129,7 +123,7 @@ def test_initialize_interpolates_across_pi():
     t = 48
     ds.visible[t, :, 2:] = False
     ds.observations[t, :, 2:] = np.nan
-    track = initialize(ds)
+    track = initial_track(ds)
     assert track.solved_from[t] == "interpolated"
     solved = np.array(track.solved_from) == "local"
     assert np.all(np.linalg.norm(track.poses[solved, :3], axis=1) <= np.pi)
@@ -144,7 +138,7 @@ def test_initialize_no_solvable_epoch():
     ds.visible[:] = False
     ds.observations[:] = np.nan
     with pytest.raises(NoSolvableEpoch):
-        initialize(ds)
+        initial_track(ds)
 
 
 def test_solve_dataset_rejects_missing_camera():
@@ -177,10 +171,10 @@ def test_problem_rigid_kind_without_model():
 
 def test_rigid_points_equal_zero_offsets_bit_for_bit():
     ds = make_dataset(n_epochs=140, noise=0.5, dropout=0.3, seed=3)
-    x = initialize(ds).poses
-    rigid = make_problem(ds)
+    x = initial_track(ds).poses
+    rigid = build_problem(ds, ds.cameras)
     zero = Problem(ds, ds.cameras, mouse_model.COORDS + np.zeros((140, 8, 3)),
-                   StochasticConfig(), adjustment.SIGMA_PX_DEFORMATION)
+                   StochasticConfig(), rigid.sigma_px)
     assert np.array_equal(rigid.residuals(x), zero.residuals(x))
     for a, b in zip(rigid.normal_equations(x), zero.normal_equations(x)):
         assert np.array_equal(a, b)
@@ -191,7 +185,7 @@ def test_zero_smoothness_weight_block_diagonal():
     problem = build_problem(
         ds, ds.cameras,
         stochastic=StochasticConfig(smoothness_weight=0.0))
-    track = initialize(ds)
+    track = initial_track(ds)
     J = dense_jacobian(problem, track.as_array().ravel())
     N = J.T @ J
     for a in range(10):
@@ -205,7 +199,7 @@ def test_zero_smoothness_weight_block_diagonal():
 
 def test_deformed_problem_uses_per_epoch_points():
     ds = make_dataset(n_epochs=15, deformation=True, step_sigma=1.5)
-    problem = make_problem(ds, offsets=ds.deform_offsets)
+    problem = build_problem(ds, ds.cameras, offsets=ds.deform_offsets)
     assert problem.sigma_px == adjustment.SIGMA_PX_GEOMETRIC
     assert problem.model_pts.shape == (15, 8, 3)
     # ground-truth offsets make the ground-truth track almost reprojection-free
@@ -249,7 +243,7 @@ def test_normal_equations_match_dense_jacobian(n_epochs, kind, monkeypatch):
         assert set(ds.visible.sum(axis=1).ravel()) == {0, 1, 2, 3}
     stochastic = StochasticConfig(smoothness_weight=0.7)
     offsets = ds.deform_offsets if kind == "deformed" else None
-    problem = make_problem(ds, offsets=offsets, stochastic=stochastic)
+    problem = build_problem(ds, ds.cameras, offsets, stochastic)
     rng = np.random.default_rng(n_epochs)
     x = gt_track(ds).as_array() + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
                                              size=(n_epochs, 6))
@@ -290,7 +284,7 @@ def test_normal_equations_match_windowed_jacobian(n_epochs, kind):
                       deformation=kind == "deformed",
                       dropout=0.75 if kind == "occluded" else 0.2)
     offsets = ds.deform_offsets if kind == "deformed" else None
-    problem = make_problem(ds, offsets=offsets,
+    problem = build_problem(ds, ds.cameras, offsets=offsets,
                            stochastic=StochasticConfig(smoothness_weight=0.7))
     rng = np.random.default_rng(n_epochs)
     if kind == "mixed_branches":
@@ -351,7 +345,7 @@ def test_chunked_linearization_is_bit_identical(n_epochs, kind, monkeypatch):
 
     def run(chunk):
         monkeypatch.setattr(adjustment, "CHUNK_EPOCHS", chunk)
-        problem = make_problem(ds, offsets=offsets, stochastic=stochastic)
+        problem = build_problem(ds, ds.cameras, offsets, stochastic)
         N, g = problem.normal_equations(x.ravel())
         solved, report = solve(problem, track)
         return N, g, solved.poses, report.iterations, report.final_cost
@@ -369,7 +363,7 @@ def test_normal_equations_memory_is_bounded_per_epoch():
     def peak(n_epochs):
         ds = make_dataset(n_epochs=n_epochs, noise=0.5, dropout=0.2)
         problem = build_problem(ds, ds.cameras)
-        x = initialize(ds).poses.ravel()
+        x = initial_track(ds).poses.ravel()
         problem.residuals(x)    # the forward pass that is reused
         tracemalloc.start()
         try:
@@ -401,7 +395,8 @@ def test_invisible_grid_entries_are_inert():
     for stored in (0.0, np.nan, 1e9):
         obs = ds.observations.copy()
         obs[[3, 5], 0] = stored
-        problem = make_problem(dataclasses.replace(ds, observations=obs))
+        problem = build_problem(dataclasses.replace(ds, observations=obs),
+                                ds.cameras)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = problem.residuals(x.ravel())
@@ -428,10 +423,10 @@ def test_normal_equations_reuse_cannot_go_stale():
     x2 = x1 + rng.normal(scale=[0.01] * 3 + [0.5] * 3, size=(12, 6)).ravel()
 
     def assert_fresh(got, x):
-        want = make_problem(ds).normal_equations(x.copy())
+        want = build_problem(ds, ds.cameras).normal_equations(x.copy())
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-    problem = make_problem(ds)
+    problem = build_problem(ds, ds.cameras)
     problem.residuals(x1)
     assert_fresh(problem.normal_equations(x2), x2)
     # the array residuals saw, changed in place afterwards
@@ -461,7 +456,7 @@ def test_solve_linearizes_on_the_residuals_forward_pass(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(Problem, name, counted(name))
-    _, report = solve(problem, initialize(ds))
+    _, report = solve(problem, initial_track(ds))
     assert report.iterations > 1
     assert calls["_forward"] == calls["residuals"]
 
@@ -471,7 +466,7 @@ def test_solve_holds_no_band_across_linearizations():
     # band outlives its step, so the allocation peak of a whole solve stays
     # within one band of that of one linearization at the start point
     ds = make_dataset(noise=0.5, dropout=0.2, n_epochs=60)
-    init = initialize(ds)
+    init = initial_track(ds)
     x = init.poses.ravel()
     solve(build_problem(ds, ds.cameras), init)   # warm-up: loads scipy.linalg
 
@@ -494,7 +489,7 @@ def test_linearization_reuses_forward_rotations(monkeypatch):
     # normal_equations at the same x differentiates those matrices
     ds = make_dataset(noise=0.5, dropout=0.2, n_epochs=12)
     problem = build_problem(ds, ds.cameras)
-    x = initialize(ds).poses.ravel()
+    x = initial_track(ds).poses.ravel()
     original, calls = geometry.rodrigues_to_matrix, []
 
     def counted(r):
@@ -513,7 +508,8 @@ def test_jacobian_across_rotation_branches(kind):
     ds = make_dataset(n_epochs=9, noise=0.5)
     if kind == "smoothness_only":
         ds.visible[:] = False
-    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=0.7))
+    problem = build_problem(ds, ds.cameras,
+                            stochastic=StochasticConfig(smoothness_weight=0.7))
     x = mixed_branch_poses(ds, np.random.default_rng(5))
     _, scale = problem._interpolated(x)
     assert (scale != 1.0).any()          # some window nodes change branch
@@ -536,7 +532,8 @@ def test_gradient_is_half_the_cost_gradient(case):
     n_epochs = {"one_window": 5, "occluded": 12, "mixed_branches": 9}[case]
     ds = make_dataset(n_epochs=n_epochs, noise=0.5, step_sigma=1.5,
                       dropout=0.75 if case == "occluded" else 0.0)
-    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=0.7))
+    problem = build_problem(ds, ds.cameras,
+                            stochastic=StochasticConfig(smoothness_weight=0.7))
     rng = np.random.default_rng(n_epochs)
     if case == "mixed_branches":
         x = mixed_branch_poses(ds, rng)
@@ -557,7 +554,8 @@ def test_gradient_is_half_the_cost_gradient(case):
 
 def test_cost_is_branch_invariant():
     ds = make_dataset(n_epochs=12, noise=0.5)
-    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=0.7))
+    problem = build_problem(ds, ds.cameras,
+                            stochastic=StochasticConfig(smoothness_weight=0.7))
     x = mixed_branch_poses(ds, np.random.default_rng(6))
     canon = x.copy()
     canon[:, :3] = geometry.canonical_rodrigues(x[:, :3])
@@ -575,7 +573,8 @@ def test_four_point_smoothness_equals_grid_sum():
     ds = make_dataset(n_epochs=9, step_sigma=1.5)
     ds.visible[:] = False
     w = 0.7
-    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=w))
+    problem = build_problem(ds, ds.cameras,
+                            stochastic=StochasticConfig(smoothness_weight=w))
     rng = np.random.default_rng(4)
     x = gt_track(ds).as_array() + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
                                              size=(9, 6))
@@ -619,7 +618,7 @@ def test_track_residual_across_rotation_branches():
     got = np.array([(track_constraint.track_residual(x, t) ** 2).sum()
                     for t in range(9)])
     assert np.isfinite(got).all()
-    expect = per_epoch_smoothness(make_problem(ds), x)
+    expect = per_epoch_smoothness(build_problem(ds, ds.cameras), x)
     assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
 
 
@@ -659,7 +658,7 @@ def test_check_jacobian_at_benchmark_length(n_epochs, kind):
     ds = make_dataset(n_epochs=n_epochs, noise=0.5, dropout=0.2,
                       step_sigma=1.5, deformation=kind == "deformed")
     offsets = ds.deform_offsets if kind == "deformed" else None
-    problem = make_problem(ds, offsets=offsets,
+    problem = build_problem(ds, ds.cameras, offsets=offsets,
                            stochastic=StochasticConfig(smoothness_weight=0.7))
     rng = np.random.default_rng(n_epochs)
     poses = ds.poses + rng.normal(scale=[0.1] * 3 + [5.0] * 3,
@@ -677,7 +676,8 @@ def test_windowed_jacobian_matches_every_column(n_epochs, kind):
     # into the column of epoch t, which the colours would pass
     ds = make_dataset(n_epochs=n_epochs, noise=0.5, step_sigma=1.5,
                       dropout=0.75 if kind == "occluded" else 0.0)
-    problem = make_problem(ds, stochastic=StochasticConfig(smoothness_weight=0.7))
+    problem = build_problem(ds, ds.cameras,
+                            stochastic=StochasticConfig(smoothness_weight=0.7))
     rng = np.random.default_rng(n_epochs)
     if kind == "mixed_branches":
         x = mixed_branch_poses(ds, rng).ravel()
@@ -725,7 +725,8 @@ def test_depth_rule_behind_camera():
     x[2, 3:] = world([0.0, 0.0, -200.0])
     parts = mouse_model.world_part_positions(x[2:3])[0]
     assert np.all(geometry.project_many(cam, parts)[1] < 0)
-    assert np.all(np.isfinite(make_problem(ds).residuals(x.ravel())))
+    r = build_problem(ds, ds.cameras).residuals(x.ravel())
+    assert np.all(np.isfinite(r))
 
     ident = geometry.CameraModel(np.eye(3), geometry.RigidTransform(np.eye(3), np.zeros(3)))
     for z in (0.0, geometry.EPS_DEPTH, -geometry.EPS_DEPTH / 2):
@@ -746,7 +747,7 @@ def test_noiseless_ground_truth_is_optimum():
 def test_solver_never_increases_cost():
     ds = make_dataset(noise=0.5, dropout=0.2, n_epochs=30)
     problem = build_problem(ds, ds.cameras)
-    init = initialize(ds)
+    init = initial_track(ds)
     track, report = solve(problem, init)
     assert report.final_cost <= report.initial_cost
     assert cost(problem, track.as_array().ravel()) \
@@ -794,10 +795,8 @@ class IndefiniteBand(adjustment.Problem):
 
 def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
     ds = make_dataset(noise=0.5, n_epochs=12)
-    model_pts = mouse_model.COORDS
-    stochastic = StochasticConfig()
-    problem = IndefiniteFirstStep(ds, ds.cameras, model_pts, stochastic,
-                                  adjustment.SIGMA_PX_DEFORMATION)
+    monkeypatch.setattr(adjustment, "Problem", IndefiniteFirstStep)
+    problem = build_problem(ds, ds.cameras)
     attempts = []   # (damped diagonal of entry 0, factorization succeeded)
     factorize = scipy.linalg.cholesky_banded
 
@@ -812,7 +811,7 @@ def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
         return out
 
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
-    track, report = solve(problem, initialize(ds))
+    track, report = solve(problem, initial_track(ds))
 
     assert not attempts[0][1]
     first_ok = next(k for k, (_, ok) in enumerate(attempts) if ok)
@@ -822,13 +821,11 @@ def test_solve_raises_lambda_on_failed_factorization(monkeypatch):
     assert report.final_cost < report.initial_cost
 
 
-def test_solve_reports_no_descent():
+def test_solve_reports_no_descent(monkeypatch):
     ds = make_dataset(noise=0.5, n_epochs=12)
-    model_pts = mouse_model.COORDS
-    stochastic = StochasticConfig()
-    problem = IndefiniteBand(ds, ds.cameras, model_pts, stochastic,
-                             adjustment.SIGMA_PX_DEFORMATION)
-    init = initialize(ds)
+    monkeypatch.setattr(adjustment, "Problem", IndefiniteBand)
+    problem = build_problem(ds, ds.cameras)
+    init = initial_track(ds)
     track, report = solve(problem, init)
     assert report.status == "no_descent"
     assert not report.converged
@@ -839,10 +836,10 @@ def test_solve_reports_no_descent():
 
 def test_solve_raises_non_finite_start_cost():
     ds = make_dataset(noise=0.5, n_epochs=12)
-    start = initialize(ds)
+    start = initial_track(ds)
     start.poses[5, 4] = np.nan
     with pytest.raises(NonFiniteCost, match="initial cost"):
-        solve(make_problem(ds), start)
+        solve(build_problem(ds, ds.cameras), start)
 
 
 def test_solve_raises_non_finite_trial_cost(monkeypatch):
@@ -856,7 +853,7 @@ def test_solve_raises_non_finite_trial_cost(monkeypatch):
 
     monkeypatch.setattr(adjustment, "_damped_step", non_finite)
     with pytest.raises(NonFiniteCost, match="iteration 1"):
-        solve(make_problem(ds), initialize(ds))
+        solve(build_problem(ds, ds.cameras), initial_track(ds))
 
 
 def test_solve_stop_reasons(monkeypatch):
@@ -868,11 +865,11 @@ def test_solve_stop_reasons(monkeypatch):
 
     ds = make_dataset(noise=0.5, dropout=0.2, n_epochs=30)
     problem = build_problem(ds, ds.cameras)
-    _, report = solve(problem, initialize(ds))
+    _, report = solve(problem, initial_track(ds))
     assert (report.status, report.converged) == ("cost", True)
 
     monkeypatch.setattr(adjustment, "MAX_ITERATIONS", 2)
-    _, report = solve(problem, initialize(ds))
+    _, report = solve(problem, initial_track(ds))
     assert (report.status, report.converged) == ("max_iterations", False)
     assert report.iterations == 2
 
@@ -907,7 +904,7 @@ def test_solve_per_epoch_residual_rms():
     ds.visible[7] = False
     ds.observations[7] = np.nan
     problem = build_problem(ds, ds.cameras)
-    track, _ = solve(problem, initialize(ds))
+    track, _ = solve(problem, initial_track(ds))
     r = problem.residuals(track.as_array().ravel())
     # the (epoch, part, camera) grid of pixel residual pairs
     rr = (r[:-12 * 20] * problem.sigma_px).reshape(20, 8, 3, 2)
@@ -928,12 +925,12 @@ def test_reported_rms_equals_projected_parts(mode, gait_and_model):
                       n_epochs=T, step_sigma=1.5)
     ds.visible[7] = False
     ds.observations[7] = np.nan
-    init = initialize(ds)
+    init = initial_track(ds)
     offsets = np.zeros((T, 8, 3))
     if mode == "deformed":
         offsets = predict_offsets(ds, ds.cameras, init, model)
-    problem = build_problem(ds, ds.cameras, track=init,
-                            deform_model=model if mode == "deformed" else None)
+    problem = build_problem(ds, ds.cameras,
+                            offsets if mode == "deformed" else None)
     track, report = solve(problem, init)
     # squared pixel distance of every visible (epoch, camera, part)
     world = mouse_model.world_part_positions(track.poses,
@@ -979,7 +976,7 @@ def test_solve_dataset_provenance_flags():
                                  for t in range(30)]
     # without smoothness, every epoch initialize interpolated stays so,
     # including some that have observations
-    guessed = np.array(initialize(ds).solved_from) == "interpolated"
+    guessed = np.array(initial_track(ds).solved_from) == "interpolated"
     assert (guessed & ds.visible.any(axis=(1, 2))).any() and not guessed.all()
     track, _ = solve_dataset(ds, stochastic=StochasticConfig(
         smoothness_weight=0.0))
@@ -1083,6 +1080,32 @@ def test_solve_dataset_round_tolerances(monkeypatch, gait_and_model):
     assert [tol for tol, _ in calls] == [adjustment.COST_TOLERANCE]
 
 
+@pytest.mark.parametrize("mode", ["rigid", "deformed"])
+def test_solve_dataset_equals_the_stage_chain(mode, gait_and_model):
+    # triangulate once, initialize from the parts, then per round predict
+    # offsets (deformed mode), build the problem and solve it
+    ds, model = gait_and_model
+    model = model if mode == "deformed" else None
+    track, report = solve_dataset(ds, mode=mode, deform_model=model)
+    parts = triangulate_parts(ds, ds.cameras)
+    chain, reports = initialize(parts), []
+    tolerances = {"rigid": [adjustment.COST_TOLERANCE],
+                  "deformed": [adjustment.ROUND_1_TOLERANCE,
+                               adjustment.COST_TOLERANCE]}[mode]
+    for tolerance in tolerances:
+        offsets = None
+        if model is not None:
+            offsets = predict_offsets(ds, ds.cameras, chain, model,
+                                      parts=parts)
+        chain, round_report = solve(build_problem(ds, ds.cameras, offsets),
+                                    chain, tolerance=tolerance)
+        reports.append(round_report)
+    assert np.array_equal(track.poses, chain.poses)
+    assert np.array_equal(track.residual_rms, chain.residual_rms)
+    first = reports[0] if mode == "deformed" else None
+    assert report == dataclasses.replace(reports[-1], first_round=first)
+
+
 def test_solve_dataset_keeps_round_1_report(monkeypatch, gait_and_model):
     ds, model = gait_and_model
     calls = _spy_on_solve(monkeypatch)
@@ -1113,7 +1136,7 @@ def test_predict_offsets_zero_at_boundaries():
     from mousetrack3d import deform_predictor
     ds = make_dataset(seed=5, deformation=True, n_epochs=40, step_sigma=1.5)
     model, _ = deform_predictor.train([ds], epochs=30, seed=0)
-    track = initialize(ds)
+    track = initial_track(ds)
     offsets = predict_offsets(ds, ds.cameras, track, model)
     assert np.allclose(offsets[:2], 0.0)
     assert np.allclose(offsets[-2:], 0.0)

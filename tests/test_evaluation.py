@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mousetrack3d import geometry, mouse_model, simulator
-from mousetrack3d.adjustment import MouseStateTrack, initialize
+from mousetrack3d.adjustment import (MouseStateTrack, initialize,
+                                     triangulate_parts)
 from mousetrack3d.errors import EpochMismatch
 from mousetrack3d.evaluation import evaluate, geodesic_angle, plot, save_report
 from mousetrack3d.geometry import rodrigues_to_matrix
@@ -103,7 +104,8 @@ def test_completeness_input_is_the_per_frame_share(seed):
                       noise_sigma_px=0.5, deformation_enabled=False,
                       occlusion=simulator.OcclusionConfig(
                           random_dropout_rate=0.75))
-    local = np.mean(np.array(initialize(ds).solved_from) == "local")
+    init = initialize(triangulate_parts(ds, ds.cameras))
+    local = np.mean(np.array(init.solved_from) == "local")
     assert evaluate(gt_track(ds), ds).completeness_input == local
 
 

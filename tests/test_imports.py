@@ -109,7 +109,8 @@ config = simulator.SceneConfig(cameras=simulator.default_cameras(), seed=0,
 dataset = simulator.simulate(config)
 simulator.export_dataset(dataset, "data.json")
 dataset = simulator.import_dataset("data.json")
-track = adjustment.initialize(dataset, dataset.cameras)
+parts = adjustment.triangulate_parts(dataset, dataset.cameras)
+track = adjustment.initialize(parts)
 evaluation.evaluate(track, dataset)
 evaluation.plot(track, dataset, "plots")
 adjustment.save_track(track, "track.json")
@@ -126,8 +127,9 @@ adjustment.solve_dataset(dataset)
 scipy_modules()
 short = simulator.simulate(simulator.SceneConfig(
     cameras=simulator.default_cameras(), seed=1, n_epochs=6))
-adjustment.check_jacobian(adjustment.build_problem(short, short.cameras),
-                          adjustment.initialize(short, short.cameras))
+adjustment.check_jacobian(
+    adjustment.build_problem(short, short.cameras),
+    adjustment.initialize(adjustment.triangulate_parts(short, short.cameras)))
 scipy_modules()
 """
 

@@ -2,13 +2,14 @@
 model (`mouse_model.COORDS`), and of a dataset only its cameras, pixels and
 visibility, never its ground truth."""
 
+import itertools
 import types
 
 import numpy as np
 import pytest
 
 from mousetrack3d import (adjustment, deform_predictor, evaluation,
-                          mouse_model, simulator)
+                          mouse_model, simulator, track_constraint)
 
 
 def make_dataset(seed=2, n_epochs=30):
@@ -61,6 +62,39 @@ def test_chain_runs_on_a_seven_part_body_model(tmp_path, monkeypatch):
     assert report.converged and track.poses.shape == (T, 6)
     offsets = adjustment.predict_offsets(ds, ds.cameras, track, model)
     assert offsets.shape == (T, 7, 3)
+
+
+def test_smoothness_grid_follows_the_body_model(monkeypatch):
+    # the 3x3x3 grid spans the bounding box of the body model in use: without
+    # the tail root, y starts at -8.5 mm instead of -30 mm
+    monkeypatch.setattr(mouse_model, "COORDS", mouse_model.COORDS[:7])
+    ds = make_dataset(n_epochs=10)
+    lo, hi = mouse_model.COORDS.min(axis=0), mouse_model.COORDS.max(axis=0)
+    assert lo[1] == -8.5
+    grid = np.array(list(itertools.product(
+        *(np.linspace(a, b, 3) for a, b in zip(lo, hi)))))
+    rq = track_constraint.grid_factor(grid)
+    problem = adjustment.build_problem(ds, ds.cameras)
+    assert np.array_equal(problem.smooth_p, rq[:, :3])
+    assert np.array_equal(problem.smooth_s, rq[:, 3])
+    H, S = ds.poses[:3], ds.poses[3:6]
+    assert np.array_equal(
+        track_constraint.grid_displacements(H, S),
+        mouse_model.world_part_positions(H, grid)
+        - mouse_model.world_part_positions(S, grid))
+
+
+def test_short_recording_is_refused_by_name():
+    # a track needs one five-epoch smoothness window; the file loaders
+    # refuse shorter recordings, and so does the library itself
+    ds = make_dataset(n_epochs=10)
+    short = types.SimpleNamespace(cameras=ds.cameras,
+                                  observations=ds.observations[:4],
+                                  visible=ds.visible[:4])
+    with pytest.raises(ValueError, match="five-epoch smoothness window"):
+        adjustment.solve_dataset(short)
+    with pytest.raises(ValueError, match="five-epoch smoothness window"):
+        track_constraint.track_residual(ds.poses[:4], 0)
 
 
 @pytest.fixture(scope="module")

@@ -92,3 +92,17 @@ def test_compare_tracks_different_sets(compare, tmp_path):
     assert run({"one": poses["one"]}) == (1, [
         f"{tmp_path / 'a'} and {tmp_path / 'b'} hold different sets of "
         f"tracks"])
+
+
+def test_time_linearization_returns_its_figures(monkeypatch, capsys):
+    tool = load_tool("time_linearization", monkeypatch)
+    figures = tool.main(["-n", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert list(figures) == [line.split(":", 1)[0] for line in lines] == [
+        "rigid-long", "occluded-batch", "deformed-gait"]
+    for name, fig in figures.items():
+        assert set(fig) == {
+            "epochs", "observations", "points", "residuals_ms",
+            "linearize_ms", "triangulate_ms", "initialize_ms",
+            "linearize_mib", "triangulate_mib"}
+        assert all(np.all(np.asarray(v) > 0) for v in fig.values()), name

@@ -3,7 +3,7 @@ import pytest
 
 from mousetrack3d import geometry, simulator, track_constraint
 from mousetrack3d.track_constraint import (
-    GRID,
+    body_grid,
     grid_displacements,
     grid_factor,
     grid_rmse,
@@ -17,14 +17,15 @@ from mousetrack3d.track_constraint import (
 # -- grid ---------------------------------------------------------------------
 
 def test_default_grid_covers_model_bbox():
-    assert GRID.shape == (27, 3)
-    assert np.allclose(GRID.min(axis=0), [-13.5, -30.0, -8.0])
-    assert np.allclose(GRID.max(axis=0), [13.5, 36.0, 19.0])
+    grid = body_grid()
+    assert grid.shape == (27, 3)
+    assert np.allclose(grid.min(axis=0), [-13.5, -30.0, -8.0])
+    assert np.allclose(grid.max(axis=0), [13.5, 36.0, 19.0])
 
 
 def test_grid_immutable():
     with pytest.raises(ValueError):
-        GRID[0, 0] = 99.0
+        body_grid()[0, 0] = 99.0
 
 
 # -- interpolation ------------------------------------------------------------
@@ -132,7 +133,7 @@ def lattice(lo, hi, counts):
 
 
 @pytest.mark.parametrize("grid", [
-    GRID,
+    body_grid(),
     lattice([-13.5, -30.0, -8.0], [13.5, 36.0, 19.0], (4, 3, 5)),
     lattice([-13.5, -33.0, 0.0], [13.5, 33.0, 0.0], (3, 3, 3)),
 ], ids=["default", "4x3x5", "flat"])
@@ -166,13 +167,14 @@ def test_pure_translation_rmse_is_norm():
 def test_one_degree_rotation_rmse_chord_oracle():
     # rotation about the grid-center z-axis displaces each point along a
     # chord of length 2 r sin(theta/2) where r is its xy-radius from center
-    center = 0.5 * (GRID.min(axis=0) + GRID.max(axis=0))
+    grid = body_grid()
+    center = 0.5 * (grid.min(axis=0) + grid.max(axis=0))
     theta = np.radians(1.0)
     R = geometry.rodrigues_to_matrix(np.array([0.0, 0.0, theta]))
     S = np.zeros(6)
     # rotate about the center: x -> R(x - c) + c
     H = np.concatenate([[0.0, 0.0, theta], center - R @ center])
-    radii = np.linalg.norm(GRID[:, :2] - center[:2], axis=1)
+    radii = np.linalg.norm(grid[:, :2] - center[:2], axis=1)
     chords = 2.0 * radii * np.sin(theta / 2.0)
     expected = np.sqrt(np.mean(chords ** 2))
     assert grid_rmse(H, S) == pytest.approx(expected, abs=1e-12)

@@ -22,7 +22,8 @@ the deformation model. Each time is the minimum and the median over
 SAMPLES calls (default 200) of the process CPU time, in ms. Each line ends
 with the peak of the memory that one `residuals` + `normal_equations` pair
 and one `triangulate_parts` call allocate (`tracemalloc`), in MiB. One line
-per workload. BLAS is pinned to one thread, as in the benchmark.
+per workload. BLAS is pinned to one thread, as in the benchmark. `main`
+also returns the figures, one dict per workload name.
 
 The figures of one process move by up to 2x between processes on a busy
 host, even as minima. To compare two trees, run the tool in at least six
@@ -43,7 +44,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from mousetrack3d import adjustment, mouse_model, simulator
+from mousetrack3d import adjustment, simulator
 import workloads
 
 
@@ -68,19 +69,15 @@ def peak_mib(fn):
 
 
 def first_recording_problem(workload):
-    """(dataset, Problem, x at the initialized track) of the workload's first
-    recording, solved in the workload's mode."""
+    """(dataset, its triangulated parts, Problem, x at the initialized track)
+    of the workload's first recording, solved in the workload's mode."""
     _, config = workload.recordings[0]
     ds = simulator.simulate(config)
-    stochastic = workload.stochastic
-    if workload.mode == "deformed":
-        problem = adjustment.Problem(
-            ds, ds.cameras, mouse_model.COORDS + ds.deform_offsets,
-            stochastic, adjustment.SIGMA_PX_GEOMETRIC)
-    else:
-        problem = adjustment.build_problem(ds, ds.cameras,
-                                           stochastic=stochastic)
-    return ds, problem, adjustment.initialize(ds).poses.ravel()
+    offsets = ds.deform_offsets if workload.mode == "deformed" else None
+    problem = adjustment.build_problem(ds, ds.cameras, offsets,
+                                       workload.stochastic)
+    parts = adjustment.triangulate_parts(ds, ds.cameras)
+    return ds, parts, problem, adjustment.initialize(parts).poses.ravel()
 
 
 def main(argv=None):
@@ -92,8 +89,9 @@ def main(argv=None):
         p.error("--samples must be at least 1")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         names = [w["name"] for w in json.load(f)["workloads"]]
+    figures = {}
     for name in names:
-        ds, problem, x = first_recording_problem(workloads.build(name))
+        ds, parts, problem, x = first_recording_problem(workloads.build(name))
 
         def linearize():
             problem.residuals(x)
@@ -102,21 +100,26 @@ def main(argv=None):
         def triangulate():
             adjustment.triangulate_parts(ds, ds.cameras)
 
-        parts = adjustment.triangulate_parts(ds, ds.cameras)
         res = cpu_ms(lambda: problem.residuals(x), args.samples)
         lin = cpu_ms(linearize, args.samples)
         tri = cpu_ms(triangulate, args.samples)
-        ini = cpu_ms(lambda: adjustment.initialize(ds, parts=parts),
-                     args.samples)
+        ini = cpu_ms(lambda: adjustment.initialize(parts), args.samples)
+        fig = figures[name] = {
+            "epochs": ds.n_epochs, "observations": problem.n_obs,
+            "points": int(parts[1].sum()),
+            "residuals_ms": res, "linearize_ms": lin, "triangulate_ms": tri,
+            "initialize_ms": ini, "linearize_mib": peak_mib(linearize),
+            "triangulate_mib": peak_mib(triangulate)}
         print(f"{name}: T = {ds.n_epochs}, {problem.n_obs} observations; "
               f"residuals {res[0]:.3f} / {res[1]:.3f} ms, residuals + "
               f"normal_equations {lin[0]:.3f} / {lin[1]:.3f} ms, "
               f"triangulate_parts {tri[0]:.3f} / {tri[1]:.3f} ms for "
-              f"{int(parts[1].sum())} points, initialize {ini[0]:.3f} / "
+              f"{fig['points']} points, initialize {ini[0]:.3f} / "
               f"{ini[1]:.3f} ms (min / median of {args.samples} CPU times); "
               f"residuals + normal_equations allocate "
-              f"{peak_mib(linearize):.2f} MiB at peak, triangulate_parts "
-              f"{peak_mib(triangulate):.2f} MiB")
+              f"{fig['linearize_mib']:.2f} MiB at peak, triangulate_parts "
+              f"{fig['triangulate_mib']:.2f} MiB")
+    return figures
 
 
 if __name__ == "__main__":
